@@ -2,20 +2,11 @@
 //  * theoretical clocks-per-picture vs the cycle simulation (the paper's
 //    ResNet-18 estimate is ~1.85e6 clocks, matching 16.1 ms @105 MHz);
 //  * the Stratix 10 projection (5x clock -> 3-4 ms per image);
-//  * frames-per-second for every workload (§V claims >60 fps everywhere);
-//  * host StreamEngine transport/executor ablation: scalar vs burst
-//    streams crossed with thread-per-kernel vs pooled execution, written
-//    to BENCH_dataflow.json. Acceptance bar: burst+pooled reaches >= 2x
-//    the pre-refactor scalar thread-per-kernel configuration.
-#include <chrono>
-#include <fstream>
+//  * frames-per-second for every workload (§V claims >60 fps everywhere).
 #include <iostream>
-#include <sstream>
 
 #include "bench_util.h"
-#include "dataflow/engine.h"
 #include "fpga/resource_model.h"
-#include "io/synthetic.h"
 #include "perfmodel/fpga_estimate.h"
 #include "sim/cycle_model.h"
 
@@ -83,113 +74,5 @@ int main() {
   }
   g.print(std::cout);
 
-  bench::heading("Host dataflow engine — transport and executor ablation",
-                 "per-image (serving-style) images/s of the software "
-                 "StreamEngine: scalar vs burst stream transport crossed "
-                 "with thread-per-kernel vs pooled cooperative execution. "
-                 "Each run() carries one image, as in the inference server; "
-                 "thread-per-kernel pays one OS thread spawn per kernel per "
-                 "run, the pooled executor pays one. Acceptance bar: "
-                 "burst+pooled >= 2x the scalar thread-per-kernel baseline "
-                 "(the pre-refactor engine).");
-
-  const NetworkSpec dspec = models::tiny(8, 4, 2);
-  const Pipeline dp = expand(dspec);
-  const NetworkParams dparams = NetworkParams::random(dp, 91);
-  // Pre-split into single-image batches so the timed loop measures only
-  // run() itself — the same request shape bench_serving drives.
-  std::vector<std::vector<IntTensor>> drequests;
-  for (const IntTensor& img : synthetic_batch(8, 8, 8, 3, 92)) {
-    drequests.push_back({img});
-  }
-  constexpr int kReps = 8;
-
-  struct EngineConfig {
-    const char* label;
-    ExecutorKind kind;
-    std::size_t burst;
-    std::size_t fifo;  // 0 = auto (§III-B1b line buffers)
-  };
-  const EngineConfig configs[] = {
-      // The pre-refactor engine: one value per ring transaction, one OS
-      // thread per kernel, flat 4096-deep FIFOs.
-      {"scalar, thread-per-kernel (baseline)",
-       ExecutorKind::kThreadPerKernel, 1, 4096},
-      {"scalar, pooled", ExecutorKind::kPooled, 1, 0},
-      {"burst 256, thread-per-kernel", ExecutorKind::kThreadPerKernel, 256,
-       0},
-      {"burst 256, pooled", ExecutorKind::kPooled, 256, 0},
-  };
-  Table d({"configuration", "images/s", "speedup", "values/txn",
-           "push stalls", "pop stalls"});
-  std::ostringstream dj;
-  dj << "{\n  \"workload\": \"" << dspec.name << "\",\n  \"images\": "
-     << drequests.size() * kReps << ",\n  \"configs\": [\n";
-  double baseline_ips = 0.0;
-  double burst_pooled_ips = 0.0;
-  for (std::size_t i = 0; i < std::size(configs); ++i) {
-    const EngineConfig& cfg = configs[i];
-    EngineOptions opt;
-    opt.executor = cfg.kind;
-    opt.burst = cfg.burst;
-    opt.fifo_capacity = cfg.fifo;
-    StreamEngine engine(dp, dparams, opt);
-    (void)engine.run(drequests.front());  // warm-up, untimed
-    std::uint64_t values = 0;
-    std::uint64_t txns = 0;
-    std::uint64_t push_stalls = 0;
-    std::uint64_t pop_stalls = 0;
-    int images = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (const auto& request : drequests) {
-        StreamEngine::RunStats st;
-        (void)engine.run(request, &st);
-        values += st.values_streamed;
-        txns += st.stream_transactions;
-        push_stalls += st.push_stalls;
-        pop_stalls += st.pop_stalls;
-        ++images;
-      }
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
-    const double ips = images / elapsed.count();
-    if (i == 0) baseline_ips = ips;
-    if (cfg.kind == ExecutorKind::kPooled && cfg.burst > 1) {
-      burst_pooled_ips = ips;
-    }
-    const double speedup = baseline_ips > 0.0 ? ips / baseline_ips : 0.0;
-    const double occupancy =
-        txns > 0 ? static_cast<double>(values) / static_cast<double>(txns)
-                 : 0.0;
-    d.add_row({cfg.label, Table::num(ips, 2), Table::num(speedup, 2),
-               Table::num(occupancy, 1),
-               Table::integer(static_cast<std::int64_t>(push_stalls)),
-               Table::integer(static_cast<std::int64_t>(pop_stalls))});
-    dj << "    {\"label\": \"" << cfg.label << "\", \"executor\": \""
-       << (cfg.kind == ExecutorKind::kPooled ? "pooled" : "thread") << "\""
-       << ", \"burst\": " << cfg.burst << ", \"images_per_second\": " << ips
-       << ", \"speedup\": " << speedup
-       << ", \"mean_burst_occupancy\": " << occupancy
-       << ", \"push_stalls\": " << push_stalls
-       << ", \"pop_stalls\": " << pop_stalls << "}"
-       << (i + 1 < std::size(configs) ? "," : "") << "\n";
-  }
-  bench::emit(d, "bench_dataflow");
-  const double bar =
-      baseline_ips > 0.0 ? burst_pooled_ips / baseline_ips : 0.0;
-  dj << "  ],\n  \"burst_pooled_speedup\": " << bar << "\n}\n";
-  std::cout << "\nburst+pooled speedup vs scalar thread-per-kernel: "
-            << Table::num(bar, 2) << "x (acceptance bar: >= 2x)\n\n"
-            << dj.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_dataflow.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << dj.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
-  return bar >= 2.0 ? 0 : 1;
+  return 0;
 }

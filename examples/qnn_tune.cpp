@@ -1,7 +1,7 @@
 // qnn_tune: autotune a compile-time plan for a zoo model and cache it.
 //
 // The autotuner (plan/autotune.h) sweeps the CompiledPlan knob grid —
-// executor kind, burst cap, adaptive per-edge bursts — ranking candidates
+// burst cap, adaptive per-edge bursts, FIFO depth — ranking candidates
 // with the sim/ cycle model and deciding among the leaders with a short
 // live calibration run. Every candidate is proved deadlock-free by verify/
 // before it may run. The winner is written to the plan cache keyed by
@@ -87,12 +87,11 @@ int main(int argc, char** argv) {
             << config.backend << ")\n\n";
   const AutotuneResult result = autotune(pipeline, params, config);
 
-  Table t({"candidate", "executor", "burst", "adaptive", "fifo", "pool",
+  Table t({"candidate", "burst", "adaptive", "fifo", "pool",
            "predicted fps", "measured fps"});
   for (std::size_t i = 0; i < result.candidates.size(); ++i) {
     const AutotuneCandidate& c = result.candidates[i];
     t.add_row({i == 0 ? "default" : std::to_string(i),
-               to_string(c.plan.executor),
                Table::integer(static_cast<std::int64_t>(c.plan.burst)),
                c.plan.adaptive_burst ? "yes" : "no",
                Table::integer(static_cast<std::int64_t>(c.plan.fifo_capacity)),
@@ -103,8 +102,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\n" << result.evaluated << " candidates verified, "
             << result.pruned << " pruned by the analyzer\n";
-  std::cout << "winner: " << result.best.fingerprint() << " ("
-            << to_string(result.best.executor) << ", burst "
+  std::cout << "winner: " << result.best.fingerprint() << " (burst "
             << result.best.burst
             << (result.best.adaptive_burst ? ", adaptive" : ", flat")
             << ", fifo " << result.best.fifo_capacity << ", pool "

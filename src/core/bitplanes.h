@@ -8,108 +8,21 @@
 //   dot(w, a) = sum_p 2^p * sum_i w_i * a_{p,i}
 //             = sum_p 2^p * (2*popcount(wb & a_p) - popcount(a_p))
 //
-// One BitPlaneWindow holds the current convolution window (K*K*I codes) as
-// `planes` parallel BitVectors, so each filter costs `planes` AND-popcounts.
+// The conv kernel keeps each window as `planes` packed bit vectors
+// (core/packed_planes.h), so each filter costs `planes` AND-popcounts.
+// reference_pm1_dot below is the plain integer definition the tests pin
+// that datapath to.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "core/bitvector.h"
+#include "core/error.h"
 
 namespace qnn {
 
-class BitPlaneWindow {
- public:
-  BitPlaneWindow() = default;
-
-  /// A window of `bits_per_value`-bit unsigned codes, `values` entries long.
-  BitPlaneWindow(std::int64_t values, int bits_per_value)
-      : values_(values), planes_bits_(bits_per_value) {
-    QNN_CHECK(values >= 0 && bits_per_value >= 1 && bits_per_value <= 16,
-              "unsupported bit-plane configuration");
-    planes_.reserve(static_cast<std::size_t>(bits_per_value));
-    for (int p = 0; p < bits_per_value; ++p) {
-      planes_.emplace_back(values);
-    }
-  }
-
-  [[nodiscard]] std::int64_t values() const { return values_; }
-  [[nodiscard]] int bits_per_value() const { return planes_bits_; }
-
-  /// Store unsigned code `v` at window position `i`.
-  void set(std::int64_t i, std::uint32_t v) {
-    QNN_DCHECK(v < (1U << planes_bits_), "code exceeds plane width");
-    counts_valid_ = false;
-    for (int p = 0; p < planes_bits_; ++p) {
-      planes_[static_cast<std::size_t>(p)].set(i, (v >> p) & 1U);
-    }
-  }
-
-  [[nodiscard]] std::uint32_t get(std::int64_t i) const {
-    std::uint32_t v = 0;
-    for (int p = 0; p < planes_bits_; ++p) {
-      v |= static_cast<std::uint32_t>(
-               planes_[static_cast<std::size_t>(p)].get(i))
-           << p;
-    }
-    return v;
-  }
-
-  /// Fill the whole window from a span of codes (depth-first order).
-  void fill(std::span<const std::int32_t> codes) {
-    QNN_CHECK(static_cast<std::int64_t>(codes.size()) == values_,
-              "window size mismatch");
-    for (std::int64_t i = 0; i < values_; ++i) {
-      QNN_DCHECK(codes[static_cast<std::size_t>(i)] >= 0,
-                 "bit-plane codes must be unsigned");
-      set(i, static_cast<std::uint32_t>(codes[static_cast<std::size_t>(i)]));
-    }
-    refresh_counts();
-  }
-
-  /// dot(w, window) for +-1 weights `w` packed as sign bits. Plane popcounts
-  /// are cached once per fill, so an O-filter sweep pays one count per plane
-  /// instead of one per (plane, filter) pair.
-  [[nodiscard]] std::int32_t dot(const BitVector& w) const {
-    QNN_DCHECK(w.bits() == values_, "filter length mismatch");
-    if (!counts_valid_) refresh_counts();
-    std::int64_t acc = 0;
-    for (int p = 0; p < planes_bits_; ++p) {
-      const auto& plane = planes_[static_cast<std::size_t>(p)];
-      const int on = w.and_popcount(plane);
-      const int tot = counts_[static_cast<std::size_t>(p)];
-      acc += (std::int64_t{2} * on - tot) << p;
-    }
-    return static_cast<std::int32_t>(acc);
-  }
-
-  void clear() {
-    for (auto& p : planes_) p.clear();
-    counts_.assign(static_cast<std::size_t>(planes_bits_), 0);
-    counts_valid_ = true;
-  }
-
- private:
-  void refresh_counts() const {
-    counts_.resize(static_cast<std::size_t>(planes_bits_));
-    for (int p = 0; p < planes_bits_; ++p) {
-      counts_[static_cast<std::size_t>(p)] =
-          planes_[static_cast<std::size_t>(p)].count();
-    }
-    counts_valid_ = true;
-  }
-
-  std::int64_t values_ = 0;
-  int planes_bits_ = 0;
-  std::vector<BitVector> planes_;
-  mutable std::vector<int> counts_;
-  mutable bool counts_valid_ = false;
-};
-
-/// Plain integer reference of the same dot product, used by tests to pin the
-/// packed datapath to the mathematical definition.
+/// Plain integer reference of the dot product above, used by tests to pin
+/// the packed datapath to the mathematical definition.
 [[nodiscard]] inline std::int32_t reference_pm1_dot(
     std::span<const std::int8_t> weights_pm1,
     std::span<const std::int32_t> codes) {

@@ -1,9 +1,8 @@
 // Persistently packed bit-plane storage for the streaming conv datapath.
 //
-// The scalar datapath re-binarizes every activation of every window
-// (BitPlaneWindow::fill walks k*k*I values per output pixel, so each input
-// value is decomposed k*k times at stride 1). Here each activation is
-// decomposed exactly once, as its row streams in:
+// Re-binarizing every activation of every window would walk k*k*I values
+// per output pixel, decomposing each input value k*k times at stride 1.
+// Here each activation is decomposed exactly once, as its row streams in:
 //
 //   BitPlaneLineBuffer — per plane, the last K padded rows of the input map
 //     packed one bit per value, recycled mod K exactly like the dataflow
@@ -14,7 +13,7 @@
 //   PackedFilters — filter-major packed weights, laid out once at kernel
 //     construction so the O-filter inner loop walks a flat word array.
 //
-// Bit layout matches BitPlaneWindow/FilterBank: depth-first (dy, dx, ci)
+// Bit layout matches FilterBank: depth-first (dy, dx, ci)
 // within a window, (x, ci) within a line-buffer row. Padding is code 0,
 // whose bits are zero in every plane, so cleared rows/ranges are already
 // correct for padded regions.

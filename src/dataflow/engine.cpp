@@ -120,13 +120,16 @@ Stream& StreamEngine::make_stream(std::size_t capacity, int bits,
                                   std::string name) {
   streams_.push_back(
       std::make_unique<Stream>(capacity, bits, std::move(name)));
-  streams_.back()->set_abort(&abort_);
   return *streams_.back();
 }
 
 StreamEngine::StreamEngine(const Pipeline& pipeline,
                            const NetworkParams& params, EngineOptions options)
-    : pipeline_(pipeline), params_(params), options_(options) {
+    : pipeline_(pipeline),
+      params_(params),
+      options_(options),
+      executor_(options_.pool_threads, options_.pin_threads,
+                options_.pin_offset) {
   QNN_CHECK(options_.burst >= 1, "burst size must be positive");
   if (options_.verify) {
     // The Maxeler toolchain rejects malformed kernel graphs at compile
@@ -136,18 +139,6 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
     enforce(verify_graph(pipeline, &params, options_), "StreamEngine");
   }
   pipeline_.validate();
-  switch (options_.executor) {
-    case ExecutorKind::kThreadPerKernel:
-      executor_ = make_thread_per_kernel_executor();
-      break;
-    case ExecutorKind::kPooled:
-      executor_ = make_pooled_executor(options_.pool_threads);
-      break;
-    case ExecutorKind::kReadyQueue:
-      executor_ = make_ready_queue_executor(
-          options_.pool_threads, options_.pin_threads, options_.pin_offset);
-      break;
-  }
 
   // All FIFO sizing lives in the plan layer (plan/fifo_plan.h) — the same
   // plan the analyzer proves deadlock-free is the one built here, stream
@@ -308,7 +299,7 @@ std::vector<IntTensor> StreamEngine::run(std::span<const IntTensor> images,
   tasks.push_back(&feeder);
   for (auto& k : kernels_) tasks.push_back(k.get());
   tasks.push_back(&collector);
-  executor_->run(tasks, abort_);
+  executor_.run(tasks, abort_);
 
   if (stats != nullptr) {
     const std::chrono::duration<double> elapsed =

@@ -10,10 +10,10 @@
 // whole row segments, kernels move the per-edge burst planned by
 // plan_fifos (one row of the carried map by default, capped by
 // EngineOptions::burst) per ring transaction, and the collector pops
-// directly into the output tensors. How kernels execute is an Executor
-// choice (see executor.h): one OS thread per kernel, a round-robin
-// cooperative pool, or the default event-driven ready-queue scheduler
-// that the streams wake through the ReadyHook seam.
+// directly into the output tensors. Kernels run on the engine's Executor
+// (see executor.h): an event-driven ready-queue scheduler that the
+// streams wake through the ReadyHook seam, so a kernel fires only when it
+// has input and room for output.
 //
 // FIFO capacities default to the paper's depth-first line-buffer formula
 // I*(W_p*(K-1) + K) (§III-B1b) per edge feeding a window kernel; the
@@ -39,13 +39,6 @@ namespace qnn {
 
 struct CompiledPlan;  // plan/compiled_plan.h
 
-/// Execution model for the kernels of one engine (see executor.h).
-enum class ExecutorKind {
-  kThreadPerKernel,  // one OS thread per kernel, blocking streams
-  kPooled,           // cooperative worker pool, round-robin sweep
-  kReadyQueue,       // event-driven ready deques with work stealing
-};
-
 struct EngineOptions {
   /// FIFO capacity (values) of regular kernel-to-kernel streams.
   /// 0 = auto-size each edge from the §III-B1b line-buffer formula.
@@ -61,11 +54,9 @@ struct EngineOptions {
   /// Derive per-edge burst sizes from producer row lengths in plan_fifos
   /// (FifoPlan::streams[i].burst) instead of using `burst` uniformly.
   bool adaptive_burst = true;
-  /// How kernels are scheduled onto host threads.
-  ExecutorKind executor = ExecutorKind::kReadyQueue;
-  /// Worker count for kPooled / kReadyQueue; 0 = hardware_concurrency.
+  /// Executor worker count; 0 = hardware_concurrency.
   unsigned pool_threads = 0;
-  /// kReadyQueue only: bind worker w to core (pin_offset + w) % cores
+  /// Bind executor worker w to core (pin_offset + w) % cores
   /// (Linux pthread affinity; no-op elsewhere). Combined with the home
   /// partition of the ready deques this keeps producer/consumer kernel
   /// pairs on one core's cache.
@@ -174,7 +165,7 @@ class StreamEngine {
   const EngineOptions options_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Kernel>> kernels_;
-  std::unique_ptr<Executor> executor_;
+  Executor executor_;
   std::unique_ptr<FaultInjector> injector_;
   Stream* input_stream_ = nullptr;
   Stream* output_stream_ = nullptr;

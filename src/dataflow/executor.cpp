@@ -48,103 +48,11 @@ class ErrorLatch {
   std::exception_ptr error_;
 };
 
-class ThreadPerKernelExecutor final : public Executor {
- public:
-  void run(std::span<Kernel* const> tasks,
-           std::atomic<bool>& abort) override {
-    ErrorLatch latch(abort);
-    std::vector<std::thread> threads;
-    threads.reserve(tasks.size());
-    for (Kernel* task : tasks) {
-      task->set_abort(&abort);
-      threads.emplace_back([task, &latch] {
-        try {
-          task->run();
-        } catch (...) {
-          latch.capture();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    latch.finish();
-  }
-};
-
-class PooledExecutor final : public Executor {
- public:
-  explicit PooledExecutor(unsigned threads) : threads_(threads) {}
-
-  void run(std::span<Kernel* const> tasks,
-           std::atomic<bool>& abort) override {
-    const std::size_t n = tasks.size();
-    if (n == 0) return;
-    const unsigned hw = threads_ != 0
-                            ? threads_
-                            : std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers = std::min<std::size_t>(hw, n);
-
-    struct Slot {
-      std::atomic_flag busy;        // a worker is stepping this task
-      std::atomic<bool> done{false};
-    };
-    std::vector<Slot> slots(n);
-    std::atomic<std::size_t> remaining{n};
-    ErrorLatch latch(abort);
-
-    // Workers sweep the task list from staggered start points: each tries
-    // to claim a task (busy flag), steps it once, and releases it. A full
-    // sweep without progress means the pipeline is waiting on in-flight
-    // data of tasks other workers hold — yield rather than spin.
-    auto worker_loop = [&](std::size_t wid) {
-      while (remaining.load(std::memory_order_acquire) != 0 &&
-             !abort.load(std::memory_order_relaxed)) {
-        bool progressed = false;
-        for (std::size_t j = 0; j < n; ++j) {
-          const std::size_t t = (wid + j) % n;
-          Slot& slot = slots[t];
-          if (slot.done.load(std::memory_order_relaxed)) continue;
-          if (slot.busy.test_and_set(std::memory_order_acquire)) continue;
-          // Re-check under the busy flag: done may have been set by the
-          // holder we just succeeded (its release ordered the store).
-          if (slot.done.load(std::memory_order_relaxed)) {
-            slot.busy.clear(std::memory_order_release);
-            continue;
-          }
-          bool task_done = false;
-          try {
-            const StepResult r = tasks[t]->step_checked();
-            task_done = r == StepResult::kDone;
-            if (r != StepResult::kBlocked) progressed = true;
-          } catch (...) {
-            latch.capture();
-            task_done = true;
-          }
-          if (task_done) {
-            slot.done.store(true, std::memory_order_relaxed);
-            remaining.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          slot.busy.clear(std::memory_order_release);
-        }
-        if (!progressed) std::this_thread::yield();
-      }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    for (auto& t : pool) t.join();
-    latch.finish();
-  }
-
- private:
-  unsigned threads_;
-};
+}  // namespace
 
 // -------------------------------------------------------- ready queue
 
-/// Per-run scheduler state behind make_ready_queue_executor: the ReadyHook
+/// Per-run scheduler state behind Executor::run: the ReadyHook
 /// the streams call into, the per-worker deques, and the parking lot.
 ///
 /// The task state machine itself — kIdle/kReady/kRunning/kNotify/kDone,
@@ -206,7 +114,7 @@ class ReadyQueueScheduler final : public ReadyHook {
       // has no idle core to run on — it can only preempt a productive
       // peer. Surplus workers yield their awake slot via CAS (so the
       // last worker at the limit never parks here) and doze; the slot
-      // count is restored on wake. This is what keeps thread-per-kernel
+      // count is restored on wake. This is what keeps one-worker-per-kernel
       // pool sizes harmless.
       int a = awake_.load(std::memory_order_relaxed);
       while (a > awake_limit_ &&
@@ -382,133 +290,97 @@ class ReadyQueueScheduler final : public ReadyHook {
   std::atomic<int> awake_;
 };
 
-/// Ready-queue executor with a persistent worker pool. Spawning and
-/// joining a pool of OS threads costs tens of microseconds per thread —
-/// for a serving-shaped workload (one image per run()) through a deep
-/// pipeline that fixed cost dwarfs the compute, and it grows linearly
-/// with the pool size. Workers are therefore spawned once, lazily, and
-/// parked on a generation counter between runs: each run() publishes a
-/// fresh ReadyQueueScheduler, bumps the generation, and waits until every
-/// participating worker has finished that generation. The destructor
-/// raises shutdown and joins.
-class ReadyQueueExecutor final : public Executor {
- public:
-  ReadyQueueExecutor(unsigned threads, bool pin, unsigned pin_offset)
-      : threads_(threads), pin_(pin), pin_offset_(pin_offset) {}
+// ----------------------------------------------------------- Executor
+//
+// A persistent worker pool. Spawning and joining a pool of OS threads
+// costs tens of microseconds per thread — for a serving-shaped workload
+// (one image per run()) through a deep pipeline that fixed cost dwarfs
+// the compute, and it grows linearly with the pool size. Workers are
+// therefore spawned once, lazily, and parked on a generation counter
+// between runs: each run() publishes a fresh ReadyQueueScheduler, bumps
+// the generation, and waits until every participating worker has
+// finished that generation. The destructor raises shutdown and joins.
 
-  ~ReadyQueueExecutor() override {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      ++gen_;
-    }
-    start_cv_.notify_all();
-    for (auto& t : pool_) t.join();
+Executor::~Executor() {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+    ++gen_;
   }
+  start_cv_.notify_all();
+  for (auto& t : pool_) t.join();
+}
 
-  void run(std::span<Kernel* const> tasks,
-           std::atomic<bool>& abort) override {
-    const std::size_t n = tasks.size();
-    if (n == 0) return;
-    const unsigned hw = threads_ != 0
-                            ? threads_
-                            : std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers = std::min<std::size_t>(hw, n);
+void Executor::run(std::span<Kernel* const> tasks, std::atomic<bool>& abort) {
+  const std::size_t n = tasks.size();
+  if (n == 0) return;
+  const unsigned hw = threads_ != 0
+                          ? threads_
+                          : std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::min<std::size_t>(hw, n);
 
-    ReadyQueueScheduler sched(tasks, workers, abort);
-    // Bind the readiness seam before any worker starts; unbind after they
-    // join, exception or not, so a cancelled run never leaves a stream
-    // waking into a dead scheduler on the next run.
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks[i]->bind_ready(&sched, static_cast<int>(i));
+  ReadyQueueScheduler sched(tasks, workers, abort);
+  // Bind the readiness seam before any worker starts; unbind after they
+  // join, exception or not, so a cancelled run never leaves a stream
+  // waking into a dead scheduler on the next run.
+  for (std::size_t i = 0; i < n; ++i) {
+    tasks[i]->bind_ready(&sched, static_cast<int>(i));
+  }
+  struct Unbind {
+    std::span<Kernel* const> tasks;
+    ~Unbind() {
+      for (Kernel* t : tasks) t->bind_ready(nullptr, -1);
     }
-    struct Unbind {
-      std::span<Kernel* const> tasks;
-      ~Unbind() {
-        for (Kernel* t : tasks) t->bind_ready(nullptr, -1);
-      }
-    } unbind{tasks};
+  } unbind{tasks};
 
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (pool_.size() < workers) spawn(pool_.size());
+    sched_ = &sched;
+    run_workers_ = workers;
+    active_ = workers;
+    ++gen_;
+    start_cv_.notify_all();
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+    sched_ = nullptr;
+  }
+  sched.finish();
+}
+
+void Executor::spawn(std::size_t wid) {
+  pool_.emplace_back([this, wid] { pool_worker(wid); });
+#if defined(__linux__)
+  if (pin_) {
+    const unsigned ncores = std::max(1u, std::thread::hardware_concurrency());
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET((pin_offset_ + wid) % ncores, &set);
+    // Best effort: a shrunken cpuset (container) just leaves the worker
+    // unpinned.
+    pthread_setaffinity_np(pool_.back().native_handle(), sizeof(set), &set);
+  }
+#endif
+}
+
+void Executor::pool_worker(std::size_t wid) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    ReadyQueueScheduler* sched = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      while (pool_.size() < workers) spawn(pool_.size());
-      sched_ = &sched;
-      run_workers_ = workers;
-      active_ = workers;
-      ++gen_;
-      start_cv_.notify_all();
-      done_cv_.wait(lock, [this] { return active_ == 0; });
-      sched_ = nullptr;
+      start_cv_.wait(lock, [&] { return shutdown_ || gen_ != seen; });
+      seen = gen_;
+      if (shutdown_) return;
+      // A run may use fewer workers than the pool holds (task count
+      // shrank); surplus workers sit this generation out.
+      if (wid < run_workers_) sched = sched_;
     }
-    sched.finish();
-  }
-
- private:
-  void spawn(std::size_t wid) {
-    pool_.emplace_back([this, wid] { pool_worker(wid); });
-#if defined(__linux__)
-    if (pin_) {
-      const unsigned ncores =
-          std::max(1u, std::thread::hardware_concurrency());
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET((pin_offset_ + wid) % ncores, &set);
-      // Best effort: a shrunken cpuset (container) just leaves the
-      // worker unpinned.
-      pthread_setaffinity_np(pool_.back().native_handle(), sizeof(set),
-                             &set);
-    }
-#endif
-  }
-
-  void pool_worker(std::size_t wid) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      ReadyQueueScheduler* sched = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return shutdown_ || gen_ != seen; });
-        seen = gen_;
-        if (shutdown_) return;
-        // A run may use fewer workers than the pool holds (task count
-        // shrank); surplus workers sit this generation out.
-        if (wid < run_workers_) sched = sched_;
-      }
-      if (sched != nullptr) {
-        sched->worker(wid);
-        const std::lock_guard<std::mutex> lock(mu_);
-        if (--active_ == 0) done_cv_.notify_all();
-      }
+    if (sched != nullptr) {
+      sched->worker(wid);
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (--active_ == 0) done_cv_.notify_all();
     }
   }
-
-  unsigned threads_;
-  bool pin_;
-  unsigned pin_offset_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> pool_;
-  ReadyQueueScheduler* sched_ = nullptr;
-  std::size_t run_workers_ = 0;
-  std::size_t active_ = 0;
-  std::uint64_t gen_ = 0;
-  bool shutdown_ = false;
-};
-
-}  // namespace
-
-std::unique_ptr<Executor> make_thread_per_kernel_executor() {
-  return std::make_unique<ThreadPerKernelExecutor>();
-}
-
-std::unique_ptr<Executor> make_pooled_executor(unsigned threads) {
-  return std::make_unique<PooledExecutor>(threads);
-}
-
-std::unique_ptr<Executor> make_ready_queue_executor(unsigned threads, bool pin,
-                                                    unsigned pin_offset) {
-  return std::make_unique<ReadyQueueExecutor>(threads, pin, pin_offset);
 }
 
 }  // namespace qnn

@@ -1,8 +1,6 @@
 #include "dataflow/kernels.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 namespace qnn {
 namespace {
@@ -22,31 +20,6 @@ std::size_t window_burst(const Node& node, std::size_t burst) {
 
 }  // namespace
 
-// -------------------------------------------------------------------- Kernel
-
-void Kernel::run() {
-  for (;;) {
-    switch (step_checked()) {
-      case StepResult::kDone:
-        return;
-      case StepResult::kProgress:
-        break;
-      case StepResult::kBlocked:
-        if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
-          throw Error("kernel '" + name_ + "' aborted");
-        }
-        // Same backoff shape as a blocked stream: short spin, then yield.
-        for (int i = 0; i < 64; ++i) {
-#if defined(__x86_64__)
-          __builtin_ia32_pause();
-#endif
-        }
-        std::this_thread::yield();
-        break;
-    }
-  }
-}
-
 // -------------------------------------------------------------- WindowKernel
 
 WindowKernel::WindowKernel(const Node& node, Stream& in, Stream& out,
@@ -56,7 +29,6 @@ WindowKernel::WindowKernel(const Node& node, Stream& in, Stream& out,
       in_(in),
       out_(out),
       scanner_(node.in, node.k, node.stride, node.pad, /*pad_value=*/0),
-      window_buf_(static_cast<std::size_t>(scanner_.window_values())),
       in_burst_(window_burst(node, burst)) {}
 
 void WindowKernel::feed(std::int32_t v) {
@@ -119,7 +91,7 @@ StepResult WindowKernel::step() {
       // Ingest the row segment up to the next padding interruption in one
       // tight loop — no per-value padding test. The run is exposed to the
       // subclass first (scanner cursor still at the run's first value), so
-      // the packed conv datapath bit-plane-packs it exactly once.
+      // the conv kernel bit-plane-packs it exactly once.
       const std::int64_t run = std::min<std::int64_t>(
           scanner_.real_run(),
           static_cast<std::int64_t>(in_burst_.available()));
@@ -134,29 +106,14 @@ StepResult WindowKernel::step() {
 
 // ---------------------------------------------------------------- ConvKernel
 
-namespace {
-std::atomic<ConvDatapath> g_conv_datapath{ConvDatapath::kPacked};
-}  // namespace
-
-ConvDatapath conv_datapath() {
-  return g_conv_datapath.load(std::memory_order_relaxed);
-}
-
-void set_conv_datapath(ConvDatapath dp) {
-  g_conv_datapath.store(dp, std::memory_order_relaxed);
-}
-
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
                        Stream& in, Stream& out, std::size_t burst)
     : WindowKernel(node, in, out, burst),
-      weights_(weights),
-      planes_(scanner().window_values(), node.in_bits),
       packed_weights_(scanner().window_values(), node.out.c),
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
       window_(scanner().window_values(), node.in_bits),
-      acc_(static_cast<std::size_t>(node.out.c), 0),
-      datapath_(conv_datapath()) {
+      acc_(static_cast<std::size_t>(node.out.c), 0) {
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
@@ -172,10 +129,7 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
   }
 }
 
-void ConvKernel::rearm_image() {
-  packed_row_ = -1;
-  datapath_ = conv_datapath();
-}
+void ConvKernel::rearm_image() { packed_row_ = -1; }
 
 void ConvKernel::ensure_row(int y) {
   const int k = node().k;
@@ -186,7 +140,6 @@ void ConvKernel::ensure_row(int y) {
 }
 
 void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
-  if (datapath_ != ConvDatapath::kPacked) return;
   const int y = scanner().cur_row();
   ensure_row(y);
   lines_.pack_run(y % node().k, scanner().row_value_pos(), vals);
@@ -194,20 +147,10 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
 
 void ConvKernel::emit(const WindowScanner::Completed& at) {
   const int o_count = node().out.c;
-  if (datapath_ != ConvDatapath::kPacked) {
-    // Scalar-pack reference: gather the window out of the scanner ring and
-    // re-binarize it value by value.
-    load_window(at);
-    planes_.fill(window_buf());
-    for (int o = 0; o < o_count; ++o) {
-      stage().append(planes_.dot(weights_.filter(o)));
-    }
-    return;
-  }
-  // Packed incremental path: every activation was bit-plane-packed exactly
-  // once at ingest; a window is K contiguous bit-range splices per plane
-  // out of the line buffer (rows recycled mod K, in step with the scanner
-  // ring), then one SIMD AND-popcount sweep over all O filters.
+  // Every activation was bit-plane-packed exactly once at ingest; a window
+  // is K contiguous bit-range splices per plane out of the line buffer
+  // (rows recycled mod K, in step with the scanner ring), then one SIMD
+  // AND-popcount sweep over all O filters.
   const auto& ops = simd::vec_ops();
   const int k = node().k;
   const int stride = node().stride;
@@ -242,16 +185,17 @@ PoolKernel::PoolKernel(const Node& node, Stream& in, Stream& out,
                        std::size_t burst)
     : WindowKernel(node, in, out, burst),
       is_max_(node.kind == NodeKind::MaxPool),
+      window_(static_cast<std::size_t>(scanner().window_values())),
       acc_(static_cast<std::size_t>(node.in.c), 0) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
             "PoolKernel needs a pooling node");
 }
 
 void PoolKernel::emit(const WindowScanner::Completed& at) {
-  load_window(at);
+  scanner().window(at, window_);
   const int c = node().in.c;
   const int kk = node().k * node().k;
-  const auto window = window_buf();
+  const std::span<const std::int32_t> window = window_;
   // Window layout is (dy, dx, ci): walk it channel-contiguously (stride-1
   // inner loop over ci) with the max/sum decision hoisted out of the loops.
   // Padded entries hold code 0, the lowest level — identity for max and

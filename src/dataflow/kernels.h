@@ -8,13 +8,9 @@
 // Kernels are *resumable tasks*, not threads: the unit of execution is
 // step(), which performs a bounded amount of work using only the streams'
 // non-blocking burst API and reports whether it progressed, is blocked on
-// a neighbour, or has finished. This makes one kernel definition runnable
-// under both execution models of the engine's Executor seam:
-//
-//   * thread-per-kernel — run() drives step() in a blocking loop with
-//     backoff (the classic model: one OS thread per kernel);
-//   * pooled cooperative — a small worker pool repeatedly steps runnable
-//     kernels, so a 70-kernel pipeline no longer oversubscribes the host.
+// a neighbour, or has finished. The engine's Executor (executor.h) steps
+// a kernel only while the ReadyHook seam says it can fire, so one worker
+// pool serves a pipeline of any depth.
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
 // transforms it (BnAct maps the whole burst through the threshold
@@ -32,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bitplanes.h"
 #include "core/packed_planes.h"
 #include "core/simd/vec_ops.h"
 #include "dataflow/stream.h"
@@ -166,27 +161,19 @@ class Kernel {
   /// steps of different kernels may run concurrently.
   virtual StepResult step() = 0;
 
-  /// Blocking convenience driver: steps until kDone, backing off while
-  /// blocked. Used by the thread-per-kernel executor and direct tests.
-  /// Throws once the attached abort flag (set_abort) is raised.
-  void run();
-
-  /// Abort flag consulted by run() while blocked (engine-wide fail-fast).
-  void set_abort(const std::atomic<bool>* flag) { abort_ = flag; }
-
   /// Attach a fault-injection site (nullptr = none), armed per run by the
   /// engine's FaultInjector.
   void set_fault(KernelFaultSite* site) { fault_ = site; }
 
   /// step() gated by the fault site: an armed hang reports kBlocked until
-  /// the engine aborts, an armed exception throws. Executors drive this
-  /// entry point so every kernel inherits the seam.
+  /// the engine aborts, an armed exception throws. The executor drives
+  /// this entry point so every kernel inherits the seam.
   StepResult step_checked() {
     if (fault_ != nullptr && fault_->check()) return StepResult::kBlocked;
     return step();
   }
 
-  /// Readiness wiring for the ready-queue executor: register `task` (this
+  /// Readiness wiring for the executor: register `task` (this
   /// kernel's slot in the executor's task table) as the consumer of every
   /// input stream and the producer of every output stream, so the streams
   /// wake it when the edge it blocked on becomes serviceable again. Called
@@ -204,7 +191,6 @@ class Kernel {
 
  private:
   std::string name_;
-  const std::atomic<bool>* abort_ = nullptr;
   KernelFaultSite* fault_ = nullptr;
 };
 
@@ -224,8 +210,8 @@ class WindowKernel : public Kernel {
 
   /// Called once per contiguous run of REAL input values, just before they
   /// are fed to the scanner — the scanner cursor (cur_row/row_value_pos)
-  /// still points at the run's first value. The packed conv datapath packs
-  /// the run into its bit-plane line buffers here; the default does nothing.
+  /// still points at the run's first value. The conv kernel packs the run
+  /// into its bit-plane line buffers here; the default does nothing.
   virtual void ingest_run(std::span<const std::int32_t> /*vals*/) {}
 
   /// Called whenever the scan re-arms for a new image (end of image and
@@ -236,17 +222,6 @@ class WindowKernel : public Kernel {
   [[nodiscard]] WindowScanner& scanner() { return scanner_; }
   [[nodiscard]] OutStage& stage() { return stage_; }
 
-  /// Copy the window at `at` out of the scanner ring into window_buf().
-  /// Only the scalar datapaths pay this gather; the packed conv datapath
-  /// never calls it.
-  void load_window(const WindowScanner::Completed& at) {
-    scanner_.window(at, window_buf_);
-  }
-
-  [[nodiscard]] std::span<std::int32_t> window_buf() {
-    return window_buf_;
-  }
-
  private:
   void feed(std::int32_t v);
   /// Inject padding positions until the next position is real (or done).
@@ -256,31 +231,19 @@ class WindowKernel : public Kernel {
   Stream& in_;
   Stream& out_;
   WindowScanner scanner_;
-  std::vector<std::int32_t> window_buf_;
   InBurst in_burst_;
   OutStage stage_;
   bool image_open_ = false;
 };
 
-/// Which conv inner datapath ConvKernel uses. kPacked (the default) is the
-/// word-packed incremental path: activations are decomposed into bit-plane
-/// line buffers once as rows stream in, windows are assembled by word
-/// splices, and the O-filter sweep runs through the vec_ops SIMD seam.
-/// kScalarPack is the original per-window re-pack (BitPlaneWindow::fill),
-/// kept as the bit-exact reference and as a bench ablation arm.
-enum class ConvDatapath { kScalarPack, kPacked };
-
-/// Process-wide datapath selector (atomic; read at each window emit, so
-/// tests and the bench ablation can flip it between runs).
-[[nodiscard]] ConvDatapath conv_datapath();
-void set_conv_datapath(ConvDatapath dp);
-
 /// XNOR-popcount convolution kernel (Figure 3). Consumes depth-first
 /// activation codes in row-segment bursts, injects padding locally, and on
 /// each completed window emits all O filter responses for that position.
-/// Weights live in the kernel as a packed FilterBank — the on-chip weight
-/// cache of §III-B1a — packed once at construction into a filter-major
-/// word array for the SIMD inner loop.
+/// Activations are decomposed into bit-plane line buffers once as rows
+/// stream in, windows are assembled by word splices, and the O-filter
+/// sweep runs through the vec_ops SIMD seam. Weights live in the kernel as
+/// a packed FilterBank — the on-chip weight cache of §III-B1a — packed
+/// once at construction into a filter-major word array for that sweep.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
@@ -296,18 +259,11 @@ class ConvKernel final : public WindowKernel {
   /// this is the only place they get recycled).
   void ensure_row(int y);
 
-  const FilterBank& weights_;
-  BitPlaneWindow planes_;  // scalar-pack reference datapath
-
-  // Packed incremental datapath state. The datapath choice is latched per
-  // image (rearm_image), so a mid-image selector flip can never mix a
-  // half-packed line buffer with a packed emit.
   PackedFilters packed_weights_;
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
   std::vector<std::int64_t> acc_;
   int packed_row_ = -1;  // highest padded row already entered into lines_
-  ConvDatapath datapath_;
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each
@@ -324,7 +280,8 @@ class PoolKernel final : public WindowKernel {
   void emit(const WindowScanner::Completed& at) override;
 
   bool is_max_;
-  std::vector<std::int64_t> acc_;  // per-channel scratch
+  std::vector<std::int32_t> window_;  // window gathered from the scanner
+  std::vector<std::int64_t> acc_;     // per-channel scratch
 };
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input

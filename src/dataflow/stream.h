@@ -9,11 +9,16 @@
 // The hardware moves one value per clock; the software analog used to do
 // the same — one atomic acquire/release pair per int32 — which made the
 // hot path atomic ping-pong instead of XNOR-popcount work. Transfers are
-// therefore *burst*-oriented: push_burst()/pop_burst() move a contiguous
-// ring segment with a single index update per burst (the widened,
-// compute-rate-folded transport of FINN-style dataflow engines). Scalar
-// push()/pop() remain as the degenerate burst of one, so capacity still
-// models the FIFO depth precisely and `pushed()` still counts values.
+// therefore *burst*-oriented: try_push_burst()/try_pop_burst() move a
+// contiguous ring segment with a single index update per burst (the
+// widened, compute-rate-folded transport of FINN-style dataflow engines).
+// A burst of one is still legal, so capacity models the FIFO depth
+// precisely and `pushed()` still counts values.
+//
+// The API never blocks: a transfer moves what fits (possibly nothing) and
+// returns. Kernels are resumable tasks (kernels.h) that report kBlocked
+// instead of waiting, and the executor re-queues them when the ReadyHook
+// seam below says the edge they blocked on became serviceable again.
 //
 // The index publication protocol itself — head/tail/closed plus the
 // wake-after-transaction contract with the ready-queue scheduler — lives
@@ -21,32 +26,23 @@
 // (sync.h). Stream instantiates it with RealSync (std::atomic verbatim);
 // the model checker (src/mc) explores the SAME protocol template on
 // virtual threads. Stream adds what the checker does not need: the
-// payload buffer, fault injection, abort handling and the traffic
-// counters.
+// payload buffer, fault injection and the traffic counters.
 //
-// Two API layers:
-//   * blocking push/pop/push_burst/pop_burst — for thread-per-kernel
-//     execution and tests; spin briefly then yield, abort-aware.
-//   * non-blocking try_push_burst/try_pop_burst — for cooperative
-//     (pooled-executor) kernels, which must never block a worker.
-//
-// Counter semantics (unchanged by bursts, so RunStats / stream_traffic()
-// / the link-bandwidth model / ServerMetrics stay truthful):
+// Counter semantics (RunStats / stream_traffic() / the link-bandwidth
+// model / ServerMetrics read these):
 //   * pushed()       — total VALUES pushed (a burst of n counts n);
 //   * transactions() — ring index updates on the producer side (a burst
 //                      counts 1); pushed/transactions = burst occupancy;
 //   * push_stalls()/pop_stalls() — blocking EPISODES: one per continuous
-//     period a producer/consumer waited, regardless of spins or retries.
-//     The non-blocking API cannot detect episodes itself; cooperative
-//     kernels report them via note_push_stall()/note_pop_stall() exactly
-//     once per blocked period.
+//     period a producer/consumer waited, regardless of retries. The
+//     non-blocking API cannot detect episodes itself; kernels report them
+//     via note_push_stall()/note_pop_stall() exactly once per blocked
+//     period.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/error.h"
@@ -68,10 +64,6 @@ class Stream {
 
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
-
-  /// Attach an engine-wide abort flag; blocked push/pop calls throw once it
-  /// is raised, so a failing kernel cannot deadlock the rest of the pipe.
-  void set_abort(const std::atomic<bool>* flag) { abort_ = flag; }
 
   /// Attach a fault-injection site (nullptr = none). Consulted on the
   /// producer side only; the engine arms it per run via FaultInjector.
@@ -95,7 +87,7 @@ class Stream {
     core_.bind_producer(hook, task);
   }
 
-  // ---- non-blocking burst API (single producer / single consumer) -------
+  // ---- burst API (single producer / single consumer) ---------------------
 
   /// Move as much of `vs` as currently fits into the ring; returns the
   /// number of values transferred (possibly 0). One index release per
@@ -144,58 +136,9 @@ class Stream {
   /// view; pair with a try_pop_burst() that returned 0.
   [[nodiscard]] bool drained() const { return core_.drained(); }
 
-  /// Cooperative kernels report one blocked episode per continuous wait.
+  /// Kernels report one blocked episode per continuous wait.
   void note_push_stall() { ++push_stalls_; }
   void note_pop_stall() { ++pop_stalls_; }
-
-  // ---- blocking API ------------------------------------------------------
-
-  /// Blocking push. Must only be called by the single producer thread.
-  /// Blocks while exactly `capacity` values are in flight — the FIFO depth
-  /// is honored precisely so capacity doubles as a buffer-size model.
-  void push(std::int32_t v) { push_burst({&v, 1}); }
-
-  /// Blocking burst push: transfers ALL of `vs`, in chunks when the burst
-  /// exceeds the free space (or the whole capacity). One blocked episode
-  /// is counted per continuous wait.
-  void push_burst(std::span<const std::int32_t> vs) {
-    bool stalled = false;
-    while (!vs.empty()) {
-      const std::size_t n = try_push_burst(vs);
-      if (n == 0) {
-        if (!stalled) {
-          stalled = true;
-          ++push_stalls_;
-        }
-        check_abort();
-        backoff();
-        continue;
-      }
-      stalled = false;
-      vs = vs.subspan(n);
-    }
-  }
-
-  /// Blocking pop. Returns false iff the stream is closed and drained.
-  bool pop(std::int32_t& v) { return pop_burst({&v, 1}) == 1; }
-
-  /// Blocking burst pop: waits until at least one value is available (or
-  /// the stream is drained) and transfers up to `out.size()`. Returns the
-  /// number of values transferred; 0 means closed and drained.
-  std::size_t pop_burst(std::span<std::int32_t> out) {
-    bool stalled = false;
-    for (;;) {
-      const std::size_t n = try_pop_burst(out);
-      if (n != 0) return n;
-      if (drained()) return 0;
-      if (!stalled) {
-        stalled = true;
-        ++pop_stalls_;
-      }
-      check_abort();
-      backoff();
-    }
-  }
 
   /// Producer signals end of data; pending values remain poppable. The
   /// consumer is woken so it can observe drained() without another push.
@@ -223,33 +166,17 @@ class Stream {
   /// burst occupancy of this FIFO (producer thread view).
   [[nodiscard]] std::uint64_t transactions() const { return transactions_; }
   /// Blocking episodes on the producer side (FIFO full when push arrived).
-  /// Counted once per blocked episode, not per spin; producer thread view.
+  /// Counted once per blocked episode, not per retry; producer view.
   [[nodiscard]] std::uint64_t push_stalls() const { return push_stalls_; }
   /// Blocking episodes on the consumer side (FIFO empty when pop arrived).
-  /// Counted once per blocked episode, not per spin; consumer thread view.
+  /// Counted once per blocked episode, not per retry; consumer view.
   [[nodiscard]] std::uint64_t pop_stalls() const { return pop_stalls_; }
 
  private:
-  void check_abort() const {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
-      throw Error("stream '" + name_ + "' aborted");
-    }
-  }
-
-  static void backoff() {
-    // A short spin covers the common case (both threads active); yielding
-    // keeps oversubscribed pipelines (70+ kernels) from burning cores.
-    for (int i = 0; i < 64; ++i) {
-      RealSync::cpu_relax();
-    }
-    std::this_thread::yield();
-  }
-
   RingCore<RealSync> core_;
   const int bits_;
   const std::string name_;
   std::vector<std::int32_t> buf_;
-  const std::atomic<bool>* abort_ = nullptr;
   StreamFaultSite* fault_ = nullptr;
   std::uint64_t pushed_ = 0;
   std::uint64_t transactions_ = 0;

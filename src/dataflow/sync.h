@@ -1,6 +1,6 @@
 // The virtualizable synchronization seam.
 //
-// Every atomic operation, fence and relaxation hint the lock-free
+// Every atomic operation and fence the lock-free
 // stream/scheduler protocols perform goes through a *Sync policy* instead
 // of naming std::atomic directly. Production code instantiates the
 // protocol templates (ring_core.h, ready_protocol.h) with RealSync, which
@@ -20,7 +20,6 @@
 //     bool compare_exchange_weak(T&, T, std::memory_order)
 //     T    fetch_add(T, std::memory_order)       (integral T)
 //   static void fence_seq_cst()                  std::atomic_thread_fence
-//   static void cpu_relax()                      spin-loop pause hint
 //
 // Protocol templates must perform ALL cross-thread communication through
 // the policy: a plain load smuggled past the seam is invisible to the
@@ -61,12 +60,6 @@ struct RealSync {
 
   static void fence_seq_cst() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
-
-  static void cpu_relax() {
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
   }
 };
 

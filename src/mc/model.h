@@ -329,7 +329,6 @@ struct ModelSync {
   };
 
   static void fence_seq_cst() { Model::current()->op_fence_seq_cst(); }
-  static void cpu_relax() {}
 };
 
 }  // namespace qnn::mc

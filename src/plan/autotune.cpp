@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "backend/backend.h"
 #include "core/error.h"
@@ -20,24 +19,19 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// EngineOptions for one grid point, derived from the defaults.
-EngineOptions grid_options(ExecutorKind executor, std::size_t burst,
-                           bool adaptive, std::size_t fifo_capacity,
-                           unsigned pool_threads) {
+EngineOptions grid_options(std::size_t burst, bool adaptive,
+                           std::size_t fifo_capacity) {
   EngineOptions opts;
-  opts.executor = executor;
   opts.burst = burst;
   opts.adaptive_burst = adaptive;
   opts.fifo_capacity = fifo_capacity;
-  opts.pool_threads = pool_threads;
   return opts;
 }
 
 /// Same knobs the grid sweeps — used to drop duplicates of the default.
 bool same_point(const EngineOptions& a, const EngineOptions& b) {
-  return a.executor == b.executor && a.burst == b.burst &&
-         a.adaptive_burst == b.adaptive_burst &&
-         a.fifo_capacity == b.fifo_capacity &&
-         a.pool_threads == b.pool_threads;
+  return a.burst == b.burst && a.adaptive_burst == b.adaptive_burst &&
+         a.fifo_capacity == b.fifo_capacity;
 }
 
 /// Cycle-model oracle: steady-state throughput with the plan's per-edge
@@ -114,11 +108,6 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
 
   // The grid. Every candidate is verified through verify/ before it is
   // allowed anywhere near a live run.
-  std::vector<ExecutorKind> executors = {default_opts.executor};
-  if (config.try_executors) {
-    executors = {ExecutorKind::kReadyQueue, ExecutorKind::kPooled,
-                 ExecutorKind::kThreadPerKernel};
-  }
   std::vector<bool> adaptives = {default_opts.adaptive_burst};
   if (config.try_adaptive) adaptives = {true, false};
 
@@ -127,23 +116,10 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
     fifo_capacities.push_back(default_opts.fifo_capacity);
   }
   std::vector<EngineOptions> grid;
-  for (const ExecutorKind executor : executors) {
-    // Worker-pool width is only meaningful for the pooled executor; 0 is
-    // "one per hardware thread" (the default).
-    std::vector<unsigned> pool_widths = {default_opts.pool_threads};
-    if (executor == ExecutorKind::kPooled) {
-      for (const unsigned w : config.pool_threads) {
-        if (w != default_opts.pool_threads) pool_widths.push_back(w);
-      }
-    }
-    for (const std::size_t burst : config.bursts) {
-      for (const bool adaptive : adaptives) {
-        for (const std::size_t fifo_capacity : fifo_capacities) {
-          for (const unsigned width : pool_widths) {
-            grid.push_back(grid_options(executor, burst, adaptive,
-                                        fifo_capacity, width));
-          }
-        }
+  for (const std::size_t burst : config.bursts) {
+    for (const bool adaptive : adaptives) {
+      for (const std::size_t fifo_capacity : fifo_capacities) {
+        grid.push_back(grid_options(burst, adaptive, fifo_capacity));
       }
     }
   }
@@ -171,39 +147,19 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
       result.candidates.begin(), result.candidates.end(),
       [](const AutotuneCandidate& c) { return c.verified; }));
 
-  // Rank the verified non-default candidates by the cheap oracle. The DFE
-  // cycle model cannot see the host executor knobs, so predictions often
-  // tie — the live-calibration slots are then spread round-robin across
-  // executor kinds instead of all probing whichever kind sorted first.
-  std::vector<std::vector<std::size_t>> by_executor(executors.size());
-  for (std::size_t i = 1; i < result.candidates.size(); ++i) {
-    if (!result.candidates[i].verified) continue;
-    const auto kind = result.candidates[i].plan.executor;
-    for (std::size_t e = 0; e < executors.size(); ++e) {
-      if (executors[e] == kind) {
-        by_executor[e].push_back(i);
-        break;
-      }
-    }
-  }
-  for (auto& bucket : by_executor) {
-    std::stable_sort(bucket.begin(), bucket.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return result.candidates[a].predicted_ips >
-                              result.candidates[b].predicted_ips;
-                     });
-  }
+  // Rank the verified non-default candidates by the cheap oracle; the
+  // stable sort keeps grid order among predictions that tie.
   std::vector<std::size_t> order;
-  for (std::size_t round = 0;
-       static_cast<int>(order.size()) < config.calibrate_top; ++round) {
-    bool any = false;
-    for (const auto& bucket : by_executor) {
-      if (round >= bucket.size()) continue;
-      any = true;
-      order.push_back(bucket[round]);
-      if (static_cast<int>(order.size()) >= config.calibrate_top) break;
-    }
-    if (!any) break;
+  for (std::size_t i = 1; i < result.candidates.size(); ++i) {
+    if (result.candidates[i].verified) order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return result.candidates[a].predicted_ips >
+                            result.candidates[b].predicted_ips;
+                   });
+  if (static_cast<int>(order.size()) > config.calibrate_top) {
+    order.resize(static_cast<std::size_t>(std::max(0, config.calibrate_top)));
   }
 
   std::size_t best_index = 0;  // the default, until strictly beaten

@@ -2,8 +2,6 @@
 
 #include <thread>
 
-#include "core/error.h"
-
 namespace qnn {
 namespace {
 
@@ -86,7 +84,6 @@ void CompiledPlan::apply_engine(EngineOptions& options) const {
   options.skip_slack = skip_slack;
   options.burst = burst;
   options.adaptive_burst = adaptive_burst;
-  options.executor = executor;
   options.pool_threads = pool_threads;
   options.pin_threads = pin_threads;
   options.pin_offset = pin_offset;
@@ -111,7 +108,6 @@ CompiledPlan compile_plan(const Pipeline& pipeline,
   plan.skip_slack = options.skip_slack;
   plan.burst = options.burst;
   plan.adaptive_burst = options.adaptive_burst;
-  plan.executor = options.executor;
   plan.pool_threads = options.pool_threads;
   plan.pin_threads = options.pin_threads;
   plan.pin_offset = options.pin_offset;
@@ -123,26 +119,6 @@ CompiledPlan compile_plan(const Pipeline& pipeline,
         SimConfig::EdgeBurst{ps.consumer, ps.to_skip_port, ps.burst});
   }
   return plan;
-}
-
-const char* to_string(ExecutorKind kind) {
-  switch (kind) {
-    case ExecutorKind::kThreadPerKernel:
-      return "thread-per-kernel";
-    case ExecutorKind::kPooled:
-      return "pooled";
-    case ExecutorKind::kReadyQueue:
-      return "ready-queue";
-  }
-  return "unknown";
-}
-
-ExecutorKind executor_from_string(const std::string& name) {
-  if (name == "thread-per-kernel") return ExecutorKind::kThreadPerKernel;
-  if (name == "pooled") return ExecutorKind::kPooled;
-  if (name == "ready-queue") return ExecutorKind::kReadyQueue;
-  throw Error("unknown executor kind \"" + name +
-              "\" (expected thread-per-kernel, pooled or ready-queue)");
 }
 
 }  // namespace qnn

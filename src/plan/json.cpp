@@ -359,7 +359,6 @@ std::string to_json(const CompiledPlan& plan) {
   o += "  \"burst\": " + std::to_string(plan.burst) + ",\n";
   o += std::string("  \"adaptive_burst\": ") +
        (plan.adaptive_burst ? "true" : "false") + ",\n";
-  o += std::string("  \"executor\": \"") + to_string(plan.executor) + "\",\n";
   o += "  \"pool_threads\": " + std::to_string(plan.pool_threads) + ",\n";
   o += std::string("  \"pin_threads\": ") +
        (plan.pin_threads ? "true" : "false") + ",\n";
@@ -426,7 +425,6 @@ CompiledPlan plan_from_json(const std::string& text) {
   plan.skip_slack = root.as_size("skip_slack");
   plan.burst = root.as_size("burst");
   plan.adaptive_burst = root.as_bool("adaptive_burst");
-  plan.executor = executor_from_string(root.as_str("executor"));
   plan.pool_threads = static_cast<unsigned>(root.as_size("pool_threads"));
   plan.pin_threads = root.as_bool("pin_threads");
   plan.pin_offset = static_cast<unsigned>(root.as_size("pin_offset"));

@@ -24,7 +24,7 @@ namespace qnn {
 [[nodiscard]] std::string to_json(const CompiledPlan& plan);
 
 /// Parse a plan serialized by to_json. Throws qnn::Error on malformed
-/// input, an unknown executor/role name, or a format-version mismatch.
+/// input, an unknown role name, or a format-version mismatch.
 [[nodiscard]] CompiledPlan plan_from_json(const std::string& text);
 
 }  // namespace qnn

@@ -56,7 +56,7 @@ void lint_plan(const Pipeline& pipeline, const CompiledPlan& plan,
                 "field 'key.machine': plan was tuned on '" +
                     plan.key.machine + "' but this host is '" +
                     machine_signature() +
-                    "' — results stay bit-exact, but the frozen executor/"
+                    "' — results stay bit-exact, but the frozen worker/"
                     "pinning/burst knobs were chosen for that core count");
   }
 

@@ -13,7 +13,7 @@
 //             can see *what* drifted, not just that something did.
 //   QNN-D611  machine drift — the plan was tuned on a different host shape
 //             (PlanKey::machine vs machine_signature()). The plan still
-//             runs bit-exactly, but its executor/pinning/burst knobs were
+//             runs bit-exactly, but its worker/pinning/burst knobs were
 //             chosen for another core count, so this is a warning.
 //   QNN-D612  burst/FIFO skew after deserialization — a per-stream burst
 //             larger than its own FIFO, or link_bursts that disagree with

@@ -4,38 +4,24 @@
 
 #include <vector>
 
+#include "core/bitvector.h"
+#include "core/packed_planes.h"
 #include "core/rng.h"
+#include "core/simd/vec_ops.h"
 
 namespace qnn {
 namespace {
 
-TEST(BitPlaneWindow, SetGetRoundTrip) {
-  BitPlaneWindow w(10, 2);
-  for (std::int64_t i = 0; i < 10; ++i) {
-    w.set(i, static_cast<std::uint32_t>(i % 4));
-  }
-  for (std::int64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(w.get(i), static_cast<std::uint32_t>(i % 4));
-  }
-}
-
-TEST(BitPlaneWindow, FillFromSpan) {
-  BitPlaneWindow w(5, 3);
-  const std::vector<std::int32_t> codes{0, 7, 3, 5, 1};
-  w.fill(codes);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    EXPECT_EQ(w.get(static_cast<std::int64_t>(i)),
-              static_cast<std::uint32_t>(codes[i]));
-  }
-}
-
-/// Property: the packed bit-plane dot equals the scalar signed dot for
-/// random weights and codes, across bit widths (the 2-bit activations of
-/// the paper and the 8-bit first layer alike).
+/// Property: the packed bit-plane dot the conv kernel computes (codes
+/// packed into a line-buffer row, spliced into a window, swept against a
+/// packed filter) equals the scalar signed dot for random weights and
+/// codes, across bit widths (the 2-bit activations of the paper and the
+/// 8-bit first layer alike).
 class BitPlaneDotProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
   const int bits = GetParam();
+  const simd::VecOps& ops = simd::vec_ops();
   Rng rng(1234 + static_cast<std::uint64_t>(bits));
   for (int trial = 0; trial < 40; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(200));
@@ -49,68 +35,26 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
       codes[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
           rng.next_below(std::uint64_t{1} << bits));
     }
-    BitPlaneWindow win(n, bits);
-    win.fill(codes);
-    EXPECT_EQ(win.dot(w), reference_pm1_dot(w_pm1, codes))
+    BitPlaneLineBuffer lines(bits, /*rows=*/1, n);
+    lines.pack_run(0, 0, codes);
+    PackedWindow win(n, bits);
+    for (int p = 0; p < bits; ++p) win.splice(lines, p, 0, 0, 0, n);
+    win.finalize(ops);
+    PackedFilters filter(n, 1);
+    std::vector<Word> words(filter.stride_words());
+    for (std::int64_t i = 0; i < w.words(); ++i) {
+      words[static_cast<std::size_t>(i)] = w.word(i);
+    }
+    filter.set(0, words);
+    std::int64_t acc = 0;
+    win.dot_filters(ops, filter.data(), filter.stride_words(), 1, &acc);
+    EXPECT_EQ(acc, reference_pm1_dot(w_pm1, codes))
         << "bits=" << bits << " n=" << n;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPlaneDotProperty,
                          ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(BitPlaneWindow, AllZeroCodesGiveZeroDot) {
-  BitPlaneWindow w(64, 2);
-  BitVector weights(64);
-  for (std::int64_t i = 0; i < 64; ++i) weights.set(i, i % 2 == 0);
-  EXPECT_EQ(w.dot(weights), 0);  // code 0 contributes nothing (pad rule)
-}
-
-TEST(BitPlaneWindow, MaxCodesAllPlusWeights) {
-  const std::int64_t n = 30;
-  BitPlaneWindow w(n, 2);
-  BitVector weights(n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    w.set(i, 3);
-    weights.set(i, true);
-  }
-  EXPECT_EQ(w.dot(weights), 3 * n);
-}
-
-TEST(BitPlaneWindow, ClearResetsToZero) {
-  BitPlaneWindow w(16, 2);
-  for (std::int64_t i = 0; i < 16; ++i) w.set(i, 3);
-  w.clear();
-  for (std::int64_t i = 0; i < 16; ++i) EXPECT_EQ(w.get(i), 0u);
-}
-
-TEST(BitPlaneWindow, CachedPlaneCountsRefreshAfterSet) {
-  // dot() caches plane popcounts per fill; a point set() must invalidate
-  // the cache, and the next dot must see the updated planes.
-  const std::int64_t n = 70;  // straddles a word boundary
-  BitPlaneWindow w(n, 2);
-  BitVector weights(n);
-  std::vector<std::int8_t> w_pm1(static_cast<std::size_t>(n));
-  std::vector<std::int32_t> codes(static_cast<std::size_t>(n));
-  Rng rng(99);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const bool bit = rng.next_bool();
-    weights.set(i, bit);
-    w_pm1[static_cast<std::size_t>(i)] = bit ? 1 : -1;
-    codes[static_cast<std::size_t>(i)] =
-        static_cast<std::int32_t>(rng.next_below(4));
-  }
-  w.fill(codes);
-  ASSERT_EQ(w.dot(weights), reference_pm1_dot(w_pm1, codes));
-  // Mutate a value after the cached dot and re-check.
-  codes[65] = (codes[65] + 1) % 4;
-  w.set(65, static_cast<std::uint32_t>(codes[65]));
-  EXPECT_EQ(w.dot(weights), reference_pm1_dot(w_pm1, codes));
-  // clear() re-validates the cache at zero.
-  w.clear();
-  const std::vector<std::int32_t> zeros(static_cast<std::size_t>(n), 0);
-  EXPECT_EQ(w.dot(weights), reference_pm1_dot(w_pm1, zeros));
-}
 
 }  // namespace
 }  // namespace qnn

@@ -3,13 +3,10 @@
 // sweep) to the plain integer reference reference_pm1_dot, across
 // activation widths 1..8, window lengths chosen to straddle word
 // boundaries (63/64/65/127/129), all-padding windows, strides, multi-image
-// streams, and every SIMD dispatch level available on the host. The
-// scalar-pack datapath is held to the same reference, so the two datapaths
-// are transitively bit-exact against each other.
+// streams, and every SIMD dispatch level available on the host.
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/bitplanes.h"
@@ -84,27 +81,18 @@ std::vector<std::int32_t> run_conv(const Node& n, const FilterBank& fb,
   Stream sin(256, 16, "in");
   Stream sout(256, 32, "out");
   ConvKernel kernel(n, fb, sin, sout);
-  std::thread feeder([&] {
-    for (const auto& img : images) {
-      for (std::int64_t i = 0; i < img.size(); ++i) sin.push(img[i]);
-    }
-    sin.close();
-  });
-  kernel.run();
-  feeder.join();
-  std::vector<std::int32_t> out;
-  std::int32_t v = 0;
-  while (sout.pop(v)) out.push_back(v);
-  return out;
+  std::vector<std::int32_t> in;
+  for (const auto& img : images) {
+    const std::vector<std::int32_t> v = testutil::values(img);
+    in.insert(in.end(), v.begin(), v.end());
+  }
+  return testutil::drive(kernel, sin, std::move(in), sout);
 }
 
-/// Restores the process-wide datapath/SIMD selectors after each test.
-class ConvDatapathTest : public ::testing::Test {
+/// Restores the process-wide SIMD dispatch level after each test.
+class PackedConvTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_conv_datapath(ConvDatapath::kPacked);
-    simd::set_level(std::nullopt);
-  }
+  void TearDown() override { simd::set_level(std::nullopt); }
 };
 
 struct Geometry {
@@ -133,7 +121,7 @@ const Geometry kGeometries[] = {
     {{3, 3, 5}, 2, 3, 1, 0},    // dense: window == whole map
 };
 
-TEST_F(ConvDatapathTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
+TEST_F(PackedConvTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
   Rng rng(0xdada);
   for (int bits = 1; bits <= 8; ++bits) {
     for (const auto& g : kGeometries) {
@@ -141,7 +129,6 @@ TEST_F(ConvDatapathTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
       const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
       const IntTensor img = testutil::random_codes(g.in, bits, rng);
       const auto expect = reference_conv(n, fb, img);
-      set_conv_datapath(ConvDatapath::kPacked);
       ASSERT_EQ(run_conv(n, fb, {img}), expect)
           << "bits=" << bits << " in=" << g.in.h << "x" << g.in.w << "x"
           << g.in.c << " k=" << g.k << " s=" << g.stride << " p=" << g.pad;
@@ -149,21 +136,7 @@ TEST_F(ConvDatapathTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
   }
 }
 
-TEST_F(ConvDatapathTest, ScalarPackMatchesReferenceAcrossGeometries) {
-  Rng rng(0xdadb);
-  set_conv_datapath(ConvDatapath::kScalarPack);
-  for (const int bits : {1, 2, 8}) {
-    for (const auto& g : kGeometries) {
-      const Node n = conv_node(g.in, g.out_c, g.k, g.stride, g.pad, bits);
-      const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
-      const IntTensor img = testutil::random_codes(g.in, bits, rng);
-      ASSERT_EQ(run_conv(n, fb, {img}), reference_conv(n, fb, img))
-          << "bits=" << bits << " k=" << g.k;
-    }
-  }
-}
-
-TEST_F(ConvDatapathTest, PackedMatchesReferenceAtEveryDispatchLevel) {
+TEST_F(PackedConvTest, PackedMatchesReferenceAtEveryDispatchLevel) {
   Rng rng(0xdadc);
   const Node n = conv_node({4, 5, 65}, 3, 3, 1, 1, 2);
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
@@ -176,7 +149,7 @@ TEST_F(ConvDatapathTest, PackedMatchesReferenceAtEveryDispatchLevel) {
   }
 }
 
-TEST_F(ConvDatapathTest, PackedHandlesMultipleImagesBackToBack) {
+TEST_F(PackedConvTest, PackedHandlesMultipleImagesBackToBack) {
   Rng rng(0xdadd);
   const Node n = conv_node({3, 4, 5}, 2, 2, 1, 1, 3);
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
@@ -190,7 +163,7 @@ TEST_F(ConvDatapathTest, PackedHandlesMultipleImagesBackToBack) {
   EXPECT_EQ(run_conv(n, fb, images), expect);
 }
 
-TEST_F(ConvDatapathTest, PackedAndScalarPackAgreeOnAllPaddingWindows) {
+TEST_F(PackedConvTest, PackedMatchesReferenceOnAllPaddingWindows) {
   // pad = 2 with k = 2: the four corner windows contain no real value at
   // all, so the line buffer rows they read were never written by an
   // ingest — only recycled (zero-cleared).
@@ -198,12 +171,7 @@ TEST_F(ConvDatapathTest, PackedAndScalarPackAgreeOnAllPaddingWindows) {
   const Node n = conv_node({4, 4, 7}, 2, 2, 1, 2, 2);
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
   const IntTensor img = testutil::random_codes(n.in, 2, rng);
-  set_conv_datapath(ConvDatapath::kPacked);
-  const auto packed = run_conv(n, fb, {img});
-  set_conv_datapath(ConvDatapath::kScalarPack);
-  const auto scalar = run_conv(n, fb, {img});
-  EXPECT_EQ(packed, scalar);
-  EXPECT_EQ(packed, reference_conv(n, fb, img));
+  EXPECT_EQ(run_conv(n, fb, {img}), reference_conv(n, fb, img));
 }
 
 }  // namespace

@@ -14,8 +14,8 @@ namespace qnn {
 namespace {
 
 /// The central correctness claim: the streaming engine is bit-exact
-/// against the golden layer-by-layer reference executor — under every
-/// executor model and burst size.
+/// against the golden layer-by-layer reference executor — at every
+/// worker count and burst size.
 void expect_engine_matches_reference(const NetworkSpec& spec,
                                      std::uint64_t seed, int images,
                                      EngineOptions opt = {}) {
@@ -167,20 +167,8 @@ TEST(Engine, RejectsWrongImageShape) {
   EXPECT_THROW((void)engine.run_one(IntTensor(Shape{8, 8, 3})), Error);
 }
 
-const char* kind_name(ExecutorKind kind) {
-  switch (kind) {
-    case ExecutorKind::kThreadPerKernel:
-      return "thread-per-kernel";
-    case ExecutorKind::kPooled:
-      return "pooled";
-    case ExecutorKind::kReadyQueue:
-      return "ready-queue";
-  }
-  return "?";
-}
-
-// Every zoo-style topology must be bit-exact in every executor mode and
-// at both ends of the burst spectrum (1 = scalar transport).
+// Every zoo-style topology must be bit-exact on a single worker and on the
+// full pool, at both ends of the burst spectrum (1 = scalar transport).
 TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {
   NetworkSpec res;
   res.name = "res_matrix";
@@ -196,15 +184,13 @@ TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {
                                models::finn_cnv(10, 2)};
   std::uint64_t seed = 31;
   for (const NetworkSpec& spec : specs) {
-    for (const ExecutorKind kind :
-         {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled,
-          ExecutorKind::kReadyQueue}) {
+    for (const unsigned workers : {1u, 0u}) {
       for (const std::size_t burst : {std::size_t{1}, std::size_t{256}}) {
         EngineOptions opt;
-        opt.executor = kind;
+        opt.pool_threads = workers;
         opt.burst = burst;
-        SCOPED_TRACE(spec.name + " burst=" + std::to_string(burst) + " " +
-                     kind_name(kind));
+        SCOPED_TRACE(spec.name + " burst=" + std::to_string(burst) +
+                     " workers=" + std::to_string(workers));
         expect_engine_matches_reference(spec, seed++, 2, opt);
       }
     }
@@ -214,7 +200,7 @@ TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {
 // Adaptive per-edge burst sizing is a transport decision, never a
 // numerical one: the same zoo topologies must produce identical outputs
 // with row-sized per-edge bursts and with uniform scalar transport
-// (burst = 1, adaptive off), under both cooperative executors.
+// (burst = 1, adaptive off), on a single worker and on the full pool.
 TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
   NetworkSpec res;
   res.name = "res_adaptive";
@@ -240,14 +226,13 @@ TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
           testutil::random_codes(spec.input, spec.input_bits, rng));
     }
 
-    EngineOptions adaptive;  // defaults: adaptive per-edge, ready queue
+    EngineOptions adaptive;  // defaults: adaptive per-edge bursts
     StreamEngine baseline(p, params, adaptive);
     const auto want = baseline.run(batch);
 
-    for (const ExecutorKind kind :
-         {ExecutorKind::kPooled, ExecutorKind::kReadyQueue}) {
+    for (const unsigned workers : {1u, 0u}) {
       EngineOptions scalar;
-      scalar.executor = kind;
+      scalar.pool_threads = workers;
       scalar.burst = 1;
       scalar.adaptive_burst = false;
       StreamEngine engine(p, params, scalar);
@@ -255,7 +240,7 @@ TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got[i], want[i])
-            << spec.name << " image " << i << " " << kind_name(kind);
+            << spec.name << " image " << i << " workers=" << workers;
       }
     }
   }
@@ -264,13 +249,11 @@ TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
 // Regression for the reset-poisoning bug: a run that aborts (here via
 // cancel(), which makes the feeder-side task throw) must leave the engine
 // fully reusable — the next run starts from pristine streams and kernels
-// and stays bit-exact.
+// and stays bit-exact, on a single worker and on the full pool.
 TEST(EngineRecovery, RecoversAfterCancelledRunInEveryMode) {
-  for (const ExecutorKind kind :
-       {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled,
-        ExecutorKind::kReadyQueue}) {
+  for (const unsigned workers : {1u, 0u}) {
     EngineOptions opt;
-    opt.executor = kind;
+    opt.pool_threads = workers;
     const Pipeline p = expand(models::tiny(12, 4, 2));
     const NetworkParams params = NetworkParams::random(p, 29);
     StreamEngine engine(p, params, opt);
@@ -292,7 +275,7 @@ TEST(EngineRecovery, RecoversAfterCancelledRunInEveryMode) {
     stop.store(true);
     canceller.join();
 
-    EXPECT_EQ(engine.run_one(img), good) << kind_name(kind);
+    EXPECT_EQ(engine.run_one(img), good) << "workers=" << workers;
   }
 }
 
@@ -347,7 +330,6 @@ TEST(EngineRecovery, RunStatsPristineAfterCancelledRun) {
 // — never hang — and the engine must re-arm bit-exactly.
 TEST(EngineRecovery, CancelWakesParkedReadyQueueWorkers) {
   EngineOptions opt;
-  opt.executor = ExecutorKind::kReadyQueue;
   opt.pool_threads = 8;  // >> cores in CI: parking is guaranteed
   const Pipeline p = expand(models::tiny(12, 4, 2));
   const NetworkParams params = NetworkParams::random(p, 41);

@@ -1,4 +1,4 @@
-// Scheduler-level tests of the ready-queue work-stealing executor: deep
+// Scheduler-level tests of the ready-queue work-stealing Executor: deep
 // chains across thread counts, cancel/reset under stealing, core-pinning
 // smoke, error propagation, and the rescue-sweep liveness backstop for
 // kernels that bind no streams. All of these run under TSan via the
@@ -23,8 +23,8 @@ namespace qnn {
 namespace {
 
 /// A straight pipeline of `convs` (conv + bnact) pairs: 2*convs + 1 nodes,
-/// so convs >= 25 exceeds the 50-kernel depth where a round-robin sweep
-/// wastes whole passes on the few runnable tasks.
+/// so convs >= 25 gives a 50+-kernel chain where only a few tasks are
+/// runnable at once and most workers park.
 NetworkSpec deep_chain(int convs) {
   NetworkSpec spec;
   spec.name = "deep_chain_" + std::to_string(convs);
@@ -50,7 +50,6 @@ TEST(ReadyQueue, DeepChainBitExactAcrossThreadCounts) {
 
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     EngineOptions opt;
-    opt.executor = ExecutorKind::kReadyQueue;
     opt.pool_threads = threads;
     StreamEngine engine(p, params, opt);
     const auto got = engine.run(batch);
@@ -72,7 +71,6 @@ TEST(ReadyQueue, PinnedWorkersStayBitExact) {
   const IntTensor want = plain.run_one(img);
 
   EngineOptions opt;
-  opt.executor = ExecutorKind::kReadyQueue;
   opt.pool_threads = 3;
   opt.pin_threads = true;
   opt.pin_offset = 1;  // replica-style staggered window
@@ -90,7 +88,6 @@ TEST(ReadyQueue, CancelUnderStealRecovers) {
   const Pipeline p = expand(spec);
   const NetworkParams params = NetworkParams::random(p, 45);
   EngineOptions opt;
-  opt.executor = ExecutorKind::kReadyQueue;
   opt.pool_threads = 4;
   StreamEngine engine(p, params, opt);
   Rng rng(46);
@@ -193,10 +190,10 @@ TEST(ReadyQueue, UnboundKernelsAreRescuedWithoutWakes) {
   GateRaiserTask producer("raiser", 100, gate);
   std::vector<Kernel*> tasks{&consumer, &producer};
   std::atomic<bool> abort{false};
-  auto ex = make_ready_queue_executor(2);
+  Executor ex(2);
   // Terminates only if the rescue sweep re-queues the gated task after
   // its (un-woken) kIdle parking; a lost task would hang here forever.
-  ex->run(tasks, abort);
+  ex.run(tasks, abort);
   EXPECT_TRUE(gate.load());
 }
 
@@ -209,8 +206,8 @@ TEST(ReadyQueue, ManyTasksCompleteAcrossStealing) {
     tasks.push_back(owned.back().get());
   }
   std::atomic<bool> abort{false};
-  auto ex = make_ready_queue_executor(4);
-  ex->run(tasks, abort);
+  Executor ex(4);
+  ex.run(tasks, abort);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(owned[i]->steps(), 50 + i);
 }
 
@@ -221,10 +218,10 @@ TEST(ReadyQueue, TaskExceptionAbortsBlockedPeers) {
   ThrowingTask thrower("thrower", 10);
   std::vector<Kernel*> tasks{&stuck_a, &thrower, &stuck_b};
   std::atomic<bool> abort{false};
-  auto ex = make_ready_queue_executor(3);
+  Executor ex(3);
   // The exception must abort the run (not hang on the stuck tasks) and
   // surface to the caller after all workers joined.
-  EXPECT_THROW(ex->run(tasks, abort), Error);
+  EXPECT_THROW(ex.run(tasks, abort), Error);
   EXPECT_TRUE(abort.load());
 }
 
@@ -233,19 +230,19 @@ TEST(ReadyQueue, ExternalAbortUnblocksParkedWorkers) {
   GatedTask stuck("stuck", never);
   std::vector<Kernel*> tasks{&stuck};
   std::atomic<bool> abort{false};
-  auto ex = make_ready_queue_executor(2);
+  Executor ex(2);
   std::thread aborter([&abort] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     abort.store(true, std::memory_order_relaxed);
   });
-  EXPECT_THROW(ex->run(tasks, abort), Error);  // "dataflow run aborted"
+  EXPECT_THROW(ex.run(tasks, abort), Error);  // "dataflow run aborted"
   aborter.join();
 }
 
 TEST(ReadyQueue, ZeroTasksIsANoOp) {
   std::atomic<bool> abort{false};
-  auto ex = make_ready_queue_executor(2);
-  ex->run({}, abort);
+  Executor ex(2);
+  ex.run({}, abort);
 }
 
 }  // namespace

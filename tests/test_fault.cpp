@@ -154,10 +154,9 @@ TEST(Fault, KernelExceptionAbortsRunAndEngineStaysReusable) {
   const TinyNet net;
   const ReferenceExecutor ref = net.reference();
   const std::vector<IntTensor> batch = net.batch(2, 72);
-  for (const ExecutorKind kind :
-       {ExecutorKind::kThreadPerKernel, ExecutorKind::kPooled}) {
+  for (const unsigned workers : {1u, 0u}) {
     EngineOptions opt;
-    opt.executor = kind;
+    opt.pool_threads = workers;
     FaultEvent e = FaultPlan::kernel_throw("", /*run=*/0, /*step=*/0);
     e.target_index = 0;  // first registered kernel, whatever its name
     opt.faults.add(e);

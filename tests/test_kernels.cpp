@@ -1,10 +1,9 @@
 // Unit tests of the individual dataflow kernels, driven through raw
-// streams (no engine), including protocol-violation failure injection.
+// streams on one thread (no engine, no executor), including
+// protocol-violation failure injection.
 #include "dataflow/kernels.h"
 
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "test_util.h"
 
@@ -27,18 +26,8 @@ Node conv_node(Shape in, int out_c, int k, int stride, int pad,
   return n;
 }
 
-/// Push a whole tensor depth-first, then optionally close.
-void feed(Stream& s, const IntTensor& t, bool close) {
-  for (std::int64_t i = 0; i < t.size(); ++i) s.push(t[i]);
-  if (close) s.close();
-}
-
-std::vector<std::int32_t> drain(Stream& s) {
-  std::vector<std::int32_t> out;
-  std::int32_t v;
-  while (s.pop(v)) out.push_back(v);
-  return out;
-}
+using testutil::drive;
+using testutil::values;
 
 TEST(ConvKernelTest, AllPlusOneFilterComputesWindowSums) {
   const Shape in{4, 4, 1};
@@ -55,10 +44,7 @@ TEST(ConvKernelTest, AllPlusOneFilterComputesWindowSums) {
   for (int y = 0; y < 4; ++y) {
     for (int x = 0; x < 4; ++x) img.at(y, x, 0) = y * 4 + x;
   }
-  std::thread feeder([&] { feed(sin, img, true); });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
+  const auto out = drive(kernel, sin, values(img), sout);
   ASSERT_EQ(out.size(), 9u);  // 3x3 output positions
   EXPECT_EQ(out[0], 0 + 1 + 4 + 5);
   EXPECT_EQ(out[4], 5 + 6 + 9 + 10);
@@ -74,10 +60,7 @@ TEST(ConvKernelTest, EmitsAllFiltersPerPosition) {
   Stream sout(32, 8, "out");
   ConvKernel kernel(n, fb, sin, sout);
   IntTensor img = testutil::random_codes(in, 2, rng);
-  std::thread feeder([&] { feed(sin, img, true); });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
+  const auto out = drive(kernel, sin, values(img), sout);
   ASSERT_EQ(out.size(), 3u);  // one position, three filters
   for (int o = 0; o < 3; ++o) {
     std::int32_t expect = 0;
@@ -103,13 +86,10 @@ TEST(ConvKernelTest, ProcessesMultipleImagesBackToBack) {
   ConvKernel kernel(n, fb, sin, sout);
   IntTensor a(in, 1);  // all ones: window sum = 9
   IntTensor b(in, 2);  // all twos: window sum = 18
-  std::thread feeder([&] {
-    feed(sin, a, false);
-    feed(sin, b, true);
-  });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
+  std::vector<std::int32_t> both = values(a);
+  const std::vector<std::int32_t> second = values(b);
+  both.insert(both.end(), second.begin(), second.end());
+  const auto out = drive(kernel, sin, both, sout);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 9);
   EXPECT_EQ(out[1], 18);
@@ -123,12 +103,8 @@ TEST(ConvKernelTest, ClosedMidImageIsProtocolError) {
   Stream sin(64, 4, "in");
   Stream sout(64, 16, "out");
   ConvKernel kernel(n, fb, sin, sout);
-  std::thread feeder([&] {
-    for (int i = 0; i < 4; ++i) sin.push(1);  // 4 of 9 values
-    sin.close();
-  });
-  EXPECT_THROW(kernel.run(), Error);
-  feeder.join();
+  // 4 of 9 values, then close.
+  EXPECT_THROW((void)drive(kernel, sin, {1, 1, 1, 1}, sout), Error);
 }
 
 TEST(PoolKernelTest, MaxAndSumReductions) {
@@ -154,10 +130,7 @@ TEST(PoolKernelTest, MaxAndSumReductions) {
   img.at(0, 1, 1) = 2;
   img.at(1, 0, 1) = 9;
   img.at(1, 1, 1) = 4;
-  std::thread feeder([&] { feed(sin, img, true); });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
+  const auto out = drive(kernel, sin, values(img), sout);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 7);
   EXPECT_EQ(out[1], 9);
@@ -168,10 +141,7 @@ TEST(PoolKernelTest, MaxAndSumReductions) {
   Stream sin2(32, 4, "in2");
   Stream sout2(32, 6, "out2");
   PoolKernel sum_kernel(n, sin2, sout2);
-  std::thread feeder2([&] { feed(sin2, img, true); });
-  sum_kernel.run();
-  feeder2.join();
-  const auto sums = drain(sout2);
+  const auto sums = drive(sum_kernel, sin2, values(img), sout2);
   ASSERT_EQ(sums.size(), 2u);
   EXPECT_EQ(sums[0], 3 + 7 + 1 + 5);
   EXPECT_EQ(sums[1], 2 + 2 + 9 + 4);
@@ -225,20 +195,14 @@ TEST(PoolKernelTest, AsymmetricPaddingRegression) {
   Stream sin(64, 6, "in");
   Stream sout(64, 6, "out");
   PoolKernel max_kernel(n, sin, sout);
-  std::thread feeder([&] { feed(sin, img, true); });
-  max_kernel.run();
-  feeder.join();
-  EXPECT_EQ(drain(sout), expect_max);
+  EXPECT_EQ(drive(max_kernel, sin, values(img), sout), expect_max);
 
   n.kind = NodeKind::AvgPool;
   n.out_bits = 8;
   Stream sin2(64, 6, "in2");
   Stream sout2(64, 8, "out2");
   PoolKernel sum_kernel(n, sin2, sout2);
-  std::thread feeder2([&] { feed(sin2, img, true); });
-  sum_kernel.run();
-  feeder2.join();
-  EXPECT_EQ(drain(sout2), expect_sum);
+  EXPECT_EQ(drive(sum_kernel, sin2, values(img), sout2), expect_sum);
 }
 
 TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
@@ -260,17 +224,8 @@ TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
   Stream sin(32, 8, "in");
   Stream sout(32, 2, "out");
   BnActKernel kernel(n, thresholds, sin, sout);
-  std::thread feeder([&] {
-    // (x=0: c0=5, c1=-5), (x=1: c0=1, c1=-7)
-    sin.push(5);
-    sin.push(-5);
-    sin.push(1);
-    sin.push(-7);
-    sin.close();
-  });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
+  // (x=0: c0=5, c1=-5), (x=1: c0=1, c1=-7)
+  const auto out = drive(kernel, sin, {5, -5, 1, -7}, sout);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0], 2);  // 5 in [4,6)
   EXPECT_EQ(out[1], 2);  // -(-5)=5
@@ -304,21 +259,15 @@ TEST(BnActKernelTest, LutPathBitExactOverAllCodesAndChannels) {
   BnActKernel kernel(n, thresholds, sin, sout);
   ASSERT_TRUE(kernel.uses_lut());
 
+  std::vector<std::int32_t> in;
   std::vector<std::int32_t> expect;
-  std::thread feeder([&] {
-    for (std::int32_t a = -32; a < 32; ++a) {
-      for (int c = 0; c < 3; ++c) sin.push(a);
-    }
-    sin.close();
-  });
   for (std::int32_t a = -32; a < 32; ++a) {
     for (int c = 0; c < 3; ++c) {
+      in.push_back(a);
       expect.push_back(thresholds.at(c).eval_binary_search(a));
     }
   }
-  kernel.run();
-  feeder.join();
-  EXPECT_EQ(drain(sout), expect);
+  EXPECT_EQ(drive(kernel, sin, in, sout), expect);
 }
 
 TEST(BnActKernelTest, LutFallsBackOutsideTableAndGatesOnWidth) {
@@ -340,13 +289,7 @@ TEST(BnActKernelTest, LutFallsBackOutsideTableAndGatesOnWidth) {
   Stream sout(32, 2, "out");
   BnActKernel kernel(n, thresholds, sin, sout);
   ASSERT_TRUE(kernel.uses_lut());
-  std::thread feeder([&] {
-    for (std::int32_t a : {100, -100, 7}) sin.push(a);
-    sin.close();
-  });
-  kernel.run();
-  feeder.join();
-  const auto out = drain(sout);
+  const auto out = drive(kernel, sin, {100, -100, 7}, sout);
   const auto& t = thresholds.at(0);
   EXPECT_EQ(out, (std::vector<std::int32_t>{t.eval_binary_search(100),
                                             t.eval_binary_search(-100),
@@ -372,15 +315,9 @@ TEST(AddKernelTest, SumsAndPropagatesClose) {
   Stream skip(8, 16, "skip");
   Stream out(8, 16, "out");
   AddKernel kernel(n, main, skip, out);
-  std::thread feeder([&] {
-    for (std::int32_t v : {1, 2, 3}) main.push(v);
-    for (std::int32_t v : {10, 20, 30}) skip.push(v);
-    main.close();
-    skip.close();
-  });
-  kernel.run();
-  feeder.join();
-  const auto sums = drain(out);
+  const auto sums =
+      drive(kernel, {{main, {1, 2, 3}}, {skip, {10, 20, 30}}}, {&out})
+          .front();
   EXPECT_EQ(sums, (std::vector<std::int32_t>{11, 22, 33}));
   EXPECT_TRUE(out.closed());
 }
@@ -396,15 +333,9 @@ TEST(AddKernelTest, SkipShorterThanMainIsError) {
   Stream skip(8, 16, "skip");
   Stream out(8, 16, "out");
   AddKernel kernel(n, main, skip, out);
-  std::thread feeder([&] {
-    main.push(1);
-    main.push(2);
-    main.close();
-    skip.push(1);
-    skip.close();  // one value short
-  });
-  EXPECT_THROW(kernel.run(), Error);
-  feeder.join();
+  // Skip stream one value short.
+  EXPECT_THROW((void)drive(kernel, {{main, {1, 2}}, {skip, {1}}}, {&out}),
+               Error);
 }
 
 TEST(AddKernelTest, MainShorterThanSkipIsError) {
@@ -418,15 +349,9 @@ TEST(AddKernelTest, MainShorterThanSkipIsError) {
   Stream skip(8, 16, "skip");
   Stream out(8, 16, "out");
   AddKernel kernel(n, main, skip, out);
-  std::thread feeder([&] {
-    main.push(1);
-    main.close();
-    skip.push(1);
-    skip.push(2);  // leftover
-    skip.close();
-  });
-  EXPECT_THROW(kernel.run(), Error);
-  feeder.join();
+  // Skip stream carries a leftover value.
+  EXPECT_THROW((void)drive(kernel, {{main, {1}}, {skip, {1, 2}}}, {&out}),
+               Error);
 }
 
 TEST(ForkKernelTest, DuplicatesToAllBranches) {
@@ -435,16 +360,11 @@ TEST(ForkKernelTest, DuplicatesToAllBranches) {
   Stream b(8, 4, "b");
   Stream c(8, 4, "c");
   ForkKernel kernel("fork_t", in, {&a, &b, &c});
-  std::thread feeder([&] {
-    for (std::int32_t v : {4, 5, 6}) in.push(v);
-    in.close();
-  });
-  kernel.run();
-  feeder.join();
+  const auto got = drive(kernel, {{in, {4, 5, 6}}}, {&a, &b, &c});
   const std::vector<std::int32_t> expect{4, 5, 6};
-  EXPECT_EQ(drain(a), expect);
-  EXPECT_EQ(drain(b), expect);
-  EXPECT_EQ(drain(c), expect);
+  EXPECT_EQ(got[0], expect);
+  EXPECT_EQ(got[1], expect);
+  EXPECT_EQ(got[2], expect);
   EXPECT_TRUE(a.closed());
   EXPECT_TRUE(c.closed());
 }

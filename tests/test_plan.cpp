@@ -24,6 +24,7 @@
 #include "serve/server.h"
 #include "test_util.h"
 #include "verify/graph_check.h"
+#include "verify/plan_check.h"
 
 namespace qnn {
 namespace {
@@ -72,8 +73,9 @@ TEST(PlanJson, RoundTripIsByteIdentical) {
   EngineOptions opts;
   opts.burst = 128;
   opts.adaptive_burst = false;
-  opts.executor = ExecutorKind::kPooled;
   opts.pool_threads = 3;
+  opts.pin_threads = true;
+  opts.pin_offset = 2;
   const CompiledPlan plan =
       compile_plan(net.pipeline, opts, /*slo_us=*/1500, "engine");
 
@@ -87,8 +89,9 @@ TEST(PlanJson, RoundTripIsByteIdentical) {
   EXPECT_EQ(reparsed.model, plan.model);
   EXPECT_EQ(reparsed.burst, plan.burst);
   EXPECT_EQ(reparsed.adaptive_burst, plan.adaptive_burst);
-  EXPECT_EQ(reparsed.executor, plan.executor);
   EXPECT_EQ(reparsed.pool_threads, plan.pool_threads);
+  EXPECT_EQ(reparsed.pin_threads, plan.pin_threads);
+  EXPECT_EQ(reparsed.pin_offset, plan.pin_offset);
   EXPECT_EQ(reparsed.backend, plan.backend);
   EXPECT_EQ(reparsed.fifos.streams.size(), plan.fifos.streams.size());
   EXPECT_EQ(reparsed.link_bursts.size(), plan.link_bursts.size());
@@ -177,7 +180,6 @@ TEST(Autotune, EveryCandidateIsVerifyCleanBeforeItMayRun) {
   config.live_calibration = false;  // oracle-only: fast and deterministic
   config.bursts = {64, 128};
   config.fifo_capacities = {0};
-  config.pool_threads = {};
   const AutotuneResult result = autotune(net.pipeline, net.params, config);
 
   ASSERT_FALSE(result.candidates.empty());
@@ -208,7 +210,6 @@ TEST(Autotune, TunedPlanIsBitExactAgainstDefaultOnTheZooModel) {
   config.live_calibration = false;
   config.bursts = {64, 256};
   config.fifo_capacities = {0, 4096};
-  config.pool_threads = {2};
   const AutotuneResult result = autotune(net.pipeline, net.params, config);
 
   SessionConfig default_cfg = net.session_config;
@@ -242,7 +243,6 @@ TEST(PlanCacheTest, ServerColdStartLoadsCachedPlanBitExactly) {
   // Persist a deliberately non-default plan, as qnn_tune would.
   EngineOptions opts;
   opts.burst = 256;
-  opts.executor = ExecutorKind::kPooled;
   opts.pool_threads = 2;
   const CompiledPlan tuned = compile_plan(net.pipeline, opts);
   ASSERT_TRUE(PlanCache(dir.path.string()).store(tuned));
@@ -320,6 +320,54 @@ TEST(PlanCacheTest, ColdStartRejectsCachedPlanThatFailsTheLint) {
   EXPECT_TRUE(rejected) << "the lint rejection must be logged";
   const IntTensor image = net.batch(1, 65).front();
   const InferenceResult res = server.submit(image);
+  ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
+  EXPECT_EQ(res.logits, ref.run(image));
+}
+
+// Plan format v2 regression: a version-1 file — which still carries the
+// "executor" field format 2 dropped — left behind in a cache directory is
+// a loud MISS, never a mis-armed plan. The parser rejects it, the cache
+// reports a miss, the D305 lint names the `version` field, and a server
+// cold start neither throws nor logs a cache hit.
+TEST(PlanCacheTest, VersionOnePlanWithExecutorFieldIsNeverArmed) {
+  const TinyNet net;
+  const ScratchDir dir("test_plan_cache.v1");
+  EngineOptions opts;
+  opts.burst = 128;
+  opts.pool_threads = 2;
+  CompiledPlan v1 = compile_plan(net.pipeline, opts);
+  v1.version = 1;
+  std::string text = to_json(v1);
+  const std::size_t at = text.find("  \"pool_threads\": ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "  \"executor\": \"pooled\",\n");
+  const PlanCache cache(dir.path.string());
+  {
+    std::ofstream out(cache.path_for(v1.key), std::ios::trunc);
+    out << text;
+  }
+
+  EXPECT_THROW((void)plan_from_json(text), Error);
+  EXPECT_FALSE(cache.load(v1.key).has_value());
+
+  Report lint;
+  lint_plan(net.pipeline, v1, lint);
+  EXPECT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
+  EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
+      << lint.str();
+
+  SessionConfig warm = net.session_config;
+  warm.plan_cache_dir = dir.path.string();
+  std::unique_ptr<DfeServer> server;
+  ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
+                      net.spec, net.params, ServerConfig{}, warm));
+  for (const std::string& event : server->metrics().events()) {
+    EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+  }
+  const ReferenceExecutor ref(net.pipeline, net.params);
+  const IntTensor image = net.batch(1, 66).front();
+  const InferenceResult res = server->submit(image);
   ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
   EXPECT_EQ(res.logits, ref.run(image));
 }

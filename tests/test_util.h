@@ -2,9 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "dataflow/kernels.h"
 
 namespace qnn::testutil {
 
@@ -21,6 +25,66 @@ inline IntTensor random_codes(const Shape& shape, int bits, Rng& rng) {
 /// 8-bit synthetic image.
 inline IntTensor random_image(int h, int w, int c, Rng& rng) {
   return random_codes(Shape{h, w, c}, 8, rng);
+}
+
+/// Depth-first values of `t`, ready to feed a kernel.
+inline std::vector<std::int32_t> values(const IntTensor& t) {
+  const std::span<const std::int32_t> flat = t.flat();
+  return {flat.begin(), flat.end()};
+}
+
+/// One input edge of a driven kernel: every value is pushed, then the
+/// stream is closed.
+struct Feed {
+  Stream& stream;
+  std::vector<std::int32_t> values;
+};
+
+/// Runs one kernel cooperatively on the calling thread: each round pushes
+/// the next burst of every input, calls step_checked() once, and drains
+/// every output, until the kernel reports kDone. Returns the values collected
+/// per output, in `outputs` order. Kernel exceptions (protocol errors)
+/// propagate; a round in which the kernel is blocked and nothing moved is
+/// a deadlock and throws std::logic_error, which no Error check can
+/// mistake for a protocol error.
+inline std::vector<std::vector<std::int32_t>> drive(
+    Kernel& kernel, std::vector<Feed> inputs,
+    const std::vector<Stream*>& outputs) {
+  std::vector<std::size_t> pos(inputs.size(), 0);
+  std::vector<std::vector<std::int32_t>> got(outputs.size());
+  std::vector<std::int32_t> sink(256);
+  for (;;) {
+    std::size_t moved = 0;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      Feed& in = inputs[i];
+      if (in.stream.closed()) continue;
+      const std::size_t n = in.stream.try_push_burst(
+          std::span<const std::int32_t>(in.values).subspan(pos[i]));
+      pos[i] += n;
+      moved += n;
+      if (pos[i] == in.values.size()) in.stream.close();
+    }
+    const StepResult r = kernel.step_checked();
+    for (std::size_t o = 0; o < outputs.size(); ++o) {
+      while (const std::size_t n = outputs[o]->try_pop_burst(sink)) {
+        got[o].insert(got[o].end(), sink.begin(),
+                      sink.begin() + static_cast<std::ptrdiff_t>(n));
+        moved += n;
+      }
+    }
+    if (r == StepResult::kDone) return got;
+    if (r == StepResult::kBlocked && moved == 0) {
+      throw std::logic_error("kernel '" + kernel.name() +
+                             "' blocked with nothing left to move");
+    }
+  }
+}
+
+/// drive() for the common one-input, one-output kernel.
+inline std::vector<std::int32_t> drive(Kernel& kernel, Stream& in,
+                                       std::vector<std::int32_t> values,
+                                       Stream& out) {
+  return drive(kernel, {Feed{in, std::move(values)}}, {&out}).front();
 }
 
 }  // namespace qnn::testutil
