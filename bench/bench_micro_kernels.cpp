@@ -367,17 +367,39 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
 
 /// Two-arm ablation of the conv inner datapath — packed incremental line
 /// buffers with the scalar word loop vs the same with the widest SIMD level
-/// — per activation width, best of three timed runs each. Writes
+/// — per cell, best of five timed runs of 8 images per arm. Writes
 /// BENCH_kernels.json; with AVX2 or wider the exit code enforces a >= 2x
 /// geomean SIMD speedup, without it there is no bar.
 int run_conv_datapath_ablation() {
+  // Best of kReps short runs, the reps sweeping every cell and arm in turn:
+  // on a shared host a short run can land in a quiet interval, and
+  // spreading each cell's runs over the whole ablation keeps one noisy
+  // spell from owning all of them.
   constexpr int kImages = 8;
+  constexpr int kReps = 5;
+  struct Cell {
+    const char* name;
+    Shape in;
+    int out_c;
+    int k;
+    int stride;
+    int pad;
+    int bits;
+  };
   // A mid-network conv at paper scale: 3x3x64 -> 64 puts 576 bits (9
   // words) in each bit-plane window, enough for the word-granular inner
-  // loop to matter. Tiny-channel layers are covered by the test suite.
-  const Shape in{16, 16, 64};
-  const int out_c = 64;
-  const int bits_list[] = {1, 2, 8};
+  // loop to matter, at three activation widths. The conv_0 cell is
+  // ResNet-18's first layer (7x7x3 -> 64, stride 2, pad 3, 8-bit input) on
+  // a smaller map: 147-bit (3-word) planes, eight of them per window — the
+  // short-window case where per-filter overheads dominate. Tiny-channel
+  // layers are covered by the test suite.
+  const Cell cells[] = {
+      {"3x3x64-64_b1", {16, 16, 64}, 64, 3, 1, 1, 1},
+      {"3x3x64-64_b2", {16, 16, 64}, 64, 3, 1, 1, 2},
+      {"3x3x64-64_b8", {16, 16, 64}, 64, 3, 1, 1, 8},
+      {"conv_0_7x7x3-64_s2_b8", {64, 64, 3}, 64, 7, 2, 3, 8},
+  };
+  constexpr std::size_t kCells = std::size(cells);
 
   const simd::Level best = simd::available_levels().back();
   const bool has_bar = best >= simd::Level::kAvx2;
@@ -392,52 +414,72 @@ int run_conv_datapath_ablation() {
       {"packed+simd", best},
   };
 
+  struct Input {
+    Node node;
+    FilterBank weights;
+    std::vector<std::int32_t> image;
+  };
+  std::vector<Input> inputs;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const Cell& cell = cells[c];
+    Node n;
+    n.kind = NodeKind::Conv;
+    n.name = "abl_conv";
+    n.in = cell.in;
+    n.out = conv_out_shape(cell.in, cell.out_c, cell.k, cell.stride, cell.pad);
+    n.in_bits = cell.bits;
+    n.out_bits = preact_bits(std::int64_t{cell.k} * cell.k * cell.in.c,
+                             cell.bits);
+    n.k = cell.k;
+    n.stride = cell.stride;
+    n.pad = cell.pad;
+    n.param = 0;
+    Rng rng(21 + static_cast<std::uint64_t>(c));
+    FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+    std::vector<std::int32_t> img(static_cast<std::size_t>(cell.in.elems()));
+    for (auto& v : img) {
+      v = static_cast<std::int32_t>(
+          rng.next_below(std::uint64_t{1} << cell.bits));
+    }
+    inputs.push_back({n, std::move(fb), std::move(img)});
+  }
+
   std::cout << "\nconv datapath ablation (single kernel, cooperative "
                "single-thread drive; host best simd: "
             << simd::level_name(best) << ")\n";
+  double ips[kCells][2] = {};
+  for (int rep = -1; rep < kReps; ++rep) {  // rep -1: untimed warm-up
+    for (std::size_t c = 0; c < kCells; ++c) {
+      const Input& in = inputs[c];
+      for (std::size_t a = 0; a < std::size(arms); ++a) {
+        simd::set_level(arms[a].level);
+        const double r = conv_datapath_ips(in.node, in.weights, in.image,
+                                           rep < 0 ? 2 : kImages);
+        if (rep >= 0) ips[c][a] = std::max(ips[c][a], r);
+      }
+    }
+  }
   std::ostringstream js;
   js << "{\n  \"host\": " << host_json() << ",\n  \"bar\": " << bar
      << ",\n  \"cells\": [\n";
   double log_sum = 0.0;
-  for (std::size_t b = 0; b < std::size(bits_list); ++b) {
-    const int bits = bits_list[b];
-    Node n;
-    n.kind = NodeKind::Conv;
-    n.name = "abl_conv";
-    n.in = in;
-    n.out = conv_out_shape(in, out_c, 3, 1, 1);
-    n.in_bits = bits;
-    n.out_bits = preact_bits(std::int64_t{3} * 3 * in.c, bits);
-    n.k = 3;
-    n.stride = 1;
-    n.pad = 1;
-    n.param = 0;
-    Rng rng(21 + static_cast<std::uint64_t>(bits));
-    const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
-    std::vector<std::int32_t> img(static_cast<std::size_t>(in.elems()));
-    for (auto& v : img) {
-      v = static_cast<std::int32_t>(rng.next_below(std::uint64_t{1} << bits));
-    }
-    double ips[2] = {0.0, 0.0};
+  for (std::size_t c = 0; c < kCells; ++c) {
     for (std::size_t a = 0; a < std::size(arms); ++a) {
-      simd::set_level(arms[a].level);
-      (void)conv_datapath_ips(n, fb, img, 2);  // warm-up, untimed
-      for (int rep = 0; rep < 3; ++rep) {
-        ips[a] = std::max(ips[a], conv_datapath_ips(n, fb, img, kImages));
-      }
-      std::cout << "  in_bits=" << bits << ", " << arms[a].label << ": "
-                << ips[a] << " images/s\n";
+      std::cout << "  " << cells[c].name << ", " << arms[a].label << ": "
+                << ips[c][a] << " images/s\n";
     }
-    const double simd_ratio = ips[1] / ips[0];
+    const double simd_ratio = ips[c][1] / ips[c][0];
     log_sum += std::log(simd_ratio);
-    js << "    {\"in_bits\": " << bits << ", \"packed_scalar_ips\": " << ips[0]
-       << ", \"packed_simd_ips\": " << ips[1]
+    js << "    {\"cell\": \"" << cells[c].name
+       << "\", \"in_bits\": " << cells[c].bits
+       << ", \"packed_scalar_ips\": " << ips[c][0]
+       << ", \"packed_simd_ips\": " << ips[c][1]
        << ", \"simd_vs_packed\": " << simd_ratio << "}"
-       << (b + 1 < std::size(bits_list) ? "," : "") << "\n";
+       << (c + 1 < kCells ? "," : "") << "\n";
   }
   simd::set_level(std::nullopt);
   const double geomean =
-      std::exp(log_sum / static_cast<double>(std::size(bits_list)));
+      std::exp(log_sum / static_cast<double>(kCells));
   const bool pass = !has_bar || geomean >= bar;
   js << "  ],\n  \"geomean_simd_vs_packed\": " << geomean
      << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";

@@ -10,8 +10,10 @@
 //   PackedWindow — a window's plane words, assembled from the line buffer by
 //     K contiguous bit-range splices per plane (word funnel shifts, never a
 //     re-pack), with each plane's popcount cached at finalize time.
-//   PackedFilters — filter-major packed weights, laid out once at kernel
-//     construction so the O-filter inner loop walks a flat word array.
+//   PackedFilters — packed weights in the filter-lane layout (eight filters
+//     interleaved per word), laid out once at kernel construction so one
+//     vec_ops dot_window call sweeps all planes of a window against all O
+//     filters, eight filters per vector.
 //
 // Bit layout matches FilterBank: depth-first (dy, dx, ci)
 // within a window, (x, ci) within a line-buffer row. Padding is code 0,
@@ -112,6 +114,42 @@ class BitPlaneLineBuffer {
   std::vector<Word> data_;
 };
 
+/// Packed +-1 weights in the filter-lane layout: filters are taken in
+/// groups of simd::kFilterLanes, and within a group word j of all eight
+/// filters sits side by side, [group][word][lane] — one vector load feeds
+/// eight filters. The count is padded to a multiple of eight with zero
+/// filters, whose lanes the caller ignores. Built once at kernel
+/// construction from the FilterBank's BitVectors (whose tail-zero invariant
+/// carries over, so no per-dot masking is needed on the weight side).
+class PackedFilters {
+ public:
+  static constexpr std::size_t kLanes = simd::kFilterLanes;
+
+  PackedFilters(std::int64_t bits_per_filter, int count)
+      : words_(static_cast<std::size_t>(words_for_bits(bits_per_filter))),
+        groups_((static_cast<std::size_t>(count) + kLanes - 1) / kLanes),
+        data_(groups_ * words_ * kLanes, 0) {}
+
+  /// Words per filter (= per window bit-plane).
+  [[nodiscard]] std::size_t words() const { return words_; }
+  [[nodiscard]] std::size_t groups() const { return groups_; }
+  [[nodiscard]] std::size_t padded_count() const { return groups_ * kLanes; }
+  [[nodiscard]] const Word* data() const { return data_.data(); }
+
+  /// Scatter filter `f`'s packed words (words() of them) into its lane.
+  void set(int f, std::span<const Word> filter_words) {
+    QNN_CHECK(filter_words.size() == words_, "packed filter width mismatch");
+    const auto fi = static_cast<std::size_t>(f);
+    Word* lane = data_.data() + (fi / kLanes) * words_ * kLanes + fi % kLanes;
+    for (std::size_t j = 0; j < words_; ++j) lane[j * kLanes] = filter_words[j];
+  }
+
+ private:
+  std::size_t words_;
+  std::size_t groups_;
+  std::vector<Word> data_;
+};
+
 /// One window's plane words, spliced from a BitPlaneLineBuffer, with each
 /// plane's popcount cached once per window (finalize).
 class PackedWindow {
@@ -131,11 +169,6 @@ class PackedWindow {
   [[nodiscard]] int planes() const { return planes_; }
   [[nodiscard]] std::int64_t plane_words() const { return plane_words_; }
 
-  [[nodiscard]] const Word* plane(int p) const {
-    return data_.data() +
-           static_cast<std::size_t>(p) * static_cast<std::size_t>(plane_words_);
-  }
-
   /// Splice `len` bits of line row (`plane`, `r`) starting at bit `src_bit`
   /// into this window's plane at bit `dst_bit`.
   void splice(const BitPlaneLineBuffer& lines, int p, int r,
@@ -144,7 +177,7 @@ class PackedWindow {
   }
 
   /// Mask the tail word of every plane and cache per-plane popcounts.
-  /// Call once after the window's splices, before dot_filters/plane_pop.
+  /// Call once after the window's splices, before dot.
   void finalize(const simd::VecOps& ops) {
     const int tail = static_cast<int>(values_ % kWordBits);
     for (int p = 0; p < planes_; ++p) {
@@ -155,21 +188,17 @@ class PackedWindow {
     }
   }
 
-  [[nodiscard]] std::int64_t plane_pop(int p) const {
-    return pops_[static_cast<std::size_t>(p)];
-  }
-
-  /// XNOR-popcount dot of this window against `count` packed filters laid
-  /// out filter-major at stride `stride_words`; acc[f] receives the signed
-  /// fixed-point dot (sum over planes of 2^p * pm1 agreement score).
-  void dot_filters(const simd::VecOps& ops, const Word* filters,
-                   std::size_t stride_words, std::size_t count,
-                   std::int64_t* acc) const {
-    std::fill(acc, acc + count, std::int64_t{0});
-    for (int p = 0; p < planes_; ++p) {
-      ops.accumulate_plane(plane(p), static_cast<std::size_t>(plane_words_),
-                           plane_pop(p), filters, stride_words, count, p, acc);
-    }
+  /// XNOR-popcount dot of this window against every filter of `filters`
+  /// in one dot_window call; acc[f] receives the signed fixed-point dot
+  /// (sum over planes of 2^p * pm1 agreement score). `acc` must hold
+  /// filters.padded_count() entries (the zero pad filters' lanes included).
+  void dot(const simd::VecOps& ops, const PackedFilters& filters,
+           std::int64_t* acc) const {
+    QNN_DCHECK(filters.words() == static_cast<std::size_t>(plane_words_),
+               "filter width does not match the window");
+    ops.dot_window(data_.data(), static_cast<std::size_t>(plane_words_),
+                   planes_, pops_.data(), filters.data(), filters.groups(),
+                   acc);
   }
 
  private:
@@ -183,46 +212,6 @@ class PackedWindow {
   std::int64_t plane_words_;
   std::vector<Word> data_;
   std::vector<std::int64_t> pops_;
-};
-
-/// Filter-major packed +-1 weights: filter f's sign bits occupy words
-/// [f*stride_words, f*stride_words + stride_words). Built once at kernel
-/// construction from the FilterBank's BitVectors (whose tail-zero invariant
-/// carries over, so no per-dot masking is needed on the weight side).
-class PackedFilters {
- public:
-  PackedFilters() = default;
-
-  PackedFilters(std::int64_t bits_per_filter, int count)
-      : stride_words_(words_for_bits(bits_per_filter)),
-        count_(count),
-        data_(static_cast<std::size_t>(stride_words_) *
-                  static_cast<std::size_t>(count),
-              0) {}
-
-  [[nodiscard]] std::size_t stride_words() const {
-    return static_cast<std::size_t>(stride_words_);
-  }
-  [[nodiscard]] int count() const { return count_; }
-  [[nodiscard]] const Word* data() const { return data_.data(); }
-
-  [[nodiscard]] const Word* filter(int f) const {
-    return data_.data() +
-           static_cast<std::size_t>(f) * static_cast<std::size_t>(stride_words_);
-  }
-
-  /// Copy filter `f`'s packed words from `words` (stride_words() words).
-  void set(int f, std::span<const Word> words) {
-    QNN_CHECK(words.size() == stride_words(), "packed filter width mismatch");
-    std::memcpy(data_.data() + static_cast<std::size_t>(f) *
-                                   static_cast<std::size_t>(stride_words_),
-                words.data(), words.size() * sizeof(Word));
-  }
-
- private:
-  std::int64_t stride_words_ = 0;
-  int count_ = 0;
-  std::vector<Word> data_;
 };
 
 }  // namespace qnn

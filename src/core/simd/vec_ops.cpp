@@ -1,6 +1,7 @@
 // Scalar reference implementation + runtime dispatch for the vec_ops seam.
 #include "core/simd/vec_ops.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -22,31 +23,31 @@ std::uint64_t popcount_scalar(const Word* a, std::size_t n) {
   return total;
 }
 
-std::uint64_t and_popcount_scalar(const Word* a, const Word* b,
-                                  std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(qnn::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
-void accumulate_plane_scalar(const Word* a, std::size_t n, std::int64_t pop_a,
-                             const Word* w, std::size_t stride_words,
-                             std::size_t filters, int shift,
-                             std::int64_t* acc) {
-  for (std::size_t f = 0; f < filters; ++f) {
-    const Word* wf = w + f * stride_words;
-    std::uint64_t on = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      on += static_cast<std::uint64_t>(qnn::popcount(wf[i] & a[i]));
+void dot_window_scalar(const Word* a, std::size_t n, int planes,
+                       const std::int64_t* pops, const Word* w,
+                       std::size_t groups, std::int64_t* acc) {
+  constexpr std::size_t kL = kFilterLanes;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const Word* wg = w + g * n * kL;
+    std::int64_t sum[kL] = {};
+    for (int p = 0; p < planes; ++p) {
+      const Word* ap = a + static_cast<std::size_t>(p) * n;
+      std::int64_t on[kL] = {};
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t l = 0; l < kL; ++l) {
+          on[l] += qnn::popcount(wg[j * kL + l] & ap[j]);
+        }
+      }
+      for (std::size_t l = 0; l < kL; ++l) {
+        sum[l] += (2 * on[l] - pops[p]) << p;
+      }
     }
-    acc[f] += (2 * static_cast<std::int64_t>(on) - pop_a) << shift;
+    std::copy(sum, sum + kL, acc + g * kL);
   }
 }
 
 constexpr VecOps kScalarOps{Level::kScalar, "scalar", popcount_scalar,
-                            and_popcount_scalar, accumulate_plane_scalar};
+                            dot_window_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

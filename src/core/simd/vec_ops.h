@@ -29,8 +29,12 @@ enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 [[nodiscard]] const char* level_name(Level level);
 
+/// Filters interleaved per weight word in the filter-lane layout: one lane
+/// per 64-bit slot of an AVX-512 register (two AVX2 halves).
+inline constexpr std::size_t kFilterLanes = 8;
+
 /// One implementation of the word-granular kernels. All functions treat
-/// their operands as plain arrays of `n` 64-bit words; tail masking is the
+/// their operands as plain arrays of 64-bit words; tail masking is the
 /// caller's job (operands keep the BitVector tail-bits-zero invariant).
 struct VecOps {
   Level level;
@@ -39,19 +43,18 @@ struct VecOps {
   /// Total set bits over a[0..n).
   std::uint64_t (*popcount)(const Word* a, std::size_t n);
 
-  /// popcount(a & b) over n words.
-  std::uint64_t (*and_popcount)(const Word* a, const Word* b, std::size_t n);
-
-  /// The conv inner loop: for every filter f in [0, filters), with filter
-  /// f's words at w + f*stride_words,
-  ///   acc[f] += (2*popcount(w_f & a) - pop_a) << shift
-  /// i.e. one bit-plane's +-1-weighted contribution (core/bitplanes.h) for
-  /// all filters, streaming the filter-major weight words once while the
-  /// plane words stay resident.
-  void (*accumulate_plane)(const Word* a, std::size_t n, std::int64_t pop_a,
-                           const Word* w, std::size_t stride_words,
-                           std::size_t filters, int shift,
-                           std::int64_t* acc);
+  /// The whole conv window against every filter (§III-B1): `a` holds
+  /// `planes` bit-planes of `n` words each (plane p at a + p*n, popcount
+  /// pops[p]); `w` holds `groups` groups of kFilterLanes filters in the
+  /// filter-lane layout [group][word][lane]. For every group g and lane l,
+  ///   acc[g*8 + l] = sum_p (2*sum_j popcount(w[g][j][l] & a_p[j])
+  ///                         - pops[p]) << p
+  /// i.e. the +-1-weighted fixed-point dot of core/bitplanes.h. The eight
+  /// lane sums of a group stay in registers across all planes; acc is
+  /// overwritten, groups*kFilterLanes entries.
+  void (*dot_window)(const Word* a, std::size_t n, int planes,
+                     const std::int64_t* pops, const Word* w,
+                     std::size_t groups, std::int64_t* acc);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

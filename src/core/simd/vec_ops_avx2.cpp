@@ -1,17 +1,23 @@
 // AVX2 path: 4-word AND + vpshufb nibble-LUT popcount (the classic Mula
-// kernel), horizontal-summed with vpsadbw. Built with a per-function
-// target attribute so the TU compiles under the generic -march; the
-// dispatcher only hands these functions out after a CPUID check.
+// kernel), summed with vpsadbw. The window dot runs a filter-lane group as
+// two 4-lane halves, so no horizontal sum is ever needed there. Built with
+// a per-function target attribute (AVX2 + POPCNT) so the TU compiles under
+// the generic -march; the dispatcher only hands these functions out after
+// a CPUID check.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX2)
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace qnn::simd::detail {
 namespace {
 
-__attribute__((target("avx2"))) inline __m256i popcount_bytes(__m256i v) {
+#define QNN_AVX2_TARGET target("avx2,popcnt")
+
+__attribute__((QNN_AVX2_TARGET)) inline __m256i popcount_bytes(__m256i v) {
   const __m256i lut =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
                        1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
@@ -22,14 +28,14 @@ __attribute__((target("avx2"))) inline __m256i popcount_bytes(__m256i v) {
                          _mm256_shuffle_epi8(lut, hi));
 }
 
-__attribute__((target("avx2"))) inline std::uint64_t hsum_epi64(__m256i v) {
+__attribute__((QNN_AVX2_TARGET)) inline std::uint64_t hsum_epi64(__m256i v) {
   Word lanes[4];
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), v);
   return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-__attribute__((target("avx2"))) std::uint64_t popcount_avx2(const Word* a,
-                                                            std::size_t n) {
+__attribute__((QNN_AVX2_TARGET)) std::uint64_t popcount_avx2(
+    const Word* a, std::size_t n) {
   __m256i total = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -40,47 +46,78 @@ __attribute__((target("avx2"))) std::uint64_t popcount_avx2(const Word* a,
   }
   std::uint64_t t = hsum_epi64(total);
   for (; i < n; ++i) {
-    t += static_cast<std::uint64_t>(qnn::popcount(a[i]));
+    t += static_cast<std::uint64_t>(__builtin_popcountll(a[i]));
   }
   return t;
 }
 
-__attribute__((target("avx2"))) std::uint64_t and_popcount_avx2(
-    const Word* a, const Word* b, std::size_t n) {
-  __m256i total = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    total = _mm256_add_epi64(
-        total, _mm256_sad_epu8(popcount_bytes(v), _mm256_setzero_si256()));
+__attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
+    const Word* a, std::size_t n, int planes, const std::int64_t* pops,
+    const Word* w, std::size_t groups, std::int64_t* acc) {
+  // Byte counts reach at most 8 per word, so up to 31 words accumulate in
+  // epi8 lanes before one vpsadbw folds them into the 64-bit lane sums.
+  constexpr std::size_t kByteRun = 31;
+  const __m256i zero = _mm256_setzero_si256();
+  for (std::size_t g = 0; g < groups; ++g) {
+    const Word* wg = w + g * n * kFilterLanes;
+    __m256i sum_lo = zero;  // lanes 0..3
+    __m256i sum_hi = zero;  // lanes 4..7
+    // Horner over the planes, high to low: sum = 2*sum + (2*on_p - pop_p)
+    // builds sum_p (2*on_p - pop_p) << p with adds only.
+    for (int p = planes - 1; p >= 0; --p) {
+      const Word* ap = a + static_cast<std::size_t>(p) * n;
+      __m256i on_lo = zero;
+      __m256i on_hi = zero;
+      for (std::size_t j0 = 0; j0 < n; j0 += kByteRun) {
+        const std::size_t j1 = std::min(n, j0 + kByteRun);
+        __m256i bytes_lo = zero;
+        __m256i bytes_hi = zero;
+        for (std::size_t j = j0; j < j1; ++j) {
+          const __m256i av = _mm256_set1_epi64x(static_cast<long long>(ap[j]));
+          const Word* wj = wg + j * kFilterLanes;
+          bytes_lo = _mm256_add_epi8(
+              bytes_lo,
+              popcount_bytes(_mm256_and_si256(
+                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wj)),
+                  av)));
+          bytes_hi = _mm256_add_epi8(
+              bytes_hi,
+              popcount_bytes(_mm256_and_si256(
+                  _mm256_loadu_si256(
+                      reinterpret_cast<const __m256i*>(wj + 4)),
+                  av)));
+        }
+        on_lo = _mm256_add_epi64(on_lo, _mm256_sad_epu8(bytes_lo, zero));
+        on_hi = _mm256_add_epi64(on_hi, _mm256_sad_epu8(bytes_hi, zero));
+      }
+      const __m256i pop = _mm256_set1_epi64x(pops[p]);
+      sum_lo = _mm256_add_epi64(
+          _mm256_add_epi64(sum_lo, sum_lo),
+          _mm256_sub_epi64(_mm256_add_epi64(on_lo, on_lo), pop));
+      sum_hi = _mm256_add_epi64(
+          _mm256_add_epi64(sum_hi, sum_hi),
+          _mm256_sub_epi64(_mm256_add_epi64(on_hi, on_hi), pop));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + g * kFilterLanes),
+                        sum_lo);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(acc + g * kFilterLanes + 4), sum_hi);
   }
-  std::uint64_t t = hsum_epi64(total);
-  for (; i < n; ++i) {
-    t += static_cast<std::uint64_t>(qnn::popcount(a[i] & b[i]));
-  }
-  return t;
 }
 
-__attribute__((target("avx2"))) void accumulate_plane_avx2(
-    const Word* a, std::size_t n, std::int64_t pop_a, const Word* w,
-    std::size_t stride_words, std::size_t filters, int shift,
-    std::int64_t* acc) {
-  for (std::size_t f = 0; f < filters; ++f) {
-    const std::uint64_t on = and_popcount_avx2(w + f * stride_words, a, n);
-    acc[f] += (2 * static_cast<std::int64_t>(on) - pop_a) << shift;
-  }
-}
+#undef QNN_AVX2_TARGET
 
 constexpr VecOps kAvx2Ops{Level::kAvx2, "avx2", popcount_avx2,
-                          and_popcount_avx2, accumulate_plane_avx2};
+                          dot_window_avx2};
 
 }  // namespace
 
 const VecOps* avx2_ops() { return &kAvx2Ops; }
 
-bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
+bool cpu_has_avx2() {
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("popcnt") != 0;
+}
 
 }  // namespace qnn::simd::detail
 

@@ -31,14 +31,13 @@ WindowKernel::WindowKernel(const Node& node, Stream& in, Stream& out,
       scanner_(node.in, node.k, node.stride, node.pad, /*pad_value=*/0),
       in_burst_(window_burst(node, burst)) {}
 
-void WindowKernel::feed(std::int32_t v) {
-  if (const auto completed = scanner_.advance(v)) {
-    emit(*completed);
-  }
+void WindowKernel::scan(std::span<const std::int32_t> vals, std::int64_t n) {
+  scanner_.advance_run(vals, n,
+                       [this](const WindowScanner::Completed& at) { emit(at); });
 }
 
 void WindowKernel::advance_padding() {
-  while (!scanner_.done() && scanner_.next_is_padding()) feed(0);
+  while (const std::int64_t n = scanner_.pad_run()) scan({}, n);
 }
 
 void WindowKernel::reset() {
@@ -89,14 +88,15 @@ StepResult WindowKernel::step() {
       advance_padding();
       if (scanner_.done()) break;  // burst spans an image boundary
       // Ingest the row segment up to the next padding interruption in one
-      // tight loop — no per-value padding test. The run is exposed to the
-      // subclass first (scanner cursor still at the run's first value), so
-      // the conv kernel bit-plane-packs it exactly once.
+      // step — no per-value padding test or scanner call. The run is
+      // exposed to the subclass first (scanner cursor still at the run's
+      // first value), so the conv kernel bit-plane-packs it exactly once.
       const std::int64_t run = std::min<std::int64_t>(
           scanner_.real_run(),
           static_cast<std::int64_t>(in_burst_.available()));
-      ingest_run(in_burst_.view(static_cast<std::size_t>(run)));
-      for (std::int64_t i = 0; i < run; ++i) feed(in_burst_.next());
+      const auto vals = in_burst_.take(static_cast<std::size_t>(run));
+      ingest_run(vals);
+      scan(vals, run);
     }
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
@@ -113,13 +113,14 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
       window_(scanner().window_values(), node.in_bits),
-      acc_(static_cast<std::size_t>(node.out.c), 0) {
+      acc_(packed_weights_.padded_count(), 0) {
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
-  // Re-pack the weight cache filter-major once; the BitVector tail-zero
-  // invariant carries over, so the SIMD sweep needs no weight-side masking.
-  std::vector<Word> tmp(packed_weights_.stride_words());
+  // Re-pack the weight cache into the filter-lane layout once; the
+  // BitVector tail-zero invariant carries over, so the SIMD sweep needs no
+  // weight-side masking.
+  std::vector<Word> tmp(packed_weights_.words());
   for (int o = 0; o < node.out.c; ++o) {
     const BitVector& f = weights.filter(o);
     for (std::int64_t w = 0; w < f.words(); ++w) {
@@ -149,8 +150,8 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
   const int o_count = node().out.c;
   // Every activation was bit-plane-packed exactly once at ingest; a window
   // is K contiguous bit-range splices per plane out of the line buffer
-  // (rows recycled mod K, in step with the scanner ring), then one SIMD
-  // AND-popcount sweep over all O filters.
+  // (rows recycled mod K, in step with the scanner ring), then one fused
+  // SIMD AND-popcount sweep of every plane over all O filters.
   const auto& ops = simd::vec_ops();
   const int k = node().k;
   const int stride = node().stride;
@@ -161,21 +162,20 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
   const std::int64_t seg = static_cast<std::int64_t>(k) * chans;
   const std::int64_t src_bit =
       static_cast<std::int64_t>(at.ox) * stride * chans;
-  for (int p = 0; p < lines_.planes(); ++p) {
-    for (int dy = 0; dy < k; ++dy) {
-      window_.splice(lines_, p, (at.oy * stride + dy) % k, src_bit,
-                     static_cast<std::int64_t>(dy) * seg, seg);
+  for (int dy = 0; dy < k; ++dy) {
+    const int r = (at.oy * stride + dy) % k;
+    for (int p = 0; p < lines_.planes(); ++p) {
+      window_.splice(lines_, p, r, src_bit, static_cast<std::int64_t>(dy) * seg,
+                     seg);
     }
   }
   window_.finalize(ops);
   // "One output pixel per clock cycle, until all the filters are applied
   // at this position" (§III-B1): emit all O responses.
-  window_.dot_filters(ops, packed_weights_.data(),
-                      packed_weights_.stride_words(),
-                      static_cast<std::size_t>(o_count), acc_.data());
-  for (int o = 0; o < o_count; ++o) {
-    stage().append(
-        static_cast<std::int32_t>(acc_[static_cast<std::size_t>(o)]));
+  window_.dot(ops, packed_weights_, acc_.data());
+  const auto out = stage().extend(static_cast<std::size_t>(o_count));
+  for (std::size_t o = 0; o < out.size(); ++o) {
+    out[o] = static_cast<std::int32_t>(acc_[o]);
   }
 }
 
@@ -231,31 +231,13 @@ BnActKernel::BnActKernel(const Node& node, const ThresholdLayer& thresholds,
                          Stream& in, Stream& out, std::size_t burst)
     : Kernel(node.name),
       node_(node),
-      thresholds_(thresholds),
+      table_(thresholds),
       in_(in),
       out_(out),
       in_burst_(burst) {
   QNN_CHECK(node.kind == NodeKind::BnAct, "BnActKernel needs a BnAct node");
-  QNN_CHECK(thresholds.channels() == node.in.c,
+  QNN_CHECK(table_.channels() == node.in.c,
             "threshold bank channel count mismatch");
-  // Small preactivation domain: tabulate the staircase per channel once
-  // (<= 256 entries/channel) so the steady state is one indexed load per
-  // value. Built from the binary-search path itself, so it is bit-exact by
-  // construction.
-  if (node.in_bits <= 8) {
-    lut_size_ = std::int32_t{1} << node.in_bits;
-    lut_bias_ = lut_size_ / 2;
-    lut_.resize(static_cast<std::size_t>(node.in.c) *
-                static_cast<std::size_t>(lut_size_));
-    for (int c = 0; c < node.in.c; ++c) {
-      for (std::int32_t idx = 0; idx < lut_size_; ++idx) {
-        lut_[static_cast<std::size_t>(c) *
-                 static_cast<std::size_t>(lut_size_) +
-             static_cast<std::size_t>(idx)] =
-            thresholds.at(c).eval_binary_search(idx - lut_bias_);
-      }
-    }
-  }
 }
 
 void BnActKernel::reset() {
@@ -283,29 +265,16 @@ StepResult BnActKernel::step() {
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
     // Map the whole burst through the threshold staircase, carrying the
-    // channel phase across burst boundaries. Narrow domains go through the
-    // per-channel direct table (§III-B3's BRAM LUT); anything outside the
-    // table — or a wide domain — takes the binary search over the 2^n
-    // ranges, which is bit-identical.
-    if (lut_size_ != 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t a = in_burst_.next();
-        const std::int64_t idx = static_cast<std::int64_t>(a) + lut_bias_;
-        stage_.append(
-            idx >= 0 && idx < lut_size_
-                ? lut_[static_cast<std::size_t>(ch_) *
-                           static_cast<std::size_t>(lut_size_) +
-                       static_cast<std::size_t>(idx)]
-                : thresholds_.at(ch_).eval_binary_search(a));
-        ch_ = ch_ + 1 == c ? 0 : ch_ + 1;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        stage_.append(
-            thresholds_.at(ch_).eval_binary_search(in_burst_.next()));
-        ch_ = ch_ + 1 == c ? 0 : ch_ + 1;
-      }
+    // channel phase across burst boundaries: one branchless fixed-depth
+    // search per value over the flat table (§III-B3's comparator tree).
+    const auto codes = stage_.extend(n);
+    const auto vals = in_burst_.take(n);
+    int ch = ch_;  // a local, so the code stores cannot alias it
+    for (std::size_t i = 0; i < n; ++i) {
+      codes[i] = table_.eval(ch, vals[i]);
+      ch = ch + 1 == c ? 0 : ch + 1;
     }
+    ch_ = ch;
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
   }

@@ -59,6 +59,12 @@ inline constexpr std::size_t kDefaultBurst = 256;
 class OutStage {
  public:
   void append(std::int32_t v) { buf_.push_back(v); }
+  /// Append `n` slots and return them for the caller to fill in place.
+  [[nodiscard]] std::span<std::int32_t> extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return std::span<std::int32_t>(buf_).subspan(at, n);
+  }
   [[nodiscard]] bool empty() const { return pos_ == buf_.size(); }
 
   /// Move everything possible into `out`; true when fully flushed. Notes
@@ -125,12 +131,15 @@ class InBurst {
     return buf_[pos_++];
   }
 
-  /// Read-only view of the next `n` buffered values without consuming them
-  /// (n <= available()). Lets a kernel pre-scan a run — e.g. pack it into
-  /// bit-plane line buffers — before feeding it value by value.
-  [[nodiscard]] std::span<const std::int32_t> view(std::size_t n) const {
-    QNN_DCHECK(n <= len_ - pos_, "burst view overrun");
-    return std::span<const std::int32_t>(buf_).subspan(pos_, n);
+  /// Consume the next `n` buffered values at once (n <= available()); the
+  /// span stays valid until the next refill. Lets a kernel handle a whole
+  /// run — pack it into bit-plane line buffers, advance the scanner over
+  /// it, map it through a table — without a per-value call.
+  [[nodiscard]] std::span<const std::int32_t> take(std::size_t n) {
+    QNN_DCHECK(n <= len_ - pos_, "burst take overrun");
+    const auto run = std::span<const std::int32_t>(buf_).subspan(pos_, n);
+    pos_ += n;
+    return run;
   }
 
   /// Discard buffered values (between engine runs / after an aborted run).
@@ -208,8 +217,8 @@ class WindowKernel : public Kernel {
   /// Emit all outputs of the window at `at` into stage().
   virtual void emit(const WindowScanner::Completed& at) = 0;
 
-  /// Called once per contiguous run of REAL input values, just before they
-  /// are fed to the scanner — the scanner cursor (cur_row/row_value_pos)
+  /// Called once per contiguous run of REAL input values, just before the
+  /// scanner advances over it — the scanner cursor (cur_row/row_value_pos)
   /// still points at the run's first value. The conv kernel packs the run
   /// into its bit-plane line buffers here; the default does nothing.
   virtual void ingest_run(std::span<const std::int32_t> /*vals*/) {}
@@ -223,7 +232,9 @@ class WindowKernel : public Kernel {
   [[nodiscard]] OutStage& stage() { return stage_; }
 
  private:
-  void feed(std::int32_t v);
+  /// Advance the scanner over `n` positions (a real run `vals`, or a
+  /// padding stretch when `vals` is empty), emitting completed windows.
+  void scan(std::span<const std::int32_t> vals, std::int64_t n);
   /// Inject padding positions until the next position is real (or done).
   void advance_padding();
 
@@ -243,7 +254,8 @@ class WindowKernel : public Kernel {
 /// stream in, windows are assembled by word splices, and the O-filter
 /// sweep runs through the vec_ops SIMD seam. Weights live in the kernel as
 /// a packed FilterBank — the on-chip weight cache of §III-B1a — packed
-/// once at construction into a filter-major word array for that sweep.
+/// once at construction into the filter-lane layout (eight filters
+/// interleaved per word) for that sweep; it is the kernel's only copy.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
@@ -262,7 +274,7 @@ class ConvKernel final : public WindowKernel {
   PackedFilters packed_weights_;
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
-  std::vector<std::int64_t> acc_;
+  std::vector<std::int64_t> acc_;  // one per padded filter lane
   int packed_row_ = -1;  // highest padded row already entered into lines_
 };
 
@@ -286,11 +298,10 @@ class PoolKernel final : public WindowKernel {
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input
 /// burst through the per-channel threshold staircase, carrying the channel
-/// phase across bursts. When the preactivation domain is small
-/// (node.in_bits <= 8, i.e. <= 256 codes), the staircase is tabulated once
-/// per channel at construction and each value becomes one indexed load —
-/// the BRAM-LUT realization of §III-B3; wider domains (and out-of-table
-/// inputs) fall back to the binary search, which stays bit-identical.
+/// phase across bursts. The staircases are flattened at construction into
+/// one channel-major ThresholdTable (signs and constant channels folded
+/// in), so every value takes the same branchless n-deep search whatever
+/// the pre-activation width.
 class BnActKernel final : public Kernel {
  public:
   BnActKernel(const Node& node, const ThresholdLayer& thresholds, Stream& in,
@@ -299,20 +310,14 @@ class BnActKernel final : public Kernel {
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;
 
-  /// True when the direct-lookup path is active (exposed for tests).
-  [[nodiscard]] bool uses_lut() const { return lut_size_ != 0; }
-
  private:
   const Node& node_;
-  const ThresholdLayer& thresholds_;
+  ThresholdTable table_;
   Stream& in_;
   Stream& out_;
   InBurst in_burst_;
   OutStage stage_;
   int ch_ = 0;
-  std::int32_t lut_size_ = 0;  // 0 = binary-search path
-  std::int32_t lut_bias_ = 0;  // table index = value + bias
-  std::vector<std::int32_t> lut_;  // channel-major [ch * lut_size_ + idx]
 };
 
 /// Skip-connection adder (§III-B5, Figure 2): sums the regular path with

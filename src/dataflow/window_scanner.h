@@ -15,6 +15,7 @@
 // scan (see fpga/resource_model.h for the accounting used in Fig 6).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
@@ -71,35 +72,77 @@ class WindowScanner {
     return static_cast<std::int64_t>(pad_ + in_.w - x_) * in_.c - c_;
   }
 
+  /// Number of consecutive padding positions starting at the cursor, up to
+  /// the next real value or the end of the padded row; 0 when the next
+  /// position is real or the scan is done.
+  [[nodiscard]] std::int64_t pad_run() const {
+    if (done() || !next_is_padding()) return 0;
+    const bool left_pad = y_ >= pad_ && y_ < pad_ + in_.h && x_ < pad_;
+    return static_cast<std::int64_t>((left_pad ? pad_ : wp_) - x_) * in_.c -
+           c_;
+  }
+
   /// Advance the scan by one value: a real stream value when
   /// !next_is_padding(), ignored otherwise (the pad value is injected).
   /// Returns the output position whose window just completed, if any.
   std::optional<Completed> advance(std::int32_t v) {
-    QNN_DCHECK(!done(), "advance past end of scan");
-    const std::int32_t stored = next_is_padding() ? pad_value_ : v;
-    ring_[ring_index(y_, x_, c_)] = stored;
-
     std::optional<Completed> completed;
-    if (c_ == in_.c - 1) {
-      // Pixel (y_, x_) is now complete; is it the bottom-right corner of a
-      // window? Corner rows are oy*stride + k - 1, columns ox*stride + k-1.
-      const int ry = y_ - (k_ - 1);
-      const int rx = x_ - (k_ - 1);
-      if (ry >= 0 && rx >= 0 && ry % stride_ == 0 && rx % stride_ == 0) {
-        const int oy = ry / stride_;
-        const int ox = rx / stride_;
-        if (oy < out_h_ && ox < out_w_) completed = Completed{oy, ox};
+    const auto note = [&completed](const Completed& at) { completed = at; };
+    if (next_is_padding()) {
+      advance_run({}, 1, note);
+    } else {
+      advance_run(std::span<const std::int32_t>(&v, 1), 1, note);
+    }
+    return completed;
+  }
+
+  /// Advance the scan by `n` positions of the current padded row in one
+  /// step: a real run (n <= real_run(), values taken from `vals`) or a
+  /// padding stretch (n <= pad_run(), `vals` empty, the pad value
+  /// injected). All n values enter the ring first; then on_complete is
+  /// called, in scan order, with every output position whose window's
+  /// bottom-right pixel the run completed. Storing ahead is safe: the rest
+  /// of the row only overwrites ring entries of row y - K, which no window
+  /// completed on row y reads.
+  template <class OnComplete>
+  void advance_run(std::span<const std::int32_t> vals, std::int64_t n,
+                   OnComplete&& on_complete) {
+    QNN_DCHECK(!done(), "advance past end of scan");
+    QNN_DCHECK(n >= 1 && n <= (vals.empty() ? pad_run() : real_run()),
+               "run leaves the current real run or padding stretch");
+    const std::int64_t c = in_.c;
+    const std::int64_t pos = static_cast<std::int64_t>(x_) * c + c_;
+    const auto base = ring_.begin() + static_cast<std::ptrdiff_t>(
+                                          ring_index(y_, x_, c_));
+    if (vals.empty()) {
+      std::fill_n(base, n, pad_value_);
+    } else {
+      std::copy_n(vals.begin(), n, base);
+    }
+    // Pixels x_ .. end/c - 1 completed; a window's bottom-right corner is
+    // at row oy*stride + k - 1, column ox*stride + k - 1.
+    const std::int64_t end = pos + n;
+    const int ry = y_ - (k_ - 1);
+    if (ry >= 0 && ry % stride_ == 0 && ry / stride_ < out_h_) {
+      const int oy = ry / stride_;
+      const int last_x = static_cast<int>(end / c) - 1;
+      int x = std::max(x_, k_ - 1);
+      x += (stride_ - (x - (k_ - 1)) % stride_) % stride_;
+      for (; x <= last_x; x += stride_) {
+        const int ox = (x - (k_ - 1)) / stride_;
+        if (ox >= out_w_) break;
+        on_complete(Completed{oy, ox});
       }
     }
     // Advance the depth-first cursor.
-    if (++c_ == in_.c) {
+    if (end == static_cast<std::int64_t>(wp_) * c) {
+      x_ = 0;
       c_ = 0;
-      if (++x_ == wp_) {
-        x_ = 0;
-        ++y_;
-      }
+      ++y_;
+    } else {
+      x_ = static_cast<int>(end / c);
+      c_ = static_cast<int>(end % c);
     }
-    return completed;
   }
 
   /// Extract the window of output position (oy, ox) — only valid for the

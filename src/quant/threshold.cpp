@@ -76,7 +76,7 @@ ThresholdActivation ThresholdActivation::from_two_param(
 
 std::int32_t ThresholdActivation::eval(std::int32_t a) const {
   if (sign_ == 0) return constant_code_;
-  const std::int32_t v = sign_ > 0 ? a : -a;
+  const std::int64_t v = sign_ > 0 ? a : -std::int64_t{a};
   const auto it =
       std::upper_bound(thresholds_.begin(), thresholds_.end(), v);
   return static_cast<std::int32_t>(it - thresholds_.begin());
@@ -84,7 +84,7 @@ std::int32_t ThresholdActivation::eval(std::int32_t a) const {
 
 std::int32_t ThresholdActivation::eval_binary_search(std::int32_t a) const {
   if (sign_ == 0) return constant_code_;
-  const std::int32_t v = sign_ > 0 ? a : -a;
+  const std::int64_t v = sign_ > 0 ? a : -std::int64_t{a};
   // The hardware form: n comparison levels narrowing 2^n ranges to one.
   int lo = 0;
   int hi = static_cast<int>(thresholds_.size());
@@ -106,6 +106,31 @@ ThresholdLayer ThresholdLayer::fold(const BnLayerParams& bn,
     layer.push_back(ThresholdActivation::fold(bn.at(c), q));
   }
   return layer;
+}
+
+ThresholdTable::ThresholdTable(const ThresholdLayer& layer)
+    : channels_(layer.channels()) {
+  const int bits = layer.bits();
+  QNN_CHECK(bits >= 1 && bits <= 16, "threshold table bit width out of range");
+  stride_ = std::size_t{1} << bits;
+  table_.reserve(static_cast<std::size_t>(channels_) * stride_);
+  for (int c = 0; c < channels_; ++c) {
+    const ThresholdActivation& t = layer.at(c);
+    QNN_CHECK(t.bits() == bits, "threshold layer mixes activation widths");
+    table_.push_back(t.sign());
+    if (t.is_constant()) {
+      for (std::size_t i = 1; i < stride_; ++i) {
+        table_.push_back(static_cast<std::int64_t>(i) <= t.constant_code()
+                             ? std::numeric_limits<std::int32_t>::min()
+                             : std::numeric_limits<std::int32_t>::max());
+      }
+    } else {
+      QNN_CHECK(t.thresholds().size() == stride_ - 1,
+                "threshold count does not match the activation width");
+      table_.insert(table_.end(), t.thresholds().begin(),
+                    t.thresholds().end());
+    }
+  }
 }
 
 }  // namespace qnn

@@ -14,6 +14,7 @@
 // kernels, so the two engines agree by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,7 +44,8 @@ class ThresholdActivation {
   /// slope must be supplied as it is implicit in Delta's sign).
   static ThresholdActivation from_two_param(const TwoParamForm& tp, int bits);
 
-  /// Evaluate the folded staircase on an integer pre-activation.
+  /// Evaluate the folded staircase on an integer pre-activation. The
+  /// negated-slope comparison runs in int64, so INT32_MIN is exact.
   [[nodiscard]] std::int32_t eval(std::int32_t a) const;
 
   /// Evaluate via explicit binary search over the threshold array — the
@@ -99,6 +101,42 @@ class ThresholdLayer {
 
  private:
   std::vector<ThresholdActivation> per_channel_;
+};
+
+/// Every channel of a ThresholdLayer flattened into one channel-major int32
+/// table and evaluated by a branchless fixed-depth search — the n-deep
+/// comparator tree of §III-B3, one level per activation bit. Row c is
+///   [s_c, T_1 .. T_{2^n - 1}]
+/// with s_c the channel's comparison sign (+1, -1, or 0 for a constant
+/// channel) and T ascending. The code of a pre-activation a is the number
+/// of thresholds <= v = s_c * a, found by
+///   code += v >= T[code + step] ? step : 0   for step = 2^(n-1) .. 1
+/// with v and the comparisons in int64, so INT32_MIN negates exactly. A
+/// constant channel has v = 0 and a row of `constant_code` INT32_MIN
+/// entries followed by INT32_MAX, so the same search returns its code.
+/// Bit-identical to ThresholdActivation::eval_binary_search.
+class ThresholdTable {
+ public:
+  explicit ThresholdTable(const ThresholdLayer& layer);
+
+  [[nodiscard]] int channels() const { return channels_; }
+
+  [[nodiscard]] std::int32_t eval(int c, std::int32_t a) const {
+    QNN_DCHECK(c >= 0 && c < channels_, "channel out of range");
+    const std::int32_t* row =
+        table_.data() + static_cast<std::size_t>(c) * stride_;
+    const std::int64_t v = std::int64_t{row[0]} * a;
+    std::size_t code = 0;
+    for (std::size_t step = stride_ / 2; step != 0; step /= 2) {
+      code += v >= row[code + step] ? step : 0;
+    }
+    return static_cast<std::int32_t>(code);
+  }
+
+ private:
+  int channels_ = 0;
+  std::size_t stride_ = 1;  // 2^bits: the sign slot + 2^bits - 1 thresholds
+  std::vector<std::int32_t> table_;
 };
 
 }  // namespace qnn

@@ -41,14 +41,14 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
     for (int p = 0; p < bits; ++p) win.splice(lines, p, 0, 0, 0, n);
     win.finalize(ops);
     PackedFilters filter(n, 1);
-    std::vector<Word> words(filter.stride_words());
+    std::vector<Word> words(filter.words());
     for (std::int64_t i = 0; i < w.words(); ++i) {
       words[static_cast<std::size_t>(i)] = w.word(i);
     }
     filter.set(0, words);
-    std::int64_t acc = 0;
-    win.dot_filters(ops, filter.data(), filter.stride_words(), 1, &acc);
-    EXPECT_EQ(acc, reference_pm1_dot(w_pm1, codes))
+    std::vector<std::int64_t> acc(filter.padded_count());
+    win.dot(ops, filter, acc.data());
+    EXPECT_EQ(acc[0], reference_pm1_dot(w_pm1, codes))
         << "bits=" << bits << " n=" << n;
   }
 }

@@ -1,9 +1,10 @@
 // Randomized property suite pinning the word-packed incremental conv
-// datapath (bit-plane line buffers + splice window assembly + vec_ops SIMD
-// sweep) to the plain integer reference reference_pm1_dot, across
-// activation widths 1..8, window lengths chosen to straddle word
-// boundaries (63/64/65/127/129), all-padding windows, strides, multi-image
-// streams, and every SIMD dispatch level available on the host.
+// datapath (bit-plane line buffers + splice window assembly + vec_ops
+// filter-lane window dot) to the plain integer reference
+// reference_pm1_dot, across activation widths 1..8, window lengths chosen
+// to straddle word boundaries (63/64/65/127/129), all-padding windows,
+// strides, multi-image streams, filter counts that are not a multiple of
+// the 8-filter lane group, and every SIMD dispatch level on the host.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -161,6 +162,28 @@ TEST_F(PackedConvTest, PackedHandlesMultipleImagesBackToBack) {
     expect.insert(expect.end(), one.begin(), one.end());
   }
   EXPECT_EQ(run_conv(n, fb, images), expect);
+}
+
+TEST_F(PackedConvTest, PackedMatchesReferenceWhenFilterCountIsNotALaneMultiple) {
+  // A 10-class dense head (k = whole map, out.c % 8 != 0): the second
+  // filter-lane group carries six zero pad filters whose lanes must never
+  // reach the output, at every dispatch level.
+  Rng rng(0xdadf);
+  const Node n = conv_node({4, 4, 32}, 10, 4, 1, 0, 2);
+  const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+  std::vector<IntTensor> images;
+  std::vector<std::int32_t> expect;
+  for (int i = 0; i < 2; ++i) {
+    images.push_back(testutil::random_codes(n.in, 2, rng));
+    const auto one = reference_conv(n, fb, images.back());
+    expect.insert(expect.end(), one.begin(), one.end());
+  }
+  ASSERT_EQ(expect.size(), 20u);
+  for (const simd::Level level : simd::available_levels()) {
+    simd::set_level(level);
+    ASSERT_EQ(run_conv(n, fb, images), expect)
+        << "level=" << simd::level_name(level);
+  }
 }
 
 TEST_F(PackedConvTest, PackedMatchesReferenceOnAllPaddingWindows) {

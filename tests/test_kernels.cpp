@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_util.h"
 
 namespace qnn {
@@ -233,73 +235,118 @@ TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
   EXPECT_EQ(out[3], 3);  // 7 >= 6
 }
 
-TEST(BnActKernelTest, LutPathBitExactOverAllCodesAndChannels) {
-  // in_bits = 6: the kernel tabulates the staircase (64 entries/channel).
-  // Stream every representable preactivation through every channel —
-  // including a negated-slope channel and a degenerate constant channel —
-  // and require bit-identity with the binary-search path.
+/// One BatchNorm bank covering every sign class of the folded staircase:
+/// positive slope, negative slope, zero slope (constant code), and two
+/// near-zero slopes whose thresholds saturate at INT32_MAX / INT32_MIN.
+BnLayerParams every_sign_class(int bits, Rng& rng) {
+  BnLayerParams bn(5);
+  const auto spread = [&rng](double scale) {
+    return static_cast<float>((rng.next_double() - 0.5) * scale);
+  };
+  bn.at(0).gamma = 0.9f;  // +1
+  bn.at(0).mu = spread(200.0);
+  bn.at(0).beta = spread(4.0);
+  bn.at(1).gamma = -0.7f;  // -1
+  bn.at(1).mu = spread(200.0);
+  bn.at(1).beta = spread(4.0);
+  bn.at(2).gamma = 0.0f;  // constant: code of beta
+  bn.at(2).beta = static_cast<float>(rng.next_double() * (1 << bits) * 2.0);
+  bn.at(3).gamma = 1e-7f;  // +1, every threshold saturates at INT32_MAX
+  bn.at(3).beta = -1e3f;
+  bn.at(4).gamma = 1e-7f;  // +1, every threshold saturates at INT32_MIN
+  bn.at(4).beta = 1e3f;
+  return bn;
+}
+
+/// Random pre-activations plus the comparator edges of every channel:
+/// INT32_MIN, INT32_MAX, 0 and each threshold +-1 on both sides of the
+/// sign (a negated-slope channel compares -a), in int64 so no edge wraps.
+std::vector<std::int32_t> edge_probes(const ThresholdLayer& layer, Rng& rng) {
+  std::vector<std::int64_t> wide = {std::numeric_limits<std::int32_t>::min(),
+                                    std::numeric_limits<std::int32_t>::max(),
+                                    0};
+  for (int i = 0; i < 64; ++i) {
+    wide.push_back(static_cast<std::int64_t>(rng.next_below(1u << 21)) -
+                   (1 << 20));
+  }
+  for (int c = 0; c < layer.channels(); ++c) {
+    for (const std::int32_t t : layer.at(c).thresholds()) {
+      for (const std::int64_t d : {-1, 0, 1}) {
+        wide.push_back(std::int64_t{t} + d);
+        wide.push_back(-std::int64_t{t} + d);
+      }
+    }
+  }
+  std::vector<std::int32_t> out;
+  for (const std::int64_t v : wide) {
+    if (v >= std::numeric_limits<std::int32_t>::min() &&
+        v <= std::numeric_limits<std::int32_t>::max()) {
+      out.push_back(static_cast<std::int32_t>(v));
+    }
+  }
+  return out;
+}
+
+TEST(BnActKernelTest, BranchlessSearchMatchesBinarySearch) {
+  // The kernel's flat-table fixed-depth search against the literal
+  // hardware binary search, for activation widths 1..8 and every sign
+  // class, on random pre-activations and every comparator edge.
+  Rng rng(0xb4ac7);
+  for (int bits = 1; bits <= 8; ++bits) {
+    const ActQuantizer q(bits, rng.next_double() * 2.0 + 0.05);
+    const ThresholdLayer layer =
+        ThresholdLayer::fold(every_sign_class(bits, rng), q);
+    ASSERT_EQ(layer.at(0).sign(), 1);
+    ASSERT_EQ(layer.at(1).sign(), -1);
+    ASSERT_TRUE(layer.at(2).is_constant());
+    ASSERT_EQ(layer.at(3).thresholds().front(),
+              std::numeric_limits<std::int32_t>::max());
+    ASSERT_EQ(layer.at(4).thresholds().back(),
+              std::numeric_limits<std::int32_t>::min());
+    const ThresholdTable table(layer);
+    const std::vector<std::int32_t> probes = edge_probes(layer, rng);
+    for (int c = 0; c < layer.channels(); ++c) {
+      for (const std::int32_t a : probes) {
+        ASSERT_EQ(table.eval(c, a), layer.at(c).eval_binary_search(a))
+            << "bits=" << bits << " channel=" << c << " a=" << a;
+      }
+    }
+  }
+}
+
+TEST(BnActKernelTest, ChannelPhaseCarriesAcrossSplitBursts) {
+  // 5 channels through 7-value bursts: almost every burst starts and ends
+  // mid-pixel, so the kernel must carry the channel phase across bursts.
+  // 17-bit pre-activations, as on ResNet-18's first BnAct.
+  Rng rng(0xb4ac8);
+  const ActQuantizer q(2, 1.5);
+  const ThresholdLayer layer =
+      ThresholdLayer::fold(every_sign_class(2, rng), q);
+  const std::vector<std::int32_t> probes = edge_probes(layer, rng);
+
   Node n;
   n.kind = NodeKind::BnAct;
-  n.name = "bnact_lut";
-  n.in = n.out = Shape{1, 64, 3};
-  n.in_bits = 6;
+  n.name = "bnact_split";
+  n.in = n.out = Shape{1, static_cast<int>(probes.size()), 5};
+  n.in_bits = 17;
   n.out_bits = 2;
   n.param = 0;
-
-  BnLayerParams bn(3);
-  bn.at(1).gamma = -0.7f;  // negative slope
-  bn.at(1).beta = 1.3f;
-  bn.at(2).gamma = 0.0f;  // constant channel
-  const ActQuantizer q(2, 2.0);
-  const ThresholdLayer thresholds = ThresholdLayer::fold(bn, q);
-  ASSERT_TRUE(thresholds.at(2).is_constant());
-
-  Stream sin(512, 8, "in");
-  Stream sout(512, 2, "out");
-  BnActKernel kernel(n, thresholds, sin, sout);
-  ASSERT_TRUE(kernel.uses_lut());
 
   std::vector<std::int32_t> in;
   std::vector<std::int32_t> expect;
-  for (std::int32_t a = -32; a < 32; ++a) {
-    for (int c = 0; c < 3; ++c) {
+  for (std::size_t x = 0; x < probes.size(); ++x) {
+    for (int c = 0; c < 5; ++c) {
+      // Rotate the probes across channels so each channel sees them all.
+      const std::int32_t a =
+          probes[(x + static_cast<std::size_t>(c)) % probes.size()];
       in.push_back(a);
-      expect.push_back(thresholds.at(c).eval_binary_search(a));
+      expect.push_back(layer.at(c).eval_binary_search(a));
     }
   }
+  Stream sin(16, 32, "in");
+  Stream sout(16, 2, "out");
+  BnActKernel kernel(n, layer, sin, sout, /*burst=*/7);
   EXPECT_EQ(drive(kernel, sin, in, sout), expect);
-}
-
-TEST(BnActKernelTest, LutFallsBackOutsideTableAndGatesOnWidth) {
-  // Out-of-table preactivations (|a| beyond the in_bits domain) must take
-  // the binary-search fallback; wide domains (> 8 bits) skip the LUT
-  // entirely. Both stay bit-identical to the search.
-  BnLayerParams bn(1);
-  const ActQuantizer q(2, 2.0);
-  const ThresholdLayer thresholds = ThresholdLayer::fold(bn, q);
-
-  Node n;
-  n.kind = NodeKind::BnAct;
-  n.name = "bnact_oob";
-  n.in = n.out = Shape{1, 3, 1};
-  n.in_bits = 4;  // table covers [-8, 8)
-  n.out_bits = 2;
-  n.param = 0;
-  Stream sin(32, 8, "in");
-  Stream sout(32, 2, "out");
-  BnActKernel kernel(n, thresholds, sin, sout);
-  ASSERT_TRUE(kernel.uses_lut());
-  const auto out = drive(kernel, sin, {100, -100, 7}, sout);
-  const auto& t = thresholds.at(0);
-  EXPECT_EQ(out, (std::vector<std::int32_t>{t.eval_binary_search(100),
-                                            t.eval_binary_search(-100),
-                                            t.eval_binary_search(7)}));
-
-  n.in_bits = 16;
-  Stream sin2(32, 16, "in2");
-  Stream sout2(32, 2, "out2");
-  BnActKernel wide(n, thresholds, sin2, sout2);
-  EXPECT_FALSE(wide.uses_lut());
 }
 
 TEST(AddKernelTest, SumsAndPropagatesClose) {

@@ -1,8 +1,9 @@
 // vec_ops seam: every compiled+supported SIMD level must agree bit-exactly
 // with the scalar reference on random word buffers, including lengths that
 // exercise every tail-handling path (0, sub-block, block-multiple, and
-// block+tail). Also pins the dispatch contract: kScalar is always present,
-// and set_level overrides whatever auto/env dispatch picked.
+// block+tail) and filter counts that leave filter-lane groups partly
+// padded. Also pins the dispatch contract: kScalar is always present, and
+// set_level overrides whatever auto/env dispatch picked.
 #include "core/simd/vec_ops.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/bitops.h"
+#include "core/packed_planes.h"
 #include "core/rng.h"
 
 namespace qnn {
@@ -69,61 +71,80 @@ TEST(VecOps, PopcountMatchesScalarAtEveryLevel) {
   }
 }
 
-TEST(VecOps, AndPopcountMatchesScalarAtEveryLevel) {
+/// Random filters in the filter-lane layout (count padded to 8 with zero
+/// filters) and a random `planes` x `n`-word window with its plane pops.
+struct DotCase {
+  PackedFilters filters;
+  std::vector<Word> window;
+  std::vector<std::int64_t> pops;
+};
+
+DotCase random_dot_case(std::size_t n, int planes, int filters, Rng& rng) {
+  DotCase c{PackedFilters(static_cast<std::int64_t>(n) * kWordBits, filters),
+            random_words(n * static_cast<std::size_t>(planes), rng),
+            {}};
+  for (int f = 0; f < filters; ++f) c.filters.set(f, random_words(n, rng));
   const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
-  Rng rng(0xabc2);
-  for (const simd::Level level : simd::available_levels()) {
-    const auto& ops = simd::vec_ops_at(level);
-    for (const std::size_t n : kLengths) {
-      for (int trial = 0; trial < 8; ++trial) {
-        const auto a = random_words(n, rng);
-        const auto b = random_words(n, rng);
-        EXPECT_EQ(ops.and_popcount(a.data(), b.data(), n),
-                  scalar.and_popcount(a.data(), b.data(), n))
-            << simd::level_name(level) << " n=" << n;
-      }
-    }
+  for (int p = 0; p < planes; ++p) {
+    c.pops.push_back(static_cast<std::int64_t>(
+        scalar.popcount(c.window.data() + static_cast<std::size_t>(p) * n, n)));
   }
+  return c;
 }
 
-TEST(VecOps, AccumulatePlaneMatchesScalarAtEveryLevel) {
+TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
+  // Words per plane from the one-word case through conv_0's 3 (a 7x7x3
+  // window) to a 3x3x256 window's 72, odd lengths exercising the AVX-512
+  // pairwise tail; filter counts below, at and around the 8-lane group.
   const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
   Rng rng(0xabc3);
-  for (const simd::Level level : simd::available_levels()) {
-    const auto& ops = simd::vec_ops_at(level);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9},
-                                std::size_t{17}}) {
-      const std::size_t filters = 5;
-      const std::size_t stride = n + 1;  // gap word between filters
-      const auto a = random_words(n, rng);
-      const auto w = random_words(stride * filters, rng);
-      const auto pop_a =
-          static_cast<std::int64_t>(scalar.popcount(a.data(), n));
-      for (const int shift : {0, 1, 7}) {
-        std::vector<std::int64_t> got(filters, 1000);
-        std::vector<std::int64_t> expect(filters, 1000);
-        ops.accumulate_plane(a.data(), n, pop_a, w.data(), stride, filters,
-                             shift, got.data());
-        scalar.accumulate_plane(a.data(), n, pop_a, w.data(), stride, filters,
-                                shift, expect.data());
-        EXPECT_EQ(got, expect)
-            << simd::level_name(level) << " n=" << n << " shift=" << shift;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9},
+                              std::size_t{17}, std::size_t{72}}) {
+    for (int planes = 1; planes <= 8; ++planes) {
+      for (const int filters : {1, 5, 8, 10, 64, 1000}) {
+        const DotCase c = random_dot_case(n, planes, filters, rng);
+        const std::size_t lanes = c.filters.padded_count();
+        std::vector<std::int64_t> expect(lanes, 1000);
+        scalar.dot_window(c.window.data(), n, planes, c.pops.data(),
+                          c.filters.data(), c.filters.groups(), expect.data());
+        for (const simd::Level level : simd::available_levels()) {
+          std::vector<std::int64_t> got(lanes, -1000);
+          simd::vec_ops_at(level).dot_window(
+              c.window.data(), n, planes, c.pops.data(), c.filters.data(),
+              c.filters.groups(), got.data());
+          ASSERT_EQ(got, expect)
+              << simd::level_name(level) << " n=" << n << " planes=" << planes
+              << " filters=" << filters;
+        }
       }
     }
   }
 }
 
-TEST(VecOps, AccumulatePlaneImplementsPm1PlaneSum) {
-  // acc[f] += (2*popcount(w_f & a) - popcount(a)) << shift, the per-plane
-  // term of the XNOR-popcount dot (§III-B1).
-  const auto& ops = simd::vec_ops();
-  const std::vector<Word> a = {0b1011, 0};
-  const std::vector<Word> w = {0b0011, 0, ~Word{0}, ~Word{0}};
-  std::int64_t acc[2] = {0, 0};
-  ops.accumulate_plane(a.data(), 2, 3, w.data(), 2, 2, 1, acc);
-  // f0: on=2 -> (4-3)<<1 = 2. f1: on=3 -> (6-3)<<1 = 6.
-  EXPECT_EQ(acc[0], 2);
-  EXPECT_EQ(acc[1], 6);
+TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
+  // acc[f] = sum_p (2*popcount(w_f & a_p) - popcount(a_p)) << p, the
+  // XNOR-popcount dot of §III-B1 summed over bit-planes, at every level.
+  // Two planes of two words, two real filters, six zero pad lanes.
+  const std::vector<Word> window = {0b1011, 0,   // plane 0: pop 3
+                                    0b0110, 1};  // plane 1: pop 3
+  const std::int64_t pops[2] = {3, 3};
+  PackedFilters filters(2 * kWordBits, 2);
+  filters.set(0, std::vector<Word>{0b0011, 0});
+  filters.set(1, std::vector<Word>{~Word{0}, ~Word{0}});
+  ASSERT_EQ(filters.padded_count(), 8u);
+  for (const simd::Level level : simd::available_levels()) {
+    std::int64_t acc[8];
+    simd::vec_ops_at(level).dot_window(window.data(), 2, 2, pops,
+                                       filters.data(), 1, acc);
+    // f0: plane 0 on=2 -> 4-3 = 1; plane 1 on=1 -> (2-3)<<1 = -2. Sum -1.
+    EXPECT_EQ(acc[0], -1) << simd::level_name(level);
+    // f1: plane 0 on=3 -> 3; plane 1 on=3 -> 3<<1 = 6. Sum 9.
+    EXPECT_EQ(acc[1], 9) << simd::level_name(level);
+    // Zero pad filters agree with no bit: -(3 + (3<<1)) = -9.
+    for (int l = 2; l < 8; ++l) {
+      EXPECT_EQ(acc[l], -9) << simd::level_name(level) << " lane " << l;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -41,6 +43,40 @@ ScanResult scan(WindowScanner& s, const IntTensor& in) {
     }
   }
   EXPECT_EQ(next, in.size()) << "scanner consumed wrong number of values";
+  return r;
+}
+
+/// scan() again, but advancing by runs the way the window kernels do:
+/// each real run or padding stretch cut into random pieces (1..max_piece
+/// values), windows gathered from the completion callback.
+ScanResult scan_runs(WindowScanner& s, const IntTensor& in, Rng& rng,
+                     std::int64_t max_piece) {
+  ScanResult r;
+  const std::span<const std::int32_t> flat = in.flat();
+  std::size_t next = 0;
+  const auto collect = [&](const WindowScanner::Completed& at) {
+    std::vector<std::int32_t> w(static_cast<std::size_t>(s.window_values()));
+    s.window(at, w);
+    r.positions.push_back(at);
+    r.windows.push_back(std::move(w));
+  };
+  while (!s.done()) {
+    const std::int64_t pad = s.pad_run();
+    const std::int64_t room = pad > 0 ? pad : s.real_run();
+    const std::int64_t n = std::min<std::int64_t>(
+        room, 1 + static_cast<std::int64_t>(rng.next_below(
+                      static_cast<std::uint64_t>(max_piece))));
+    if (pad > 0) {
+      s.advance_run({}, n, collect);
+      r.pad_injections += n;
+    } else {
+      s.advance_run(flat.subspan(next, static_cast<std::size_t>(n)), n,
+                    collect);
+      next += static_cast<std::size_t>(n);
+      r.real_values += n;
+    }
+  }
+  EXPECT_EQ(next, flat.size()) << "scanner consumed wrong number of values";
   return r;
 }
 
@@ -86,6 +122,32 @@ TEST_P(WindowScannerSweep, WindowsMatchDirectGather) {
         }
       }
     }
+  }
+}
+
+TEST_P(WindowScannerSweep, RunAdvanceMatchesPerValueAdvance) {
+  // Advancing by whole runs (or random pieces of them) must complete the
+  // same windows, in the same order, with the same contents as advancing
+  // one value at a time.
+  const Geometry g = GetParam();
+  const Shape in_shape{g.h, g.w, g.c};
+  Rng rng(2000 + static_cast<std::uint64_t>(g.h * 31 + g.k));
+  const IntTensor in = testutil::random_codes(in_shape, 4, rng);
+  WindowScanner per_value(in_shape, g.k, g.stride, g.pad);
+  const ScanResult expect = scan(per_value, in);
+  for (const std::int64_t max_piece : {std::int64_t{1}, std::int64_t{5},
+                                       std::int64_t{1} << 30}) {
+    WindowScanner by_run(in_shape, g.k, g.stride, g.pad);
+    const ScanResult got = scan_runs(by_run, in, rng, max_piece);
+    ASSERT_EQ(got.positions.size(), expect.positions.size())
+        << "max_piece=" << max_piece;
+    for (std::size_t i = 0; i < got.positions.size(); ++i) {
+      EXPECT_EQ(got.positions[i].oy, expect.positions[i].oy);
+      EXPECT_EQ(got.positions[i].ox, expect.positions[i].ox);
+    }
+    EXPECT_EQ(got.windows, expect.windows) << "max_piece=" << max_piece;
+    EXPECT_EQ(got.pad_injections, expect.pad_injections);
+    EXPECT_EQ(got.real_values, expect.real_values);
   }
 }
 

@@ -23,8 +23,10 @@
 #                                   # conv stays >= 2x the packed scalar
 #                                   # word loop when AVX2 is available and
 #                                   # >= 0.8x the committed
-#                                   # BENCH_kernels.json geomean on the
-#                                   # same host), the
+#                                   # BENCH_kernels.json geomean and every
+#                                   # cell's packed+SIMD images/s >= 0.8x
+#                                   # its committed rate on the same
+#                                   # host), the
 #                                   # mixed-pool serving ablation (fail
 #                                   # unless deadline routing beats naive
 #                                   # routing >= 1.3x on tight goodput),
@@ -129,8 +131,9 @@ EOF
   # Exit code enforces the live bar (packed + SIMD conv >= 2x the packed
   # scalar word loop on hosts with AVX2 or wider; no bar without AVX2).
   # The python step holds the COMMITTED BENCH_kernels.json to its own
-  # recorded bar and, on the same host, pins the fresh geomean to >= 0.8x
-  # the committed one, so a regression that still clears the bar is caught.
+  # recorded bar and, on the same host, pins the fresh geomean and each
+  # cell's absolute packed+SIMD rate to >= 0.8x the committed ones, so a
+  # regression that still clears the bar (or slows both arms) is caught.
   QNN_CSV_DIR="$BUILD_DIR" \
     "$BUILD_DIR/bench/bench_micro_kernels" --conv-datapath-only
   python3 - "$BUILD_DIR/BENCH_kernels.json" BENCH_kernels.json <<'EOF'
@@ -152,7 +155,23 @@ print(f"conv datapath geomean SIMD speedup: fresh "
 if fresh["geomean_simd_vs_packed"] < floor:
     raise SystemExit("perf gate: packed+SIMD conv speedup collapsed vs "
                      "BENCH_kernels.json")
-print("perf gate: packed conv datapath holds its recorded margin")
+# The ratio alone misses a change that slows both arms equally: hold each
+# cell's absolute packed+SIMD rate too.
+committed = {c["cell"]: c for c in base["cells"]}
+for cell in fresh["cells"]:
+    ref = committed.get(cell["cell"])
+    if ref is None:
+        raise SystemExit(f"perf gate: cell {cell['cell']} missing from "
+                         "BENCH_kernels.json — re-record it")
+    cell_floor = 0.8 * ref["packed_simd_ips"]
+    print(f"  {cell['cell']}: packed+SIMD {cell['packed_simd_ips']:.0f} "
+          f"images/s, baseline {ref['packed_simd_ips']:.0f}, "
+          f"floor {cell_floor:.0f}")
+    if cell["packed_simd_ips"] < cell_floor:
+        raise SystemExit(f"perf gate: packed+SIMD conv rate of cell "
+                         f"{cell['cell']} regressed >20% vs "
+                         "BENCH_kernels.json")
+print("perf gate: packed conv datapath holds its recorded margin and rates")
 EOF
 
   echo "== perf (mixed-pool serving ablation: routing >= 1.3x naive) =="
