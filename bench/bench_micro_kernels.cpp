@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "core/bitplanes.h"
 #include "core/bitvector.h"
 #include "core/simd/vec_ops.h"
@@ -192,15 +193,7 @@ BENCHMARK(BM_ReferenceExecutorTiny)->Unit(benchmark::kMillisecond);
 
 namespace {
 
-/// Host fingerprint stamped into every BENCH file this binary writes:
-/// absolute rates only compare between runs with the same fingerprint.
-std::string host_json() {
-  std::ostringstream o;
-  o << "{\"cores\": " << std::max(1u, std::thread::hardware_concurrency())
-    << ", \"simd\": \"" << simd::level_name(simd::available_levels().back())
-    << "\", \"build_type\": \"" << QNN_BUILD_TYPE << "\"}";
-  return o.str();
-}
+using bench::host_json;
 
 /// Write `json` to $QNN_CSV_DIR/<name> (or ./<name>) and say where.
 void write_bench_json(const std::string& name, const std::string& json) {

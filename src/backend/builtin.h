@@ -33,8 +33,9 @@ namespace qnn {
     std::int64_t floor_us_per_image = 1000, std::string name = "reference");
 
 /// "linked" (kFast, NOT a registry builtin): the partitioned LinkedEngine —
-/// N StreamEngine segments over fault-tolerant in-process MaxRing links
-/// with degraded-plan failover (dataflow/linked_engine.h). `options`
+/// one dataflow graph whose N segments are joined by fault-tolerant
+/// in-process MaxRing links, with degraded-plan failover
+/// (dataflow/linked_engine.h). `options`
 /// carries the cut, link pacing and watchdog knobs; the per-session
 /// EngineOptions handed to compile() override options.engine wholesale
 /// (so plans, faults and replica identities flow through the normal

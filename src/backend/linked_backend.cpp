@@ -1,6 +1,7 @@
 // "linked" backend: the partitioned LinkedEngine behind the backend seam —
-// N StreamEngine segments daisy-chained by fault-tolerant in-process
-// MaxRing links, with degraded-plan failover on permanent link death.
+// one dataflow graph cut into N segments daisy-chained by fault-tolerant
+// in-process MaxRing links, with degraded-plan failover on permanent link
+// death.
 // Not a registry builtin: pools that want a partitioned fast tier
 // construct one with their cut + link options and register it by name.
 #include <memory>
@@ -60,8 +61,8 @@ class LinkedBackend final : public Backend {
   const BackendInfo& info() const override { return info_; }
 
   bool supports_op(const Node& node) const override {
-    // Same datapath limits as the "engine" backend: the segments are
-    // plain StreamEngines.
+    // Same datapath limits as the "engine" backend: the chain is one
+    // plain StreamEngine graph plus link pumps.
     if (node.in_bits < 1 || node.in_bits > 32) return false;
     if (node.out_bits < 1 || node.out_bits > 32) return false;
     if (node.kind == NodeKind::Conv && node.in_bits > 16) return false;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 
-#include "plan/compiled_plan.h"
+#include "plan/fifo_plan.h"
 #include "verify/graph_check.h"
 
 namespace qnn {
@@ -125,9 +126,15 @@ Stream& StreamEngine::make_stream(std::size_t capacity, int bits,
 
 StreamEngine::StreamEngine(const Pipeline& pipeline,
                            const NetworkParams& params, EngineOptions options)
+    : StreamEngine(pipeline, params, std::move(options), {}, nullptr) {}
+
+StreamEngine::StreamEngine(const Pipeline& pipeline,
+                           const NetworkParams& params, EngineOptions options,
+                           std::span<const LinkCut> cuts,
+                           FaultInjector* faults)
     : pipeline_(pipeline),
       params_(params),
-      options_(options),
+      options_(std::move(options)),
       executor_(options_.pool_threads, options_.pin_threads,
                 options_.pin_offset) {
   QNN_CHECK(options_.burst >= 1, "burst size must be positive");
@@ -136,7 +143,7 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
     // time; this is our equivalent. Every defect the engine would hit as
     // a hang, crash or poisoned stream becomes a structured error here —
     // run it before validate() so failures carry QNN-Dxxx codes.
-    enforce(verify_graph(pipeline, &params, options_), "StreamEngine");
+    enforce(verify_graph(pipeline, &params, options_, cuts), "StreamEngine");
   }
   pipeline_.validate();
 
@@ -144,12 +151,10 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   // plan the analyzer proves deadlock-free is the one built here, stream
   // for stream, including the per-edge burst each kernel's input side
   // moves per ring transaction (adaptive row-sized by default, capped by
-  // `burst` clamped to the smallest user FIFO — QNN-D302). A pre-built
-  // CompiledPlan supplies its streams verbatim; otherwise the plan is
-  // derived from the options on the spot.
-  const FifoPlan plan = options_.plan != nullptr
-                            ? options_.plan->fifos
-                            : plan_fifos(pipeline, options_);
+  // `burst` clamped to the smallest user FIFO — QNN-D302) and the two
+  // rings of every link cut. A pre-built CompiledPlan supplies its
+  // streams verbatim; otherwise the plan is derived on the spot.
+  const FifoPlan plan = engine_fifos(pipeline, options_, cuts);
 
   // Input port streams of every node, filled as edges are created, with
   // the planned burst granularity of each edge.
@@ -159,6 +164,8 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   std::vector<Stream*> node_out(node_count, nullptr);
   std::vector<std::size_t> main_burst(node_count, plan.burst);
   std::vector<std::size_t> skip_burst(node_count, plan.burst);
+  std::vector<Stream*> link_egress(cuts.size(), nullptr);
+  std::vector<Stream*> link_ingress(cuts.size(), nullptr);
 
   auto producer_out = [&](int p) -> Stream*& {
     return p < 0 ? input_stream_ : node_out[static_cast<std::size_t>(p)];
@@ -206,6 +213,14 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
       case PlannedStream::Role::kBranch:
         QNN_CHECK(false, "fork branch without a trunk in the FIFO plan");
         break;
+      case PlannedStream::Role::kLinkOut:
+        producer_out(ps.producer) = &s;
+        link_egress.at(static_cast<std::size_t>(ps.link)) = &s;
+        break;
+      case PlannedStream::Role::kLinkIn:
+        attach(ps, s);
+        link_ingress.at(static_cast<std::size_t>(ps.link)) = &s;
+        break;
     }
   }
 
@@ -242,14 +257,31 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
         break;
       }
     }
+    // A cut's pump follows its producer, keeping the task list in
+    // topological order for the executor's home-deque partition.
+    for (std::size_t k = 0; k < cuts.size(); ++k) {
+      if (cuts[k].after_node != i) continue;
+      QNN_CHECK(link_egress[k] != nullptr && link_ingress[k] != nullptr,
+                "link " + cuts[k].config.name + " not fully wired");
+      auto pump = std::make_unique<LinkPump>(
+          cuts[k], static_cast<std::size_t>(n.out.elems()), *link_egress[k],
+          *link_ingress[k], abort_);
+      pumps_.push_back(pump.get());
+      kernels_.push_back(std::move(pump));
+    }
   }
+  QNN_CHECK(pumps_.size() == cuts.size(), "link cut after an unknown node");
 
   // Fault-injection sites are registered in construction order (streams in
-  // plan order, then fork + node kernels), which is deterministic per
-  // graph — FaultEvent::target_index is an ordinal into this order.
-  if (!options_.faults.empty()) {
-    injector_ = std::make_unique<FaultInjector>(options_.faults,
-                                                options_.fault_replica);
+  // plan order, then fork, node and pump kernels), which is deterministic
+  // per graph — FaultEvent::target_index is an ordinal into this order.
+  injector_ = faults;
+  if (injector_ == nullptr && !options_.faults.empty()) {
+    own_injector_ = std::make_unique<FaultInjector>(options_.faults,
+                                                    options_.fault_replica);
+    injector_ = own_injector_.get();
+  }
+  if (injector_ != nullptr) {
     for (auto& s : streams_) {
       s->set_fault(injector_->register_stream(s->name()));
     }
@@ -263,6 +295,14 @@ StreamEngine::~StreamEngine() = default;
 
 std::vector<IntTensor> StreamEngine::run(std::span<const IntTensor> images,
                                          RunStats* stats) {
+  std::vector<IntTensor> outputs;
+  run_collecting(images, outputs, stats);
+  return outputs;
+}
+
+void StreamEngine::run_collecting(std::span<const IntTensor> images,
+                                  std::vector<IntTensor>& outputs,
+                                  RunStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();
   for (const IntTensor& img : images) {
     QNN_CHECK(img.shape() == pipeline_.input,
@@ -276,20 +316,19 @@ std::vector<IntTensor> StreamEngine::run(std::span<const IntTensor> images,
   for (auto& s : streams_) s->reset();
   for (auto& k : kernels_) k->reset();
 
-  std::uint64_t fired_before = 0;
-  if (injector_) {
-    fired_before = injector_->fired();
-    injector_->begin_run();
-    if (injector_->crash_now()) {
+  const std::uint64_t fired_before = injector_ ? injector_->fired() : 0;
+  if (own_injector_) {
+    own_injector_->begin_run();
+    if (own_injector_->crash_now()) {
       // Board lost before streaming anything: nothing is in flight, the
       // engine stays pristine for the next run.
       throw Error("injected fault: replica crash (run " +
-                  std::to_string(injector_->runs_begun() - 1) + ")");
+                  std::to_string(own_injector_->runs_begun() - 1) + ")");
     }
   }
 
   FeederTask feeder(images, *input_stream_);
-  std::vector<IntTensor> outputs;
+  outputs.clear();
   outputs.reserve(images.size());
   CollectorTask collector(images.size(), pipeline_.output_shape(),
                           *output_stream_, outputs);
@@ -321,7 +360,13 @@ std::vector<IntTensor> StreamEngine::run(std::span<const IntTensor> images,
       stats->pop_stalls += s->pop_stalls();
     }
   }
-  return outputs;
+}
+
+std::vector<LinkStats> StreamEngine::link_stats() const {
+  std::vector<LinkStats> out;
+  out.reserve(pumps_.size());
+  for (const LinkPump* p : pumps_) out.push_back(p->stats());
+  return out;
 }
 
 IntTensor StreamEngine::run_one(const IntTensor& image) {

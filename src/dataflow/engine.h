@@ -20,6 +20,11 @@
 // skip-path FIFO holds a full feature map plus slack, which subsumes the
 // delay-compensation buffer of §III-B5 for any consumer lag.
 //
+// A partitioned graph (built by the LinkedEngine) is the same graph with
+// the edge out of each cut node rerouted through a LinkPump task and its
+// MaxRing link (link.h): one more FIFO in the stream, on the same
+// Executor.
+//
 // The engine is the *functional* model (bit-exact against the reference
 // executor); timing comes from the cycle simulator in sim/.
 #pragma once
@@ -33,6 +38,7 @@
 #include "core/tensor.h"
 #include "dataflow/executor.h"
 #include "dataflow/kernels.h"
+#include "dataflow/link.h"
 #include "fault/fault.h"
 
 namespace qnn {
@@ -154,6 +160,26 @@ class StreamEngine {
   stream_traffic() const;
 
  private:
+  friend class LinkedEngine;
+
+  /// The partitioned graph (LinkedEngine): the unsplit pipeline with each
+  /// cut edge rerouted through a LinkPump task and its MaxRingLink, on
+  /// this engine's one Executor. `faults`, when set, is the caller's
+  /// injector: the engine registers its stream and kernel sites there
+  /// (link sites come with the cuts) and leaves begin_run() and the
+  /// replica-crash check to the caller.
+  StreamEngine(const Pipeline& pipeline, const NetworkParams& params,
+               EngineOptions options, std::span<const LinkCut> cuts,
+               FaultInjector* faults);
+
+  /// run() that appends each output to `outputs` as it is collected, so
+  /// a run that throws leaves the completed prefix of `images` there.
+  void run_collecting(std::span<const IntTensor> images,
+                      std::vector<IntTensor>& outputs, RunStats* stats);
+
+  /// Per-link counters of the last run, in cut order.
+  [[nodiscard]] std::vector<LinkStats> link_stats() const;
+
   Stream& make_stream(std::size_t capacity, int bits, std::string name);
 
   // The engine never mutates the pipeline or parameters it was built from
@@ -165,8 +191,10 @@ class StreamEngine {
   const EngineOptions options_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Kernel>> kernels_;
+  std::vector<const LinkPump*> pumps_;  // in cut order, owned by kernels_
   Executor executor_;
-  std::unique_ptr<FaultInjector> injector_;
+  std::unique_ptr<FaultInjector> own_injector_;
+  FaultInjector* injector_ = nullptr;  // own_injector_ or the caller's
   Stream* input_stream_ = nullptr;
   Stream* output_stream_ = nullptr;
   std::atomic<bool> abort_{false};

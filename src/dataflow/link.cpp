@@ -27,6 +27,8 @@ std::uint64_t link_frame_checksum(std::uint64_t seq,
   return h;
 }
 
+// ---------------------------------------------------------------- MaxRingLink
+
 MaxRingLink::MaxRingLink(LinkConfig config)
     : config_(std::move(config)),
       backoff_rng_(config_.backoff_seed),
@@ -35,113 +37,114 @@ MaxRingLink::MaxRingLink(LinkConfig config)
             "MaxRingLink: max_retransmits must be >= 0");
   QNN_CHECK(config_.ack_timeout_us > 0,
             "MaxRingLink: ack_timeout_us must be > 0");
-  QNN_CHECK(config_.queue_frames >= 1,
-            "MaxRingLink: queue_frames must be >= 1");
 }
 
-void MaxRingLink::throw_dead_locked() const {
-  if (aborted_) throw Error("MaxRing link '" + config_.name + "' aborted");
+void MaxRingLink::reset() {
+  delivered_.clear();
+  next_seq_ = 0;
+  stats_ = LinkStats{};
+  dead_reason_.clear();
+  backoff_rng_ = Rng(config_.backoff_seed);
+  wire_epoch_ = Clock::now();
+}
+
+void MaxRingLink::wait_until(Clock::time_point until) const {
+  for (;;) {
+    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
+      throw Error("MaxRing link '" + config_.name + "' cancelled");
+    }
+    const auto now = Clock::now();
+    if (now >= until) return;
+    std::this_thread::sleep_for(
+        std::min<Clock::duration>(until - now, std::chrono::milliseconds(1)));
+  }
+}
+
+void MaxRingLink::escalate(const std::string& reason) {
+  stats_.dead = true;
+  dead_reason_ = reason;
   throw LinkDeadError("MaxRing link '" + config_.name +
-                      "' is dead: " + dead_reason_);
+                      "' escalated: " + reason);
 }
 
-void MaxRingLink::transmit_locked(const WireFrame& frame) {
+bool MaxRingLink::transmit(WireFrame& frame, bool& nacked) {
   ++stats_.transmissions;
   // Every attempt occupies the wire whether or not it arrives — a frame
   // eaten by an outage still burned its cycles.
-  const std::uint64_t cycles = link_frame_cycles(
+  stats_.wire_cycles += link_frame_cycles(
       std::max<std::uint64_t>(frame.payload.size(), 1), config_.bits,
       config_.link_bits_per_cycle);
-  stats_.wire_cycles += cycles;
   const LinkFaultSite::Fate fate =
       fault_ != nullptr ? fault_->filter(Clock::now())
                         : LinkFaultSite::Fate::kDeliver;
-  WireFrame arrived;
   switch (fate) {
     case LinkFaultSite::Fate::kDropDead:
     case LinkFaultSite::Fate::kDropOutage:
       ++stats_.outage_drops;
-      return;  // the wire ate it; the ack watchdog will notice
-    case LinkFaultSite::Fate::kCorrupt:
-      arrived = frame;
-      if (arrived.payload.empty()) {
-        arrived.checksum ^= 1;  // close frames have no payload bit to flip
+      return false;  // the wire ate it; the ack watchdog will notice
+    case LinkFaultSite::Fate::kCorrupt: {
+      // The receiver sees a damaged copy; the sender keeps the original
+      // for the retransmission.
+      std::vector<std::int32_t> arrived = frame.payload;
+      std::uint64_t checksum = frame.checksum;
+      if (arrived.empty()) {
+        checksum ^= 1;
       } else {
-        arrived.payload[arrived.payload.size() / 2] ^= 1;
+        arrived[arrived.size() / 2] ^= 1;
+      }
+      if (checksum != link_frame_checksum(frame.seq, arrived)) {
+        ++stats_.checksum_drops;
+        nacked = true;  // immediate retransmit instead of an ack timeout
+        return false;
+      }
+      break;  // undetected damage is impossible for a one-bit flip
+    }
+    case LinkFaultSite::Fate::kDeliver:
+      // Arrival at the receiving link layer: verify before acking.
+      if (frame.checksum != link_frame_checksum(frame.seq, frame.payload)) {
+        ++stats_.checksum_drops;
+        nacked = true;
+        return false;
       }
       break;
-    case LinkFaultSite::Fate::kDeliver:
-      arrived = frame;
-      break;
   }
-  // Arrival at the receiving link layer: verify and ack HERE, not when
-  // the consumer pops. Acks must reflect wire health alone — if they
-  // waited on the consumer, a wedged downstream segment would time out
-  // every upstream link's watchdog and failover would blame the wrong
-  // link (the cascade, not the cause).
-  if (arrived.checksum != link_frame_checksum(arrived.seq, arrived.payload)) {
-    ++stats_.checksum_drops;
-    nack_ = true;  // immediate retransmit instead of waiting out the ack
-    return;
-  }
-  if (arrived.seq < ack_seq_) return;  // duplicate: already acked
-  ack_seq_ = arrived.seq + 1;
+  // Acked at arrival: no retransmission can follow, so the sender's copy
+  // moves into the delivery queue instead of being duplicated.
   ++stats_.frames_delivered;
-  wire_.push_back(std::move(arrived));
-  rx_cv_.notify_one();
+  delivered_.push_back(std::move(frame));
+  return true;
 }
 
-void MaxRingLink::reliable_send(WireFrame frame) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (dead_ || aborted_) throw_dead_locked();
-  ++stats_.frames_sent;
-  // Flow control, distinct from loss: a full delivery queue means the
-  // consumer is slow, not that the wire is broken, so the wait here is
-  // bounded by the (much longer) receiver patience rather than the ack
-  // timeout. Only a consumer wedged beyond any retransmit budget
-  // escalates — a genuinely lossy link always escalates first.
-  const auto room_deadline =
-      Clock::now() + std::chrono::microseconds(config_.recv_patience_us);
-  const bool room = tx_cv_.wait_until(lock, room_deadline, [&] {
-    return wire_.size() < config_.queue_frames || dead_ || aborted_;
-  });
-  if (dead_ || aborted_) throw_dead_locked();
-  if (!room) {
-    dead_ = true;
-    stats_.dead = true;
-    dead_reason_ = "consumer wedged: no queue room within " +
-                   std::to_string(config_.recv_patience_us) + "us";
-    rx_cv_.notify_all();
-    tx_cv_.notify_all();
+void MaxRingLink::send(std::vector<std::int32_t>& payload) {
+  if (stats_.dead) {
     throw LinkDeadError("MaxRing link '" + config_.name +
-                        "' escalated: " + dead_reason_);
+                        "' is dead: " + dead_reason_);
   }
+  WireFrame frame;
+  frame.seq = next_seq_++;
+  frame.payload.swap(payload);
+  payload.swap(spare_);
+  frame.checksum = link_frame_checksum(frame.seq, frame.payload);
+  ++stats_.frames_sent;
   std::int64_t backoff_us = config_.retransmit_backoff_us;
-  for (int attempt = 0; attempt <= config_.max_retransmits; ++attempt) {
-    transmit_locked(frame);
+  for (int attempt = 0;; ++attempt) {
+    bool nacked = false;
+    const bool delivered = transmit(frame, nacked);
     if (config_.pace && config_.clock_hz > 0) {
       // Sleep off any lead the wire model has over the wall clock, so a
       // fast in-process copy cannot outrun the priced 4 Gbps link.
       const auto wire_ns = static_cast<std::int64_t>(
           1e9 * static_cast<double>(stats_.wire_cycles) / config_.clock_hz);
       const auto target = wire_epoch_ + std::chrono::nanoseconds(wire_ns);
-      const auto now = Clock::now();
-      if (target > now + std::chrono::microseconds(100)) {
-        lock.unlock();
-        std::this_thread::sleep_until(target);
-        lock.lock();
+      if (target > Clock::now() + std::chrono::microseconds(100)) {
+        wait_until(target);
       }
     }
-    const auto deadline =
-        Clock::now() + std::chrono::microseconds(config_.ack_timeout_us);
-    const bool signalled = tx_cv_.wait_until(lock, deadline, [&] {
-      return ack_seq_ > frame.seq || nack_ || dead_ || aborted_;
-    });
-    if (dead_ || aborted_) throw_dead_locked();
-    if (ack_seq_ > frame.seq) return;  // delivered
-    if (nack_) {
-      nack_ = false;
-    } else if (!signalled) {
+    if (delivered) return;
+    if (!nacked) {
+      // Lost on the wire: no ack will come, so the watchdog runs out.
+      wait_until(Clock::now() +
+                 std::chrono::microseconds(config_.ack_timeout_us));
       ++stats_.timeouts;
     }
     if (attempt == config_.max_retransmits) break;
@@ -154,93 +157,106 @@ void MaxRingLink::reliable_send(WireFrame frame) {
             static_cast<std::uint64_t>(std::max<std::int64_t>(backoff_us, 1)) +
             1));
     backoff_us = std::min<std::int64_t>(backoff_us * 2, 100000);
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::microseconds(jittered));
-    lock.lock();
-    if (dead_ || aborted_) throw_dead_locked();
-    if (ack_seq_ > frame.seq) return;  // ack landed during the backoff
+    wait_until(Clock::now() + std::chrono::microseconds(jittered));
   }
-  // Escalation: the watchdog exhausted its budget. Mark the link dead and
-  // wake the receiver so both segment drivers unwind into failover.
-  dead_ = true;
-  stats_.dead = true;
-  dead_reason_ = "no ack for frame " + std::to_string(frame.seq) + " after " +
-                 std::to_string(config_.max_retransmits) + " retransmits";
-  rx_cv_.notify_all();
-  tx_cv_.notify_all();
-  throw LinkDeadError("MaxRing link '" + config_.name +
-                      "' escalated: " + dead_reason_);
-}
-
-void MaxRingLink::send(std::span<const std::int32_t> payload) {
-  WireFrame frame;
-  frame.payload.assign(payload.begin(), payload.end());
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    frame.seq = next_seq_++;
-  }
-  frame.checksum = link_frame_checksum(frame.seq, frame.payload);
-  reliable_send(std::move(frame));
-}
-
-void MaxRingLink::close() {
-  WireFrame frame;
-  frame.last = true;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    frame.seq = next_seq_++;
-  }
-  frame.checksum = link_frame_checksum(frame.seq, frame.payload);
-  reliable_send(std::move(frame));
+  // Escalation: the watchdog exhausted its budget.
+  escalate("no ack for frame " + std::to_string(frame.seq) + " after " +
+           std::to_string(config_.max_retransmits) + " retransmits");
 }
 
 bool MaxRingLink::recv(std::vector<std::int32_t>& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    const auto patience =
-        Clock::now() + std::chrono::microseconds(config_.recv_patience_us);
-    const bool signalled = rx_cv_.wait_until(lock, patience, [&] {
-      return !wire_.empty() || dead_ || aborted_;
-    });
-    if (!signalled && wire_.empty() && !dead_ && !aborted_) {
-      // Upstream went silent for longer than any retransmit budget: the
-      // sender thread is wedged or gone. Escalate from the receiving side.
-      dead_ = true;
-      stats_.dead = true;
-      dead_reason_ = "no frame from the sender within " +
-                     std::to_string(config_.recv_patience_us) + "us";
-      tx_cv_.notify_all();
-      throw LinkDeadError("MaxRing link '" + config_.name +
-                          "' escalated: " + dead_reason_);
+  if (delivered_.empty()) return false;
+  // Frames in the queue were checksum-verified and acked at arrival.
+  out.swap(delivered_.front().payload);
+  spare_ = std::move(delivered_.front().payload);
+  delivered_.pop_front();
+  return true;
+}
+
+// ------------------------------------------------------------------- LinkPump
+
+LinkPump::LinkPump(const LinkCut& cut, std::size_t image_values, Stream& in,
+                   Stream& out, const std::atomic<bool>& cancel)
+    : Kernel(cut.config.name),
+      link_(cut.config),
+      in_(in),
+      out_(out),
+      frame_values_(std::max<std::size_t>(cut.frame_values, 1)),
+      image_values_(image_values) {
+  QNN_CHECK(image_values_ > 0, name() + ": empty boundary tensor");
+  link_.set_fault(cut.fault);
+  link_.set_cancel(&cancel);
+}
+
+void LinkPump::reset() {
+  link_.reset();
+  fill_ = 0;
+  image_pos_ = 0;
+  delivered_.clear();
+  out_pos_ = 0;
+  in_stall_noted_ = false;
+  out_stall_noted_ = false;
+}
+
+void LinkPump::bind_ready(ReadyHook* hook, int task) {
+  in_.bind_consumer(hook, task);
+  out_.bind_producer(hook, task);
+}
+
+bool LinkPump::flush() {
+  if (out_pos_ < delivered_.size()) {
+    out_pos_ += out_.try_push_burst(
+        std::span<const std::int32_t>(delivered_).subspan(out_pos_));
+    if (out_pos_ < delivered_.size()) {
+      if (!out_stall_noted_) {
+        out_stall_noted_ = true;
+        out_.note_push_stall();
+      }
+      return false;
     }
-    if (wire_.empty()) throw_dead_locked();
-    // Frames in the queue were checksum-verified and acked at arrival
-    // (transmit_locked); popping just frees a flow-control slot.
-    WireFrame frame = std::move(wire_.front());
-    wire_.pop_front();
-    tx_cv_.notify_one();
-    if (frame.last) return false;
-    out = std::move(frame.payload);
-    return true;
   }
+  out_stall_noted_ = false;
+  return true;
 }
 
-void MaxRingLink::abort() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) return;  // death (failover) outranks cancellation
-  aborted_ = true;
-  rx_cv_.notify_all();
-  tx_cv_.notify_all();
-}
-
-bool MaxRingLink::dead() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return dead_;
-}
-
-LinkStats MaxRingLink::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+StepResult LinkPump::step() {
+  bool progressed = false;
+  for (;;) {
+    if (!flush()) {
+      return progressed ? StepResult::kProgress : StepResult::kBlocked;
+    }
+    // Frames never straddle images: an image's last frame carries its
+    // tail, so each link ships ceil(image / frame) frames per image.
+    const std::size_t want =
+        std::min(frame_values_, image_values_ - image_pos_);
+    if (fill_ == 0) frame_.resize(want);
+    const std::size_t n = in_.try_pop_burst(
+        std::span<std::int32_t>(frame_).subspan(fill_, want - fill_));
+    if (n == 0) {
+      if (in_.drained()) {
+        QNN_CHECK(fill_ == 0 && image_pos_ == 0,
+                  name() + ": boundary stream closed mid-image");
+        out_.close();
+        return StepResult::kDone;
+      }
+      if (!in_stall_noted_) {
+        in_stall_noted_ = true;
+        in_.note_pop_stall();
+      }
+      return progressed ? StepResult::kProgress : StepResult::kBlocked;
+    }
+    in_stall_noted_ = false;
+    progressed = true;
+    fill_ += n;
+    if (fill_ < want) continue;
+    link_.send(frame_);
+    QNN_CHECK(link_.recv(delivered_),
+              name() + ": acked frame missing from the delivery queue");
+    out_pos_ = 0;
+    fill_ = 0;
+    image_pos_ += want;
+    if (image_pos_ == image_values_) image_pos_ = 0;
+  }
 }
 
 }  // namespace qnn

@@ -1,5 +1,6 @@
-// In-process MaxRing link: reliable framed transport between two
-// StreamEngine segments of a partitioned pipeline (paper §III-C).
+// In-process MaxRing link: reliable framed transport across one partition
+// cut of a streaming pipeline (paper §III-C), and the LinkPump task that
+// carries a cut edge of the dataflow graph over it.
 //
 // The link carries the burst frames the compile-time plan priced: a frame
 // is `frame_values` stream values plus a sequence number and an FNV-1a
@@ -11,46 +12,46 @@
 //
 // Reliability is stop-and-wait with a sender-side watchdog:
 //
-//   transmit ──> wait for ack ──(ack)──> done
+//   transmit ──> arrival ack? ──(ack)──> done
 //        ^            │
-//        │       (nack / timeout)
+//        │       (nack / ack timeout)
 //        │            v
 //        └── jittered exponential backoff, bounded retransmits
 //                     │
 //              (budget exhausted)
 //                     v
-//        escalate: link marked dead, LinkDeadError thrown on both sides
+//        escalate: link marked dead, LinkDeadError thrown
 //
 // Acks happen at ARRIVAL into the link-layer delivery queue (checksum
-// verified there too), not when the consumer pops: ack health reflects
-// the wire alone, so a wedged downstream segment cannot time out every
-// upstream link's watchdog and misdirect failover at the cascade instead
-// of the cause. Consumer backpressure is separate flow control — a full
-// delivery queue blocks the sender under the (much longer) receiver
-// patience bound. Corrupted frames are detected by the arrival checksum
-// and nacked; dropped frames (outage windows, permanent death — injected
-// via a LinkFaultSite from fault/fault.h) surface as ack timeouts. A
-// healthy link never loses or reorders data: delivery is exactly-once,
-// in order (duplicate arrivals are discarded by sequence number).
-// Escalation is the failover trigger the LinkedEngine uses to recompile
-// a degraded plan.
+// verified there too), not when the consumer drains the frame: ack health
+// reflects the wire alone. Consumer backpressure is the dataflow graph's
+// business — the pump holds a delivered frame across a full ingress ring
+// like any kernel holds staged output. Corrupted frames are detected by
+// the arrival checksum and nacked; dropped frames (outage windows,
+// permanent death — injected via a LinkFaultSite from fault/fault.h)
+// surface as ack timeouts. A healthy link never loses or reorders data:
+// delivery is exactly-once, in order. Escalation is the failover trigger
+// the LinkedEngine uses to recompile a degraded plan.
 //
-// Threading: exactly one sender thread and one receiver thread per link
-// (the two adjacent segment drivers). abort() may be called from any
-// thread to unblock both sides.
+// Threading: a link is driven by exactly one task (its LinkPump), which
+// sends a frame and then receives it; the executor serializes the task's
+// steps, so the link needs no lock. On a healthy wire send() never waits
+// on anything but the pacing clock; only a lost or corrupted frame makes
+// it wait out an ack timeout and a backoff, both bounded and both cut
+// short by the cancel flag.
 #pragma once
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "dataflow/kernels.h"
 #include "fault/fault.h"
 
 namespace qnn {
@@ -68,9 +69,9 @@ namespace qnn {
 [[nodiscard]] std::uint64_t link_frame_checksum(
     std::uint64_t seq, std::span<const std::int32_t> payload);
 
-/// Thrown by send()/recv() once the link has escalated to dead (or was
-/// killed externally). Catching this — as opposed to a generic Error — is
-/// how the LinkedEngine distinguishes "fail over" from "fail".
+/// Thrown by send() once the link has escalated to dead. Catching this —
+/// as opposed to a generic Error — is how the LinkedEngine distinguishes
+/// "fail over" from "fail".
 class LinkDeadError : public Error {
  public:
   explicit LinkDeadError(const std::string& what) : Error(what) {}
@@ -95,20 +96,10 @@ struct LinkConfig {
   std::int64_t ack_timeout_us = 20000;
   /// Retransmissions before the watchdog escalates to link death.
   int max_retransmits = 8;
-  /// Patience bound for BOTH consumer-side stalls: how long recv() waits
-  /// for any frame before declaring the upstream wedged, and how long a
-  /// sender waits for delivery-queue room before declaring the consumer
-  /// wedged. Orders of magnitude above the full retransmit budget, so a
-  /// genuinely lossy link always escalates first and failover blames the
-  /// right ordinal.
-  std::int64_t recv_patience_us = 500000;
   /// Base backoff between retransmissions; doubles per attempt, jittered
   /// +-50% from `backoff_seed` so parallel links do not retry in lockstep.
   std::int64_t retransmit_backoff_us = 200;
   std::uint64_t backoff_seed = 1;
-  /// Flow-control bound: delivered frames the consumer may leave unpopped
-  /// before the sender blocks (under the patience bound above).
-  std::size_t queue_frames = 8;
 };
 
 struct LinkStats {
@@ -130,60 +121,102 @@ class MaxRingLink {
   MaxRingLink(const MaxRingLink&) = delete;
   MaxRingLink& operator=(const MaxRingLink&) = delete;
 
-  /// Attach the fault seam (may be nullptr). Call before the run starts;
-  /// the site is consulted on the sender thread only.
+  /// Attach the fault seam (may be nullptr), consulted once per
+  /// transmission attempt.
   void set_fault(LinkFaultSite* site) { fault_ = site; }
+  /// Flag polled by the bounded retransmit waits (may be nullptr): once
+  /// raised, send() throws Error instead of waiting out its budget.
+  void set_cancel(const std::atomic<bool>* flag) { cancel_ = flag; }
 
-  /// Reliably deliver one frame (sender thread). Blocks until the
-  /// receiver acked it; throws LinkDeadError after the retransmit budget
-  /// is exhausted, or Error if abort() was called.
-  void send(std::span<const std::int32_t> payload);
+  /// Return to the freshly constructed state: sequence 0, zeroed stats,
+  /// healthy, pacing clock restarted now.
+  void reset();
 
-  /// Reliably deliver the end-of-stream marker (sender thread).
-  void close();
+  /// Reliably deliver one frame. The payload's storage travels with the
+  /// frame (no copy); `payload` comes back holding a recycled buffer with
+  /// unspecified contents. Returns once the frame is acked at arrival;
+  /// throws LinkDeadError once the retransmit budget is exhausted, or
+  /// Error when the cancel flag rose during a retransmit wait.
+  void send(std::vector<std::int32_t>& payload);
 
-  /// Receive the next frame in order (receiver thread). Returns false on
-  /// end-of-stream; throws LinkDeadError once the link is dead.
+  /// Take the oldest delivered frame into `out` without waiting (its old
+  /// storage is recycled for a later send). False when none is queued.
   [[nodiscard]] bool recv(std::vector<std::int32_t>& out);
 
-  /// Unblock both sides with a non-failover Error (engine cancellation).
-  void abort();
-
-  [[nodiscard]] bool dead() const;
-  [[nodiscard]] LinkStats stats() const;
-  [[nodiscard]] const std::string& name() const { return config_.name; }
+  [[nodiscard]] bool dead() const { return stats_.dead; }
+  [[nodiscard]] const LinkStats& stats() const { return stats_; }
 
  private:
   struct WireFrame {
     std::uint64_t seq = 0;
-    bool last = false;
     std::uint64_t checksum = 0;
     std::vector<std::int32_t> payload;
   };
 
-  void reliable_send(WireFrame frame);
   /// One transmission attempt: price the wire cycles, pass the frame
   /// through the fault seam, and — when it arrives — verify the checksum
-  /// and ack/nack at the receiving link layer. Caller holds mu_.
-  void transmit_locked(const WireFrame& frame);
-  [[noreturn]] void throw_dead_locked() const;
+  /// and ack (moving the payload into the delivery queue) or nack.
+  /// Returns true when the frame was delivered.
+  bool transmit(WireFrame& frame, bool& nacked);
+  /// Sleep until `until`, throwing Error as soon as the cancel flag rises.
+  void wait_until(std::chrono::steady_clock::time_point until) const;
+  [[noreturn]] void escalate(const std::string& reason);
 
   LinkConfig config_;
   LinkFaultSite* fault_ = nullptr;
+  const std::atomic<bool>* cancel_ = nullptr;
 
-  mutable std::mutex mu_;
-  std::condition_variable tx_cv_;  // sender waits for ack / nack
-  std::condition_variable rx_cv_;  // receiver waits for wire frames
-  std::deque<WireFrame> wire_;
-  std::uint64_t next_seq_ = 0;  // sender-side
-  std::uint64_t ack_seq_ = 0;   // receiver-side: next expected sequence
-  bool nack_ = false;
-  bool dead_ = false;
-  bool aborted_ = false;
-  std::string dead_reason_;
+  std::deque<WireFrame> delivered_;
+  std::vector<std::int32_t> spare_;  // recycled payload storage
+  std::uint64_t next_seq_ = 0;
   LinkStats stats_;
+  std::string dead_reason_;
   Rng backoff_rng_;
   std::chrono::steady_clock::time_point wire_epoch_;
+};
+
+/// One partition cut a StreamEngine reroutes over a MaxRing link: the
+/// edge out of node `after_node` leaves through a LinkPump in frames of
+/// `frame_values` values. Built by the LinkedEngine.
+struct LinkCut {
+  int after_node = -1;
+  std::size_t frame_values = 256;
+  LinkConfig config;
+  LinkFaultSite* fault = nullptr;
+};
+
+/// The task that carries a cut edge across its MaxRing link: pops the
+/// boundary ring into frames of `frame_values` (an image's last frame
+/// takes its tail, so frames never straddle images), sends each over the
+/// link, receives the frame it just delivered and pushes it into the
+/// next node's ingress ring, holding it across kBlocked while that ring
+/// is full. On a healthy link a step never waits on another task.
+class LinkPump final : public Kernel {
+ public:
+  LinkPump(const LinkCut& cut, std::size_t image_values, Stream& in,
+           Stream& out, const std::atomic<bool>& cancel);
+  StepResult step() override;
+  void reset() override;
+  void bind_ready(ReadyHook* hook, int task) override;
+
+  [[nodiscard]] const LinkStats& stats() const { return link_.stats(); }
+
+ private:
+  /// Push the delivered frame's tail; true when it is fully out.
+  bool flush();
+
+  MaxRingLink link_;
+  Stream& in_;
+  Stream& out_;
+  std::size_t frame_values_;
+  std::size_t image_values_;
+  std::vector<std::int32_t> frame_;      // frame being filled
+  std::size_t fill_ = 0;
+  std::size_t image_pos_ = 0;            // values of this image framed
+  std::vector<std::int32_t> delivered_;  // frame being pushed out
+  std::size_t out_pos_ = 0;
+  bool in_stall_noted_ = false;
+  bool out_stall_noted_ = false;
 };
 
 }  // namespace qnn

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "plan/compiled_plan.h"
@@ -17,43 +15,6 @@ namespace qnn {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-void accumulate(StreamEngine::RunStats& agg,
-                const StreamEngine::RunStats& one) {
-  agg.values_streamed += one.values_streamed;
-  agg.stream_transactions += one.stream_transactions;
-  agg.push_stalls += one.push_stalls;
-  agg.pop_stalls += one.pop_stalls;
-  agg.faults_injected += one.faults_injected;
-  agg.simulated_seconds += one.simulated_seconds;
-}
-
-/// Reassemble one boundary tensor from in-order link frames.
-IntTensor recv_tensor(MaxRingLink& link, const Shape& shape) {
-  IntTensor t(shape);
-  const std::span<std::int32_t> flat = t.flat();
-  std::size_t pos = 0;
-  std::vector<std::int32_t> buf;
-  while (pos < flat.size()) {
-    const bool more = link.recv(buf);
-    QNN_CHECK(more, "MaxRing link '" + link.name() +
-                        "' closed mid-tensor (protocol error)");
-    QNN_CHECK(pos + buf.size() <= flat.size(),
-              "MaxRing link '" + link.name() + "' frame overruns the tensor");
-    std::copy(buf.begin(), buf.end(), flat.begin() + pos);
-    pos += buf.size();
-  }
-  return t;
-}
-
-/// Ship one boundary tensor as frames of at most `frame_values` values.
-void send_tensor(MaxRingLink& link, const IntTensor& t,
-                 std::size_t frame_values) {
-  const std::span<const std::int32_t> flat = t.flat();
-  for (std::size_t pos = 0; pos < flat.size(); pos += frame_values) {
-    link.send(flat.subspan(pos, std::min(frame_values, flat.size() - pos)));
-  }
-}
 
 }  // namespace
 
@@ -107,66 +68,77 @@ struct LinkedEngine::Impl {
   const Pipeline& pipeline;
   const NetworkParams& params;
   LinkedEngineOptions options;
+  // Owned copy of options.engine.plan: failover rebuilds the graph long
+  // after the caller's plan may be gone.
+  std::unique_ptr<const CompiledPlan> plan;
 
   std::vector<int> original_cuts;  // physical links, fixed for the lifetime
-  std::vector<int> current_cuts;   // possibly degraded
-  std::vector<double> link_health;  // by physical link ordinal
-  std::unique_ptr<FaultInjector> injector;
+  std::unique_ptr<FaultInjector> injector;  // stream, kernel and link sites
   std::vector<LinkFaultSite*> sites;  // by physical link ordinal
 
-  struct Segment {
-    PipelineSegment def;
-    EngineOptions opts;
-    std::unique_ptr<StreamEngine> engine;
-  };
-  std::vector<std::unique_ptr<Segment>> segs;
-
   std::mutex run_mu;          // serializes run()
-  mutable std::mutex rt_mu;   // guards segs / current_cuts / live_links
-  std::vector<MaxRingLink*> live_links;  // borrowed, for cancel()
+  mutable std::mutex rt_mu;   // guards the three fields below
+  std::unique_ptr<StreamEngine> engine;  // the graph of current_cuts
+  std::vector<int> current_cuts;         // possibly degraded
+  std::vector<double> link_health;       // by physical link ordinal
   std::atomic<bool> abort{false};
   std::atomic<std::uint64_t> failovers_total{0};
 
   Impl(const Pipeline& p, const NetworkParams& prm, LinkedEngineOptions o)
-      : pipeline(p), params(prm), options(std::move(o)) {}
+      : pipeline(p), params(prm), options(std::move(o)) {
+    if (options.engine.plan != nullptr) {
+      plan = std::make_unique<const CompiledPlan>(*options.engine.plan);
+      options.engine.plan = plan.get();
+    }
+  }
 
   void event(const std::string& what) {
     if (options.on_event) options.on_event(what);
   }
 
-  /// Frame sizing of the link after `after`: the planned burst of the
-  /// crossing stream, the configured override, or a 256-value default.
-  void link_frame(int after, std::size_t& frame_values, int& bits) const {
+  /// The link that carries the cut after `after` as link `k`: framed at
+  /// the planned burst of the crossing stream, the configured override,
+  /// or a 256-value default.
+  [[nodiscard]] LinkCut link_cut(int after, std::size_t k) const {
     const std::vector<CrossingStream> crossing =
         crossing_streams(pipeline, after, &options.partition.link_bursts);
-    bits = crossing.empty() ? 32 : crossing[0].bits;
-    frame_values = options.frame_values;
-    if (frame_values == 0 && !crossing.empty() && crossing[0].burst > 0) {
-      frame_values = crossing[0].burst;
+    LinkCut cut;
+    cut.after_node = after;
+    cut.frame_values = options.frame_values;
+    if (cut.frame_values == 0 && !crossing.empty() && crossing[0].burst > 0) {
+      cut.frame_values = crossing[0].burst;
     }
-    if (frame_values == 0) frame_values = 256;
+    if (cut.frame_values == 0) cut.frame_values = 256;
+    LinkConfig& lc = cut.config;
+    lc.name = "link" + std::to_string(k);
+    lc.bits = crossing.empty() ? 32 : crossing[0].bits;
+    lc.link_bits_per_cycle = options.partition.link_bits_per_cycle;
+    lc.clock_hz = options.partition.clock_hz;
+    lc.pace = options.pace_links;
+    lc.ack_timeout_us = options.ack_timeout_us;
+    lc.max_retransmits = options.max_retransmits;
+    lc.retransmit_backoff_us = options.retransmit_backoff_us;
+    lc.backoff_seed = options.link_seed + k * 0x9e3779b97f4a7c15ULL;
+    cut.fault = k < sites.size() ? sites[k] : nullptr;
+    return cut;
   }
 
-  /// Tear down the current segments and build the chain for `cuts`.
+  /// Replace the graph with the one for `cuts`.
   void rebuild(const std::vector<int>& cuts) {
-    std::vector<std::unique_ptr<Segment>> next;
-    int first = 0;
-    const int n = pipeline.size();
-    for (std::size_t s = 0; s <= cuts.size(); ++s) {
-      const int last = s < cuts.size() ? cuts[s] : n - 1;
-      auto seg = std::make_unique<Segment>();
-      seg->def = extract_segment(pipeline, params, first, last);
-      seg->opts = options.engine;
-      // The compile-time plan's FIFO tables index the unsplit pipeline;
-      // each segment engine re-derives its own FIFO sizing instead.
-      seg->opts.plan = nullptr;
-      seg->engine = std::make_unique<StreamEngine>(seg->def.pipeline,
-                                                   seg->def.params, seg->opts);
-      next.push_back(std::move(seg));
-      first = last + 1;
+    std::vector<LinkCut> links;
+    for (std::size_t k = 0; k < cuts.size(); ++k) {
+      links.push_back(link_cut(cuts[k], k));
     }
+    {
+      // The old graph's stream and kernel fault sites die with it.
+      const std::lock_guard<std::mutex> lock(rt_mu);
+      engine.reset();
+    }
+    if (injector) injector->clear_graph_sites();
+    std::unique_ptr<StreamEngine> next(new StreamEngine(
+        pipeline, params, options.engine, links, injector.get()));
     const std::lock_guard<std::mutex> lock(rt_mu);
-    segs = std::move(next);
+    engine = std::move(next);
     current_cuts = cuts;
   }
 
@@ -187,11 +159,15 @@ struct LinkedEngine::Impl {
   /// cuts that avoids the dead link, (3) the single-DFE plan.
   void failover(int dead) {
     PartitionConfig cfg = options.partition;
-    if (cfg.link_health.size() < link_health.size()) {
-      cfg.link_health.resize(link_health.size(), 1.0);
-    }
-    for (std::size_t k = 0; k < link_health.size(); ++k) {
-      cfg.link_health[k] = std::min(cfg.link_health[k], link_health[k]);
+    {
+      const std::lock_guard<std::mutex> lock(rt_mu);
+      link_health[static_cast<std::size_t>(dead)] = 0.0;
+      if (cfg.link_health.size() < link_health.size()) {
+        cfg.link_health.resize(link_health.size(), 1.0);
+      }
+      for (std::size_t k = 0; k < link_health.size(); ++k) {
+        cfg.link_health[k] = std::min(cfg.link_health[k], link_health[k]);
+      }
     }
     std::vector<int> cuts;
     const PartitionResult res = partition_optimal(pipeline, cfg);
@@ -218,129 +194,8 @@ struct LinkedEngine::Impl {
     event("failover: single-DFE fallback plan armed");
   }
 
-  /// One execution attempt over the not-yet-done images. Returns the
-  /// physical ordinal of the link that died (failover required), or -1
-  /// when every pending image completed. Throws on cancellation and on
-  /// non-link errors.
-  int run_attempt(const std::vector<std::size_t>& pending,
-                  std::span<const IntTensor> images,
-                  std::vector<IntTensor>& outputs, std::vector<char>& done,
-                  StreamEngine::RunStats& agg, std::uint64_t& frames,
-                  std::uint64_t& retrans) {
-    std::vector<StreamEngine*> engines;
-    std::vector<Impl::Segment*> seg_ptrs;
-    std::vector<std::unique_ptr<MaxRingLink>> links;
-    std::vector<std::size_t> frame_values;
-    {
-      const std::lock_guard<std::mutex> lock(rt_mu);
-      for (auto& s : segs) {
-        engines.push_back(s->engine.get());
-        seg_ptrs.push_back(s.get());
-      }
-      for (std::size_t k = 0; k + 1 < segs.size(); ++k) {
-        std::size_t fv = 0;
-        int bits = 32;
-        link_frame(current_cuts[k], fv, bits);
-        LinkConfig lc;
-        lc.name = "link" + std::to_string(k);
-        lc.bits = bits;
-        lc.link_bits_per_cycle = options.partition.link_bits_per_cycle;
-        lc.clock_hz = options.partition.clock_hz;
-        lc.pace = options.pace_links;
-        lc.ack_timeout_us = options.ack_timeout_us;
-        lc.max_retransmits = options.max_retransmits;
-        lc.retransmit_backoff_us = options.retransmit_backoff_us;
-        lc.backoff_seed = options.link_seed + k * 0x9e3779b97f4a7c15ULL;
-        auto link = std::make_unique<MaxRingLink>(lc);
-        if (k < sites.size()) link->set_fault(sites[k]);
-        links.push_back(std::move(link));
-        frame_values.push_back(fv);
-      }
-      live_links.clear();
-      for (auto& l : links) live_links.push_back(l.get());
-    }
-    const std::size_t S = engines.size();
-    if (S == 1) {
-      for (const std::size_t idx : pending) {
-        if (abort.load(std::memory_order_relaxed)) {
-          throw Error("LinkedEngine: run cancelled");
-        }
-        StreamEngine::RunStats st;
-        std::vector<IntTensor> out =
-            engines[0]->run(std::span<const IntTensor>(&images[idx], 1), &st);
-        accumulate(agg, st);
-        outputs[idx] = std::move(out[0]);
-        done[idx] = 1;
-      }
-      return -1;
-    }
-
-    std::vector<std::exception_ptr> errors(S);
-    std::atomic<int> first_error{-1};
-    std::atomic<bool> attempt_abort{false};
-    std::mutex agg_mu;
-    const auto fail_fast = [&](int s) {
-      int expected = -1;
-      first_error.compare_exchange_strong(expected, s);
-      attempt_abort.store(true, std::memory_order_relaxed);
-      for (StreamEngine* e : engines) e->cancel();
-      for (auto& l : links) l->abort();
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(S);
-    for (std::size_t s = 0; s < S; ++s) {
-      threads.emplace_back([&, s] {
-        StreamEngine::RunStats local;
-        try {
-          for (const std::size_t idx : pending) {
-            if (attempt_abort.load(std::memory_order_relaxed) ||
-                abort.load(std::memory_order_relaxed)) {
-              break;
-            }
-            IntTensor in = s == 0 ? images[idx]
-                                  : recv_tensor(*links[s - 1],
-                                                seg_ptrs[s]->def.pipeline.input);
-            StreamEngine::RunStats st;
-            std::vector<IntTensor> out = engines[s]->run(
-                std::span<const IntTensor>(&in, 1), &st);
-            accumulate(local, st);
-            if (s + 1 == S) {
-              outputs[idx] = std::move(out[0]);
-              done[idx] = 1;
-            } else {
-              send_tensor(*links[s], out[0], frame_values[s]);
-            }
-          }
-        } catch (...) {
-          errors[s] = std::current_exception();
-          fail_fast(static_cast<int>(s));
-        }
-        const std::lock_guard<std::mutex> lock(agg_mu);
-        accumulate(agg, local);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    int dead = -1;
-    for (std::size_t k = 0; k < links.size(); ++k) {
-      const LinkStats st = links[k]->stats();
-      frames += st.frames_delivered;
-      retrans += st.retransmits;
-      if (dead < 0 && st.dead) dead = static_cast<int>(k);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(rt_mu);
-      live_links.clear();
-    }
-    if (abort.load(std::memory_order_relaxed)) {
-      throw Error("LinkedEngine: run cancelled");
-    }
-    if (dead >= 0) return dead;
-    const int first = first_error.load();
-    if (first >= 0 && errors[static_cast<std::size_t>(first)]) {
-      std::rethrow_exception(errors[static_cast<std::size_t>(first)]);
-    }
-    return -1;
+  [[noreturn]] static void cancelled() {
+    throw Error("LinkedEngine: run cancelled");
   }
 };
 
@@ -350,10 +205,7 @@ LinkedEngine::LinkedEngine(const Pipeline& pipeline,
     : impl_(std::make_unique<Impl>(pipeline, params, std::move(options))) {
   Impl& im = *impl_;
   std::vector<int> cuts = im.options.cut_after_nodes;
-  if (cuts.empty() && im.options.engine.plan != nullptr &&
-      !im.options.engine.plan->cut_after_nodes.empty()) {
-    cuts = im.options.engine.plan->cut_after_nodes;
-  }
+  if (cuts.empty() && im.plan != nullptr) cuts = im.plan->cut_after_nodes;
   if (cuts.empty()) {
     const PartitionResult res = partition_optimal(pipeline, im.options.partition);
     if (res.feasible()) {
@@ -387,9 +239,9 @@ std::vector<IntTensor> LinkedEngine::run(std::span<const IntTensor> images,
   const std::lock_guard<std::mutex> run_lock(im.run_mu);
   im.abort.store(false, std::memory_order_relaxed);
   const auto t0 = Clock::now();
-  std::uint64_t link_faults_before = 0;
+  std::uint64_t faults_before = 0;
   if (im.injector) {
-    link_faults_before = im.injector->fired();
+    faults_before = im.injector->fired();
     im.injector->begin_run();
     if (im.injector->crash_now()) {
       throw Error("injected fault: linked replica crash (run " +
@@ -397,24 +249,46 @@ std::vector<IntTensor> LinkedEngine::run(std::span<const IntTensor> images,
     }
   }
   const std::size_t n = images.size();
-  std::vector<IntTensor> outputs(n);
-  std::vector<char> done(n, 0);
-  StreamEngine::RunStats agg;
+  std::vector<IntTensor> outputs;
+  outputs.reserve(n);
+  StreamEngine::RunStats last;
   std::uint64_t frames = 0;
   std::uint64_t retrans = 0;
   std::uint64_t failovers_this_run = 0;
-  for (;;) {
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] == 0) pending.push_back(i);
+  while (outputs.size() < n) {
+    if (im.abort.load(std::memory_order_relaxed)) Impl::cancelled();
+    // Only this thread replaces the graph, so the pointer stays valid for
+    // the attempt without holding rt_mu.
+    StreamEngine* engine = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(im.rt_mu);
+      engine = im.engine.get();
     }
-    if (pending.empty()) break;
-    const int dead =
-        im.run_attempt(pending, images, outputs, done, agg, frames, retrans);
-    if (dead < 0) continue;  // attempt completed; loop exits via pending
+    QNN_CHECK(engine != nullptr, "LinkedEngine: no plan armed");
+    std::vector<IntTensor> got;
+    int dead = -1;
+    try {
+      engine->run_collecting(images.subspan(outputs.size()), got, &last);
+    } catch (const LinkDeadError&) {
+      const std::vector<LinkStats> links = engine->link_stats();
+      for (std::size_t k = 0; k < links.size() && dead < 0; ++k) {
+        if (links[k].dead) dead = static_cast<int>(k);
+      }
+      if (dead < 0) throw;
+    } catch (...) {
+      if (im.abort.load(std::memory_order_relaxed)) Impl::cancelled();
+      throw;
+    }
+    for (const LinkStats& ls : engine->link_stats()) {
+      frames += ls.frames_delivered;
+      retrans += ls.retransmits;
+    }
+    // Images collected before a link death are kept; only the rest replay.
+    for (IntTensor& t : got) outputs.push_back(std::move(t));
+    if (im.abort.load(std::memory_order_relaxed)) Impl::cancelled();
+    if (dead < 0) continue;
     // Permanent link death: derate, recompile a degraded plan, and replay
-    // the images this attempt did not finish — zero lost work.
-    im.link_health[static_cast<std::size_t>(dead)] = 0.0;
+    // the images this attempt did not collect — zero lost work.
     ++failovers_this_run;
     im.failovers_total.fetch_add(1, std::memory_order_relaxed);
     im.event("link" + std::to_string(dead) +
@@ -424,7 +298,7 @@ std::vector<IntTensor> LinkedEngine::run(std::span<const IntTensor> images,
   const double wall =
       std::chrono::duration<double>(Clock::now() - t0).count();
   if (stats != nullptr) {
-    *stats = agg;
+    *stats = last;
     stats->wall_seconds = wall;
     stats->images_per_second =
         wall > 0.0 ? static_cast<double>(n) / wall : 0.0;
@@ -432,14 +306,14 @@ std::vector<IntTensor> LinkedEngine::run(std::span<const IntTensor> images,
     stats->link_retransmits = retrans;
     stats->link_failovers = failovers_this_run;
     stats->links = static_cast<int>(im.original_cuts.size());
+    const std::lock_guard<std::mutex> lock(im.rt_mu);
     const std::size_t shown =
         std::min<std::size_t>(im.link_health.size(), stats->link_health.size());
     for (std::size_t k = 0; k < shown; ++k) {
       stats->link_health[k] = im.link_health[k];
     }
-    if (im.injector) {
-      stats->faults_injected += im.injector->fired() - link_faults_before;
-    }
+    stats->faults_injected =
+        im.injector ? im.injector->fired() - faults_before : 0;
   }
   return outputs;
 }
@@ -454,20 +328,20 @@ void LinkedEngine::cancel() {
   Impl& im = *impl_;
   im.abort.store(true, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(im.rt_mu);
-  for (auto& s : im.segs) s->engine->cancel();
-  for (MaxRingLink* l : im.live_links) l->abort();
+  if (im.engine) im.engine->cancel();
 }
 
 int LinkedEngine::segments() const {
   const std::lock_guard<std::mutex> lock(impl_->rt_mu);
-  return static_cast<int>(impl_->segs.size());
+  return static_cast<int>(impl_->current_cuts.size()) + 1;
 }
 
 int LinkedEngine::links() const {
   return static_cast<int>(impl_->original_cuts.size());
 }
 
-const std::vector<int>& LinkedEngine::cut_after_nodes() const {
+std::vector<int> LinkedEngine::cut_after_nodes() const {
+  const std::lock_guard<std::mutex> lock(impl_->rt_mu);
   return impl_->current_cuts;
 }
 

@@ -1,31 +1,36 @@
-// Partitioned live runtime: N StreamEngine segments on N virtual DFEs,
+// Partitioned live runtime: a pipeline cut across N virtual DFEs that are
 // daisy-chained by in-process MaxRing links (paper §III-C), with a
 // failover ladder that survives permanent link death mid-run.
 //
 // The LinkedEngine executes an explicit partition cut (a CompiledPlan's
-// `cut_after_nodes`, or one derived by partition_optimal) for real: each
-// segment is a standalone sub-pipeline with re-indexed parameter banks,
-// driven by its own thread; images pipeline through the chain (segment 0
-// computes image i+1 while segment 1 computes image i), and every
-// boundary tensor ships as checksummed, sequence-numbered MaxRing frames
-// paced by the partitioner's link_bits_per_cycle arithmetic.
+// `cut_after_nodes`, or one derived by partition_optimal) as ONE dataflow
+// graph: a single StreamEngine over the unsplit pipeline, on one Executor,
+// with the edge out of every cut node rerouted through a LinkPump task.
+// The pump frames the boundary stream, ships each frame over a real
+// MaxRingLink (checksummed, sequence-numbered, paced by the partitioner's
+// link_bits_per_cycle arithmetic) and streams the delivered frame into
+// the next node's ingress ring. A link is one more FIFO in the stream, so
+// every layer on every "DFE" computes concurrently, exactly as in the
+// unsplit engine; one run() per batch, no per-segment threads or pools.
 //
 // Fault tolerance (the robustness contract DfeServer builds on):
 //   * transient outages / corrupted frames are healed inside MaxRingLink
 //     (checksum-nack + bounded retransmit with jittered backoff) — the
 //     run completes bit-exact with only retransmit counters to show;
-//   * permanent link death escalates out of the link watchdog, and run()
-//     fails over: the dead link is derated to health 0 and the degraded
-//     plan ladder picks the next rung —
+//   * permanent link death escalates out of the link watchdog as a
+//     LinkDeadError, which leaves the graph's run with its type intact,
+//     and run() fails over: the dead link is derated to health 0 and the
+//     degraded plan ladder picks the next rung —
 //       1. repartition_optimal under the derated link health,
 //       2. the prefix of the current cuts that avoids the dead link,
-//       3. the single-DFE plan (always runnable);
+//       3. the single-DFE plan (always runnable: the same graph with no
+//          pumps);
 //     every rung is proved by verify/link_check.h (D420/D421/D422)
-//     before it arms, and the images the failed attempt did not finish
-//     are replayed on the new plan — zero lost work, bit-exact results.
+//     before it arms, and the images the failed attempt did not collect
+//     are replayed on the rebuilt graph — zero lost work, bit-exact.
 //
-// Thread-safety matches StreamEngine: one run() at a time; cancel() may
-// be called from any thread.
+// Thread-safety matches StreamEngine: one run() at a time; cancel() and
+// the accessors may be called from any thread.
 #pragma once
 
 #include <functional>
@@ -40,11 +45,11 @@
 namespace qnn {
 
 struct LinkedEngineOptions {
-  /// Per-segment engine tuning. `plan` and `faults` are honored: the plan
-  /// supplies the default cut (its cut_after_nodes) but is NOT handed to
-  /// the segment engines (its FIFO plan indexes the unsplit pipeline);
-  /// faults arm stream/kernel sites inside each segment and the link
-  /// sites on the MaxRing boundaries.
+  /// Options of the chain's one StreamEngine. `pool_threads` sizes its
+  /// single Executor pool for the whole chain (0 = hardware_concurrency);
+  /// `plan` supplies the default cut and the FIFO tables (each cut edge is
+  /// rerouted through its link's rings); `faults` arms stream, kernel and
+  /// link sites (link0..k) in one injector.
   EngineOptions engine;
   /// The partition cut: link k connects the segments on either side of
   /// cut_after_nodes[k]. Empty = take the engine plan's cut, else derive
@@ -74,7 +79,8 @@ struct LinkedEngineOptions {
 };
 
 /// One standalone sub-pipeline of a partition cut, with its parameter
-/// banks re-indexed so any engine can run it in isolation.
+/// banks re-indexed so any engine can run it in isolation (per-segment
+/// profiling; the LinkedEngine itself runs the unsplit graph).
 struct PipelineSegment {
   Pipeline pipeline;
   NetworkParams params;
@@ -89,8 +95,9 @@ struct PipelineSegment {
 
 class LinkedEngine {
  public:
-  /// `pipeline` and `params` must outlive the engine (segments copy what
-  /// they need, but the failover repartitioner re-reads the original).
+  /// `pipeline` and `params` must outlive the engine: the graph and every
+  /// failover rebuild run over them. A plan in `options.engine.plan` is
+  /// copied, so it need only outlive this constructor.
   LinkedEngine(const Pipeline& pipeline, const NetworkParams& params,
                LinkedEngineOptions options = {});
   ~LinkedEngine();
@@ -114,7 +121,9 @@ class LinkedEngine {
   [[nodiscard]] int segments() const;
   /// Physical links of the original plan (fixed for the engine lifetime).
   [[nodiscard]] int links() const;
-  [[nodiscard]] const std::vector<int>& cut_after_nodes() const;
+  /// The current (possibly degraded) cut; a snapshot, since failover may
+  /// replace it while another thread reads.
+  [[nodiscard]] std::vector<int> cut_after_nodes() const;
   [[nodiscard]] bool link_healthy(int link) const;
   /// Degraded-plan recompiles since construction.
   [[nodiscard]] std::uint64_t plan_failovers() const;

@@ -246,6 +246,13 @@ LinkFaultSite* FaultInjector::register_link(const std::string& name) {
   return &link_sites_.back();
 }
 
+void FaultInjector::clear_graph_sites() {
+  stream_sites_.clear();
+  kernel_sites_.clear();
+  stream_names_.clear();
+  kernel_names_.clear();
+}
+
 void FaultInjector::begin_run() {
   const std::uint64_t run = run_++;
   for (auto& s : stream_sites_) {

@@ -342,8 +342,10 @@ struct LinkFaultSite {
 };
 
 /// Owns the fault sites of one engine and arms them per run from the
-/// plan. Construction and begin_run() are single-threaded (the engine's
-/// caller thread); during a run only the sites themselves are touched.
+/// plan (a LinkedEngine's injector also holds its link sites and outlives
+/// the graphs failover rebuilds). Construction and begin_run() are
+/// single-threaded (the engine's caller thread); during a run only the
+/// sites themselves are touched.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, int replica);
@@ -353,6 +355,12 @@ class FaultInjector {
   StreamFaultSite* register_stream(const std::string& name);
   KernelFaultSite* register_kernel(const std::string& name);
   LinkFaultSite* register_link(const std::string& name);
+
+  /// Forget every stream and kernel site so a rebuilt graph can register
+  /// its own in construction order. Link sites (physical MaxRing links)
+  /// and the run counter persist; the new sites arm from the next
+  /// begin_run(). The old graph must not touch its sites again.
+  void clear_graph_sites();
 
   /// Arm every site for the next run (advances the run counter).
   void begin_run();

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/error.h"
+#include "plan/compiled_plan.h"
 
 namespace qnn {
 
@@ -128,6 +129,45 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
     ps.burst = std::max<std::size_t>(
         1, std::min({row, plan.burst, ps.capacity}));
   }
+  return plan;
+}
+
+void route_links(const Pipeline& pipeline, FifoPlan& plan,
+                 std::span<const LinkCut> cuts) {
+  for (std::size_t k = 0; k < cuts.size(); ++k) {
+    const LinkCut& cut = cuts[k];
+    const auto it = std::find_if(
+        plan.streams.begin(), plan.streams.end(),
+        [&](const PlannedStream& s) {
+          return s.producer == cut.after_node &&
+                 s.role == PlannedStream::Role::kDirect;
+        });
+    QNN_CHECK(it != plan.streams.end() && cut.after_node >= 0,
+              "route_links: the cut after node " +
+                  std::to_string(cut.after_node) +
+                  " does not sever a single direct edge");
+    PlannedStream in = *it;
+    in.name = cut.config.name + "->" + pipeline.node(in.consumer).name;
+    in.role = PlannedStream::Role::kLinkIn;
+    in.link = static_cast<int>(k);
+    PlannedStream out = *it;
+    out.name = pipeline.node(cut.after_node).name + "->" + cut.config.name;
+    out.role = PlannedStream::Role::kLinkOut;
+    out.consumer = -1;
+    out.to_skip_port = false;
+    out.burst = std::max<std::size_t>(cut.frame_values, 1);
+    out.capacity = std::max(out.capacity, out.burst);
+    out.link = static_cast<int>(k);
+    *it = std::move(in);
+    plan.streams.insert(it, std::move(out));
+  }
+}
+
+FifoPlan engine_fifos(const Pipeline& pipeline, const EngineOptions& options,
+                      std::span<const LinkCut> cuts) {
+  FifoPlan plan = options.plan != nullptr ? options.plan->fifos
+                                          : plan_fifos(pipeline, options);
+  route_links(pipeline, plan, cuts);
   return plan;
 }
 

@@ -22,10 +22,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dataflow/engine.h"
+#include "dataflow/link.h"
 #include "nn/pipeline.h"
 
 namespace qnn {
@@ -37,12 +39,14 @@ struct PlannedStream {
     kTrunk,   // producer -> fork (fan-out > 1)
     kBranch,  // fork -> one consumer port
     kOutput,  // terminal stream of a node without consumers
+    kLinkOut,  // producer -> the LinkPump of a partition cut (egress ring)
+    kLinkIn,   // LinkPump -> the consumer port across the cut (ingress)
   };
 
   std::string name;      // identical to the engine's Stream name
   Role role = Role::kDirect;
   int producer = -1;     // node index; -1 = pipeline input
-  int consumer = -1;     // node index; -1 for kTrunk / kOutput
+  int consumer = -1;     // node index; -1 for kTrunk / kOutput / kLinkOut
   bool to_skip_port = false;  // consumer-side port (Add nodes only)
   std::size_t capacity = 0;   // values
   int bits = 0;               // declared element width
@@ -53,6 +57,10 @@ struct PlannedStream {
   /// kernel construction AND the D302/D303 capacity checks, so burst
   /// sizing has exactly one source.
   std::size_t burst = 0;
+  /// MaxRing link ordinal of a kLinkOut / kLinkIn ring, -1 otherwise. Both
+  /// rings of a cut keep the cut edge's producer (the node whose values
+  /// they carry); the egress burst is the link's frame size.
+  int link = -1;
 };
 
 /// The complete FIFO plan of one engine instance: every stream in the
@@ -80,5 +88,21 @@ struct FifoPlan {
 /// the *only* place capacities are decided; every consumer takes the plan.
 [[nodiscard]] FifoPlan plan_fifos(const Pipeline& pipeline,
                                   const EngineOptions& options = {});
+
+/// Reroute the edge out of every cut node through its link: the planned
+/// direct edge becomes a kLinkOut ring into the LinkPump (at least one
+/// frame deep, moving one frame per transaction) followed by a kLinkIn
+/// ring that keeps the edge's capacity and burst. Throws Error when a cut
+/// does not sever exactly one direct edge.
+void route_links(const Pipeline& pipeline, FifoPlan& plan,
+                 std::span<const LinkCut> cuts);
+
+/// The streams a StreamEngine over `pipeline` wires: the CompiledPlan's
+/// FIFOs verbatim when `options.plan` is set, plan_fifos otherwise, with
+/// every cut routed through its link. The engine builds exactly this and
+/// the analyzer proves exactly this.
+[[nodiscard]] FifoPlan engine_fifos(const Pipeline& pipeline,
+                                    const EngineOptions& options,
+                                    std::span<const LinkCut> cuts = {});
 
 }  // namespace qnn

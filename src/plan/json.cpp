@@ -48,6 +48,8 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+/// Link roles only exist in the routed plan an engine wires, never in a
+/// CompiledPlan, so role_from_name refuses them.
 const char* role_name(PlannedStream::Role role) {
   switch (role) {
     case PlannedStream::Role::kDirect:
@@ -58,6 +60,10 @@ const char* role_name(PlannedStream::Role role) {
       return "branch";
     case PlannedStream::Role::kOutput:
       return "output";
+    case PlannedStream::Role::kLinkOut:
+      return "link_out";
+    case PlannedStream::Role::kLinkIn:
+      return "link_in";
   }
   return "unknown";
 }

@@ -624,7 +624,8 @@ void check_partition(const Pipeline& p, const PartitionResult& placement,
 // ------------------------------------------------------------ entry points
 
 Report verify_graph(const Pipeline& pipeline, const NetworkParams* params,
-                    const EngineOptions& options) {
+                    const EngineOptions& options,
+                    std::span<const LinkCut> links) {
   Report report;
   check_structure(pipeline, report);
   if (!edges_in_range(pipeline)) return report;
@@ -641,11 +642,17 @@ Report verify_graph(const Pipeline& pipeline, const NetworkParams* params,
   }
   if (report.ok()) {
     // Prove the SAME streams the engine will wire: the supplied plan's
-    // FIFOs verbatim when one is given, the re-derived plan otherwise.
-    check_capacities(pipeline,
-                     options.plan != nullptr ? options.plan->fifos
-                                             : plan_fifos(pipeline, options),
-                     report);
+    // FIFOs verbatim when one is given, the re-derived plan otherwise,
+    // link cuts routed either way. A cut that severs no single direct
+    // edge cannot be routed at all.
+    FifoPlan plan;
+    try {
+      plan = engine_fifos(pipeline, options, links);
+    } catch (const Error& e) {
+      report.error(diag::kCutCrossesSkip, -1, "links", e.what());
+      return report;
+    }
+    check_capacities(pipeline, plan, report);
   } else {
     report.warn(diag::kUnprovable, -1, "pipeline",
                 "capacity analysis skipped: earlier errors invalidate the "

@@ -17,7 +17,8 @@
 //  (c) deadlock / capacity — the FIFO plan the engine will wire (either
 //      the CompiledPlan supplied via EngineOptions::plan, after a
 //      QNN-D305 fingerprint check, or plan/fifo_plan.h re-derived on the
-//      spot) is checked edge by edge: a skip FIFO at or above the
+//      spot, with any link cuts routed through their pumps' rings) is
+//      checked edge by edge: a skip FIFO at or above the
 //      whole-feature-map bound is proved safe immediately; one below it
 //      is decided *exactly* by the token-flow simulation of
 //      verify/token_flow.h (proved QNN-D301 info, refuted QNN-D301 error
@@ -34,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,11 +77,14 @@ void check_partition(const Pipeline& pipeline, const PartitionResult& placement,
 // ---- entry points ------------------------------------------------------
 
 /// Analyses (a)-(c). `params` may be null when only the graph is known
-/// (parameter-bank checks are skipped). Never throws on malformed input —
-/// every defect becomes a finding.
+/// (parameter-bank checks are skipped). `links` are the partition cuts a
+/// LinkedEngine routes through link pumps; the capacity proof covers
+/// their rings like any other. Never throws on malformed input — every
+/// defect becomes a finding.
 [[nodiscard]] Report verify_graph(const Pipeline& pipeline,
                                   const NetworkParams* params,
-                                  const EngineOptions& options = {});
+                                  const EngineOptions& options = {},
+                                  std::span<const LinkCut> links = {});
 
 /// Analyses (a)-(d): verify_graph plus the partition feasibility checks
 /// when a placement is supplied.

@@ -84,7 +84,7 @@ std::int64_t window_burst_of(const Node& n, std::int64_t planned) {
 }
 
 struct Transition {
-  enum class Kind { kSource, kWindow, kElementwise, kAdd, kFork };
+  enum class Kind { kSource, kWindow, kElementwise, kAdd, kFork, kLink };
   Kind kind = Kind::kElementwise;
   std::string name;
   int in = -1;    // place index (main port)
@@ -95,16 +95,23 @@ struct Transition {
   std::int64_t total = 0;     // values consumed per full run (main port)
   std::int64_t consumed = 0;  // main-port values consumed so far
 
+  // kWindow and kLink.
+  std::int64_t elems = 0;   // real values per image
+  std::int64_t c = 0;       // consumed (kLink: framed) within the image
+  std::int64_t staged = 0;  // emitted values awaiting output space
+
   // kWindow only.
   const WindowProfile* profile = nullptr;
-  std::int64_t elems = 0;   // real values per image
-  std::int64_t c = 0;       // consumed within the current image
   std::size_t widx = 0;     // next breakpoint
-  std::int64_t staged = 0;  // emitted values awaiting output space
   int img = 0;
+
+  // kLink only: the pump ships whole frames (an image's tail closes one).
+  std::int64_t frame = 0;
+  std::int64_t fill = 0;
 
   [[nodiscard]] bool done(int images) const {
     if (kind == Kind::kWindow) return img >= images;
+    if (kind == Kind::kLink) return consumed >= total && staged == 0;
     return consumed >= total;
   }
 };
@@ -189,8 +196,11 @@ class Simulation {
             break;
           case PlannedStream::Role::kDirect:
           case PlannedStream::Role::kOutput:
+          case PlannedStream::Role::kLinkOut:
             trunk = static_cast<int>(e);
             break;
+          case PlannedStream::Role::kLinkIn:
+            break;  // the pump's output, wired below
         }
       }
       QNN_CHECK(trunk >= 0, "token flow: producer without a planned stream");
@@ -230,6 +240,30 @@ class Simulation {
     wire_producer(-1, "input");
     for (int i = 0; i < n; ++i) wire_producer(i, p.node(i).name);
 
+    // One transition per link pump, from its egress ring to its ingress
+    // ring. Its frame buffer is exact, not burst slack: the pump holds a
+    // frame until it is complete in either model.
+    for (std::size_t e = 0; e < plan.streams.size(); ++e) {
+      const PlannedStream& ps = plan.streams[e];
+      if (ps.role != PlannedStream::Role::kLinkOut) continue;
+      const auto in = std::find_if(
+          plan.streams.begin(), plan.streams.end(),
+          [&](const PlannedStream& s) {
+            return s.role == PlannedStream::Role::kLinkIn && s.link == ps.link;
+          });
+      QNN_CHECK(in != plan.streams.end(),
+                "token flow: link without a planned ingress ring");
+      Transition pump;
+      pump.kind = Transition::Kind::kLink;
+      pump.name = ps.name;
+      pump.in = static_cast<int>(e);
+      pump.out = static_cast<int>(in - plan.streams.begin());
+      pump.elems = p.node(ps.producer).out.elems();
+      pump.total = pump.elems * images_;
+      pump.frame = static_cast<std::int64_t>(ps.burst);
+      transitions_.push_back(std::move(pump));
+    }
+
     if (with_slack) {
       // Producer-side OutStage slack (window kernels compute it from the
       // scan geometry; BnAct/Add stage at most one refill).
@@ -257,7 +291,8 @@ class Simulation {
             break;
           case Transition::Kind::kSource:
           case Transition::Kind::kFork:
-            break;  // feeder/fork stage handled above
+          case Transition::Kind::kLink:
+            break;  // feeder/fork stage handled above; pumps are exact
         }
       }
     }
@@ -380,8 +415,42 @@ class Simulation {
       }
       case Transition::Kind::kWindow:
         return fire_window(t, tokens);
+      case Transition::Kind::kLink:
+        return fire_link(t, tokens);
     }
     return false;
+  }
+
+  bool fire_link(Transition& t, std::int64_t& tokens) {
+    Place& in = places_[static_cast<std::size_t>(t.in)];
+    Place& out = places_[static_cast<std::size_t>(t.out)];
+    bool progressed = false;
+    for (;;) {
+      // A delivered frame is pushed out before the next one is filled
+      // (LinkPump::step).
+      if (t.staged > 0) {
+        const std::int64_t m = std::min(t.staged, out.space());
+        if (m <= 0) return progressed;
+        t.staged -= m;
+        out.q += m;
+        tokens += m;
+        progressed = true;
+        continue;
+      }
+      const std::int64_t want = std::min(t.frame, t.elems - t.c);
+      const std::int64_t k =
+          std::min({in.q, want - t.fill, t.total - t.consumed});
+      if (k <= 0) return progressed;
+      in.q -= k;
+      t.fill += k;
+      t.consumed += k;
+      tokens += k;
+      progressed = true;
+      if (t.fill < want) continue;
+      t.staged = want;
+      t.fill = 0;
+      t.c = (t.c + want) % t.elems;
+    }
   }
 
   bool fire_window(Transition& t, std::int64_t& tokens) {

@@ -367,29 +367,25 @@ TEST(FaultLink, LinkCapacityClampsOutOfRangeHealth) {
 
 namespace {
 
-/// Drive `frames` payload frames (plus close) through `link` from a sender
-/// thread while the caller receives; returns the received payloads.
+/// Send `frames` payload frames through `link` the way a LinkPump does —
+/// send, then take the delivered frame — until the link escalates;
+/// returns the delivered payloads.
 std::vector<std::vector<std::int32_t>> pump_link(MaxRingLink& link,
                                                  int frames) {
-  std::thread sender([&] {
-    try {
-      for (int i = 0; i < frames; ++i) {
-        std::vector<std::int32_t> payload(16, i + 1);
-        payload[0] = i;  // distinguishable first word
-        link.send(payload);
-      }
-      link.close();
-    } catch (const LinkDeadError&) {
-      // The receiver-side assertions decide whether death was expected.
-    }
-  });
   std::vector<std::vector<std::int32_t>> got;
+  std::vector<std::int32_t> payload;
+  std::vector<std::int32_t> frame;
   try {
-    std::vector<std::int32_t> frame;
-    while (link.recv(frame)) got.push_back(frame);
+    for (int i = 0; i < frames; ++i) {
+      payload.assign(16, i + 1);
+      payload[0] = i;  // distinguishable first word
+      link.send(payload);
+      EXPECT_TRUE(link.recv(frame)) << "an acked frame is queued";
+      got.push_back(frame);
+    }
   } catch (const LinkDeadError&) {
+    // The assertions decide whether death was expected.
   }
-  sender.join();
   return got;
 }
 
@@ -403,12 +399,16 @@ TEST(FaultLink, MaxRingDeliversInOrderWithoutRetransmits) {
   ASSERT_EQ(got.size(), 12u);
   for (int i = 0; i < 12; ++i) {
     EXPECT_EQ(got[static_cast<std::size_t>(i)][0], i);
+    EXPECT_EQ(got[static_cast<std::size_t>(i)][15], i + 1);
   }
   const LinkStats s = link.stats();
-  EXPECT_EQ(s.frames_sent, 13u);  // 12 payloads + close
-  EXPECT_EQ(s.frames_delivered, 13u);
+  EXPECT_EQ(s.frames_sent, 12u);
+  EXPECT_EQ(s.frames_delivered, 12u);
+  EXPECT_EQ(s.transmissions, 12u);
   EXPECT_EQ(s.retransmits, 0u);
   EXPECT_FALSE(s.dead);
+  std::vector<std::int32_t> none;
+  EXPECT_FALSE(link.recv(none)) << "every delivered frame was taken";
 }
 
 TEST(FaultLink, MaxRingHealsSeededCorruptionBitExact) {
@@ -460,7 +460,6 @@ TEST(FaultLink, MaxRingEscalatesPermanentDeathOnBothSides) {
   cfg.ack_timeout_us = 1'000;
   cfg.max_retransmits = 2;
   cfg.retransmit_backoff_us = 100;
-  cfg.recv_patience_us = 200'000;
   MaxRingLink link(cfg);
   LinkFaultSite site;
   site.death_from = 4;  // the 5th transmission and everything after is lost
@@ -472,6 +471,61 @@ TEST(FaultLink, MaxRingEscalatesPermanentDeathOnBothSides) {
   EXPECT_TRUE(s.dead);
   EXPECT_TRUE(link.dead());
   EXPECT_GE(s.retransmits, 2u) << "the full budget is spent before escalating";
+  // Both ends see the death: the sender refuses further frames at once,
+  // and the receiving side never sees the lost frame.
+  std::vector<std::int32_t> payload(16, 7);
+  EXPECT_THROW(link.send(payload), LinkDeadError);
+  std::vector<std::int32_t> frame;
+  EXPECT_FALSE(link.recv(frame));
+  EXPECT_EQ(link.stats().transmissions, s.transmissions)
+      << "a dead link transmits nothing more";
+}
+
+TEST(FaultLink, MaxRingCancelCutsARetransmitWaitShort) {
+  // Under a fault the pump's retransmit waits hold its worker; the cancel
+  // flag (the engine's abort flag) must end them without spending the
+  // budget, and as a plain Error, not a failover trigger.
+  LinkConfig cfg;
+  cfg.pace = false;
+  cfg.ack_timeout_us = 10'000'000;  // an uncancelled wait would hang the test
+  MaxRingLink link(cfg);
+  LinkFaultSite site;
+  site.death_from = 0;
+  site.armed = true;
+  link.set_fault(&site);
+  std::atomic<bool> cancel{false};
+  link.set_cancel(&cancel);
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    cancel.store(true);
+  });
+  std::vector<std::int32_t> payload(8, 1);
+  bool dead_error = false;
+  bool plain_error = false;
+  try {
+    link.send(payload);
+  } catch (const LinkDeadError&) {
+    dead_error = true;
+  } catch (const Error&) {
+    plain_error = true;
+  }
+  canceller.join();
+  EXPECT_FALSE(dead_error);
+  EXPECT_TRUE(plain_error);
+  EXPECT_FALSE(link.dead());
+}
+
+TEST(FaultLink, MaxRingResetStartsAFreshSequence) {
+  LinkConfig cfg;
+  cfg.pace = false;
+  MaxRingLink link(cfg);
+  (void)pump_link(link, 3);
+  link.reset();
+  EXPECT_EQ(link.stats().frames_sent, 0u);
+  const auto got = pump_link(link, 2);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1][0], 1);
+  EXPECT_EQ(link.stats().frames_delivered, 2u);
 }
 
 TEST(FaultLink, LinkedEngineHealsSeededLinkChaosMidRunBitExact) {

@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <future>
+#include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.h"
@@ -17,6 +22,7 @@
 #include "fault/fault.h"
 #include "models/zoo.h"
 #include "nn/reference.h"
+#include "plan/compiled_plan.h"
 #include "serve/server.h"
 #include "test_util.h"
 
@@ -118,6 +124,118 @@ TEST(LinkChaos, FourSegmentChainIsBitExact) {
   }
 }
 
+TEST(LinkChaos, FourSegmentChainIsBitExactOnOneWorker) {
+  // One worker runs every kernel and every pump of the chain: if any pump
+  // ever waited on another task, this run would never finish.
+  const ChainNet net;
+  LinkedEngineOptions opts;
+  opts.cut_after_nodes = kFourDfeCut;
+  opts.engine.pool_threads = 1;
+  LinkedEngine engine(net.pipeline, net.params, opts);
+  ASSERT_EQ(engine.segments(), 4);
+
+  const ReferenceExecutor ref(net.pipeline, net.params);
+  const std::vector<IntTensor> images = net.batch(5, 23);
+  StreamEngine::RunStats stats;
+  const std::vector<IntTensor> out =
+      engine.run(std::span<const IntTensor>(images), &stats);
+  ASSERT_EQ(out.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(out[i], ref.run(images[i])) << "image " << i;
+  }
+  EXPECT_GT(stats.link_frames, 0u);
+  EXPECT_EQ(stats.link_retransmits, 0u);
+}
+
+TEST(LinkChaos, EveryChainCutIsBitExact) {
+  // Every single cut of the chain, plus a few 2- and 3-cut sets, against
+  // the unsplit engine. Frames never straddle images, so each link ships
+  // exactly ceil(boundary values / frame) frames per image.
+  const ChainNet net;
+  const std::vector<IntTensor> images = net.batch(3, 29);
+  StreamEngine unsplit(net.pipeline, net.params);
+  const std::vector<IntTensor> expected =
+      unsplit.run(std::span<const IntTensor>(images));
+  std::vector<std::vector<int>> cut_sets;
+  for (int after = 0; after + 1 < net.pipeline.size(); ++after) {
+    cut_sets.push_back({after});
+  }
+  cut_sets.push_back({0, 1});
+  cut_sets.push_back({2, 12});
+  cut_sets.push_back({7, 8, 18});
+  cut_sets.push_back({1, 10, 17});
+  constexpr std::size_t kFrame = 100;
+  for (const std::vector<int>& cuts : cut_sets) {
+    std::string label;
+    for (const int c : cuts) label += " " + std::to_string(c);
+    LinkedEngineOptions opts;
+    opts.cut_after_nodes = cuts;
+    opts.frame_values = kFrame;
+    LinkedEngine engine(net.pipeline, net.params, opts);
+    ASSERT_EQ(engine.segments(), static_cast<int>(cuts.size()) + 1) << label;
+    StreamEngine::RunStats stats;
+    const std::vector<IntTensor> out =
+        engine.run(std::span<const IntTensor>(images), &stats);
+    ASSERT_EQ(out.size(), images.size()) << label;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      EXPECT_EQ(out[i], expected[i]) << "cut" << label << " image " << i;
+    }
+    std::uint64_t frames = 0;
+    for (const int c : cuts) {
+      const auto boundary =
+          static_cast<std::uint64_t>(net.pipeline.node(c).out.elems());
+      frames += (boundary + kFrame - 1) / kFrame * images.size();
+    }
+    EXPECT_EQ(stats.link_frames, frames) << "cut" << label;
+    EXPECT_EQ(stats.link_retransmits, 0u) << "cut" << label;
+  }
+}
+
+#if defined(__linux__)
+TEST(LinkChaos, LinkedRunUsesOnePoolAndNoSegmentThreads) {
+  // The whole chain runs on the engine's one Executor: after a run, the
+  // process holds exactly pool_threads more threads (the parked workers),
+  // however many segments the cut makes.
+  const auto count = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  // A joined thread can linger in /proc for a moment after join()
+  // returns, so read the count once it has held still.
+  const auto threads = [&count] {
+    std::size_t last = count();
+    for (int stable = 0, i = 0; stable < 3 && i < 400; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::size_t now = count();
+      stable = now == last ? stable + 1 : 0;
+      last = now;
+    }
+    return last;
+  };
+  const ChainNet net;
+  const std::vector<IntTensor> images = net.batch(2, 31);
+  // Runtimes that start a helper thread with the first thread the
+  // process creates (ThreadSanitizer does) must not count as ours.
+  std::thread([] {}).join();
+  const std::size_t before = threads();
+  {
+    LinkedEngineOptions opts;
+    opts.cut_after_nodes = kFourDfeCut;
+    opts.engine.pool_threads = 2;
+    LinkedEngine engine(net.pipeline, net.params, opts);
+    (void)engine.run(std::span<const IntTensor>(images));
+    EXPECT_EQ(threads(), before + 2);
+    (void)engine.run(std::span<const IntTensor>(images));
+    EXPECT_EQ(threads(), before + 2) << "runs reuse the pool";
+  }
+  EXPECT_EQ(threads(), before);
+}
+#endif
+
 // ---- permanent link death mid-run ------------------------------------------
 
 TEST(LinkChaos, PermanentLinkDeathFailsOverMidRunZeroLost) {
@@ -139,8 +257,19 @@ TEST(LinkChaos, PermanentLinkDeathFailsOverMidRunZeroLost) {
   const ReferenceExecutor ref(net.pipeline, net.params);
   const std::vector<IntTensor> images = net.batch(8, 33);
   StreamEngine::RunStats stats;
+  // A concurrent observer reads the cut while failover replaces it.
+  std::atomic<bool> running{true};
+  std::thread observer([&] {
+    while (running.load()) {
+      const std::vector<int> cuts = engine.cut_after_nodes();
+      EXPECT_LE(cuts.size(), kFourDfeCut.size());
+      (void)engine.segments();
+    }
+  });
   const std::vector<IntTensor> out =
       engine.run(std::span<const IntTensor>(images), &stats);
+  running.store(false);
+  observer.join();
 
   // Zero lost work, bit-exact through the failover: the images the failed
   // attempt did not finish were replayed on the degraded plan.
@@ -153,6 +282,12 @@ TEST(LinkChaos, PermanentLinkDeathFailsOverMidRunZeroLost) {
   EXPECT_FALSE(engine.link_healthy(1));
   EXPECT_EQ(stats.links, 3);  // physical chain shape is reported unchanged
   EXPECT_EQ(stats.link_health[1], 0.0);
+  // The degraded cut is what the engine reports: no link at or past the
+  // dead one (the chain is daisy-wired, so link 1 down strands DFEs 2-3).
+  const std::vector<int> degraded = engine.cut_after_nodes();
+  EXPECT_NE(degraded, kFourDfeCut);
+  EXPECT_LE(degraded.size(), 1u);
+  EXPECT_EQ(engine.segments(), static_cast<int>(degraded.size()) + 1);
   ASSERT_FALSE(timeline.empty());
   const std::string joined = [&] {
     std::string all;
@@ -172,6 +307,37 @@ TEST(LinkChaos, PermanentLinkDeathFailsOverMidRunZeroLost) {
     EXPECT_EQ(out2[i], ref.run(images[i]));
   }
   EXPECT_EQ(stats2.link_failovers, 0u);
+}
+
+TEST(LinkChaos, CompiledPlanDrivesTheLinkedGraphThroughFailover) {
+  // A compiled plan supplies the cut and the FIFO tables of the graph that
+  // runs. The caller's plan may be gone once the engine is built: the
+  // failover rebuild below must still wire the plan's FIFOs.
+  const ChainNet net;
+  auto plan = std::make_unique<CompiledPlan>(compile_plan(net.pipeline));
+  plan->cut_after_nodes = kFourDfeCut;
+  LinkedEngineOptions opts;
+  opts.engine.plan = plan.get();
+  opts.ack_timeout_us = 2'000;
+  opts.max_retransmits = 3;
+  opts.retransmit_backoff_us = 200;
+  opts.engine.faults.add(FaultPlan::link_death(
+      /*link=*/1, /*run=*/0, /*after_frames=*/6));
+  LinkedEngine engine(net.pipeline, net.params, opts);
+  plan.reset();
+  EXPECT_EQ(engine.cut_after_nodes(), kFourDfeCut);
+
+  const ReferenceExecutor ref(net.pipeline, net.params);
+  const std::vector<IntTensor> images = net.batch(6, 37);
+  StreamEngine::RunStats stats;
+  const std::vector<IntTensor> out =
+      engine.run(std::span<const IntTensor>(images), &stats);
+  ASSERT_EQ(out.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(out[i], ref.run(images[i])) << "image " << i;
+  }
+  EXPECT_GE(stats.link_failovers, 1u);
+  EXPECT_LT(engine.segments(), 4);
 }
 
 // ---- the partitioned chaos soak --------------------------------------------

@@ -486,6 +486,85 @@ TEST(TokenFlow, ProvedFeasiblePlanActuallyRuns) {
   EXPECT_EQ(engine.run_one(img), ref.run(img));
 }
 
+/// One link cut after `after`, framed at `frame` values.
+std::vector<LinkCut> link_after(int after, std::size_t frame) {
+  LinkCut cut;
+  cut.after_node = after;
+  cut.frame_values = frame;
+  cut.config.name = "link0";
+  return {cut};
+}
+
+TEST(TokenFlow, RoutedLinkRingsArePlannedAndProved) {
+  // A cut upstream of the fork: the routed plan carries the link's egress
+  // ring (one frame deep at least) and its ingress ring (the severed
+  // edge's capacity), and the exact proof runs over the pump between them.
+  const Fixture f;
+  FifoPlan plan = with_skip_capacity(f.pipeline, kForkFedAdd, 160);
+  const std::size_t before = plan.streams.size();
+  const PlannedStream severed = *plan.find_edge(2, false);
+  route_links(f.pipeline, plan, link_after(1, 100));
+  ASSERT_EQ(plan.streams.size(), before + 1);
+  const auto out = std::find_if(
+      plan.streams.begin(), plan.streams.end(), [](const PlannedStream& s) {
+        return s.role == PlannedStream::Role::kLinkOut;
+      });
+  ASSERT_NE(out, plan.streams.end());
+  EXPECT_EQ(out->name, f.pipeline.node(1).name + "->link0");
+  EXPECT_EQ(out->link, 0);
+  EXPECT_EQ(out->burst, 100u);
+  EXPECT_GE(out->capacity, 100u);
+  const PlannedStream* in = plan.find_edge(2, false);
+  ASSERT_EQ(in, nullptr) << "the severed edge is no longer direct";
+  const auto ingress = std::next(out);
+  ASSERT_EQ(ingress->role, PlannedStream::Role::kLinkIn);
+  EXPECT_EQ(ingress->consumer, 2);
+  EXPECT_EQ(ingress->capacity, severed.capacity);
+  EXPECT_EQ(ingress->burst, severed.burst);
+  EXPECT_EQ(prove_token_flow(f.pipeline, plan).verdict,
+            TokenVerdict::kFeasible);
+  // The routed rings do not mask a genuinely undersized skip FIFO.
+  FifoPlan tight = with_skip_capacity(f.pipeline, kForkFedAdd, 8);
+  route_links(f.pipeline, tight, link_after(1, 100));
+  EXPECT_EQ(prove_token_flow(f.pipeline, tight).verdict,
+            TokenVerdict::kDeadlock);
+}
+
+TEST(TokenFlow, PumpFrameBufferingIsModeledExactly) {
+  // A pump on the regular path between fork and adder holds a whole frame
+  // before any of it moves on, which lengthens that path's lag. At a skip
+  // capacity the plain graph provably clears, a pump framing the whole map
+  // must deadlock the proof — the pump is not an elementwise pass-through.
+  const Fixture f;
+  const int main_after_fork = 3;
+  ASSERT_EQ(f.pipeline.node(kForkFedAdd).skip_from, 2);
+  FifoPlan plain = with_skip_capacity(f.pipeline, kForkFedAdd, 160);
+  ASSERT_EQ(prove_token_flow(f.pipeline, plain).verdict,
+            TokenVerdict::kFeasible);
+  const auto map = static_cast<std::size_t>(
+      f.pipeline.node(main_after_fork).out.elems());
+  FifoPlan small = plain;
+  route_links(f.pipeline, small, link_after(main_after_fork, 1));
+  EXPECT_EQ(prove_token_flow(f.pipeline, small).verdict,
+            TokenVerdict::kFeasible);
+  FifoPlan whole = plain;
+  route_links(f.pipeline, whole, link_after(main_after_fork, map));
+  const TokenFlowResult r = prove_token_flow(f.pipeline, whole);
+  EXPECT_EQ(r.verdict, TokenVerdict::kDeadlock);
+  EXPECT_NE(r.witness.find("link0"), std::string::npos) << r.witness;
+}
+
+TEST(TokenFlow, LinkCutWithoutASingleDirectEdgeIsRefused) {
+  // The fork output feeds two consumers; no one direct edge leaves it, so
+  // the cut cannot be routed and the analyzer says so.
+  const Fixture f;
+  FifoPlan plan = plan_fifos(f.pipeline);
+  EXPECT_THROW(route_links(f.pipeline, plan, link_after(2, 64)), Error);
+  const Report r =
+      verify_graph(f.pipeline, &f.params, {}, link_after(2, 64));
+  EXPECT_TRUE(has_error(r, diag::kCutCrossesSkip)) << r.str();
+}
+
 // ------------------------------------------ (d) partition feasibility
 
 TEST(Verify, OversubscribedMaxRingLinkIsD401) {
