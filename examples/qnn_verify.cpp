@@ -94,7 +94,10 @@ int main(int argc, char** argv) {
          << (fifo_capacity == 0
                  ? std::string("auto line-buffer sizing")
                  : "fifo_capacity = " + std::to_string(fifo_capacity))
-         << ", burst " << plan.burst << "), " << placement.num_dfes()
+         << ", burst "
+         << (plan.burst == 0 ? std::string("one row per edge")
+                             : std::to_string(plan.burst))
+         << "), " << placement.num_dfes()
          << " DFE(s)\n\n";
 
   if (json) {

@@ -137,7 +137,6 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
       options_(std::move(options)),
       executor_(options_.pool_threads, options_.pin_threads,
                 options_.pin_offset) {
-  QNN_CHECK(options_.burst >= 1, "burst size must be positive");
   if (options_.verify) {
     // The Maxeler toolchain rejects malformed kernel graphs at compile
     // time; this is our equivalent. Every defect the engine would hit as
@@ -150,9 +149,9 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   // All FIFO sizing lives in the plan layer (plan/fifo_plan.h) — the same
   // plan the analyzer proves deadlock-free is the one built here, stream
   // for stream, including the per-edge burst each kernel's input side
-  // moves per ring transaction (adaptive row-sized by default, capped by
-  // `burst` clamped to the smallest user FIFO — QNN-D302) and the two
-  // rings of every link cut. A pre-built CompiledPlan supplies its
+  // moves per ring transaction (one row by default, capped by an explicit
+  // `burst` and by a user FIFO — QNN-D302) and the two rings of every
+  // link cut. A pre-built CompiledPlan supplies its
   // streams verbatim; otherwise the plan is derived on the spot.
   const FifoPlan plan = engine_fifos(pipeline, options_, cuts);
 

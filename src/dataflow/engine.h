@@ -8,9 +8,9 @@
 //
 // Transport is burst-mode end to end (see stream.h): the feeder pushes
 // whole row segments, kernels move the per-edge burst planned by
-// plan_fifos (one row of the carried map by default, capped by
-// EngineOptions::burst) per ring transaction, and the collector pops
-// directly into the output tensors. Kernels run on the engine's Executor
+// plan_fifos (one whole row of the carried map by default, capped only by
+// an explicit EngineOptions::burst) per ring transaction, and the
+// collector pops directly into the output tensors. Kernels run on the engine's Executor
 // (see executor.h): an event-driven ready-queue scheduler that the
 // streams wake through the ReadyHook seam, so a kernel fires only when it
 // has input and room for output.
@@ -52,11 +52,11 @@ struct EngineOptions {
   /// Extra slack added to skip-connection FIFOs beyond the full feature
   /// map they may need to hold while the regular path lags.
   std::size_t skip_slack = 64;
-  /// Cap on the values kernels move per stream transaction. With
-  /// adaptive_burst each edge defaults to one row of the map it carries,
+  /// Cap on the values kernels move per stream transaction; 0 = no cap.
+  /// With adaptive_burst each edge moves one row of the map it carries,
   /// clamped to this cap; without it every edge moves exactly this many
-  /// (1 = scalar transport).
-  std::size_t burst = kDefaultBurst;
+  /// (0 = kDefaultBurst, 1 = scalar transport).
+  std::size_t burst = 0;
   /// Derive per-edge burst sizes from producer row lengths in plan_fifos
   /// (FifoPlan::streams[i].burst) instead of using `burst` uniformly.
   bool adaptive_burst = true;

@@ -234,14 +234,15 @@ BnActKernel::BnActKernel(const Node& node, const ThresholdLayer& thresholds,
       table_(thresholds),
       in_(in),
       out_(out),
-      in_burst_(burst) {
+      burst_(std::max<std::size_t>(burst, 1)),
+      stage_(burst_) {
   QNN_CHECK(node.kind == NodeKind::BnAct, "BnActKernel needs a BnAct node");
   QNN_CHECK(table_.channels() == node.in.c,
             "threshold bank channel count mismatch");
 }
 
 void BnActKernel::reset() {
-  in_burst_.clear();
+  starve_ = {};
   stage_.clear();
   ch_ = 0;
 }
@@ -256,24 +257,28 @@ StepResult BnActKernel::step() {
   const int c = node_.in.c;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
-    const std::size_t n = in_burst_.refill(in_);
+    // Map the burst through the threshold staircase as it leaves the ring,
+    // carrying the channel phase across burst boundaries: one branchless
+    // fixed-depth search per value over the flat table (§III-B3's
+    // comparator tree).
+    int ch = ch_;  // a local, so the code stores cannot alias it
+    const std::size_t n = in_.try_pop_with(
+        burst_, [&](std::span<const std::int32_t> vals) {
+          const auto codes = stage_.extend(vals.size());
+          for (std::size_t i = 0; i < vals.size(); ++i) {
+            codes[i] = table_.eval(ch, vals[i]);
+            ch = ch + 1 == c ? 0 : ch + 1;
+          }
+        });
     if (n == 0) {
       if (in_.drained()) {
         out_.close();
         return StepResult::kDone;
       }
+      starve_.starved(in_);
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
-    // Map the whole burst through the threshold staircase, carrying the
-    // channel phase across burst boundaries: one branchless fixed-depth
-    // search per value over the flat table (§III-B3's comparator tree).
-    const auto codes = stage_.extend(n);
-    const auto vals = in_burst_.take(n);
-    int ch = ch_;  // a local, so the code stores cannot alias it
-    for (std::size_t i = 0; i < n; ++i) {
-      codes[i] = table_.eval(ch, vals[i]);
-      ch = ch + 1 == c ? 0 : ch + 1;
-    }
+    starve_.fed();
     ch_ = ch;
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
@@ -291,15 +296,17 @@ AddKernel::AddKernel(const Node& node, Stream& in_main, Stream& in_skip,
       main_(in_main),
       skip_(in_skip),
       out_(out),
-      main_burst_(burst_main),
-      skip_burst_(burst_skip) {
+      burst_main_(std::max<std::size_t>(burst_main, 1)),
+      burst_skip_(std::max<std::size_t>(burst_skip, 1)),
+      stage_(burst_skip_) {
   QNN_CHECK(node.kind == NodeKind::Add, "AddKernel needs an Add node");
 }
 
 void AddKernel::reset() {
-  main_burst_.clear();
-  skip_burst_.clear();
+  main_starve_ = {};
+  skip_starve_ = {};
   stage_.clear();
+  open_ = 0;
 }
 
 void AddKernel::bind_ready(ReadyHook* hook, int task) {
@@ -309,30 +316,50 @@ void AddKernel::bind_ready(ReadyHook* hook, int task) {
 }
 
 StepResult AddKernel::step() {
-  if (!stage_.flush(out_)) return StepResult::kBlocked;
+  if (open_ == 0 && !stage_.flush(out_)) return StepResult::kBlocked;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
-    const std::size_t na = main_burst_.refill(main_);
-    const std::size_t nb = skip_burst_.refill(skip_);
-    if (na == 0 && main_.drained()) {
-      // Both paths must end together: a leftover skip value is a protocol
-      // bug, but an as-yet-unclosed skip just means we wait for its close.
-      QNN_CHECK(nb == 0, name() + ": main stream ended before skip");
-      if (!skip_.drained()) {
-        return progressed ? StepResult::kProgress : StepResult::kBlocked;
+    if (open_ == 0) {
+      // Stage the next skip burst as it leaves the ring.
+      open_ = skip_.try_pop_with(
+          burst_skip_, [this](std::span<const std::int32_t> vals) {
+            std::ranges::copy(vals, stage_.extend(vals.size()).begin());
+          });
+      if (open_ == 0) {
+        if (!skip_.drained()) {
+          skip_starve_.starved(skip_);
+          return progressed ? StepResult::kProgress : StepResult::kBlocked;
+        }
+        // Both paths must end together: a leftover main value is a
+        // protocol bug, but an as-yet-unclosed main just means we wait
+        // for its close.
+        std::int32_t extra = 0;
+        QNN_CHECK(main_.try_pop_burst({&extra, 1}) == 0,
+                  name() + ": skip stream ended before main");
+        if (!main_.drained()) {
+          return progressed ? StepResult::kProgress : StepResult::kBlocked;
+        }
+        out_.close();
+        return StepResult::kDone;
       }
-      out_.close();
-      return StepResult::kDone;
+      skip_starve_.fed();
     }
-    QNN_CHECK(!(na > 0 && nb == 0 && skip_.drained()),
-              name() + ": skip stream ended before main");
-    const std::size_t n = std::min(na, nb);
-    if (n == 0) return progressed ? StepResult::kProgress : StepResult::kBlocked;
-    for (std::size_t i = 0; i < n; ++i) {
-      stage_.append(main_burst_.next() + skip_burst_.next());
+    // Add the regular path onto the staged skip values in place.
+    const auto sums = stage_.tail(open_);
+    std::size_t i = 0;
+    main_.try_pop_with(std::min(open_, burst_main_),
+                       [&](std::span<const std::int32_t> vals) {
+                         for (const std::int32_t v : vals) sums[i++] += v;
+                       });
+    if (i == 0) {
+      QNN_CHECK(!main_.drained(), name() + ": main stream ended before skip");
+      main_starve_.starved(main_);
+      return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
+    main_starve_.fed();
+    open_ -= i;
     progressed = true;
-    if (!stage_.flush(out_)) return StepResult::kBlocked;
+    if (open_ == 0 && !stage_.flush(out_)) return StepResult::kBlocked;
   }
   return StepResult::kProgress;
 }
@@ -354,7 +381,7 @@ void ForkKernel::reset() {
   len_ = 0;
   std::fill(branch_pos_.begin(), branch_pos_.end(), 0);
   std::fill(stall_noted_.begin(), stall_noted_.end(), false);
-  in_stall_noted_ = false;
+  in_starve_ = {};
 }
 
 void ForkKernel::bind_ready(ReadyHook* hook, int task) {
@@ -394,13 +421,10 @@ StepResult ForkKernel::step() {
         for (Stream* out : outs_) out->close();
         return StepResult::kDone;
       }
-      if (!in_stall_noted_) {
-        in_stall_noted_ = true;
-        in_.note_pop_stall();
-      }
+      in_starve_.starved(in_);
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
-    in_stall_noted_ = false;
+    in_starve_.fed();
     progressed = true;
     if (!flush_branches()) return StepResult::kBlocked;
   }

@@ -14,9 +14,10 @@
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
 // transforms it (BnAct maps the whole burst through the threshold
-// staircase; Conv/Pool ingest row segments at a time and emit all O filter
-// responses per completed window position), stages the results, and
-// flushes them with one ring transaction. Blocked-episode accounting
+// staircase and Add sums it, both straight from the ring into their
+// output stage; Conv/Pool ingest row segments at a time and emit all O
+// filter responses per completed window position), stages the results,
+// and flushes them with one ring transaction. Blocked-episode accounting
 // (Stream::note_*_stall) fires once per continuous blocked period, so the
 // stall counters keep their pre-burst meaning.
 //
@@ -45,10 +46,11 @@ enum class StepResult {
   kDone,      // input drained at an image boundary; output closed
 };
 
-/// Default cap on the burst size (values) kernels move per stream
-/// transaction. With adaptive per-edge sizing (EngineOptions::
-/// adaptive_burst) each edge defaults to one row of the map it carries,
-/// clamped to this cap; without it every edge moves exactly this many.
+/// Burst size (values) every edge moves per stream transaction when
+/// adaptive per-edge sizing (EngineOptions::adaptive_burst) is off and no
+/// explicit EngineOptions::burst is given; with it, each edge moves one
+/// row of the map it carries. Also the default of the kernels' own
+/// constructors.
 inline constexpr std::size_t kDefaultBurst = 256;
 
 // ------------------------------------------------------------------ helpers
@@ -58,12 +60,21 @@ inline constexpr std::size_t kDefaultBurst = 256;
 /// partial flushes across Blocked returns.
 class OutStage {
  public:
+  OutStage() = default;
+  /// A stage that holds `reserve` values without growing.
+  explicit OutStage(std::size_t reserve) { buf_.reserve(reserve); }
+
   void append(std::int32_t v) { buf_.push_back(v); }
   /// Append `n` slots and return them for the caller to fill in place.
   [[nodiscard]] std::span<std::int32_t> extend(std::size_t n) {
     const std::size_t at = buf_.size();
     buf_.resize(at + n);
     return std::span<std::int32_t>(buf_).subspan(at, n);
+  }
+  /// The last `n` staged values (n <= staged count), for in-place updates
+  /// before they are flushed.
+  [[nodiscard]] std::span<std::int32_t> tail(std::size_t n) {
+    return std::span<std::int32_t>(buf_).last(n);
   }
   [[nodiscard]] bool empty() const { return pos_ == buf_.size(); }
 
@@ -100,6 +111,24 @@ class OutStage {
   bool stall_noted_ = false;
 };
 
+/// Pop-stall accounting of one input port: one episode per continuous
+/// period the port found its stream empty (and not yet drained).
+class StarveEpisode {
+ public:
+  /// The port popped nothing from `in`.
+  void starved(Stream& in) {
+    if (!noted_ && !in.drained()) {
+      noted_ = true;
+      in.note_pop_stall();
+    }
+  }
+  /// The port popped values: the episode, if any, is over.
+  void fed() { noted_ = false; }
+
+ private:
+  bool noted_ = false;
+};
+
 /// One input burst being consumed value by value; refilled from the stream
 /// when empty. Notes one pop-stall episode per continuous starved period.
 class InBurst {
@@ -116,12 +145,9 @@ class InBurst {
     pos_ = 0;
     len_ = in.try_pop_burst(buf_);
     if (len_ == 0) {
-      if (!in.drained() && !stall_noted_) {
-        stall_noted_ = true;
-        in.note_pop_stall();
-      }
+      starve_.starved(in);
     } else {
-      stall_noted_ = false;
+      starve_.fed();
     }
     return len_;
   }
@@ -146,14 +172,14 @@ class InBurst {
   void clear() {
     pos_ = 0;
     len_ = 0;
-    stall_noted_ = false;
+    starve_ = {};
   }
 
  private:
   std::vector<std::int32_t> buf_;
   std::size_t pos_ = 0;
   std::size_t len_ = 0;
-  bool stall_noted_ = false;
+  StarveEpisode starve_;
 };
 
 // ------------------------------------------------------------------- Kernel
@@ -297,8 +323,9 @@ class PoolKernel final : public WindowKernel {
 };
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input
-/// burst through the per-channel threshold staircase, carrying the channel
-/// phase across bursts. The staircases are flattened at construction into
+/// burst through the per-channel threshold staircase as it leaves the
+/// ring, straight into the output stage, carrying the channel phase
+/// across bursts. The staircases are flattened at construction into
 /// one channel-major ThresholdTable (signs and constant channels folded
 /// in), so every value takes the same branchless n-deep search whatever
 /// the pre-activation width.
@@ -315,20 +342,23 @@ class BnActKernel final : public Kernel {
   ThresholdTable table_;
   Stream& in_;
   Stream& out_;
-  InBurst in_burst_;
+  std::size_t burst_;
+  StarveEpisode starve_;
   OutStage stage_;
   int ch_ = 0;
 };
 
 /// Skip-connection adder (§III-B5, Figure 2): sums the regular path with
-/// the buffered 16-bit skip path, pairwise by burst. The skip stream's
-/// FIFO capacity plays the role of the delay-compensation buffer.
+/// the buffered 16-bit skip path, pairwise by burst. A skip burst is
+/// popped straight into the output stage and the regular path is added
+/// onto it in place as it arrives; the stage is flushed once every staged
+/// value is a sum. The skip stream's FIFO capacity plays the role of the
+/// delay-compensation buffer.
 class AddKernel final : public Kernel {
  public:
-  /// `burst_main` / `burst_skip` size the two input-side burst buffers
-  /// independently (the regular and skip edges can carry very different
-  /// row lengths under adaptive per-edge sizing); consumption stays
-  /// pairwise regardless.
+  /// `burst_main` / `burst_skip` are the planned bursts of the two input
+  /// edges: each ring transaction moves at most that many values of its
+  /// edge.
   AddKernel(const Node& node, Stream& in_main, Stream& in_skip, Stream& out,
             std::size_t burst_main = kDefaultBurst,
             std::size_t burst_skip = kDefaultBurst);
@@ -341,9 +371,12 @@ class AddKernel final : public Kernel {
   Stream& main_;
   Stream& skip_;
   Stream& out_;
-  InBurst main_burst_;
-  InBurst skip_burst_;
+  std::size_t burst_main_;
+  std::size_t burst_skip_;
+  StarveEpisode main_starve_;
+  StarveEpisode skip_starve_;
   OutStage stage_;
+  std::size_t open_ = 0;  // staged skip values still awaiting their main
 };
 
 /// Stream fan-out: replicates one stream to several consumers, a burst at
@@ -367,7 +400,7 @@ class ForkKernel final : public Kernel {
   std::size_t len_ = 0;
   std::vector<std::size_t> branch_pos_;
   std::vector<bool> stall_noted_;
-  bool in_stall_noted_ = false;
+  StarveEpisode in_starve_;
 };
 
 }  // namespace qnn

@@ -194,7 +194,7 @@ void LinkPump::reset() {
   image_pos_ = 0;
   delivered_.clear();
   out_pos_ = 0;
-  in_stall_noted_ = false;
+  in_starve_ = {};
   out_stall_noted_ = false;
 }
 
@@ -239,13 +239,10 @@ StepResult LinkPump::step() {
         out_.close();
         return StepResult::kDone;
       }
-      if (!in_stall_noted_) {
-        in_stall_noted_ = true;
-        in_.note_pop_stall();
-      }
+      in_starve_.starved(in_);
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
-    in_stall_noted_ = false;
+    in_starve_.fed();
     progressed = true;
     fill_ += n;
     if (fill_ < want) continue;

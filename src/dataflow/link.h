@@ -215,7 +215,7 @@ class LinkPump final : public Kernel {
   std::size_t image_pos_ = 0;            // values of this image framed
   std::vector<std::int32_t> delivered_;  // frame being pushed out
   std::size_t out_pos_ = 0;
-  bool in_stall_noted_ = false;
+  StarveEpisode in_starve_;
   bool out_stall_noted_ = false;
 };
 

@@ -6,8 +6,8 @@
 // wake-after-transaction contract with the ready-queue scheduler. The
 // payload copy stays with the caller (Stream interleaves fault-injection
 // filtering into it; the model checker writes sequence numbers) — RingCore
-// only hands out a contiguous window of slot indices and publishes the
-// index update, in exactly this order:
+// only hands out a window of ring positions and publishes the index
+// update, in exactly this order:
 //
 //   producer:  push_window() -> copy payload -> commit_push() -> wake
 //   consumer:  pop_window()  -> copy payload -> commit_pop()  -> wake
@@ -17,6 +17,14 @@
 // fires strictly after the store so a woken task's re-step can always see
 // the transaction that woke it (see ReadyHook below and the lost-wakeup
 // discussion in ready_protocol.h).
+//
+// head and tail are free-running position counters (they only grow; the
+// unsigned wrap at 2^64 is harmless because only their difference is ever
+// used), so a ring holds exactly `capacity` slots — no spare slot to tell
+// full from empty, no power-of-two rounding — and position p lives in
+// slot p mod capacity. A window of n positions from `start` therefore
+// covers at most two contiguous slot runs: [slot(start), capacity) and
+// [0, rest).
 #pragma once
 
 #include <algorithm>
@@ -51,9 +59,10 @@ class ReadyHook {
 };
 
 /// Index window handed out by push_window()/pop_window(): `start` is the
-/// unmasked ring position of the first slot, `count` how many contiguous
-/// (mod mask) slots the caller may fill / read. count == 0 means full /
-/// empty — nothing was reserved and commit must not be called.
+/// free-running ring position of the first value (its slot is
+/// RingCore::slot(start)), `count` how many consecutive positions the
+/// caller may fill / read. count == 0 means full / empty — nothing was
+/// reserved and commit must not be called.
 struct RingWindow {
   std::size_t start = 0;
   std::size_t count = 0;
@@ -62,17 +71,18 @@ struct RingWindow {
 template <class Sync = RealSync>
 class RingCore {
  public:
-  explicit RingCore(std::size_t capacity)
-      : capacity_(capacity),
-        ring_(round_up_pow2(capacity + 1)),
-        mask_(ring_ - 1) {}
+  explicit RingCore(std::size_t capacity) : capacity_(capacity) {}
 
   RingCore(const RingCore&) = delete;
   RingCore& operator=(const RingCore&) = delete;
 
+  /// Slots the ring holds — exactly the payload buffer the caller
+  /// allocates.
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t ring_size() const { return ring_; }
-  [[nodiscard]] std::size_t mask() const { return mask_; }
+  /// Payload slot of ring position `pos`.
+  [[nodiscard]] std::size_t slot(std::size_t pos) const {
+    return pos % capacity_;
+  }
 
   // ---- readiness seam ----------------------------------------------------
   //
@@ -98,15 +108,13 @@ class RingCore {
   /// Reserve up to `want` free slots. count == 0 when the ring is full.
   [[nodiscard]] RingWindow push_window(std::size_t want) const {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t used =
-        (head - tail_.load(std::memory_order_acquire)) & mask_;
-    const std::size_t n = std::min(capacity_ - used, want);
-    return {head, n};
+    const std::size_t used = head - tail_.load(std::memory_order_acquire);
+    return {head, std::min(capacity_ - used, want)};
   }
 
   /// Publish `n` slots written from `window.start` and wake the consumer.
   void commit_push(const RingWindow& window, std::size_t n) {
-    head_.store((window.start + n) & mask_, std::memory_order_release);
+    head_.store(window.start + n, std::memory_order_release);
     if (consumer_hook_ != nullptr) consumer_hook_->wake(consumer_task_);
   }
 
@@ -116,14 +124,13 @@ class RingCore {
   /// empty (distinguish starvation from end of stream with drained()).
   [[nodiscard]] RingWindow pop_window(std::size_t want) const {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t avail =
-        (head_.load(std::memory_order_acquire) - tail) & mask_;
+    const std::size_t avail = head_.load(std::memory_order_acquire) - tail;
     return {tail, std::min(avail, want)};
   }
 
   /// Release `n` slots read from `window.start` and wake the producer.
   void commit_pop(const RingWindow& window, std::size_t n) {
-    tail_.store((window.start + n) & mask_, std::memory_order_release);
+    tail_.store(window.start + n, std::memory_order_release);
     if (producer_hook_ != nullptr) producer_hook_->wake(producer_task_);
   }
 
@@ -161,15 +168,7 @@ class RingCore {
   }
 
  private:
-  static std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
   const std::size_t capacity_;
-  const std::size_t ring_;
-  const std::size_t mask_;
   alignas(64) typename Sync::template Atomic<std::size_t> head_{0};
   alignas(64) typename Sync::template Atomic<std::size_t> tail_{0};
   typename Sync::template Atomic<bool> closed_{false};

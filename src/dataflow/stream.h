@@ -10,10 +10,12 @@
 // the same — one atomic acquire/release pair per int32 — which made the
 // hot path atomic ping-pong instead of XNOR-popcount work. Transfers are
 // therefore *burst*-oriented: try_push_burst()/try_pop_burst() move a
-// contiguous ring segment with a single index update per burst (the
+// run of ring positions with a single index update per burst (the
 // widened, compute-rate-folded transport of FINN-style dataflow engines).
-// A burst of one is still legal, so capacity models the FIFO depth
-// precisely and `pushed()` still counts values.
+// The ring is allocated at exactly its capacity, so a burst that wraps is
+// two memcpy calls, never a per-value index mask. A burst of one is still
+// legal, so capacity models the FIFO depth precisely and `pushed()` still
+// counts values.
 //
 // The API never blocks: a transfer moves what fits (possibly nothing) and
 // returns. Kernels are resumable tasks (kernels.h) that report kBlocked
@@ -40,7 +42,9 @@
 //     period.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,7 +61,7 @@ class Stream {
       : core_(capacity),
         bits_(bits),
         name_(std::move(name)),
-        buf_(core_.ring_size()) {
+        buf_(capacity) {
     QNN_CHECK(capacity >= 1, "stream capacity must be positive");
     QNN_CHECK(bits >= 1 && bits <= 32, "stream width out of range");
   }
@@ -97,18 +101,22 @@ class Stream {
     const RingWindow w = core_.push_window(vs.size());
     const std::size_t n = w.count;
     if (n == 0) return 0;
-    const std::size_t mask = core_.mask();
+    const std::size_t first = core_.slot(w.start);
+    const std::size_t run = std::min(n, buf_.size() - first);
     if (fault_ != nullptr && fault_->armed) {
       // Injection path: an armed stall makes the ring report "full"; an
       // armed bit flip corrupts the targeted value as it enters the ring.
       if (fault_->blocked()) return 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        buf_[(w.start + i) & mask] = fault_->filter(vs[i]);
+      for (std::size_t i = 0; i < run; ++i) {
+        buf_[first + i] = fault_->filter(vs[i]);
+      }
+      for (std::size_t i = run; i < n; ++i) {
+        buf_[i - run] = fault_->filter(vs[i]);
       }
     } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        buf_[(w.start + i) & mask] = vs[i];
-      }
+      std::memcpy(&buf_[first], vs.data(), run * sizeof(std::int32_t));
+      std::memcpy(buf_.data(), vs.data() + run,
+                  (n - run) * sizeof(std::int32_t));
     }
     pushed_ += n;
     ++transactions_;
@@ -120,14 +128,29 @@ class Stream {
   /// number transferred (possibly 0 — distinguish starvation from end of
   /// stream with drained()). Must only be called by the single consumer.
   std::size_t try_pop_burst(std::span<std::int32_t> out) {
-    if (out.empty()) return 0;
-    const RingWindow w = core_.pop_window(out.size());
+    std::int32_t* dst = out.data();
+    return try_pop_with(out.size(), [&dst](std::span<const std::int32_t> seg) {
+      std::memcpy(dst, seg.data(), seg.size() * sizeof(std::int32_t));
+      dst += seg.size();
+    });
+  }
+
+  /// try_pop_burst() without the copy out: `visit` is called with the
+  /// popped values in FIFO order as at most two contiguous ring segments
+  /// (two only when the burst wraps), and the slots are released after it
+  /// returns — so a kernel transforms the values straight into its own
+  /// output stage. Returns the number popped (0: nothing was visited).
+  template <class Visit>
+  std::size_t try_pop_with(std::size_t want, Visit&& visit) {
+    if (want == 0) return 0;
+    const RingWindow w = core_.pop_window(want);
     const std::size_t n = w.count;
     if (n == 0) return 0;
-    const std::size_t mask = core_.mask();
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = buf_[(w.start + i) & mask];
-    }
+    const std::size_t first = core_.slot(w.start);
+    const std::size_t run = std::min(n, buf_.size() - first);
+    const std::span<const std::int32_t> ring(buf_);
+    visit(ring.subspan(first, run));
+    if (run < n) visit(ring.first(n - run));
     core_.commit_pop(w, n);
     return n;
   }

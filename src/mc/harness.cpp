@@ -64,7 +64,7 @@ struct State {
       Pipe& p = pipes[static_cast<std::size_t>(t)];
       const RingWindow w = p.ring->push_window(1);
       if (w.count == 0) return ProtoStep::kBlocked;
-      p.buf[w.start & p.ring->mask()] = p.produced;
+      p.buf[p.ring->slot(w.start)] = p.produced;
       p.ring->commit_push(w, 1);
       if (++p.produced == scenario.values) {
         p.ring->close();
@@ -78,7 +78,7 @@ struct State {
     if (w.count == 0) {
       return p.ring->drained() ? ProtoStep::kDone : ProtoStep::kBlocked;
     }
-    const int v = p.buf[w.start & p.ring->mask()];
+    const int v = p.buf[p.ring->slot(w.start)];
     if (v != p.next) {
       m.fail("value integrity: pipe " + std::to_string(t - n) + " popped " +
              std::to_string(v) + ", expected " + std::to_string(p.next));
@@ -132,7 +132,7 @@ Model::Result run(const Scenario& s) {
       m.name_location(before, "pipe" + std::to_string(p) + ".head");
       m.name_location(before + 1, "pipe" + std::to_string(p) + ".tail");
       m.name_location(before + 2, "pipe" + std::to_string(p) + ".closed");
-      pipe.buf.assign(pipe.ring->ring_size(), -1);
+      pipe.buf.assign(pipe.ring->capacity(), -1);
       pipe.ring->bind_producer(&st->hook, p);
       pipe.ring->bind_consumer(&st->hook, s.pipes + p);
     }

@@ -1,7 +1,9 @@
 #include "nn/serialize.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 namespace qnn {
 namespace {
@@ -230,15 +232,32 @@ LoadedNetwork load_network(const std::string& path) {
   net.spec = read_spec(r);
   net.pipeline = expand(net.spec);  // validates shapes and edges
 
+  // The node each stored bank belongs to: every bank is checked against
+  // its node's geometry BEFORE anything is allocated from sizes read off
+  // the file, so a corrupt size is an Error, never a huge allocation.
+  std::vector<const Node*> conv_node(
+      static_cast<std::size_t>(net.pipeline.num_conv_params), nullptr);
+  std::vector<const Node*> bnact_node(
+      static_cast<std::size_t>(net.pipeline.num_bnact_params), nullptr);
+  for (const Node& n : net.pipeline.nodes) {
+    if (n.kind == NodeKind::Conv) {
+      conv_node.at(static_cast<std::size_t>(n.param)) = &n;
+    } else if (n.kind == NodeKind::BnAct) {
+      bnact_node.at(static_cast<std::size_t>(n.param)) = &n;
+    }
+  }
+
   const std::uint32_t convs = r.u32();
-  QNN_CHECK(static_cast<int>(convs) == net.pipeline.num_conv_params,
+  QNN_CHECK(convs == conv_node.size(),
             "conv bank count does not match the stored spec");
-  for (std::uint32_t i = 0; i < convs; ++i) {
+  for (const Node* node : conv_node) {
     FilterShape f;
     f.out_c = r.i32();
     f.k = r.i32();
     f.in_c = r.i32();
-    QNN_CHECK(f.valid(), "invalid filter shape in file");
+    QNN_CHECK(node != nullptr && f == node->filter_shape(),
+              "stored conv bank does not match node " +
+                  (node != nullptr ? node->name : std::string("(none)")));
     FilterBank bank(f);
     for (int o = 0; o < f.out_c; ++o) {
       BitVector& filter = bank.filter(o);
@@ -257,13 +276,16 @@ LoadedNetwork load_network(const std::string& path) {
   }
 
   const std::uint32_t bnacts = r.u32();
-  QNN_CHECK(static_cast<int>(bnacts) == net.pipeline.num_bnact_params,
+  QNN_CHECK(bnacts == bnact_node.size(),
             "bnact bank count does not match the stored spec");
-  for (std::uint32_t i = 0; i < bnacts; ++i) {
+  for (const Node* node : bnact_node) {
     const int channels = r.i32();
-    QNN_CHECK(channels > 0, "invalid bnact channel count in file");
+    QNN_CHECK(node != nullptr && channels == node->in.c,
+              "stored bnact bank does not match node " +
+                  (node != nullptr ? node->name : std::string("(none)")));
     const int bits = r.i32();
     const double d = r.f64();
+    QNN_CHECK(std::isfinite(d), "non-finite activation range in file");
     BnActParams b;
     b.quantizer = ActQuantizer(bits, d);
     BnLayerParams bn(channels);
@@ -273,24 +295,16 @@ LoadedNetwork load_network(const std::string& path) {
       p.mu = r.f32();
       p.inv_sigma = r.f32();
       p.beta = r.f32();
+      QNN_CHECK(std::isfinite(p.gamma) && std::isfinite(p.mu) &&
+                    std::isfinite(p.inv_sigma) && std::isfinite(p.beta),
+                "non-finite BatchNorm parameter in file (node " +
+                    node->name + ")");
     }
     b.bn = std::move(bn);
     net.params.bnacts.push_back(std::move(b));
   }
   // Single source of truth for folding: rebuild thresholds on load.
   net.params.refold();
-
-  // Final cross-check: every bank matches its node's geometry.
-  for (int i = 0; i < net.pipeline.size(); ++i) {
-    const Node& n = net.pipeline.node(i);
-    if (n.kind == NodeKind::Conv) {
-      QNN_CHECK(net.params.conv(n).weights.shape() == n.filter_shape(),
-                "stored conv bank does not match node " + n.name);
-    } else if (n.kind == NodeKind::BnAct) {
-      QNN_CHECK(net.params.bnact(n).bn.channels() == n.in.c,
-                "stored bnact bank does not match node " + n.name);
-    }
-  }
   return net;
 }
 

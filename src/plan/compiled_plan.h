@@ -82,7 +82,7 @@ struct CompiledPlan {
   // ---- host engine knobs (EngineOptions mirror) --------------------------
   std::size_t fifo_capacity = 0;
   std::size_t skip_slack = 64;
-  std::size_t burst = kDefaultBurst;
+  std::size_t burst = 0;
   bool adaptive_burst = true;
   unsigned pool_threads = 0;
   bool pin_threads = false;

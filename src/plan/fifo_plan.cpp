@@ -34,21 +34,41 @@ std::size_t line_buffer_values(const Node& n) {
 
 FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
   FifoPlan plan;
-  plan.burst_clamped =
-      options.fifo_capacity != 0 && options.fifo_capacity < options.burst;
-  plan.burst = std::max<std::size_t>(
-      1, plan.burst_clamped ? options.fifo_capacity : options.burst);
-
-  // Default depth for edges whose consumer needs no line buffer: enough
-  // for double-buffered bursts so producer and consumer overlap.
-  const std::size_t plain_capacity =
-      options.fifo_capacity != 0
-          ? options.fifo_capacity
-          : std::max<std::size_t>(2 * options.burst, 64);
+  const std::size_t user = options.fifo_capacity;
+  // The transaction size asked for: EngineOptions::burst, or for its
+  // default 0 one whole row per edge (kDefaultBurst on every edge when
+  // adaptive sizing is off). asked == 0 below means "no cap".
+  const std::size_t asked = options.burst != 0 ? options.burst
+                            : options.adaptive_burst ? 0
+                                                     : kDefaultBurst;
+  if (!options.adaptive_burst) {
+    // Uniform transport: one plan-wide size, clamped to the user FIFO.
+    plan.burst_clamped = user != 0 && user < asked;
+    plan.burst = plan.burst_clamped ? user : asked;
+  } else {
+    plan.burst = asked == 0 || (user != 0 && user < asked) ? user : asked;
+  }
 
   // Mirrors StreamEngine wiring: one pass per producer (-1 = pipeline
   // input), consumers in node order with the main port attached first.
   auto plan_producer = [&](int p, const Shape& shape, int bits) {
+    // Adaptive mode matches every edge's transaction to one row (W·C) of
+    // the map it carries — the §III-B1b unit the window scanners ingest —
+    // so a wide early edge moves whole rows and a thin late one is not
+    // held to a fixed size it never fills; EngineOptions::burst, when
+    // set, caps it.
+    const auto row = static_cast<std::size_t>(shape.w) *
+                     static_cast<std::size_t>(shape.c);
+    const std::size_t want =
+        !options.adaptive_burst ? plan.burst
+        : asked == 0            ? row
+                                : std::min(row, asked);
+    // Depth of an edge whose consumer needs no line buffer: two of its
+    // own bursts, so producer and consumer overlap, and never below
+    // kMinFifoCapacity.
+    const std::size_t plain_capacity =
+        user != 0 ? user : std::max(2 * want, kMinFifoCapacity);
+
     struct ConsumerPort {
       int node;
       bool skip;
@@ -70,7 +90,7 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
         // cover the regular path's *lag*, a prefix of the map).
         return static_cast<std::size_t>(shape.elems()) + options.skip_slack;
       }
-      if (options.fifo_capacity != 0) return options.fifo_capacity;
+      if (user != 0) return user;
       // Auto mode: a window kernel's input FIFO is its §III-B1b line
       // buffer; anything deeper buys nothing the scanner can use.
       if (n.is_window_op()) {
@@ -79,29 +99,37 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
       return plain_capacity;
     };
 
+    // An edge moves its burst, cut to its own ring in adaptive mode (in
+    // uniform mode a burst above a ring is D302's to reject).
+    auto stream = [&](std::string name, PlannedStream::Role role,
+                      int consumer, bool skip, std::size_t capacity) {
+      std::size_t burst = want;
+      if (options.adaptive_burst && burst > capacity) {
+        burst = capacity;
+        plan.burst_clamped = true;
+      }
+      plan.streams.push_back(PlannedStream{std::move(name), role, p,
+                                           consumer, skip, capacity, bits,
+                                           std::max<std::size_t>(burst, 1)});
+    };
+
     if (consumers.empty()) {
-      plan.streams.push_back(PlannedStream{pname + "->output",
-                                           PlannedStream::Role::kOutput, p,
-                                           -1, false, plain_capacity, bits});
+      stream(pname + "->output", PlannedStream::Role::kOutput, -1, false,
+             plain_capacity);
       return;
     }
     if (consumers.size() == 1) {
       const ConsumerPort& c = consumers.front();
-      plan.streams.push_back(PlannedStream{
-          pname + "->" + pipeline.node(c.node).name,
-          PlannedStream::Role::kDirect, p, c.node, c.skip, capacity_for(c),
-          bits});
+      stream(pname + "->" + pipeline.node(c.node).name,
+             PlannedStream::Role::kDirect, c.node, c.skip, capacity_for(c));
       return;
     }
     // Fan-out: producer -> fork trunk -> one branch per consumer port.
-    plan.streams.push_back(PlannedStream{pname + "->fork",
-                                         PlannedStream::Role::kTrunk, p, -1,
-                                         false, plain_capacity, bits});
+    stream(pname + "->fork", PlannedStream::Role::kTrunk, -1, false,
+           plain_capacity);
     for (const ConsumerPort& c : consumers) {
-      plan.streams.push_back(PlannedStream{
-          pname + "=>" + pipeline.node(c.node).name,
-          PlannedStream::Role::kBranch, p, c.node, c.skip, capacity_for(c),
-          bits});
+      stream(pname + "=>" + pipeline.node(c.node).name,
+             PlannedStream::Role::kBranch, c.node, c.skip, capacity_for(c));
     }
   };
 
@@ -109,25 +137,6 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
   for (int i = 0; i < pipeline.size(); ++i) {
     const Node& n = pipeline.node(i);
     plan_producer(i, n.out, n.out_bits);
-  }
-
-  // Per-edge burst sizing. Adaptive mode matches each edge's transaction
-  // granularity to one row (W·C) of the map it carries — the §III-B1b
-  // unit the window scanners ingest — so a thin late-stage edge is not
-  // forced into one 256-value transfer per several images while a wide
-  // early edge chops its rows into fragments. The plan-wide `burst` caps
-  // every edge, and no edge may exceed its own ring.
-  for (PlannedStream& ps : plan.streams) {
-    if (!options.adaptive_burst) {
-      ps.burst = plan.burst;
-      continue;
-    }
-    const Shape& carried =
-        ps.producer < 0 ? pipeline.input : pipeline.node(ps.producer).out;
-    const auto row = static_cast<std::size_t>(carried.w) *
-                     static_cast<std::size_t>(carried.c);
-    ps.burst = std::max<std::size_t>(
-        1, std::min({row, plan.burst, ps.capacity}));
   }
   return plan;
 }

@@ -10,8 +10,11 @@
 //  * a skip-path edge into an adder holds one full feature map plus slack,
 //    which subsumes the §III-B5 delay-compensation buffer for any lag of
 //    the regular path;
-//  * each edge's burst is one row (W*C) of the map it carries (adaptive
-//    mode), capped by the plan-wide burst and its own ring.
+//  * each edge's burst is one whole row (W*C) of the map it carries
+//    (adaptive mode), capped only by an explicit EngineOptions::burst and
+//    by its own ring;
+//  * every other edge holds two of its own bursts, and never less than
+//    kMinFifoCapacity.
 //
 // Consumers: the StreamEngine wires streams from the plan verbatim; the
 // static analyzer (verify/graph_check.h) proves the same plan deadlock-
@@ -31,6 +34,11 @@
 #include "nn/pipeline.h"
 
 namespace qnn {
+
+/// Floor on the auto-sized depth of an edge without a line buffer (two
+/// kDefaultBurst transactions): the rings of small maps, whose two rows
+/// are shallower, stay this deep.
+inline constexpr std::size_t kMinFifoCapacity = 2 * kDefaultBurst;
 
 /// One FIFO the engine will create for a given Pipeline + EngineOptions.
 struct PlannedStream {
@@ -52,8 +60,9 @@ struct PlannedStream {
   int bits = 0;               // declared element width
   /// Values the consumer moves per ring transaction on this edge. With
   /// EngineOptions::adaptive_burst it is one row (W·C) of the map the
-  /// edge carries, clamped to the plan-wide cap and to the ring; without,
-  /// it is the plan-wide burst on every edge. Consumed by the engine's
+  /// edge carries, clamped to an explicit EngineOptions::burst and to the
+  /// ring; without, it is the plan-wide burst on every edge. Consumed by
+  /// the engine's
   /// kernel construction AND the D302/D303 capacity checks, so burst
   /// sizing has exactly one source.
   std::size_t burst = 0;
@@ -68,9 +77,13 @@ struct PlannedStream {
 struct FifoPlan {
   std::vector<PlannedStream> streams;
   /// Cap on per-edge bursts: EngineOptions::burst clamped to the user
-  /// FIFO capacity so a transaction can never exceed the ring. Each
-  /// edge's actual size is streams[i].burst.
-  std::size_t burst = kDefaultBurst;
+  /// FIFO capacity so a transaction can never exceed the ring; 0 = no cap
+  /// (adaptive mode with default options: every edge moves its row). In
+  /// uniform mode, the size every edge moves. Each edge's actual size is
+  /// streams[i].burst.
+  std::size_t burst = 0;
+  /// Some edge asked for a larger transaction than its user-sized ring
+  /// holds (QNN-D302).
   bool burst_clamped = false;
 
   /// Sum of all planned capacities (host-memory footprint in values).

@@ -29,7 +29,8 @@ namespace {
 /// capacity: the planned ring in the tight model, plus the adjacent burst
 /// buffers in the slack model (a chain FIFO -> InBurst -> OutStage moves
 /// indistinguishable tokens, so for feasibility it is one place of the
-/// summed capacity).
+/// summed capacity). Rings hold exactly their planned capacity
+/// (ring_core.h), so the tight model has no hidden spare slots.
 struct Place {
   std::int64_t cap = 0;
   std::int64_t q = 0;
@@ -136,16 +137,19 @@ class Simulation {
       }
     }
 
-    // Burst slack, counted only in the refutation model: each consumer
-    // port drains its FIFO one burst early (InBurst) and each producer
+    // Burst slack, counted only in the refutation model: a window
+    // kernel's port drains its FIFO one burst early (InBurst), an adder
+    // stages one skip burst ahead of the regular path, and each producer
     // stages up to one refill's responses past a full ring (OutStage).
-    // Both sit in series with the planned ring, so they widen the places
-    // they touch.
+    // All sit in series with the planned ring, so they widen the places
+    // they touch. BnAct, and the adder's regular port, pop only what they
+    // immediately stage as output, so they add no input-side slack.
     auto in_slack = [&](const PlannedStream& ps) -> std::int64_t {
       if (!with_slack || ps.consumer < 0) return 0;
       const Node& node = p.node(ps.consumer);
       const auto b = static_cast<std::int64_t>(ps.burst);
-      return node.is_window_op() ? window_burst_of(node, b) : b;
+      if (node.is_window_op()) return window_burst_of(node, b);
+      return node.kind == NodeKind::Add && ps.to_skip_port ? b : 0;
     };
     for (std::size_t e = 0; e < plan.streams.size(); ++e) {
       places_[e].cap += in_slack(plan.streams[e]);
@@ -266,7 +270,7 @@ class Simulation {
 
     if (with_slack) {
       // Producer-side OutStage slack (window kernels compute it from the
-      // scan geometry; BnAct/Add stage at most one refill).
+      // scan geometry; BnAct/Add stage at most one popped burst).
       for (const Transition& t : transitions_) {
         if (t.out < 0) continue;
         Place& out = places_[static_cast<std::size_t>(t.out)];
@@ -283,11 +287,8 @@ class Simulation {
                 plan.streams[static_cast<std::size_t>(t.in)].burst);
             break;
           case Transition::Kind::kAdd:
-            out.cap += std::min(
-                static_cast<std::int64_t>(
-                    plan.streams[static_cast<std::size_t>(t.in)].burst),
-                static_cast<std::int64_t>(
-                    plan.streams[static_cast<std::size_t>(t.skip)].burst));
+            out.cap += static_cast<std::int64_t>(
+                plan.streams[static_cast<std::size_t>(t.skip)].burst);
             break;
           case Transition::Kind::kSource:
           case Transition::Kind::kFork:

@@ -70,6 +70,21 @@ TEST(ModelChecker, CleanProtocolDeeperRingStaysClean) {
   EXPECT_TRUE(r.stats.complete);
 }
 
+TEST(ModelChecker, CleanProtocolNonPowerOfTwoRingWrapsCleanly) {
+  QNN_MC_SKIP();
+  // Rings hold exactly `capacity` slots (position mod capacity): with
+  // more values than slots the payload buffer is reused mid-run, so a
+  // slot overwritten before its value was popped shows up as a value
+  // integrity violation.
+  Scenario s = base();
+  s.capacity = 3;
+  s.values = 4;
+  s.budget.preemption_bound = 2;
+  const Model::Result r = check_protocol(s);
+  ASSERT_TRUE(r.ok()) << r.violations[0].what << "\n" << r.violations[0].trace;
+  EXPECT_TRUE(r.stats.complete);
+}
+
 TEST(ModelChecker, MutationTemplateMatchesProduction) {
   QNN_MC_SKIP();
   // check_protocol_mutated<NoProtocolMutations> IS the production

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "models/zoo.h"
 #include "nn/reference.h"
@@ -182,6 +184,86 @@ TEST(Serialize, RejectsCorruptFilterTailBits) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.close();
   EXPECT_THROW((void)load_network(file.path()), Error);
+}
+
+/// The bytes of a saved tiny network, and the offset of its first stored
+/// BnAct bank (the BnAct section closes the file: a u32 bank count, then
+/// per bank i32 channels, i32 bits, f64 range and 4 f32 per channel).
+struct SavedTiny {
+  std::string bytes;
+  std::size_t first_bnact = 0;
+};
+
+SavedTiny save_tiny(const std::string& path, std::uint64_t seed) {
+  const NetworkSpec spec = models::tiny(12, 4, 2);
+  const Pipeline pipeline = expand(spec);
+  const NetworkParams params = NetworkParams::random(pipeline, seed);
+  save_network(path, spec, params);
+  SavedTiny saved;
+  std::ifstream in(path, std::ios::binary);
+  saved.bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+  std::size_t section = 0;
+  for (const BnActParams& b : params.bnacts) {
+    section += 16 + 16 * static_cast<std::size_t>(b.bn.channels());
+  }
+  saved.first_bnact = saved.bytes.size() - section;
+  return saved;
+}
+
+void overwrite(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <class T>
+void poke(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+// Bank sizes come off the file; each must be checked against its node
+// before anything is allocated from it.
+TEST(Serialize, RejectsInflatedConvBankBeforeAllocating) {
+  const TempFile file("/tmp/qnn_inflated_conv.qnn");
+  SavedTiny saved = save_tiny(file.path(), 17);
+  const char needle[12] = {8, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0};
+  const auto pos = saved.bytes.find(std::string(needle, sizeof needle));
+  ASSERT_NE(pos, std::string::npos);
+  poke<std::int32_t>(saved.bytes, pos, 1 << 30);  // out_c
+  overwrite(file.path(), saved.bytes);
+  EXPECT_THROW((void)load_network(file.path()), Error);
+}
+
+TEST(Serialize, RejectsInflatedBnActChannelsBeforeAllocating) {
+  const TempFile file("/tmp/qnn_inflated_bn.qnn");
+  SavedTiny saved = save_tiny(file.path(), 18);
+  std::int32_t channels = 0;
+  std::memcpy(&channels, saved.bytes.data() + saved.first_bnact,
+              sizeof channels);
+  ASSERT_EQ(channels, 8);  // tiny's first BnAct follows an 8-filter conv
+  poke<std::int32_t>(saved.bytes, saved.first_bnact, 1 << 30);
+  overwrite(file.path(), saved.bytes);
+  EXPECT_THROW((void)load_network(file.path()), Error);
+}
+
+TEST(Serialize, RejectsNonFiniteBatchNormParameters) {
+  const TempFile file("/tmp/qnn_nan_bn.qnn");
+  const SavedTiny saved = save_tiny(file.path(), 19);
+  // The first channel's gamma, mu, inv_sigma, beta follow the 16-byte
+  // bank header.
+  for (std::size_t field = 0; field < 4; ++field) {
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      std::string bytes = saved.bytes;
+      poke<float>(bytes, saved.first_bnact + 16 + 4 * field, bad);
+      overwrite(file.path(), bytes);
+      EXPECT_THROW((void)load_network(file.path()), Error)
+          << "field " << field << " value " << bad;
+    }
+  }
+  // The untouched file still loads.
+  overwrite(file.path(), saved.bytes);
+  EXPECT_NO_THROW((void)load_network(file.path()));
 }
 
 TEST(Serialize, SaveValidatesSpecParamsCoherence) {

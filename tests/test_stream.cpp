@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -381,6 +382,114 @@ TEST(StreamReadiness, ResetKeepsHookBindingsAndWakeContractArmed) {
   hook.clear();
   s.close();
   EXPECT_EQ(hook.wakes(), (std::vector<int>{7}));
+}
+
+// ------------------------------------------ exact-capacity rings (no pow2)
+//
+// A ring allocates exactly `capacity` slots and maps free-running position
+// p to slot p mod capacity, so non-power-of-two depths must behave exactly
+// like any other: full at capacity, wrap mid-burst in order, fault filter
+// and reset unaffected by where the wrap falls.
+
+/// Pushes `n` consecutive values starting at `first`; returns how many fit.
+std::size_t push_seq(Stream& s, std::int32_t first, std::size_t n) {
+  std::vector<std::int32_t> vs(n);
+  std::iota(vs.begin(), vs.end(), first);
+  return s.try_push_burst(vs);
+}
+
+TEST(StreamRing, NonPowerOfTwoCapacityAcceptsExactlyCapacity) {
+  for (const std::size_t cap : {7u, 13u}) {
+    Stream s(cap, 8, "exact");
+    EXPECT_EQ(push_seq(s, 0, cap + 5), cap) << cap;
+    EXPECT_EQ(push_seq(s, 100, 1), 0u) << cap;  // full means full
+    std::int32_t v = -1;
+    ASSERT_TRUE(try_pop(s, v));
+    EXPECT_EQ(v, 0);
+    EXPECT_EQ(push_seq(s, 100, 3), 1u) << cap;  // exactly one slot freed
+    std::vector<std::int32_t> out(cap + 1);
+    ASSERT_EQ(s.try_pop_burst(out), cap);
+    for (std::size_t i = 0; i + 1 < cap; ++i) {
+      EXPECT_EQ(out[i], static_cast<std::int32_t>(i + 1)) << cap;
+    }
+    EXPECT_EQ(out[cap - 1], 100) << cap;
+    EXPECT_FALSE(try_pop(s, v)) << cap;
+  }
+}
+
+TEST(StreamRing, BurstsStraddlingTheWrapComeOutInOrder) {
+  for (const std::size_t cap : {7u, 13u}) {
+    Stream s(cap, 8, "wrap");
+    std::int32_t next_in = 0;
+    std::int32_t next_out = 0;
+    std::size_t straddled = 0;
+    // Every burst size against every ring offset: most pushes and pops
+    // cross the end of the buffer somewhere in the middle.
+    for (std::size_t round = 0; round < 4 * cap * cap; ++round) {
+      const std::size_t want = round % cap + 1;
+      next_in += static_cast<std::int32_t>(push_seq(s, next_in, want));
+      std::size_t segments = 0;
+      const std::size_t n = s.try_pop_with(
+          (round * 5) % cap + 1, [&](std::span<const std::int32_t> seg) {
+            ++segments;
+            for (const std::int32_t v : seg) ASSERT_EQ(v, next_out++) << cap;
+          });
+      EXPECT_LE(segments, 2u);
+      if (segments == 2) ++straddled;
+      EXPECT_EQ(segments == 0, n == 0);
+    }
+    EXPECT_GT(straddled, cap) << "the sweep must exercise the wrap";
+    std::vector<std::int32_t> out(cap);
+    const std::size_t rest = s.try_pop_burst(out);
+    for (std::size_t i = 0; i < rest; ++i) EXPECT_EQ(out[i], next_out++);
+    EXPECT_EQ(next_out, next_in);
+  }
+}
+
+TEST(StreamRing, ArmedBitFlipHitsItsValueAcrossTheWrap) {
+  // Ring of 7 advanced to slot 5: a 6-value burst lands in slots 5, 6, 0,
+  // 1, 2, 3. Target each value of the burst in turn — before, at and
+  // after the wrap — and check exactly that one comes out flipped.
+  for (std::uint64_t target = 0; target < 6; ++target) {
+    Stream s(7, 8, "flip");
+    ASSERT_EQ(push_seq(s, 0, 5), 5u);
+    std::vector<std::int32_t> out(7);
+    ASSERT_EQ(s.try_pop_burst(out), 5u);
+
+    std::atomic<std::uint64_t> fired{0};
+    StreamFaultSite site;
+    site.armed = true;
+    site.flip_at = target;
+    site.flip_mask = 0x40;
+    site.fired = &fired;
+    s.set_fault(&site);
+    ASSERT_EQ(push_seq(s, 10, 6), 6u);
+    ASSERT_EQ(s.try_pop_burst(out), 6u);
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      const std::int32_t clean = 10 + static_cast<std::int32_t>(i);
+      EXPECT_EQ(out[i], i == target ? clean ^ 0x40 : clean)
+          << "target " << target << " value " << i;
+    }
+    EXPECT_EQ(fired.load(), 1u);
+    EXPECT_EQ(site.values, 6u);
+  }
+}
+
+TEST(StreamRing, ResetMidRingStartsFreshAtFullCapacity) {
+  Stream s(13, 8, "reset_mid");
+  ASSERT_EQ(push_seq(s, 0, 9), 9u);
+  std::vector<std::int32_t> out(13);
+  ASSERT_EQ(s.try_pop_burst(std::span<std::int32_t>(out).first(4)), 4u);
+  s.reset();  // head and tail both mid-ring, five values stranded
+  std::int32_t v = 0;
+  EXPECT_FALSE(try_pop(s, v));
+  EXPECT_EQ(push_seq(s, 50, 20), 13u);  // the whole ring is free again
+  ASSERT_EQ(s.try_pop_burst(out), 13u);
+  for (std::size_t i = 0; i < 13; ++i) {
+    EXPECT_EQ(out[i], 50 + static_cast<std::int32_t>(i));
+  }
+  s.close();
+  EXPECT_TRUE(s.drained());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "dataflow/engine.h"
 #include "host/session.h"
@@ -293,22 +294,98 @@ TEST(Verify, AutoSizedFifosNeverWarn) {
   EXPECT_FALSE(r.has(diag::kBurstClamp));
 }
 
+/// Values in one row (W·C) of the map a planned stream carries.
+std::size_t row_of(const Pipeline& p, const PlannedStream& ps) {
+  const Shape& carried = ps.producer < 0 ? p.input : p.node(ps.producer).out;
+  return static_cast<std::size_t>(carried.w) *
+         static_cast<std::size_t>(carried.c);
+}
+
+/// An edge whose consumer keeps no line buffer or skip map: its depth is
+/// the plan's "two bursts" rule, not a paper buffer formula.
+bool is_plain_edge(const Pipeline& p, const PlannedStream& ps) {
+  if (ps.consumer < 0) return true;  // fork trunk, terminal output
+  const Node& c = p.node(ps.consumer);
+  return !c.is_window_op() && !(ps.to_skip_port && c.kind == NodeKind::Add);
+}
+
 TEST(Verify, PerEdgeBurstsAreRowSizedAndCapped) {
   const Fixture f;
-  EngineOptions options;  // adaptive_burst on by default
-  const FifoPlan plan = plan_fifos(f.pipeline, options);
+  // Default options: every edge moves one whole row of the map it
+  // carries, and every plain edge holds two of its bursts (never below
+  // kMinFifoCapacity).
+  const FifoPlan plan = plan_fifos(f.pipeline);
+  EXPECT_EQ(plan.burst, 0u);  // no plan-wide cap
+  EXPECT_FALSE(plan.burst_clamped);
   for (const PlannedStream& ps : plan.streams) {
-    const Shape& carried = ps.producer < 0
-                               ? f.pipeline.input
-                               : f.pipeline.node(ps.producer).out;
-    const auto row = static_cast<std::size_t>(carried.w) *
-                     static_cast<std::size_t>(carried.c);
-    EXPECT_EQ(ps.burst,
-              std::max<std::size_t>(
-                  1, std::min({row, plan.burst, ps.capacity})))
-        << ps.name;
+    EXPECT_EQ(ps.burst, row_of(f.pipeline, ps)) << ps.name;
     EXPECT_LE(ps.burst, ps.capacity) << ps.name;  // D302 invariant
-    EXPECT_GE(ps.burst, 1u) << ps.name;
+    if (is_plain_edge(f.pipeline, ps)) {
+      EXPECT_EQ(ps.capacity, std::max(2 * ps.burst, kMinFifoCapacity))
+          << ps.name;
+    }
+  }
+  // An explicit EngineOptions::burst caps every edge's row.
+  EngineOptions capped;
+  capped.burst = 40;
+  const FifoPlan cplan = plan_fifos(f.pipeline, capped);
+  EXPECT_EQ(cplan.burst, 40u);
+  for (const PlannedStream& ps : cplan.streams) {
+    EXPECT_EQ(ps.burst, std::min<std::size_t>(row_of(f.pipeline, ps), 40))
+        << ps.name;
+  }
+}
+
+TEST(Verify, PaperNetworksMoveWholeRowsWithoutD302OrD303) {
+  for (const NetworkSpec& spec :
+       {models::resnet18(224, 1000, 2), models::vgg_like(32, 10, 2)}) {
+    const Pipeline p = expand(spec);
+    const FifoPlan plan = plan_fifos(p);
+    for (const PlannedStream& ps : plan.streams) {
+      EXPECT_EQ(ps.burst, row_of(p, ps)) << spec.name << " " << ps.name;
+      if (is_plain_edge(p, ps)) {
+        EXPECT_GE(ps.capacity, 2 * ps.burst) << spec.name << " " << ps.name;
+      }
+    }
+    Report r;
+    check_capacities(p, plan, r);
+    EXPECT_TRUE(r.ok()) << spec.name << ":\n" << r.str();
+    EXPECT_FALSE(r.has(diag::kBurstClamp)) << spec.name << ":\n" << r.str();
+    EXPECT_FALSE(r.has(diag::kShallowFifo)) << spec.name << ":\n" << r.str();
+  }
+}
+
+// The tiny network's rows are all shorter than kDefaultBurst, so every
+// plain edge sits at the kMinFifoCapacity floor: the token-flow brackets
+// below (and their engine runs) are calibrated against these exact
+// depths.
+TEST(Verify, TinyDefaultPlanIsPinned) {
+  struct Pinned {
+    const char* name;
+    std::size_t capacity;
+    std::size_t burst;
+  };
+  const Pinned expected[] = {
+      {"input->conv_0", 512, 36},         {"conv_0->bnact_1", 512, 96},
+      {"bnact_1->maxpool_2", 512, 96},    {"maxpool_2->fork", 512, 48},
+      {"maxpool_2=>conv_3", 512, 48},     {"maxpool_2=>add_6", 352, 48},
+      {"conv_3->bnact_4", 512, 48},       {"bnact_4->conv_5", 512, 48},
+      {"conv_5->add_6", 512, 48},         {"add_6->bnact_7", 512, 48},
+      {"bnact_7->fork", 512, 48},         {"bnact_7=>conv_8", 512, 48},
+      {"bnact_7=>conv_9", 512, 48},       {"conv_8->add_12", 208, 48},
+      {"conv_9->bnact_10", 512, 48},      {"bnact_10->conv_11", 512, 48},
+      {"conv_11->add_12", 512, 48},       {"add_12->bnact_13", 512, 48},
+      {"bnact_13->avgpool_14", 512, 48},  {"avgpool_14->conv_15", 512, 16},
+      {"conv_15->output", 512, 4},
+  };
+  const Fixture f;
+  const FifoPlan plan = plan_fifos(f.pipeline);
+  ASSERT_EQ(plan.streams.size(), std::size(expected));
+  for (std::size_t i = 0; i < plan.streams.size(); ++i) {
+    const PlannedStream& ps = plan.streams[i];
+    EXPECT_EQ(ps.name, expected[i].name) << i;
+    EXPECT_EQ(ps.capacity, expected[i].capacity) << ps.name;
+    EXPECT_EQ(ps.burst, expected[i].burst) << ps.name;
   }
 }
 
