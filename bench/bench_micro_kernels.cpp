@@ -111,17 +111,16 @@ void BM_WindowScanner(benchmark::State& state) {
   for (std::int64_t i = 0; i < img.size(); ++i) {
     img[i] = static_cast<std::int32_t>(rng.next_below(4));
   }
-  std::vector<std::int32_t> window(
-      static_cast<std::size_t>(3 * 3 * in.c));
   for (auto _ : state) {
     WindowScanner s(in, 3, 1, 1);
+    PixelRing ring(s);
     std::int64_t next = 0;
     while (!s.done()) {
       const std::int32_t v = s.next_is_padding() ? 0 : img[next++];
-      const auto completed = s.advance(v);
+      ring.store(s, std::span<const std::int32_t>(&v, 1), 1);
+      const auto completed = s.advance();
       if (completed) {
-        s.window(*completed, window);
-        benchmark::DoNotOptimize(window.data());
+        benchmark::DoNotOptimize(ring.pixel(completed->oy, completed->ox));
       }
     }
   }

@@ -1,7 +1,6 @@
 // Word-level bit primitives backing the XNOR-popcount datapath (§III-B1).
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -33,31 +32,6 @@ inline constexpr int kWordBits = 64;
 ///   dot = agreements - disagreements = 2*agreements - n.
 [[nodiscard]] inline int pm1_dot_word(Word a, Word b, int n) {
   return 2 * xnor_popcount(a, b, n) - n;
-}
-
-/// Copy `len` bits from src starting at bit src_start to dst starting at
-/// bit dst_start (word funnel shift/splice, one destination word per
-/// iteration — never per-bit). Bits of dst outside the written range are
-/// preserved; the regions must not overlap. This is the window-assembly
-/// primitive of the packed conv datapath: each window row is a contiguous
-/// bit range of a packed line-buffer row.
-inline void copy_bits(const Word* src, std::int64_t src_start, Word* dst,
-                      std::int64_t dst_start, std::int64_t len) {
-  while (len > 0) {
-    const std::int64_t dw = dst_start / kWordBits;
-    const int doff = static_cast<int>(dst_start % kWordBits);
-    const int n =
-        static_cast<int>(std::min<std::int64_t>(len, kWordBits - doff));
-    const std::int64_t sw = src_start / kWordBits;
-    const int soff = static_cast<int>(src_start % kWordBits);
-    Word bits = src[sw] >> soff;
-    if (soff + n > kWordBits) bits |= src[sw + 1] << (kWordBits - soff);
-    bits &= low_mask(n);
-    dst[dw] = (dst[dw] & ~(low_mask(n) << doff)) | (bits << doff);
-    src_start += n;
-    dst_start += n;
-    len -= n;
-  }
 }
 
 }  // namespace qnn

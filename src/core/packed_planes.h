@@ -4,21 +4,26 @@
 // per output pixel, decomposing each input value k*k times at stride 1.
 // Here each activation is decomposed exactly once, as its row streams in:
 //
-//   BitPlaneLineBuffer — per plane, the last K padded rows of the input map
-//     packed one bit per value, recycled mod K exactly like the dataflow
-//     window scanner's row ring (§III-B2 of the paper).
-//   PackedWindow — a window's plane words, assembled from the line buffer by
-//     K contiguous bit-range splices per plane (word funnel shifts, never a
-//     re-pack), with each plane's popcount cached at finalize time.
+//   BitPlaneLineBuffer — the last K padded rows of the input map packed one
+//     bit per value per plane, recycled mod K like the window scanner's
+//     cursor (§III-B2 of the paper). Codes are packed eight per 64-bit
+//     multiply.
+//   PackedWindow — a window's words, built from the line buffer in one pass
+//     over its K row segments: one memcpy per segment when it is
+//     word-aligned, else vec_ops build_window's funnel shift per <=64-bit
+//     chunk, all planes of a chunk side by side in one vector.
 //   PackedFilters — packed weights in the filter-lane layout (eight filters
 //     interleaved per word), laid out once at kernel construction so one
 //     vec_ops dot_window call sweeps all planes of a window against all O
 //     filters, eight filters per vector.
 //
-// Bit layout matches FilterBank: depth-first (dy, dx, ci)
-// within a window, (x, ci) within a line-buffer row. Padding is code 0,
-// whose bits are zero in every plane, so cleared rows/ranges are already
-// correct for padded regions.
+// Line-buffer rows and windows are plane-interleaved, [word][plane]: word j
+// of every plane sits side by side, so one window row segment is one
+// contiguous run of words for all planes at once, and the window build
+// writes each destination word exactly once. Bit layout within a plane
+// matches FilterBank: depth-first (dy, dx, ci) within a window, (x, ci)
+// within a line-buffer row. Padding is code 0, whose bits are zero in
+// every plane, so cleared rows are already correct for padded regions.
 #pragma once
 
 #include <algorithm>
@@ -34,11 +39,12 @@
 
 namespace qnn {
 
-/// Rolling packed rows: `planes` bit-planes of `rows` padded rows of
-/// `row_bits` values each. Rows are recycled mod `rows` by the caller.
+/// Rolling packed rows: `rows` padded rows of `row_bits` values each, every
+/// row stored plane-interleaved as [word][plane]. Rows are recycled mod
+/// `rows` by the caller.
 class BitPlaneLineBuffer {
  public:
-  static constexpr int kMaxPlanes = 16;
+  static constexpr int kMaxPlanes = simd::kMaxPlanes;
 
   BitPlaneLineBuffer(int planes, int rows, std::int64_t row_bits)
       : planes_(planes),
@@ -53,27 +59,38 @@ class BitPlaneLineBuffer {
   }
 
   [[nodiscard]] int planes() const { return planes_; }
+  [[nodiscard]] int rows() const { return rows_; }
+  /// Words per plane of one row.
   [[nodiscard]] std::int64_t row_words() const { return row_words_; }
-
-  [[nodiscard]] const Word* row(int plane, int r) const {
-    return data_.data() + (static_cast<std::size_t>(plane) *
-                               static_cast<std::size_t>(rows_) +
-                           static_cast<std::size_t>(r)) *
-                              static_cast<std::size_t>(row_words_);
+  /// Words of one row, all planes (the distance between rows).
+  [[nodiscard]] std::size_t row_size() const {
+    return static_cast<std::size_t>(row_words_) *
+           static_cast<std::size_t>(planes_);
   }
 
-  /// Zero row `r` in every plane (re-entering the ring: padding = all-zero).
+  /// Row `r`: word j of plane p at [j * planes() + p].
+  [[nodiscard]] const Word* row(int r) const {
+    return data_.data() + row_offset(r);
+  }
+
+  /// Zero row `r` (re-entering the ring: padding = all-zero).
   void clear_row(int r) {
-    for (int p = 0; p < planes_; ++p) {
-      std::memset(mutable_row(p, r), 0,
-                  static_cast<std::size_t>(row_words_) * sizeof(Word));
-    }
+    std::memset(data_.data() + row_offset(r), 0,
+                row_size() * sizeof(Word));
   }
 
   /// OR-pack a run of activation codes into row `r` starting at bit
   /// position `start` (one bit per value per plane). The target range must
   /// have been cleared since the row was last recycled; runs never overlap.
+  /// Code bits at or above planes() are ignored.
   void pack_run(int r, std::int64_t start, std::span<const std::int32_t> vals) {
+    // Eight codes' low bytes side by side in x; for each plane p,
+    // ((x >> p) & kLsb) * kGather moves bit p of byte b to bit 56 + b, so
+    // the top byte holds eight codes' plane-p bits in order.
+    constexpr Word kLsb = 0x0101010101010101ULL;
+    constexpr Word kGather = 0x0102040810204080ULL;
+    const auto planes = static_cast<std::size_t>(planes_);
+    Word* row_words = data_.data() + row_offset(r);
     std::int64_t pos = start;
     std::size_t i = 0;
     while (i < vals.size()) {
@@ -83,29 +100,38 @@ class BitPlaneLineBuffer {
           std::min<std::int64_t>(static_cast<std::int64_t>(vals.size() - i),
                                  kWordBits - off));
       // Accumulate the <=64-bit chunk for all planes in registers, then OR
-      // each plane's word once — one pass over the values, planes_ stores.
+      // each plane's word once.
       std::array<Word, kMaxPlanes> chunk{};
-      for (int j = 0; j < n; ++j) {
-        const auto v = static_cast<std::uint32_t>(vals[i + static_cast<std::size_t>(j)]);
-        for (int p = 0; p < planes_; ++p) {
-          chunk[static_cast<std::size_t>(p)] |=
-              static_cast<Word>((v >> p) & 1u) << j;
+      const std::int32_t* v = vals.data() + i;
+      int j = 0;
+      if (planes_ <= 8) {
+        for (; j + 8 <= n; j += 8) {
+          Word x = 0;
+          for (int b = 0; b < 8; ++b) {
+            x |= static_cast<Word>(static_cast<std::uint8_t>(v[j + b]))
+                 << (8 * b);
+          }
+          for (std::size_t p = 0; p < planes; ++p) {
+            chunk[p] |= (((x >> p) & kLsb) * kGather >> 56) << j;
+          }
         }
       }
-      for (int p = 0; p < planes_; ++p) {
-        mutable_row(p, r)[wi] |= chunk[static_cast<std::size_t>(p)] << off;
+      for (; j < n; ++j) {
+        const auto code = static_cast<std::uint32_t>(v[j]);
+        for (std::size_t p = 0; p < planes; ++p) {
+          chunk[p] |= static_cast<Word>((code >> p) & 1u) << j;
+        }
       }
+      Word* dst = row_words + static_cast<std::size_t>(wi) * planes;
+      for (std::size_t p = 0; p < planes; ++p) dst[p] |= chunk[p] << off;
       pos += n;
       i += static_cast<std::size_t>(n);
     }
   }
 
  private:
-  [[nodiscard]] Word* mutable_row(int plane, int r) {
-    return data_.data() + (static_cast<std::size_t>(plane) *
-                               static_cast<std::size_t>(rows_) +
-                           static_cast<std::size_t>(r)) *
-                              static_cast<std::size_t>(row_words_);
+  [[nodiscard]] std::size_t row_offset(int r) const {
+    return static_cast<std::size_t>(r) * row_size();
   }
 
   int planes_;
@@ -150,8 +176,8 @@ class PackedFilters {
   std::vector<Word> data_;
 };
 
-/// One window's plane words, spliced from a BitPlaneLineBuffer, with each
-/// plane's popcount cached once per window (finalize).
+/// One window's words, plane-interleaved [word][plane], built from a
+/// BitPlaneLineBuffer holding its K rows.
 class PackedWindow {
  public:
   PackedWindow(std::int64_t values, int planes)
@@ -160,31 +186,41 @@ class PackedWindow {
         plane_words_(words_for_bits(values)),
         data_(static_cast<std::size_t>(planes) *
                   static_cast<std::size_t>(plane_words_),
-              0),
-        pops_(static_cast<std::size_t>(planes), 0) {
-    QNN_CHECK(values >= 1 && planes >= 1, "empty packed window");
+              0) {
+    QNN_CHECK(values >= 1 && planes >= 1 &&
+                  planes <= BitPlaneLineBuffer::kMaxPlanes,
+              "packed window shape out of range");
   }
 
   [[nodiscard]] std::int64_t values() const { return values_; }
   [[nodiscard]] int planes() const { return planes_; }
   [[nodiscard]] std::int64_t plane_words() const { return plane_words_; }
+  /// Word j of plane p at [j * planes() + p].
+  [[nodiscard]] const Word* data() const { return data_.data(); }
 
-  /// Splice `len` bits of line row (`plane`, `r`) starting at bit `src_bit`
-  /// into this window's plane at bit `dst_bit`.
-  void splice(const BitPlaneLineBuffer& lines, int p, int r,
-              std::int64_t src_bit, std::int64_t dst_bit, std::int64_t len) {
-    copy_bits(lines.row(p, r), src_bit, mutable_plane(p), dst_bit, len);
-  }
-
-  /// Mask the tail word of every plane and cache per-plane popcounts.
-  /// Call once after the window's splices, before dot.
-  void finalize(const simd::VecOps& ops) {
-    const int tail = static_cast<int>(values_ % kWordBits);
-    for (int p = 0; p < planes_; ++p) {
-      Word* words = mutable_plane(p);
-      if (tail != 0) words[plane_words_ - 1] &= low_mask(tail);
-      pops_[static_cast<std::size_t>(p)] = static_cast<std::int64_t>(
-          ops.popcount(words, static_cast<std::size_t>(plane_words_)));
+  /// Build the window from `lines`: window row dy is `seg` bits of line row
+  /// (top + dy) mod lines.rows() starting at bit `src_bit`, for dy in
+  /// [0, lines.rows()), concatenated, with the bits past values() zero.
+  void build(const simd::VecOps& ops, const BitPlaneLineBuffer& lines,
+             int top, std::int64_t src_bit, std::int64_t seg) {
+    const int k = lines.rows();
+    QNN_DCHECK(lines.planes() == planes_ &&
+                   static_cast<std::int64_t>(k) * seg == values_,
+               "window does not match the line buffer");
+    if (src_bit % kWordBits != 0 || seg % kWordBits != 0) {
+      ops.build_window(lines.row(0), lines.row_size(), k, top, src_bit, seg,
+                       planes_, data_.data());
+      return;
+    }
+    // Word-aligned segments (a multiple of 64 channels): each one is a
+    // contiguous run of its row's words, all planes at once.
+    const auto run = static_cast<std::size_t>(seg / kWordBits) *
+                     static_cast<std::size_t>(planes_);
+    const auto from = static_cast<std::size_t>(src_bit / kWordBits) *
+                      static_cast<std::size_t>(planes_);
+    for (int dy = 0; dy < k; ++dy) {
+      std::memcpy(data_.data() + static_cast<std::size_t>(dy) * run,
+                  lines.row((top + dy) % k) + from, run * sizeof(Word));
     }
   }
 
@@ -197,21 +233,14 @@ class PackedWindow {
     QNN_DCHECK(filters.words() == static_cast<std::size_t>(plane_words_),
                "filter width does not match the window");
     ops.dot_window(data_.data(), static_cast<std::size_t>(plane_words_),
-                   planes_, pops_.data(), filters.data(), filters.groups(),
-                   acc);
+                   planes_, filters.data(), filters.groups(), acc);
   }
 
  private:
-  [[nodiscard]] Word* mutable_plane(int p) {
-    return data_.data() +
-           static_cast<std::size_t>(p) * static_cast<std::size_t>(plane_words_);
-  }
-
   std::int64_t values_;
   int planes_;
   std::int64_t plane_words_;
   std::vector<Word> data_;
-  std::vector<std::int64_t> pops_;
 };
 
 }  // namespace qnn

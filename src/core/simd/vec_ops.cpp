@@ -24,18 +24,24 @@ std::uint64_t popcount_scalar(const Word* a, std::size_t n) {
 }
 
 void dot_window_scalar(const Word* a, std::size_t n, int planes,
-                       const std::int64_t* pops, const Word* w,
-                       std::size_t groups, std::int64_t* acc) {
+                       const Word* w, std::size_t groups, std::int64_t* acc) {
   constexpr std::size_t kL = kFilterLanes;
+  const auto np = static_cast<std::size_t>(planes);
+  std::int64_t pops[kMaxPlanes] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < np; ++p) {
+      pops[p] += qnn::popcount(a[j * np + p]);
+    }
+  }
   for (std::size_t g = 0; g < groups; ++g) {
     const Word* wg = w + g * n * kL;
     std::int64_t sum[kL] = {};
-    for (int p = 0; p < planes; ++p) {
-      const Word* ap = a + static_cast<std::size_t>(p) * n;
+    for (std::size_t p = 0; p < np; ++p) {
       std::int64_t on[kL] = {};
       for (std::size_t j = 0; j < n; ++j) {
+        const Word ap = a[j * np + p];
         for (std::size_t l = 0; l < kL; ++l) {
-          on[l] += qnn::popcount(wg[j * kL + l] & ap[j]);
+          on[l] += qnn::popcount(wg[j * kL + l] & ap);
         }
       }
       for (std::size_t l = 0; l < kL; ++l) {
@@ -46,8 +52,47 @@ void dot_window_scalar(const Word* a, std::size_t n, int planes,
   }
 }
 
+void build_window_scalar(const Word* rows, std::size_t row_size, int k,
+                         int top, std::int64_t src_bit, std::int64_t seg,
+                         int planes, Word* out) {
+  const auto np = static_cast<std::size_t>(planes);
+  Word pending[kMaxPlanes] = {};
+  int fill = 0;  // bits pending in every plane's next word
+  for (int dy = 0; dy < k; ++dy) {
+    const Word* row =
+        rows + static_cast<std::size_t>((top + dy) % k) * row_size;
+    for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
+      const int n =
+          static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
+      const int soff = static_cast<int>(pos % kWordBits);
+      const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
+      const Word mask = low_mask(n);
+      const int spill = fill + n - kWordBits;  // >= 0: the chunk ends a word
+      for (std::size_t p = 0; p < np; ++p) {
+        Word bits = src[p] >> soff;
+        if (soff + n > kWordBits) bits |= src[np + p] << (kWordBits - soff);
+        bits &= mask;
+        if (spill < 0) {
+          pending[p] |= bits << fill;
+        } else {
+          out[p] = pending[p] | (bits << fill);
+          pending[p] = spill == 0 ? 0 : bits >> (n - spill);
+        }
+      }
+      if (spill < 0) {
+        fill += n;
+      } else {
+        out += np;
+        fill = spill;
+      }
+      pos += n;
+    }
+  }
+  if (fill != 0) std::copy_n(pending, np, out);
+}
+
 constexpr VecOps kScalarOps{Level::kScalar, "scalar", popcount_scalar,
-                            dot_window_scalar};
+                            dot_window_scalar, build_window_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -33,6 +33,9 @@ enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// per 64-bit slot of an AVX-512 register (two AVX2 halves).
 inline constexpr std::size_t kFilterLanes = 8;
 
+/// Most bit-planes a window may carry (16-bit activation codes).
+inline constexpr int kMaxPlanes = 16;
+
 /// One implementation of the word-granular kernels. All functions treat
 /// their operands as plain arrays of 64-bit words; tail masking is the
 /// caller's job (operands keep the BitVector tail-bits-zero invariant).
@@ -44,17 +47,29 @@ struct VecOps {
   std::uint64_t (*popcount)(const Word* a, std::size_t n);
 
   /// The whole conv window against every filter (§III-B1): `a` holds
-  /// `planes` bit-planes of `n` words each (plane p at a + p*n, popcount
-  /// pops[p]); `w` holds `groups` groups of kFilterLanes filters in the
-  /// filter-lane layout [group][word][lane]. For every group g and lane l,
-  ///   acc[g*8 + l] = sum_p (2*sum_j popcount(w[g][j][l] & a_p[j])
-  ///                         - pops[p]) << p
-  /// i.e. the +-1-weighted fixed-point dot of core/bitplanes.h. The eight
-  /// lane sums of a group stay in registers across all planes; acc is
-  /// overwritten, groups*kFilterLanes entries.
-  void (*dot_window)(const Word* a, std::size_t n, int planes,
-                     const std::int64_t* pops, const Word* w,
+  /// `planes` bit-planes of `n` words each, plane-interleaved (word j of
+  /// plane p at a[j*planes + p]); `w` holds `groups` groups of kFilterLanes
+  /// filters in the filter-lane layout [group][word][lane]. With pop_p the
+  /// popcount of plane p, for every group g and lane l,
+  ///   acc[g*8 + l] = sum_p (2*sum_j popcount(w[g][j][l] & a[j*planes + p])
+  ///                         - pop_p) << p
+  /// i.e. the +-1-weighted fixed-point dot of core/bitplanes.h. The plane
+  /// popcounts are summed once per call; the eight lane sums of a group
+  /// stay in registers across all planes; acc is overwritten,
+  /// groups*kFilterLanes entries.
+  void (*dot_window)(const Word* a, std::size_t n, int planes, const Word* w,
                      std::size_t groups, std::int64_t* acc);
+
+  /// Window build from a line buffer (§III-B1's shift-register taps): `k`
+  /// rows of `row_size` words each at `rows`, every row plane-interleaved
+  /// like `out`. Window row dy is the `seg` bits starting at bit `src_bit`
+  /// of row (top + dy) mod k; the k rows are concatenated into `out`,
+  /// words_for_bits(k*seg) words per plane, every word written once and
+  /// the bits past k*seg zero. One funnel shift per <=64-bit chunk moves
+  /// that chunk for every plane.
+  void (*build_window)(const Word* rows, std::size_t row_size, int k, int top,
+                       std::int64_t src_bit, std::int64_t seg, int planes,
+                       Word* out);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

@@ -52,8 +52,15 @@ __attribute__((QNN_AVX2_TARGET)) std::uint64_t popcount_avx2(
 }
 
 __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
-    const Word* a, std::size_t n, int planes, const std::int64_t* pops,
-    const Word* w, std::size_t groups, std::int64_t* acc) {
+    const Word* a, std::size_t n, int planes, const Word* w,
+    std::size_t groups, std::int64_t* acc) {
+  const auto np = static_cast<std::size_t>(planes);
+  std::int64_t pops[kMaxPlanes] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < np; ++p) {
+      pops[p] += __builtin_popcountll(a[j * np + p]);
+    }
+  }
   // Byte counts reach at most 8 per word, so up to 31 words accumulate in
   // epi8 lanes before one vpsadbw folds them into the 64-bit lane sums.
   constexpr std::size_t kByteRun = 31;
@@ -65,7 +72,7 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
     // Horner over the planes, high to low: sum = 2*sum + (2*on_p - pop_p)
     // builds sum_p (2*on_p - pop_p) << p with adds only.
     for (int p = planes - 1; p >= 0; --p) {
-      const Word* ap = a + static_cast<std::size_t>(p) * n;
+      const Word* ap = a + p;
       __m256i on_lo = zero;
       __m256i on_hi = zero;
       for (std::size_t j0 = 0; j0 < n; j0 += kByteRun) {
@@ -73,7 +80,8 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
         __m256i bytes_lo = zero;
         __m256i bytes_hi = zero;
         for (std::size_t j = j0; j < j1; ++j) {
-          const __m256i av = _mm256_set1_epi64x(static_cast<long long>(ap[j]));
+          const __m256i av =
+              _mm256_set1_epi64x(static_cast<long long>(ap[j * np]));
           const Word* wj = wg + j * kFilterLanes;
           bytes_lo = _mm256_add_epi8(
               bytes_lo,
@@ -105,10 +113,71 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
   }
 }
 
+/// Shifts of every lane by `c` (>= 64 yields zero), and loads/stores of
+/// the lanes `m` selects.
+__attribute__((QNN_AVX2_TARGET)) inline __m256i shr(__m256i v, int c) {
+  return _mm256_srl_epi64(v, _mm_cvtsi32_si128(c));
+}
+__attribute__((QNN_AVX2_TARGET)) inline __m256i shl(__m256i v, int c) {
+  return _mm256_sll_epi64(v, _mm_cvtsi32_si128(c));
+}
+__attribute__((QNN_AVX2_TARGET)) inline __m256i load(__m256i m,
+                                                    const Word* p) {
+  return _mm256_maskload_epi64(reinterpret_cast<const long long*>(p), m);
+}
+__attribute__((QNN_AVX2_TARGET)) inline void store(__m256i m, Word* p,
+                                                  __m256i v) {
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(p), m, v);
+}
+
+__attribute__((QNN_AVX2_TARGET)) void build_window_avx2(
+    const Word* rows, std::size_t row_size, int k, int top,
+    std::int64_t src_bit, std::int64_t seg, int planes, Word* out) {
+  const auto np = static_cast<std::size_t>(planes);
+  // Four planes per register; shifts by >= 64 yield zero, so the
+  // word-aligned and word-completing cases need no special shifts.
+  for (std::size_t b = 0; b < np; b += 4) {
+    const __m256i m = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(
+            static_cast<long long>(std::min<std::size_t>(4, np - b))),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    __m256i pending = _mm256_setzero_si256();
+    int fill = 0;  // bits pending in every plane's next word
+    Word* o = out + b;
+    for (int dy = 0; dy < k; ++dy) {
+      const Word* row =
+          rows + static_cast<std::size_t>((top + dy) % k) * row_size + b;
+      for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
+        const int n =
+            static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
+        const int soff = static_cast<int>(pos % kWordBits);
+        const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
+        __m256i bits = shr(load(m, src), soff);
+        if (soff + n > kWordBits) {
+          bits = _mm256_or_si256(bits,
+                                 shl(load(m, src + np), kWordBits - soff));
+        }
+        bits = _mm256_and_si256(
+            bits, _mm256_set1_epi64x(static_cast<long long>(low_mask(n))));
+        pending = _mm256_or_si256(pending, shl(bits, fill));
+        fill += n;
+        if (fill >= kWordBits) {
+          store(m, o, pending);
+          o += np;
+          fill -= kWordBits;
+          pending = shr(bits, n - fill);
+        }
+        pos += n;
+      }
+    }
+    if (fill != 0) store(m, o, pending);
+  }
+}
+
 #undef QNN_AVX2_TARGET
 
 constexpr VecOps kAvx2Ops{Level::kAvx2, "avx2", popcount_avx2,
-                          dot_window_avx2};
+                          dot_window_avx2, build_window_avx2};
 
 }  // namespace
 

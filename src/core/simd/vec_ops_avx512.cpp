@@ -2,14 +2,17 @@
 // bits per lane in one instruction — popcount bandwidth is the whole game
 // for binary conv, per FINN/XNORBIN). The window dot maps one filter-lane
 // group onto one register: a broadcast plane word against eight filters'
-// words per instruction. popcount tails use a masked load; its horizontal
-// sum avoids _mm512_reduce_add_epi64, whose gcc-12 header trips
-// -Wuninitialized under -Werror.
+// words per instruction, two groups per broadcast. The window build moves
+// one word of eight planes per register. popcount tails use a masked load;
+// its horizontal sum avoids _mm512_reduce_add_epi64, whose gcc-12 header
+// trips -Wuninitialized under -Werror.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX512)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace qnn::simd::detail {
 namespace {
@@ -49,52 +52,123 @@ __attribute__((QNN_AVX512_TARGET)) std::uint64_t popcount_avx512(
   return hsum_epi64(total);
 }
 
-__attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
-    const Word* a, std::size_t n, int planes, const std::int64_t* pops,
-    const Word* w, std::size_t groups, std::int64_t* acc) {
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Word* wg = w + g * n * kFilterLanes;
-    // Horner over the planes, high to low: sum = 2*sum + (2*on_p - pop_p)
-    // builds sum_p (2*on_p - pop_p) << p with adds only (the shift
-    // intrinsics' undefined-source operand trips -Wmaybe-uninitialized).
-    __m512i sum = _mm512_setzero_si512();
-    for (int p = planes - 1; p >= 0; --p) {
-      const Word* ap = a + static_cast<std::size_t>(p) * n;
-      // Two independent lane-count chains per plane for ILP.
-      __m512i on0 = _mm512_setzero_si512();
-      __m512i on1 = _mm512_setzero_si512();
-      std::size_t j = 0;
-      for (; j + 2 <= n; j += 2) {
-        const Word* wj = wg + j * kFilterLanes;
-        on0 = _mm512_add_epi64(
-            on0, _mm512_popcnt_epi64(_mm512_and_si512(
-                     _mm512_loadu_si512(wj),
-                     _mm512_set1_epi64(static_cast<long long>(ap[j])))));
-        on1 = _mm512_add_epi64(
-            on1, _mm512_popcnt_epi64(_mm512_and_si512(
-                     _mm512_loadu_si512(wj + kFilterLanes),
-                     _mm512_set1_epi64(static_cast<long long>(ap[j + 1])))));
+/// kG filter-lane groups against the window at once, sharing each
+/// broadcast window word. Horner over the planes, high to low
+/// (sum = 2*sum + on_p, adds only: the shift intrinsics' undefined-source
+/// operand trips -Wmaybe-uninitialized), builds sum_p on_p << p; the
+/// window's sum_p pop_p << p is subtracted once at the end.
+template <std::size_t kG>
+__attribute__((QNN_AVX512_TARGET)) inline void dot_groups(
+    const Word* a, std::size_t n, std::size_t np, const Word* wg, __m512i pop,
+    std::int64_t* acc) {
+  __m512i sum[kG];
+  for (auto& s : sum) s = _mm512_setzero_si512();
+  for (std::size_t p = np; p-- > 0;) {
+    __m512i on[kG];
+    for (auto& o : on) o = _mm512_setzero_si512();
+    for (std::size_t j = 0; j < n; ++j) {
+      const __m512i av =
+          _mm512_set1_epi64(static_cast<long long>(a[j * np + p]));
+      for (std::size_t g = 0; g < kG; ++g) {
+        on[g] = _mm512_add_epi64(
+            on[g], _mm512_popcnt_epi64(_mm512_and_si512(
+                       _mm512_loadu_si512(wg + (g * n + j) * kFilterLanes),
+                       av)));
       }
-      if (j < n) {
-        on0 = _mm512_add_epi64(
-            on0, _mm512_popcnt_epi64(_mm512_and_si512(
-                     _mm512_loadu_si512(wg + j * kFilterLanes),
-                     _mm512_set1_epi64(static_cast<long long>(ap[j])))));
-      }
-      const __m512i on = _mm512_add_epi64(on0, on1);
-      sum = _mm512_add_epi64(
-          _mm512_add_epi64(sum, sum),
-          _mm512_sub_epi64(_mm512_add_epi64(on, on),
-                           _mm512_set1_epi64(pops[p])));
     }
-    _mm512_storeu_si512(acc + g * kFilterLanes, sum);
+    for (std::size_t g = 0; g < kG; ++g) {
+      sum[g] = _mm512_add_epi64(_mm512_add_epi64(sum[g], sum[g]), on[g]);
+    }
+  }
+  for (std::size_t g = 0; g < kG; ++g) {
+    _mm512_storeu_si512(
+        acc + g * kFilterLanes,
+        _mm512_sub_epi64(_mm512_add_epi64(sum[g], sum[g]), pop));
+  }
+}
+
+__attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
+    const Word* a, std::size_t n, int planes, const Word* w,
+    std::size_t groups, std::int64_t* acc) {
+  const auto np = static_cast<std::size_t>(planes);
+  std::int64_t pop = 0;  // sum_p popcount(plane p) << p
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < np; ++p) {
+      pop += static_cast<std::int64_t>(__builtin_popcountll(a[j * np + p]))
+             << p;
+    }
+  }
+  const __m512i vpop = _mm512_set1_epi64(pop);
+  const std::size_t stride = n * kFilterLanes;  // words per group
+  std::size_t g = 0;
+  for (; g + 2 <= groups; g += 2) {
+    dot_groups<2>(a, n, np, w + g * stride, vpop, acc + g * kFilterLanes);
+  }
+  if (g < groups) {
+    dot_groups<1>(a, n, np, w + g * stride, vpop, acc + g * kFilterLanes);
+  }
+}
+
+/// Zero-masked shifts of every lane by `c` (>= 64 yields zero). The
+/// unmasked intrinsics' undefined-source operand trips
+/// -Wmaybe-uninitialized; the mask also keeps lanes past the plane count
+/// zero.
+__attribute__((QNN_AVX512_TARGET)) inline __m512i shr(__mmask8 m, __m512i v,
+                                                     int c) {
+  return _mm512_maskz_srl_epi64(m, v, _mm_cvtsi32_si128(c));
+}
+__attribute__((QNN_AVX512_TARGET)) inline __m512i shl(__mmask8 m, __m512i v,
+                                                     int c) {
+  return _mm512_maskz_sll_epi64(m, v, _mm_cvtsi32_si128(c));
+}
+
+__attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
+    const Word* rows, std::size_t row_size, int k, int top,
+    std::int64_t src_bit, std::int64_t seg, int planes, Word* out) {
+  const auto np = static_cast<std::size_t>(planes);
+  // Eight planes per register; shifts by >= 64 yield zero, so the
+  // word-aligned and word-completing cases need no special shifts.
+  for (std::size_t b = 0; b < np; b += 8) {
+    const auto m = static_cast<__mmask8>(
+        (1u << std::min<std::size_t>(8, np - b)) - 1u);
+    __m512i pending = _mm512_setzero_si512();
+    int fill = 0;  // bits pending in every plane's next word
+    Word* o = out + b;
+    for (int dy = 0; dy < k; ++dy) {
+      const Word* row =
+          rows + static_cast<std::size_t>((top + dy) % k) * row_size + b;
+      for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
+        const int n =
+            static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
+        const int soff = static_cast<int>(pos % kWordBits);
+        const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
+        __m512i bits = shr(m, _mm512_maskz_loadu_epi64(m, src), soff);
+        if (soff + n > kWordBits) {
+          bits = _mm512_or_si512(
+              bits, shl(m, _mm512_maskz_loadu_epi64(m, src + np),
+                        kWordBits - soff));
+        }
+        bits = _mm512_and_si512(
+            bits, _mm512_set1_epi64(static_cast<long long>(low_mask(n))));
+        pending = _mm512_or_si512(pending, shl(m, bits, fill));
+        fill += n;
+        if (fill >= kWordBits) {
+          _mm512_mask_storeu_epi64(o, m, pending);
+          o += np;
+          fill -= kWordBits;
+          pending = shr(m, bits, n - fill);
+        }
+        pos += n;
+      }
+    }
+    if (fill != 0) _mm512_mask_storeu_epi64(o, m, pending);
   }
 }
 
 #undef QNN_AVX512_TARGET
 
 constexpr VecOps kAvx512Ops{Level::kAvx512, "avx512", popcount_avx512,
-                            dot_window_avx512};
+                            dot_window_avx512, build_window_avx512};
 
 }  // namespace
 

@@ -28,11 +28,12 @@ WindowKernel::WindowKernel(const Node& node, Stream& in, Stream& out,
       node_(node),
       in_(in),
       out_(out),
-      scanner_(node.in, node.k, node.stride, node.pad, /*pad_value=*/0),
+      scanner_(node.in, node.k, node.stride, node.pad),
       in_burst_(window_burst(node, burst)) {}
 
 void WindowKernel::scan(std::span<const std::int32_t> vals, std::int64_t n) {
-  scanner_.advance_run(vals, n,
+  ingest_run(vals, n);
+  scanner_.advance_run(n,
                        [this](const WindowScanner::Completed& at) { emit(at); });
 }
 
@@ -88,15 +89,11 @@ StepResult WindowKernel::step() {
       advance_padding();
       if (scanner_.done()) break;  // burst spans an image boundary
       // Ingest the row segment up to the next padding interruption in one
-      // step — no per-value padding test or scanner call. The run is
-      // exposed to the subclass first (scanner cursor still at the run's
-      // first value), so the conv kernel bit-plane-packs it exactly once.
+      // step — no per-value padding test or scanner call.
       const std::int64_t run = std::min<std::int64_t>(
           scanner_.real_run(),
           static_cast<std::int64_t>(in_burst_.available()));
-      const auto vals = in_burst_.take(static_cast<std::size_t>(run));
-      ingest_run(vals);
-      scan(vals, run);
+      scan(in_burst_.take(static_cast<std::size_t>(run)), run);
     }
     progressed = true;
     if (!stage_.flush(out_)) return StepResult::kBlocked;
@@ -140,7 +137,10 @@ void ConvKernel::ensure_row(int y) {
   packed_row_ = std::max(packed_row_, y);
 }
 
-void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
+void ConvKernel::ingest_run(std::span<const std::int32_t> vals,
+                            std::int64_t /*n*/) {
+  // Padding is code 0: a cleared row already holds it.
+  if (vals.empty()) return;
   const int y = scanner().cur_row();
   ensure_row(y);
   lines_.pack_run(y % node().k, scanner().row_value_pos(), vals);
@@ -149,9 +149,9 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals) {
 void ConvKernel::emit(const WindowScanner::Completed& at) {
   const int o_count = node().out.c;
   // Every activation was bit-plane-packed exactly once at ingest; a window
-  // is K contiguous bit-range splices per plane out of the line buffer
-  // (rows recycled mod K, in step with the scanner ring), then one fused
-  // SIMD AND-popcount sweep of every plane over all O filters.
+  // is built in one pass over its K row segments of the line buffer (rows
+  // recycled mod K, keyed on the scanner's row), then one fused SIMD
+  // AND-popcount sweep of every plane over all O filters.
   const auto& ops = simd::vec_ops();
   const int k = node().k;
   const int stride = node().stride;
@@ -159,17 +159,9 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
   // All-padding rows (top/bottom pad) never see an ingest_run; enter them
   // into the ring here so their bits read as zero (= pad code 0).
   ensure_row(at.oy * stride + k - 1);
-  const std::int64_t seg = static_cast<std::int64_t>(k) * chans;
-  const std::int64_t src_bit =
-      static_cast<std::int64_t>(at.ox) * stride * chans;
-  for (int dy = 0; dy < k; ++dy) {
-    const int r = (at.oy * stride + dy) % k;
-    for (int p = 0; p < lines_.planes(); ++p) {
-      window_.splice(lines_, p, r, src_bit, static_cast<std::int64_t>(dy) * seg,
-                     seg);
-    }
-  }
-  window_.finalize(ops);
+  window_.build(ops, lines_, at.oy * stride,
+                static_cast<std::int64_t>(at.ox) * stride * chans,
+                static_cast<std::int64_t>(k) * chans);
   // "One output pixel per clock cycle, until all the filters are applied
   // at this position" (§III-B1): emit all O responses.
   window_.dot(ops, packed_weights_, acc_.data());
@@ -185,43 +177,44 @@ PoolKernel::PoolKernel(const Node& node, Stream& in, Stream& out,
                        std::size_t burst)
     : WindowKernel(node, in, out, burst),
       is_max_(node.kind == NodeKind::MaxPool),
-      window_(static_cast<std::size_t>(scanner().window_values())),
-      acc_(static_cast<std::size_t>(node.in.c), 0) {
+      ring_(scanner()) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
             "PoolKernel needs a pooling node");
 }
 
+void PoolKernel::ingest_run(std::span<const std::int32_t> vals,
+                            std::int64_t n) {
+  ring_.store(scanner(), vals, n);
+}
+
 void PoolKernel::emit(const WindowScanner::Completed& at) {
-  scanner().window(at, window_);
-  const int c = node().in.c;
-  const int kk = node().k * node().k;
-  const std::span<const std::int32_t> window = window_;
-  // Window layout is (dy, dx, ci): walk it channel-contiguously (stride-1
-  // inner loop over ci) with the max/sum decision hoisted out of the loops.
-  // Padded entries hold code 0, the lowest level — identity for max and
-  // sum alike, so a zero accumulator start is exact.
-  std::fill(acc_.begin(), acc_.end(), std::int64_t{0});
-  if (is_max_) {
-    for (int t = 0; t < kk; ++t) {
-      const auto seg = window.subspan(
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(c));
-      for (int ci = 0; ci < c; ++ci) {
-        auto& a = acc_[static_cast<std::size_t>(ci)];
-        a = std::max<std::int64_t>(a, seg[static_cast<std::size_t>(ci)]);
+  const auto c = static_cast<std::size_t>(node().in.c);
+  const int k = node().k;
+  const int stride = node().stride;
+  const auto out = stage().extend(c);
+  // Reduce tap by tap straight from the ring: each (dy, dx) pixel's C
+  // values are contiguous, so every pass is a stride-1 loop over the
+  // channels with the max/sum decision outside it. Padded entries hold
+  // code 0, the lowest level — identity for max and sum alike, so a zero
+  // start is exact. Sums wrap mod 2^32 (unsigned arithmetic), exactly as
+  // the int64 sum narrowed to the int32 output.
+  std::fill(out.begin(), out.end(), std::int32_t{0});
+  for (int dy = 0; dy < k; ++dy) {
+    const int py = at.oy * stride + dy;
+    for (int dx = 0; dx < k; ++dx) {
+      const std::int32_t* px = ring_.pixel(py, at.ox * stride + dx);
+      if (is_max_) {
+        for (std::size_t ci = 0; ci < c; ++ci) {
+          out[ci] = std::max(out[ci], px[ci]);
+        }
+      } else {
+        for (std::size_t ci = 0; ci < c; ++ci) {
+          out[ci] = static_cast<std::int32_t>(
+              static_cast<std::uint32_t>(out[ci]) +
+              static_cast<std::uint32_t>(px[ci]));
+        }
       }
     }
-  } else {
-    for (int t = 0; t < kk; ++t) {
-      const auto seg = window.subspan(
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(c));
-      for (int ci = 0; ci < c; ++ci) {
-        acc_[static_cast<std::size_t>(ci)] += seg[static_cast<std::size_t>(ci)];
-      }
-    }
-  }
-  for (int ci = 0; ci < c; ++ci) {
-    stage().append(
-        static_cast<std::int32_t>(acc_[static_cast<std::size_t>(ci)]));
   }
 }
 

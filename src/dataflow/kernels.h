@@ -243,11 +243,13 @@ class WindowKernel : public Kernel {
   /// Emit all outputs of the window at `at` into stage().
   virtual void emit(const WindowScanner::Completed& at) = 0;
 
-  /// Called once per contiguous run of REAL input values, just before the
-  /// scanner advances over it — the scanner cursor (cur_row/row_value_pos)
-  /// still points at the run's first value. The conv kernel packs the run
-  /// into its bit-plane line buffers here; the default does nothing.
-  virtual void ingest_run(std::span<const std::int32_t> /*vals*/) {}
+  /// Called once per run of `n` scan positions — the real input values
+  /// `vals`, or a padding stretch when `vals` is empty — just before the
+  /// scanner advances over it, so the scanner cursor (cur_row /
+  /// row_value_pos) still points at the run's first position. Each
+  /// subclass stores the run into its own line buffer here.
+  virtual void ingest_run(std::span<const std::int32_t> vals,
+                          std::int64_t n) = 0;
 
   /// Called whenever the scan re-arms for a new image (end of image and
   /// reset()); subclasses recycle per-image state (e.g. line-buffer rows).
@@ -258,8 +260,9 @@ class WindowKernel : public Kernel {
   [[nodiscard]] OutStage& stage() { return stage_; }
 
  private:
-  /// Advance the scanner over `n` positions (a real run `vals`, or a
-  /// padding stretch when `vals` is empty), emitting completed windows.
+  /// Ingest `n` positions (a real run `vals`, or a padding stretch when
+  /// `vals` is empty) and advance the scanner over them, emitting
+  /// completed windows.
   void scan(std::span<const std::int32_t> vals, std::int64_t n);
   /// Inject padding positions until the next position is real (or done).
   void advance_padding();
@@ -276,12 +279,15 @@ class WindowKernel : public Kernel {
 /// XNOR-popcount convolution kernel (Figure 3). Consumes depth-first
 /// activation codes in row-segment bursts, injects padding locally, and on
 /// each completed window emits all O filter responses for that position.
-/// Activations are decomposed into bit-plane line buffers once as rows
-/// stream in, windows are assembled by word splices, and the O-filter
-/// sweep runs through the vec_ops SIMD seam. Weights live in the kernel as
-/// a packed FilterBank — the on-chip weight cache of §III-B1a — packed
-/// once at construction into the filter-lane layout (eight filters
-/// interleaved per word) for that sweep; it is the kernel's only copy.
+/// Activations are decomposed once, as rows stream in, into a
+/// plane-interleaved bit-plane line buffer (eight codes per multiply); each
+/// window is built from it in one pass over its K row segments (a memcpy
+/// per segment when word-aligned), and the O-filter sweep runs through the
+/// vec_ops SIMD seam. The line buffer is the kernel's only copy of its
+/// input. Weights live in the kernel as a packed FilterBank — the on-chip
+/// weight cache of §III-B1a — packed once at construction into the
+/// filter-lane layout (eight filters interleaved per word) for that sweep;
+/// it is the kernel's only copy.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
@@ -289,11 +295,11 @@ class ConvKernel final : public WindowKernel {
 
  private:
   void emit(const WindowScanner::Completed& at) override;
-  void ingest_run(std::span<const std::int32_t> vals) override;
+  void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
   void rearm_image() override;
 
   /// Make line-buffer rows (.., y] valid: rows entered since the last
-  /// ensure are zero-cleared (all-padding rows never see an ingest_run, so
+  /// ensure are zero-cleared (all-padding rows never see a real run, so
   /// this is the only place they get recycled).
   void ensure_row(int y);
 
@@ -305,10 +311,10 @@ class ConvKernel final : public WindowKernel {
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each
-/// output as soon as its window completes (§III-B2). The reduction walks
-/// the (dy, dx, ci) window channel-contiguously with the max/sum decision
-/// hoisted out of the loop, accumulating all C channels per window row
-/// segment.
+/// output as soon as its window completes (§III-B2). Every run, padding
+/// included, is stored into an int32 PixelRing of the last K padded rows;
+/// a completed window is reduced straight from it, tap by tap, each tap's
+/// C channel values contiguous, into the output stage.
 class PoolKernel final : public WindowKernel {
  public:
   PoolKernel(const Node& node, Stream& in, Stream& out,
@@ -316,10 +322,10 @@ class PoolKernel final : public WindowKernel {
 
  private:
   void emit(const WindowScanner::Completed& at) override;
+  void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
 
   bool is_max_;
-  std::vector<std::int32_t> window_;  // window gathered from the scanner
-  std::vector<std::int64_t> acc_;     // per-channel scratch
+  PixelRing ring_;
 };
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input

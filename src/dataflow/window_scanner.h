@@ -8,8 +8,11 @@
 // window is present, the window is complete and an output position can be
 // computed.
 //
-// The scanner retains exactly the last K rows of the padded map — the
-// depth-first scan of §III-B1b whose buffer cost is
+// The scanner itself tracks positions only: where the next value lands and
+// which windows it completes. The values live in whichever line buffer the
+// kernel keeps — bit-planes for conv (core/packed_planes.h), the int32
+// PixelRing below for pooling — each retaining exactly the last K rows of
+// the padded map, the depth-first scan of §III-B1b whose buffer cost is
 //     I * (W_padded * (K - 1) + K)
 // values, versus Theta(I*W_padded + K) per *width* unit for a width-first
 // scan (see fpga/resource_model.h for the accounting used in Fig 6).
@@ -26,18 +29,15 @@ namespace qnn {
 
 class WindowScanner {
  public:
-  WindowScanner(Shape in, int k, int stride, int pad,
-                std::int32_t pad_value = 0)
+  WindowScanner(Shape in, int k, int stride, int pad)
       : in_(in),
         k_(k),
         stride_(stride),
         pad_(pad),
-        pad_value_(pad_value),
         hp_(in.h + 2 * pad),
         wp_(in.w + 2 * pad),
         out_h_(conv_out_extent(in.h, k, stride, pad)),
-        out_w_(conv_out_extent(in.w, k, stride, pad)),
-        ring_(static_cast<std::size_t>(k) * wp_ * in.c) {
+        out_w_(conv_out_extent(in.w, k, stride, pad)) {
     QNN_CHECK(in.valid() && k >= 1 && stride >= 1 && pad >= 0,
               "invalid scanner geometry");
     QNN_CHECK(hp_ >= k && wp_ >= k, "window larger than padded input");
@@ -82,43 +82,30 @@ class WindowScanner {
            c_;
   }
 
-  /// Advance the scan by one value: a real stream value when
-  /// !next_is_padding(), ignored otherwise (the pad value is injected).
-  /// Returns the output position whose window just completed, if any.
-  std::optional<Completed> advance(std::int32_t v) {
+  /// Advance the scan by one position (a real value or a padding
+  /// injection). Returns the output position whose window just completed,
+  /// if any.
+  std::optional<Completed> advance() {
     std::optional<Completed> completed;
-    const auto note = [&completed](const Completed& at) { completed = at; };
-    if (next_is_padding()) {
-      advance_run({}, 1, note);
-    } else {
-      advance_run(std::span<const std::int32_t>(&v, 1), 1, note);
-    }
+    advance_run(1, [&completed](const Completed& at) { completed = at; });
     return completed;
   }
 
   /// Advance the scan by `n` positions of the current padded row in one
-  /// step: a real run (n <= real_run(), values taken from `vals`) or a
-  /// padding stretch (n <= pad_run(), `vals` empty, the pad value
-  /// injected). All n values enter the ring first; then on_complete is
-  /// called, in scan order, with every output position whose window's
-  /// bottom-right pixel the run completed. Storing ahead is safe: the rest
-  /// of the row only overwrites ring entries of row y - K, which no window
-  /// completed on row y reads.
+  /// step: a real run (n <= real_run()) or a padding stretch
+  /// (n <= pad_run()). on_complete is called, in scan order, with every
+  /// output position whose window's bottom-right pixel the run completed.
+  /// A kernel stores the run's values into its line buffer before this
+  /// call; storing a whole run ahead is safe: the rest of the row only
+  /// overwrites entries of row y - K, which no window completed on row y
+  /// reads.
   template <class OnComplete>
-  void advance_run(std::span<const std::int32_t> vals, std::int64_t n,
-                   OnComplete&& on_complete) {
+  void advance_run(std::int64_t n, OnComplete&& on_complete) {
     QNN_DCHECK(!done(), "advance past end of scan");
-    QNN_DCHECK(n >= 1 && n <= (vals.empty() ? pad_run() : real_run()),
+    QNN_DCHECK(n >= 1 && n <= std::max(pad_run(), real_run()),
                "run leaves the current real run or padding stretch");
     const std::int64_t c = in_.c;
     const std::int64_t pos = static_cast<std::int64_t>(x_) * c + c_;
-    const auto base = ring_.begin() + static_cast<std::ptrdiff_t>(
-                                          ring_index(y_, x_, c_));
-    if (vals.empty()) {
-      std::fill_n(base, n, pad_value_);
-    } else {
-      std::copy_n(vals.begin(), n, base);
-    }
     // Pixels x_ .. end/c - 1 completed; a window's bottom-right corner is
     // at row oy*stride + k - 1, column ox*stride + k - 1.
     const std::int64_t end = pos + n;
@@ -145,34 +132,19 @@ class WindowScanner {
     }
   }
 
-  /// Extract the window of output position (oy, ox) — only valid for the
-  /// position just reported by advance(). Depth-first layout (dy, dx, ci),
-  /// matching the weight-cache entry layout of FilterBank.
-  void window(const Completed& at, std::span<std::int32_t> out) const {
-    QNN_DCHECK(static_cast<std::int64_t>(out.size()) == window_values(),
-               "window span size mismatch");
-    std::size_t w = 0;
-    for (int dy = 0; dy < k_; ++dy) {
-      const int py = at.oy * stride_ + dy;
-      for (int dx = 0; dx < k_; ++dx) {
-        const int px = at.ox * stride_ + dx;
-        for (int ci = 0; ci < in_.c; ++ci) {
-          out[w++] = ring_[ring_index(py, px, ci)];
-        }
-      }
-    }
-  }
-
   [[nodiscard]] std::int64_t window_values() const {
     return static_cast<std::int64_t>(k_) * k_ * in_.c;
   }
+  [[nodiscard]] const Shape& in_shape() const { return in_; }
+  [[nodiscard]] int k() const { return k_; }
+  [[nodiscard]] int stride() const { return stride_; }
   [[nodiscard]] int out_h() const { return out_h_; }
   [[nodiscard]] int out_w() const { return out_w_; }
   [[nodiscard]] int padded_w() const { return wp_; }
 
   /// Padded row the cursor is currently on (0 <= cur_row < hp while the
-  /// scan is live). A packed line buffer mirrors the ring by recycling rows
-  /// mod K keyed on this value.
+  /// scan is live). A line buffer recycles its rows mod K keyed on this
+  /// value.
   [[nodiscard]] int cur_row() const { return y_; }
 
   /// Cursor position within the current padded row, in values:
@@ -204,25 +176,58 @@ class WindowScanner {
   }
 
  private:
-  [[nodiscard]] std::size_t ring_index(int y, int x, int c) const {
-    return static_cast<std::size_t>((y % k_) * wp_ + x) *
-               static_cast<std::size_t>(in_.c) +
-           static_cast<std::size_t>(c);
-  }
-
   Shape in_;
   int k_;
   int stride_;
   int pad_;
-  std::int32_t pad_value_;
   int hp_;
   int wp_;
   int out_h_;
   int out_w_;
-  std::vector<std::int32_t> ring_;
   int y_ = 0;
   int x_ = 0;
   int c_ = 0;
+};
+
+/// The int32 line buffer of a depth-first scan: the last K padded rows,
+/// recycled mod K, each pixel's C values contiguous. The pooling kernel
+/// stores every run here (padding as code 0) just before the scanner
+/// advances over it, then reduces each completed window tap by tap.
+class PixelRing {
+ public:
+  explicit PixelRing(const WindowScanner& scan)
+      : k_(scan.k()),
+        row_values_(static_cast<std::int64_t>(scan.padded_w()) *
+                    scan.in_shape().c),
+        channels_(scan.in_shape().c),
+        ring_(static_cast<std::size_t>(k_ * row_values_)) {}
+
+  /// Store the `n` values about to be scanned at `scan`'s cursor: `vals`
+  /// for a real run, code 0 for a padding stretch (`vals` empty).
+  void store(const WindowScanner& scan, std::span<const std::int32_t> vals,
+             std::int64_t n) {
+    const auto at = ring_.begin() + static_cast<std::ptrdiff_t>(
+                                        (scan.cur_row() % k_) * row_values_ +
+                                        scan.row_value_pos());
+    if (vals.empty()) {
+      std::fill_n(at, n, std::int32_t{0});
+    } else {
+      std::copy_n(vals.begin(), n, at);
+    }
+  }
+
+  /// The C values of padded pixel (py, px); py must be one of the last K
+  /// rows scanned.
+  [[nodiscard]] const std::int32_t* pixel(int py, int px) const {
+    return ring_.data() + (py % k_) * row_values_ +
+           static_cast<std::int64_t>(px) * channels_;
+  }
+
+ private:
+  int k_;
+  std::int64_t row_values_;
+  int channels_;
+  std::vector<std::int32_t> ring_;
 };
 
 }  // namespace qnn

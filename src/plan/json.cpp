@@ -142,6 +142,14 @@ struct JVal {
   }
 };
 
+/// Caps on untrusted plan text. A real plan nests five deep, holds a few
+/// thousand values and has no string over a few hundred bytes; past any
+/// cap the file is rejected with Error before recursion overflows the
+/// stack or a vector grows without bound.
+constexpr int kMaxDepth = 64;
+constexpr std::size_t kMaxStringBytes = std::size_t{1} << 16;
+constexpr std::size_t kMaxValues = std::size_t{1} << 20;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -186,6 +194,7 @@ class Parser {
 
   JVal value() {
     skip_ws();
+    if (++values_ > kMaxValues) fail("too many values");
     const char c = peek();
     if (c == '{') return object();
     if (c == '[') return array();
@@ -243,6 +252,7 @@ class Parser {
     std::string out;
     for (;;) {
       if (pos_ >= s_.size()) fail("unterminated string");
+      if (out.size() >= kMaxStringBytes) fail("string too long");
       const char c = s_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
@@ -296,6 +306,7 @@ class Parser {
 
   JVal object() {
     expect('{');
+    const Nest nest(*this);
     JVal v;
     v.kind = JVal::Kind::kObj;
     if (try_consume('}')) return v;
@@ -313,6 +324,7 @@ class Parser {
 
   JVal array() {
     expect('[');
+    const Nest nest(*this);
     JVal v;
     v.kind = JVal::Kind::kArr;
     if (try_consume(']')) return v;
@@ -324,8 +336,24 @@ class Parser {
     }
   }
 
+  /// One level of object/array nesting, held for the container's parse.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth) p_.fail("nesting too deep");
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::size_t values_ = 0;
 };
 
 std::uint64_t parse_hash(const std::string& hex) {

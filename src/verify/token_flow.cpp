@@ -71,7 +71,7 @@ WindowProfile window_profile(const Node& n) {
   std::int64_t consumed = 0;
   while (!sc.done()) {
     if (!sc.next_is_padding()) ++consumed;
-    if (sc.advance(0)) p.breakpoints.push_back(consumed);
+    if (sc.advance()) p.breakpoints.push_back(consumed);
   }
   return p;
 }

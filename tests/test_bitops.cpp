@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "core/rng.h"
-
 namespace qnn {
 namespace {
 
@@ -58,59 +54,6 @@ TEST(BitOps, Pm1DotMatchesSignedArithmetic) {
 TEST(BitOps, Pm1DotExtremes) {
   EXPECT_EQ(pm1_dot_word(low_mask(64), low_mask(64), 64), 64);
   EXPECT_EQ(pm1_dot_word(low_mask(64), 0, 64), -64);
-}
-
-// Bit-by-bit reference for copy_bits.
-bool ref_get(const std::vector<Word>& v, std::int64_t i) {
-  return (v[static_cast<std::size_t>(i / kWordBits)] >> (i % kWordBits)) & 1U;
-}
-
-void ref_set(std::vector<Word>& v, std::int64_t i, bool b) {
-  const Word m = Word{1} << (i % kWordBits);
-  auto& w = v[static_cast<std::size_t>(i / kWordBits)];
-  w = b ? (w | m) : (w & ~m);
-}
-
-TEST(BitOps, CopyBitsMatchesBitByBitReference) {
-  Rng rng(0x5eedc0b1);
-  constexpr std::int64_t kBits = 6 * kWordBits;
-  for (int iter = 0; iter < 500; ++iter) {
-    std::vector<Word> src(6), dst(6), expect(6);
-    for (auto& w : src) w = rng.next_u64();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i] = rng.next_u64();
-      expect[i] = dst[i];
-    }
-    const auto len = static_cast<std::int64_t>(rng.next_below(161));
-    const auto s0 = static_cast<std::int64_t>(
-        rng.next_below(static_cast<std::uint64_t>(kBits - len + 1)));
-    const auto d0 = static_cast<std::int64_t>(
-        rng.next_below(static_cast<std::uint64_t>(kBits - len + 1)));
-    copy_bits(src.data(), s0, dst.data(), d0, len);
-    for (std::int64_t i = 0; i < len; ++i) {
-      ref_set(expect, d0 + i, ref_get(src, s0 + i));
-    }
-    ASSERT_EQ(dst, expect) << "iter=" << iter << " s0=" << s0 << " d0=" << d0
-                           << " len=" << len;
-  }
-}
-
-TEST(BitOps, CopyBitsWholeWordsAndStraddles) {
-  // Aligned full-word copy, and the maximal-straddle case (both offsets
-  // co-prime with the word size).
-  std::vector<Word> src = {0x0123456789abcdefULL, 0xfedcba9876543210ULL,
-                           0xaaaaaaaaaaaaaaaaULL};
-  std::vector<Word> dst(3, 0);
-  copy_bits(src.data(), 0, dst.data(), 0, 192);
-  EXPECT_EQ(dst, src);
-
-  std::vector<Word> dst2(3, ~Word{0});
-  std::vector<Word> expect2(3, ~Word{0});
-  copy_bits(src.data(), 13, dst2.data(), 51, 101);
-  for (std::int64_t i = 0; i < 101; ++i) {
-    ref_set(expect2, 51 + i, ref_get(src, 13 + i));
-  }
-  EXPECT_EQ(dst2, expect2);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/bitvector.h"
@@ -13,7 +17,7 @@ namespace qnn {
 namespace {
 
 /// Property: the packed bit-plane dot the conv kernel computes (codes
-/// packed into a line-buffer row, spliced into a window, swept against a
+/// packed into a line-buffer row, built into a window, swept against a
 /// packed filter) equals the scalar signed dot for random weights and
 /// codes, across bit widths (the 2-bit activations of the paper and the
 /// 8-bit first layer alike).
@@ -38,8 +42,7 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
     BitPlaneLineBuffer lines(bits, /*rows=*/1, n);
     lines.pack_run(0, 0, codes);
     PackedWindow win(n, bits);
-    for (int p = 0; p < bits; ++p) win.splice(lines, p, 0, 0, 0, n);
-    win.finalize(ops);
+    win.build(ops, lines, 0, 0, n);
     PackedFilters filter(n, 1);
     std::vector<Word> words(filter.words());
     for (std::int64_t i = 0; i < w.words(); ++i) {
@@ -55,6 +58,179 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPlaneDotProperty,
                          ::testing::Values(1, 2, 3, 4, 8));
+
+/// Bit `pos` of plane `p` in a plane-interleaved [word][plane] buffer.
+bool interleaved_bit(const Word* words, int planes, std::int64_t pos, int p) {
+  return ((words[(pos / kWordBits) * planes + p] >> (pos % kWordBits)) & 1U) !=
+         0;
+}
+
+/// Random 32-bit codes: every bit at or above the plane count is set about
+/// half the time, as a fault-injected bit flip would leave it.
+std::vector<std::int32_t> noisy_codes(std::int64_t n, Rng& rng) {
+  std::vector<std::int32_t> codes(static_cast<std::size_t>(n));
+  for (auto& c : codes) c = static_cast<std::int32_t>(rng.next_u64());
+  return codes;
+}
+
+TEST(BitPlaneLineBufferTest, PackRunMatchesBitByBitReference) {
+  // Runs of every length up to a few words, starting mid-word and ending
+  // mid-row, at every plane count: 1..8 take the eight-codes-per-multiply
+  // path (and its per-bit tail), 9..16 the per-bit fallback. Code bits at
+  // or above the plane count must not leak into any plane.
+  Rng rng(0x9ac7);
+  for (int planes = 1; planes <= BitPlaneLineBuffer::kMaxPlanes; ++planes) {
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::int64_t row_bits =
+          1 + static_cast<std::int64_t>(rng.next_below(300));
+      BitPlaneLineBuffer lines(planes, /*rows=*/2, row_bits);
+      lines.clear_row(1);
+      std::vector<std::int32_t> row(static_cast<std::size_t>(row_bits), 0);
+      std::vector<bool> written(static_cast<std::size_t>(row_bits), false);
+      // Cover the row with runs of random length in random order.
+      std::int64_t pos = static_cast<std::int64_t>(
+          rng.next_below(static_cast<std::uint64_t>(row_bits)));
+      const std::int64_t end = pos + static_cast<std::int64_t>(rng.next_below(
+                                         static_cast<std::uint64_t>(
+                                             row_bits - pos + 1)));
+      while (pos < end) {
+        const std::int64_t n = std::min<std::int64_t>(
+            end - pos, 1 + static_cast<std::int64_t>(rng.next_below(150)));
+        const auto codes = noisy_codes(n, rng);
+        lines.pack_run(1, pos, codes);
+        for (std::int64_t i = 0; i < n; ++i) {
+          row[static_cast<std::size_t>(pos + i)] =
+              codes[static_cast<std::size_t>(i)];
+          written[static_cast<std::size_t>(pos + i)] = true;
+        }
+        pos += n;
+      }
+      for (std::int64_t i = 0; i < lines.row_words() * kWordBits; ++i) {
+        for (int p = 0; p < planes; ++p) {
+          const bool expect =
+              i < row_bits && written[static_cast<std::size_t>(i)] &&
+              ((static_cast<std::uint32_t>(row[static_cast<std::size_t>(i)]) >>
+                p) & 1U) != 0;
+          ASSERT_EQ(interleaved_bit(lines.row(1), planes, i, p), expect)
+              << "planes=" << planes << " bit=" << i << " plane=" << p;
+        }
+      }
+    }
+  }
+}
+
+/// Window geometry of one conv: C channels, K x K window, stride.
+struct WindowGeometry {
+  int c, k, stride;
+};
+
+std::string geometry_name(const WindowGeometry& g) {
+  return "c" + std::to_string(g.c) + "_k" + std::to_string(g.k) + "_s" +
+         std::to_string(g.stride);
+}
+void PrintTo(const WindowGeometry& g, std::ostream* os) {
+  *os << geometry_name(g);
+}
+
+class PackedWindowProperty : public ::testing::TestWithParam<WindowGeometry> {};
+
+TEST_P(PackedWindowProperty, BuildMatchesBitByBitReferenceAtEveryLevel) {
+  // K line rows of a padded width that leaves rows ending mid-word, filled
+  // by runs of random length (so runs start mid-word); every window of the
+  // row is built for several ring phases and compared bit by bit with the
+  // codes it covers, and its dot at every SIMD level with the plain integer
+  // reference_pm1_dot. Plane counts cycle through 1..16 across windows.
+  const WindowGeometry g = GetParam();
+  Rng rng(0x51de + static_cast<std::uint64_t>(g.c * 131 + g.k * 7 + g.stride));
+  const int wp = g.k + 3 * g.stride + 1;
+  const std::int64_t row_bits = static_cast<std::int64_t>(wp) * g.c;
+  const std::int64_t seg = static_cast<std::int64_t>(g.k) * g.c;
+  const std::int64_t values = seg * g.k;
+  const int out_w = (wp - g.k) / g.stride + 1;
+  for (int planes = 1 + (g.c + g.k + g.stride) % 4;
+       planes <= BitPlaneLineBuffer::kMaxPlanes; planes += 4) {
+    BitPlaneLineBuffer lines(planes, g.k, row_bits);
+    std::vector<std::vector<std::int32_t>> rows;
+    for (int r = 0; r < g.k; ++r) {
+      lines.clear_row(r);
+      rows.push_back(noisy_codes(row_bits, rng));
+      for (std::int64_t pos = 0; pos < row_bits;) {
+        const std::int64_t n = std::min<std::int64_t>(
+            row_bits - pos, 1 + static_cast<std::int64_t>(rng.next_below(97)));
+        lines.pack_run(r, pos,
+                       std::span<const std::int32_t>(rows.back())
+                           .subspan(static_cast<std::size_t>(pos),
+                                    static_cast<std::size_t>(n)));
+        pos += n;
+      }
+    }
+    const auto mask = static_cast<std::int32_t>((1U << planes) - 1U);
+    PackedFilters filter(values, 1);
+    std::vector<std::int8_t> w_pm1(static_cast<std::size_t>(values));
+    {
+      BitVector w(values);
+      for (std::int64_t i = 0; i < values; ++i) {
+        const bool bit = rng.next_bool();
+        w.set(i, bit);
+        w_pm1[static_cast<std::size_t>(i)] = bit ? 1 : -1;
+      }
+      std::vector<Word> words(filter.words());
+      for (std::int64_t i = 0; i < w.words(); ++i) {
+        words[static_cast<std::size_t>(i)] = w.word(i);
+      }
+      filter.set(0, words);
+    }
+    PackedWindow win(values, planes);
+    for (int top = 0; top < g.k; ++top) {
+      for (int ox = 0; ox < out_w; ++ox) {
+        for (const simd::Level level : simd::available_levels()) {
+        const simd::VecOps& ops = simd::vec_ops_at(level);
+        const std::int64_t src = static_cast<std::int64_t>(ox) * g.stride * g.c;
+        win.build(ops, lines, top, src, seg);
+        std::vector<std::int32_t> codes;
+        for (int dy = 0; dy < g.k; ++dy) {
+          const auto& row = rows[static_cast<std::size_t>((top + dy) % g.k)];
+          for (std::int64_t i = 0; i < seg; ++i) {
+            codes.push_back(row[static_cast<std::size_t>(src + i)] & mask);
+          }
+        }
+        for (std::int64_t i = 0; i < win.plane_words() * kWordBits; ++i) {
+          for (int p = 0; p < planes; ++p) {
+            const bool expect =
+                i < values &&
+                ((codes[static_cast<std::size_t>(i)] >> p) & 1) != 0;
+            ASSERT_EQ(interleaved_bit(win.data(), planes, i, p), expect)
+                << simd::level_name(level) << " planes=" << planes
+                << " top=" << top << " ox=" << ox << " bit=" << i
+                << " plane=" << p;
+          }
+        }
+        std::vector<std::int64_t> acc(filter.padded_count());
+        win.dot(ops, filter, acc.data());
+        ASSERT_EQ(acc[0], reference_pm1_dot(w_pm1, codes))
+            << simd::level_name(level) << " planes=" << planes
+            << " top=" << top << " ox=" << ox;
+        }
+      }
+    }
+  }
+}
+
+std::vector<WindowGeometry> window_geometries() {
+  std::vector<WindowGeometry> out;
+  for (const int c : {1, 3, 5, 63, 64, 65, 130}) {
+    for (const int k : {1, 2, 3, 5, 7, 11}) {
+      for (const int stride : {1, 2, 4}) out.push_back({c, k, stride});
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PackedWindowProperty, ::testing::ValuesIn(window_geometries()),
+    [](const ::testing::TestParamInfo<WindowGeometry>& param_info) {
+      return geometry_name(param_info.param);
+    });
 
 }  // namespace
 }  // namespace qnn

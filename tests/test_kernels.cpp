@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
+#include <span>
+#include <string>
+
+#include "nn/reference.h"
 
 #include "test_util.h"
 
@@ -205,6 +210,114 @@ TEST(PoolKernelTest, AsymmetricPaddingRegression) {
   Stream sout2(64, 8, "out2");
   PoolKernel sum_kernel(n, sin2, sout2);
   EXPECT_EQ(drive(sum_kernel, sin2, values(img), sout2), expect_sum);
+}
+
+/// One pooling layer of the paper's networks, max and average alike.
+struct PoolGeometry {
+  const char* name;
+  Shape in;
+  int k, stride, pad;
+};
+
+// Test names print the parameter: its name, never the pointer.
+void PrintTo(const PoolGeometry& g, std::ostream* os) { *os << g.name; }
+
+/// The kernel's output for `img`, streamed twice back to back (the second
+/// image must not see the first one's ring contents), against
+/// ReferenceExecutor on a one-node pipeline.
+void expect_pool_matches_reference(const PoolGeometry& g, NodeKind kind,
+                                   const IntTensor& img) {
+  Pipeline p;
+  p.name = g.name;
+  p.input = g.in;
+  Node n;
+  n.kind = kind;
+  n.name = g.name;
+  n.in = g.in;
+  n.out = conv_out_shape(g.in, g.in.c, g.k, g.stride, g.pad);
+  n.in_bits = 8;
+  n.out_bits = kind == NodeKind::MaxPool ? 8 : 32;
+  n.k = g.k;
+  n.stride = g.stride;
+  n.pad = g.pad;
+  p.nodes.push_back(n);
+  const NetworkParams params{};
+  const IntTensor expect = ReferenceExecutor(p, params).run(img);
+
+  const auto row = static_cast<std::size_t>(g.in.w) *
+                   static_cast<std::size_t>(g.in.c);
+  Stream sin(2 * row, 8, "in");
+  Stream sout(2 * row, 32, "out");
+  PoolKernel kernel(p.nodes.front(), sin, sout);
+  std::vector<std::int32_t> twice = values(img);
+  twice.insert(twice.end(), twice.begin(), twice.end());
+  const auto got = drive(kernel, sin, twice, sout);
+  const std::span<const std::int32_t> want = expect.flat();
+  ASSERT_EQ(got.size(), 2 * want.size()) << g.name;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i % want.size()])
+        << g.name << (kind == NodeKind::MaxPool ? " max" : " avg")
+        << " output " << i;
+  }
+}
+
+class PoolVsReference : public ::testing::TestWithParam<PoolGeometry> {};
+
+TEST_P(PoolVsReference, MaxAndAvgMatchReferenceExecutor) {
+  const PoolGeometry& g = GetParam();
+  Rng rng(77 + static_cast<std::uint64_t>(g.in.c * 3 + g.k));
+  const IntTensor img = testutil::random_codes(g.in, 4, rng);
+  expect_pool_matches_reference(g, NodeKind::MaxPool, img);
+  expect_pool_matches_reference(g, NodeKind::AvgPool, img);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperLayers, PoolVsReference,
+    ::testing::Values(
+        // ResNet-18 maxpool_2 (3x3, stride 2, pad 1, 64 channels).
+        PoolGeometry{"resnet_maxpool_2", {112, 112, 64}, 3, 2, 1},
+        // VGG-like 2x2 / stride 2.
+        PoolGeometry{"vgg_2x2_s2", {32, 32, 64}, 2, 2, 0},
+        // AlexNet 3x3 / stride 2, unpadded.
+        PoolGeometry{"alexnet_3x3_s2", {27, 27, 96}, 3, 2, 0},
+        // Global average pooling over ResNet-18's last map.
+        PoolGeometry{"global_7x7x512", {7, 7, 512}, 7, 1, 0},
+        // Three channels, padded and strided.
+        PoolGeometry{"c3_3x3_s2_p1", {9, 9, 3}, 3, 2, 1}),
+    [](const ::testing::TestParamInfo<PoolGeometry>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+TEST(PoolKernelTest, AverageSumWrapsToInt32LikeTheReference) {
+  // Window sums are 32-bit: a sum past INT32_MAX wraps exactly as the
+  // reference's int64 sum narrowed to the int32 output does.
+  const PoolGeometry g{"wrap", {2, 2, 2}, 2, 2, 0};
+  IntTensor img(g.in);
+  for (std::int64_t i = 0; i < img.size(); ++i) {
+    img[i] = std::numeric_limits<std::int32_t>::max() -
+             static_cast<std::int32_t>(i);
+  }
+  expect_pool_matches_reference(g, NodeKind::AvgPool, img);
+  Node n;
+  n.kind = NodeKind::AvgPool;
+  n.name = "wrap";
+  n.in = g.in;
+  n.out = Shape{1, 1, 2};
+  n.in_bits = 31;
+  n.out_bits = 32;
+  n.k = n.stride = 2;
+  Stream sin(8, 31, "in");
+  Stream sout(8, 32, "out");
+  PoolKernel kernel(n, sin, sout);
+  const auto got = drive(kernel, sin, values(img), sout);
+  for (int c = 0; c < 2; ++c) {
+    std::int64_t sum = 0;
+    for (int y = 0; y < 2; ++y) {
+      for (int x = 0; x < 2; ++x) sum += img.at(y, x, c);
+    }
+    EXPECT_EQ(got[static_cast<std::size_t>(c)],
+              static_cast<std::int32_t>(sum));
+  }
 }
 
 TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {

@@ -105,6 +105,30 @@ TEST(PlanJson, RejectsMalformedAndWrongVersion) {
   EXPECT_THROW((void)plan_from_json(to_json(plan)), Error);
 }
 
+TEST(PlanJson, DeepArrayNestingIsRejectedNotStackOverflow) {
+  // A cached plan is read from disk: 1 MB of '[' once overflowed the
+  // recursive-descent parser's stack.
+  EXPECT_THROW((void)plan_from_json(std::string(std::size_t{1} << 20, '[')),
+               Error);
+}
+
+TEST(PlanJson, DeepObjectNestingIsRejectedNotStackOverflow) {
+  std::string text;
+  while (text.size() < (std::size_t{1} << 20)) text += "{\"a\":";
+  EXPECT_THROW((void)plan_from_json(text), Error);
+}
+
+TEST(PlanJson, OversizedStringsAndValueCountsAreRejected) {
+  EXPECT_THROW(
+      (void)plan_from_json("\"" + std::string(std::size_t{1} << 20, 'x') +
+                           "\""),
+      Error);
+  std::string many = "[";
+  for (int i = 0; i < (1 << 21); ++i) many += "0,";
+  many += "0]";
+  EXPECT_THROW((void)plan_from_json(many), Error);
+}
+
 // ---- fingerprint ----------------------------------------------------------
 
 TEST(PlanKeyTest, StableAcrossRunsAndLoweringCalls) {

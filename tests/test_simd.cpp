@@ -72,23 +72,16 @@ TEST(VecOps, PopcountMatchesScalarAtEveryLevel) {
 }
 
 /// Random filters in the filter-lane layout (count padded to 8 with zero
-/// filters) and a random `planes` x `n`-word window with its plane pops.
+/// filters) and a random plane-interleaved `n`-word x `planes` window.
 struct DotCase {
   PackedFilters filters;
   std::vector<Word> window;
-  std::vector<std::int64_t> pops;
 };
 
 DotCase random_dot_case(std::size_t n, int planes, int filters, Rng& rng) {
   DotCase c{PackedFilters(static_cast<std::int64_t>(n) * kWordBits, filters),
-            random_words(n * static_cast<std::size_t>(planes), rng),
-            {}};
+            random_words(n * static_cast<std::size_t>(planes), rng)};
   for (int f = 0; f < filters; ++f) c.filters.set(f, random_words(n, rng));
-  const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
-  for (int p = 0; p < planes; ++p) {
-    c.pops.push_back(static_cast<std::int64_t>(
-        scalar.popcount(c.window.data() + static_cast<std::size_t>(p) * n, n)));
-  }
   return c;
 }
 
@@ -100,18 +93,18 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
   Rng rng(0xabc3);
   for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9},
                               std::size_t{17}, std::size_t{72}}) {
-    for (int planes = 1; planes <= 8; ++planes) {
+    for (const int planes : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16}) {
       for (const int filters : {1, 5, 8, 10, 64, 1000}) {
         const DotCase c = random_dot_case(n, planes, filters, rng);
         const std::size_t lanes = c.filters.padded_count();
         std::vector<std::int64_t> expect(lanes, 1000);
-        scalar.dot_window(c.window.data(), n, planes, c.pops.data(),
-                          c.filters.data(), c.filters.groups(), expect.data());
+        scalar.dot_window(c.window.data(), n, planes, c.filters.data(),
+                          c.filters.groups(), expect.data());
         for (const simd::Level level : simd::available_levels()) {
           std::vector<std::int64_t> got(lanes, -1000);
-          simd::vec_ops_at(level).dot_window(
-              c.window.data(), n, planes, c.pops.data(), c.filters.data(),
-              c.filters.groups(), got.data());
+          simd::vec_ops_at(level).dot_window(c.window.data(), n, planes,
+                                             c.filters.data(),
+                                             c.filters.groups(), got.data());
           ASSERT_EQ(got, expect)
               << simd::level_name(level) << " n=" << n << " planes=" << planes
               << " filters=" << filters;
@@ -124,18 +117,19 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
 TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
   // acc[f] = sum_p (2*popcount(w_f & a_p) - popcount(a_p)) << p, the
   // XNOR-popcount dot of §III-B1 summed over bit-planes, at every level.
-  // Two planes of two words, two real filters, six zero pad lanes.
-  const std::vector<Word> window = {0b1011, 0,   // plane 0: pop 3
-                                    0b0110, 1};  // plane 1: pop 3
-  const std::int64_t pops[2] = {3, 3};
+  // Two planes of two words, plane-interleaved [word][plane]; two real
+  // filters, six zero pad lanes.
+  const std::vector<Word> window = {0b1011, 0b0110,  // word 0 of planes 0, 1
+                                    0, 1};           // word 1 of planes 0, 1
+  // plane 0 = {0b1011, 0}: pop 3; plane 1 = {0b0110, 1}: pop 3.
   PackedFilters filters(2 * kWordBits, 2);
   filters.set(0, std::vector<Word>{0b0011, 0});
   filters.set(1, std::vector<Word>{~Word{0}, ~Word{0}});
   ASSERT_EQ(filters.padded_count(), 8u);
   for (const simd::Level level : simd::available_levels()) {
     std::int64_t acc[8];
-    simd::vec_ops_at(level).dot_window(window.data(), 2, 2, pops,
-                                       filters.data(), 1, acc);
+    simd::vec_ops_at(level).dot_window(window.data(), 2, 2, filters.data(),
+                                       1, acc);
     // f0: plane 0 on=2 -> 4-3 = 1; plane 1 on=1 -> (2-3)<<1 = -2. Sum -1.
     EXPECT_EQ(acc[0], -1) << simd::level_name(level);
     // f1: plane 0 on=3 -> 3; plane 1 on=3 -> 3<<1 = 6. Sum 9.

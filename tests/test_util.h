@@ -27,6 +27,23 @@ inline IntTensor random_image(int h, int w, int c, Rng& rng) {
   return random_codes(Shape{h, w, c}, 8, rng);
 }
 
+/// The (dy, dx, ci) window of output position `at`, gathered from the
+/// pooling line buffer `ring` of scan `s` — the position just reported.
+inline std::vector<std::int32_t> gather_window(
+    const PixelRing& ring, const WindowScanner& s,
+    const WindowScanner::Completed& at) {
+  std::vector<std::int32_t> w;
+  w.reserve(static_cast<std::size_t>(s.window_values()));
+  for (int dy = 0; dy < s.k(); ++dy) {
+    for (int dx = 0; dx < s.k(); ++dx) {
+      const std::int32_t* px =
+          ring.pixel(at.oy * s.stride() + dy, at.ox * s.stride() + dx);
+      w.insert(w.end(), px, px + s.in_shape().c);
+    }
+  }
+  return w;
+}
+
 /// Depth-first values of `t`, ready to feed a kernel.
 inline std::vector<std::int32_t> values(const IntTensor& t) {
   const std::span<const std::int32_t> flat = t.flat();

@@ -57,16 +57,15 @@ TEST_P(WidthFirstSweep, ProducesSameWindowsAsDepthFirst) {
 
   // Depth-first baseline.
   WindowScanner df(in_shape, g.k, g.stride, g.pad);
+  PixelRing ring(df);
   std::vector<std::vector<std::int32_t>> df_windows;
   std::int64_t next = 0;
   while (!df.done()) {
     const std::int32_t v = df.next_is_padding() ? 0 : in[next++];
-    const auto completed = df.advance(v);
+    ring.store(df, std::span<const std::int32_t>(&v, 1), 1);
+    const auto completed = df.advance();
     if (completed) {
-      std::vector<std::int32_t> w(
-          static_cast<std::size_t>(df.window_values()));
-      df.window(*completed, w);
-      df_windows.push_back(std::move(w));
+      df_windows.push_back(testutil::gather_window(ring, df, *completed));
     }
   }
 

@@ -13,7 +13,8 @@
 namespace qnn {
 namespace {
 
-/// Drive a scanner with a tensor's depth-first stream and collect every
+/// Drive a scanner with a tensor's depth-first stream, storing each value
+/// into a PixelRing the way the pooling kernel does, and collect every
 /// completed window keyed by output position.
 struct ScanResult {
   std::vector<WindowScanner::Completed> positions;
@@ -24,22 +25,20 @@ struct ScanResult {
 
 ScanResult scan(WindowScanner& s, const IntTensor& in) {
   ScanResult r;
+  PixelRing ring(s);
   std::int64_t next = 0;
   while (!s.done()) {
-    std::int32_t v = 0;
     if (s.next_is_padding()) {
+      ring.store(s, {}, 1);
       ++r.pad_injections;
     } else {
-      v = in[next++];
+      ring.store(s, std::span<const std::int32_t>(&in[next++], 1), 1);
       ++r.real_values;
     }
-    const auto completed = s.advance(v);
+    const auto completed = s.advance();
     if (completed) {
-      std::vector<std::int32_t> w(
-          static_cast<std::size_t>(s.window_values()));
-      s.window(*completed, w);
       r.positions.push_back(*completed);
-      r.windows.push_back(std::move(w));
+      r.windows.push_back(testutil::gather_window(ring, s, *completed));
     }
   }
   EXPECT_EQ(next, in.size()) << "scanner consumed wrong number of values";
@@ -52,13 +51,12 @@ ScanResult scan(WindowScanner& s, const IntTensor& in) {
 ScanResult scan_runs(WindowScanner& s, const IntTensor& in, Rng& rng,
                      std::int64_t max_piece) {
   ScanResult r;
+  PixelRing ring(s);
   const std::span<const std::int32_t> flat = in.flat();
   std::size_t next = 0;
   const auto collect = [&](const WindowScanner::Completed& at) {
-    std::vector<std::int32_t> w(static_cast<std::size_t>(s.window_values()));
-    s.window(at, w);
     r.positions.push_back(at);
-    r.windows.push_back(std::move(w));
+    r.windows.push_back(testutil::gather_window(ring, s, at));
   };
   while (!s.done()) {
     const std::int64_t pad = s.pad_run();
@@ -67,11 +65,12 @@ ScanResult scan_runs(WindowScanner& s, const IntTensor& in, Rng& rng,
         room, 1 + static_cast<std::int64_t>(rng.next_below(
                       static_cast<std::uint64_t>(max_piece))));
     if (pad > 0) {
-      s.advance_run({}, n, collect);
+      ring.store(s, {}, n);
+      s.advance_run(n, collect);
       r.pad_injections += n;
     } else {
-      s.advance_run(flat.subspan(next, static_cast<std::size_t>(n)), n,
-                    collect);
+      ring.store(s, flat.subspan(next, static_cast<std::size_t>(n)), n);
+      s.advance_run(n, collect);
       next += static_cast<std::size_t>(n);
       r.real_values += n;
     }
