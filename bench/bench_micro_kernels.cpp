@@ -205,9 +205,11 @@ void write_bench_json(const std::string& name, const std::string& json) {
 }
 
 /// A straight chain of `convs` (conv + bnact) pairs plus a dense head:
-/// 2*convs + 1 + (bn_act ? 1 : 0) kernels once expanded. convs=3 with a
-/// bn-act head gives the shallow 8-kernel chain; convs=26 without gives
-/// the deep 53-kernel chain where only a few kernels are runnable at once.
+/// 2*convs + 1 + (bn_act ? 1 : 0) nodes once expanded, each conv + bnact
+/// pair (the head's too) run as one fused kernel. convs=3 with a bn-act
+/// head gives the shallow 8-node chain of 4 kernels; convs=26 without
+/// gives the deep 53-node chain of 27 kernels, where only a few kernels
+/// are runnable at once.
 NetworkSpec ablation_chain(const char* name, int convs, bool dense_bn) {
   NetworkSpec spec;
   spec.name = name;
@@ -276,9 +278,10 @@ int run_executor_ablation() {
     const Chain& chain = chains[c];
     const Pipeline p = expand(chain.spec);
     const NetworkParams params = NetworkParams::random(p, 7);
-    // Pool size = task count (kernels + feeder + collector): the natural
-    // host configuration for a dataflow graph, where every kernel could
-    // be live at once. The awake limit keeps the surplus parked.
+    // Pool size = node count + 2 (feeder + collector): at least one
+    // worker per task, the natural host configuration for a dataflow
+    // graph, where every kernel could be live at once. The awake limit
+    // keeps the surplus parked.
     const unsigned threads = static_cast<unsigned>(p.size()) + 2;
     Rng rng(11);
     // Serving-shaped requests: one image per run() call, as the serve/
@@ -294,15 +297,17 @@ int run_executor_ablation() {
       }
       requests.push_back({std::move(img)});
     }
-    js << "    {\"chain\": \"" << chain.name
-       << "\", \"kernels\": " << p.size() << ", \"threads\": " << threads
+    const int kernels = StreamEngine(p, params).kernel_count();
+    js << "    {\"chain\": \"" << chain.name << "\", \"nodes\": " << p.size()
+       << ", \"kernels\": " << kernels << ", \"threads\": " << threads
        << ", \"configs\": [\n";
     for (std::size_t i = 0; i < std::size(configs); ++i) {
       const AblationConfig& cfg = configs[i];
       const double ips = ablation_ips(p, params, cfg, threads, requests);
       if (!cfg.pin) ready_ips[c] = ips;
       const double speedup = ready_ips[c] > 0.0 ? ips / ready_ips[c] : 0.0;
-      std::cout << "  " << chain.name << " (" << p.size() << " kernels, "
+      std::cout << "  " << chain.name << " (" << p.size() << " nodes, "
+                << kernels << " kernels, "
                 << threads << " threads), " << cfg.label << ": " << ips
                 << " images/s (" << speedup << "x vs unpinned)\n";
       js << "      {\"label\": \"" << cfg.label << "\", \"pinned\": "

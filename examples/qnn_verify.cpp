@@ -87,9 +87,19 @@ int main(int argc, char** argv) {
                                    partition_config);
 
   const FifoPlan plan = plan_fifos(pipeline, options);
+  // Engine tasks: one per node, less one per conv→BnAct pair run as one
+  // fused kernel, plus one fork per fanned-out stream.
+  int kernels = pipeline.size();
+  for (int i = 0; i < pipeline.size(); ++i) {
+    if (fuses_into_conv(pipeline, i)) --kernels;
+  }
+  for (const PlannedStream& s : plan.streams) {
+    if (s.role == PlannedStream::Role::kTrunk) ++kernels;
+  }
   std::ostream& banner = json ? std::cerr : std::cout;
-  banner << spec.name << ": " << pipeline.size() << " kernels, "
-         << plan.streams.size() << " streams, " << plan.total_capacity()
+  banner << spec.name << ": " << pipeline.size() << " nodes in " << kernels
+         << " kernels, " << plan.streams.size() << " streams, "
+         << plan.total_capacity()
          << " buffered values ("
          << (fifo_capacity == 0
                  ? std::string("auto line-buffer sizing")

@@ -91,8 +91,23 @@ void build_window_scalar(const Word* rows, std::size_t row_size, int k,
   if (fill != 0) std::copy_n(pending, np, out);
 }
 
-constexpr VecOps kScalarOps{Level::kScalar, "scalar", popcount_scalar,
-                            dot_window_scalar, build_window_scalar};
+void threshold_codes_scalar(const std::int32_t* a, std::size_t n,
+                            const std::int32_t* sign, const std::int32_t* t,
+                            std::size_t stride, int levels,
+                            std::int32_t* codes) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t v = sign[i] == 0 ? 0 : sign[i] < 0 ? ~a[i] : a[i];
+    std::int32_t code = 0;
+    for (int l = 0; l < levels; ++l) {
+      code += v >= t[static_cast<std::size_t>(l) * stride + i] ? 1 : 0;
+    }
+    codes[i] = code;
+  }
+}
+
+constexpr VecOps kScalarOps{Level::kScalar,        "scalar",
+                            popcount_scalar,       dot_window_scalar,
+                            build_window_scalar,   threshold_codes_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -70,6 +70,17 @@ struct VecOps {
   void (*build_window)(const Word* rows, std::size_t row_size, int k, int top,
                        std::int64_t src_bit, std::int64_t seg, int planes,
                        Word* out);
+
+  /// Threshold activation (§III-B3's comparator + mux) of `n` consecutive
+  /// channels, vectorised over the channels: for i < n,
+  ///   codes[i] = #{ l < levels : v_i >= t[l*stride + i] }
+  /// with v_i = a[i] where sign[i] > 0, ~a[i] (= -a[i] - 1, exact at
+  /// INT32_MIN) where sign[i] < 0, and 0 where sign[i] == 0. `t` is laid
+  /// out [level][channel] with row stride `stride`. `codes` may alias `a`.
+  void (*threshold_codes)(const std::int32_t* a, std::size_t n,
+                          const std::int32_t* sign, const std::int32_t* t,
+                          std::size_t stride, int levels,
+                          std::int32_t* codes);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

@@ -174,10 +174,41 @@ __attribute__((QNN_AVX2_TARGET)) void build_window_avx2(
   }
 }
 
+/// Eight channels per register; the channel tail is a masked load and
+/// store. A lane's code starts at `levels` and each level whose threshold
+/// lies above v_i (vpcmpgtd: -1) takes one off.
+__attribute__((QNN_AVX2_TARGET)) void threshold_codes_avx2(
+    const std::int32_t* a, std::size_t n, const std::int32_t* sign,
+    const std::int32_t* t, std::size_t stride, int levels,
+    std::int32_t* codes) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256i m = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::min<std::size_t>(8, n - i))),
+        lane);
+    const __m256i s = _mm256_maskload_epi32(sign + i, m);
+    // (a ^ flip) & keep: flip = s >> 31 complements the negative lanes,
+    // keep clears the constant (s == 0) ones.
+    const __m256i v = _mm256_andnot_si256(
+        _mm256_cmpeq_epi32(s, zero),
+        _mm256_xor_si256(_mm256_maskload_epi32(a + i, m),
+                         _mm256_srai_epi32(s, 31)));
+    __m256i code = _mm256_set1_epi32(levels);
+    const std::int32_t* tl = t + i;
+    for (int l = 0; l < levels; ++l, tl += stride) {
+      code = _mm256_add_epi32(
+          code, _mm256_cmpgt_epi32(_mm256_maskload_epi32(tl, m), v));
+    }
+    _mm256_maskstore_epi32(codes + i, m, code);
+  }
+}
+
 #undef QNN_AVX2_TARGET
 
-constexpr VecOps kAvx2Ops{Level::kAvx2, "avx2", popcount_avx2,
-                          dot_window_avx2, build_window_avx2};
+constexpr VecOps kAvx2Ops{Level::kAvx2,         "avx2",
+                          popcount_avx2,        dot_window_avx2,
+                          build_window_avx2,    threshold_codes_avx2};
 
 }  // namespace
 

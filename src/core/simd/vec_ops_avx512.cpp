@@ -165,10 +165,38 @@ __attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
   }
 }
 
+/// Sixteen channels per register; the channel tail is a masked load and
+/// store. Each level adds one per lane whose comparison holds.
+__attribute__((QNN_AVX512_TARGET)) void threshold_codes_avx512(
+    const std::int32_t* a, std::size_t n, const std::int32_t* sign,
+    const std::int32_t* t, std::size_t stride, int levels,
+    std::int32_t* codes) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i ones = _mm512_set1_epi32(-1);
+  for (std::size_t i = 0; i < n; i += 16) {
+    const auto m = static_cast<__mmask16>(
+        n - i >= 16 ? 0xffffu : (1u << (n - i)) - 1u);
+    const __m512i s = _mm512_maskz_loadu_epi32(m, sign + i);
+    __m512i v = _mm512_maskz_loadu_epi32(
+        _mm512_mask_cmpneq_epi32_mask(m, s, zero), a + i);
+    v = _mm512_mask_xor_epi32(v, _mm512_cmplt_epi32_mask(s, zero), v, ones);
+    __m512i code = zero;
+    const std::int32_t* tl = t + i;
+    for (int l = 0; l < levels; ++l, tl += stride) {
+      code = _mm512_mask_add_epi32(
+          code, _mm512_cmpge_epi32_mask(v, _mm512_maskz_loadu_epi32(m, tl)),
+          code, one);
+    }
+    _mm512_mask_storeu_epi32(codes + i, m, code);
+  }
+}
+
 #undef QNN_AVX512_TARGET
 
-constexpr VecOps kAvx512Ops{Level::kAvx512, "avx512", popcount_avx512,
-                            dot_window_avx512, build_window_avx512};
+constexpr VecOps kAvx512Ops{Level::kAvx512,         "avx512",
+                            popcount_avx512,        dot_window_avx512,
+                            build_window_avx512,    threshold_codes_avx512};
 
 }  // namespace
 

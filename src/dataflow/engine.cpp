@@ -226,17 +226,45 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   output_stream_ = node_out[static_cast<std::size_t>(pipeline.size() - 1)];
   QNN_CHECK(output_stream_ != nullptr, "output stream not wired");
 
+  // A conv and the BnAct it alone feeds run as one fused ConvKernel, unless
+  // a link cut separates them — the plan layer's one fusion predicate.
+  std::vector<int> cut_after;
+  for (const LinkCut& cut : cuts) cut_after.push_back(cut.after_node);
+  const auto fused = [&](int i) {
+    return fuses_into_conv(pipeline, i, cut_after);
+  };
+
   for (int i = 0; i < pipeline.size(); ++i) {
     const Node& n = pipeline.node(i);
     Stream* in = main_in[static_cast<std::size_t>(i)];
     Stream* out = node_out[static_cast<std::size_t>(i)];
-    QNN_CHECK(in != nullptr && out != nullptr,
-              "node " + n.name + " not fully wired");
     const std::size_t burst = main_burst[static_cast<std::size_t>(i)];
+    // The BnAct this conv absorbs: its kernel writes that node's output.
+    const Node* act = nullptr;
+    if (n.kind == NodeKind::Conv) {
+      const std::vector<int> next = pipeline.consumers(i);
+      if (next.size() == 1 && fused(next.front())) {
+        act = &pipeline.node(next.front());
+        QNN_CHECK(out == nullptr,
+                  "the plan wires a stream inside fused " + act->name);
+        out = node_out[static_cast<std::size_t>(next.front())];
+      }
+    }
+    // A fused BnAct is built with its conv; nothing may feed it on its own.
+    const bool absorbed = fused(i);
+    QNN_CHECK(absorbed ? in == nullptr : in != nullptr && out != nullptr,
+              absorbed ? "the plan wires a stream inside fused " + n.name
+                       : "node " + n.name + " not fully wired");
     switch (n.kind) {
       case NodeKind::Conv:
-        kernels_.push_back(std::make_unique<ConvKernel>(
-            n, params.conv(n).weights, *in, *out, burst));
+        if (act != nullptr) {
+          kernels_.push_back(std::make_unique<ConvKernel>(
+              n, params.conv(n).weights, *act, params.bnact(*act).thresholds,
+              *in, *out, burst));
+        } else {
+          kernels_.push_back(std::make_unique<ConvKernel>(
+              n, params.conv(n).weights, *in, *out, burst));
+        }
         break;
       case NodeKind::MaxPool:
       case NodeKind::AvgPool:
@@ -244,6 +272,7 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
             std::make_unique<PoolKernel>(n, *in, *out, burst));
         break;
       case NodeKind::BnAct:
+        if (absorbed) break;
         kernels_.push_back(std::make_unique<BnActKernel>(
             n, params.bnact(n).thresholds, *in, *out, burst));
         break;

@@ -1,10 +1,12 @@
 // Streaming engine: the software analog of the DFE manager.
 //
-// Builds one Kernel per pipeline node, wires them with bounded Streams,
-// inserts forks where a stream fans out (skip connections), feeds images
-// in depth-first pixel order and collects the output stream. All layers
-// compute concurrently once the pipeline fills — the paper's
-// computation-overlap property (§III-B) realized on the host.
+// Builds one Kernel per pipeline node — a conv and the BnAct it alone
+// feeds share one fused ConvKernel (plan/fifo_plan.h fuses_into_conv) —
+// wires them with bounded Streams, inserts forks where a stream fans out
+// (skip connections), feeds images in depth-first pixel order and
+// collects the output stream. All layers compute concurrently once the
+// pipeline fills — the paper's computation-overlap property (§III-B)
+// realized on the host.
 //
 // Transport is burst-mode end to end (see stream.h): the feeder pushes
 // whole row segments, kernels move the per-edge burst planned by
@@ -149,6 +151,9 @@ class StreamEngine {
   /// from pristine streams and kernels. No effect when no run is active.
   void cancel() { abort_.store(true, std::memory_order_relaxed); }
 
+  /// Tasks the executor runs per image besides feeder and collector: one
+  /// per node, less one per fused conv→BnAct pair, plus forks and link
+  /// pumps.
   [[nodiscard]] int kernel_count() const {
     return static_cast<int>(kernels_.size());
   }

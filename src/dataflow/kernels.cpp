@@ -22,9 +22,9 @@ std::size_t window_burst(const Node& node, std::size_t burst) {
 
 // -------------------------------------------------------------- WindowKernel
 
-WindowKernel::WindowKernel(const Node& node, Stream& in, Stream& out,
-                           std::size_t burst)
-    : Kernel(node.name),
+WindowKernel::WindowKernel(std::string name, const Node& node, Stream& in,
+                           Stream& out, std::size_t burst)
+    : Kernel(std::move(name)),
       node_(node),
       in_(in),
       out_(out),
@@ -105,7 +105,22 @@ StepResult WindowKernel::step() {
 
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
                        Stream& in, Stream& out, std::size_t burst)
-    : WindowKernel(node, in, out, burst),
+    : ConvKernel(node.name, node, weights, nullptr, in, out, burst) {}
+
+ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
+                       const Node& act, const ThresholdLayer& thresholds,
+                       Stream& in, Stream& out, std::size_t burst)
+    : ConvKernel(node.name + "+" + act.name, node, weights, &thresholds, in,
+                 out, burst) {
+  QNN_CHECK(act.kind == NodeKind::BnAct && act.in.c == node.out.c,
+            "a fused ConvKernel needs the BnAct its conv feeds");
+}
+
+ConvKernel::ConvKernel(std::string name, const Node& node,
+                       const FilterBank& weights,
+                       const ThresholdLayer* thresholds, Stream& in,
+                       Stream& out, std::size_t burst)
+    : WindowKernel(std::move(name), node, in, out, burst),
       packed_weights_(scanner().window_values(), node.out.c),
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
@@ -114,6 +129,11 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
+  if (thresholds != nullptr) {
+    QNN_CHECK(thresholds->channels() == node.out.c,
+              "threshold bank channel count mismatch");
+    act_.emplace(*thresholds);
+  }
   // Re-pack the weight cache into the filter-lane layout once; the
   // BitVector tail-zero invariant carries over, so the SIMD sweep needs no
   // weight-side masking.
@@ -169,13 +189,15 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
   for (std::size_t o = 0; o < out.size(); ++o) {
     out[o] = static_cast<std::int32_t>(acc_[o]);
   }
+  // Fused BnAct: the O sums become codes in place, before they are staged.
+  if (act_) act_->eval(ops, 0, out, out.data());
 }
 
 // ---------------------------------------------------------------- PoolKernel
 
 PoolKernel::PoolKernel(const Node& node, Stream& in, Stream& out,
                        std::size_t burst)
-    : WindowKernel(node, in, out, burst),
+    : WindowKernel(node.name, node, in, out, burst),
       is_max_(node.kind == NodeKind::MaxPool),
       ring_(scanner()) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
@@ -251,16 +273,21 @@ StepResult BnActKernel::step() {
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
     // Map the burst through the threshold staircase as it leaves the ring,
-    // carrying the channel phase across burst boundaries: one branchless
-    // fixed-depth search per value over the flat table (§III-B3's
-    // comparator tree).
+    // carrying the channel phase across burst boundaries: one vectorised
+    // threshold_codes call per channel-aligned stretch (§III-B3's
+    // comparator + mux, every channel of the stretch at once).
     int ch = ch_;  // a local, so the code stores cannot alias it
+    const auto& ops = simd::vec_ops();
     const std::size_t n = in_.try_pop_with(
         burst_, [&](std::span<const std::int32_t> vals) {
           const auto codes = stage_.extend(vals.size());
-          for (std::size_t i = 0; i < vals.size(); ++i) {
-            codes[i] = table_.eval(ch, vals[i]);
-            ch = ch + 1 == c ? 0 : ch + 1;
+          for (std::size_t i = 0; i < vals.size();) {
+            const std::size_t len = std::min(
+                static_cast<std::size_t>(c - ch), vals.size() - i);
+            table_.eval(ops, ch, vals.subspan(i, len), codes.data() + i);
+            i += len;
+            ch += static_cast<int>(len);
+            if (ch == c) ch = 0;
           }
         });
     if (n == 0) {

@@ -1,9 +1,11 @@
 // Streaming kernels: the functional decomposition units of §III-B.
 //
-// Each kernel corresponds to one pipeline Node and is connected to its
-// neighbours only through Streams; it is triggered by input availability
-// and output buffer space (dataflow firing rule, §II-B). Forks are inserted
-// by the engine wherever a stream fans out (residual skip connections).
+// Each kernel runs one pipeline Node — or, for a Conv whose only consumer
+// is a threshold BnAct, the pair (plan/fifo_plan.h fuses_into_conv) — and
+// is connected to its neighbours only through Streams; it is triggered by
+// input availability and output buffer space (dataflow firing rule,
+// §II-B). Forks are inserted by the engine wherever a stream fans out
+// (residual skip connections).
 //
 // Kernels are *resumable tasks*, not threads: the unit of execution is
 // step(), which performs a bounded amount of work using only the streams'
@@ -16,16 +18,18 @@
 // transforms it (BnAct maps the whole burst through the threshold
 // staircase and Add sums it, both straight from the ring into their
 // output stage; Conv/Pool ingest row segments at a time and emit all O
-// filter responses per completed window position), stages the results,
-// and flushes them with one ring transaction. Blocked-episode accounting
-// (Stream::note_*_stall) fires once per continuous blocked period, so the
-// stall counters keep their pre-burst meaning.
+// filter responses — or, fused, their activation codes — per completed
+// window position), stages the results, and flushes them with one ring
+// transaction. Blocked-episode accounting (Stream::note_*_stall) fires
+// once per continuous blocked period, so the stall counters keep their
+// pre-burst meaning.
 //
 // All kernels process an unbounded sequence of images and terminate when
 // their input stream is closed at an image boundary.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -234,7 +238,8 @@ class Kernel {
 /// output stage. Subclasses emit responses for each completed window.
 class WindowKernel : public Kernel {
  public:
-  WindowKernel(const Node& node, Stream& in, Stream& out, std::size_t burst);
+  WindowKernel(std::string name, const Node& node, Stream& in, Stream& out,
+               std::size_t burst);
   StepResult step() final;
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;
@@ -288,12 +293,28 @@ class WindowKernel : public Kernel {
 /// weight cache of §III-B1a — packed once at construction into the
 /// filter-lane layout (eight filters interleaved per word) for that sweep;
 /// it is the kernel's only copy.
+///
+/// Fused form (§III-B3's comparator + mux on the conv output): built with
+/// the BnAct node it feeds and that node's thresholds, the kernel turns
+/// each window's O filter sums into activation codes in its output stage,
+/// with one VecOps::threshold_codes call, and flushes the codes straight
+/// into the BnAct's output stream — one task, no int32 ring between the
+/// two.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
              Stream& out, std::size_t burst = kDefaultBurst);
+  /// The conv `node` fused with the BnAct `act` it feeds; `out` is the
+  /// BnAct's output stream.
+  ConvKernel(const Node& node, const FilterBank& weights, const Node& act,
+             const ThresholdLayer& thresholds, Stream& in, Stream& out,
+             std::size_t burst = kDefaultBurst);
 
  private:
+  ConvKernel(std::string name, const Node& node, const FilterBank& weights,
+             const ThresholdLayer* thresholds, Stream& in, Stream& out,
+             std::size_t burst);
+
   void emit(const WindowScanner::Completed& at) override;
   void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
   void rearm_image() override;
@@ -307,6 +328,7 @@ class ConvKernel final : public WindowKernel {
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
   std::vector<std::int64_t> acc_;  // one per padded filter lane
+  std::optional<ThresholdTable> act_;  // the fused BnAct, if any
   int packed_row_ = -1;  // highest padded row already entered into lines_
 };
 
@@ -328,13 +350,13 @@ class PoolKernel final : public WindowKernel {
   PixelRing ring_;
 };
 
-/// Folded BatchNorm + n-bit activation kernel (§III-B3): maps each input
-/// burst through the per-channel threshold staircase as it leaves the
-/// ring, straight into the output stage, carrying the channel phase
-/// across bursts. The staircases are flattened at construction into
-/// one channel-major ThresholdTable (signs and constant channels folded
-/// in), so every value takes the same branchless n-deep search whatever
-/// the pre-activation width.
+/// Folded BatchNorm + n-bit activation kernel (§III-B3) for the BnActs
+/// no conv absorbs — those after an Add (or after a conv that forks or
+/// sits before a link cut). Maps each input burst through the threshold
+/// staircase as it leaves the ring, straight into the output stage,
+/// carrying the channel phase across bursts: the burst is cut into
+/// channel-aligned stretches, each evaluated by one
+/// VecOps::threshold_codes call over the ThresholdTable.
 class BnActKernel final : public Kernel {
  public:
   BnActKernel(const Node& node, const ThresholdLayer& thresholds, Stream& in,

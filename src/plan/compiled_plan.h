@@ -40,8 +40,10 @@ namespace qnn {
 /// that older readers would misinterpret; the cache treats a version
 /// mismatch as a miss, never as an error (DESIGN.md §9). Version 2 dropped
 /// the "executor" field (one scheduler is left), so a version-1 plan is a
-/// loud miss rather than a plan armed with a knob nothing reads.
-inline constexpr int kPlanFormatVersion = 2;
+/// loud miss rather than a plan armed with a knob nothing reads. Version 3
+/// plans no stream inside a fused conv→BnAct pair (fuses_into_conv), so a
+/// version-2 plan, which still wires one, is a miss too.
+inline constexpr int kPlanFormatVersion = 3;
 
 /// Structural hash of a pipeline (FNV-1a over shapes, edges, widths and
 /// window geometry; node *names* are excluded so a rename does not orphan
@@ -99,7 +101,8 @@ struct CompiledPlan {
   /// The FIFO plan the engine wires verbatim (EngineOptions::plan).
   FifoPlan fifos;
   /// Per-edge bursts for the sim's MaxRing serializer and the
-  /// partitioner's framed wire pricing (derived from `fifos`).
+  /// partitioner's framed wire pricing (derived from `fifos`, plus the
+  /// edge inside each fused pair — the burst a cut there would frame).
   std::vector<SimConfig::EdgeBurst> link_bursts;
 
   // ---- provenance (plan/autotune.h) --------------------------------------

@@ -25,6 +25,25 @@ const PlannedStream* FifoPlan::find_edge(int consumer,
   return nullptr;
 }
 
+std::vector<int> FifoPlan::cut_after() const {
+  std::vector<int> out;
+  for (const PlannedStream& s : streams) {
+    if (s.role == PlannedStream::Role::kLinkOut) out.push_back(s.producer);
+  }
+  return out;
+}
+
+bool fuses_into_conv(const Pipeline& pipeline, int node,
+                     std::span<const int> cut_after) {
+  if (node < 0 || node >= pipeline.size()) return false;
+  const Node& n = pipeline.node(node);
+  const int p = n.main_from;
+  return n.kind == NodeKind::BnAct && p >= 0 && p < node &&
+         pipeline.node(p).kind == NodeKind::Conv &&
+         pipeline.consumers(p) == std::vector<int>{node} &&
+         std::find(cut_after.begin(), cut_after.end(), p) == cut_after.end();
+}
+
 std::size_t line_buffer_values(const Node& n) {
   QNN_DCHECK(n.is_window_op(), "line buffer of a non-window kernel");
   const std::int64_t wp = n.in.w + 2 * n.pad;
@@ -32,7 +51,8 @@ std::size_t line_buffer_values(const Node& n) {
                                   (wp * (n.k - 1) + n.k));
 }
 
-FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
+FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options,
+                    std::span<const int> cut_after) {
   FifoPlan plan;
   const std::size_t user = options.fifo_capacity;
   // The transaction size asked for: EngineOptions::burst, or for its
@@ -113,6 +133,10 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
                                            std::max<std::size_t>(burst, 1)});
     };
 
+    if (consumers.size() == 1 && !consumers.front().skip &&
+        fuses_into_conv(pipeline, consumers.front().node, cut_after)) {
+      return;  // the conv's kernel evaluates the BnAct: no ring between
+    }
     if (consumers.empty()) {
       stream(pname + "->output", PlannedStream::Role::kOutput, -1, false,
              plain_capacity);
@@ -142,15 +166,34 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
 }
 
 void route_links(const Pipeline& pipeline, FifoPlan& plan,
-                 std::span<const LinkCut> cuts) {
+                 std::span<const LinkCut> cuts, const EngineOptions& sizing) {
   for (std::size_t k = 0; k < cuts.size(); ++k) {
     const LinkCut& cut = cuts[k];
-    const auto it = std::find_if(
-        plan.streams.begin(), plan.streams.end(),
-        [&](const PlannedStream& s) {
-          return s.producer == cut.after_node &&
-                 s.role == PlannedStream::Role::kDirect;
-        });
+    const auto direct = [&](const PlannedStream& s) {
+      return s.producer == cut.after_node &&
+             s.role == PlannedStream::Role::kDirect;
+    };
+    auto it = std::find_if(plan.streams.begin(), plan.streams.end(), direct);
+    if (it == plan.streams.end() && cut.after_node >= 0 &&
+        cut.after_node < pipeline.size()) {
+      const std::vector<int> next = pipeline.consumers(cut.after_node);
+      if (next.size() == 1 && fuses_into_conv(pipeline, next.front())) {
+        // The cut splits a fused pair: plan its edge as if never fused,
+        // in producer order.
+        const FifoPlan split = plan_fifos(
+            pipeline, sizing, std::span<const int>(&cut.after_node, 1));
+        const auto edge =
+            std::find_if(split.streams.begin(), split.streams.end(), direct);
+        QNN_CHECK(edge != split.streams.end(),
+                  "route_links: split pair without a planned edge");
+        it = plan.streams.insert(
+            std::find_if(plan.streams.begin(), plan.streams.end(),
+                         [&](const PlannedStream& s) {
+                           return s.producer > cut.after_node;
+                         }),
+            *edge);
+      }
+    }
     QNN_CHECK(it != plan.streams.end() && cut.after_node >= 0,
               "route_links: the cut after node " +
                   std::to_string(cut.after_node) +
@@ -174,9 +217,11 @@ void route_links(const Pipeline& pipeline, FifoPlan& plan,
 
 FifoPlan engine_fifos(const Pipeline& pipeline, const EngineOptions& options,
                       std::span<const LinkCut> cuts) {
+  EngineOptions sizing = options;
+  if (options.plan != nullptr) options.plan->apply_engine(sizing);
   FifoPlan plan = options.plan != nullptr ? options.plan->fifos
                                           : plan_fifos(pipeline, options);
-  route_links(pipeline, plan, cuts);
+  route_links(pipeline, plan, cuts, sizing);
   return plan;
 }
 

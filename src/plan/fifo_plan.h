@@ -14,7 +14,11 @@
 //    (adaptive mode), capped only by an explicit EngineOptions::burst and
 //    by its own ring;
 //  * every other edge holds two of its own bursts, and never less than
-//    kMinFifoCapacity.
+//    kMinFifoCapacity;
+//  * a conv whose only consumer is a threshold BnAct evaluates the
+//    thresholds itself (fuses_into_conv, the one fusion predicate): the
+//    edge between them gets no ring at all, unless a link cut separates
+//    them.
 //
 // Consumers: the StreamEngine wires streams from the plan verbatim; the
 // static analyzer (verify/graph_check.h) proves the same plan deadlock-
@@ -91,24 +95,43 @@ struct FifoPlan {
   /// The planned stream into `consumer`'s main or skip port, or nullptr.
   [[nodiscard]] const PlannedStream* find_edge(int consumer,
                                                bool to_skip_port) const;
+  /// Nodes followed by a routed link cut (the producers of kLinkOut
+  /// rings), in plan order — the cuts fuses_into_conv must respect.
+  [[nodiscard]] std::vector<int> cut_after() const;
 };
+
+/// True when BnAct `node` is evaluated inside the conv that feeds it — one
+/// fused ConvKernel, one task, no ring between them: its main producer is
+/// a Conv whose only consumer it is, and no link cut in `cut_after`
+/// follows that conv. The one fusion predicate: plan_fifos plans no
+/// stream for the edge inside a fused pair, the engine builds one kernel
+/// per pair, and the verifier's capacity and token-flow models see that
+/// one task. False for any index outside the pipeline.
+[[nodiscard]] bool fuses_into_conv(const Pipeline& pipeline, int node,
+                                   std::span<const int> cut_after = {});
 
 /// The paper's depth-first line-buffer size (§III-B1b) for the input of a
 /// window kernel, on the padded map: I * (W_p * (K-1) + K) values.
 [[nodiscard]] std::size_t line_buffer_values(const Node& n);
 
-/// Compute the FIFO plan StreamEngine will wire for these options. This is
-/// the *only* place capacities are decided; every consumer takes the plan.
+/// Compute the FIFO plan StreamEngine will wire for these options, with
+/// every pair fuses_into_conv(…, cut_after) accepts fused. This is the
+/// *only* place capacities are decided; every consumer takes the plan.
 [[nodiscard]] FifoPlan plan_fifos(const Pipeline& pipeline,
-                                  const EngineOptions& options = {});
+                                  const EngineOptions& options = {},
+                                  std::span<const int> cut_after = {});
 
 /// Reroute the edge out of every cut node through its link: the planned
 /// direct edge becomes a kLinkOut ring into the LinkPump (at least one
 /// frame deep, moving one frame per transaction) followed by a kLinkIn
-/// ring that keeps the edge's capacity and burst. Throws Error when a cut
-/// does not sever exactly one direct edge.
+/// ring that keeps the edge's capacity and burst. A cut between a conv
+/// and the BnAct fused into it splits the pair first: the edge is planned
+/// as plan_fifos would with that cut, from `sizing` — the options `plan`
+/// was made with. Throws Error when a cut does not sever exactly one
+/// direct edge.
 void route_links(const Pipeline& pipeline, FifoPlan& plan,
-                 std::span<const LinkCut> cuts);
+                 std::span<const LinkCut> cuts,
+                 const EngineOptions& sizing = {});
 
 /// The streams a StreamEngine over `pipeline` wires: the CompiledPlan's
 /// FIFOs verbatim when `options.plan` is set, plan_fifos otherwise, with

@@ -112,23 +112,30 @@ ThresholdTable::ThresholdTable(const ThresholdLayer& layer)
     : channels_(layer.channels()) {
   const int bits = layer.bits();
   QNN_CHECK(bits >= 1 && bits <= 16, "threshold table bit width out of range");
-  stride_ = std::size_t{1} << bits;
-  table_.reserve(static_cast<std::size_t>(channels_) * stride_);
+  levels_ = (1 << bits) - 1;
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const auto c_count = static_cast<std::size_t>(channels_);
+  sign_.reserve(c_count);
+  t_.resize(static_cast<std::size_t>(levels_) * c_count);
   for (int c = 0; c < channels_; ++c) {
     const ThresholdActivation& t = layer.at(c);
     QNN_CHECK(t.bits() == bits, "threshold layer mixes activation widths");
-    table_.push_back(t.sign());
-    if (t.is_constant()) {
-      for (std::size_t i = 1; i < stride_; ++i) {
-        table_.push_back(static_cast<std::int64_t>(i) <= t.constant_code()
-                             ? std::numeric_limits<std::int32_t>::min()
-                             : std::numeric_limits<std::int32_t>::max());
+    QNN_CHECK(t.is_constant() || t.thresholds().size() ==
+                                     static_cast<std::size_t>(levels_),
+              "threshold count does not match the activation width");
+    sign_.push_back(t.sign());
+    for (int l = 0; l < levels_; ++l) {
+      std::int32_t v = 0;
+      if (t.is_constant()) {
+        v = l < t.constant_code() ? kMin : kMax;
+      } else {
+        v = t.thresholds()[static_cast<std::size_t>(l)];
+        // -a >= T  <=>  ~a >= T - 1; T = INT32_MIN holds for every a.
+        if (t.sign() < 0 && v != kMin) --v;
       }
-    } else {
-      QNN_CHECK(t.thresholds().size() == stride_ - 1,
-                "threshold count does not match the activation width");
-      table_.insert(table_.end(), t.thresholds().begin(),
-                    t.thresholds().end());
+      t_[static_cast<std::size_t>(l) * c_count + static_cast<std::size_t>(c)] =
+          v;
     }
   }
 }

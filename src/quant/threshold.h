@@ -16,8 +16,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/simd/vec_ops.h"
 #include "quant/batchnorm.h"
 #include "quant/quantizer.h"
 
@@ -103,40 +105,44 @@ class ThresholdLayer {
   std::vector<ThresholdActivation> per_channel_;
 };
 
-/// Every channel of a ThresholdLayer flattened into one channel-major int32
-/// table and evaluated by a branchless fixed-depth search — the n-deep
-/// comparator tree of §III-B3, one level per activation bit. Row c is
-///   [s_c, T_1 .. T_{2^n - 1}]
-/// with s_c the channel's comparison sign (+1, -1, or 0 for a constant
-/// channel) and T ascending. The code of a pre-activation a is the number
-/// of thresholds <= v = s_c * a, found by
-///   code += v >= T[code + step] ? step : 0   for step = 2^(n-1) .. 1
-/// with v and the comparisons in int64, so INT32_MIN negates exactly. A
-/// constant channel has v = 0 and a row of `constant_code` INT32_MIN
-/// entries followed by INT32_MAX, so the same search returns its code.
-/// Bit-identical to ThresholdActivation::eval_binary_search.
+/// Every channel of a ThresholdLayer in the layout
+/// VecOps::threshold_codes evaluates, vectorised over channels: the
+/// thresholds as [level][channel] (one row of `channels()` values per
+/// level) plus a comparison sign per channel (+1, -1, or 0 for a constant
+/// channel). The code of pre-activation a in channel c is
+///   #{ l : s_c * a >= T_l }
+/// — for ascending T exactly the binary search of §III-B3, one level per
+/// comparator. The rows hold each channel's thresholds in the domain the
+/// routine compares in: T_l itself for s_c = +1; T_l - 1 (saturating at
+/// INT32_MIN) for s_c = -1, whose input is ~a = -a - 1, so INT32_MIN needs
+/// no widening; and for a constant channel, whose input is 0,
+/// `constant_code` INT32_MIN entries followed by INT32_MAX. Bit-identical
+/// to ThresholdActivation::eval_binary_search.
 class ThresholdTable {
  public:
   explicit ThresholdTable(const ThresholdLayer& layer);
 
   [[nodiscard]] int channels() const { return channels_; }
+  [[nodiscard]] int levels() const { return levels_; }
 
-  [[nodiscard]] std::int32_t eval(int c, std::int32_t a) const {
-    QNN_DCHECK(c >= 0 && c < channels_, "channel out of range");
-    const std::int32_t* row =
-        table_.data() + static_cast<std::size_t>(c) * stride_;
-    const std::int64_t v = std::int64_t{row[0]} * a;
-    std::size_t code = 0;
-    for (std::size_t step = stride_ / 2; step != 0; step /= 2) {
-      code += v >= row[code + step] ? step : 0;
-    }
-    return static_cast<std::int32_t>(code);
+  /// codes[i] = the code of a[i] in channel c0 + i, for a stretch of
+  /// consecutive channels (c0 + a.size() <= channels()). `codes` may
+  /// alias `a`.
+  void eval(const simd::VecOps& ops, int c0, std::span<const std::int32_t> a,
+            std::int32_t* codes) const {
+    QNN_DCHECK(c0 >= 0 && static_cast<std::size_t>(c0) + a.size() <=
+                              static_cast<std::size_t>(channels_),
+               "channel stretch out of range");
+    const auto c = static_cast<std::size_t>(c0);
+    ops.threshold_codes(a.data(), a.size(), sign_.data() + c, t_.data() + c,
+                        static_cast<std::size_t>(channels_), levels_, codes);
   }
 
  private:
   int channels_ = 0;
-  std::size_t stride_ = 1;  // 2^bits: the sign slot + 2^bits - 1 thresholds
-  std::vector<std::int32_t> table_;
+  int levels_ = 0;  // 2^bits - 1
+  std::vector<std::int32_t> sign_;
+  std::vector<std::int32_t> t_;  // [level][channel]
 };
 
 }  // namespace qnn

@@ -428,7 +428,12 @@ void check_capacities(const Pipeline& p, const FifoPlan& plan,
                       "producer in lockstep");
           continue;
         }
-        path = std::to_string(hops) + "-kernel regular path";
+        // A fused BnAct shares its conv's kernel: count tasks, not nodes.
+        const std::vector<int> cuts = plan.cut_after();
+        const auto kernels = std::count_if(
+            chain.begin(), chain.begin() + static_cast<std::ptrdiff_t>(hops),
+            [&](int m) { return !fuses_into_conv(p, m, cuts); });
+        path = std::to_string(kernels) + "-kernel regular path";
       } else {
         // Both main chains terminate at the pipeline input, so the walk
         // always finds the divergence point.

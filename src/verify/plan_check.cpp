@@ -153,6 +153,8 @@ void lint_plan(const Pipeline& pipeline, const CompiledPlan& plan,
           return s.consumer == lb.consumer && s.to_skip_port == lb.to_skip_port;
         });
     if (it == plan.fifos.streams.end()) {
+      // The edge inside a fused pair has no ring, only this price.
+      if (!lb.to_skip_port && fuses_into_conv(pipeline, lb.consumer)) continue;
       report.warn(diag::kBurstFifoSkew, lb.consumer, "plan",
                   "field 'link_bursts': entry for node " +
                       std::to_string(lb.consumer) +

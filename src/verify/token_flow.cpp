@@ -85,7 +85,11 @@ std::int64_t window_burst_of(const Node& n, std::int64_t planned) {
 }
 
 struct Transition {
-  enum class Kind { kSource, kWindow, kElementwise, kAdd, kFork, kLink };
+  // kFused: a BnAct its conv's kernel evaluates — a placeholder that keeps
+  // transitions indexed by node, never fires and is always done.
+  enum class Kind {
+    kSource, kWindow, kElementwise, kAdd, kFork, kLink, kFused
+  };
   Kind kind = Kind::kElementwise;
   std::string name;
   int in = -1;    // place index (main port)
@@ -111,6 +115,7 @@ struct Transition {
   std::int64_t fill = 0;
 
   [[nodiscard]] bool done(int images) const {
+    if (kind == Kind::kFused) return true;
     if (kind == Kind::kWindow) return img >= images;
     if (kind == Kind::kLink) return consumed >= total && staged == 0;
     return consumed >= total;
@@ -155,12 +160,27 @@ class Simulation {
       places_[e].cap += in_slack(plan.streams[e]);
     }
 
-    // One transition per pipeline node, matching dataflow/kernels.cpp.
+    // One transition per pipeline node, matching dataflow/kernels.cpp: a
+    // fused conv→BnAct pair is the conv's window transition writing the
+    // BnAct's output place (the codes it emits are as many as the sums).
+    const std::vector<int> cut_after = plan.cut_after();
+    std::vector<char> fused(static_cast<std::size_t>(n), 0);
+    for (int i = 0; i < n; ++i) {
+      fused[static_cast<std::size_t>(i)] = fuses_into_conv(p, i, cut_after);
+    }
     for (int i = 0; i < n; ++i) {
       const Node& node = p.node(i);
       Transition t;
       t.name = node.name;
       t.in = main_in[static_cast<std::size_t>(i)];
+      if (fused[static_cast<std::size_t>(i)]) {
+        QNN_CHECK(t.in < 0, "token flow: planned edge inside a fused pair");
+        t.kind = Transition::Kind::kFused;
+        transitions_[static_cast<std::size_t>(node.main_from)].name +=
+            "+" + node.name;
+        transitions_.push_back(std::move(t));
+        continue;
+      }
       QNN_CHECK(t.in >= 0, "token flow: node without a planned input edge");
       t.total = static_cast<std::int64_t>(node.in.elems()) * images_;
       if (node.is_window_op()) {
@@ -217,7 +237,11 @@ class Simulation {
         out_elems = src.total;
         transitions_.push_back(std::move(src));
       } else {
-        transitions_[static_cast<std::size_t>(producer)].out = trunk;
+        // A fused BnAct's output is written by its conv.
+        const int writer = fused[static_cast<std::size_t>(producer)]
+                               ? p.node(producer).main_from
+                               : producer;
+        transitions_[static_cast<std::size_t>(writer)].out = trunk;
         out_elems =
             static_cast<std::int64_t>(p.node(producer).out.elems()) * images_;
       }
@@ -242,7 +266,14 @@ class Simulation {
       }
     };
     wire_producer(-1, "input");
-    for (int i = 0; i < n; ++i) wire_producer(i, p.node(i).name);
+    for (int i = 0; i < n; ++i) {
+      // A conv fused with its BnAct has no output edge of its own.
+      const std::vector<int> next = p.consumers(i);
+      if (next.size() == 1 && fused[static_cast<std::size_t>(next.front())]) {
+        continue;
+      }
+      wire_producer(i, p.node(i).name);
+    }
 
     // One transition per link pump, from its egress ring to its ingress
     // ring. Its frame buffer is exact, not burst slack: the pump holds a
@@ -293,6 +324,7 @@ class Simulation {
           case Transition::Kind::kSource:
           case Transition::Kind::kFork:
           case Transition::Kind::kLink:
+          case Transition::Kind::kFused:
             break;  // feeder/fork stage handled above; pumps are exact
         }
       }
@@ -418,6 +450,8 @@ class Simulation {
         return fire_window(t, tokens);
       case Transition::Kind::kLink:
         return fire_link(t, tokens);
+      case Transition::Kind::kFused:
+        return false;
     }
     return false;
   }

@@ -14,8 +14,10 @@
 // with its planned capacity; every kernel is a transition whose exact
 // consume/produce behavior is taken from dataflow/kernels.cpp — window
 // kernels replay their WindowScanner geometry (padding positions consume
-// no input; a completed window emits all O responses at once), adders
-// consume pairwise, forks replicate only when every branch has room. The
+// no input; a completed window emits all O responses at once — a fused
+// conv→BnAct pair is one such transition, writing the BnAct's output),
+// adders consume pairwise, forks replicate only when every branch has
+// room. The
 // network is a Kahn process network, so its outcome is schedule
 // independent: a greedy maximal-progress run reaches the unique least
 // fixed point, and batching whole runs of values per firing changes cost,

@@ -6,9 +6,12 @@
 #include <chrono>
 #include <thread>
 
+#include "dataflow/linked_engine.h"
 #include "models/zoo.h"
 #include "nn/reference.h"
+#include "plan/compiled_plan.h"
 #include "test_util.h"
+#include "verify/token_flow.h"
 
 namespace qnn {
 namespace {
@@ -360,12 +363,194 @@ TEST(Engine, KernelAndStreamCountsMatchTopology) {
   const Pipeline p = expand(models::tiny(12, 4, 2));
   const NetworkParams params = NetworkParams::random(p, 25);
   StreamEngine engine(p, params);
-  // One kernel per node plus one fork per fan-out point.
+  // One kernel per node plus one fork per fan-out point, less one per
+  // BnAct evaluated inside the conv that alone feeds it.
+  int forks = 0;
+  int fused = 0;
+  for (int i = 0; i < p.size(); ++i) {
+    if (p.consumers(i).size() > 1) ++forks;
+    const Node& n = p.node(i);
+    if (n.kind == NodeKind::BnAct && n.main_from >= 0 &&
+        p.node(n.main_from).kind == NodeKind::Conv &&
+        p.consumers(n.main_from).size() == 1) {
+      ++fused;
+    }
+  }
+  EXPECT_EQ(fused, 3);  // conv_0+bnact_1, conv_3+bnact_4, conv_9+bnact_10
+  EXPECT_EQ(engine.kernel_count(), p.size() + forks - fused);
+}
+
+// ------------------------------------------------- conv→BnAct fusion
+
+/// Fork kernels the engine inserts for `p`: one per fanned-out producer.
+int fork_count(const Pipeline& p) {
   int forks = 0;
   for (int i = 0; i < p.size(); ++i) {
     if (p.consumers(i).size() > 1) ++forks;
   }
-  EXPECT_EQ(engine.kernel_count(), p.size() + forks);
+  return forks;
+}
+
+/// Bit-exactness of the engine that fuses every conv→BnAct pair of
+/// `spec`, plus the task count that proves the pairs did fuse.
+void expect_fused_engine_matches_reference(const NetworkSpec& spec,
+                                           std::uint64_t seed, int images) {
+  const Pipeline p = expand(spec);
+  const NetworkParams params = NetworkParams::random(p, seed);
+  int fused = 0;
+  for (int i = 0; i < p.size(); ++i) fused += fuses_into_conv(p, i) ? 1 : 0;
+  ASSERT_GT(fused, 0) << spec.name;
+  StreamEngine engine(p, params);
+  EXPECT_EQ(engine.kernel_count(), p.size() + fork_count(p) - fused)
+      << spec.name;
+  const ReferenceExecutor ref(p, params);
+  Rng rng(seed ^ 0xf05edu);
+  std::vector<IntTensor> batch;
+  for (int i = 0; i < images; ++i) {
+    batch.push_back(testutil::random_codes(spec.input, spec.input_bits, rng));
+  }
+  const auto outs = engine.run(batch);
+  ASSERT_EQ(outs.size(), batch.size());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    EXPECT_EQ(outs[i], ref.run(batch[i])) << spec.name << " image " << i;
+  }
+}
+
+TEST(FusedConv, TinyMatchesReference) {
+  expect_fused_engine_matches_reference(models::tiny(12, 4, 2), 61, 3);
+}
+
+TEST(FusedConv, VggLike32MatchesReference) {
+  expect_fused_engine_matches_reference(models::vgg_like(32, 10, 2), 62, 2);
+}
+
+TEST(FusedConv, ResNet18MatchesReference) {
+  expect_fused_engine_matches_reference(models::resnet18(32, 10, 2), 63, 1);
+}
+
+TEST(FusedConv, ResNet34MatchesReference) {
+  expect_fused_engine_matches_reference(models::resnet34(32, 10, 2), 64, 1);
+}
+
+TEST(FusedConv, AlexNetMatchesReference) {
+  expect_fused_engine_matches_reference(models::alexnet(63, 10, 2), 65, 1);
+}
+
+TEST(FusedConv, FinnCnvMatchesReference) {
+  expect_fused_engine_matches_reference(models::finn_cnv(10, 2), 66, 2);
+}
+
+TEST(FusedConv, ForkingConvKeepsItsBnActKernel) {
+  // conv_0 feeds both bnact_1 and, as a skip, the Add after it: its sums
+  // must reach the Add unthresholded, so the pair may not fuse.
+  NetworkSpec spec;
+  spec.name = "conv_fork";
+  spec.input = Shape{8, 8, 3};
+  spec.conv(4, 3, 1, 1);
+  Pipeline p = expand(spec);
+  ASSERT_EQ(p.size(), 2);
+  Node add;
+  add.kind = NodeKind::Add;
+  add.name = "add_2";
+  add.main_from = 1;
+  add.skip_from = 0;
+  add.in = add.out = p.node(1).out;
+  add.in_bits = p.node(1).out_bits;
+  add.out_bits = std::max(add.in_bits, p.node(0).out_bits) + 1;
+  p.nodes.push_back(add);
+  EXPECT_FALSE(fuses_into_conv(p, 1));
+  const NetworkParams params = NetworkParams::random(p, 67);
+  StreamEngine engine(p, params);
+  EXPECT_EQ(engine.kernel_count(), p.size() + 1);  // + the fork of conv_0
+  const ReferenceExecutor ref(p, params);
+  Rng rng(68);
+  for (int i = 0; i < 3; ++i) {
+    const IntTensor img = testutil::random_codes(spec.input, 8, rng);
+    EXPECT_EQ(engine.run_one(img), ref.run(img)) << "image " << i;
+  }
+}
+
+TEST(FusedConv, BnActAfterAddKeepsItsOwnKernel) {
+  // tiny's add_6 -> bnact_7: an adder, not a conv, feeds the BnAct, so a
+  // BnActKernel and the ring into it stay.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  ASSERT_EQ(p.node(7).kind, NodeKind::BnAct);
+  ASSERT_EQ(p.node(p.node(7).main_from).kind, NodeKind::Add);
+  EXPECT_FALSE(fuses_into_conv(p, 7));
+  const FifoPlan plan = plan_fifos(p);
+  const PlannedStream* edge = plan.find_edge(7, false);
+  ASSERT_NE(edge, nullptr);
+  EXPECT_EQ(edge->name, "add_6->bnact_7");
+  // The fused pairs have no edge at all.
+  EXPECT_EQ(plan.find_edge(1, false), nullptr);
+  expect_fused_engine_matches_reference(models::tiny(12, 4, 2), 69, 2);
+}
+
+TEST(FusedConv, LinkCutBetweenConvAndBnActSplitsThePair) {
+  // A cut after conv_0 carries its int32 sums over the link: the pair is
+  // split, its edge planned as if never fused and routed through the
+  // link's rings, and the chain stays bit-exact — with the plan derived
+  // on the spot and with a compiled (fused) plan armed.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  const NetworkParams params = NetworkParams::random(p, 70);
+  const int cut_node = 0;
+  EXPECT_TRUE(fuses_into_conv(p, 1));
+  EXPECT_FALSE(fuses_into_conv(p, 1, std::span<const int>(&cut_node, 1)));
+
+  LinkCut cut;
+  cut.after_node = 0;
+  cut.frame_values = 64;
+  cut.config.name = "link0";
+  const FifoPlan routed =
+      engine_fifos(p, {}, std::span<const LinkCut>(&cut, 1));
+  const auto role_of = [&](const std::string& name) {
+    const auto it = std::find_if(
+        routed.streams.begin(), routed.streams.end(),
+        [&](const PlannedStream& s) { return s.name == name; });
+    return it == routed.streams.end() ? -1 : static_cast<int>(it->role);
+  };
+  EXPECT_EQ(role_of("conv_0->link0"),
+            static_cast<int>(PlannedStream::Role::kLinkOut));
+  EXPECT_EQ(role_of("link0->bnact_1"),
+            static_cast<int>(PlannedStream::Role::kLinkIn));
+  // The split edge keeps the capacity and burst it has in an unfused plan.
+  const PlannedStream* split = routed.find_edge(1, false);
+  EXPECT_EQ(split, nullptr);  // no longer direct: it is the ingress ring
+  const FifoPlan unfused =
+      plan_fifos(p, {}, std::span<const int>(&cut_node, 1));
+  const PlannedStream* want = unfused.find_edge(1, false);
+  ASSERT_NE(want, nullptr);
+  const auto ingress = std::find_if(
+      routed.streams.begin(), routed.streams.end(),
+      [](const PlannedStream& s) {
+        return s.role == PlannedStream::Role::kLinkIn;
+      });
+  ASSERT_NE(ingress, routed.streams.end());
+  EXPECT_EQ(ingress->capacity, want->capacity);
+  EXPECT_EQ(ingress->burst, want->burst);
+  EXPECT_EQ(prove_token_flow(p, routed).verdict, TokenVerdict::kFeasible);
+
+  const ReferenceExecutor ref(p, params);
+  Rng rng(71);
+  std::vector<IntTensor> batch;
+  for (int i = 0; i < 3; ++i) {
+    batch.push_back(testutil::random_image(12, 12, 3, rng));
+  }
+  const CompiledPlan compiled = compile_plan(p);
+  for (const CompiledPlan* plan : {static_cast<const CompiledPlan*>(nullptr),
+                                   &compiled}) {
+    LinkedEngineOptions opts;
+    opts.cut_after_nodes = {0};
+    opts.engine.plan = plan;
+    LinkedEngine engine(p, params, opts);
+    ASSERT_EQ(engine.links(), 1);
+    const auto outs = engine.run(batch);
+    ASSERT_EQ(outs.size(), batch.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      EXPECT_EQ(outs[i], ref.run(batch[i]))
+          << (plan ? "compiled plan" : "derived plan") << " image " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -23,8 +23,8 @@ namespace qnn {
 namespace {
 
 /// A straight pipeline of `convs` (conv + bnact) pairs: 2*convs + 1 nodes,
-/// so convs >= 25 gives a 50+-kernel chain where only a few tasks are
-/// runnable at once and most workers park.
+/// each pair one fused kernel, so convs >= 25 gives a 25+-kernel chain
+/// where only a few tasks are runnable at once and most workers park.
 NetworkSpec deep_chain(int convs) {
   NetworkSpec spec;
   spec.name = "deep_chain_" + std::to_string(convs);
@@ -35,7 +35,7 @@ NetworkSpec deep_chain(int convs) {
 }
 
 TEST(ReadyQueue, DeepChainBitExactAcrossThreadCounts) {
-  const NetworkSpec spec = deep_chain(26);  // 53 kernels + feeder/collector
+  const NetworkSpec spec = deep_chain(26);  // 27 kernels + feeder/collector
   const Pipeline p = expand(spec);
   ASSERT_GE(p.size(), 50);
   const NetworkParams params = NetworkParams::random(p, 41);

@@ -401,9 +401,10 @@ std::vector<std::int32_t> edge_probes(const ThresholdLayer& layer, Rng& rng) {
 }
 
 TEST(BnActKernelTest, BranchlessSearchMatchesBinarySearch) {
-  // The kernel's flat-table fixed-depth search against the literal
-  // hardware binary search, for activation widths 1..8 and every sign
-  // class, on random pre-activations and every comparator edge.
+  // The kernel's [level][channel] table, counted by threshold_codes at
+  // every SIMD level, against the literal hardware binary search, for
+  // activation widths 1..8 and every sign class, on random
+  // pre-activations and every comparator edge.
   Rng rng(0xb4ac7);
   for (int bits = 1; bits <= 8; ++bits) {
     const ActQuantizer q(bits, rng.next_double() * 2.0 + 0.05);
@@ -418,10 +419,16 @@ TEST(BnActKernelTest, BranchlessSearchMatchesBinarySearch) {
               std::numeric_limits<std::int32_t>::min());
     const ThresholdTable table(layer);
     const std::vector<std::int32_t> probes = edge_probes(layer, rng);
-    for (int c = 0; c < layer.channels(); ++c) {
-      for (const std::int32_t a : probes) {
-        ASSERT_EQ(table.eval(c, a), layer.at(c).eval_binary_search(a))
-            << "bits=" << bits << " channel=" << c << " a=" << a;
+    for (const simd::Level level : simd::available_levels()) {
+      const simd::VecOps& ops = simd::vec_ops_at(level);
+      for (int c = 0; c < layer.channels(); ++c) {
+        for (const std::int32_t a : probes) {
+          std::int32_t code = -1;
+          table.eval(ops, c, {&a, 1}, &code);
+          ASSERT_EQ(code, layer.at(c).eval_binary_search(a))
+              << ops.name << " bits=" << bits << " channel=" << c
+              << " a=" << a;
+        }
       }
     }
   }

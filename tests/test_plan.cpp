@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -391,6 +392,72 @@ TEST(PlanCacheTest, VersionOnePlanWithExecutorFieldIsNeverArmed) {
   }
   const ReferenceExecutor ref(net.pipeline, net.params);
   const IntTensor image = net.batch(1, 66).front();
+  const InferenceResult res = server->submit(image);
+  ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
+  EXPECT_EQ(res.logits, ref.run(image));
+}
+
+// Plan format v3 regression: a version-2 file still wires a ring inside
+// every conv→BnAct pair the engine now fuses. Left behind in a cache
+// directory it is a loud MISS: the parser rejects it, the cache reports a
+// miss, the D305 lint names the `version` field, an engine armed with it
+// directly refuses it (with or without the analyzer) instead of wiring a
+// dangling ring, and a server cold start neither throws nor hits.
+TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
+  const TinyNet net;
+  const ScratchDir dir("test_plan_cache.v2");
+  CompiledPlan v2 = compile_plan(net.pipeline);
+  v2.version = 2;
+  // What a version-2 compile planned: every edge, the fused pairs' too.
+  std::vector<int> every(static_cast<std::size_t>(net.pipeline.size()));
+  std::iota(every.begin(), every.end(), 0);
+  v2.fifos = plan_fifos(net.pipeline, {}, every);
+  ASSERT_EQ(v2.fifos.streams.size(),
+            compile_plan(net.pipeline).fifos.streams.size() + 3);
+  ASSERT_NE(v2.fifos.find_edge(1, false), nullptr);  // conv_0->bnact_1
+  const std::string text = to_json(v2);
+  const PlanCache cache(dir.path.string());
+  {
+    std::ofstream out(cache.path_for(v2.key), std::ios::trunc);
+    out << text;
+  }
+
+  EXPECT_THROW((void)plan_from_json(text), Error);
+  EXPECT_FALSE(cache.load(v2.key).has_value());
+
+  Report lint;
+  lint_plan(net.pipeline, v2, lint);
+  EXPECT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
+  EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
+      << lint.str();
+
+  for (const bool verify : {true, false}) {
+    EngineOptions armed;
+    armed.plan = &v2;
+    armed.verify = verify;
+    try {
+      StreamEngine engine(net.pipeline, net.params, armed);
+      FAIL() << "an engine must refuse a version-2 plan (verify=" << verify
+             << ")";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(verify ? "QNN-D305" : "inside fused"),
+                std::string::npos)
+          << what;
+    }
+  }
+
+  SessionConfig warm = net.session_config;
+  warm.plan_cache_dir = dir.path.string();
+  std::unique_ptr<DfeServer> server;
+  ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
+                      net.spec, net.params, ServerConfig{}, warm));
+  for (const std::string& event : server->metrics().events()) {
+    EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+  }
+  const ReferenceExecutor ref(net.pipeline, net.params);
+  const IntTensor image = net.batch(1, 67).front();
   const InferenceResult res = server->submit(image);
   ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
   EXPECT_EQ(res.logits, ref.run(image));

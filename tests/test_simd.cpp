@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/bitops.h"
 #include "core/packed_planes.h"
 #include "core/rng.h"
+#include "quant/threshold.h"
 
 namespace qnn {
 namespace {
@@ -137,6 +139,158 @@ TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
     // Zero pad filters agree with no bit: -(3 + (3<<1)) = -9.
     for (int l = 2; l < 8; ++l) {
       EXPECT_EQ(acc[l], -9) << simd::level_name(level) << " lane " << l;
+    }
+  }
+}
+
+// ---------------------------------------------------------- threshold_codes
+
+constexpr std::int32_t kI32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
+
+/// `channels` BatchNorm channels cycling through every sign class of the
+/// folded staircase: +1, -1, constant (zero slope), and +1 / -1 slopes so
+/// flat that every threshold saturates at INT32_MAX or INT32_MIN.
+ThresholdLayer mixed_sign_layer(int channels, int bits, Rng& rng) {
+  BnLayerParams bn(channels);
+  for (int c = 0; c < channels; ++c) {
+    BnParams& p = bn.at(c);
+    p.mu = static_cast<float>((rng.next_double() - 0.5) * 400.0);
+    p.beta = static_cast<float>((rng.next_double() - 0.5) * 8.0);
+    switch (c % 7) {
+      case 0: p.gamma = 0.5f + static_cast<float>(rng.next_double()); break;
+      case 1: p.gamma = -0.5f - static_cast<float>(rng.next_double()); break;
+      case 2:
+        p.gamma = 0.0f;
+        p.beta = static_cast<float>(rng.next_double() * (1 << bits) * 2.0);
+        break;
+      case 3: p.gamma = 1e-7f; p.beta = -1e3f; break;   // all INT32_MAX
+      case 4: p.gamma = 1e-7f; p.beta = 1e3f; break;    // all INT32_MIN
+      case 5: p.gamma = -1e-7f; p.beta = -1e3f; break;  // -1, INT32_MAX
+      default: p.gamma = -1e-7f; p.beta = 1e3f; break;  // -1, INT32_MIN
+    }
+  }
+  return ThresholdLayer::fold(bn, ActQuantizer(bits, 0.75));
+}
+
+/// Pre-activations hitting every comparator edge of channel `t` — each
+/// threshold T and -T (a negative slope compares -a) exactly and +-1 —
+/// plus INT32_MIN, INT32_MAX, 0 and random values.
+std::vector<std::int32_t> threshold_probes(const ThresholdActivation& t,
+                                           Rng& rng) {
+  std::vector<std::int64_t> wide = {kI32Min, kI32Min + 1, kI32Max,
+                                    kI32Max - 1, 0, -1, 1};
+  for (int i = 0; i < 16; ++i) {
+    wide.push_back(static_cast<std::int64_t>(rng.next_below(1u << 22)) -
+                   (1 << 21));
+  }
+  for (const std::int32_t th : t.thresholds()) {
+    for (const std::int64_t d : {-1, 0, 1}) {
+      wide.push_back(std::int64_t{th} + d);
+      wide.push_back(-std::int64_t{th} + d);
+    }
+  }
+  std::vector<std::int32_t> out;
+  for (const std::int64_t v : wide) {
+    if (v >= kI32Min && v <= kI32Max) {
+      out.push_back(static_cast<std::int32_t>(v));
+    }
+  }
+  return out;
+}
+
+TEST(VecOps, ThresholdCodesMatchBinarySearchAtEveryLevel) {
+  // Every channel of every probe vector against the literal hardware
+  // binary search, at 1, 2, 4 and 8 bits and channel counts around the
+  // 8- and 16-lane vector widths, so every masked tail is exercised.
+  Rng rng(0x7c0de5);
+  for (const int bits : {1, 2, 4, 8}) {
+    for (const int channels : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64}) {
+      const ThresholdLayer layer = mixed_sign_layer(channels, bits, rng);
+      if (channels >= 7) {
+        ASSERT_EQ(layer.at(0).sign(), 1);
+        ASSERT_EQ(layer.at(1).sign(), -1);
+        ASSERT_TRUE(layer.at(2).is_constant());
+        ASSERT_EQ(layer.at(3).thresholds().front(), kI32Max);
+        ASSERT_EQ(layer.at(4).thresholds().back(), kI32Min);
+        ASSERT_EQ(layer.at(5).sign(), -1);
+        ASSERT_EQ(layer.at(6).sign(), -1);
+        ASSERT_TRUE(layer.at(5).thresholds().front() == kI32Max ||
+                    layer.at(6).thresholds().front() == kI32Max);
+        ASSERT_TRUE(layer.at(5).thresholds().back() == kI32Min ||
+                    layer.at(6).thresholds().back() == kI32Min);
+      }
+      const ThresholdTable table(layer);
+      ASSERT_EQ(table.levels(), (1 << bits) - 1);
+      const auto c_count = static_cast<std::size_t>(channels);
+      std::vector<std::vector<std::int32_t>> probes;
+      std::size_t rounds = 0;
+      for (int c = 0; c < channels; ++c) {
+        probes.push_back(threshold_probes(layer.at(c), rng));
+        rounds = std::max(rounds, probes.back().size());
+      }
+      for (const simd::Level level : simd::available_levels()) {
+        const simd::VecOps& ops = simd::vec_ops_at(level);
+        // Round r puts the r-th probe of every channel in its lane, so
+        // each channel meets each of its own edges.
+        for (std::size_t r = 0; r < rounds; ++r) {
+          std::vector<std::int32_t> a(c_count);
+          for (std::size_t c = 0; c < c_count; ++c) {
+            a[c] = probes[c][r % probes[c].size()];
+          }
+          std::vector<std::int32_t> codes(c_count, -1);
+          table.eval(ops, 0, a, codes.data());
+          for (int c = 0; c < channels; ++c) {
+            const auto ci = static_cast<std::size_t>(c);
+            ASSERT_EQ(codes[ci], layer.at(c).eval_binary_search(a[ci]))
+                << ops.name << " bits=" << bits << " channels=" << channels
+                << " channel=" << c << " a=" << a[ci];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VecOps, ThresholdCodesOnStretchesInPlace) {
+  // A BnAct burst starts and ends mid-pixel: stretches of consecutive
+  // channels from any offset, written over their own input, must give the
+  // codes of the whole-pixel evaluation — and write nothing past their
+  // end (a vector's worth of sentinels follows each stretch).
+  Rng rng(0x7c0de6);
+  const int channels = 37;
+  const ThresholdLayer layer = mixed_sign_layer(channels, 2, rng);
+  const ThresholdTable table(layer);
+  std::vector<std::int32_t> a(static_cast<std::size_t>(channels));
+  for (int c = 0; c < channels; ++c) {
+    const std::vector<std::int32_t> probes =
+        threshold_probes(layer.at(c), rng);
+    a[static_cast<std::size_t>(c)] =
+        probes[static_cast<std::size_t>(rng.next_below(probes.size()))];
+  }
+  for (const simd::Level level : simd::available_levels()) {
+    const simd::VecOps& ops = simd::vec_ops_at(level);
+    for (int c0 = 0; c0 < channels; c0 += 5) {
+      for (int len = 0; c0 + len <= channels; len += 6) {
+        constexpr std::int32_t kSentinel = 0x5e5e5e5e;
+        std::vector<std::int32_t> buf(a.begin() + c0, a.begin() + c0 + len);
+        buf.resize(buf.size() + 16, kSentinel);
+        table.eval(ops, c0,
+                   std::span<const std::int32_t>(buf).first(
+                       static_cast<std::size_t>(len)),
+                   buf.data());
+        for (std::size_t i = static_cast<std::size_t>(len); i < buf.size();
+             ++i) {
+          ASSERT_EQ(buf[i], kSentinel) << ops.name << " c0=" << c0
+                                       << " len=" << len << " wrote past";
+        }
+        for (int i = 0; i < len; ++i) {
+          const auto ai = static_cast<std::size_t>(c0 + i);
+          ASSERT_EQ(buf[static_cast<std::size_t>(i)],
+                    layer.at(c0 + i).eval_binary_search(a[ai]))
+              << ops.name << " c0=" << c0 << " len=" << len << " i=" << i;
+        }
+      }
     }
   }
 }
