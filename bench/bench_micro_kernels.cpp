@@ -336,7 +336,7 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
                          const std::vector<std::int32_t>& img, int images) {
   Stream sin(8192, 16, "abl_in");
   Stream sout(8192, 32, "abl_out");
-  ConvKernel kernel(n, fb, sin, sout);
+  ConvKernel kernel(n, fb, sin, {&sout});
   const std::int64_t out_per_image = n.out.elems();
   std::vector<std::int32_t> sink(4096);
   const auto t0 = std::chrono::steady_clock::now();

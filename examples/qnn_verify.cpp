@@ -88,13 +88,10 @@ int main(int argc, char** argv) {
 
   const FifoPlan plan = plan_fifos(pipeline, options);
   // Engine tasks: one per node, less one per conv→BnAct pair run as one
-  // fused kernel, plus one fork per fanned-out stream.
+  // fused kernel (a fanned-out stream is written by its producer).
   int kernels = pipeline.size();
   for (int i = 0; i < pipeline.size(); ++i) {
     if (fuses_into_conv(pipeline, i)) --kernels;
-  }
-  for (const PlannedStream& s : plan.streams) {
-    if (s.role == PlannedStream::Role::kTrunk) ++kernels;
   }
   std::ostream& banner = json ? std::cerr : std::cout;
   banner << spec.name << ": " << pipeline.size() << " nodes in " << kernels

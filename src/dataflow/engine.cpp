@@ -11,47 +11,30 @@
 namespace qnn {
 namespace {
 
-/// Streams the batch into the pipeline input, one image tail per ring
-/// transaction — the DMA side of the depth-first pixel order (§III-B1b).
+/// Streams the batch into the pipeline input rings straight from the
+/// image tensors, one image tail per ring transaction — the DMA side of
+/// the depth-first pixel order (§III-B1b).
 class FeederTask final : public Kernel {
  public:
-  FeederTask(std::span<const IntTensor> images, Stream& out)
-      : Kernel("feeder"), images_(images), out_(out) {}
+  FeederTask(std::span<const IntTensor> images, std::vector<Stream*> outs)
+      : Kernel("feeder"), images_(images), out_(std::move(outs)) {}
 
   StepResult step() override {
-    bool progressed = false;
-    while (img_ < images_.size()) {
-      const std::span<const std::int32_t> flat = images_[img_].flat();
-      const std::size_t n = out_.try_push_burst(flat.subspan(pos_));
-      if (n == 0) {
-        if (!stall_noted_) {
-          stall_noted_ = true;
-          out_.note_push_stall();
-        }
-        return progressed ? StepResult::kProgress : StepResult::kBlocked;
-      }
-      stall_noted_ = false;
-      progressed = true;
-      pos_ += n;
-      if (pos_ == flat.size()) {
-        pos_ = 0;
-        ++img_;
-      }
+    for (; img_ < images_.size(); ++img_) {
+      if (!out_.flush(images_[img_].flat())) return StepResult::kBlocked;
     }
     out_.close();
     return StepResult::kDone;
   }
 
   void bind_ready(ReadyHook* hook, int task) override {
-    out_.bind_producer(hook, task);
+    out_.bind(hook, task);
   }
 
  private:
   std::span<const IntTensor> images_;
-  Stream& out_;
+  OutStage out_;
   std::size_t img_ = 0;
-  std::size_t pos_ = 0;
-  bool stall_noted_ = false;
 };
 
 /// Pops the output stream directly into one tensor per image, then checks
@@ -78,13 +61,10 @@ class CollectorTask final : public Kernel {
           in_.try_pop_burst(cur_.flat().subspan(pos_));
       if (n == 0) {
         QNN_CHECK(!in_.drained(), "output stream ended early");
-        if (!stall_noted_) {
-          stall_noted_ = true;
-          in_.note_pop_stall();
-        }
+        starve_.starved(in_);
         return progressed ? StepResult::kProgress : StepResult::kBlocked;
       }
-      stall_noted_ = false;
+      starve_.fed();
       progressed = true;
       pos_ += n;
       if (pos_ == static_cast<std::size_t>(cur_.size())) {
@@ -112,7 +92,7 @@ class CollectorTask final : public Kernel {
   IntTensor cur_;
   std::size_t pos_ = 0;
   bool open_ = false;
-  bool stall_noted_ = false;
+  StarveEpisode starve_;
 };
 
 }  // namespace
@@ -155,19 +135,20 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   // streams verbatim; otherwise the plan is derived on the spot.
   const FifoPlan plan = engine_fifos(pipeline, options_, cuts);
 
-  // Input port streams of every node, filled as edges are created, with
-  // the planned burst granularity of each edge.
+  // Input port streams of every node and output rings of every producer,
+  // filled as edges are created, with the planned burst granularity of
+  // each edge. A fanned-out producer gets one ring per consumer port.
   const auto node_count = static_cast<std::size_t>(pipeline.size());
   std::vector<Stream*> main_in(node_count, nullptr);
   std::vector<Stream*> skip_in(node_count, nullptr);
-  std::vector<Stream*> node_out(node_count, nullptr);
+  std::vector<std::vector<Stream*>> node_out(node_count);
   std::vector<std::size_t> main_burst(node_count, plan.burst);
   std::vector<std::size_t> skip_burst(node_count, plan.burst);
   std::vector<Stream*> link_egress(cuts.size(), nullptr);
   std::vector<Stream*> link_ingress(cuts.size(), nullptr);
 
-  auto producer_out = [&](int p) -> Stream*& {
-    return p < 0 ? input_stream_ : node_out[static_cast<std::size_t>(p)];
+  auto producer_out = [&](int p) -> std::vector<Stream*>& {
+    return p < 0 ? input_streams_ : node_out[static_cast<std::size_t>(p)];
   };
   auto attach = [&](const PlannedStream& ps, Stream& s) {
     if (ps.to_skip_port) {
@@ -179,41 +160,18 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
     }
   };
 
-  const std::vector<PlannedStream>& planned = plan.streams;
-  for (std::size_t idx = 0; idx < planned.size(); ++idx) {
-    const PlannedStream& ps = planned[idx];
+  for (const PlannedStream& ps : plan.streams) {
     Stream& s = make_stream(ps.capacity, ps.bits, ps.name);
     switch (ps.role) {
       case PlannedStream::Role::kOutput:
-        producer_out(ps.producer) = &s;
+        producer_out(ps.producer).push_back(&s);
         break;
       case PlannedStream::Role::kDirect:
-        producer_out(ps.producer) = &s;
+        producer_out(ps.producer).push_back(&s);
         attach(ps, s);
         break;
-      case PlannedStream::Role::kTrunk: {
-        producer_out(ps.producer) = &s;
-        // The branches of this fork follow the trunk in plan order.
-        std::vector<Stream*> branches;
-        while (idx + 1 < planned.size() &&
-               planned[idx + 1].role == PlannedStream::Role::kBranch) {
-          ++idx;
-          const PlannedStream& bs = planned[idx];
-          Stream& b = make_stream(bs.capacity, bs.bits, bs.name);
-          attach(bs, b);
-          branches.push_back(&b);
-        }
-        const std::string pname =
-            ps.producer < 0 ? "input" : pipeline.node(ps.producer).name;
-        kernels_.push_back(std::make_unique<ForkKernel>(
-            "fork_" + pname, s, std::move(branches), ps.burst));
-        break;
-      }
-      case PlannedStream::Role::kBranch:
-        QNN_CHECK(false, "fork branch without a trunk in the FIFO plan");
-        break;
       case PlannedStream::Role::kLinkOut:
-        producer_out(ps.producer) = &s;
+        producer_out(ps.producer).push_back(&s);
         link_egress.at(static_cast<std::size_t>(ps.link)) = &s;
         break;
       case PlannedStream::Role::kLinkIn:
@@ -223,8 +181,10 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
     }
   }
 
-  output_stream_ = node_out[static_cast<std::size_t>(pipeline.size() - 1)];
-  QNN_CHECK(output_stream_ != nullptr, "output stream not wired");
+  const std::vector<Stream*>& last =
+      node_out[static_cast<std::size_t>(pipeline.size() - 1)];
+  QNN_CHECK(last.size() == 1, "output stream not wired");
+  output_stream_ = last.front();
 
   // A conv and the BnAct it alone feeds run as one fused ConvKernel, unless
   // a link cut separates them — the plan layer's one fusion predicate.
@@ -237,7 +197,7 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   for (int i = 0; i < pipeline.size(); ++i) {
     const Node& n = pipeline.node(i);
     Stream* in = main_in[static_cast<std::size_t>(i)];
-    Stream* out = node_out[static_cast<std::size_t>(i)];
+    std::vector<Stream*> out = node_out[static_cast<std::size_t>(i)];
     const std::size_t burst = main_burst[static_cast<std::size_t>(i)];
     // The BnAct this conv absorbs: its kernel writes that node's output.
     const Node* act = nullptr;
@@ -245,14 +205,14 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
       const std::vector<int> next = pipeline.consumers(i);
       if (next.size() == 1 && fused(next.front())) {
         act = &pipeline.node(next.front());
-        QNN_CHECK(out == nullptr,
+        QNN_CHECK(out.empty(),
                   "the plan wires a stream inside fused " + act->name);
         out = node_out[static_cast<std::size_t>(next.front())];
       }
     }
     // A fused BnAct is built with its conv; nothing may feed it on its own.
     const bool absorbed = fused(i);
-    QNN_CHECK(absorbed ? in == nullptr : in != nullptr && out != nullptr,
+    QNN_CHECK(absorbed ? in == nullptr : in != nullptr && !out.empty(),
               absorbed ? "the plan wires a stream inside fused " + n.name
                        : "node " + n.name + " not fully wired");
     switch (n.kind) {
@@ -260,27 +220,27 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
         if (act != nullptr) {
           kernels_.push_back(std::make_unique<ConvKernel>(
               n, params.conv(n).weights, *act, params.bnact(*act).thresholds,
-              *in, *out, burst));
+              *in, std::move(out), burst));
         } else {
           kernels_.push_back(std::make_unique<ConvKernel>(
-              n, params.conv(n).weights, *in, *out, burst));
+              n, params.conv(n).weights, *in, std::move(out), burst));
         }
         break;
       case NodeKind::MaxPool:
       case NodeKind::AvgPool:
         kernels_.push_back(
-            std::make_unique<PoolKernel>(n, *in, *out, burst));
+            std::make_unique<PoolKernel>(n, *in, std::move(out), burst));
         break;
       case NodeKind::BnAct:
         if (absorbed) break;
         kernels_.push_back(std::make_unique<BnActKernel>(
-            n, params.bnact(n).thresholds, *in, *out, burst));
+            n, params.bnact(n).thresholds, *in, std::move(out), burst));
         break;
       case NodeKind::Add: {
         Stream* skip = skip_in[static_cast<std::size_t>(i)];
         QNN_CHECK(skip != nullptr, "add node " + n.name + " missing skip");
         kernels_.push_back(std::make_unique<AddKernel>(
-            n, *in, *skip, *out, burst,
+            n, *in, *skip, std::move(out), burst,
             skip_burst[static_cast<std::size_t>(i)]));
         break;
       }
@@ -301,7 +261,7 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   QNN_CHECK(pumps_.size() == cuts.size(), "link cut after an unknown node");
 
   // Fault-injection sites are registered in construction order (streams in
-  // plan order, then fork, node and pump kernels), which is deterministic
+  // plan order, then node and pump kernels), which is deterministic
   // per graph — FaultEvent::target_index is an ordinal into this order.
   injector_ = faults;
   if (injector_ == nullptr && !options_.faults.empty()) {
@@ -355,7 +315,7 @@ void StreamEngine::run_collecting(std::span<const IntTensor> images,
     }
   }
 
-  FeederTask feeder(images, *input_stream_);
+  FeederTask feeder(images, input_streams_);
   outputs.clear();
   outputs.reserve(images.size());
   CollectorTask collector(images.size(), pipeline_.output_shape(),

@@ -2,9 +2,11 @@
 //
 // Builds one Kernel per pipeline node — a conv and the BnAct it alone
 // feeds share one fused ConvKernel (plan/fifo_plan.h fuses_into_conv) —
-// wires them with bounded Streams, inserts forks where a stream fans out
-// (skip connections), feeds images in depth-first pixel order and
-// collects the output stream. All layers compute concurrently once the
+// wires them with bounded Streams, feeds images in depth-first pixel
+// order and collects the output stream. Where a stream fans out (skip
+// connections) the producer writes one ring per consumer through its
+// output port (kernels.h OutStage): the fan-out costs no task and no
+// extra ring, as on the DFE, where it is wiring. All layers compute concurrently once the
 // pipeline fills — the paper's computation-overlap property (§III-B)
 // realized on the host.
 //
@@ -152,8 +154,7 @@ class StreamEngine {
   void cancel() { abort_.store(true, std::memory_order_relaxed); }
 
   /// Tasks the executor runs per image besides feeder and collector: one
-  /// per node, less one per fused conv→BnAct pair, plus forks and link
-  /// pumps.
+  /// per node, less one per fused conv→BnAct pair, plus link pumps.
   [[nodiscard]] int kernel_count() const {
     return static_cast<int>(kernels_.size());
   }
@@ -200,7 +201,7 @@ class StreamEngine {
   Executor executor_;
   std::unique_ptr<FaultInjector> own_injector_;
   FaultInjector* injector_ = nullptr;  // own_injector_ or the caller's
-  Stream* input_stream_ = nullptr;
+  std::vector<Stream*> input_streams_;  // the feeder's rings
   Stream* output_stream_ = nullptr;
   std::atomic<bool> abort_{false};
 };

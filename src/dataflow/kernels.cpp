@@ -20,16 +20,61 @@ std::size_t window_burst(const Node& node, std::size_t burst) {
 
 }  // namespace
 
+// ------------------------------------------------------------------ OutStage
+
+OutStage::OutStage(std::vector<Stream*> outs, std::size_t reserve) {
+  QNN_CHECK(!outs.empty(), "an output port needs at least one ring");
+  for (Stream* s : outs) {
+    QNN_CHECK(s != nullptr, "output port ring not wired");
+    rings_.push_back(Ring{s});
+  }
+  buf_.reserve(reserve);
+}
+
+bool OutStage::flush(std::span<const std::int32_t> vals) {
+  bool all = true;
+  for (Ring& r : rings_) {
+    if (r.pos < vals.size()) {
+      r.pos += r.stream->try_push_burst(vals.subspan(r.pos));
+    }
+    if (r.pos < vals.size()) {
+      if (!r.stall_noted) {
+        r.stall_noted = true;
+        r.stream->note_push_stall();
+      }
+      all = false;
+    } else {
+      r.stall_noted = false;
+    }
+  }
+  if (!all) return false;
+  for (Ring& r : rings_) r.pos = 0;
+  return true;
+}
+
+void OutStage::bind(ReadyHook* hook, int task) {
+  for (Ring& r : rings_) r.stream->bind_producer(hook, task);
+}
+
+void OutStage::close() {
+  for (Ring& r : rings_) r.stream->close();
+}
+
+void OutStage::clear() {
+  buf_.clear();
+  for (Ring& r : rings_) r = Ring{r.stream};
+}
+
 // -------------------------------------------------------------- WindowKernel
 
 WindowKernel::WindowKernel(std::string name, const Node& node, Stream& in,
-                           Stream& out, std::size_t burst)
+                           std::vector<Stream*> outs, std::size_t burst)
     : Kernel(std::move(name)),
       node_(node),
       in_(in),
-      out_(out),
       scanner_(node.in, node.k, node.stride, node.pad),
-      in_burst_(window_burst(node, burst)) {}
+      in_burst_(window_burst(node, burst)),
+      stage_(std::move(outs)) {}
 
 void WindowKernel::scan(std::span<const std::int32_t> vals, std::int64_t n) {
   ingest_run(vals, n);
@@ -51,11 +96,11 @@ void WindowKernel::reset() {
 
 void WindowKernel::bind_ready(ReadyHook* hook, int task) {
   in_.bind_consumer(hook, task);
-  out_.bind_producer(hook, task);
+  stage_.bind(hook, task);
 }
 
 StepResult WindowKernel::step() {
-  if (!stage_.flush(out_)) return StepResult::kBlocked;
+  if (!stage_.flush()) return StepResult::kBlocked;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
     // Padding positions (including whole trailing pad rows) consume no
@@ -70,7 +115,7 @@ StepResult WindowKernel::step() {
       rearm_image();
       image_open_ = false;
       progressed = true;
-      if (!stage_.flush(out_)) return StepResult::kBlocked;
+      if (!stage_.flush()) return StepResult::kBlocked;
       continue;
     }
     if (in_burst_.refill(in_) == 0) {
@@ -78,8 +123,8 @@ StepResult WindowKernel::step() {
         // End of stream is only legal at an image boundary.
         QNN_CHECK(!image_open_,
                   name() + ": input stream closed mid-image");
-        if (!stage_.flush(out_)) return StepResult::kBlocked;
-        out_.close();
+        if (!stage_.flush()) return StepResult::kBlocked;
+        stage_.close();
         return StepResult::kDone;
       }
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
@@ -96,7 +141,7 @@ StepResult WindowKernel::step() {
       scan(in_burst_.take(static_cast<std::size_t>(run)), run);
     }
     progressed = true;
-    if (!stage_.flush(out_)) return StepResult::kBlocked;
+    if (!stage_.flush()) return StepResult::kBlocked;
   }
   return StepResult::kProgress;
 }
@@ -104,14 +149,17 @@ StepResult WindowKernel::step() {
 // ---------------------------------------------------------------- ConvKernel
 
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
-                       Stream& in, Stream& out, std::size_t burst)
-    : ConvKernel(node.name, node, weights, nullptr, in, out, burst) {}
+                       Stream& in, std::vector<Stream*> outs,
+                       std::size_t burst)
+    : ConvKernel(node.name, node, weights, nullptr, in, std::move(outs),
+                 burst) {}
 
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
                        const Node& act, const ThresholdLayer& thresholds,
-                       Stream& in, Stream& out, std::size_t burst)
+                       Stream& in, std::vector<Stream*> outs,
+                       std::size_t burst)
     : ConvKernel(node.name + "+" + act.name, node, weights, &thresholds, in,
-                 out, burst) {
+                 std::move(outs), burst) {
   QNN_CHECK(act.kind == NodeKind::BnAct && act.in.c == node.out.c,
             "a fused ConvKernel needs the BnAct its conv feeds");
 }
@@ -119,8 +167,8 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
 ConvKernel::ConvKernel(std::string name, const Node& node,
                        const FilterBank& weights,
                        const ThresholdLayer* thresholds, Stream& in,
-                       Stream& out, std::size_t burst)
-    : WindowKernel(std::move(name), node, in, out, burst),
+                       std::vector<Stream*> outs, std::size_t burst)
+    : WindowKernel(std::move(name), node, in, std::move(outs), burst),
       packed_weights_(scanner().window_values(), node.out.c),
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
@@ -195,9 +243,9 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
 
 // ---------------------------------------------------------------- PoolKernel
 
-PoolKernel::PoolKernel(const Node& node, Stream& in, Stream& out,
-                       std::size_t burst)
-    : WindowKernel(node.name, node, in, out, burst),
+PoolKernel::PoolKernel(const Node& node, Stream& in,
+                       std::vector<Stream*> outs, std::size_t burst)
+    : WindowKernel(node.name, node, in, std::move(outs), burst),
       is_max_(node.kind == NodeKind::MaxPool),
       ring_(scanner()) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
@@ -243,14 +291,14 @@ void PoolKernel::emit(const WindowScanner::Completed& at) {
 // --------------------------------------------------------------- BnActKernel
 
 BnActKernel::BnActKernel(const Node& node, const ThresholdLayer& thresholds,
-                         Stream& in, Stream& out, std::size_t burst)
+                         Stream& in, std::vector<Stream*> outs,
+                         std::size_t burst)
     : Kernel(node.name),
       node_(node),
       table_(thresholds),
       in_(in),
-      out_(out),
       burst_(std::max<std::size_t>(burst, 1)),
-      stage_(burst_) {
+      stage_(std::move(outs), burst_) {
   QNN_CHECK(node.kind == NodeKind::BnAct, "BnActKernel needs a BnAct node");
   QNN_CHECK(table_.channels() == node.in.c,
             "threshold bank channel count mismatch");
@@ -264,11 +312,11 @@ void BnActKernel::reset() {
 
 void BnActKernel::bind_ready(ReadyHook* hook, int task) {
   in_.bind_consumer(hook, task);
-  out_.bind_producer(hook, task);
+  stage_.bind(hook, task);
 }
 
 StepResult BnActKernel::step() {
-  if (!stage_.flush(out_)) return StepResult::kBlocked;
+  if (!stage_.flush()) return StepResult::kBlocked;
   const int c = node_.in.c;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
@@ -292,7 +340,7 @@ StepResult BnActKernel::step() {
         });
     if (n == 0) {
       if (in_.drained()) {
-        out_.close();
+        stage_.close();
         return StepResult::kDone;
       }
       starve_.starved(in_);
@@ -301,7 +349,7 @@ StepResult BnActKernel::step() {
     starve_.fed();
     ch_ = ch;
     progressed = true;
-    if (!stage_.flush(out_)) return StepResult::kBlocked;
+    if (!stage_.flush()) return StepResult::kBlocked;
   }
   return StepResult::kProgress;
 }
@@ -309,16 +357,15 @@ StepResult BnActKernel::step() {
 // ----------------------------------------------------------------- AddKernel
 
 AddKernel::AddKernel(const Node& node, Stream& in_main, Stream& in_skip,
-                     Stream& out, std::size_t burst_main,
+                     std::vector<Stream*> outs, std::size_t burst_main,
                      std::size_t burst_skip)
     : Kernel(node.name),
       node_(node),
       main_(in_main),
       skip_(in_skip),
-      out_(out),
       burst_main_(std::max<std::size_t>(burst_main, 1)),
       burst_skip_(std::max<std::size_t>(burst_skip, 1)),
-      stage_(burst_skip_) {
+      stage_(std::move(outs), burst_skip_) {
   QNN_CHECK(node.kind == NodeKind::Add, "AddKernel needs an Add node");
 }
 
@@ -332,11 +379,11 @@ void AddKernel::reset() {
 void AddKernel::bind_ready(ReadyHook* hook, int task) {
   main_.bind_consumer(hook, task);
   skip_.bind_consumer(hook, task);
-  out_.bind_producer(hook, task);
+  stage_.bind(hook, task);
 }
 
 StepResult AddKernel::step() {
-  if (open_ == 0 && !stage_.flush(out_)) return StepResult::kBlocked;
+  if (open_ == 0 && !stage_.flush()) return StepResult::kBlocked;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
     if (open_ == 0) {
@@ -359,7 +406,7 @@ StepResult AddKernel::step() {
         if (!main_.drained()) {
           return progressed ? StepResult::kProgress : StepResult::kBlocked;
         }
-        out_.close();
+        stage_.close();
         return StepResult::kDone;
       }
       skip_starve_.fed();
@@ -379,74 +426,7 @@ StepResult AddKernel::step() {
     main_starve_.fed();
     open_ -= i;
     progressed = true;
-    if (open_ == 0 && !stage_.flush(out_)) return StepResult::kBlocked;
-  }
-  return StepResult::kProgress;
-}
-
-// ---------------------------------------------------------------- ForkKernel
-
-ForkKernel::ForkKernel(std::string name, Stream& in, std::vector<Stream*> outs,
-                       std::size_t burst)
-    : Kernel(std::move(name)),
-      in_(in),
-      outs_(std::move(outs)),
-      buf_(std::max<std::size_t>(burst, 1)),
-      branch_pos_(outs_.size(), 0),
-      stall_noted_(outs_.size(), false) {
-  QNN_CHECK(outs_.size() >= 2, "fork needs at least two consumers");
-}
-
-void ForkKernel::reset() {
-  len_ = 0;
-  std::fill(branch_pos_.begin(), branch_pos_.end(), 0);
-  std::fill(stall_noted_.begin(), stall_noted_.end(), false);
-  in_starve_ = {};
-}
-
-void ForkKernel::bind_ready(ReadyHook* hook, int task) {
-  in_.bind_consumer(hook, task);
-  for (Stream* out : outs_) out->bind_producer(hook, task);
-}
-
-bool ForkKernel::flush_branches() {
-  bool all = true;
-  for (std::size_t b = 0; b < outs_.size(); ++b) {
-    std::size_t& pos = branch_pos_[b];
-    if (pos < len_) {
-      pos += outs_[b]->try_push_burst(
-          std::span<const std::int32_t>(buf_).subspan(pos, len_ - pos));
-    }
-    if (pos < len_) {
-      if (!stall_noted_[b]) {
-        stall_noted_[b] = true;
-        outs_[b]->note_push_stall();
-      }
-      all = false;
-    } else {
-      stall_noted_[b] = false;
-    }
-  }
-  return all;
-}
-
-StepResult ForkKernel::step() {
-  if (!flush_branches()) return StepResult::kBlocked;
-  bool progressed = false;
-  for (int round = 0; round < kRoundsPerStep; ++round) {
-    len_ = in_.try_pop_burst(buf_);
-    std::fill(branch_pos_.begin(), branch_pos_.end(), 0);
-    if (len_ == 0) {
-      if (in_.drained()) {
-        for (Stream* out : outs_) out->close();
-        return StepResult::kDone;
-      }
-      in_starve_.starved(in_);
-      return progressed ? StepResult::kProgress : StepResult::kBlocked;
-    }
-    in_starve_.fed();
-    progressed = true;
-    if (!flush_branches()) return StepResult::kBlocked;
+    if (open_ == 0 && !stage_.flush()) return StepResult::kBlocked;
   }
   return StepResult::kProgress;
 }

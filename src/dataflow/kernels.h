@@ -4,8 +4,10 @@
 // is a threshold BnAct, the pair (plan/fifo_plan.h fuses_into_conv) — and
 // is connected to its neighbours only through Streams; it is triggered by
 // input availability and output buffer space (dataflow firing rule,
-// §II-B). Forks are inserted by the engine wherever a stream fans out
-// (residual skip connections).
+// §II-B). Every task writes through one OutStage port that owns one ring
+// per consumer, so where a stream fans out (residual skip connections)
+// the producer fills each consumer's ring itself: no extra task, no
+// extra ring.
 //
 // Kernels are *resumable tasks*, not threads: the unit of execution is
 // step(), which performs a bounded amount of work using only the streams'
@@ -20,9 +22,9 @@
 // output stage; Conv/Pool ingest row segments at a time and emit all O
 // filter responses — or, fused, their activation codes — per completed
 // window position), stages the results, and flushes them with one ring
-// transaction. Blocked-episode accounting (Stream::note_*_stall) fires
-// once per continuous blocked period, so the stall counters keep their
-// pre-burst meaning.
+// transaction per ring. Blocked-episode accounting
+// (Stream::note_*_stall) fires once per continuous blocked period per
+// ring, so the stall counters keep their pre-burst meaning.
 //
 // All kernels process an unbounded sequence of images and terminate when
 // their input stream is closed at an image boundary.
@@ -59,16 +61,19 @@ inline constexpr std::size_t kDefaultBurst = 256;
 
 // ------------------------------------------------------------------ helpers
 
-/// Staged kernel output awaiting FIFO space: results are appended as they
-/// are computed and flushed with one try_push_burst per step, surviving
-/// partial flushes across Blocked returns.
+/// The one output port of every task: staged values awaiting FIFO space
+/// and the 1..N rings they go to — one per consumer, so a producer whose
+/// output fans out (a residual skip connection) writes every consumer's
+/// ring itself. Results are appended as they are computed and flushed
+/// with one try_push_burst per ring per step; each ring keeps its own
+/// progress, so a full ring holds back only itself, and the stage takes
+/// new values once every ring has caught up.
 class OutStage {
  public:
-  OutStage() = default;
-  /// A stage that holds `reserve` values without growing.
-  explicit OutStage(std::size_t reserve) { buf_.reserve(reserve); }
+  /// A port to `outs` (at least one ring) that holds `reserve` values
+  /// without growing.
+  explicit OutStage(std::vector<Stream*> outs, std::size_t reserve = 0);
 
-  void append(std::int32_t v) { buf_.push_back(v); }
   /// Append `n` slots and return them for the caller to fill in place.
   [[nodiscard]] std::span<std::int32_t> extend(std::size_t n) {
     const std::size_t at = buf_.size();
@@ -80,39 +85,35 @@ class OutStage {
   [[nodiscard]] std::span<std::int32_t> tail(std::size_t n) {
     return std::span<std::int32_t>(buf_).last(n);
   }
-  [[nodiscard]] bool empty() const { return pos_ == buf_.size(); }
 
-  /// Move everything possible into `out`; true when fully flushed. Notes
-  /// one push-stall episode per continuous blocked period.
-  bool flush(Stream& out) {
-    if (pos_ < buf_.size()) {
-      pos_ += out.try_push_burst(
-          std::span<const std::int32_t>(buf_).subspan(pos_));
-    }
-    if (pos_ < buf_.size()) {
-      if (!stall_noted_) {
-        stall_noted_ = true;
-        out.note_push_stall();
-      }
-      return false;
-    }
+  /// Move everything staged into every ring; true when all have it.
+  bool flush() {
+    if (!flush(buf_)) return false;
     buf_.clear();
-    pos_ = 0;
-    stall_noted_ = false;
     return true;
   }
+  /// Move `vals` into every ring without staging a copy; the caller keeps
+  /// them alive and unchanged, and passes them again, until this returns
+  /// true. Notes one push-stall episode per ring per continuous period
+  /// that ring could not take the rest.
+  bool flush(std::span<const std::int32_t> vals);
 
-  /// Discard staged values (between engine runs / after an aborted run).
-  void clear() {
-    buf_.clear();
-    pos_ = 0;
-    stall_noted_ = false;
-  }
+  /// Register `task` as the producer of every ring (nullptr unbinds).
+  void bind(ReadyHook* hook, int task);
+  /// End of stream on every ring.
+  void close();
+  /// Discard staged values and ring progress (between engine runs /
+  /// after an aborted run).
+  void clear();
 
  private:
+  struct Ring {
+    Stream* stream = nullptr;
+    std::size_t pos = 0;  // values of the current flush it has taken
+    bool stall_noted = false;
+  };
   std::vector<std::int32_t> buf_;
-  std::size_t pos_ = 0;
-  bool stall_noted_ = false;
+  std::vector<Ring> rings_;
 };
 
 /// Pop-stall accounting of one input port: one episode per continuous
@@ -238,8 +239,8 @@ class Kernel {
 /// output stage. Subclasses emit responses for each completed window.
 class WindowKernel : public Kernel {
  public:
-  WindowKernel(std::string name, const Node& node, Stream& in, Stream& out,
-               std::size_t burst);
+  WindowKernel(std::string name, const Node& node, Stream& in,
+               std::vector<Stream*> outs, std::size_t burst);
   StepResult step() final;
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;
@@ -274,7 +275,6 @@ class WindowKernel : public Kernel {
 
   const Node& node_;
   Stream& in_;
-  Stream& out_;
   WindowScanner scanner_;
   InBurst in_burst_;
   OutStage stage_;
@@ -298,22 +298,22 @@ class WindowKernel : public Kernel {
 /// the BnAct node it feeds and that node's thresholds, the kernel turns
 /// each window's O filter sums into activation codes in its output stage,
 /// with one VecOps::threshold_codes call, and flushes the codes straight
-/// into the BnAct's output stream — one task, no int32 ring between the
+/// into the BnAct's output streams — one task, no int32 ring between the
 /// two.
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
-             Stream& out, std::size_t burst = kDefaultBurst);
-  /// The conv `node` fused with the BnAct `act` it feeds; `out` is the
-  /// BnAct's output stream.
+             std::vector<Stream*> outs, std::size_t burst = kDefaultBurst);
+  /// The conv `node` fused with the BnAct `act` it feeds; `outs` are the
+  /// BnAct's output streams.
   ConvKernel(const Node& node, const FilterBank& weights, const Node& act,
-             const ThresholdLayer& thresholds, Stream& in, Stream& out,
-             std::size_t burst = kDefaultBurst);
+             const ThresholdLayer& thresholds, Stream& in,
+             std::vector<Stream*> outs, std::size_t burst = kDefaultBurst);
 
  private:
   ConvKernel(std::string name, const Node& node, const FilterBank& weights,
-             const ThresholdLayer* thresholds, Stream& in, Stream& out,
-             std::size_t burst);
+             const ThresholdLayer* thresholds, Stream& in,
+             std::vector<Stream*> outs, std::size_t burst);
 
   void emit(const WindowScanner::Completed& at) override;
   void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
@@ -339,7 +339,7 @@ class ConvKernel final : public WindowKernel {
 /// C channel values contiguous, into the output stage.
 class PoolKernel final : public WindowKernel {
  public:
-  PoolKernel(const Node& node, Stream& in, Stream& out,
+  PoolKernel(const Node& node, Stream& in, std::vector<Stream*> outs,
              std::size_t burst = kDefaultBurst);
 
  private:
@@ -351,7 +351,7 @@ class PoolKernel final : public WindowKernel {
 };
 
 /// Folded BatchNorm + n-bit activation kernel (§III-B3) for the BnActs
-/// no conv absorbs — those after an Add (or after a conv that forks or
+/// no conv absorbs — those after an Add (or after a conv that fans out or
 /// sits before a link cut). Maps each input burst through the threshold
 /// staircase as it leaves the ring, straight into the output stage,
 /// carrying the channel phase across bursts: the burst is cut into
@@ -360,7 +360,7 @@ class PoolKernel final : public WindowKernel {
 class BnActKernel final : public Kernel {
  public:
   BnActKernel(const Node& node, const ThresholdLayer& thresholds, Stream& in,
-              Stream& out, std::size_t burst = kDefaultBurst);
+              std::vector<Stream*> outs, std::size_t burst = kDefaultBurst);
   StepResult step() override;
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;
@@ -369,7 +369,6 @@ class BnActKernel final : public Kernel {
   const Node& node_;
   ThresholdTable table_;
   Stream& in_;
-  Stream& out_;
   std::size_t burst_;
   StarveEpisode starve_;
   OutStage stage_;
@@ -387,8 +386,8 @@ class AddKernel final : public Kernel {
   /// `burst_main` / `burst_skip` are the planned bursts of the two input
   /// edges: each ring transaction moves at most that many values of its
   /// edge.
-  AddKernel(const Node& node, Stream& in_main, Stream& in_skip, Stream& out,
-            std::size_t burst_main = kDefaultBurst,
+  AddKernel(const Node& node, Stream& in_main, Stream& in_skip,
+            std::vector<Stream*> outs, std::size_t burst_main = kDefaultBurst,
             std::size_t burst_skip = kDefaultBurst);
   StepResult step() override;
   void reset() override;
@@ -398,37 +397,12 @@ class AddKernel final : public Kernel {
   const Node& node_;
   Stream& main_;
   Stream& skip_;
-  Stream& out_;
   std::size_t burst_main_;
   std::size_t burst_skip_;
   StarveEpisode main_starve_;
   StarveEpisode skip_starve_;
   OutStage stage_;
   std::size_t open_ = 0;  // staged skip values still awaiting their main
-};
-
-/// Stream fan-out: replicates one stream to several consumers, a burst at
-/// a time with independent per-branch progress. Inserted by the engine
-/// where a node output feeds both the regular and skip paths.
-class ForkKernel final : public Kernel {
- public:
-  ForkKernel(std::string name, Stream& in, std::vector<Stream*> outs,
-             std::size_t burst = kDefaultBurst);
-  StepResult step() override;
-  void reset() override;
-  void bind_ready(ReadyHook* hook, int task) override;
-
- private:
-  /// Push the pending burst tail to every branch; true when all caught up.
-  bool flush_branches();
-
-  Stream& in_;
-  std::vector<Stream*> outs_;
-  std::vector<std::int32_t> buf_;
-  std::size_t len_ = 0;
-  std::vector<std::size_t> branch_pos_;
-  std::vector<bool> stall_noted_;
-  StarveEpisode in_starve_;
 };
 
 }  // namespace qnn

@@ -180,7 +180,7 @@ LinkPump::LinkPump(const LinkCut& cut, std::size_t image_values, Stream& in,
     : Kernel(cut.config.name),
       link_(cut.config),
       in_(in),
-      out_(out),
+      out_({&out}),
       frame_values_(std::max<std::size_t>(cut.frame_values, 1)),
       image_values_(image_values) {
   QNN_CHECK(image_values_ > 0, name() + ": empty boundary tensor");
@@ -193,38 +193,23 @@ void LinkPump::reset() {
   fill_ = 0;
   image_pos_ = 0;
   delivered_.clear();
-  out_pos_ = 0;
+  out_.clear();
   in_starve_ = {};
-  out_stall_noted_ = false;
 }
 
 void LinkPump::bind_ready(ReadyHook* hook, int task) {
   in_.bind_consumer(hook, task);
-  out_.bind_producer(hook, task);
-}
-
-bool LinkPump::flush() {
-  if (out_pos_ < delivered_.size()) {
-    out_pos_ += out_.try_push_burst(
-        std::span<const std::int32_t>(delivered_).subspan(out_pos_));
-    if (out_pos_ < delivered_.size()) {
-      if (!out_stall_noted_) {
-        out_stall_noted_ = true;
-        out_.note_push_stall();
-      }
-      return false;
-    }
-  }
-  out_stall_noted_ = false;
-  return true;
+  out_.bind(hook, task);
 }
 
 StepResult LinkPump::step() {
   bool progressed = false;
   for (;;) {
-    if (!flush()) {
+    // The delivered frame goes out straight from its link buffer.
+    if (!out_.flush(delivered_)) {
       return progressed ? StepResult::kProgress : StepResult::kBlocked;
     }
+    delivered_.clear();
     // Frames never straddle images: an image's last frame carries its
     // tail, so each link ships ceil(image / frame) frames per image.
     const std::size_t want =
@@ -249,7 +234,6 @@ StepResult LinkPump::step() {
     link_.send(frame_);
     QNN_CHECK(link_.recv(delivered_),
               name() + ": acked frame missing from the delivery queue");
-    out_pos_ = 0;
     fill_ = 0;
     image_pos_ += want;
     if (image_pos_ == image_values_) image_pos_ = 0;

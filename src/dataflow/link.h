@@ -188,9 +188,10 @@ struct LinkCut {
 /// The task that carries a cut edge across its MaxRing link: pops the
 /// boundary ring into frames of `frame_values` (an image's last frame
 /// takes its tail, so frames never straddle images), sends each over the
-/// link, receives the frame it just delivered and pushes it into the
-/// next node's ingress ring, holding it across kBlocked while that ring
-/// is full. On a healthy link a step never waits on another task.
+/// link, receives the frame it just delivered and pushes it through its
+/// output port into the next node's ingress ring, holding it across
+/// kBlocked while that ring is full. On a healthy link a step never waits
+/// on another task.
 class LinkPump final : public Kernel {
  public:
   LinkPump(const LinkCut& cut, std::size_t image_values, Stream& in,
@@ -202,21 +203,16 @@ class LinkPump final : public Kernel {
   [[nodiscard]] const LinkStats& stats() const { return link_.stats(); }
 
  private:
-  /// Push the delivered frame's tail; true when it is fully out.
-  bool flush();
-
   MaxRingLink link_;
   Stream& in_;
-  Stream& out_;
+  OutStage out_;
   std::size_t frame_values_;
   std::size_t image_values_;
   std::vector<std::int32_t> frame_;      // frame being filled
   std::size_t fill_ = 0;
   std::size_t image_pos_ = 0;            // values of this image framed
   std::vector<std::int32_t> delivered_;  // frame being pushed out
-  std::size_t out_pos_ = 0;
   StarveEpisode in_starve_;
-  bool out_stall_noted_ = false;
 };
 
 }  // namespace qnn

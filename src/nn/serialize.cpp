@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 namespace qnn {
@@ -45,8 +46,15 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(const std::string& path) : in_(path, std::ios::binary) {
+  explicit Reader(const std::string& path)
+      : in_(path, std::ios::binary | std::ios::ate) {
     QNN_CHECK(in_.good(), "cannot open " + path);
+    size_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
+  }
+  /// Bytes not yet read.
+  [[nodiscard]] std::uint64_t remaining() {
+    return size_ - static_cast<std::uint64_t>(in_.tellg());
   }
   std::uint32_t u32() { return get<std::uint32_t>(); }
   std::uint64_t u64() { return get<std::uint64_t>(); }
@@ -74,7 +82,48 @@ class Reader {
     return v;
   }
   std::ifstream in_;
+  std::uint64_t size_ = 0;
 };
+
+constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  return a > kSaturated - b ? kSaturated : a + b;
+}
+
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > kSaturated / b ? kSaturated : a * b;
+}
+
+/// Exact size in bytes of the parameter section save_network writes for
+/// `pipeline`, saturated so an absurd spec can never wrap to a small one:
+/// two bank counts, each conv bank's shape and packed filter words, each
+/// BnAct bank's header and four floats per channel.
+std::uint64_t param_section_bytes(const Pipeline& pipeline) {
+  std::uint64_t bytes = 2 * sizeof(std::uint32_t);
+  for (const Node& n : pipeline.nodes) {
+    if (n.kind == NodeKind::Conv) {
+      const FilterShape f = n.filter_shape();
+      const std::uint64_t bits =
+          sat_mul(sat_mul(static_cast<std::uint64_t>(f.k),
+                          static_cast<std::uint64_t>(f.k)),
+                  static_cast<std::uint64_t>(f.in_c));
+      constexpr auto word_bits = static_cast<std::uint64_t>(kWordBits);
+      const std::uint64_t words =
+          bits / word_bits + (bits % word_bits != 0 ? 1 : 0);
+      bytes = sat_add(bytes, 3 * sizeof(std::int32_t));
+      bytes = sat_add(bytes, sat_mul(sat_mul(static_cast<std::uint64_t>(
+                                                 f.out_c),
+                                             words),
+                                     sizeof(std::uint64_t)));
+    } else if (n.kind == NodeKind::BnAct) {
+      bytes = sat_add(bytes, 2 * sizeof(std::int32_t) + sizeof(double));
+      bytes = sat_add(bytes, sat_mul(static_cast<std::uint64_t>(n.in.c),
+                                     4 * sizeof(float)));
+    }
+  }
+  return bytes;
+}
 
 void write_spec(Writer& w, const NetworkSpec& spec) {
   w.str(spec.name);
@@ -231,6 +280,11 @@ LoadedNetwork load_network(const std::string& path) {
   LoadedNetwork net;
   net.spec = read_spec(r);
   net.pipeline = expand(net.spec);  // validates shapes and edges
+  // The spec fixes every bank's size, so a file too short for them is
+  // refused before the first bank is allocated: a tiny file declaring a
+  // huge layer never turns into a huge allocation.
+  QNN_CHECK(param_section_bytes(net.pipeline) <= r.remaining(),
+            "network file is shorter than the parameters its spec declares");
 
   // The node each stored bank belongs to: every bank is checked against
   // its node's geometry BEFORE anything is allocated from sizes read off

@@ -42,8 +42,11 @@ namespace qnn {
 /// the "executor" field (one scheduler is left), so a version-1 plan is a
 /// loud miss rather than a plan armed with a knob nothing reads. Version 3
 /// plans no stream inside a fused conv→BnAct pair (fuses_into_conv), so a
-/// version-2 plan, which still wires one, is a miss too.
-inline constexpr int kPlanFormatVersion = 3;
+/// version-2 plan, which still wires one, is a miss too. Version 4 plans a
+/// fan-out as one direct ring per consumer port, written by the producer
+/// itself, so a version-3 plan's fork "trunk" and "branch" streams are a
+/// miss as well.
+inline constexpr int kPlanFormatVersion = 4;
 
 /// Structural hash of a pipeline (FNV-1a over shapes, edges, widths and
 /// window geometry; node *names* are excluded so a rename does not orphan

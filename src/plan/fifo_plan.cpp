@@ -17,8 +17,7 @@ const PlannedStream* FifoPlan::find_edge(int consumer,
                                          bool to_skip_port) const {
   for (const PlannedStream& s : streams) {
     if (s.consumer == consumer && s.to_skip_port == to_skip_port &&
-        (s.role == PlannedStream::Role::kDirect ||
-         s.role == PlannedStream::Role::kBranch)) {
+        s.role == PlannedStream::Role::kDirect) {
       return &s;
     }
   }
@@ -142,18 +141,11 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options,
              plain_capacity);
       return;
     }
-    if (consumers.size() == 1) {
-      const ConsumerPort& c = consumers.front();
-      stream(pname + "->" + pipeline.node(c.node).name,
-             PlannedStream::Role::kDirect, c.node, c.skip, capacity_for(c));
-      return;
-    }
-    // Fan-out: producer -> fork trunk -> one branch per consumer port.
-    stream(pname + "->fork", PlannedStream::Role::kTrunk, -1, false,
-           plain_capacity);
+    // One ring per consumer port; a fanned-out producer writes them all.
+    const char* arrow = consumers.size() == 1 ? "->" : "=>";
     for (const ConsumerPort& c : consumers) {
-      stream(pname + "=>" + pipeline.node(c.node).name,
-             PlannedStream::Role::kBranch, c.node, c.skip, capacity_for(c));
+      stream(pname + arrow + pipeline.node(c.node).name,
+             PlannedStream::Role::kDirect, c.node, c.skip, capacity_for(c));
     }
   };
 
@@ -194,7 +186,9 @@ void route_links(const Pipeline& pipeline, FifoPlan& plan,
             *edge);
       }
     }
-    QNN_CHECK(it != plan.streams.end() && cut.after_node >= 0,
+    QNN_CHECK(it != plan.streams.end() && cut.after_node >= 0 &&
+                  std::count_if(plan.streams.begin(), plan.streams.end(),
+                                direct) == 1,
               "route_links: the cut after node " +
                   std::to_string(cut.after_node) +
                   " does not sever a single direct edge");

@@ -15,6 +15,9 @@
 //    by its own ring;
 //  * every other edge holds two of its own bursts, and never less than
 //    kMinFifoCapacity;
+//  * a producer whose output fans out gets one ring per consumer port
+//    (named `p=>c`, each sized for its consumer) and writes them all
+//    itself: no fork task, no trunk ring;
 //  * a conv whose only consumer is a threshold BnAct evaluates the
 //    thresholds itself (fuses_into_conv, the one fusion predicate): the
 //    edge between them gets no ring at all, unless a link cut separates
@@ -47,9 +50,7 @@ inline constexpr std::size_t kMinFifoCapacity = 2 * kDefaultBurst;
 /// One FIFO the engine will create for a given Pipeline + EngineOptions.
 struct PlannedStream {
   enum class Role {
-    kDirect,  // producer -> single consumer port
-    kTrunk,   // producer -> fork (fan-out > 1)
-    kBranch,  // fork -> one consumer port
+    kDirect,  // producer -> one consumer port (one per port on fan-out)
     kOutput,  // terminal stream of a node without consumers
     kLinkOut,  // producer -> the LinkPump of a partition cut (egress ring)
     kLinkIn,   // LinkPump -> the consumer port across the cut (ingress)
@@ -58,7 +59,7 @@ struct PlannedStream {
   std::string name;      // identical to the engine's Stream name
   Role role = Role::kDirect;
   int producer = -1;     // node index; -1 = pipeline input
-  int consumer = -1;     // node index; -1 for kTrunk / kOutput / kLinkOut
+  int consumer = -1;     // node index; -1 for kOutput / kLinkOut
   bool to_skip_port = false;  // consumer-side port (Add nodes only)
   std::size_t capacity = 0;   // values
   int bits = 0;               // declared element width

@@ -54,10 +54,6 @@ const char* role_name(PlannedStream::Role role) {
   switch (role) {
     case PlannedStream::Role::kDirect:
       return "direct";
-    case PlannedStream::Role::kTrunk:
-      return "trunk";
-    case PlannedStream::Role::kBranch:
-      return "branch";
     case PlannedStream::Role::kOutput:
       return "output";
     case PlannedStream::Role::kLinkOut:
@@ -70,8 +66,6 @@ const char* role_name(PlannedStream::Role role) {
 
 PlannedStream::Role role_from_name(const std::string& name) {
   if (name == "direct") return PlannedStream::Role::kDirect;
-  if (name == "trunk") return PlannedStream::Role::kTrunk;
-  if (name == "branch") return PlannedStream::Role::kBranch;
   if (name == "output") return PlannedStream::Role::kOutput;
   throw Error("plan json: unknown stream role \"" + name + "\"");
 }

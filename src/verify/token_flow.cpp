@@ -87,14 +87,13 @@ std::int64_t window_burst_of(const Node& n, std::int64_t planned) {
 struct Transition {
   // kFused: a BnAct its conv's kernel evaluates — a placeholder that keeps
   // transitions indexed by node, never fires and is always done.
-  enum class Kind {
-    kSource, kWindow, kElementwise, kAdd, kFork, kLink, kFused
-  };
+  enum class Kind { kSource, kWindow, kElementwise, kAdd, kLink, kFused };
   Kind kind = Kind::kElementwise;
   std::string name;
   int in = -1;    // place index (main port)
   int skip = -1;  // place index (Add only)
-  int out = -1;   // place index (kFork uses `outs` instead)
+  /// Output places: one per consumer port, written in lockstep — every
+  /// value the transition emits enters all of them (OutStage).
   std::vector<int> outs;
 
   std::int64_t total = 0;     // values consumed per full run (main port)
@@ -203,76 +202,41 @@ class Simulation {
       }
     }
 
-    // Producer-side wiring: node/source output edges and fork transitions.
-    auto wire_producer = [&](int producer, const std::string& pname) {
-      int trunk = -1;
-      std::vector<int> branches;
-      std::int64_t out_elems = 0;
+    // Producer-side wiring: every ring a node (or the source) writes.
+    auto wire_producer = [&](int producer) {
+      std::vector<int> outs;
       for (std::size_t e = 0; e < plan.streams.size(); ++e) {
         const PlannedStream& ps = plan.streams[e];
-        if (ps.producer != producer) continue;
-        switch (ps.role) {
-          case PlannedStream::Role::kTrunk:
-            trunk = static_cast<int>(e);
-            break;
-          case PlannedStream::Role::kBranch:
-            branches.push_back(static_cast<int>(e));
-            break;
-          case PlannedStream::Role::kDirect:
-          case PlannedStream::Role::kOutput:
-          case PlannedStream::Role::kLinkOut:
-            trunk = static_cast<int>(e);
-            break;
-          case PlannedStream::Role::kLinkIn:
-            break;  // the pump's output, wired below
+        // A link's ingress ring is its pump's output, wired below.
+        if (ps.producer == producer &&
+            ps.role != PlannedStream::Role::kLinkIn) {
+          outs.push_back(static_cast<int>(e));
         }
       }
-      QNN_CHECK(trunk >= 0, "token flow: producer without a planned stream");
+      QNN_CHECK(!outs.empty(), "token flow: producer without a planned stream");
       if (producer < 0) {
         Transition src;
         src.kind = Transition::Kind::kSource;
         src.name = "input";
-        src.out = trunk;
+        src.outs = std::move(outs);
         src.total = static_cast<std::int64_t>(p.input.elems()) * images_;
-        out_elems = src.total;
         transitions_.push_back(std::move(src));
       } else {
         // A fused BnAct's output is written by its conv.
         const int writer = fused[static_cast<std::size_t>(producer)]
                                ? p.node(producer).main_from
                                : producer;
-        transitions_[static_cast<std::size_t>(writer)].out = trunk;
-        out_elems =
-            static_cast<std::int64_t>(p.node(producer).out.elems()) * images_;
-      }
-      if (!branches.empty()) {
-        Transition fork;
-        fork.kind = Transition::Kind::kFork;
-        fork.name = pname + "->fork";
-        fork.in = trunk;
-        fork.outs = branches;
-        fork.total = out_elems;
-        // The fork's pop buffer drains the trunk one burst early and holds
-        // values each branch has not yet accepted.
-        if (with_slack) {
-          const auto b = static_cast<std::int64_t>(
-              plan.streams[static_cast<std::size_t>(trunk)].burst);
-          places_[static_cast<std::size_t>(trunk)].cap += b;
-          for (const int br : branches) {
-            places_[static_cast<std::size_t>(br)].cap += b;
-          }
-        }
-        transitions_.push_back(std::move(fork));
+        transitions_[static_cast<std::size_t>(writer)].outs = std::move(outs);
       }
     };
-    wire_producer(-1, "input");
+    wire_producer(-1);
     for (int i = 0; i < n; ++i) {
       // A conv fused with its BnAct has no output edge of its own.
       const std::vector<int> next = p.consumers(i);
       if (next.size() == 1 && fused[static_cast<std::size_t>(next.front())]) {
         continue;
       }
-      wire_producer(i, p.node(i).name);
+      wire_producer(i);
     }
 
     // One transition per link pump, from its egress ring to its ingress
@@ -292,7 +256,7 @@ class Simulation {
       pump.kind = Transition::Kind::kLink;
       pump.name = ps.name;
       pump.in = static_cast<int>(e);
-      pump.out = static_cast<int>(in - plan.streams.begin());
+      pump.outs = {static_cast<int>(in - plan.streams.begin())};
       pump.elems = p.node(ps.producer).out.elems();
       pump.total = pump.elems * images_;
       pump.frame = static_cast<std::int64_t>(ps.burst);
@@ -300,32 +264,40 @@ class Simulation {
     }
 
     if (with_slack) {
-      // Producer-side OutStage slack (window kernels compute it from the
-      // scan geometry; BnAct/Add stage at most one popped burst).
+      // Producer-side OutStage slack, on every ring the port writes: a
+      // ring takes staged values independently of its siblings, so each
+      // may run up to the whole stage ahead of the lockstep model (window
+      // kernels compute the stage from the scan geometry; BnAct/Add stage
+      // at most one popped burst). The feeder pushes straight from the
+      // image, so only a fanned-out input lets one ring run ahead, by at
+      // most the rest of the image. Pumps are exact.
       for (const Transition& t : transitions_) {
-        if (t.out < 0) continue;
-        Place& out = places_[static_cast<std::size_t>(t.out)];
+        std::int64_t stage = 0;
         switch (t.kind) {
           case Transition::Kind::kWindow: {
             const auto b = static_cast<std::int64_t>(
                 plan.streams[static_cast<std::size_t>(t.in)].burst);
-            out.cap += t.profile->max_stage(
+            stage = t.profile->max_stage(
                 window_burst_of(p.node(node_index(t)), b));
             break;
           }
           case Transition::Kind::kElementwise:
-            out.cap += static_cast<std::int64_t>(
+            stage = static_cast<std::int64_t>(
                 plan.streams[static_cast<std::size_t>(t.in)].burst);
             break;
           case Transition::Kind::kAdd:
-            out.cap += static_cast<std::int64_t>(
+            stage = static_cast<std::int64_t>(
                 plan.streams[static_cast<std::size_t>(t.skip)].burst);
             break;
           case Transition::Kind::kSource:
-          case Transition::Kind::kFork:
+            if (t.outs.size() > 1) stage = p.input.elems();
+            break;
           case Transition::Kind::kLink:
           case Transition::Kind::kFused:
-            break;  // feeder/fork stage handled above; pumps are exact
+            break;
+        }
+        for (const int e : t.outs) {
+          places_[static_cast<std::size_t>(e)].cap += stage;
         }
       }
     }
@@ -383,7 +355,6 @@ class Simulation {
       };
       if (t.kind != Transition::Kind::kSource) starved(t.in, "input");
       starved(t.skip, "skip input");
-      jammed(t.out);
       for (const int e : t.outs) jammed(e);
       w += why.empty() ? std::string("internal stage") : why;
     }
@@ -395,55 +366,50 @@ class Simulation {
     return static_cast<int>(&t - transitions_.data());
   }
 
+  /// Room on every output place of `t`: what it can emit in lockstep.
+  [[nodiscard]] std::int64_t out_space(const Transition& t) const {
+    std::int64_t room = std::numeric_limits<std::int64_t>::max();
+    for (const int e : t.outs) {
+      room = std::min(room, places_[static_cast<std::size_t>(e)].space());
+    }
+    return room;
+  }
+
+  /// Emit `k` values into every output place of `t`.
+  void emit(const Transition& t, std::int64_t k, std::int64_t& tokens) {
+    for (const int e : t.outs) places_[static_cast<std::size_t>(e)].q += k;
+    tokens += k;
+  }
+
   bool fire(Transition& t, std::int64_t& tokens) {
     switch (t.kind) {
       case Transition::Kind::kSource: {
-        Place& out = places_[static_cast<std::size_t>(t.out)];
-        const std::int64_t k =
-            std::min(t.total - t.consumed, out.space());
+        const std::int64_t k = std::min(t.total - t.consumed, out_space(t));
         if (k <= 0) return false;
-        out.q += k;
+        emit(t, k, tokens);
         t.consumed += k;
-        tokens += k;
         return true;
       }
       case Transition::Kind::kElementwise: {
         Place& in = places_[static_cast<std::size_t>(t.in)];
-        Place& out = places_[static_cast<std::size_t>(t.out)];
         const std::int64_t k =
-            std::min({in.q, out.space(), t.total - t.consumed});
+            std::min({in.q, out_space(t), t.total - t.consumed});
         if (k <= 0) return false;
         in.q -= k;
-        out.q += k;
+        emit(t, k, tokens);
         t.consumed += k;
-        tokens += k;
         return true;
       }
       case Transition::Kind::kAdd: {
         Place& a = places_[static_cast<std::size_t>(t.in)];
         Place& b = places_[static_cast<std::size_t>(t.skip)];
-        Place& out = places_[static_cast<std::size_t>(t.out)];
         const std::int64_t k =
-            std::min({a.q, b.q, out.space(), t.total - t.consumed});
+            std::min({a.q, b.q, out_space(t), t.total - t.consumed});
         if (k <= 0) return false;
         a.q -= k;
         b.q -= k;
-        out.q += k;
+        emit(t, k, tokens);
         t.consumed += k;
-        tokens += k;
-        return true;
-      }
-      case Transition::Kind::kFork: {
-        Place& in = places_[static_cast<std::size_t>(t.in)];
-        std::int64_t k = std::min(in.q, t.total - t.consumed);
-        for (const int e : t.outs) {
-          k = std::min(k, places_[static_cast<std::size_t>(e)].space());
-        }
-        if (k <= 0) return false;
-        in.q -= k;
-        for (const int e : t.outs) places_[static_cast<std::size_t>(e)].q += k;
-        t.consumed += k;
-        tokens += k;
         return true;
       }
       case Transition::Kind::kWindow:
@@ -458,17 +424,15 @@ class Simulation {
 
   bool fire_link(Transition& t, std::int64_t& tokens) {
     Place& in = places_[static_cast<std::size_t>(t.in)];
-    Place& out = places_[static_cast<std::size_t>(t.out)];
     bool progressed = false;
     for (;;) {
       // A delivered frame is pushed out before the next one is filled
       // (LinkPump::step).
       if (t.staged > 0) {
-        const std::int64_t m = std::min(t.staged, out.space());
+        const std::int64_t m = std::min(t.staged, out_space(t));
         if (m <= 0) return progressed;
         t.staged -= m;
-        out.q += m;
-        tokens += m;
+        emit(t, m, tokens);
         progressed = true;
         continue;
       }
@@ -490,18 +454,16 @@ class Simulation {
 
   bool fire_window(Transition& t, std::int64_t& tokens) {
     Place& in = places_[static_cast<std::size_t>(t.in)];
-    Place& out = places_[static_cast<std::size_t>(t.out)];
     const std::vector<std::int64_t>& bp = t.profile->breakpoints;
     bool progressed = false;
     for (;;) {
       // Flush staged responses first: the kernel consumes nothing while
       // its OutStage holds values (dataflow/kernels.cpp step()).
       if (t.staged > 0) {
-        const std::int64_t m = std::min(t.staged, out.space());
+        const std::int64_t m = std::min(t.staged, out_space(t));
         if (m > 0) {
           t.staged -= m;
-          out.q += m;
-          tokens += m;
+          emit(t, m, tokens);
           progressed = true;
         }
         if (t.staged > 0) return progressed;

@@ -5,7 +5,8 @@
 // image ahead, whatever the regular path does. It is not *necessary* — the
 // skip FIFO only has to absorb the regular path's true lag, which for most
 // residual blocks is a fraction of the map (the K-1 rows the window
-// scanners retain, plus the planned FIFO depths between fork and adder).
+// scanners retain, plus the planned FIFO depths between the fan-out point
+// and the adder).
 // The analyzer used to reject every below-bound capacity outright; this
 // module decides those cases exactly instead.
 //
@@ -16,16 +17,18 @@
 // kernels replay their WindowScanner geometry (padding positions consume
 // no input; a completed window emits all O responses at once — a fused
 // conv→BnAct pair is one such transition, writing the BnAct's output),
-// adders consume pairwise, forks replicate only when every branch has
-// room. The
-// network is a Kahn process network, so its outcome is schedule
-// independent: a greedy maximal-progress run reaches the unique least
-// fixed point, and batching whole runs of values per firing changes cost,
-// never the verdict (Kahn monotonicity).
+// adders consume pairwise, and a transition writes all of its output
+// places — one per consumer port where its output fans out — in
+// lockstep, only when every one has room. The network is a Kahn process
+// network, so its outcome is schedule independent: a greedy
+// maximal-progress run reaches the unique least fixed point, and batching
+// whole runs of values per firing changes cost, never the verdict (Kahn
+// monotonicity).
 //
 // Burst machinery makes the implementation *slightly* laxer than the pure
 // network: a kernel's InBurst drains its FIFO up to one burst early and
-// its OutStage holds one burst's responses past a full ring
+// its OutStage holds one burst's responses past a full ring, letting each
+// ring of a fanned-out port run up to that burst ahead of its siblings
 // (dataflow/kernels.h). Whether that slack is realized depends on how the
 // scheduler interleaves refills, so the simulation brackets the engine
 // between two exact models:

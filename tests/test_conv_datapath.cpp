@@ -81,7 +81,7 @@ std::vector<std::int32_t> run_conv(const Node& n, const FilterBank& fb,
                                    const std::vector<IntTensor>& images) {
   Stream sin(256, 16, "in");
   Stream sout(256, 32, "out");
-  ConvKernel kernel(n, fb, sin, sout);
+  ConvKernel kernel(n, fb, sin, {&sout});
   std::vector<std::int32_t> in;
   for (const auto& img : images) {
     const std::vector<std::int32_t> v = testutil::values(img);

@@ -360,36 +360,34 @@ TEST(EngineRecovery, CancelWakesParkedReadyQueueWorkers) {
 }
 
 TEST(Engine, KernelAndStreamCountsMatchTopology) {
-  const Pipeline p = expand(models::tiny(12, 4, 2));
-  const NetworkParams params = NetworkParams::random(p, 25);
-  StreamEngine engine(p, params);
-  // One kernel per node plus one fork per fan-out point, less one per
-  // BnAct evaluated inside the conv that alone feeds it.
-  int forks = 0;
-  int fused = 0;
-  for (int i = 0; i < p.size(); ++i) {
-    if (p.consumers(i).size() > 1) ++forks;
-    const Node& n = p.node(i);
-    if (n.kind == NodeKind::BnAct && n.main_from >= 0 &&
-        p.node(n.main_from).kind == NodeKind::Conv &&
-        p.consumers(n.main_from).size() == 1) {
-      ++fused;
+  for (const NetworkSpec& spec :
+       {models::tiny(12, 4, 2), models::resnet18(32, 10, 2)}) {
+    const Pipeline p = expand(spec);
+    const NetworkParams params = NetworkParams::random(p, 25);
+    StreamEngine engine(p, params);
+    // One kernel per node, less one per BnAct evaluated inside the conv
+    // that alone feeds it; a fan-out point adds neither a task nor a ring.
+    int fused = 0;
+    int rings = 1;  // the terminal output stream
+    for (int i = 0; i < p.size(); ++i) {
+      const Node& n = p.node(i);
+      if (n.kind == NodeKind::BnAct && n.main_from >= 0 &&
+          p.node(n.main_from).kind == NodeKind::Conv &&
+          p.consumers(n.main_from).size() == 1) {
+        ++fused;
+      } else {
+        rings += n.skip_from >= 0 ? 2 : 1;  // one per input port
+      }
     }
+    if (spec.name == "tiny_12") {
+      EXPECT_EQ(fused, 3);  // conv_0+bnact_1, conv_3+bnact_4, conv_9+bnact_10
+    }
+    EXPECT_EQ(engine.kernel_count(), p.size() - fused) << spec.name;
+    EXPECT_EQ(engine.stream_count(), rings) << spec.name;
   }
-  EXPECT_EQ(fused, 3);  // conv_0+bnact_1, conv_3+bnact_4, conv_9+bnact_10
-  EXPECT_EQ(engine.kernel_count(), p.size() + forks - fused);
 }
 
 // ------------------------------------------------- conv→BnAct fusion
-
-/// Fork kernels the engine inserts for `p`: one per fanned-out producer.
-int fork_count(const Pipeline& p) {
-  int forks = 0;
-  for (int i = 0; i < p.size(); ++i) {
-    if (p.consumers(i).size() > 1) ++forks;
-  }
-  return forks;
-}
 
 /// Bit-exactness of the engine that fuses every conv→BnAct pair of
 /// `spec`, plus the task count that proves the pairs did fuse.
@@ -401,8 +399,7 @@ void expect_fused_engine_matches_reference(const NetworkSpec& spec,
   for (int i = 0; i < p.size(); ++i) fused += fuses_into_conv(p, i) ? 1 : 0;
   ASSERT_GT(fused, 0) << spec.name;
   StreamEngine engine(p, params);
-  EXPECT_EQ(engine.kernel_count(), p.size() + fork_count(p) - fused)
-      << spec.name;
+  EXPECT_EQ(engine.kernel_count(), p.size() - fused) << spec.name;
   const ReferenceExecutor ref(p, params);
   Rng rng(seed ^ 0xf05edu);
   std::vector<IntTensor> batch;
@@ -461,7 +458,7 @@ TEST(FusedConv, ForkingConvKeepsItsBnActKernel) {
   EXPECT_FALSE(fuses_into_conv(p, 1));
   const NetworkParams params = NetworkParams::random(p, 67);
   StreamEngine engine(p, params);
-  EXPECT_EQ(engine.kernel_count(), p.size() + 1);  // + the fork of conv_0
+  EXPECT_EQ(engine.kernel_count(), p.size());  // conv_0 writes both rings
   const ReferenceExecutor ref(p, params);
   Rng rng(68);
   for (int i = 0; i < 3; ++i) {

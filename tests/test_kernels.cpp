@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <ostream>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "nn/reference.h"
 
@@ -45,7 +47,7 @@ TEST(ConvKernelTest, AllPlusOneFilterComputesWindowSums) {
 
   Stream sin(64, 4, "in");
   Stream sout(64, 16, "out");
-  ConvKernel kernel(n, fb, sin, sout);
+  ConvKernel kernel(n, fb, sin, {&sout});
 
   IntTensor img(in);
   for (int y = 0; y < 4; ++y) {
@@ -65,7 +67,7 @@ TEST(ConvKernelTest, EmitsAllFiltersPerPosition) {
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
   Stream sin(32, 2, "in");
   Stream sout(32, 8, "out");
-  ConvKernel kernel(n, fb, sin, sout);
+  ConvKernel kernel(n, fb, sin, {&sout});
   IntTensor img = testutil::random_codes(in, 2, rng);
   const auto out = drive(kernel, sin, values(img), sout);
   ASSERT_EQ(out.size(), 3u);  // one position, three filters
@@ -90,7 +92,7 @@ TEST(ConvKernelTest, ProcessesMultipleImagesBackToBack) {
   const FilterBank fb = FilterBank::binarize(w);
   Stream sin(64, 4, "in");
   Stream sout(64, 16, "out");
-  ConvKernel kernel(n, fb, sin, sout);
+  ConvKernel kernel(n, fb, sin, {&sout});
   IntTensor a(in, 1);  // all ones: window sum = 9
   IntTensor b(in, 2);  // all twos: window sum = 18
   std::vector<std::int32_t> both = values(a);
@@ -109,7 +111,7 @@ TEST(ConvKernelTest, ClosedMidImageIsProtocolError) {
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
   Stream sin(64, 4, "in");
   Stream sout(64, 16, "out");
-  ConvKernel kernel(n, fb, sin, sout);
+  ConvKernel kernel(n, fb, sin, {&sout});
   // 4 of 9 values, then close.
   EXPECT_THROW((void)drive(kernel, sin, {1, 1, 1, 1}, sout), Error);
 }
@@ -127,7 +129,7 @@ TEST(PoolKernelTest, MaxAndSumReductions) {
 
   Stream sin(32, 4, "in");
   Stream sout(32, 4, "out");
-  PoolKernel kernel(n, sin, sout);
+  PoolKernel kernel(n, sin, {&sout});
   IntTensor img(n.in);
   img.at(0, 0, 0) = 3;
   img.at(0, 1, 0) = 7;
@@ -147,7 +149,7 @@ TEST(PoolKernelTest, MaxAndSumReductions) {
   n.out_bits = 6;
   Stream sin2(32, 4, "in2");
   Stream sout2(32, 6, "out2");
-  PoolKernel sum_kernel(n, sin2, sout2);
+  PoolKernel sum_kernel(n, sin2, {&sout2});
   const auto sums = drive(sum_kernel, sin2, values(img), sout2);
   ASSERT_EQ(sums.size(), 2u);
   EXPECT_EQ(sums[0], 3 + 7 + 1 + 5);
@@ -201,14 +203,14 @@ TEST(PoolKernelTest, AsymmetricPaddingRegression) {
 
   Stream sin(64, 6, "in");
   Stream sout(64, 6, "out");
-  PoolKernel max_kernel(n, sin, sout);
+  PoolKernel max_kernel(n, sin, {&sout});
   EXPECT_EQ(drive(max_kernel, sin, values(img), sout), expect_max);
 
   n.kind = NodeKind::AvgPool;
   n.out_bits = 8;
   Stream sin2(64, 6, "in2");
   Stream sout2(64, 8, "out2");
-  PoolKernel sum_kernel(n, sin2, sout2);
+  PoolKernel sum_kernel(n, sin2, {&sout2});
   EXPECT_EQ(drive(sum_kernel, sin2, values(img), sout2), expect_sum);
 }
 
@@ -248,7 +250,7 @@ void expect_pool_matches_reference(const PoolGeometry& g, NodeKind kind,
                    static_cast<std::size_t>(g.in.c);
   Stream sin(2 * row, 8, "in");
   Stream sout(2 * row, 32, "out");
-  PoolKernel kernel(p.nodes.front(), sin, sout);
+  PoolKernel kernel(p.nodes.front(), sin, {&sout});
   std::vector<std::int32_t> twice = values(img);
   twice.insert(twice.end(), twice.begin(), twice.end());
   const auto got = drive(kernel, sin, twice, sout);
@@ -308,7 +310,7 @@ TEST(PoolKernelTest, AverageSumWrapsToInt32LikeTheReference) {
   n.k = n.stride = 2;
   Stream sin(8, 31, "in");
   Stream sout(8, 32, "out");
-  PoolKernel kernel(n, sin, sout);
+  PoolKernel kernel(n, sin, {&sout});
   const auto got = drive(kernel, sin, values(img), sout);
   for (int c = 0; c < 2; ++c) {
     std::int64_t sum = 0;
@@ -338,7 +340,7 @@ TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
 
   Stream sin(32, 8, "in");
   Stream sout(32, 2, "out");
-  BnActKernel kernel(n, thresholds, sin, sout);
+  BnActKernel kernel(n, thresholds, sin, {&sout});
   // (x=0: c0=5, c1=-5), (x=1: c0=1, c1=-7)
   const auto out = drive(kernel, sin, {5, -5, 1, -7}, sout);
   ASSERT_EQ(out.size(), 4u);
@@ -465,7 +467,7 @@ TEST(BnActKernelTest, ChannelPhaseCarriesAcrossSplitBursts) {
   }
   Stream sin(16, 32, "in");
   Stream sout(16, 2, "out");
-  BnActKernel kernel(n, layer, sin, sout, /*burst=*/7);
+  BnActKernel kernel(n, layer, sin, {&sout}, /*burst=*/7);
   EXPECT_EQ(drive(kernel, sin, in, sout), expect);
 }
 
@@ -481,7 +483,7 @@ TEST(AddKernelTest, SumsAndPropagatesClose) {
   Stream main(8, 16, "main");
   Stream skip(8, 16, "skip");
   Stream out(8, 16, "out");
-  AddKernel kernel(n, main, skip, out);
+  AddKernel kernel(n, main, skip, {&out});
   const auto sums =
       drive(kernel, {{main, {1, 2, 3}}, {skip, {10, 20, 30}}}, {&out})
           .front();
@@ -499,7 +501,7 @@ TEST(AddKernelTest, SkipShorterThanMainIsError) {
   Stream main(8, 16, "main");
   Stream skip(8, 16, "skip");
   Stream out(8, 16, "out");
-  AddKernel kernel(n, main, skip, out);
+  AddKernel kernel(n, main, skip, {&out});
   // Skip stream one value short.
   EXPECT_THROW((void)drive(kernel, {{main, {1, 2}}, {skip, {1}}}, {&out}),
                Error);
@@ -515,31 +517,68 @@ TEST(AddKernelTest, MainShorterThanSkipIsError) {
   Stream main(8, 16, "main");
   Stream skip(8, 16, "skip");
   Stream out(8, 16, "out");
-  AddKernel kernel(n, main, skip, out);
+  AddKernel kernel(n, main, skip, {&out});
   // Skip stream carries a leftover value.
   EXPECT_THROW((void)drive(kernel, {{main, {1}}, {skip, {1, 2}}}, {&out}),
                Error);
 }
 
-TEST(ForkKernelTest, DuplicatesToAllBranches) {
-  Stream in(8, 4, "in");
-  Stream a(8, 4, "a");
-  Stream b(8, 4, "b");
-  Stream c(8, 4, "c");
-  ForkKernel kernel("fork_t", in, {&a, &b, &c});
-  const auto got = drive(kernel, {{in, {4, 5, 6}}}, {&a, &b, &c});
-  const std::vector<std::int32_t> expect{4, 5, 6};
-  EXPECT_EQ(got[0], expect);
-  EXPECT_EQ(got[1], expect);
-  EXPECT_EQ(got[2], expect);
-  EXPECT_TRUE(a.closed());
-  EXPECT_TRUE(c.closed());
+/// Every value `s` holds, popped in order.
+std::vector<std::int32_t> pop_all(Stream& s) {
+  std::vector<std::int32_t> got(s.capacity());
+  got.resize(s.try_pop_burst(got));
+  return got;
 }
 
-TEST(ForkKernelTest, RequiresAtLeastTwoBranches) {
-  Stream in(8, 4, "in");
+TEST(OutStageTest, FansOutWithPerRingProgressAndStallEpisodes) {
   Stream a(8, 4, "a");
-  EXPECT_THROW(ForkKernel("fork_t", in, {&a}), Error);
+  Stream b(8, 4, "b");
+  Stream c(4, 4, "c");
+  const std::vector<std::int32_t> filler{9, 9, 9, 9};
+  ASSERT_EQ(c.try_push_burst(filler), 4u);  // c is held full
+  OutStage port({&a, &b, &c});
+  const std::vector<std::int32_t> first{1, 2, 3, 4, 5};
+  std::ranges::copy(first, port.extend(first.size()).begin());
+
+  // The full ring holds back only itself: the others take every value.
+  EXPECT_FALSE(port.flush());
+  EXPECT_FALSE(port.flush());  // still the same blocked period
+  EXPECT_EQ(pop_all(a), first);
+  EXPECT_EQ(pop_all(b), first);
+  EXPECT_FALSE(port.flush());
+  EXPECT_EQ(c.push_stalls(), 1u);
+
+  // Drained part way, c catches up part way: the period goes on.
+  std::int32_t two[2];
+  ASSERT_EQ(c.try_pop_burst(two), 2u);
+  EXPECT_FALSE(port.flush());
+  EXPECT_EQ(c.push_stalls(), 1u);
+  EXPECT_EQ(pop_all(c), (std::vector<std::int32_t>{9, 9, 1, 2}));
+  EXPECT_TRUE(port.flush());
+  EXPECT_EQ(pop_all(c), (std::vector<std::int32_t>{3, 4, 5}));
+  EXPECT_EQ(a.pushed(), first.size());  // nothing pushed twice
+  EXPECT_EQ(b.pushed(), first.size());
+
+  // A second blocked period is a second episode, on that ring alone.
+  ASSERT_EQ(c.try_push_burst(filler), 4u);
+  port.extend(1).front() = 6;
+  EXPECT_FALSE(port.flush());
+  EXPECT_EQ(c.push_stalls(), 2u);
+  EXPECT_EQ(a.push_stalls(), 0u);
+  EXPECT_EQ(b.push_stalls(), 0u);
+  EXPECT_EQ(pop_all(a), std::vector<std::int32_t>{6});
+  EXPECT_EQ(pop_all(b), std::vector<std::int32_t>{6});
+  (void)pop_all(c);
+  EXPECT_TRUE(port.flush());
+  EXPECT_EQ(pop_all(c), std::vector<std::int32_t>{6});
+
+  port.close();
+  EXPECT_TRUE(a.closed());
+  EXPECT_TRUE(b.closed());
+  EXPECT_TRUE(c.closed());
+
+  // A port writes at least one ring.
+  EXPECT_THROW(OutStage({}), Error);
 }
 
 TEST(ConvKernelTest, RejectsMismatchedWeightBank) {
@@ -548,7 +587,7 @@ TEST(ConvKernelTest, RejectsMismatchedWeightBank) {
   const FilterBank wrong = FilterBank::random(FilterShape{3, 3, 4}, rng);
   Stream sin(8, 2, "in");
   Stream sout(8, 8, "out");
-  EXPECT_THROW(ConvKernel(n, wrong, sin, sout), Error);
+  EXPECT_THROW(ConvKernel(n, wrong, sin, {&sout}), Error);
 }
 
 }  // namespace

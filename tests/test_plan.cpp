@@ -11,6 +11,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
@@ -415,52 +416,76 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
   ASSERT_EQ(v2.fifos.streams.size(),
             compile_plan(net.pipeline).fifos.streams.size() + 3);
   ASSERT_NE(v2.fifos.find_edge(1, false), nullptr);  // conv_0->bnact_1
-  const std::string text = to_json(v2);
+
+  // What a version-3 compile planned for a fan-out: a fork trunk ring,
+  // then one branch ring per consumer port.
+  CompiledPlan v3 = compile_plan(net.pipeline);
+  v3.version = 3;
+  std::string v3_text = to_json(v3);
+  const std::string fanned =
+      "{\"name\": \"maxpool_2=>conv_3\", \"role\": \"direct\"";
+  const std::size_t at = v3_text.find(fanned);
+  ASSERT_NE(at, std::string::npos) << v3_text;
+  v3_text.replace(
+      at, fanned.size(),
+      "{\"name\": \"maxpool_2->fork\", \"role\": \"trunk\", "
+      "\"producer\": 2, \"consumer\": -1, \"skip\": false, "
+      "\"capacity\": 512, \"bits\": 2, \"burst\": 48},\n"
+      "    {\"name\": \"maxpool_2=>conv_3\", \"role\": \"branch\"");
+
   const PlanCache cache(dir.path.string());
-  {
-    std::ofstream out(cache.path_for(v2.key), std::ios::trunc);
-    out << text;
-  }
-
-  EXPECT_THROW((void)plan_from_json(text), Error);
-  EXPECT_FALSE(cache.load(v2.key).has_value());
-
-  Report lint;
-  lint_plan(net.pipeline, v2, lint);
-  EXPECT_FALSE(lint.ok());
-  EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
-  EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
-      << lint.str();
-
-  for (const bool verify : {true, false}) {
-    EngineOptions armed;
-    armed.plan = &v2;
-    armed.verify = verify;
-    try {
-      StreamEngine engine(net.pipeline, net.params, armed);
-      FAIL() << "an engine must refuse a version-2 plan (verify=" << verify
-             << ")";
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(verify ? "QNN-D305" : "inside fused"),
-                std::string::npos)
-          << what;
+  for (const auto& [old, text] :
+       {std::pair<const CompiledPlan&, std::string>{v2, to_json(v2)},
+        {v3, v3_text}}) {
+    SCOPED_TRACE("version " + std::to_string(old.version));
+    {
+      std::ofstream out(cache.path_for(old.key), std::ios::trunc);
+      out << text;
     }
-  }
 
-  SessionConfig warm = net.session_config;
-  warm.plan_cache_dir = dir.path.string();
-  std::unique_ptr<DfeServer> server;
-  ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
-                      net.spec, net.params, ServerConfig{}, warm));
-  for (const std::string& event : server->metrics().events()) {
-    EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+    EXPECT_THROW((void)plan_from_json(text), Error);
+    EXPECT_FALSE(cache.load(old.key).has_value());
+
+    Report lint;
+    lint_plan(net.pipeline, old, lint);
+    EXPECT_FALSE(lint.ok());
+    EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
+    EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
+        << lint.str();
+
+    // Unverified, only the version-2 streams are unwireable; the
+    // version-3 fan-out has no in-memory form left to arm.
+    for (const bool verify : {true, false}) {
+      if (!verify && old.version != 2) continue;
+      EngineOptions armed;
+      armed.plan = &old;
+      armed.verify = verify;
+      try {
+        StreamEngine engine(net.pipeline, net.params, armed);
+        FAIL() << "an engine must refuse a version-" << old.version
+               << " plan (verify=" << verify << ")";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(verify ? "QNN-D305" : "inside fused"),
+                  std::string::npos)
+            << what;
+      }
+    }
+
+    SessionConfig warm = net.session_config;
+    warm.plan_cache_dir = dir.path.string();
+    std::unique_ptr<DfeServer> server;
+    ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
+                        net.spec, net.params, ServerConfig{}, warm));
+    for (const std::string& event : server->metrics().events()) {
+      EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+    }
+    const ReferenceExecutor ref(net.pipeline, net.params);
+    const IntTensor image = net.batch(1, 67).front();
+    const InferenceResult res = server->submit(image);
+    ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
+    EXPECT_EQ(res.logits, ref.run(image));
   }
-  const ReferenceExecutor ref(net.pipeline, net.params);
-  const IntTensor image = net.batch(1, 67).front();
-  const InferenceResult res = server->submit(image);
-  ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
-  EXPECT_EQ(res.logits, ref.run(image));
 }
 
 // ---- pool shaping ---------------------------------------------------------

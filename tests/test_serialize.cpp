@@ -246,6 +246,40 @@ TEST(Serialize, RejectsInflatedBnActChannelsBeforeAllocating) {
   EXPECT_THROW((void)load_network(file.path()), Error);
 }
 
+TEST(Serialize, RejectsParamsLargerThanTheFileBeforeAllocating) {
+  // ~100 bytes whose spec declares a 1x1 conv with 2^28 filters, and whose
+  // stored bank header agrees with it: only the file size can tell.
+  const TempFile file("/tmp/qnn_huge_spec.qnn");
+  std::string bytes = "QNNM";
+  const auto put = [&bytes](std::int32_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(1);                  // format version
+  put(4);                  // name length
+  bytes += "huge";
+  for (const int v : {1, 1, 3, 8, 2}) put(v);  // input h, w, c, bits; act
+  put(1);                  // one block
+  put(1);                  // conv
+  for (const int v : {1 << 28, 1, 1, 0, 0}) put(v);  // out_c k stride pad bn
+  put(1);                  // one conv bank
+  for (const int v : {1 << 28, 1, 3}) put(v);  // its out_c, k, in_c
+  ASSERT_LT(bytes.size(), 128u);
+  overwrite(file.path(), bytes);
+  EXPECT_THROW((void)load_network(file.path()), Error);
+
+  // The exact section size still admits a real model, bit for bit.
+  const NetworkSpec spec = models::resnet18(32, 10, 2);
+  const Pipeline pipeline = expand(spec);
+  const NetworkParams params = NetworkParams::random(pipeline, 21);
+  save_network(file.path(), spec, params);
+  const LoadedNetwork loaded = load_network(file.path());
+  const ReferenceExecutor original(pipeline, params);
+  const ReferenceExecutor reloaded(loaded.pipeline, loaded.params);
+  Rng rng(22);
+  const IntTensor img = testutil::random_codes(spec.input, spec.input_bits, rng);
+  EXPECT_EQ(reloaded.run(img), original.run(img));
+}
+
 TEST(Serialize, RejectsNonFiniteBatchNormParameters) {
   const TempFile file("/tmp/qnn_nan_bn.qnn");
   const SavedTiny saved = save_tiny(file.path(), 19);

@@ -304,7 +304,7 @@ std::size_t row_of(const Pipeline& p, const PlannedStream& ps) {
 /// An edge whose consumer keeps no line buffer or skip map: its depth is
 /// the plan's "two bursts" rule, not a paper buffer formula.
 bool is_plain_edge(const Pipeline& p, const PlannedStream& ps) {
-  if (ps.consumer < 0) return true;  // fork trunk, terminal output
+  if (ps.consumer < 0) return true;  // terminal output
   const Node& c = p.node(ps.consumer);
   return !c.is_window_op() && !(ps.to_skip_port && c.kind == NodeKind::Add);
 }
@@ -369,10 +369,10 @@ TEST(Verify, TinyDefaultPlanIsPinned) {
       // conv_0, conv_3 and conv_9 evaluate the BnAct each alone feeds:
       // no ring inside those pairs.
       {"input->conv_0", 512, 36},         {"bnact_1->maxpool_2", 512, 96},
-      {"maxpool_2->fork", 512, 48},       {"maxpool_2=>conv_3", 512, 48},
+      {"maxpool_2=>conv_3", 512, 48},
       {"maxpool_2=>add_6", 352, 48},      {"bnact_4->conv_5", 512, 48},
       {"conv_5->add_6", 512, 48},         {"add_6->bnact_7", 512, 48},
-      {"bnact_7->fork", 512, 48},         {"bnact_7=>conv_8", 512, 48},
+      {"bnact_7=>conv_8", 512, 48},
       {"bnact_7=>conv_9", 512, 48},       {"conv_8->add_12", 208, 48},
       {"bnact_10->conv_11", 512, 48},     {"conv_11->add_12", 512, 48},
       {"add_12->bnact_13", 512, 48},      {"bnact_13->avgpool_14", 512, 48},
@@ -441,8 +441,8 @@ FifoPlan with_skip_capacity(const Pipeline& p, int add, std::size_t cap) {
   return plan;
 }
 
-/// tiny's two residual adders: add_6 takes its skip straight off the fork
-/// (the pure delay-buffer case), add_12's skip path carries its own
+/// tiny's two residual adders: add_6 takes its skip straight off the
+/// fan-out point (the pure delay-buffer case), add_12's skip path carries its own
 /// downsampling convolution (the re-convergent case).
 constexpr int kForkFedAdd = 6;
 constexpr int kReconvergentAdd = 12;
