@@ -206,10 +206,10 @@ void write_bench_json(const std::string& name, const std::string& json) {
 
 /// A straight chain of `convs` (conv + bnact) pairs plus a dense head:
 /// 2*convs + 1 + (bn_act ? 1 : 0) nodes once expanded, each conv + bnact
-/// pair (the head's too) run as one fused kernel. convs=3 with a bn-act
-/// head gives the shallow 8-node chain of 4 kernels; convs=26 without
-/// gives the deep 53-node chain of 27 kernels, where only a few kernels
-/// are runnable at once.
+/// pair (the head's too) run as one kernel, the conv's port evaluating
+/// the BnAct. convs=3 with a bn-act head gives the shallow 8-node chain
+/// of 4 kernels; convs=26 without gives the deep 53-node chain of 27
+/// kernels, where only a few kernels are runnable at once.
 NetworkSpec ablation_chain(const char* name, int convs, bool dense_bn) {
   NetworkSpec spec;
   spec.name = name;

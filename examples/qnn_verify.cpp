@@ -17,6 +17,7 @@
 //   1  at least one error-severity diagnostic
 //   2  bad usage (unknown model / flag)
 //   3  warnings only — the graph runs, but something deserves a look
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -87,12 +88,12 @@ int main(int argc, char** argv) {
                                    partition_config);
 
   const FifoPlan plan = plan_fifos(pipeline, options);
-  // Engine tasks: one per node, less one per conv→BnAct pair run as one
-  // fused kernel (a fanned-out stream is written by its producer).
-  int kernels = pipeline.size();
-  for (int i = 0; i < pipeline.size(); ++i) {
-    if (fuses_into_conv(pipeline, i)) --kernels;
-  }
+  // Engine tasks: one per node that is not a BnAct (the port that writes
+  // a BnAct's input evaluates it; a fanned-out stream is written by its
+  // producer).
+  const auto kernels = std::count_if(
+      pipeline.nodes.begin(), pipeline.nodes.end(),
+      [](const Node& n) { return n.kind != NodeKind::BnAct; });
   std::ostream& banner = json ? std::cerr : std::cout;
   banner << spec.name << ": " << pipeline.size() << " nodes in " << kernels
          << " kernels, " << plan.streams.size() << " streams, "

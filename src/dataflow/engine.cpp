@@ -13,10 +13,11 @@ namespace {
 
 /// Streams the batch into the pipeline input rings straight from the
 /// image tensors, one image tail per ring transaction — the DMA side of
-/// the depth-first pixel order (§III-B1b).
+/// the depth-first pixel order (§III-B1b). A segment that starts with a
+/// BnAct gets its codes from the feeder's port.
 class FeederTask final : public Kernel {
  public:
-  FeederTask(std::span<const IntTensor> images, std::vector<Stream*> outs)
+  FeederTask(std::span<const IntTensor> images, PortRings outs)
       : Kernel("feeder"), images_(images), out_(std::move(outs)) {}
 
   StepResult step() override {
@@ -135,96 +136,80 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   // streams verbatim; otherwise the plan is derived on the spot.
   const FifoPlan plan = engine_fifos(pipeline, options_, cuts);
 
-  // Input port streams of every node and output rings of every producer,
-  // filled as edges are created, with the planned burst granularity of
-  // each edge. A fanned-out producer gets one ring per consumer port.
+  // Input port streams of every node, with the planned burst granularity
+  // of each edge, and the output port of every task. A BnAct is never a
+  // task: a ring out of one is written, its codes mapped on the way, by
+  // the task that writes the BnAct's input (ring_writer) — a node kernel,
+  // the feeder, or the pump of a cut right before it.
   const auto node_count = static_cast<std::size_t>(pipeline.size());
   std::vector<Stream*> main_in(node_count, nullptr);
   std::vector<Stream*> skip_in(node_count, nullptr);
-  std::vector<std::vector<Stream*>> node_out(node_count);
   std::vector<std::size_t> main_burst(node_count, plan.burst);
   std::vector<std::size_t> skip_burst(node_count, plan.burst);
+  std::vector<PortRings> node_port(node_count, PortRings{});
+  std::vector<PortRings> pump_port(cuts.size(), PortRings{});
   std::vector<Stream*> link_egress(cuts.size(), nullptr);
-  std::vector<Stream*> link_ingress(cuts.size(), nullptr);
-
-  auto producer_out = [&](int p) -> std::vector<Stream*>& {
-    return p < 0 ? input_streams_ : node_out[static_cast<std::size_t>(p)];
-  };
-  auto attach = [&](const PlannedStream& ps, Stream& s) {
-    if (ps.to_skip_port) {
-      skip_in[static_cast<std::size_t>(ps.consumer)] = &s;
-      skip_burst[static_cast<std::size_t>(ps.consumer)] = ps.burst;
-    } else {
-      main_in[static_cast<std::size_t>(ps.consumer)] = &s;
-      main_burst[static_cast<std::size_t>(ps.consumer)] = ps.burst;
-    }
-  };
 
   for (const PlannedStream& ps : plan.streams) {
     Stream& s = make_stream(ps.capacity, ps.bits, ps.name);
-    switch (ps.role) {
-      case PlannedStream::Role::kOutput:
-        producer_out(ps.producer).push_back(&s);
-        break;
-      case PlannedStream::Role::kDirect:
-        producer_out(ps.producer).push_back(&s);
-        attach(ps, s);
-        break;
-      case PlannedStream::Role::kLinkOut:
-        producer_out(ps.producer).push_back(&s);
-        link_egress.at(static_cast<std::size_t>(ps.link)) = &s;
-        break;
-      case PlannedStream::Role::kLinkIn:
-        attach(ps, s);
-        link_ingress.at(static_cast<std::size_t>(ps.link)) = &s;
-        break;
+    if (ps.consumer >= 0) {
+      const auto c = static_cast<std::size_t>(ps.consumer);
+      QNN_CHECK(c < node_count &&
+                    pipeline.node(ps.consumer).kind != NodeKind::BnAct,
+                "the plan wires a ring into node " +
+                    std::to_string(ps.consumer) +
+                    ", which is no task (a BnAct is never one)");
+      (ps.to_skip_port ? skip_in : main_in)[c] = &s;
+      (ps.to_skip_port ? skip_burst : main_burst)[c] = ps.burst;
+    } else if (ps.role == PlannedStream::Role::kLinkOut) {
+      link_egress.at(static_cast<std::size_t>(ps.link)) = &s;
+    } else {
+      QNN_CHECK(output_stream_ == nullptr, "more than one output stream");
+      output_stream_ = &s;
     }
+    const RingWriter w = ring_writer(pipeline, plan, ps);
+    QNN_CHECK(w.node < pipeline.size(), "ring " + ps.name + " has no writer");
+    PortRings& port =
+        w.link >= 0 ? pump_port.at(static_cast<std::size_t>(w.link))
+        : w.node < 0 ? input_port_
+                     : node_port[static_cast<std::size_t>(w.node)];
+    if (w.bnacts.empty()) {
+      port.raw.push_back(&s);
+      continue;
+    }
+    // One port act per BnAct, however many rings take its codes.
+    int from = -1;
+    for (const int b : w.bnacts) {
+      const Node& act = pipeline.node(b);
+      const auto it = std::find_if(
+          port.acts.begin(), port.acts.end(),
+          [&](const PortAct& a) { return a.node == &act; });
+      if (it != port.acts.end()) {
+        from = static_cast<int>(it - port.acts.begin());
+        continue;
+      }
+      port.acts.push_back(
+          PortAct{&act, &params.bnact(act).thresholds, from, {}});
+      from = static_cast<int>(port.acts.size()) - 1;
+    }
+    port.acts[static_cast<std::size_t>(from)].rings.push_back(&s);
   }
-
-  const std::vector<Stream*>& last =
-      node_out[static_cast<std::size_t>(pipeline.size() - 1)];
-  QNN_CHECK(last.size() == 1, "output stream not wired");
-  output_stream_ = last.front();
-
-  // A conv and the BnAct it alone feeds run as one fused ConvKernel, unless
-  // a link cut separates them — the plan layer's one fusion predicate.
-  std::vector<int> cut_after;
-  for (const LinkCut& cut : cuts) cut_after.push_back(cut.after_node);
-  const auto fused = [&](int i) {
-    return fuses_into_conv(pipeline, i, cut_after);
-  };
+  QNN_CHECK(output_stream_ != nullptr, "output stream not wired");
 
   for (int i = 0; i < pipeline.size(); ++i) {
     const Node& n = pipeline.node(i);
-    Stream* in = main_in[static_cast<std::size_t>(i)];
-    std::vector<Stream*> out = node_out[static_cast<std::size_t>(i)];
-    const std::size_t burst = main_burst[static_cast<std::size_t>(i)];
-    // The BnAct this conv absorbs: its kernel writes that node's output.
-    const Node* act = nullptr;
-    if (n.kind == NodeKind::Conv) {
-      const std::vector<int> next = pipeline.consumers(i);
-      if (next.size() == 1 && fused(next.front())) {
-        act = &pipeline.node(next.front());
-        QNN_CHECK(out.empty(),
-                  "the plan wires a stream inside fused " + act->name);
-        out = node_out[static_cast<std::size_t>(next.front())];
-      }
+    const auto idx = static_cast<std::size_t>(i);
+    Stream* in = main_in[idx];
+    PortRings& out = node_port[idx];
+    const std::size_t burst = main_burst[idx];
+    if (n.kind != NodeKind::BnAct) {
+      QNN_CHECK(in != nullptr && (!out.raw.empty() || !out.acts.empty()),
+                "node " + n.name + " not fully wired");
     }
-    // A fused BnAct is built with its conv; nothing may feed it on its own.
-    const bool absorbed = fused(i);
-    QNN_CHECK(absorbed ? in == nullptr : in != nullptr && !out.empty(),
-              absorbed ? "the plan wires a stream inside fused " + n.name
-                       : "node " + n.name + " not fully wired");
     switch (n.kind) {
       case NodeKind::Conv:
-        if (act != nullptr) {
-          kernels_.push_back(std::make_unique<ConvKernel>(
-              n, params.conv(n).weights, *act, params.bnact(*act).thresholds,
-              *in, std::move(out), burst));
-        } else {
-          kernels_.push_back(std::make_unique<ConvKernel>(
-              n, params.conv(n).weights, *in, std::move(out), burst));
-        }
+        kernels_.push_back(std::make_unique<ConvKernel>(
+            n, params.conv(n).weights, *in, std::move(out), burst));
         break;
       case NodeKind::MaxPool:
       case NodeKind::AvgPool:
@@ -232,16 +217,12 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
             std::make_unique<PoolKernel>(n, *in, std::move(out), burst));
         break;
       case NodeKind::BnAct:
-        if (absorbed) break;
-        kernels_.push_back(std::make_unique<BnActKernel>(
-            n, params.bnact(n).thresholds, *in, std::move(out), burst));
-        break;
+        break;  // evaluated by the port that writes its input
       case NodeKind::Add: {
-        Stream* skip = skip_in[static_cast<std::size_t>(i)];
+        Stream* skip = skip_in[idx];
         QNN_CHECK(skip != nullptr, "add node " + n.name + " missing skip");
         kernels_.push_back(std::make_unique<AddKernel>(
-            n, *in, *skip, std::move(out), burst,
-            skip_burst[static_cast<std::size_t>(i)]));
+            n, *in, *skip, std::move(out), burst, skip_burst[idx]));
         break;
       }
     }
@@ -249,11 +230,11 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
     // topological order for the executor's home-deque partition.
     for (std::size_t k = 0; k < cuts.size(); ++k) {
       if (cuts[k].after_node != i) continue;
-      QNN_CHECK(link_egress[k] != nullptr && link_ingress[k] != nullptr,
+      QNN_CHECK(link_egress[k] != nullptr,
                 "link " + cuts[k].config.name + " not fully wired");
       auto pump = std::make_unique<LinkPump>(
           cuts[k], static_cast<std::size_t>(n.out.elems()), *link_egress[k],
-          *link_ingress[k], abort_);
+          std::move(pump_port[k]), abort_);
       pumps_.push_back(pump.get());
       kernels_.push_back(std::move(pump));
     }
@@ -315,7 +296,7 @@ void StreamEngine::run_collecting(std::span<const IntTensor> images,
     }
   }
 
-  FeederTask feeder(images, input_streams_);
+  FeederTask feeder(images, input_port_);
   outputs.clear();
   outputs.reserve(images.size());
   CollectorTask collector(images.size(), pipeline_.output_shape(),

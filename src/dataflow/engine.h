@@ -1,14 +1,14 @@
 // Streaming engine: the software analog of the DFE manager.
 //
-// Builds one Kernel per pipeline node — a conv and the BnAct it alone
-// feeds share one fused ConvKernel (plan/fifo_plan.h fuses_into_conv) —
-// wires them with bounded Streams, feeds images in depth-first pixel
-// order and collects the output stream. Where a stream fans out (skip
-// connections) the producer writes one ring per consumer through its
-// output port (kernels.h OutStage): the fan-out costs no task and no
-// extra ring, as on the DFE, where it is wiring. All layers compute concurrently once the
-// pipeline fills — the paper's computation-overlap property (§III-B)
-// realized on the host.
+// Builds one Kernel per pipeline node that is not a BnAct, wires them
+// with bounded Streams, feeds images in depth-first pixel order and
+// collects the output stream. Where a stream fans out (skip connections)
+// the producer writes one ring per consumer through its output port
+// (kernels.h OutStage): the fan-out costs no task and no extra ring, as
+// on the DFE, where it is wiring. Nor does a BnAct: the port that writes
+// its input — a kernel's, the feeder's or a link pump's — writes its
+// codes (§III-B3's comparator + mux on the producer's output). All layers compute concurrently once the pipeline fills — the
+// paper's computation-overlap property (§III-B) realized on the host.
 //
 // Transport is burst-mode end to end (see stream.h): the feeder pushes
 // whole row segments, kernels move the per-edge burst planned by
@@ -154,7 +154,7 @@ class StreamEngine {
   void cancel() { abort_.store(true, std::memory_order_relaxed); }
 
   /// Tasks the executor runs per image besides feeder and collector: one
-  /// per node, less one per fused conv→BnAct pair, plus link pumps.
+  /// per node that is not a BnAct, plus link pumps.
   [[nodiscard]] int kernel_count() const {
     return static_cast<int>(kernels_.size());
   }
@@ -201,7 +201,7 @@ class StreamEngine {
   Executor executor_;
   std::unique_ptr<FaultInjector> own_injector_;
   FaultInjector* injector_ = nullptr;  // own_injector_ or the caller's
-  std::vector<Stream*> input_streams_;  // the feeder's rings
+  PortRings input_port_{};  // the feeder's rings
   Stream* output_stream_ = nullptr;
   std::atomic<bool> abort_{false};
 };

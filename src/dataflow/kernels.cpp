@@ -22,22 +22,77 @@ std::size_t window_burst(const Node& node, std::size_t burst) {
 
 // ------------------------------------------------------------------ OutStage
 
-OutStage::OutStage(std::vector<Stream*> outs, std::size_t reserve) {
-  QNN_CHECK(!outs.empty(), "an output port needs at least one ring");
-  for (Stream* s : outs) {
-    QNN_CHECK(s != nullptr, "output port ring not wired");
-    rings_.push_back(Ring{s});
+OutStage::OutStage(PortRings rings, std::size_t reserve) {
+  for (Stream* s : rings.raw) rings_.push_back(Ring{s});
+  for (const PortAct& a : rings.acts) {
+    QNN_CHECK(a.node != nullptr && a.thresholds != nullptr &&
+                  a.node->kind == NodeKind::BnAct,
+              "an output port act needs a BnAct and its thresholds");
+    QNN_CHECK(a.from >= -1 && a.from < static_cast<int>(acts_.size()),
+              a.node->name + ": port act reads an act not yet mapped");
+    ThresholdTable table(*a.thresholds);
+    QNN_CHECK(table.channels() == a.node->in.c && table.channels() > 0,
+              a.node->name + ": threshold bank channel count mismatch");
+    acts_.push_back(Act{std::move(table), a.from, 0, {}, nullptr});
+    for (Stream* s : a.rings) {
+      rings_.push_back(Ring{s, static_cast<int>(acts_.size()) - 1});
+    }
+  }
+  QNN_CHECK(!rings_.empty(), "an output port needs at least one ring");
+  in_place_ = rings.raw.empty() &&
+              std::count_if(rings.acts.begin(), rings.acts.end(),
+                            [](const PortAct& a) { return a.from < 0; }) == 1;
+  for (const Ring& r : rings_) {
+    QNN_CHECK(r.stream != nullptr, "output port ring not wired");
   }
   buf_.reserve(reserve);
 }
 
+void OutStage::map(std::span<const std::int32_t> vals, std::int32_t* own) {
+  // §III-B3's comparator + mux over the whole flush, carrying each
+  // BnAct's channel phase across flushes: one vectorised threshold_codes
+  // call per channel-aligned stretch.
+  const auto& ops = simd::vec_ops();
+  const std::size_t n = vals.size();
+  for (Act& a : acts_) {
+    const std::int32_t* in =
+        a.from < 0 ? vals.data() : acts_[static_cast<std::size_t>(a.from)].out;
+    std::int32_t* out = a.from < 0 ? own : nullptr;
+    if (out == nullptr) {
+      if (a.codes.size() < n) a.codes.resize(n);
+      out = a.codes.data();
+    }
+    const int c = a.table.channels();
+    int ch = a.ch;  // a local, so the code stores cannot alias it
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t len =
+          std::min(static_cast<std::size_t>(c - ch), n - i);
+      a.table.eval(ops, ch, {in + i, len}, out + i);
+      i += len;
+      ch += static_cast<int>(len);
+      if (ch == c) ch = 0;
+    }
+    a.ch = ch;
+    a.out = out;
+  }
+}
+
 bool OutStage::flush(std::span<const std::int32_t> vals) {
+  if (!mapped_) {
+    map(vals);
+    mapped_ = true;
+  }
   bool all = true;
   for (Ring& r : rings_) {
-    if (r.pos < vals.size()) {
-      r.pos += r.stream->try_push_burst(vals.subspan(r.pos));
+    const std::span<const std::int32_t> out =
+        r.act < 0 ? vals
+                  : std::span<const std::int32_t>(
+                        acts_[static_cast<std::size_t>(r.act)].out,
+                        vals.size());
+    if (r.pos < out.size()) {
+      r.pos += r.stream->try_push_burst(out.subspan(r.pos));
     }
-    if (r.pos < vals.size()) {
+    if (r.pos < out.size()) {
       if (!r.stall_noted) {
         r.stall_noted = true;
         r.stream->note_push_stall();
@@ -49,6 +104,7 @@ bool OutStage::flush(std::span<const std::int32_t> vals) {
   }
   if (!all) return false;
   for (Ring& r : rings_) r.pos = 0;
+  mapped_ = false;
   return true;
 }
 
@@ -62,14 +118,16 @@ void OutStage::close() {
 
 void OutStage::clear() {
   buf_.clear();
-  for (Ring& r : rings_) r = Ring{r.stream};
+  for (Ring& r : rings_) r = Ring{r.stream, r.act};
+  for (Act& a : acts_) a.ch = 0;
+  mapped_ = false;
 }
 
 // -------------------------------------------------------------- WindowKernel
 
-WindowKernel::WindowKernel(std::string name, const Node& node, Stream& in,
-                           std::vector<Stream*> outs, std::size_t burst)
-    : Kernel(std::move(name)),
+WindowKernel::WindowKernel(const Node& node, Stream& in, PortRings outs,
+                           std::size_t burst)
+    : Kernel(node.name),
       node_(node),
       in_(in),
       scanner_(node.in, node.k, node.stride, node.pad),
@@ -149,26 +207,8 @@ StepResult WindowKernel::step() {
 // ---------------------------------------------------------------- ConvKernel
 
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
-                       Stream& in, std::vector<Stream*> outs,
-                       std::size_t burst)
-    : ConvKernel(node.name, node, weights, nullptr, in, std::move(outs),
-                 burst) {}
-
-ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
-                       const Node& act, const ThresholdLayer& thresholds,
-                       Stream& in, std::vector<Stream*> outs,
-                       std::size_t burst)
-    : ConvKernel(node.name + "+" + act.name, node, weights, &thresholds, in,
-                 std::move(outs), burst) {
-  QNN_CHECK(act.kind == NodeKind::BnAct && act.in.c == node.out.c,
-            "a fused ConvKernel needs the BnAct its conv feeds");
-}
-
-ConvKernel::ConvKernel(std::string name, const Node& node,
-                       const FilterBank& weights,
-                       const ThresholdLayer* thresholds, Stream& in,
-                       std::vector<Stream*> outs, std::size_t burst)
-    : WindowKernel(std::move(name), node, in, std::move(outs), burst),
+                       Stream& in, PortRings outs, std::size_t burst)
+    : WindowKernel(node, in, std::move(outs), burst),
       packed_weights_(scanner().window_values(), node.out.c),
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
@@ -177,11 +217,6 @@ ConvKernel::ConvKernel(std::string name, const Node& node,
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
-  if (thresholds != nullptr) {
-    QNN_CHECK(thresholds->channels() == node.out.c,
-              "threshold bank channel count mismatch");
-    act_.emplace(*thresholds);
-  }
   // Re-pack the weight cache into the filter-lane layout once; the
   // BitVector tail-zero invariant carries over, so the SIMD sweep needs no
   // weight-side masking.
@@ -237,15 +272,13 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
   for (std::size_t o = 0; o < out.size(); ++o) {
     out[o] = static_cast<std::int32_t>(acc_[o]);
   }
-  // Fused BnAct: the O sums become codes in place, before they are staged.
-  if (act_) act_->eval(ops, 0, out, out.data());
 }
 
 // ---------------------------------------------------------------- PoolKernel
 
-PoolKernel::PoolKernel(const Node& node, Stream& in,
-                       std::vector<Stream*> outs, std::size_t burst)
-    : WindowKernel(node.name, node, in, std::move(outs), burst),
+PoolKernel::PoolKernel(const Node& node, Stream& in, PortRings outs,
+                       std::size_t burst)
+    : WindowKernel(node, in, std::move(outs), burst),
       is_max_(node.kind == NodeKind::MaxPool),
       ring_(scanner()) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
@@ -288,76 +321,10 @@ void PoolKernel::emit(const WindowScanner::Completed& at) {
   }
 }
 
-// --------------------------------------------------------------- BnActKernel
-
-BnActKernel::BnActKernel(const Node& node, const ThresholdLayer& thresholds,
-                         Stream& in, std::vector<Stream*> outs,
-                         std::size_t burst)
-    : Kernel(node.name),
-      node_(node),
-      table_(thresholds),
-      in_(in),
-      burst_(std::max<std::size_t>(burst, 1)),
-      stage_(std::move(outs), burst_) {
-  QNN_CHECK(node.kind == NodeKind::BnAct, "BnActKernel needs a BnAct node");
-  QNN_CHECK(table_.channels() == node.in.c,
-            "threshold bank channel count mismatch");
-}
-
-void BnActKernel::reset() {
-  starve_ = {};
-  stage_.clear();
-  ch_ = 0;
-}
-
-void BnActKernel::bind_ready(ReadyHook* hook, int task) {
-  in_.bind_consumer(hook, task);
-  stage_.bind(hook, task);
-}
-
-StepResult BnActKernel::step() {
-  if (!stage_.flush()) return StepResult::kBlocked;
-  const int c = node_.in.c;
-  bool progressed = false;
-  for (int round = 0; round < kRoundsPerStep; ++round) {
-    // Map the burst through the threshold staircase as it leaves the ring,
-    // carrying the channel phase across burst boundaries: one vectorised
-    // threshold_codes call per channel-aligned stretch (§III-B3's
-    // comparator + mux, every channel of the stretch at once).
-    int ch = ch_;  // a local, so the code stores cannot alias it
-    const auto& ops = simd::vec_ops();
-    const std::size_t n = in_.try_pop_with(
-        burst_, [&](std::span<const std::int32_t> vals) {
-          const auto codes = stage_.extend(vals.size());
-          for (std::size_t i = 0; i < vals.size();) {
-            const std::size_t len = std::min(
-                static_cast<std::size_t>(c - ch), vals.size() - i);
-            table_.eval(ops, ch, vals.subspan(i, len), codes.data() + i);
-            i += len;
-            ch += static_cast<int>(len);
-            if (ch == c) ch = 0;
-          }
-        });
-    if (n == 0) {
-      if (in_.drained()) {
-        stage_.close();
-        return StepResult::kDone;
-      }
-      starve_.starved(in_);
-      return progressed ? StepResult::kProgress : StepResult::kBlocked;
-    }
-    starve_.fed();
-    ch_ = ch;
-    progressed = true;
-    if (!stage_.flush()) return StepResult::kBlocked;
-  }
-  return StepResult::kProgress;
-}
-
 // ----------------------------------------------------------------- AddKernel
 
 AddKernel::AddKernel(const Node& node, Stream& in_main, Stream& in_skip,
-                     std::vector<Stream*> outs, std::size_t burst_main,
+                     PortRings outs, std::size_t burst_main,
                      std::size_t burst_skip)
     : Kernel(node.name),
       node_(node),

@@ -1,13 +1,18 @@
 // Streaming kernels: the functional decomposition units of §III-B.
 //
-// Each kernel runs one pipeline Node — or, for a Conv whose only consumer
-// is a threshold BnAct, the pair (plan/fifo_plan.h fuses_into_conv) — and
-// is connected to its neighbours only through Streams; it is triggered by
-// input availability and output buffer space (dataflow firing rule,
-// §II-B). Every task writes through one OutStage port that owns one ring
-// per consumer, so where a stream fans out (residual skip connections)
-// the producer fills each consumer's ring itself: no extra task, no
-// extra ring.
+// Each kernel runs one pipeline Node and is connected to its neighbours
+// only through Streams; it is triggered by input availability and output
+// buffer space (dataflow firing rule, §II-B). Every task writes through
+// one OutStage port that owns one ring per consumer, so where a stream
+// fans out (residual skip connections) the producer fills each
+// consumer's ring itself: no extra task, no extra ring.
+//
+// A BnAct is never a task (§III-B3 reduces BatchNorm + n-bit activation
+// to a comparator and a mux on the producer's output): the port that
+// writes its input — a node kernel's, the engine's feeder's or a link
+// pump's — maps the values through the BnAct's threshold staircase on
+// the way out and writes the codes into the BnAct's consumer rings,
+// while sibling rings on the same port take the values unchanged.
 //
 // Kernels are *resumable tasks*, not threads: the unit of execution is
 // step(), which performs a bounded amount of work using only the streams'
@@ -17,21 +22,19 @@
 // pool serves a pipeline of any depth.
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
-// transforms it (BnAct maps the whole burst through the threshold
-// staircase and Add sums it, both straight from the ring into their
-// output stage; Conv/Pool ingest row segments at a time and emit all O
-// filter responses — or, fused, their activation codes — per completed
-// window position), stages the results, and flushes them with one ring
-// transaction per ring. Blocked-episode accounting
-// (Stream::note_*_stall) fires once per continuous blocked period per
-// ring, so the stall counters keep their pre-burst meaning.
+// transforms it (Add sums it straight from the ring into its output
+// stage; Conv/Pool ingest row segments at a time and emit all O filter
+// responses per completed window position), stages the results, and
+// flushes them with one ring transaction per ring. Blocked-episode
+// accounting (Stream::note_*_stall) fires once per continuous blocked
+// period per ring, so the stall counters keep their pre-burst meaning.
 //
 // All kernels process an unbounded sequence of images and terminate when
 // their input stream is closed at an image boundary.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,7 @@
 #include "dataflow/window_scanner.h"
 #include "nn/params.h"
 #include "nn/pipeline.h"
+#include "quant/threshold.h"
 
 namespace qnn {
 
@@ -61,6 +65,29 @@ inline constexpr std::size_t kDefaultBurst = 256;
 
 // ------------------------------------------------------------------ helpers
 
+/// A BnAct evaluated at an output port: its node, its folded thresholds,
+/// what it reads and the rings that take its codes.
+struct PortAct {
+  const Node* node = nullptr;
+  const ThresholdLayer* thresholds = nullptr;
+  /// Index of the port act whose codes it maps (a BnAct fed by a BnAct);
+  /// -1 = the values the port is given.
+  int from = -1;
+  std::vector<Stream*> rings;
+};
+
+/// The rings one output port writes: `raw` take the values as given, each
+/// act's rings that BnAct's codes of them.
+struct PortRings {
+  PortRings(std::initializer_list<Stream*> raw_rings) : raw(raw_rings) {}
+  PortRings(std::vector<Stream*> raw_rings,
+            std::vector<PortAct> port_acts = {})
+      : raw(std::move(raw_rings)), acts(std::move(port_acts)) {}
+
+  std::vector<Stream*> raw;
+  std::vector<PortAct> acts;
+};
+
 /// The one output port of every task: staged values awaiting FIFO space
 /// and the 1..N rings they go to — one per consumer, so a producer whose
 /// output fans out (a residual skip connection) writes every consumer's
@@ -68,11 +95,18 @@ inline constexpr std::size_t kDefaultBurst = 256;
 /// with one try_push_burst per ring per step; each ring keeps its own
 /// progress, so a full ring holds back only itself, and the stage takes
 /// new values once every ring has caught up.
+///
+/// A ring that carries a BnAct's codes takes them instead of the values:
+/// each flush maps its values once per BnAct through that BnAct's
+/// ThresholdTable (one VecOps::threshold_codes call per channel-aligned
+/// stretch), carrying the channel phase across flushes, however many
+/// rings take the codes — over the staged values themselves when no ring
+/// takes those.
 class OutStage {
  public:
-  /// A port to `outs` (at least one ring) that holds `reserve` values
-  /// without growing.
-  explicit OutStage(std::vector<Stream*> outs, std::size_t reserve = 0);
+  /// A port to `rings` (at least one) that holds `reserve` values without
+  /// growing.
+  explicit OutStage(PortRings rings, std::size_t reserve = 0);
 
   /// Append `n` slots and return them for the caller to fill in place.
   [[nodiscard]] std::span<std::int32_t> extend(std::size_t n) {
@@ -88,32 +122,53 @@ class OutStage {
 
   /// Move everything staged into every ring; true when all have it.
   bool flush() {
+    if (in_place_ && !mapped_) {
+      map(buf_, buf_.data());
+      mapped_ = true;
+    }
     if (!flush(buf_)) return false;
     buf_.clear();
     return true;
   }
-  /// Move `vals` into every ring without staging a copy; the caller keeps
-  /// them alive and unchanged, and passes them again, until this returns
-  /// true. Notes one push-stall episode per ring per continuous period
-  /// that ring could not take the rest.
+  /// Move `vals` (or their codes) into every ring without staging a copy;
+  /// the caller keeps them alive and unchanged, and passes them again,
+  /// until this returns true. Notes one push-stall episode per ring per
+  /// continuous period that ring could not take the rest.
   bool flush(std::span<const std::int32_t> vals);
 
   /// Register `task` as the producer of every ring (nullptr unbinds).
   void bind(ReadyHook* hook, int task);
   /// End of stream on every ring.
   void close();
-  /// Discard staged values and ring progress (between engine runs /
-  /// after an aborted run).
+  /// Discard staged values, ring progress and channel phases (between
+  /// engine runs / after an aborted run).
   void clear();
 
  private:
+  struct Act {
+    ThresholdTable table;
+    int from = -1;
+    int ch = 0;  // channel of the next value mapped
+    std::vector<std::int32_t> codes;  // unless mapped in place
+    const std::int32_t* out = nullptr;  // the codes of the flush under way
+  };
   struct Ring {
     Stream* stream = nullptr;
+    int act = -1;  // the act whose codes it takes; -1 = the values
     std::size_t pos = 0;  // values of the current flush it has taken
     bool stall_noted = false;
   };
+  /// Map `vals` through every act, in act order; an act that reads them
+  /// writes its codes over them when `own` (= vals.data()) is given.
+  void map(std::span<const std::int32_t> vals, std::int32_t* own = nullptr);
+
   std::vector<std::int32_t> buf_;
+  std::vector<Act> acts_;
   std::vector<Ring> rings_;
+  bool mapped_ = false;  // acts_ hold the codes of the flush under way
+  /// No ring takes the staged values and one act alone reads them, so
+  /// flush() maps them in place, with no second buffer.
+  bool in_place_ = false;
 };
 
 /// Pop-stall accounting of one input port: one episode per continuous
@@ -239,8 +294,8 @@ class Kernel {
 /// output stage. Subclasses emit responses for each completed window.
 class WindowKernel : public Kernel {
  public:
-  WindowKernel(std::string name, const Node& node, Stream& in,
-               std::vector<Stream*> outs, std::size_t burst);
+  WindowKernel(const Node& node, Stream& in, PortRings outs,
+               std::size_t burst);
   StepResult step() final;
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;
@@ -292,29 +347,14 @@ class WindowKernel : public Kernel {
 /// input. Weights live in the kernel as a packed FilterBank — the on-chip
 /// weight cache of §III-B1a — packed once at construction into the
 /// filter-lane layout (eight filters interleaved per word) for that sweep;
-/// it is the kernel's only copy.
-///
-/// Fused form (§III-B3's comparator + mux on the conv output): built with
-/// the BnAct node it feeds and that node's thresholds, the kernel turns
-/// each window's O filter sums into activation codes in its output stage,
-/// with one VecOps::threshold_codes call, and flushes the codes straight
-/// into the BnAct's output streams — one task, no int32 ring between the
-/// two.
+/// it is the kernel's only copy. A BnAct it feeds is evaluated by its
+/// output port on the way out (OutStage).
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
-             std::vector<Stream*> outs, std::size_t burst = kDefaultBurst);
-  /// The conv `node` fused with the BnAct `act` it feeds; `outs` are the
-  /// BnAct's output streams.
-  ConvKernel(const Node& node, const FilterBank& weights, const Node& act,
-             const ThresholdLayer& thresholds, Stream& in,
-             std::vector<Stream*> outs, std::size_t burst = kDefaultBurst);
+             PortRings outs, std::size_t burst = kDefaultBurst);
 
  private:
-  ConvKernel(std::string name, const Node& node, const FilterBank& weights,
-             const ThresholdLayer* thresholds, Stream& in,
-             std::vector<Stream*> outs, std::size_t burst);
-
   void emit(const WindowScanner::Completed& at) override;
   void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
   void rearm_image() override;
@@ -328,7 +368,6 @@ class ConvKernel final : public WindowKernel {
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
   std::vector<std::int64_t> acc_;  // one per padded filter lane
-  std::optional<ThresholdTable> act_;  // the fused BnAct, if any
   int packed_row_ = -1;  // highest padded row already entered into lines_
 };
 
@@ -339,7 +378,7 @@ class ConvKernel final : public WindowKernel {
 /// C channel values contiguous, into the output stage.
 class PoolKernel final : public WindowKernel {
  public:
-  PoolKernel(const Node& node, Stream& in, std::vector<Stream*> outs,
+  PoolKernel(const Node& node, Stream& in, PortRings outs,
              std::size_t burst = kDefaultBurst);
 
  private:
@@ -348,31 +387,6 @@ class PoolKernel final : public WindowKernel {
 
   bool is_max_;
   PixelRing ring_;
-};
-
-/// Folded BatchNorm + n-bit activation kernel (§III-B3) for the BnActs
-/// no conv absorbs — those after an Add (or after a conv that fans out or
-/// sits before a link cut). Maps each input burst through the threshold
-/// staircase as it leaves the ring, straight into the output stage,
-/// carrying the channel phase across bursts: the burst is cut into
-/// channel-aligned stretches, each evaluated by one
-/// VecOps::threshold_codes call over the ThresholdTable.
-class BnActKernel final : public Kernel {
- public:
-  BnActKernel(const Node& node, const ThresholdLayer& thresholds, Stream& in,
-              std::vector<Stream*> outs, std::size_t burst = kDefaultBurst);
-  StepResult step() override;
-  void reset() override;
-  void bind_ready(ReadyHook* hook, int task) override;
-
- private:
-  const Node& node_;
-  ThresholdTable table_;
-  Stream& in_;
-  std::size_t burst_;
-  StarveEpisode starve_;
-  OutStage stage_;
-  int ch_ = 0;
 };
 
 /// Skip-connection adder (§III-B5, Figure 2): sums the regular path with
@@ -387,7 +401,7 @@ class AddKernel final : public Kernel {
   /// edges: each ring transaction moves at most that many values of its
   /// edge.
   AddKernel(const Node& node, Stream& in_main, Stream& in_skip,
-            std::vector<Stream*> outs, std::size_t burst_main = kDefaultBurst,
+            PortRings outs, std::size_t burst_main = kDefaultBurst,
             std::size_t burst_skip = kDefaultBurst);
   StepResult step() override;
   void reset() override;

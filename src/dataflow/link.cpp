@@ -176,11 +176,11 @@ bool MaxRingLink::recv(std::vector<std::int32_t>& out) {
 // ------------------------------------------------------------------- LinkPump
 
 LinkPump::LinkPump(const LinkCut& cut, std::size_t image_values, Stream& in,
-                   Stream& out, const std::atomic<bool>& cancel)
+                   PortRings out, const std::atomic<bool>& cancel)
     : Kernel(cut.config.name),
       link_(cut.config),
       in_(in),
-      out_({&out}),
+      out_(std::move(out)),
       frame_values_(std::max<std::size_t>(cut.frame_values, 1)),
       image_values_(image_values) {
   QNN_CHECK(image_values_ > 0, name() + ": empty boundary tensor");

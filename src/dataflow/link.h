@@ -189,13 +189,14 @@ struct LinkCut {
 /// boundary ring into frames of `frame_values` (an image's last frame
 /// takes its tail, so frames never straddle images), sends each over the
 /// link, receives the frame it just delivered and pushes it through its
-/// output port into the next node's ingress ring, holding it across
-/// kBlocked while that ring is full. On a healthy link a step never waits
-/// on another task.
+/// output port into the ingress rings across the cut, holding it across
+/// kBlocked while a ring is full. A cut right before a BnAct ships the
+/// raw values; the port writes that BnAct's codes. On a healthy link a
+/// step never waits on another task.
 class LinkPump final : public Kernel {
  public:
   LinkPump(const LinkCut& cut, std::size_t image_values, Stream& in,
-           Stream& out, const std::atomic<bool>& cancel);
+           PortRings out, const std::atomic<bool>& cancel);
   StepResult step() override;
   void reset() override;
   void bind_ready(ReadyHook* hook, int task) override;

@@ -1,6 +1,5 @@
 #include "plan/compiled_plan.h"
 
-#include <numeric>
 #include <thread>
 
 namespace qnn {
@@ -114,12 +113,9 @@ CompiledPlan compile_plan(const Pipeline& pipeline,
   plan.pin_offset = options.pin_offset;
   plan.backend = backend;
   plan.fifos = plan_fifos(pipeline, options);
-  // The link models price every edge a cut could sever, the insides of
-  // fused pairs included: take the bursts from the plan with a cut after
-  // every node, where nothing fuses.
-  std::vector<int> every(static_cast<std::size_t>(pipeline.size()));
-  std::iota(every.begin(), every.end(), 0);
-  for (const PlannedStream& ps : plan_fifos(pipeline, options, every).streams) {
+  // The link models price every edge a cut could sever, the edges into
+  // BnActs (which have no ring) included.
+  for (const PlannedStream& ps : plan_edges(pipeline, options)) {
     if (ps.consumer < 0 || ps.burst == 0) continue;
     plan.link_bursts.push_back(
         SimConfig::EdgeBurst{ps.consumer, ps.to_skip_port, ps.burst});

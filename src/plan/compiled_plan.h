@@ -41,12 +41,14 @@ namespace qnn {
 /// mismatch as a miss, never as an error (DESIGN.md §9). Version 2 dropped
 /// the "executor" field (one scheduler is left), so a version-1 plan is a
 /// loud miss rather than a plan armed with a knob nothing reads. Version 3
-/// plans no stream inside a fused conv→BnAct pair (fuses_into_conv), so a
-/// version-2 plan, which still wires one, is a miss too. Version 4 plans a
-/// fan-out as one direct ring per consumer port, written by the producer
-/// itself, so a version-3 plan's fork "trunk" and "branch" streams are a
-/// miss as well.
-inline constexpr int kPlanFormatVersion = 4;
+/// planned no stream inside a fused conv→BnAct pair, so a version-2 plan,
+/// which still wires one, is a miss too. Version 4 plans a fan-out as one
+/// direct ring per consumer port, written by the producer itself, so a
+/// version-3 plan's fork "trunk" and "branch" streams are a miss as well.
+/// Version 5 plans no ring into any BnAct (the port that writes its input
+/// evaluates it), so a version-4 plan's rings into the BnActs after an
+/// Add are a miss too.
+inline constexpr int kPlanFormatVersion = 5;
 
 /// Structural hash of a pipeline (FNV-1a over shapes, edges, widths and
 /// window geometry; node *names* are excluded so a rename does not orphan
@@ -104,8 +106,8 @@ struct CompiledPlan {
   /// The FIFO plan the engine wires verbatim (EngineOptions::plan).
   FifoPlan fifos;
   /// Per-edge bursts for the sim's MaxRing serializer and the
-  /// partitioner's framed wire pricing (derived from `fifos`, plus the
-  /// edge inside each fused pair — the burst a cut there would frame).
+  /// partitioner's framed wire pricing (plan_edges: the bursts of `fifos`,
+  /// plus each edge into a BnAct — the burst a cut there would frame).
   std::vector<SimConfig::EdgeBurst> link_bursts;
 
   // ---- provenance (plan/autotune.h) --------------------------------------

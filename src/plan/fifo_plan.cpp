@@ -24,25 +24,6 @@ const PlannedStream* FifoPlan::find_edge(int consumer,
   return nullptr;
 }
 
-std::vector<int> FifoPlan::cut_after() const {
-  std::vector<int> out;
-  for (const PlannedStream& s : streams) {
-    if (s.role == PlannedStream::Role::kLinkOut) out.push_back(s.producer);
-  }
-  return out;
-}
-
-bool fuses_into_conv(const Pipeline& pipeline, int node,
-                     std::span<const int> cut_after) {
-  if (node < 0 || node >= pipeline.size()) return false;
-  const Node& n = pipeline.node(node);
-  const int p = n.main_from;
-  return n.kind == NodeKind::BnAct && p >= 0 && p < node &&
-         pipeline.node(p).kind == NodeKind::Conv &&
-         pipeline.consumers(p) == std::vector<int>{node} &&
-         std::find(cut_after.begin(), cut_after.end(), p) == cut_after.end();
-}
-
 std::size_t line_buffer_values(const Node& n) {
   QNN_DCHECK(n.is_window_op(), "line buffer of a non-window kernel");
   const std::int64_t wp = n.in.w + 2 * n.pad;
@@ -50,8 +31,12 @@ std::size_t line_buffer_values(const Node& n) {
                                   (wp * (n.k - 1) + n.k));
 }
 
-FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options,
-                    std::span<const int> cut_after) {
+namespace {
+
+/// The plan of every edge; with `ring_bnacts` false, the edges into
+/// BnActs get no ring.
+FifoPlan plan_rings(const Pipeline& pipeline, const EngineOptions& options,
+                    bool ring_bnacts) {
   FifoPlan plan;
   const std::size_t user = options.fifo_capacity;
   // The transaction size asked for: EngineOptions::burst, or for its
@@ -132,10 +117,6 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options,
                                            std::max<std::size_t>(burst, 1)});
     };
 
-    if (consumers.size() == 1 && !consumers.front().skip &&
-        fuses_into_conv(pipeline, consumers.front().node, cut_after)) {
-      return;  // the conv's kernel evaluates the BnAct: no ring between
-    }
     if (consumers.empty()) {
       stream(pname + "->output", PlannedStream::Role::kOutput, -1, false,
              plain_capacity);
@@ -144,6 +125,11 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options,
     // One ring per consumer port; a fanned-out producer writes them all.
     const char* arrow = consumers.size() == 1 ? "->" : "=>";
     for (const ConsumerPort& c : consumers) {
+      // A BnAct is never a task: the port that writes its input writes
+      // its codes into its own consumers' rings.
+      if (!ring_bnacts && pipeline.node(c.node).kind == NodeKind::BnAct) {
+        continue;
+      }
       stream(pname + arrow + pipeline.node(c.node).name,
              PlannedStream::Role::kDirect, c.node, c.skip, capacity_for(c));
     }
@@ -157,65 +143,105 @@ FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options,
   return plan;
 }
 
-void route_links(const Pipeline& pipeline, FifoPlan& plan,
-                 std::span<const LinkCut> cuts, const EngineOptions& sizing) {
-  for (std::size_t k = 0; k < cuts.size(); ++k) {
-    const LinkCut& cut = cuts[k];
-    const auto direct = [&](const PlannedStream& s) {
-      return s.producer == cut.after_node &&
-             s.role == PlannedStream::Role::kDirect;
-    };
-    auto it = std::find_if(plan.streams.begin(), plan.streams.end(), direct);
-    if (it == plan.streams.end() && cut.after_node >= 0 &&
-        cut.after_node < pipeline.size()) {
-      const std::vector<int> next = pipeline.consumers(cut.after_node);
-      if (next.size() == 1 && fuses_into_conv(pipeline, next.front())) {
-        // The cut splits a fused pair: plan its edge as if never fused,
-        // in producer order.
-        const FifoPlan split = plan_fifos(
-            pipeline, sizing, std::span<const int>(&cut.after_node, 1));
-        const auto edge =
-            std::find_if(split.streams.begin(), split.streams.end(), direct);
-        QNN_CHECK(edge != split.streams.end(),
-                  "route_links: split pair without a planned edge");
-        it = plan.streams.insert(
-            std::find_if(plan.streams.begin(), plan.streams.end(),
-                         [&](const PlannedStream& s) {
-                           return s.producer > cut.after_node;
-                         }),
-            *edge);
+}  // namespace
+
+FifoPlan plan_fifos(const Pipeline& pipeline, const EngineOptions& options) {
+  return plan_rings(pipeline, options, false);
+}
+
+std::vector<PlannedStream> plan_edges(const Pipeline& pipeline,
+                                      const EngineOptions& options) {
+  return plan_rings(pipeline, options, true).streams;
+}
+
+RingWriter ring_writer(const Pipeline& pipeline, const FifoPlan& plan,
+                       const PlannedStream& ring) {
+  // The link out of node m, if any, other than the one `ring` feeds.
+  const auto cut_after = [&](int m) {
+    for (const PlannedStream& s : plan.streams) {
+      if (s.role == PlannedStream::Role::kLinkOut && s.producer == m &&
+          !(ring.role == PlannedStream::Role::kLinkOut &&
+            ring.link == s.link)) {
+        return s.link;
       }
     }
-    QNN_CHECK(it != plan.streams.end() && cut.after_node >= 0 &&
-                  std::count_if(plan.streams.begin(), plan.streams.end(),
-                                direct) == 1,
-              "route_links: the cut after node " +
-                  std::to_string(cut.after_node) +
+    return -1;
+  };
+  RingWriter w;
+  int m = ring.producer;
+  for (;;) {
+    w.link = m >= 0 ? cut_after(m) : -1;
+    if (w.link >= 0 || m < 0 || m >= pipeline.size() ||
+        pipeline.node(m).kind != NodeKind::BnAct) {
+      break;
+    }
+    w.bnacts.push_back(m);
+    m = pipeline.node(m).main_from;
+  }
+  w.node = m;
+  std::reverse(w.bnacts.begin(), w.bnacts.end());
+  return w;
+}
+
+void route_links(const Pipeline& pipeline, FifoPlan& plan,
+                 std::span<const LinkCut> cuts) {
+  for (std::size_t k = 0; k < cuts.size(); ++k) {
+    const int x = cuts[k].after_node;
+    int ports = 0;
+    if (x >= 0 && x < pipeline.size()) {
+      for (const Node& n : pipeline.nodes) {
+        ports += (n.main_from == x ? 1 : 0) + (n.skip_from == x ? 1 : 0);
+      }
+    }
+    const bool again = std::any_of(
+        cuts.begin(), cuts.begin() + static_cast<std::ptrdiff_t>(k),
+        [x](const LinkCut& c) { return c.after_node == x; });
+    // The egress ring goes in front of the first ring that carries x's
+    // values on — x's own, or a ring of a BnAct it feeds — as deep.
+    const auto carries = [&](const PlannedStream& s) {
+      if (s.role == PlannedStream::Role::kLinkOut) return false;
+      int m = s.producer;
+      while (m != x && m >= 0 && pipeline.node(m).kind == NodeKind::BnAct) {
+        m = pipeline.node(m).main_from;
+      }
+      return m == x;
+    };
+    const auto at =
+        ports == 1 && !again
+            ? std::find_if(plan.streams.begin(), plan.streams.end(), carries)
+            : plan.streams.end();
+    QNN_CHECK(at != plan.streams.end(),
+              "route_links: the cut after node " + std::to_string(x) +
                   " does not sever a single direct edge");
-    PlannedStream in = *it;
-    in.name = cut.config.name + "->" + pipeline.node(in.consumer).name;
-    in.role = PlannedStream::Role::kLinkIn;
-    in.link = static_cast<int>(k);
-    PlannedStream out = *it;
-    out.name = pipeline.node(cut.after_node).name + "->" + cut.config.name;
+    PlannedStream out = *at;
+    out.name = pipeline.node(x).name + "->" + cuts[k].config.name;
     out.role = PlannedStream::Role::kLinkOut;
+    out.producer = x;
     out.consumer = -1;
     out.to_skip_port = false;
-    out.burst = std::max<std::size_t>(cut.frame_values, 1);
+    out.bits = pipeline.node(x).out_bits;
+    out.burst = std::max<std::size_t>(cuts[k].frame_values, 1);
     out.capacity = std::max(out.capacity, out.burst);
     out.link = static_cast<int>(k);
-    *it = std::move(in);
-    plan.streams.insert(it, std::move(out));
+    plan.streams.insert(at, std::move(out));
+  }
+  // The direct rings a pump now writes are its link's ingress rings.
+  for (PlannedStream& s : plan.streams) {
+    if (s.role != PlannedStream::Role::kDirect) continue;
+    const int link = ring_writer(pipeline, plan, s).link;
+    if (link < 0) continue;
+    s.name = cuts[static_cast<std::size_t>(link)].config.name + "->" +
+             pipeline.node(s.consumer).name;
+    s.role = PlannedStream::Role::kLinkIn;
+    s.link = link;
   }
 }
 
 FifoPlan engine_fifos(const Pipeline& pipeline, const EngineOptions& options,
                       std::span<const LinkCut> cuts) {
-  EngineOptions sizing = options;
-  if (options.plan != nullptr) options.plan->apply_engine(sizing);
   FifoPlan plan = options.plan != nullptr ? options.plan->fifos
                                           : plan_fifos(pipeline, options);
-  route_links(pipeline, plan, cuts, sizing);
+  route_links(pipeline, plan, cuts);
   return plan;
 }
 

@@ -18,10 +18,9 @@
 //  * a producer whose output fans out gets one ring per consumer port
 //    (named `p=>c`, each sized for its consumer) and writes them all
 //    itself: no fork task, no trunk ring;
-//  * a conv whose only consumer is a threshold BnAct evaluates the
-//    thresholds itself (fuses_into_conv, the one fusion predicate): the
-//    edge between them gets no ring at all, unless a link cut separates
-//    them.
+//  * a BnAct is never a task: the port that writes its input evaluates
+//    its thresholds and writes its codes into its consumers' rings, so no
+//    ring goes into a BnAct.
 //
 // Consumers: the StreamEngine wires streams from the plan verbatim; the
 // static analyzer (verify/graph_check.h) proves the same plan deadlock-
@@ -71,9 +70,10 @@ struct PlannedStream {
   /// kernel construction AND the D302/D303 capacity checks, so burst
   /// sizing has exactly one source.
   std::size_t burst = 0;
-  /// MaxRing link ordinal of a kLinkOut / kLinkIn ring, -1 otherwise. Both
-  /// rings of a cut keep the cut edge's producer (the node whose values
-  /// they carry); the egress burst is the link's frame size.
+  /// MaxRing link ordinal of a kLinkOut / kLinkIn ring, -1 otherwise.
+  /// Every ring keeps the producer whose values it carries: the egress
+  /// ring the cut node, an ingress ring the cut node or a BnAct after it.
+  /// The egress burst is the link's frame size.
   int link = -1;
 };
 
@@ -96,43 +96,56 @@ struct FifoPlan {
   /// The planned stream into `consumer`'s main or skip port, or nullptr.
   [[nodiscard]] const PlannedStream* find_edge(int consumer,
                                                bool to_skip_port) const;
-  /// Nodes followed by a routed link cut (the producers of kLinkOut
-  /// rings), in plan order — the cuts fuses_into_conv must respect.
-  [[nodiscard]] std::vector<int> cut_after() const;
 };
-
-/// True when BnAct `node` is evaluated inside the conv that feeds it — one
-/// fused ConvKernel, one task, no ring between them: its main producer is
-/// a Conv whose only consumer it is, and no link cut in `cut_after`
-/// follows that conv. The one fusion predicate: plan_fifos plans no
-/// stream for the edge inside a fused pair, the engine builds one kernel
-/// per pair, and the verifier's capacity and token-flow models see that
-/// one task. False for any index outside the pipeline.
-[[nodiscard]] bool fuses_into_conv(const Pipeline& pipeline, int node,
-                                   std::span<const int> cut_after = {});
 
 /// The paper's depth-first line-buffer size (§III-B1b) for the input of a
 /// window kernel, on the padded map: I * (W_p * (K-1) + K) values.
 [[nodiscard]] std::size_t line_buffer_values(const Node& n);
 
-/// Compute the FIFO plan StreamEngine will wire for these options, with
-/// every pair fuses_into_conv(…, cut_after) accepts fused. This is the
-/// *only* place capacities are decided; every consumer takes the plan.
+/// Compute the FIFO plan StreamEngine will wire for these options. This
+/// is the *only* place capacities are decided; every consumer takes the
+/// plan.
 [[nodiscard]] FifoPlan plan_fifos(const Pipeline& pipeline,
-                                  const EngineOptions& options = {},
-                                  std::span<const int> cut_after = {});
+                                  const EngineOptions& options = {});
 
-/// Reroute the edge out of every cut node through its link: the planned
-/// direct edge becomes a kLinkOut ring into the LinkPump (at least one
-/// frame deep, moving one frame per transaction) followed by a kLinkIn
-/// ring that keeps the edge's capacity and burst. A cut between a conv
-/// and the BnAct fused into it splits the pair first: the edge is planned
-/// as plan_fifos would with that cut, from `sizing` — the options `plan`
-/// was made with. Throws Error when a cut does not sever exactly one
-/// direct edge.
+/// Every edge of the pipeline as plan_fifos would ring it, the edges into
+/// BnActs (which get no ring) included, in plan order: the transactions
+/// a link cut after each producer would frame.
+[[nodiscard]] std::vector<PlannedStream> plan_edges(
+    const Pipeline& pipeline, const EngineOptions& options = {});
+
+/// The task that writes a planned ring, and the BnActs its output port
+/// applies on the way. A BnAct is never a task: a ring out of one is
+/// written by the task that writes the BnAct's input — the producer's
+/// kernel, the feeder, or the pump of a link cut right before it.
+struct RingWriter {
+  /// The node whose values the writer's port is given (-1 = the pipeline
+  /// input): the writing node itself, or a cut node whose link delivers
+  /// them.
+  int node = -1;
+  /// The link whose pump writes the ring; -1 = node's own task (the
+  /// feeder for node -1).
+  int link = -1;
+  /// BnActs between `node` and the ring's producer, innermost first.
+  std::vector<int> bnacts;
+};
+
+/// Who writes `ring` of `plan` — where the plan's kLinkOut rings mark the
+/// link cuts. Every ring has exactly one writer.
+[[nodiscard]] RingWriter ring_writer(const Pipeline& pipeline,
+                                     const FifoPlan& plan,
+                                     const PlannedStream& ring);
+
+/// Reroute the edge out of every cut node through its link: a kLinkOut
+/// ring of the cut node's raw values (as deep as the first ring that
+/// carries them on and at least one frame, moving one frame per
+/// transaction) goes in front of the rings the LinkPump now writes — the
+/// cut node's direct ring, or when it feeds a BnAct that BnAct's rings,
+/// whose codes the pump's port evaluates. Those keep their capacity and
+/// burst; the direct ones become kLinkIn rings. Throws Error when a cut
+/// does not sever exactly one consumer port.
 void route_links(const Pipeline& pipeline, FifoPlan& plan,
-                 std::span<const LinkCut> cuts,
-                 const EngineOptions& sizing = {});
+                 std::span<const LinkCut> cuts);
 
 /// The streams a StreamEngine over `pipeline` wires: the CompiledPlan's
 /// FIFOs verbatim when `options.plan` is set, plan_fifos otherwise, with

@@ -1,8 +1,10 @@
 #include "plan/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "core/error.h"
@@ -110,15 +112,23 @@ struct JVal {
     }
     return v.num;
   }
-  [[nodiscard]] std::int64_t as_int(const std::string& key) const {
-    return static_cast<std::int64_t>(as_num(key));
+  /// The field as a T: a fraction, NaN, an infinity or a value T cannot
+  /// hold is an Error, never a conversion that overflows.
+  template <typename T>
+  [[nodiscard]] T as_whole(const std::string& key) const {
+    return whole<T>(at(key), key);
   }
-  [[nodiscard]] std::size_t as_size(const std::string& key) const {
-    const double v = as_num(key);
-    if (v < 0) {
-      throw Error("plan json: field \"" + key + "\" is negative");
+  template <typename T>
+  [[nodiscard]] static T whole(const JVal& v, const std::string& what) {
+    using Limits = std::numeric_limits<T>;
+    const double hi = std::ldexp(1.0, Limits::digits);  // exclusive
+    const double lo = Limits::is_signed ? -hi : 0.0;
+    if (v.kind != Kind::kNum || !(v.num >= lo && v.num < hi) ||
+        v.num != std::trunc(v.num)) {
+      throw Error("plan json: field \"" + what +
+                  "\" is not a whole number in range");
     }
-    return static_cast<std::size_t>(v);
+    return static_cast<T>(v.num);
   }
   [[nodiscard]] bool as_bool(const std::string& key) const {
     const JVal& v = at(key);
@@ -439,7 +449,7 @@ CompiledPlan plan_from_json(const std::string& text) {
     throw Error("plan json: top level is not an object");
   }
   CompiledPlan plan;
-  plan.version = static_cast<int>(root.as_int("version"));
+  plan.version = root.as_whole<int>("version");
   if (plan.version != kPlanFormatVersion) {
     throw Error("plan json: format version " + std::to_string(plan.version) +
                 " != supported " + std::to_string(kPlanFormatVersion));
@@ -448,38 +458,38 @@ CompiledPlan plan_from_json(const std::string& text) {
   const JVal& key = root.at("key");
   plan.key.model_hash = parse_hash(key.as_str("model_hash"));
   plan.key.machine = key.as_str("machine");
-  plan.key.slo_us = key.as_int("slo_us");
-  plan.fifo_capacity = root.as_size("fifo_capacity");
-  plan.skip_slack = root.as_size("skip_slack");
-  plan.burst = root.as_size("burst");
+  plan.key.slo_us = key.as_whole<std::int64_t>("slo_us");
+  plan.fifo_capacity = root.as_whole<std::size_t>("fifo_capacity");
+  plan.skip_slack = root.as_whole<std::size_t>("skip_slack");
+  plan.burst = root.as_whole<std::size_t>("burst");
   plan.adaptive_burst = root.as_bool("adaptive_burst");
-  plan.pool_threads = static_cast<unsigned>(root.as_size("pool_threads"));
+  plan.pool_threads = root.as_whole<unsigned>("pool_threads");
   plan.pin_threads = root.as_bool("pin_threads");
-  plan.pin_offset = static_cast<unsigned>(root.as_size("pin_offset"));
+  plan.pin_offset = root.as_whole<unsigned>("pin_offset");
   plan.backend = root.as_str("backend");
   for (const JVal& v : root.as_arr("cut_after_nodes")) {
-    plan.cut_after_nodes.push_back(static_cast<int>(v.num));
+    plan.cut_after_nodes.push_back(JVal::whole<int>(v, "cut_after_nodes"));
   }
   const JVal& fifos = root.at("fifos");
-  plan.fifos.burst = fifos.as_size("burst");
+  plan.fifos.burst = fifos.as_whole<std::size_t>("burst");
   plan.fifos.burst_clamped = fifos.as_bool("burst_clamped");
   for (const JVal& v : fifos.as_arr("streams")) {
     PlannedStream s;
     s.name = v.as_str("name");
     s.role = role_from_name(v.as_str("role"));
-    s.producer = static_cast<int>(v.as_int("producer"));
-    s.consumer = static_cast<int>(v.as_int("consumer"));
+    s.producer = v.as_whole<int>("producer");
+    s.consumer = v.as_whole<int>("consumer");
     s.to_skip_port = v.as_bool("skip");
-    s.capacity = v.as_size("capacity");
-    s.bits = static_cast<int>(v.as_int("bits"));
-    s.burst = v.as_size("burst");
+    s.capacity = v.as_whole<std::size_t>("capacity");
+    s.bits = v.as_whole<int>("bits");
+    s.burst = v.as_whole<std::size_t>("burst");
     plan.fifos.streams.push_back(std::move(s));
   }
   for (const JVal& v : root.as_arr("link_bursts")) {
     SimConfig::EdgeBurst e;
-    e.consumer = static_cast<int>(v.as_int("consumer"));
+    e.consumer = v.as_whole<int>("consumer");
     e.to_skip_port = v.as_bool("skip");
-    e.values = v.as_size("values");
+    e.values = v.as_whole<std::size_t>("values");
     plan.link_bursts.push_back(e);
   }
   plan.predicted_ips = root.as_num("predicted_ips");

@@ -428,11 +428,10 @@ void check_capacities(const Pipeline& p, const FifoPlan& plan,
                       "producer in lockstep");
           continue;
         }
-        // A fused BnAct shares its conv's kernel: count tasks, not nodes.
-        const std::vector<int> cuts = plan.cut_after();
+        // A BnAct is never a task: count tasks, not nodes.
         const auto kernels = std::count_if(
             chain.begin(), chain.begin() + static_cast<std::ptrdiff_t>(hops),
-            [&](int m) { return !fuses_into_conv(p, m, cuts); });
+            [&](int m) { return p.node(m).kind != NodeKind::BnAct; });
         path = std::to_string(kernels) + "-kernel regular path";
       } else {
         // Both main chains terminate at the pipeline input, so the walk

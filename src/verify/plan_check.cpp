@@ -153,8 +153,11 @@ void lint_plan(const Pipeline& pipeline, const CompiledPlan& plan,
           return s.consumer == lb.consumer && s.to_skip_port == lb.to_skip_port;
         });
     if (it == plan.fifos.streams.end()) {
-      // The edge inside a fused pair has no ring, only this price.
-      if (!lb.to_skip_port && fuses_into_conv(pipeline, lb.consumer)) continue;
+      // An edge into a BnAct has no ring, only this price.
+      if (!lb.to_skip_port && lb.consumer >= 0 && lb.consumer < n &&
+          pipeline.node(lb.consumer).kind == NodeKind::BnAct) {
+        continue;
+      }
       report.warn(diag::kBurstFifoSkew, lb.consumer, "plan",
                   "field 'link_bursts': entry for node " +
                       std::to_string(lb.consumer) +

@@ -85,11 +85,10 @@ std::int64_t window_burst_of(const Node& n, std::int64_t planned) {
 }
 
 struct Transition {
-  // kFused: a BnAct its conv's kernel evaluates — a placeholder that keeps
-  // transitions indexed by node, never fires and is always done.
-  enum class Kind { kSource, kWindow, kElementwise, kAdd, kLink, kFused };
-  Kind kind = Kind::kElementwise;
+  enum class Kind { kSource, kWindow, kAdd, kLink };
+  Kind kind = Kind::kSource;
   std::string name;
+  int node = -1;  // pipeline node (kWindow, kAdd)
   int in = -1;    // place index (main port)
   int skip = -1;  // place index (Add only)
   /// Output places: one per consumer port, written in lockstep — every
@@ -114,7 +113,6 @@ struct Transition {
   std::int64_t fill = 0;
 
   [[nodiscard]] bool done(int images) const {
-    if (kind == Kind::kFused) return true;
     if (kind == Kind::kWindow) return img >= images;
     if (kind == Kind::kLink) return consumed >= total && staged == 0;
     return consumed >= total;
@@ -146,8 +144,8 @@ class Simulation {
     // stages one skip burst ahead of the regular path, and each producer
     // stages up to one refill's responses past a full ring (OutStage).
     // All sit in series with the planned ring, so they widen the places
-    // they touch. BnAct, and the adder's regular port, pop only what they
-    // immediately stage as output, so they add no input-side slack.
+    // they touch. The adder's regular port pops only what it immediately
+    // adds onto staged output, so it adds no input-side slack.
     auto in_slack = [&](const PlannedStream& ps) -> std::int64_t {
       if (!with_slack || ps.consumer < 0) return 0;
       const Node& node = p.node(ps.consumer);
@@ -159,40 +157,37 @@ class Simulation {
       places_[e].cap += in_slack(plan.streams[e]);
     }
 
-    // One transition per pipeline node, matching dataflow/kernels.cpp: a
-    // fused conv→BnAct pair is the conv's window transition writing the
-    // BnAct's output place (the codes it emits are as many as the sums).
-    const std::vector<int> cut_after = plan.cut_after();
-    std::vector<char> fused(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < n; ++i) {
-      fused[static_cast<std::size_t>(i)] = fuses_into_conv(p, i, cut_after);
-    }
+    // One transition per task, matching dataflow/engine.cpp: every node
+    // but a BnAct, then the source. A BnAct is never a task: the port that
+    // writes its input maps every value it is given to one code, so its
+    // rings are that writer's output places.
+    std::vector<int> task(static_cast<std::size_t>(n), -1);
     for (int i = 0; i < n; ++i) {
       const Node& node = p.node(i);
+      QNN_CHECK(node.kind == NodeKind::BnAct
+                    ? main_in[static_cast<std::size_t>(i)] < 0
+                    : main_in[static_cast<std::size_t>(i)] >= 0,
+                "token flow: " + node.name +
+                    (node.kind == NodeKind::BnAct
+                         ? " is a BnAct with a planned input ring"
+                         : " has no planned input edge"));
+      if (node.kind == NodeKind::BnAct) continue;
       Transition t;
       t.name = node.name;
+      t.node = i;
       t.in = main_in[static_cast<std::size_t>(i)];
-      if (fused[static_cast<std::size_t>(i)]) {
-        QNN_CHECK(t.in < 0, "token flow: planned edge inside a fused pair");
-        t.kind = Transition::Kind::kFused;
-        transitions_[static_cast<std::size_t>(node.main_from)].name +=
-            "+" + node.name;
-        transitions_.push_back(std::move(t));
-        continue;
-      }
-      QNN_CHECK(t.in >= 0, "token flow: node without a planned input edge");
       t.total = static_cast<std::int64_t>(node.in.elems()) * images_;
       if (node.is_window_op()) {
         t.kind = Transition::Kind::kWindow;
         profiles_.push_back(window_profile(node));
         t.elems = node.in.elems();
-      } else if (node.kind == NodeKind::Add) {
+      } else {
         t.kind = Transition::Kind::kAdd;
         t.skip = skip_in[static_cast<std::size_t>(i)];
         QNN_CHECK(t.skip >= 0, "token flow: Add without a planned skip edge");
-      } else {
-        t.kind = Transition::Kind::kElementwise;
       }
+      task[static_cast<std::size_t>(i)] =
+          static_cast<int>(transitions_.size());
       transitions_.push_back(std::move(t));
     }
     // Profile pointers are taken only after profiles_ stops growing.
@@ -201,74 +196,62 @@ class Simulation {
         transitions_[i].profile = &profiles_[w++];
       }
     }
+    const auto source = static_cast<int>(transitions_.size());
+    Transition src;
+    src.name = "input";
+    src.total = static_cast<std::int64_t>(p.input.elems()) * images_;
+    transitions_.push_back(std::move(src));
 
-    // Producer-side wiring: every ring a node (or the source) writes.
-    auto wire_producer = [&](int producer) {
-      std::vector<int> outs;
-      for (std::size_t e = 0; e < plan.streams.size(); ++e) {
-        const PlannedStream& ps = plan.streams[e];
-        // A link's ingress ring is its pump's output, wired below.
-        if (ps.producer == producer &&
-            ps.role != PlannedStream::Role::kLinkIn) {
-          outs.push_back(static_cast<int>(e));
-        }
-      }
-      QNN_CHECK(!outs.empty(), "token flow: producer without a planned stream");
-      if (producer < 0) {
-        Transition src;
-        src.kind = Transition::Kind::kSource;
-        src.name = "input";
-        src.outs = std::move(outs);
-        src.total = static_cast<std::int64_t>(p.input.elems()) * images_;
-        transitions_.push_back(std::move(src));
-      } else {
-        // A fused BnAct's output is written by its conv.
-        const int writer = fused[static_cast<std::size_t>(producer)]
-                               ? p.node(producer).main_from
-                               : producer;
-        transitions_[static_cast<std::size_t>(writer)].outs = std::move(outs);
-      }
-    };
-    wire_producer(-1);
-    for (int i = 0; i < n; ++i) {
-      // A conv fused with its BnAct has no output edge of its own.
-      const std::vector<int> next = p.consumers(i);
-      if (next.size() == 1 && fused[static_cast<std::size_t>(next.front())]) {
-        continue;
-      }
-      wire_producer(i);
-    }
-
-    // One transition per link pump, from its egress ring to its ingress
-    // ring. Its frame buffer is exact, not burst slack: the pump holds a
+    // One transition per link pump, from its egress ring to the rings it
+    // writes. Its frame buffer is exact, not burst slack: the pump holds a
     // frame until it is complete in either model.
+    std::vector<int> pump;  // by link
     for (std::size_t e = 0; e < plan.streams.size(); ++e) {
       const PlannedStream& ps = plan.streams[e];
       if (ps.role != PlannedStream::Role::kLinkOut) continue;
-      const auto in = std::find_if(
-          plan.streams.begin(), plan.streams.end(),
-          [&](const PlannedStream& s) {
-            return s.role == PlannedStream::Role::kLinkIn && s.link == ps.link;
-          });
-      QNN_CHECK(in != plan.streams.end(),
-                "token flow: link without a planned ingress ring");
-      Transition pump;
-      pump.kind = Transition::Kind::kLink;
-      pump.name = ps.name;
-      pump.in = static_cast<int>(e);
-      pump.outs = {static_cast<int>(in - plan.streams.begin())};
-      pump.elems = p.node(ps.producer).out.elems();
-      pump.total = pump.elems * images_;
-      pump.frame = static_cast<std::int64_t>(ps.burst);
-      transitions_.push_back(std::move(pump));
+      QNN_CHECK(ps.link >= 0 && ps.producer >= 0 && ps.producer < n,
+                "token flow: link without a cut node");
+      if (pump.size() <= static_cast<std::size_t>(ps.link)) {
+        pump.resize(static_cast<std::size_t>(ps.link) + 1, -1);
+      }
+      pump[static_cast<std::size_t>(ps.link)] =
+          static_cast<int>(transitions_.size());
+      Transition t;
+      t.kind = Transition::Kind::kLink;
+      t.name = ps.name;
+      t.in = static_cast<int>(e);
+      t.elems = p.node(ps.producer).out.elems();
+      t.total = t.elems * images_;
+      t.frame = static_cast<std::int64_t>(ps.burst);
+      transitions_.push_back(std::move(t));
+    }
+
+    // Producer-side wiring: every ring to the task that writes it.
+    for (std::size_t e = 0; e < plan.streams.size(); ++e) {
+      const RingWriter w = ring_writer(p, plan, plan.streams[e]);
+      const int writer =
+          w.link >= 0 ? (static_cast<std::size_t>(w.link) < pump.size()
+                             ? pump[static_cast<std::size_t>(w.link)]
+                             : -1)
+          : w.node < 0 ? source
+          : w.node < n ? task[static_cast<std::size_t>(w.node)]
+                       : -1;
+      QNN_CHECK(writer >= 0,
+                "token flow: ring " + plan.streams[e].name + " has no writer");
+      transitions_[static_cast<std::size_t>(writer)].outs.push_back(
+          static_cast<int>(e));
+    }
+    for (const Transition& t : transitions_) {
+      QNN_CHECK(!t.outs.empty(),
+                "token flow: " + t.name + " writes no planned stream");
     }
 
     if (with_slack) {
       // Producer-side OutStage slack, on every ring the port writes: a
       // ring takes staged values independently of its siblings, so each
       // may run up to the whole stage ahead of the lockstep model (window
-      // kernels compute the stage from the scan geometry; BnAct/Add stage
-      // at most one popped burst). The feeder pushes straight from the
+      // kernels compute the stage from the scan geometry; Add stages at
+      // most one popped skip burst). The feeder pushes straight from the
       // image, so only a fanned-out input lets one ring run ahead, by at
       // most the rest of the image. Pumps are exact.
       for (const Transition& t : transitions_) {
@@ -278,13 +261,9 @@ class Simulation {
             const auto b = static_cast<std::int64_t>(
                 plan.streams[static_cast<std::size_t>(t.in)].burst);
             stage = t.profile->max_stage(
-                window_burst_of(p.node(node_index(t)), b));
+                window_burst_of(p.node(t.node), b));
             break;
           }
-          case Transition::Kind::kElementwise:
-            stage = static_cast<std::int64_t>(
-                plan.streams[static_cast<std::size_t>(t.in)].burst);
-            break;
           case Transition::Kind::kAdd:
             stage = static_cast<std::int64_t>(
                 plan.streams[static_cast<std::size_t>(t.skip)].burst);
@@ -293,7 +272,6 @@ class Simulation {
             if (t.outs.size() > 1) stage = p.input.elems();
             break;
           case Transition::Kind::kLink:
-          case Transition::Kind::kFused:
             break;
         }
         for (const int e : t.outs) {
@@ -362,10 +340,6 @@ class Simulation {
   }
 
  private:
-  [[nodiscard]] int node_index(const Transition& t) const {
-    return static_cast<int>(&t - transitions_.data());
-  }
-
   /// Room on every output place of `t`: what it can emit in lockstep.
   [[nodiscard]] std::int64_t out_space(const Transition& t) const {
     std::int64_t room = std::numeric_limits<std::int64_t>::max();
@@ -390,16 +364,6 @@ class Simulation {
         t.consumed += k;
         return true;
       }
-      case Transition::Kind::kElementwise: {
-        Place& in = places_[static_cast<std::size_t>(t.in)];
-        const std::int64_t k =
-            std::min({in.q, out_space(t), t.total - t.consumed});
-        if (k <= 0) return false;
-        in.q -= k;
-        emit(t, k, tokens);
-        t.consumed += k;
-        return true;
-      }
       case Transition::Kind::kAdd: {
         Place& a = places_[static_cast<std::size_t>(t.in)];
         Place& b = places_[static_cast<std::size_t>(t.skip)];
@@ -416,8 +380,6 @@ class Simulation {
         return fire_window(t, tokens);
       case Transition::Kind::kLink:
         return fire_link(t, tokens);
-      case Transition::Kind::kFused:
-        return false;
     }
     return false;
   }

@@ -15,11 +15,12 @@
 // with its planned capacity; every kernel is a transition whose exact
 // consume/produce behavior is taken from dataflow/kernels.cpp — window
 // kernels replay their WindowScanner geometry (padding positions consume
-// no input; a completed window emits all O responses at once — a fused
-// conv→BnAct pair is one such transition, writing the BnAct's output),
-// adders consume pairwise, and a transition writes all of its output
-// places — one per consumer port where its output fans out — in
-// lockstep, only when every one has room. The network is a Kahn process
+// no input; a completed window emits all O responses at once), adders
+// consume pairwise, and a transition writes all of its output places —
+// one per consumer port where its output fans out, the rings of the
+// BnActs its port evaluates included — in lockstep, only when every one
+// has room. A BnAct is never a transition: its writer emits one code per
+// value. The network is a Kahn process
 // network, so its outcome is schedule independent: a greedy
 // maximal-progress run reaches the unique least fixed point, and batching
 // whole runs of values per firing changes cost, never the verdict (Kahn

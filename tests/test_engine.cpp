@@ -365,41 +365,43 @@ TEST(Engine, KernelAndStreamCountsMatchTopology) {
     const Pipeline p = expand(spec);
     const NetworkParams params = NetworkParams::random(p, 25);
     StreamEngine engine(p, params);
-    // One kernel per node, less one per BnAct evaluated inside the conv
-    // that alone feeds it; a fan-out point adds neither a task nor a ring.
-    int fused = 0;
+    // One kernel per node that is not a BnAct, one ring per input port of
+    // each: a BnAct is evaluated by the port that writes its input, and a
+    // fan-out point adds neither a task nor a ring.
+    int bnacts = 0;
     int rings = 1;  // the terminal output stream
     for (int i = 0; i < p.size(); ++i) {
       const Node& n = p.node(i);
-      if (n.kind == NodeKind::BnAct && n.main_from >= 0 &&
-          p.node(n.main_from).kind == NodeKind::Conv &&
-          p.consumers(n.main_from).size() == 1) {
-        ++fused;
+      if (n.kind == NodeKind::BnAct) {
+        ++bnacts;
       } else {
         rings += n.skip_from >= 0 ? 2 : 1;  // one per input port
       }
     }
     if (spec.name == "tiny_12") {
-      EXPECT_EQ(fused, 3);  // conv_0+bnact_1, conv_3+bnact_4, conv_9+bnact_10
+      EXPECT_EQ(bnacts, 5);
+      EXPECT_EQ(engine.kernel_count(), 11);
+      EXPECT_EQ(engine.stream_count(), 14);
     }
-    EXPECT_EQ(engine.kernel_count(), p.size() - fused) << spec.name;
+    EXPECT_EQ(engine.kernel_count(), p.size() - bnacts) << spec.name;
     EXPECT_EQ(engine.stream_count(), rings) << spec.name;
   }
 }
 
-// ------------------------------------------------- conv→BnAct fusion
+// ------------------------------------------------- BnAct on the port
 
-/// Bit-exactness of the engine that fuses every conv→BnAct pair of
-/// `spec`, plus the task count that proves the pairs did fuse.
+/// Bit-exactness of the engine in which no BnAct of `spec` is a task,
+/// plus the task count that proves none is.
 void expect_fused_engine_matches_reference(const NetworkSpec& spec,
                                            std::uint64_t seed, int images) {
   const Pipeline p = expand(spec);
   const NetworkParams params = NetworkParams::random(p, seed);
-  int fused = 0;
-  for (int i = 0; i < p.size(); ++i) fused += fuses_into_conv(p, i) ? 1 : 0;
-  ASSERT_GT(fused, 0) << spec.name;
+  const auto bnacts = std::count_if(
+      p.nodes.begin(), p.nodes.end(),
+      [](const Node& n) { return n.kind == NodeKind::BnAct; });
+  ASSERT_GT(bnacts, 0) << spec.name;
   StreamEngine engine(p, params);
-  EXPECT_EQ(engine.kernel_count(), p.size() - fused) << spec.name;
+  EXPECT_EQ(engine.kernel_count(), p.size() - bnacts) << spec.name;
   const ReferenceExecutor ref(p, params);
   Rng rng(seed ^ 0xf05edu);
   std::vector<IntTensor> batch;
@@ -437,9 +439,19 @@ TEST(FusedConv, FinnCnvMatchesReference) {
   expect_fused_engine_matches_reference(models::finn_cnv(10, 2), 66, 2);
 }
 
-TEST(FusedConv, ForkingConvKeepsItsBnActKernel) {
-  // conv_0 feeds both bnact_1 and, as a skip, the Add after it: its sums
-  // must reach the Add unthresholded, so the pair may not fuse.
+/// The routed plan's stream named `name`, or nullptr.
+const PlannedStream* stream_named(const FifoPlan& plan,
+                                  const std::string& name) {
+  const auto it =
+      std::find_if(plan.streams.begin(), plan.streams.end(),
+                   [&](const PlannedStream& s) { return s.name == name; });
+  return it == plan.streams.end() ? nullptr : &*it;
+}
+
+TEST(FusedConv, ForkingConvThresholdsOnlyItsBnActRing) {
+  // conv_0 feeds both bnact_1 and, as a skip, the Add after it: its port
+  // writes the raw sums into the Add's skip ring and bnact_1's codes into
+  // the Add's main ring — one task, no ring into the BnAct.
   NetworkSpec spec;
   spec.name = "conv_fork";
   spec.input = Shape{8, 8, 3};
@@ -455,10 +467,14 @@ TEST(FusedConv, ForkingConvKeepsItsBnActKernel) {
   add.in_bits = p.node(1).out_bits;
   add.out_bits = std::max(add.in_bits, p.node(0).out_bits) + 1;
   p.nodes.push_back(add);
-  EXPECT_FALSE(fuses_into_conv(p, 1));
+  const FifoPlan plan = plan_fifos(p);
+  EXPECT_EQ(plan.find_edge(1, false), nullptr);
+  ASSERT_NE(stream_named(plan, "conv_0=>add_2"), nullptr);
+  ASSERT_NE(stream_named(plan, "bnact_1->add_2"), nullptr);
+  EXPECT_EQ(plan.streams.size(), 4u);  // + input->conv_0, add_2->output
   const NetworkParams params = NetworkParams::random(p, 67);
   StreamEngine engine(p, params);
-  EXPECT_EQ(engine.kernel_count(), p.size());  // conv_0 writes both rings
+  EXPECT_EQ(engine.kernel_count(), p.size() - 1);  // conv_0 and add_2
   const ReferenceExecutor ref(p, params);
   Rng rng(68);
   for (int i = 0; i < 3; ++i) {
@@ -467,32 +483,70 @@ TEST(FusedConv, ForkingConvKeepsItsBnActKernel) {
   }
 }
 
-TEST(FusedConv, BnActAfterAddKeepsItsOwnKernel) {
-  // tiny's add_6 -> bnact_7: an adder, not a conv, feeds the BnAct, so a
-  // BnActKernel and the ring into it stay.
+TEST(FusedConv, BnActFedByABnActMapsTheCodesOnTheSamePort) {
+  // A hand-built conv -> bnact -> bnact chain (the spec expander never
+  // emits one): conv_0's port maps its sums through bnact_1 and those
+  // codes through bnact_2 — one task, one ring, both BnActs evaluated
+  // once per value.
+  NetworkSpec spec;
+  spec.name = "bnact_chain";
+  spec.input = Shape{6, 6, 3};
+  spec.conv(4, 3, 1, 1);
+  Pipeline p = expand(spec);
+  ASSERT_EQ(p.size(), 2);
+  Node second = p.node(1);
+  second.name = "bnact_2";
+  second.main_from = 1;
+  second.in_bits = p.node(1).out_bits;
+  second.param = p.num_bnact_params++;
+  p.nodes.push_back(second);
+  const NetworkParams params = NetworkParams::random(p, 78);
+  const FifoPlan plan = plan_fifos(p);
+  ASSERT_EQ(plan.streams.size(), 2u);  // input->conv_0, bnact_2->output
+  EXPECT_EQ(ring_writer(p, plan, plan.streams[1]).bnacts,
+            (std::vector<int>{1, 2}));
+  StreamEngine engine(p, params);
+  EXPECT_EQ(engine.kernel_count(), 1);
+  const ReferenceExecutor ref(p, params);
+  Rng rng(79);
+  for (int i = 0; i < 3; ++i) {
+    const IntTensor img = testutil::random_codes(spec.input, 8, rng);
+    EXPECT_EQ(engine.run_one(img), ref.run(img)) << "image " << i;
+  }
+}
+
+TEST(FusedConv, BnActAfterAddRidesOnTheAddersPort) {
+  // tiny's add_6 -> bnact_7: the adder's port writes bnact_7's codes into
+  // bnact_7's rings, so neither a BnAct task nor a ring into it is left.
   const Pipeline p = expand(models::tiny(12, 4, 2));
   ASSERT_EQ(p.node(7).kind, NodeKind::BnAct);
   ASSERT_EQ(p.node(p.node(7).main_from).kind, NodeKind::Add);
-  EXPECT_FALSE(fuses_into_conv(p, 7));
   const FifoPlan plan = plan_fifos(p);
-  const PlannedStream* edge = plan.find_edge(7, false);
-  ASSERT_NE(edge, nullptr);
-  EXPECT_EQ(edge->name, "add_6->bnact_7");
-  // The fused pairs have no edge at all.
-  EXPECT_EQ(plan.find_edge(1, false), nullptr);
+  EXPECT_EQ(plan.find_edge(7, false), nullptr);
+  EXPECT_EQ(stream_named(plan, "add_6->bnact_7"), nullptr);
+  const PlannedStream* codes = stream_named(plan, "bnact_7=>conv_8");
+  ASSERT_NE(codes, nullptr);
+  const RingWriter w = ring_writer(p, plan, *codes);
+  EXPECT_EQ(w.node, 6);
+  EXPECT_EQ(w.link, -1);
+  EXPECT_EQ(w.bnacts, std::vector<int>{7});
+  // No ring goes into any BnAct.
+  for (const PlannedStream& s : plan.streams) {
+    if (s.consumer >= 0) {
+      EXPECT_NE(p.node(s.consumer).kind, NodeKind::BnAct) << s.name;
+    }
+  }
   expect_fused_engine_matches_reference(models::tiny(12, 4, 2), 69, 2);
 }
 
 TEST(FusedConv, LinkCutBetweenConvAndBnActSplitsThePair) {
-  // A cut after conv_0 carries its int32 sums over the link: the pair is
-  // split, its edge planned as if never fused and routed through the
-  // link's rings, and the chain stays bit-exact — with the plan derived
-  // on the spot and with a compiled (fused) plan armed.
+  // A cut after conv_0 carries its int32 sums over the link; the pump's
+  // port writes bnact_1's codes into bnact_1's ring, which becomes the
+  // link's ingress ring with the capacity and burst it has unrouted. The
+  // chain stays bit-exact — with the plan derived on the spot and with a
+  // compiled plan armed.
   const Pipeline p = expand(models::tiny(12, 4, 2));
   const NetworkParams params = NetworkParams::random(p, 70);
-  const int cut_node = 0;
-  EXPECT_TRUE(fuses_into_conv(p, 1));
-  EXPECT_FALSE(fuses_into_conv(p, 1, std::span<const int>(&cut_node, 1)));
 
   LinkCut cut;
   cut.after_node = 0;
@@ -500,31 +554,27 @@ TEST(FusedConv, LinkCutBetweenConvAndBnActSplitsThePair) {
   cut.config.name = "link0";
   const FifoPlan routed =
       engine_fifos(p, {}, std::span<const LinkCut>(&cut, 1));
-  const auto role_of = [&](const std::string& name) {
-    const auto it = std::find_if(
-        routed.streams.begin(), routed.streams.end(),
-        [&](const PlannedStream& s) { return s.name == name; });
-    return it == routed.streams.end() ? -1 : static_cast<int>(it->role);
-  };
-  EXPECT_EQ(role_of("conv_0->link0"),
-            static_cast<int>(PlannedStream::Role::kLinkOut));
-  EXPECT_EQ(role_of("link0->bnact_1"),
-            static_cast<int>(PlannedStream::Role::kLinkIn));
-  // The split edge keeps the capacity and burst it has in an unfused plan.
-  const PlannedStream* split = routed.find_edge(1, false);
-  EXPECT_EQ(split, nullptr);  // no longer direct: it is the ingress ring
-  const FifoPlan unfused =
-      plan_fifos(p, {}, std::span<const int>(&cut_node, 1));
-  const PlannedStream* want = unfused.find_edge(1, false);
+  const PlannedStream* egress = stream_named(routed, "conv_0->link0");
+  ASSERT_NE(egress, nullptr);
+  EXPECT_EQ(egress->role, PlannedStream::Role::kLinkOut);
+  EXPECT_EQ(egress->bits, p.node(0).out_bits);  // raw sums on the wire
+  const PlannedStream* ingress = stream_named(routed, "link0->maxpool_2");
+  ASSERT_NE(ingress, nullptr);
+  EXPECT_EQ(ingress->role, PlannedStream::Role::kLinkIn);
+  EXPECT_EQ(ingress->producer, 1);
+  const FifoPlan unrouted = plan_fifos(p);
+  EXPECT_EQ(routed.streams.size(), unrouted.streams.size() + 1);
+  EXPECT_EQ(routed.find_edge(2, false), nullptr);
+  const PlannedStream* want = unrouted.find_edge(2, false);
   ASSERT_NE(want, nullptr);
-  const auto ingress = std::find_if(
-      routed.streams.begin(), routed.streams.end(),
-      [](const PlannedStream& s) {
-        return s.role == PlannedStream::Role::kLinkIn;
-      });
-  ASSERT_NE(ingress, routed.streams.end());
   EXPECT_EQ(ingress->capacity, want->capacity);
   EXPECT_EQ(ingress->burst, want->burst);
+  EXPECT_GE(egress->capacity, want->capacity);
+  const RingWriter w = ring_writer(p, routed, *ingress);
+  EXPECT_EQ(w.node, 0);
+  EXPECT_EQ(w.link, 0);
+  EXPECT_EQ(w.bnacts, std::vector<int>{1});
+  EXPECT_EQ(ring_writer(p, routed, *egress).link, -1);
   EXPECT_EQ(prove_token_flow(p, routed).verdict, TokenVerdict::kFeasible);
 
   const ReferenceExecutor ref(p, params);
@@ -547,6 +597,83 @@ TEST(FusedConv, LinkCutBetweenConvAndBnActSplitsThePair) {
       EXPECT_EQ(outs[i], ref.run(batch[i]))
           << (plan ? "compiled plan" : "derived plan") << " image " << i;
     }
+  }
+}
+
+TEST(FusedConv, SegmentsStartingWithABnActMatchReference) {
+  // A segment whose first node is a BnAct gets its codes from the
+  // feeder's port: [1, 1] is a lone BnAct (no node task at all, the
+  // feeder writes the output ring), [1, 2] the BnAct and the pool it
+  // feeds. The inputs are conv_0's real sums.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  const NetworkParams params = NetworkParams::random(p, 72);
+  const ReferenceExecutor full(p, params);
+  Rng rng(73);
+  std::vector<std::vector<IntTensor>> nodes;  // every node's output
+  std::vector<IntTensor> sums;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back(full.run_all(testutil::random_image(12, 12, 3, rng)));
+    sums.push_back(nodes.back()[0]);
+  }
+  for (const auto& [last, kernels] : {std::pair{1, 0}, std::pair{2, 1}}) {
+    const PipelineSegment seg = extract_segment(p, params, 1, last);
+    StreamEngine engine(seg.pipeline, seg.params);
+    EXPECT_EQ(engine.kernel_count(), kernels) << "last " << last;
+    EXPECT_EQ(engine.stream_count(), 1 + kernels) << "last " << last;
+    const ReferenceExecutor ref(seg.pipeline, seg.params);
+    const auto outs = engine.run(sums);
+    ASSERT_EQ(outs.size(), sums.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      EXPECT_EQ(outs[i], ref.run(sums[i])) << "last " << last << " image "
+                                           << i;
+      EXPECT_EQ(outs[i], nodes[i][static_cast<std::size_t>(last)]);
+    }
+  }
+}
+
+TEST(FusedConv, CutsOnBothSidesOfABnActChainTheirPumps) {
+  // Cuts after conv_0 and after bnact_1: link0's pump writes bnact_1's
+  // codes into link1's egress ring, link1's pump ships them on raw.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  const NetworkParams params = NetworkParams::random(p, 74);
+  const ReferenceExecutor ref(p, params);
+  Rng rng(75);
+  std::vector<IntTensor> batch;
+  for (int i = 0; i < 2; ++i) {
+    batch.push_back(testutil::random_image(12, 12, 3, rng));
+  }
+  LinkedEngineOptions opts;
+  opts.cut_after_nodes = {0, 1};
+  LinkedEngine engine(p, params, opts);
+  ASSERT_EQ(engine.links(), 2);
+  const auto outs = engine.run(batch);
+  ASSERT_EQ(outs.size(), batch.size());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    EXPECT_EQ(outs[i], ref.run(batch[i])) << "image " << i;
+  }
+}
+
+TEST(FusedConv, CutBeforeATerminalBnActFeedsTheOutputFromThePump) {
+  // The network ends in a BnAct: a cut after the dense conv before it
+  // leaves the pump to write the BnAct's codes into the output ring.
+  NetworkSpec spec;
+  spec.name = "bn_head";
+  spec.input = Shape{6, 6, 3};
+  spec.conv(4, 3, 1, 1);
+  spec.dense(5, true);
+  const Pipeline p = expand(spec);
+  ASSERT_EQ(p.node(p.size() - 1).kind, NodeKind::BnAct);
+  const NetworkParams params = NetworkParams::random(p, 76);
+  const ReferenceExecutor ref(p, params);
+  LinkedEngineOptions opts;
+  opts.cut_after_nodes = {p.size() - 2};
+  LinkedEngine engine(p, params, opts);
+  Rng rng(77);
+  for (int i = 0; i < 3; ++i) {
+    const IntTensor img = testutil::random_codes(spec.input, 8, rng);
+    EXPECT_EQ(engine.run(std::span<const IntTensor>(&img, 1)).front(),
+              ref.run(img))
+        << "image " << i;
   }
 }
 

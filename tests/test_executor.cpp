@@ -23,8 +23,9 @@ namespace qnn {
 namespace {
 
 /// A straight pipeline of `convs` (conv + bnact) pairs: 2*convs + 1 nodes,
-/// each pair one fused kernel, so convs >= 25 gives a 25+-kernel chain
-/// where only a few tasks are runnable at once and most workers park.
+/// each pair one kernel (a BnAct is never a task), so convs >= 25 gives a
+/// 25+-kernel chain where only a few tasks are runnable at once and most
+/// workers park.
 NetworkSpec deep_chain(int convs) {
   NetworkSpec spec;
   spec.name = "deep_chain_" + std::to_string(convs);

@@ -322,15 +322,27 @@ TEST(PoolKernelTest, AverageSumWrapsToInt32LikeTheReference) {
   }
 }
 
-TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
+/// A BnAct node of `channels` channels over a 1 x `w` map.
+Node bnact_node(int w, int channels, int in_bits, int out_bits) {
   Node n;
   n.kind = NodeKind::BnAct;
   n.name = "bnact_t";
-  n.in = n.out = Shape{1, 2, 2};
-  n.in_bits = 8;
-  n.out_bits = 2;
+  n.in = n.out = Shape{1, w, channels};
+  n.in_bits = in_bits;
+  n.out_bits = out_bits;
   n.param = 0;
+  return n;
+}
 
+/// Every value `s` holds, popped in order.
+std::vector<std::int32_t> pop_all(Stream& s) {
+  std::vector<std::int32_t> got(s.capacity());
+  got.resize(s.try_pop_burst(got));
+  return got;
+}
+
+TEST(OutStageTest, PerChannelThresholdsInDepthFirstOrder) {
+  const Node n = bnact_node(2, 2, 8, 2);
   // Channel 0: identity BatchNorm, d=2 (codes 0..3 at 2,4,6).
   // Channel 1: negated BatchNorm.
   BnLayerParams bn(2);
@@ -338,16 +350,23 @@ TEST(BnActKernelTest, PerChannelThresholdsInDepthFirstOrder) {
   const ActQuantizer q(2, 2.0);
   const ThresholdLayer thresholds = ThresholdLayer::fold(bn, q);
 
-  Stream sin(32, 8, "in");
   Stream sout(32, 2, "out");
-  BnActKernel kernel(n, thresholds, sin, {&sout});
+  OutStage port(PortRings({}, {PortAct{&n, &thresholds, -1, {&sout}}}));
   // (x=0: c0=5, c1=-5), (x=1: c0=1, c1=-7)
-  const auto out = drive(kernel, sin, {5, -5, 1, -7}, sout);
+  const std::vector<std::int32_t> sums{5, -5, 1, -7};
+  ASSERT_TRUE(port.flush(sums));
+  const auto out = pop_all(sout);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0], 2);  // 5 in [4,6)
   EXPECT_EQ(out[1], 2);  // -(-5)=5
   EXPECT_EQ(out[2], 0);  // 1 < 2
   EXPECT_EQ(out[3], 3);  // 7 >= 6
+
+  // A port act checks its bank against the node.
+  const Node wide = bnact_node(2, 3, 8, 2);
+  EXPECT_THROW(
+      OutStage(PortRings({}, {PortAct{&wide, &thresholds, -1, {&sout}}})),
+      Error);
 }
 
 /// One BatchNorm bank covering every sign class of the folded staircase:
@@ -402,8 +421,8 @@ std::vector<std::int32_t> edge_probes(const ThresholdLayer& layer, Rng& rng) {
   return out;
 }
 
-TEST(BnActKernelTest, BranchlessSearchMatchesBinarySearch) {
-  // The kernel's [level][channel] table, counted by threshold_codes at
+TEST(ThresholdTableTest, BranchlessSearchMatchesBinarySearch) {
+  // The port's [level][channel] table, counted by threshold_codes at
   // every SIMD level, against the literal hardware binary search, for
   // activation widths 1..8 and every sign class, on random
   // pre-activations and every comparator edge.
@@ -436,23 +455,16 @@ TEST(BnActKernelTest, BranchlessSearchMatchesBinarySearch) {
   }
 }
 
-TEST(BnActKernelTest, ChannelPhaseCarriesAcrossSplitBursts) {
-  // 5 channels through 7-value bursts: almost every burst starts and ends
-  // mid-pixel, so the kernel must carry the channel phase across bursts.
+TEST(OutStageTest, ChannelPhaseCarriesAcrossSplitFlushes) {
+  // 5 channels through 7-value flushes: almost every flush starts and ends
+  // mid-pixel, so the port must carry the channel phase across flushes.
   // 17-bit pre-activations, as on ResNet-18's first BnAct.
   Rng rng(0xb4ac8);
   const ActQuantizer q(2, 1.5);
   const ThresholdLayer layer =
       ThresholdLayer::fold(every_sign_class(2, rng), q);
   const std::vector<std::int32_t> probes = edge_probes(layer, rng);
-
-  Node n;
-  n.kind = NodeKind::BnAct;
-  n.name = "bnact_split";
-  n.in = n.out = Shape{1, static_cast<int>(probes.size()), 5};
-  n.in_bits = 17;
-  n.out_bits = 2;
-  n.param = 0;
+  const Node n = bnact_node(static_cast<int>(probes.size()), 5, 17, 2);
 
   std::vector<std::int32_t> in;
   std::vector<std::int32_t> expect;
@@ -465,10 +477,25 @@ TEST(BnActKernelTest, ChannelPhaseCarriesAcrossSplitBursts) {
       expect.push_back(layer.at(c).eval_binary_search(a));
     }
   }
-  Stream sin(16, 32, "in");
-  Stream sout(16, 2, "out");
-  BnActKernel kernel(n, layer, sin, {&sout}, /*burst=*/7);
-  EXPECT_EQ(drive(kernel, sin, in, sout), expect);
+  // Flushed from the caller's values, and staged (mapped in place).
+  for (const bool staged : {false, true}) {
+    Stream sout(16, 2, "out");
+    OutStage port(PortRings({}, {PortAct{&n, &layer, -1, {&sout}}}));
+    std::vector<std::int32_t> got;
+    for (std::size_t at = 0; at < in.size(); at += 7) {
+      const auto flush = std::span<const std::int32_t>(in).subspan(
+          at, std::min<std::size_t>(7, in.size() - at));
+      if (staged) {
+        std::ranges::copy(flush, port.extend(flush.size()).begin());
+        ASSERT_TRUE(port.flush());
+      } else {
+        ASSERT_TRUE(port.flush(flush));
+      }
+      const auto codes = pop_all(sout);
+      got.insert(got.end(), codes.begin(), codes.end());
+    }
+    EXPECT_EQ(got, expect) << (staged ? "staged" : "caller's values");
+  }
 }
 
 TEST(AddKernelTest, SumsAndPropagatesClose) {
@@ -523,13 +550,6 @@ TEST(AddKernelTest, MainShorterThanSkipIsError) {
                Error);
 }
 
-/// Every value `s` holds, popped in order.
-std::vector<std::int32_t> pop_all(Stream& s) {
-  std::vector<std::int32_t> got(s.capacity());
-  got.resize(s.try_pop_burst(got));
-  return got;
-}
-
 TEST(OutStageTest, FansOutWithPerRingProgressAndStallEpisodes) {
   Stream a(8, 4, "a");
   Stream b(8, 4, "b");
@@ -579,6 +599,66 @@ TEST(OutStageTest, FansOutWithPerRingProgressAndStallEpisodes) {
 
   // A port writes at least one ring.
   EXPECT_THROW(OutStage({}), Error);
+}
+
+TEST(OutStageTest, SharedBnActRingsTakeOneEvaluationPerValue) {
+  // One raw ring (a sibling consumer of the sums, like an Add's skip
+  // port) and two rings carrying the same BnAct's codes, one held full.
+  // 3 channels through 5-value flushes: the channel phase advances once
+  // per value only if the BnAct is mapped once per flush — not once per
+  // ring, nor once per retry of a blocked flush — so every code below
+  // being right is that count.
+  const Node n = bnact_node(10, 3, 8, 2);
+  BnLayerParams bn(3);
+  bn.at(1).gamma = -1.0f;
+  bn.at(2).beta = 1.0f;
+  const ActQuantizer q(2, 2.0);
+  const ThresholdLayer layer = ThresholdLayer::fold(bn, q);
+
+  Stream raw(8, 8, "raw");
+  Stream a(8, 2, "a");
+  Stream b(4, 2, "b");
+  const std::vector<std::int32_t> filler{9, 9, 9, 9};
+  ASSERT_EQ(b.try_push_burst(filler), 4u);  // b is held full
+  OutStage port(PortRings({&raw}, {PortAct{&n, &layer, -1, {&a, &b}}}));
+
+  std::vector<std::int32_t> sums;
+  std::vector<std::int32_t> codes;
+  for (int i = 0; i < 10; ++i) {
+    const std::int32_t v = 3 * i - 12;
+    sums.push_back(v);
+    codes.push_back(layer.at(i % 3).eval_binary_search(v));
+  }
+  std::vector<std::int32_t> got_raw;
+  std::vector<std::int32_t> got_a;
+  std::vector<std::int32_t> got_b;
+  const auto drain = [](Stream& s, std::vector<std::int32_t>& into) {
+    const auto v = pop_all(s);
+    into.insert(into.end(), v.begin(), v.end());
+  };
+  for (std::size_t at = 0; at < sums.size(); at += 5) {
+    const auto flush = std::span<const std::int32_t>(sums).subspan(at, 5);
+    // The full ring holds back only itself, over several retries.
+    EXPECT_FALSE(port.flush(flush));
+    EXPECT_FALSE(port.flush(flush));
+    drain(raw, got_raw);
+    drain(a, got_a);
+    std::int32_t two[2];
+    ASSERT_EQ(b.try_pop_burst(two), 2u);  // room for part of the flush
+    EXPECT_FALSE(port.flush(flush));
+    const auto rest = pop_all(b);  // two fillers, then two codes
+    ASSERT_EQ(rest.size(), 4u);
+    got_b.insert(got_b.end(), rest.begin() + 2, rest.end());
+    EXPECT_TRUE(port.flush(flush));
+    drain(b, got_b);
+    ASSERT_EQ(b.try_push_burst(filler), 4u);  // full again
+  }
+  EXPECT_EQ(got_raw, sums);
+  EXPECT_EQ(got_a, codes);
+  EXPECT_EQ(got_b, codes);
+  EXPECT_EQ(raw.push_stalls(), 0u);
+  EXPECT_EQ(a.push_stalls(), 0u);
+  EXPECT_EQ(b.push_stalls(), 2u);  // one episode per blocked flush
 }
 
 TEST(ConvKernelTest, RejectsMismatchedWeightBank) {

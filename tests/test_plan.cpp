@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -407,15 +406,34 @@ TEST(PlanCacheTest, VersionOnePlanWithExecutorFieldIsNeverArmed) {
 TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
   const TinyNet net;
   const ScratchDir dir("test_plan_cache.v2");
+  const std::size_t current = compile_plan(net.pipeline).fifos.streams.size();
+  const auto into_bnact = [&](const PlannedStream& s) {
+    return s.consumer >= 0 &&
+           net.pipeline.node(s.consumer).kind == NodeKind::BnAct;
+  };
   CompiledPlan v2 = compile_plan(net.pipeline);
   v2.version = 2;
-  // What a version-2 compile planned: every edge, the fused pairs' too.
-  std::vector<int> every(static_cast<std::size_t>(net.pipeline.size()));
-  std::iota(every.begin(), every.end(), 0);
-  v2.fifos = plan_fifos(net.pipeline, {}, every);
-  ASSERT_EQ(v2.fifos.streams.size(),
-            compile_plan(net.pipeline).fifos.streams.size() + 3);
+  // What a version-2 compile planned: every edge, the five into tiny's
+  // BnActs too.
+  v2.fifos.streams = plan_edges(net.pipeline);
+  ASSERT_EQ(v2.fifos.streams.size(), current + 5);
   ASSERT_NE(v2.fifos.find_edge(1, false), nullptr);  // conv_0->bnact_1
+
+  // What a version-4 compile planned: a ring into each BnAct no conv
+  // absorbed, the two after an Add.
+  CompiledPlan v4 = compile_plan(net.pipeline);
+  v4.version = 4;
+  v4.fifos.streams.clear();
+  for (const PlannedStream& s : plan_edges(net.pipeline)) {
+    if (!into_bnact(s) ||
+        net.pipeline.node(s.producer).kind == NodeKind::Add) {
+      v4.fifos.streams.push_back(s);
+    }
+  }
+  ASSERT_EQ(v4.fifos.streams.size(), current + 2);
+  const PlannedStream* add_ring = v4.fifos.find_edge(7, false);
+  ASSERT_NE(add_ring, nullptr);
+  ASSERT_EQ(add_ring->name, "add_6->bnact_7");
 
   // What a version-3 compile planned for a fan-out: a fork trunk ring,
   // then one branch ring per consumer port.
@@ -436,7 +454,8 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
   const PlanCache cache(dir.path.string());
   for (const auto& [old, text] :
        {std::pair<const CompiledPlan&, std::string>{v2, to_json(v2)},
-        {v3, v3_text}}) {
+        {v3, v3_text},
+        {v4, to_json(v4)}}) {
     SCOPED_TRACE("version " + std::to_string(old.version));
     {
       std::ofstream out(cache.path_for(old.key), std::ios::trunc);
@@ -453,10 +472,10 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
     EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
         << lint.str();
 
-    // Unverified, only the version-2 streams are unwireable; the
-    // version-3 fan-out has no in-memory form left to arm.
+    // Unverified, the version-2 and version-4 rings into BnActs are
+    // unwireable; the version-3 fan-out has no in-memory form left to arm.
     for (const bool verify : {true, false}) {
-      if (!verify && old.version != 2) continue;
+      if (!verify && old.version == 3) continue;
       EngineOptions armed;
       armed.plan = &old;
       armed.verify = verify;
@@ -466,7 +485,7 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
                << " plan (verify=" << verify << ")";
       } catch (const Error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find(verify ? "QNN-D305" : "inside fused"),
+        EXPECT_NE(what.find(verify ? "QNN-D305" : "is no task"),
                   std::string::npos)
             << what;
       }

@@ -366,16 +366,16 @@ TEST(Verify, TinyDefaultPlanIsPinned) {
     std::size_t burst;
   };
   const Pinned expected[] = {
-      // conv_0, conv_3 and conv_9 evaluate the BnAct each alone feeds:
-      // no ring inside those pairs.
+      // No ring goes into a BnAct: the port that writes its input (conv_0,
+      // conv_3, add_6, conv_9, add_12) writes its codes.
       {"input->conv_0", 512, 36},         {"bnact_1->maxpool_2", 512, 96},
       {"maxpool_2=>conv_3", 512, 48},
       {"maxpool_2=>add_6", 352, 48},      {"bnact_4->conv_5", 512, 48},
-      {"conv_5->add_6", 512, 48},         {"add_6->bnact_7", 512, 48},
+      {"conv_5->add_6", 512, 48},
       {"bnact_7=>conv_8", 512, 48},
       {"bnact_7=>conv_9", 512, 48},       {"conv_8->add_12", 208, 48},
       {"bnact_10->conv_11", 512, 48},     {"conv_11->add_12", 512, 48},
-      {"add_12->bnact_13", 512, 48},      {"bnact_13->avgpool_14", 512, 48},
+      {"bnact_13->avgpool_14", 512, 48},
       {"avgpool_14->conv_15", 512, 16},   {"conv_15->output", 512, 4},
   };
   const Fixture f;
