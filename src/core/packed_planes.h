@@ -6,16 +6,20 @@
 //
 //   BitPlaneLineBuffer — the last K padded rows of the input map packed one
 //     bit per value per plane, recycled mod K like the window scanner's
-//     cursor (§III-B2 of the paper). Codes are packed eight per 64-bit
-//     multiply.
+//     cursor (§III-B2 of the paper). Each <=64-code chunk of a run is one
+//     vec_ops pack_codes call: a mask test per plane per 16 codes
+//     (AVX-512) or 8 (AVX2), eight codes per multiply in the scalar
+//     reference.
 //   PackedWindow — a window's words, built from the line buffer in one pass
-//     over its K row segments: one memcpy per segment when it is
-//     word-aligned, else vec_ops build_window's funnel shift per <=64-bit
-//     chunk, all planes of a chunk side by side in one vector.
+//     over its K row segments, the ring row wrapping without a division:
+//     one memcpy per segment when it is word-aligned, else vec_ops
+//     build_window's funnel shift per <=64-bit chunk, all planes of a chunk
+//     side by side in one vector.
 //   PackedFilters — packed weights in the filter-lane layout (eight filters
 //     interleaved per word), laid out once at kernel construction so one
 //     vec_ops dot_window call sweeps all planes of a window against all O
-//     filters, eight filters per vector.
+//     filters, eight filters per vector, and writes the O int32 responses
+//     straight to the caller's buffer.
 //
 // Line-buffer rows and windows are plane-interleaved, [word][plane]: word j
 // of every plane sits side by side, so one window row segment is one
@@ -27,7 +31,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -80,50 +83,23 @@ class BitPlaneLineBuffer {
   }
 
   /// OR-pack a run of activation codes into row `r` starting at bit
-  /// position `start` (one bit per value per plane). The target range must
-  /// have been cleared since the row was last recycled; runs never overlap.
-  /// Code bits at or above planes() are ignored.
-  void pack_run(int r, std::int64_t start, std::span<const std::int32_t> vals) {
-    // Eight codes' low bytes side by side in x; for each plane p,
-    // ((x >> p) & kLsb) * kGather moves bit p of byte b to bit 56 + b, so
-    // the top byte holds eight codes' plane-p bits in order.
-    constexpr Word kLsb = 0x0101010101010101ULL;
-    constexpr Word kGather = 0x0102040810204080ULL;
+  /// position `start` (one bit per value per plane), one ops.pack_codes
+  /// call per <=64-bit chunk. The target range must have been cleared
+  /// since the row was last recycled; runs never overlap. Code bits at or
+  /// above planes() are ignored.
+  void pack_run(const simd::VecOps& ops, int r, std::int64_t start,
+                std::span<const std::int32_t> vals) {
     const auto planes = static_cast<std::size_t>(planes_);
     Word* row_words = data_.data() + row_offset(r);
     std::int64_t pos = start;
-    std::size_t i = 0;
-    while (i < vals.size()) {
-      const std::int64_t wi = pos / kWordBits;
+    for (std::size_t i = 0; i < vals.size();) {
       const int off = static_cast<int>(pos % kWordBits);
       const int n = static_cast<int>(
           std::min<std::int64_t>(static_cast<std::int64_t>(vals.size() - i),
                                  kWordBits - off));
-      // Accumulate the <=64-bit chunk for all planes in registers, then OR
-      // each plane's word once.
-      std::array<Word, kMaxPlanes> chunk{};
-      const std::int32_t* v = vals.data() + i;
-      int j = 0;
-      if (planes_ <= 8) {
-        for (; j + 8 <= n; j += 8) {
-          Word x = 0;
-          for (int b = 0; b < 8; ++b) {
-            x |= static_cast<Word>(static_cast<std::uint8_t>(v[j + b]))
-                 << (8 * b);
-          }
-          for (std::size_t p = 0; p < planes; ++p) {
-            chunk[p] |= (((x >> p) & kLsb) * kGather >> 56) << j;
-          }
-        }
-      }
-      for (; j < n; ++j) {
-        const auto code = static_cast<std::uint32_t>(v[j]);
-        for (std::size_t p = 0; p < planes; ++p) {
-          chunk[p] |= static_cast<Word>((code >> p) & 1u) << j;
-        }
-      }
-      Word* dst = row_words + static_cast<std::size_t>(wi) * planes;
-      for (std::size_t p = 0; p < planes; ++p) dst[p] |= chunk[p] << off;
+      ops.pack_codes(vals.data() + i, n, planes_, off,
+                     row_words + static_cast<std::size_t>(pos / kWordBits) *
+                                     planes);
       pos += n;
       i += static_cast<std::size_t>(n);
     }
@@ -144,7 +120,7 @@ class BitPlaneLineBuffer {
 /// groups of simd::kFilterLanes, and within a group word j of all eight
 /// filters sits side by side, [group][word][lane] — one vector load feeds
 /// eight filters. The count is padded to a multiple of eight with zero
-/// filters, whose lanes the caller ignores. Built once at kernel
+/// filters, whose lanes dot_window computes but never writes out. Built once at kernel
 /// construction from the FilterBank's BitVectors (whose tail-zero invariant
 /// carries over, so no per-dot masking is needed on the weight side).
 class PackedFilters {
@@ -153,13 +129,17 @@ class PackedFilters {
 
   PackedFilters(std::int64_t bits_per_filter, int count)
       : words_(static_cast<std::size_t>(words_for_bits(bits_per_filter))),
-        groups_((static_cast<std::size_t>(count) + kLanes - 1) / kLanes),
-        data_(groups_ * words_ * kLanes, 0) {}
+        count_(static_cast<std::size_t>(count)),
+        data_(padded_count() * words_, 0) {}
 
   /// Words per filter (= per window bit-plane).
   [[nodiscard]] std::size_t words() const { return words_; }
-  [[nodiscard]] std::size_t groups() const { return groups_; }
-  [[nodiscard]] std::size_t padded_count() const { return groups_ * kLanes; }
+  /// Filters, not counting the zero pad.
+  [[nodiscard]] std::size_t count() const { return count_; }
+  /// Filters including the zero pad: a whole number of lane groups.
+  [[nodiscard]] std::size_t padded_count() const {
+    return (count_ + kLanes - 1) / kLanes * kLanes;
+  }
   [[nodiscard]] const Word* data() const { return data_.data(); }
 
   /// Scatter filter `f`'s packed words (words() of them) into its lane.
@@ -172,7 +152,7 @@ class PackedFilters {
 
  private:
   std::size_t words_;
-  std::size_t groups_;
+  std::size_t count_;
   std::vector<Word> data_;
 };
 
@@ -207,8 +187,9 @@ class PackedWindow {
     QNN_DCHECK(lines.planes() == planes_ &&
                    static_cast<std::int64_t>(k) * seg == values_,
                "window does not match the line buffer");
+    int r = top % k;  // then wraps, with no division per row
     if (src_bit % kWordBits != 0 || seg % kWordBits != 0) {
-      ops.build_window(lines.row(0), lines.row_size(), k, top, src_bit, seg,
+      ops.build_window(lines.row(0), lines.row_size(), k, r, src_bit, seg,
                        planes_, data_.data());
       return;
     }
@@ -220,20 +201,21 @@ class PackedWindow {
                       static_cast<std::size_t>(planes_);
     for (int dy = 0; dy < k; ++dy) {
       std::memcpy(data_.data() + static_cast<std::size_t>(dy) * run,
-                  lines.row((top + dy) % k) + from, run * sizeof(Word));
+                  lines.row(r) + from, run * sizeof(Word));
+      if (++r == k) r = 0;
     }
   }
 
   /// XNOR-popcount dot of this window against every filter of `filters`
-  /// in one dot_window call; acc[f] receives the signed fixed-point dot
-  /// (sum over planes of 2^p * pm1 agreement score). `acc` must hold
-  /// filters.padded_count() entries (the zero pad filters' lanes included).
+  /// in one dot_window call; out[f] receives the signed fixed-point dot
+  /// (sum over planes of 2^p * pm1 agreement score) as int32, for exactly
+  /// filters.count() entries.
   void dot(const simd::VecOps& ops, const PackedFilters& filters,
-           std::int64_t* acc) const {
+           std::int32_t* out) const {
     QNN_DCHECK(filters.words() == static_cast<std::size_t>(plane_words_),
                "filter width does not match the window");
     ops.dot_window(data_.data(), static_cast<std::size_t>(plane_words_),
-                   planes_, filters.data(), filters.groups(), acc);
+                   planes_, filters.data(), filters.count(), out);
   }
 
  private:

@@ -23,8 +23,41 @@ std::uint64_t popcount_scalar(const Word* a, std::size_t n) {
   return total;
 }
 
+void pack_codes_scalar(const std::int32_t* codes, int n, int planes,
+                       int off, Word* dst) {
+  // Eight codes' low bytes side by side in x; for each plane p,
+  // ((x >> p) & kLsb) * kGather moves bit p of byte b to bit 56 + b, so
+  // the top byte holds eight codes' plane-p bits in order. Accumulate the
+  // chunk for all planes in registers, then OR each plane's word once.
+  constexpr Word kLsb = 0x0101010101010101ULL;
+  constexpr Word kGather = 0x0102040810204080ULL;
+  const auto np = static_cast<std::size_t>(planes);
+  Word chunk[kMaxPlanes] = {};
+  int j = 0;
+  if (planes <= 8) {
+    for (; j + 8 <= n; j += 8) {
+      Word x = 0;
+      for (int b = 0; b < 8; ++b) {
+        x |= static_cast<Word>(static_cast<std::uint8_t>(codes[j + b]))
+             << (8 * b);
+      }
+      for (std::size_t p = 0; p < np; ++p) {
+        chunk[p] |= (((x >> p) & kLsb) * kGather >> 56) << j;
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    const auto code = static_cast<std::uint32_t>(codes[j]);
+    for (std::size_t p = 0; p < np; ++p) {
+      chunk[p] |= static_cast<Word>((code >> p) & 1u) << j;
+    }
+  }
+  for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
+}
+
 void dot_window_scalar(const Word* a, std::size_t n, int planes,
-                       const Word* w, std::size_t groups, std::int64_t* acc) {
+                       const Word* w, std::size_t filters,
+                       std::int32_t* out) {
   constexpr std::size_t kL = kFilterLanes;
   const auto np = static_cast<std::size_t>(planes);
   std::int64_t pops[kMaxPlanes] = {};
@@ -33,8 +66,8 @@ void dot_window_scalar(const Word* a, std::size_t n, int planes,
       pops[p] += qnn::popcount(a[j * np + p]);
     }
   }
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Word* wg = w + g * n * kL;
+  for (std::size_t f0 = 0; f0 < filters; f0 += kL) {
+    const Word* wg = w + f0 * n;
     std::int64_t sum[kL] = {};
     for (std::size_t p = 0; p < np; ++p) {
       std::int64_t on[kL] = {};
@@ -48,7 +81,10 @@ void dot_window_scalar(const Word* a, std::size_t n, int planes,
         sum[l] += (2 * on[l] - pops[p]) << p;
       }
     }
-    std::copy(sum, sum + kL, acc + g * kL);
+    const std::size_t lanes = std::min(kL, filters - f0);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out[f0 + l] = static_cast<std::int32_t>(sum[l]);
+    }
   }
 }
 
@@ -56,11 +92,11 @@ void build_window_scalar(const Word* rows, std::size_t row_size, int k,
                          int top, std::int64_t src_bit, std::int64_t seg,
                          int planes, Word* out) {
   const auto np = static_cast<std::size_t>(planes);
+  const Word* const rows_end = rows + static_cast<std::size_t>(k) * row_size;
+  const Word* row = rows + static_cast<std::size_t>(top) * row_size;
   Word pending[kMaxPlanes] = {};
   int fill = 0;  // bits pending in every plane's next word
   for (int dy = 0; dy < k; ++dy) {
-    const Word* row =
-        rows + static_cast<std::size_t>((top + dy) % k) * row_size;
     for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
       const int n =
           static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
@@ -87,6 +123,8 @@ void build_window_scalar(const Word* rows, std::size_t row_size, int k,
       }
       pos += n;
     }
+    row += row_size;
+    if (row == rows_end) row = rows;
   }
   if (fill != 0) std::copy_n(pending, np, out);
 }
@@ -106,8 +144,9 @@ void threshold_codes_scalar(const std::int32_t* a, std::size_t n,
 }
 
 constexpr VecOps kScalarOps{Level::kScalar,        "scalar",
-                            popcount_scalar,       dot_window_scalar,
-                            build_window_scalar,   threshold_codes_scalar};
+                            popcount_scalar,       pack_codes_scalar,
+                            dot_window_scalar,     build_window_scalar,
+                            threshold_codes_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

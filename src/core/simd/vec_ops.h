@@ -2,9 +2,10 @@
 //
 // The layering follows the vec_ops/vec_dot split used by ggml's QNN NPU
 // device code: a scalar implementation defines the semantics and stays the
-// bit-exact reference, and the wider paths (AVX2 nibble-LUT popcount,
-// AVX-512 `vpopcntdq`) are pinned against it by tests at every compiled
-// level. All paths are built with per-function target attributes, so the
+// bit-exact reference, and the wider paths (AVX2: nibble-LUT popcount,
+// `vpslld` + `vmovmskps` plane packing; AVX-512: `vpopcntdq`, `vptestmd`
+// plane packing, `vpmovqd` narrowing) are pinned against it by tests at
+// every compiled level. All paths are built with per-function target attributes, so the
 // binary itself is portable; dispatch picks an implementation at runtime:
 //
 //   1. explicit override (set_level — tests and bench ablations),
@@ -36,9 +37,11 @@ inline constexpr std::size_t kFilterLanes = 8;
 /// Most bit-planes a window may carry (16-bit activation codes).
 inline constexpr int kMaxPlanes = 16;
 
-/// One implementation of the word-granular kernels. All functions treat
-/// their operands as plain arrays of 64-bit words; tail masking is the
-/// caller's job (operands keep the BitVector tail-bits-zero invariant).
+/// One implementation of the word-granular kernels. Bit operands are plain
+/// arrays of 64-bit words; tail masking is the caller's job (operands keep
+/// the BitVector tail-bits-zero invariant). No function reads or writes
+/// past the elements its arguments name, so a run may end at the end of
+/// its buffer.
 struct VecOps {
   Level level;
   const char* name;
@@ -46,27 +49,38 @@ struct VecOps {
   /// Total set bits over a[0..n).
   std::uint64_t (*popcount)(const Word* a, std::size_t n);
 
+  /// Bit-plane packing of one line-buffer chunk (§III-B1's input side):
+  /// for i < n and p < planes, bit p of codes[i] is ORed into bit off + i of
+  /// dst[p] (n >= 1, off + n <= 64). `dst` is one word of a
+  /// plane-interleaved row, all planes side by side; bits already set there
+  /// stay set, and code bits at or above `planes` are ignored. Reads exactly
+  /// codes[0..n).
+  void (*pack_codes)(const std::int32_t* codes, int n, int planes, int off,
+                     Word* dst);
+
   /// The whole conv window against every filter (§III-B1): `a` holds
   /// `planes` bit-planes of `n` words each, plane-interleaved (word j of
-  /// plane p at a[j*planes + p]); `w` holds `groups` groups of kFilterLanes
-  /// filters in the filter-lane layout [group][word][lane]. With pop_p the
-  /// popcount of plane p, for every group g and lane l,
-  ///   acc[g*8 + l] = sum_p (2*sum_j popcount(w[g][j][l] & a[j*planes + p])
-  ///                         - pop_p) << p
-  /// i.e. the +-1-weighted fixed-point dot of core/bitplanes.h. The plane
-  /// popcounts are summed once per call; the eight lane sums of a group
-  /// stay in registers across all planes; acc is overwritten,
-  /// groups*kFilterLanes entries.
+  /// plane p at a[j*planes + p]); `w` holds ceil(filters / kFilterLanes)
+  /// groups of kFilterLanes filters in the filter-lane layout
+  /// [group][word][lane]. With pop_p the popcount of plane p, for every
+  /// filter f = g*8 + l < filters,
+  ///   out[f] = sum_p (2*sum_j popcount(w[g][j][l] & a[j*planes + p])
+  ///                   - pop_p) << p
+  /// i.e. the +-1-weighted fixed-point dot of core/bitplanes.h, narrowed
+  /// to int32 by truncation. The plane popcounts are summed once per call;
+  /// the eight lane sums of a group stay in registers across all planes;
+  /// exactly `filters` entries of out are written.
   void (*dot_window)(const Word* a, std::size_t n, int planes, const Word* w,
-                     std::size_t groups, std::int64_t* acc);
+                     std::size_t filters, std::int32_t* out);
 
   /// Window build from a line buffer (§III-B1's shift-register taps): `k`
   /// rows of `row_size` words each at `rows`, every row plane-interleaved
   /// like `out`. Window row dy is the `seg` bits starting at bit `src_bit`
-  /// of row (top + dy) mod k; the k rows are concatenated into `out`,
-  /// words_for_bits(k*seg) words per plane, every word written once and
-  /// the bits past k*seg zero. One funnel shift per <=64-bit chunk moves
-  /// that chunk for every plane.
+  /// of row (top + dy) mod k, 0 <= top < k, reached by a wrapping row
+  /// pointer rather than a division per row; the k rows are concatenated
+  /// into `out`, words_for_bits(k*seg) words per plane, every word written
+  /// once and the bits past k*seg zero. One funnel shift per <=64-bit
+  /// chunk moves that chunk for every plane.
   void (*build_window)(const Word* rows, std::size_t row_size, int k, int top,
                        std::int64_t src_bit, std::int64_t seg, int planes,
                        Word* out);
@@ -96,7 +110,8 @@ struct VecOps {
 
 /// Process-wide dispatch override used by tests and the bench ablation;
 /// std::nullopt restores env/auto dispatch. Takes effect for kernels
-/// constructed afterwards — set it between engine runs, not during one.
+/// constructed afterwards: each kernel and output port resolves vec_ops()
+/// once, at construction, and keeps that table for its lifetime.
 void set_level(std::optional<Level> level);
 
 }  // namespace qnn::simd

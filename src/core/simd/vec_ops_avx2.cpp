@@ -1,6 +1,7 @@
 // AVX2 path: 4-word AND + vpshufb nibble-LUT popcount (the classic Mula
 // kernel), summed with vpsadbw. The window dot runs a filter-lane group as
-// two 4-lane halves, so no horizontal sum is ever needed there. Built with
+// two 4-lane halves, so no horizontal sum is ever needed there; the plane
+// pack moves one plane of eight codes per vpslld + vmovmskps. Built with
 // a per-function target attribute (AVX2 + POPCNT) so the TU compiles under
 // the generic -march; the dispatcher only hands these functions out after
 // a CPUID check.
@@ -51,9 +52,37 @@ __attribute__((QNN_AVX2_TARGET)) std::uint64_t popcount_avx2(
   return t;
 }
 
+/// Eight codes per register (the chunk tail is a masked load, so nothing
+/// past codes[n) is read). vpslld moves the top plane's bit into every
+/// lane's sign bit, dropping the bits at or above `planes`; then each
+/// plane, high to low, is one vmovmskps and a shift by one.
+__attribute__((QNN_AVX2_TARGET)) void pack_codes_avx2(
+    const std::int32_t* codes, int n, int planes, int off, Word* dst) {
+  const auto np = static_cast<std::size_t>(planes);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m128i top = _mm_cvtsi32_si128(32 - planes);
+  Word chunk[kMaxPlanes] = {};
+  for (int j = 0; j < n; j += 8) {
+    __m256i v =
+        n - j >= 8
+            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + j))
+            : _mm256_maskload_epi32(
+                  codes + j,
+                  _mm256_cmpgt_epi32(_mm256_set1_epi32(n - j), lane));
+    v = _mm256_sll_epi32(v, top);
+    for (std::size_t p = np; p-- > 0;) {
+      chunk[p] |= static_cast<Word>(static_cast<unsigned>(
+                      _mm256_movemask_ps(_mm256_castsi256_ps(v))))
+                  << j;
+      v = _mm256_slli_epi32(v, 1);
+    }
+  }
+  for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
+}
+
 __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
     const Word* a, std::size_t n, int planes, const Word* w,
-    std::size_t groups, std::int64_t* acc) {
+    std::size_t filters, std::int32_t* out) {
   const auto np = static_cast<std::size_t>(planes);
   std::int64_t pops[kMaxPlanes] = {};
   for (std::size_t j = 0; j < n; ++j) {
@@ -65,8 +94,11 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
   // epi8 lanes before one vpsadbw folds them into the 64-bit lane sums.
   constexpr std::size_t kByteRun = 31;
   const __m256i zero = _mm256_setzero_si256();
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Word* wg = w + g * n * kFilterLanes;
+  // Low dwords of four int64 lanes to the low half (truncating narrowing).
+  const __m256i narrow = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t f = 0; f < filters; f += kFilterLanes) {
+    const Word* wg = w + f * n;
     __m256i sum_lo = zero;  // lanes 0..3
     __m256i sum_hi = zero;  // lanes 4..7
     // Horner over the planes, high to low: sum = 2*sum + (2*on_p - pop_p)
@@ -106,10 +138,19 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
           _mm256_add_epi64(sum_hi, sum_hi),
           _mm256_sub_epi64(_mm256_add_epi64(on_hi, on_hi), pop));
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + g * kFilterLanes),
-                        sum_lo);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + g * kFilterLanes + 4), sum_hi);
+    const __m256i v = _mm256_permute2x128_si256(
+        _mm256_permutevar8x32_epi32(sum_lo, narrow),
+        _mm256_permutevar8x32_epi32(sum_hi, narrow), 0x20);
+    const std::size_t lanes = filters - f;
+    if (lanes >= kFilterLanes) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + f), v);
+    } else {
+      _mm256_maskstore_epi32(
+          out + f,
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                             lane),
+          v);
+    }
   }
 }
 
@@ -134,6 +175,7 @@ __attribute__((QNN_AVX2_TARGET)) void build_window_avx2(
     const Word* rows, std::size_t row_size, int k, int top,
     std::int64_t src_bit, std::int64_t seg, int planes, Word* out) {
   const auto np = static_cast<std::size_t>(planes);
+  const std::size_t ring = static_cast<std::size_t>(k) * row_size;
   // Four planes per register; shifts by >= 64 yield zero, so the
   // word-aligned and word-completing cases need no special shifts.
   for (std::size_t b = 0; b < np; b += 4) {
@@ -144,9 +186,11 @@ __attribute__((QNN_AVX2_TARGET)) void build_window_avx2(
     __m256i pending = _mm256_setzero_si256();
     int fill = 0;  // bits pending in every plane's next word
     Word* o = out + b;
+    std::size_t at = static_cast<std::size_t>(top) * row_size;
     for (int dy = 0; dy < k; ++dy) {
-      const Word* row =
-          rows + static_cast<std::size_t>((top + dy) % k) * row_size + b;
+      const Word* row = rows + at + b;
+      at += row_size;
+      if (at == ring) at = 0;
       for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
         const int n =
             static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
@@ -207,8 +251,9 @@ __attribute__((QNN_AVX2_TARGET)) void threshold_codes_avx2(
 #undef QNN_AVX2_TARGET
 
 constexpr VecOps kAvx2Ops{Level::kAvx2,         "avx2",
-                          popcount_avx2,        dot_window_avx2,
-                          build_window_avx2,    threshold_codes_avx2};
+                          popcount_avx2,        pack_codes_avx2,
+                          dot_window_avx2,      build_window_avx2,
+                          threshold_codes_avx2};
 
 }  // namespace
 

@@ -2,10 +2,11 @@
 // bits per lane in one instruction — popcount bandwidth is the whole game
 // for binary conv, per FINN/XNORBIN). The window dot maps one filter-lane
 // group onto one register: a broadcast plane word against eight filters'
-// words per instruction, two groups per broadcast. The window build moves
-// one word of eight planes per register. popcount tails use a masked load;
-// its horizontal sum avoids _mm512_reduce_add_epi64, whose gcc-12 header
-// trips -Wuninitialized under -Werror.
+// words per instruction, two groups per broadcast, narrowed to int32 by
+// vpmovqd. The window build moves one word of eight planes per register;
+// the plane pack tests sixteen codes per vptestmd. popcount tails use a
+// masked load; its horizontal sum avoids _mm512_reduce_add_epi64, whose
+// gcc-12 header trips -Wuninitialized under -Werror.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX512)
@@ -52,15 +53,38 @@ __attribute__((QNN_AVX512_TARGET)) std::uint64_t popcount_avx512(
   return hsum_epi64(total);
 }
 
-/// kG filter-lane groups against the window at once, sharing each
-/// broadcast window word. Horner over the planes, high to low
-/// (sum = 2*sum + on_p, adds only: the shift intrinsics' undefined-source
-/// operand trips -Wmaybe-uninitialized), builds sum_p on_p << p; the
-/// window's sum_p pop_p << p is subtracted once at the end.
+/// Sixteen codes per register (the chunk tail is a zero-masked load, so
+/// nothing past codes[n) is read); one vptestmd per plane gives that
+/// plane's sixteen bits as a mask. Bits at or above `planes` are never
+/// tested.
+__attribute__((QNN_AVX512_TARGET)) void pack_codes_avx512(
+    const std::int32_t* codes, int n, int planes, int off, Word* dst) {
+  const auto np = static_cast<std::size_t>(planes);
+  Word chunk[kMaxPlanes] = {};
+  for (int j = 0; j < n; j += 16) {
+    const auto m =
+        static_cast<__mmask16>(n - j >= 16 ? 0xffffu : (1u << (n - j)) - 1u);
+    const __m512i v = _mm512_maskz_loadu_epi32(m, codes + j);
+    for (std::size_t p = 0; p < np; ++p) {
+      chunk[p] |= static_cast<Word>(_mm512_test_epi32_mask(
+                      v, _mm512_set1_epi32(1 << p)))
+                  << j;
+    }
+  }
+  for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
+}
+
+/// Up to kG filter-lane groups against the window at once, sharing each
+/// broadcast window word; `filters` (<= kG*8) responses are written. Horner
+/// over the planes, high to low (sum = 2*sum + on_p, adds only: the shift
+/// intrinsics' undefined-source operand trips -Wmaybe-uninitialized),
+/// builds sum_p on_p << p; the window's sum_p pop_p << p is subtracted once
+/// at the end, and vpmovqd narrows each group's eight sums to int32 (a
+/// masked store for a partial last group).
 template <std::size_t kG>
 __attribute__((QNN_AVX512_TARGET)) inline void dot_groups(
     const Word* a, std::size_t n, std::size_t np, const Word* wg, __m512i pop,
-    std::int64_t* acc) {
+    std::size_t filters, std::int32_t* out) {
   __m512i sum[kG];
   for (auto& s : sum) s = _mm512_setzero_si512();
   for (std::size_t p = np; p-- > 0;) {
@@ -81,15 +105,19 @@ __attribute__((QNN_AVX512_TARGET)) inline void dot_groups(
     }
   }
   for (std::size_t g = 0; g < kG; ++g) {
-    _mm512_storeu_si512(
-        acc + g * kFilterLanes,
-        _mm512_sub_epi64(_mm512_add_epi64(sum[g], sum[g]), pop));
+    const __m512i v = _mm512_sub_epi64(_mm512_add_epi64(sum[g], sum[g]), pop);
+    const std::size_t lanes = filters - g * kFilterLanes;
+    _mm512_mask_cvtepi64_storeu_epi32(
+        out + g * kFilterLanes,
+        static_cast<__mmask8>(lanes >= kFilterLanes ? 0xffu
+                                                    : (1u << lanes) - 1u),
+        v);
   }
 }
 
 __attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
     const Word* a, std::size_t n, int planes, const Word* w,
-    std::size_t groups, std::int64_t* acc) {
+    std::size_t filters, std::int32_t* out) {
   const auto np = static_cast<std::size_t>(planes);
   std::int64_t pop = 0;  // sum_p popcount(plane p) << p
   for (std::size_t j = 0; j < n; ++j) {
@@ -99,13 +127,12 @@ __attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
     }
   }
   const __m512i vpop = _mm512_set1_epi64(pop);
-  const std::size_t stride = n * kFilterLanes;  // words per group
-  std::size_t g = 0;
-  for (; g + 2 <= groups; g += 2) {
-    dot_groups<2>(a, n, np, w + g * stride, vpop, acc + g * kFilterLanes);
+  std::size_t f = 0;
+  for (; f + kFilterLanes < filters; f += 2 * kFilterLanes) {
+    dot_groups<2>(a, n, np, w + f * n, vpop, filters - f, out + f);
   }
-  if (g < groups) {
-    dot_groups<1>(a, n, np, w + g * stride, vpop, acc + g * kFilterLanes);
+  if (f < filters) {
+    dot_groups<1>(a, n, np, w + f * n, vpop, filters - f, out + f);
   }
 }
 
@@ -126,6 +153,7 @@ __attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
     const Word* rows, std::size_t row_size, int k, int top,
     std::int64_t src_bit, std::int64_t seg, int planes, Word* out) {
   const auto np = static_cast<std::size_t>(planes);
+  const std::size_t ring = static_cast<std::size_t>(k) * row_size;
   // Eight planes per register; shifts by >= 64 yield zero, so the
   // word-aligned and word-completing cases need no special shifts.
   for (std::size_t b = 0; b < np; b += 8) {
@@ -134,9 +162,11 @@ __attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
     __m512i pending = _mm512_setzero_si512();
     int fill = 0;  // bits pending in every plane's next word
     Word* o = out + b;
+    std::size_t at = static_cast<std::size_t>(top) * row_size;
     for (int dy = 0; dy < k; ++dy) {
-      const Word* row =
-          rows + static_cast<std::size_t>((top + dy) % k) * row_size + b;
+      const Word* row = rows + at + b;
+      at += row_size;
+      if (at == ring) at = 0;
       for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
         const int n =
             static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
@@ -195,8 +225,9 @@ __attribute__((QNN_AVX512_TARGET)) void threshold_codes_avx512(
 #undef QNN_AVX512_TARGET
 
 constexpr VecOps kAvx512Ops{Level::kAvx512,         "avx512",
-                            popcount_avx512,        dot_window_avx512,
-                            build_window_avx512,    threshold_codes_avx512};
+                            popcount_avx512,        pack_codes_avx512,
+                            dot_window_avx512,      build_window_avx512,
+                            threshold_codes_avx512};
 
 }  // namespace
 

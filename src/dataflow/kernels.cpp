@@ -22,7 +22,8 @@ std::size_t window_burst(const Node& node, std::size_t burst) {
 
 // ------------------------------------------------------------------ OutStage
 
-OutStage::OutStage(PortRings rings, std::size_t reserve) {
+OutStage::OutStage(PortRings rings, std::size_t reserve)
+    : ops_(simd::vec_ops()) {
   for (Stream* s : rings.raw) rings_.push_back(Ring{s});
   for (const PortAct& a : rings.acts) {
     QNN_CHECK(a.node != nullptr && a.thresholds != nullptr &&
@@ -52,7 +53,6 @@ void OutStage::map(std::span<const std::int32_t> vals, std::int32_t* own) {
   // §III-B3's comparator + mux over the whole flush, carrying each
   // BnAct's channel phase across flushes: one vectorised threshold_codes
   // call per channel-aligned stretch.
-  const auto& ops = simd::vec_ops();
   const std::size_t n = vals.size();
   for (Act& a : acts_) {
     const std::int32_t* in =
@@ -67,7 +67,7 @@ void OutStage::map(std::span<const std::int32_t> vals, std::int32_t* own) {
     for (std::size_t i = 0; i < n;) {
       const std::size_t len =
           std::min(static_cast<std::size_t>(c - ch), n - i);
-      a.table.eval(ops, ch, {in + i, len}, out + i);
+      a.table.eval(ops_, ch, {in + i, len}, out + i);
       i += len;
       ch += static_cast<int>(len);
       if (ch == c) ch = 0;
@@ -213,7 +213,7 @@ ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
       lines_(node.in_bits, node.k,
              static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
       window_(scanner().window_values(), node.in_bits),
-      acc_(packed_weights_.padded_count(), 0) {
+      ops_(simd::vec_ops()) {
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
@@ -246,32 +246,28 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals,
   if (vals.empty()) return;
   const int y = scanner().cur_row();
   ensure_row(y);
-  lines_.pack_run(y % node().k, scanner().row_value_pos(), vals);
+  lines_.pack_run(ops_, y % node().k, scanner().row_value_pos(), vals);
 }
 
 void ConvKernel::emit(const WindowScanner::Completed& at) {
-  const int o_count = node().out.c;
   // Every activation was bit-plane-packed exactly once at ingest; a window
   // is built in one pass over its K row segments of the line buffer (rows
   // recycled mod K, keyed on the scanner's row), then one fused SIMD
   // AND-popcount sweep of every plane over all O filters.
-  const auto& ops = simd::vec_ops();
   const int k = node().k;
   const int stride = node().stride;
   const std::int64_t chans = node().in.c;
   // All-padding rows (top/bottom pad) never see an ingest_run; enter them
   // into the ring here so their bits read as zero (= pad code 0).
   ensure_row(at.oy * stride + k - 1);
-  window_.build(ops, lines_, at.oy * stride,
+  window_.build(ops_, lines_, at.oy * stride,
                 static_cast<std::int64_t>(at.ox) * stride * chans,
                 static_cast<std::int64_t>(k) * chans);
   // "One output pixel per clock cycle, until all the filters are applied
-  // at this position" (§III-B1): emit all O responses.
-  window_.dot(ops, packed_weights_, acc_.data());
-  const auto out = stage().extend(static_cast<std::size_t>(o_count));
-  for (std::size_t o = 0; o < out.size(); ++o) {
-    out[o] = static_cast<std::int32_t>(acc_[o]);
-  }
+  // at this position" (§III-B1): the O responses go straight into the
+  // output stage.
+  window_.dot(ops_, packed_weights_,
+              stage().extend(static_cast<std::size_t>(node().out.c)).data());
 }
 
 // ---------------------------------------------------------------- PoolKernel

@@ -162,6 +162,7 @@ class OutStage {
   /// writes its codes over them when `own` (= vals.data()) is given.
   void map(std::span<const std::int32_t> vals, std::int32_t* own = nullptr);
 
+  const simd::VecOps& ops_;  // resolved once, at construction
   std::vector<std::int32_t> buf_;
   std::vector<Act> acts_;
   std::vector<Ring> rings_;
@@ -340,11 +341,13 @@ class WindowKernel : public Kernel {
 /// activation codes in row-segment bursts, injects padding locally, and on
 /// each completed window emits all O filter responses for that position.
 /// Activations are decomposed once, as rows stream in, into a
-/// plane-interleaved bit-plane line buffer (eight codes per multiply); each
-/// window is built from it in one pass over its K row segments (a memcpy
-/// per segment when word-aligned), and the O-filter sweep runs through the
-/// vec_ops SIMD seam. The line buffer is the kernel's only copy of its
-/// input. Weights live in the kernel as a packed FilterBank — the on-chip
+/// plane-interleaved bit-plane line buffer (one vec_ops pack_codes call per
+/// <=64-code chunk); each window is built from it in one pass over its K
+/// row segments (a memcpy per segment when word-aligned), and the O-filter
+/// sweep runs through the vec_ops SIMD seam and writes its O int32
+/// responses straight into the output stage. The kernel resolves the
+/// dispatched VecOps once, at construction. The line buffer is the
+/// kernel's only copy of its input. Weights live in the kernel as a packed FilterBank — the on-chip
 /// weight cache of §III-B1a — packed once at construction into the
 /// filter-lane layout (eight filters interleaved per word) for that sweep;
 /// it is the kernel's only copy. A BnAct it feeds is evaluated by its
@@ -367,7 +370,7 @@ class ConvKernel final : public WindowKernel {
   PackedFilters packed_weights_;
   BitPlaneLineBuffer lines_;
   PackedWindow window_;
-  std::vector<std::int64_t> acc_;  // one per padded filter lane
+  const simd::VecOps& ops_;  // resolved once, at construction
   int packed_row_ = -1;  // highest padded row already entered into lines_
 };
 

@@ -14,16 +14,28 @@ using Clock = std::chrono::steady_clock;
 
 std::uint64_t link_frame_checksum(std::uint64_t seq,
                                   std::span<const std::int32_t> payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t byte) {
-    h ^= byte & 0xffU;
-    h *= 0x100000001b3ULL;
-  };
-  for (int shift = 0; shift < 64; shift += 8) mix(seq >> shift);
-  for (const std::int32_t v : payload) {
-    const auto u = static_cast<std::uint32_t>(v);
-    for (int shift = 0; shift < 32; shift += 8) mix(u >> shift);
+  // Every step h -> (h ^ x) * P (P odd) is a bijection in h and in x, so a
+  // change to any one word changes its lane's final state, and the chain
+  // of such steps that folds the lanes, `seq` and the length changes with
+  // it.
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  constexpr std::size_t kLanes = 4;  // independent multiply chains
+  std::uint64_t lane[kLanes] = {kBasis, kBasis + 1, kBasis + 2, kBasis + 3};
+  const std::size_t n = payload.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lane[l] = (lane[l] ^ static_cast<std::uint32_t>(payload[i + l])) *
+                kPrime;
+    }
   }
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    lane[l] = (lane[l] ^ static_cast<std::uint32_t>(payload[i])) * kPrime;
+  }
+  std::uint64_t h = (kBasis ^ seq) * kPrime;
+  h = (h ^ static_cast<std::uint64_t>(n)) * kPrime;
+  for (const std::uint64_t v : lane) h = (h ^ v) * kPrime;
   return h;
 }
 

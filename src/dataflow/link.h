@@ -3,8 +3,8 @@
 // carries a cut edge of the dataflow graph over it.
 //
 // The link carries the burst frames the compile-time plan priced: a frame
-// is `frame_values` stream values plus a sequence number and an FNV-1a
-// checksum, and every transmission is paced by the partitioner's
+// is `frame_values` stream values plus a sequence number and a word-wise
+// FNV-style checksum, and every transmission is paced by the partitioner's
 // `link_bits_per_cycle` arithmetic (a frame of v values of b bits
 // occupies ceil(v*b / w) link words at the fabric clock), so the live
 // wire and the simulated/priced wire agree on transaction granularity
@@ -65,7 +65,12 @@ namespace qnn {
   return (values * static_cast<std::uint64_t>(bits) + w - 1) / w;
 }
 
-/// FNV-1a 64 over the sequence number and payload words.
+/// Frame checksum, a word at a time: payload word i goes into FNV-style
+/// lane i mod 4 (h -> (h ^ word) * P, four independent multiply chains),
+/// then the sequence number, the word count and the four lanes are folded
+/// in by the same step. Each step is a bijection in its state and in its
+/// input, so changing any single word (any one-bit flip included), the
+/// sequence number or the length always changes the checksum.
 [[nodiscard]] std::uint64_t link_frame_checksum(
     std::uint64_t seq, std::span<const std::int32_t> payload);
 

@@ -40,7 +40,7 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
           rng.next_below(std::uint64_t{1} << bits));
     }
     BitPlaneLineBuffer lines(bits, /*rows=*/1, n);
-    lines.pack_run(0, 0, codes);
+    lines.pack_run(ops, 0, 0, codes);
     PackedWindow win(n, bits);
     win.build(ops, lines, 0, 0, n);
     PackedFilters filter(n, 1);
@@ -49,9 +49,9 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
       words[static_cast<std::size_t>(i)] = w.word(i);
     }
     filter.set(0, words);
-    std::vector<std::int64_t> acc(filter.padded_count());
-    win.dot(ops, filter, acc.data());
-    EXPECT_EQ(acc[0], reference_pm1_dot(w_pm1, codes))
+    std::int32_t out = 0;
+    win.dot(ops, filter, &out);
+    EXPECT_EQ(out, reference_pm1_dot(w_pm1, codes))
         << "bits=" << bits << " n=" << n;
   }
 }
@@ -75,44 +75,51 @@ std::vector<std::int32_t> noisy_codes(std::int64_t n, Rng& rng) {
 
 TEST(BitPlaneLineBufferTest, PackRunMatchesBitByBitReference) {
   // Runs of every length up to a few words, starting mid-word and ending
-  // mid-row, at every plane count: 1..8 take the eight-codes-per-multiply
-  // path (and its per-bit tail), 9..16 the per-bit fallback. Code bits at
-  // or above the plane count must not leak into any plane.
-  Rng rng(0x9ac7);
-  for (int planes = 1; planes <= BitPlaneLineBuffer::kMaxPlanes; ++planes) {
-    for (int trial = 0; trial < 24; ++trial) {
-      const std::int64_t row_bits =
-          1 + static_cast<std::int64_t>(rng.next_below(300));
-      BitPlaneLineBuffer lines(planes, /*rows=*/2, row_bits);
-      lines.clear_row(1);
-      std::vector<std::int32_t> row(static_cast<std::size_t>(row_bits), 0);
-      std::vector<bool> written(static_cast<std::size_t>(row_bits), false);
-      // Cover the row with runs of random length in random order.
-      std::int64_t pos = static_cast<std::int64_t>(
-          rng.next_below(static_cast<std::uint64_t>(row_bits)));
-      const std::int64_t end = pos + static_cast<std::int64_t>(rng.next_below(
-                                         static_cast<std::uint64_t>(
-                                             row_bits - pos + 1)));
-      while (pos < end) {
-        const std::int64_t n = std::min<std::int64_t>(
-            end - pos, 1 + static_cast<std::int64_t>(rng.next_below(150)));
-        const auto codes = noisy_codes(n, rng);
-        lines.pack_run(1, pos, codes);
-        for (std::int64_t i = 0; i < n; ++i) {
-          row[static_cast<std::size_t>(pos + i)] =
-              codes[static_cast<std::size_t>(i)];
-          written[static_cast<std::size_t>(pos + i)] = true;
+  // mid-row, at every plane count and every SIMD level: 1..8 planes take
+  // the scalar eight-codes-per-multiply path (and its per-bit tail), 9..16
+  // its per-bit fallback. Code bits at or above the plane count must not
+  // leak into any plane. Each run is a whole, exactly sized heap vector,
+  // so a pack that reads past a run's last code is an ASan report.
+  for (const simd::Level level : simd::available_levels()) {
+    const simd::VecOps& ops = simd::vec_ops_at(level);
+    Rng rng(0x9ac7);
+    for (int planes = 1; planes <= BitPlaneLineBuffer::kMaxPlanes; ++planes) {
+      for (int trial = 0; trial < 24; ++trial) {
+        const std::int64_t row_bits =
+            1 + static_cast<std::int64_t>(rng.next_below(300));
+        BitPlaneLineBuffer lines(planes, /*rows=*/2, row_bits);
+        lines.clear_row(1);
+        std::vector<std::int32_t> row(static_cast<std::size_t>(row_bits), 0);
+        std::vector<bool> written(static_cast<std::size_t>(row_bits), false);
+        // Cover the row with runs of random length in random order.
+        std::int64_t pos = static_cast<std::int64_t>(
+            rng.next_below(static_cast<std::uint64_t>(row_bits)));
+        const std::int64_t end =
+            pos + static_cast<std::int64_t>(rng.next_below(
+                      static_cast<std::uint64_t>(row_bits - pos + 1)));
+        while (pos < end) {
+          const std::int64_t n = std::min<std::int64_t>(
+              end - pos, 1 + static_cast<std::int64_t>(rng.next_below(150)));
+          const auto codes = noisy_codes(n, rng);
+          lines.pack_run(ops, 1, pos, codes);
+          for (std::int64_t i = 0; i < n; ++i) {
+            row[static_cast<std::size_t>(pos + i)] =
+                codes[static_cast<std::size_t>(i)];
+            written[static_cast<std::size_t>(pos + i)] = true;
+          }
+          pos += n;
         }
-        pos += n;
-      }
-      for (std::int64_t i = 0; i < lines.row_words() * kWordBits; ++i) {
-        for (int p = 0; p < planes; ++p) {
-          const bool expect =
-              i < row_bits && written[static_cast<std::size_t>(i)] &&
-              ((static_cast<std::uint32_t>(row[static_cast<std::size_t>(i)]) >>
-                p) & 1U) != 0;
-          ASSERT_EQ(interleaved_bit(lines.row(1), planes, i, p), expect)
-              << "planes=" << planes << " bit=" << i << " plane=" << p;
+        for (std::int64_t i = 0; i < lines.row_words() * kWordBits; ++i) {
+          for (int p = 0; p < planes; ++p) {
+            const bool expect =
+                i < row_bits && written[static_cast<std::size_t>(i)] &&
+                ((static_cast<std::uint32_t>(
+                      row[static_cast<std::size_t>(i)]) >>
+                  p) & 1U) != 0;
+            ASSERT_EQ(interleaved_bit(lines.row(1), planes, i, p), expect)
+                << ops.name << " planes=" << planes << " bit=" << i
+                << " plane=" << p;
+          }
         }
       }
     }
@@ -157,7 +164,7 @@ TEST_P(PackedWindowProperty, BuildMatchesBitByBitReferenceAtEveryLevel) {
       for (std::int64_t pos = 0; pos < row_bits;) {
         const std::int64_t n = std::min<std::int64_t>(
             row_bits - pos, 1 + static_cast<std::int64_t>(rng.next_below(97)));
-        lines.pack_run(r, pos,
+        lines.pack_run(simd::vec_ops_at(simd::Level::kScalar), r, pos,
                        std::span<const std::int32_t>(rows.back())
                            .subspan(static_cast<std::size_t>(pos),
                                     static_cast<std::size_t>(n)));
@@ -205,9 +212,9 @@ TEST_P(PackedWindowProperty, BuildMatchesBitByBitReferenceAtEveryLevel) {
                 << " plane=" << p;
           }
         }
-        std::vector<std::int64_t> acc(filter.padded_count());
-        win.dot(ops, filter, acc.data());
-        ASSERT_EQ(acc[0], reference_pm1_dot(w_pm1, codes))
+        std::int32_t out = 0;
+        win.dot(ops, filter, &out);
+        ASSERT_EQ(out, reference_pm1_dot(w_pm1, codes))
             << simd::level_name(level) << " planes=" << planes
             << " top=" << top << " ox=" << ox;
         }

@@ -186,6 +186,29 @@ TEST_F(PackedConvTest, PackedMatchesReferenceWhenFilterCountIsNotALaneMultiple) 
   }
 }
 
+TEST_F(PackedConvTest, PackedMatchesReferenceOnVgg32ClassifierAtEveryLevel) {
+  // VGG-32's last layer: dense 512 -> 10 over 2-bit codes, a 1x1 window
+  // of eight whole words per plane (the memcpy window path). The second
+  // filter-lane group holds two real filters; each level must write
+  // exactly the ten responses per image, bit-exact.
+  Rng rng(0xdae0);
+  const Node n = conv_node({1, 1, 512}, 10, 1, 1, 0, 2);
+  const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+  std::vector<IntTensor> images;
+  std::vector<std::int32_t> expect;
+  for (int i = 0; i < 5; ++i) {
+    images.push_back(testutil::random_codes(n.in, 2, rng));
+    const auto one = reference_conv(n, fb, images.back());
+    expect.insert(expect.end(), one.begin(), one.end());
+  }
+  ASSERT_EQ(expect.size(), 50u);
+  for (const simd::Level level : simd::available_levels()) {
+    simd::set_level(level);
+    ASSERT_EQ(run_conv(n, fb, images), expect)
+        << "level=" << simd::level_name(level);
+  }
+}
+
 TEST_F(PackedConvTest, PackedMatchesReferenceOnAllPaddingWindows) {
   // pad = 2 with k = 2: the four corner windows contain no real value at
   // all, so the line buffer rows they read were never written by an

@@ -432,6 +432,41 @@ TEST(FaultLink, MaxRingHealsSeededCorruptionBitExact) {
   EXPECT_FALSE(s.dead);
 }
 
+TEST(FaultLink, FrameChecksumCatchesEveryOneBitFlipAndLengthChange) {
+  // Payload lengths covering every lane tail (0..9) and a full 256-value
+  // frame either side of a lane boundary: flipping any one bit of any
+  // word, or of the sequence number, changes the checksum, and so does
+  // appending a zero word (the length is folded in).
+  Rng rng(0xc4ec);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{4}, std::size_t{5},
+                                std::size_t{6}, std::size_t{7}, std::size_t{8},
+                                std::size_t{9}, std::size_t{255},
+                                std::size_t{256}}) {
+    std::vector<std::int32_t> payload(len);
+    for (auto& v : payload) v = static_cast<std::int32_t>(rng.next_u64());
+    const std::uint64_t seq = rng.next_u64();
+    const std::uint64_t sum = link_frame_checksum(seq, payload);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (int b = 0; b < 32; ++b) {
+        std::vector<std::int32_t> flipped = payload;
+        flipped[i] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(flipped[i]) ^ (1U << b));
+        ASSERT_NE(link_frame_checksum(seq, flipped), sum)
+            << "len=" << len << " word=" << i << " bit=" << b;
+      }
+    }
+    for (int b = 0; b < 64; ++b) {
+      ASSERT_NE(link_frame_checksum(seq ^ (std::uint64_t{1} << b), payload),
+                sum)
+          << "len=" << len << " seq bit=" << b;
+    }
+    std::vector<std::int32_t> longer = payload;
+    longer.push_back(0);
+    EXPECT_NE(link_frame_checksum(seq, longer), sum) << "len=" << len;
+  }
+}
+
 TEST(FaultLink, MaxRingRidesOutATransientOutage) {
   LinkConfig cfg;
   cfg.pace = false;

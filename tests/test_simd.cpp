@@ -1,8 +1,8 @@
 // vec_ops seam: every compiled+supported SIMD level must agree bit-exactly
 // with the scalar reference on random word buffers, including lengths that
 // exercise every tail-handling path (0, sub-block, block-multiple, and
-// block+tail) and filter counts that leave filter-lane groups partly
-// padded. Also pins the dispatch contract: kScalar is always present, and
+// block+tail), filter counts that leave filter-lane groups partly padded,
+// and plane-pack chunks of every length and offset. Also pins the dispatch contract: kScalar is always present, and
 // set_level overrides whatever auto/env dispatch picked.
 #include "core/simd/vec_ops.h"
 
@@ -90,23 +90,27 @@ DotCase random_dot_case(std::size_t n, int planes, int filters, Rng& rng) {
 TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
   // Words per plane from the one-word case through conv_0's 3 (a 7x7x3
   // window) to a 3x3x256 window's 72, odd lengths exercising the AVX-512
-  // pairwise tail; filter counts below, at and around the 8-lane group.
+  // pairwise tail; filter counts below, at and around the 8-lane group,
+  // with every partial last group (1, 5, 7, 9, 10, 63) and both group
+  // parities. Exactly O responses are written: a canary after out[O]
+  // stays untouched.
+  constexpr std::int32_t kCanary = 0x5e5e5e5e;
   const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
   Rng rng(0xabc3);
   for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9},
                               std::size_t{17}, std::size_t{72}}) {
     for (const int planes : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16}) {
-      for (const int filters : {1, 5, 8, 10, 64, 1000}) {
+      for (const int filters : {1, 5, 7, 8, 9, 10, 63, 64, 1000}) {
         const DotCase c = random_dot_case(n, planes, filters, rng);
-        const std::size_t lanes = c.filters.padded_count();
-        std::vector<std::int64_t> expect(lanes, 1000);
-        scalar.dot_window(c.window.data(), n, planes, c.filters.data(),
-                          c.filters.groups(), expect.data());
+        const auto o = static_cast<std::size_t>(filters);
+        std::vector<std::int32_t> expect(o + 1, kCanary);
+        scalar.dot_window(c.window.data(), n, planes, c.filters.data(), o,
+                          expect.data());
+        ASSERT_EQ(expect[o], kCanary) << "scalar wrote past out[O]";
         for (const simd::Level level : simd::available_levels()) {
-          std::vector<std::int64_t> got(lanes, -1000);
+          std::vector<std::int32_t> got(o + 1, kCanary);
           simd::vec_ops_at(level).dot_window(c.window.data(), n, planes,
-                                             c.filters.data(),
-                                             c.filters.groups(), got.data());
+                                             c.filters.data(), o, got.data());
           ASSERT_EQ(got, expect)
               << simd::level_name(level) << " n=" << n << " planes=" << planes
               << " filters=" << filters;
@@ -117,10 +121,10 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
 }
 
 TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
-  // acc[f] = sum_p (2*popcount(w_f & a_p) - popcount(a_p)) << p, the
+  // out[f] = sum_p (2*popcount(w_f & a_p) - popcount(a_p)) << p, the
   // XNOR-popcount dot of §III-B1 summed over bit-planes, at every level.
   // Two planes of two words, plane-interleaved [word][plane]; two real
-  // filters, six zero pad lanes.
+  // filters, six zero pad lanes (swept here by asking for all eight).
   const std::vector<Word> window = {0b1011, 0b0110,  // word 0 of planes 0, 1
                                     0, 1};           // word 1 of planes 0, 1
   // plane 0 = {0b1011, 0}: pop 3; plane 1 = {0b0110, 1}: pop 3.
@@ -128,17 +132,59 @@ TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
   filters.set(0, std::vector<Word>{0b0011, 0});
   filters.set(1, std::vector<Word>{~Word{0}, ~Word{0}});
   ASSERT_EQ(filters.padded_count(), 8u);
+  ASSERT_EQ(filters.count(), 2u);
   for (const simd::Level level : simd::available_levels()) {
-    std::int64_t acc[8];
+    std::int32_t out[8];
     simd::vec_ops_at(level).dot_window(window.data(), 2, 2, filters.data(),
-                                       1, acc);
+                                       filters.padded_count(), out);
     // f0: plane 0 on=2 -> 4-3 = 1; plane 1 on=1 -> (2-3)<<1 = -2. Sum -1.
-    EXPECT_EQ(acc[0], -1) << simd::level_name(level);
+    EXPECT_EQ(out[0], -1) << simd::level_name(level);
     // f1: plane 0 on=3 -> 3; plane 1 on=3 -> 3<<1 = 6. Sum 9.
-    EXPECT_EQ(acc[1], 9) << simd::level_name(level);
+    EXPECT_EQ(out[1], 9) << simd::level_name(level);
     // Zero pad filters agree with no bit: -(3 + (3<<1)) = -9.
     for (int l = 2; l < 8; ++l) {
-      EXPECT_EQ(acc[l], -9) << simd::level_name(level) << " lane " << l;
+      EXPECT_EQ(out[l], -9) << simd::level_name(level) << " lane " << l;
+    }
+  }
+}
+
+// --------------------------------------------------------------- pack_codes
+
+TEST(VecOps, PackCodesMatchesScalarAtEveryLevel) {
+  // Every plane count, every chunk length a word can take at offsets 0, 1,
+  // 31 and 63, codes with every bit of 32 random (negative ones and bits
+  // at or above the plane count included: those must not leak), into
+  // destination words that already hold random bits (which the OR keeps).
+  // Each chunk is copied to the end of an exactly sized heap vector, so
+  // an over-read past codes[n) is an ASan report. The scalar level is
+  // checked against the same bit-by-bit reference as the others.
+  Rng rng(0xabc5);
+  for (int planes = 1; planes <= simd::kMaxPlanes; ++planes) {
+    const auto np = static_cast<std::size_t>(planes);
+    for (const int off : {0, 1, 31, 63}) {
+      for (int n = 1; n <= kWordBits - off; ++n) {
+        std::vector<std::int32_t> codes(static_cast<std::size_t>(n));
+        for (auto& c : codes) c = static_cast<std::int32_t>(rng.next_u64());
+        // One word past the last plane: nothing may touch it.
+        const std::vector<Word> before = random_words(np + 1, rng);
+        // Reference: the bits one at a time.
+        std::vector<Word> expect = before;
+        for (int i = 0; i < n; ++i) {
+          const auto code =
+              static_cast<std::uint32_t>(codes[static_cast<std::size_t>(i)]);
+          for (std::size_t p = 0; p < np; ++p) {
+            expect[p] |= static_cast<Word>((code >> p) & 1U) << (off + i);
+          }
+        }
+        for (const simd::Level level : simd::available_levels()) {
+          std::vector<Word> got = before;
+          simd::vec_ops_at(level).pack_codes(codes.data(), n, planes, off,
+                                             got.data());
+          ASSERT_EQ(got, expect) << simd::level_name(level)
+                                 << " planes=" << planes << " off=" << off
+                                 << " n=" << n;
+        }
+      }
     }
   }
 }
