@@ -14,14 +14,12 @@
 // Output: the usual table (CSV via QNN_CSV_DIR) plus a JSON block on
 // stdout for scripted consumption.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "backend/builtin.h"
@@ -42,165 +40,6 @@ struct Scenario {
   int replicas;
   int max_batch;
 };
-
-// ---- mixed-pool ablation ------------------------------------------------
-//
-// The backend-registry payoff in one table: the same mixed tight +
-// best-effort load is driven at (a) a fast-only pool, (b) a fast+slow pool
-// with deadline-class routing, and (c) the same mixed pool with routing
-// off (naive: any non-shadow replica takes anything). Tight-deadline
-// goodput — requests that complete *within* their deadline per second —
-// is the score. Naive routing lets the idle slow replicas pull tight work
-// they cannot finish in time, so (b) must beat (c) by >= 1.3x; that bar
-// is this bench's exit code and the PERF=1 gate in tools/check.sh.
-
-struct PoolScore {
-  std::uint64_t tight_ok = 0;      // completed within the tight deadline
-  std::uint64_t tight_missed = 0;  // expired, errored, or finished late
-  std::uint64_t be_ok = 0;
-  double window_s = 0.0;
-
-  [[nodiscard]] double tight_goodput_qps() const {
-    return window_s > 0.0 ? static_cast<double>(tight_ok) / window_s : 0.0;
-  }
-  [[nodiscard]] double be_qps() const {
-    return window_s > 0.0 ? static_cast<double>(be_ok) / window_s : 0.0;
-  }
-};
-
-constexpr std::int64_t kTightUs = 4000;
-constexpr const char* kSlowBackend = "reference-5ms";
-
-PoolScore drive_mixed_load(DfeServer& server,
-                           const std::vector<IntTensor>& images) {
-  // Fixed-wall-clock closed loop: 4 clients hammer tight requests, 4 push
-  // best-effort work, for the same window in every scenario — so the
-  // goodput denominators are comparable across pools.
-  constexpr int kTightClients = 4;
-  constexpr int kBeClients = 4;
-  constexpr auto kWindow = std::chrono::milliseconds(400);
-  std::atomic<std::uint64_t> tight_ok{0};
-  std::atomic<std::uint64_t> tight_missed{0};
-  std::atomic<std::uint64_t> be_ok{0};
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(kTightClients + kBeClients);
-  for (int c = 0; c < kTightClients + kBeClients; ++c) {
-    const bool tight = c < kTightClients;
-    clients.emplace_back([&, c, tight] {
-      std::size_t i = static_cast<std::size_t>(c);
-      while (std::chrono::steady_clock::now() - t0 < kWindow) {
-        const IntTensor& img = images[i++ % images.size()];
-        const InferenceResult r =
-            server.submit(img, tight ? kTightUs : 0);
-        if (tight) {
-          const bool in_time = r.ok() && r.total_us <= kTightUs;
-          (in_time ? tight_ok : tight_missed).fetch_add(1);
-        } else if (r.ok()) {
-          be_ok.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  PoolScore score;
-  score.window_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  score.tight_ok = tight_ok.load();
-  score.tight_missed = tight_missed.load();
-  score.be_ok = be_ok.load();
-  return score;
-}
-
-int run_backends() {
-  bench::heading("Mixed-pool backend ablation",
-                 "tight-deadline goodput: fast-only vs fast+slow with "
-                 "deadline-class routing vs the same pool routed naively");
-
-  // A deliberately slow tier with a 5 ms/image floor: anything tight
-  // (<= 4 ms) that lands on it is lost by construction.
-  if (backend_registry().find(kSlowBackend) == nullptr) {
-    (void)backend_registry().register_backend(
-        make_reference_backend(5000, kSlowBackend));
-  }
-
-  const NetworkSpec spec = models::tiny(8, 4, 2);
-  const Pipeline pipeline = expand(spec);
-  const NetworkParams params = NetworkParams::random(pipeline, 83);
-  SessionConfig session_config;
-  session_config.fast_estimate = true;
-  const std::vector<IntTensor> images = synthetic_batch(8, 8, 8, 3, 84);
-
-  struct PoolScenario {
-    std::string label;
-    std::vector<ServerConfig::PoolEntry> pool;
-    bool route_by_deadline;
-  };
-  const std::vector<PoolScenario> scenarios = {
-      {"fast-only (1x engine)", {{"engine", 1}}, true},
-      {"mixed, deadline routing", {{"engine", 1}, {kSlowBackend, 2}}, true},
-      {"mixed, naive routing", {{"engine", 1}, {kSlowBackend, 2}}, false},
-  };
-
-  Table t({"configuration", "tight ok", "tight missed", "tight goodput qps",
-           "best-effort qps"});
-  std::ostringstream json;
-  json << "{\n  \"scenarios\": [\n";
-  double routed_goodput = 0.0;
-  double naive_goodput = 0.0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const PoolScenario& sc = scenarios[i];
-    ServerConfig cfg;
-    cfg.pool = sc.pool;
-    cfg.route_by_deadline = sc.route_by_deadline;
-    cfg.tight_deadline_us = kTightUs;
-    cfg.max_batch = 8;
-    cfg.batch_timeout_us = 200;
-    cfg.queue_capacity = 2048;
-    cfg.quarantine_after = 1000;  // keep healing out of the comparison
-    DfeServer server(spec, params, cfg, session_config);
-    const PoolScore score = drive_mixed_load(server, images);
-    server.stop();
-    if (sc.pool.size() > 1) {
-      (sc.route_by_deadline ? routed_goodput : naive_goodput) =
-          score.tight_goodput_qps();
-    }
-    t.add_row({sc.label, Table::integer(score.tight_ok),
-               Table::integer(score.tight_missed),
-               Table::num(score.tight_goodput_qps(), 1),
-               Table::num(score.be_qps(), 1)});
-    json << "    {\"label\": \"" << sc.label
-         << "\", \"route_by_deadline\": "
-         << (sc.route_by_deadline ? "true" : "false")
-         << ", \"tight_ok\": " << score.tight_ok
-         << ", \"tight_missed\": " << score.tight_missed
-         << ", \"tight_goodput_qps\": " << score.tight_goodput_qps()
-         << ", \"best_effort_qps\": " << score.be_qps()
-         << ", \"window_s\": " << score.window_s << "}"
-         << (i + 1 < scenarios.size() ? "," : "") << "\n";
-  }
-  bench::emit(t, "bench_backends");
-  // Guard the degenerate naive-goodput-of-zero case (total collapse): the
-  // routed pool then wins by any margin.
-  const double ratio = naive_goodput > 0.0
-                           ? routed_goodput / naive_goodput
-                           : (routed_goodput > 0.0 ? 1e9 : 0.0);
-  json << "  ],\n  \"routed_over_naive_tight_goodput\": " << ratio
-       << "\n}\n";
-  std::cout << "\nrouted/naive tight-deadline goodput: "
-            << Table::num(ratio, 2) << "x (acceptance bar: >= 1.3x)\n\n"
-            << json.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_backends.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << json.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
-  return ratio >= 1.3 ? 0 : 1;
-}
 
 // ---- autotuned-plan ablation --------------------------------------------
 //
@@ -493,18 +332,19 @@ int run_linkfault() {
   }
   SessionConfig session_config;
   session_config.fast_estimate = true;
+  SessionConfig linked_sc = session_config;
+  linked_sc.backend = kLinkedBackend;
   const std::vector<IntTensor> images = synthetic_batch(8, 16, 16, 3, 91);
 
   // Both farms live for the whole measurement, windows interleaved
   // healthy/faulted per repeat: machine drift (and a 1-core box's mood)
   // hits both arms alike, so the throughput ratio survives run-to-run
   // noise that would sink any sequential A-then-B comparison.
-  SessionConfig faulted_sc = session_config;
+  SessionConfig faulted_sc = linked_sc;
   faulted_sc.engine.faults.add(FaultPlan::link_death(
       /*link=*/1, /*run=*/0, /*after_frames=*/4));
   const auto farm_config = [] {
     ServerConfig cfg;
-    cfg.pool = {{kLinkedBackend, 1}};
     cfg.max_batch = 8;
     cfg.batch_timeout_us = 500;
     cfg.queue_capacity = 1024;
@@ -512,11 +352,9 @@ int run_linkfault() {
     cfg.retry_backoff_us = 100;
     return cfg;
   }();
-  ServerConfig single_config = farm_config;
-  single_config.pool = {{"engine", 1}};
-  DfeServer healthy_farm(spec, params, farm_config, session_config);
+  DfeServer healthy_farm(spec, params, farm_config, linked_sc);
   DfeServer faulted_farm(spec, params, farm_config, faulted_sc);
-  DfeServer single_farm(spec, params, single_config, session_config);
+  DfeServer single_farm(spec, params, farm_config, session_config);
   LoadGenerator healthy_load(healthy_farm, images);
   LoadGenerator faulted_load(faulted_farm, images);
   LoadGenerator single_load(single_farm, images);
@@ -788,25 +626,18 @@ int run() {
   if (jf && (jf << rj.str())) {
     std::cout << "(json written to " << json_path << ")\n";
   }
-  const int backends_rc = run_backends();
   const int autotune_rc = run_autotune();
   const int linkfault_rc = run_linkfault();
-  return ratio >= 0.70 && backends_rc == 0 && autotune_rc == 0 &&
-                 linkfault_rc == 0
-             ? 0
-             : 1;
+  return ratio >= 0.70 && autotune_rc == 0 && linkfault_rc == 0 ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace qnn
 
 int main(int argc, char** argv) {
-  // --backends-only / --autotune-only: just one ablation and its bar —
+  // --autotune-only / --link-fault-only: just one ablation and its bar —
   // the pieces tools/check.sh runs under PERF=1.
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--backends-only") == 0) {
-      return qnn::run_backends();
-    }
     if (std::strcmp(argv[i], "--autotune-only") == 0) {
       return qnn::run_autotune();
     }

@@ -7,31 +7,16 @@
 
 #include "backend/builtin.h"
 #include "core/error.h"
-#include "io/table.h"
 #include "nn/reference.h"
 #include "nn/summary.h"
 
 namespace qnn {
 
-const char* to_string(BackendTier tier) {
-  switch (tier) {
-    case BackendTier::kFast:
-      return "fast";
-    case BackendTier::kShadow:
-      return "shadow";
-    case BackendTier::kSlow:
-      return "slow";
-  }
-  return "unknown";
-}
-
 std::string BackendSession::report() const {
   const BackendInfo& info = backend().info();
   std::ostringstream os;
   os << summarize(pipeline()) << "\n";
-  os << "backend: " << info.name << " (" << to_string(info.tier)
-     << " tier, ~" << Table::num(info.relative_cost, 2)
-     << "x engine cost) — " << info.description << "\n";
+  os << "backend: " << info.name << " — " << info.description << "\n";
   return os.str();
 }
 
@@ -118,14 +103,6 @@ Backend& BackendRegistry::at(std::string_view name) const {
   throw Error(message);
 }
 
-Backend* BackendRegistry::first_of_tier(BackendTier tier) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& b : backends_) {
-    if (b->tier() == tier) return b.get();
-  }
-  return nullptr;
-}
-
 std::vector<Backend*> BackendRegistry::all() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<Backend*> out;
@@ -143,8 +120,6 @@ BackendRegistry& backend_registry() {
   static BackendRegistry* registry = [] {
     auto* r = new BackendRegistry();
     r->register_backend(make_engine_backend());
-    r->register_backend(make_sim_backend());
-    r->register_backend(make_reference_backend());
     return r;
   }();
   return *registry;

@@ -1,28 +1,23 @@
-// Backend seam: pluggable execution substrates behind one serving tier.
+// Backend seam: the execution substrate behind DfeSession and DfeServer.
 //
-// The paper's deployment assumes a single substrate — the threaded
-// streaming engine standing in for the DFE — but a farm serving mixed
-// traffic wants several: fast engine replicas for production inference, a
-// cycle-simulator backend for shadow what-if serving (bit-exact results
-// plus *modeled* DFE latency), and a deliberately slow scalar reference
-// backend for conformance and best-effort overflow. The seam follows the
-// ggml/QNN backend registry shape (ggml_backend_qnn_reg /
+// The paper's deployment (§IV-B4) is a farm of identical DFE boards; here
+// every board is a session compiled by one registered backend. The seam
+// follows the ggml/QNN backend registry shape (ggml_backend_qnn_reg /
 // ggml_qnn_supports_op): a process-wide registry of named backends, each
-// exposing capability/cost descriptors, a per-node supports_op() gate that
+// exposing a capability descriptor, a per-node supports_op() gate that
 // runs as a QNN-D5xx check before compile (verify/backend_check.h), and a
 // compile() that lowers a verified Pipeline into an executable
-// BackendSession.
+// BackendSession. Tests register fakes through the same seam.
 //
-// Three builtins register on first use of backend_registry():
+// One builtin registers on first use of backend_registry():
 //
-//   name         tier     substrate
-//   "engine"     kFast    threaded StreamEngine (the DFE stand-in)
-//   "simulator"  kShadow  cycle-sim timing + reference-path results
-//   "reference"  kSlow    scalar ReferenceExecutor, deliberately paced
+//   name      substrate
+//   "engine"  threaded StreamEngine (the DFE stand-in)
 //
-// DfeSession (host/) is a thin wrapper over one BackendSession; DfeServer
-// (serve/) builds mixed replica pools across tiers and routes admissions
-// by deadline class.
+// The partitioned "linked" backend (backend/builtin.h) joins by
+// registration. DfeSession (host/) is a thin wrapper over one
+// BackendSession; DfeServer (serve/) compiles `replicas` copies of one
+// backend.
 #pragma once
 
 #include <memory>
@@ -38,23 +33,10 @@
 
 namespace qnn {
 
-/// Replica tier a backend's sessions serve in a mixed pool (serve/).
-enum class BackendTier {
-  kFast,    // production traffic; the only tier tight deadlines may use
-  kShadow,  // mirrored traffic only; results are compared, never returned
-  kSlow,    // conformance / best-effort overflow
-};
-
-[[nodiscard]] const char* to_string(BackendTier tier);
-
-/// Capability / cost descriptor of one backend.
+/// Capability descriptor of one backend.
 struct BackendInfo {
   std::string name;
-  BackendTier tier = BackendTier::kFast;
   std::string description;
-  /// Rough per-image cost relative to the engine backend (1.0). Used for
-  /// display and pool sizing, not for admission decisions.
-  double relative_cost = 1.0;
   /// Devices of this kind one process may drive at once (a replica bound;
   /// the modeled MPC-X node holds 8 DFEs).
   int max_devices = 8;
@@ -78,9 +60,7 @@ class BackendSession {
   BackendSession& operator=(const BackendSession&) = delete;
 
   /// Run a batch; returns one logits tensor per image. When `stats` is
-  /// non-null it receives wall-clock and transport statistics; backends
-  /// that model timing instead of measuring it also fill
-  /// RunStats::simulated_seconds.
+  /// non-null it receives wall-clock and transport statistics.
   [[nodiscard]] virtual std::vector<IntTensor> infer_batch(
       std::span<const IntTensor> images,
       StreamEngine::RunStats* stats = nullptr) = 0;
@@ -93,10 +73,9 @@ class BackendSession {
   /// The (registry-owned) backend that compiled this session.
   [[nodiscard]] virtual const Backend& backend() const = 0;
 
-  /// Human-readable description of the compiled artifact; backends extend
-  /// the default (network summary + backend identity) with their own
-  /// placement/timing details.
-  [[nodiscard]] virtual std::string report() const;
+  /// Human-readable description of the compiled artifact: network
+  /// summary plus backend identity.
+  [[nodiscard]] std::string report() const;
 
   /// Single-image convenience wrappers over infer_batch().
   [[nodiscard]] IntTensor infer(const IntTensor& image);
@@ -130,14 +109,12 @@ class Backend {
   /// tuning (burst plan, executor, faults) and optionally a pre-built
   /// CompiledPlan (EngineOptions::plan, non-owning — see
   /// plan/compiled_plan.h) whose FIFO streams the engine backend wires
-  /// verbatim; non-engine backends consume what applies (e.g. the verify
-  /// flag) and ignore the rest.
+  /// verbatim.
   [[nodiscard]] virtual std::unique_ptr<BackendSession> compile(
       const Pipeline& pipeline, NetworkParams params,
       const EngineOptions& options = {}) const = 0;
 
   [[nodiscard]] const std::string& name() const { return info().name; }
-  [[nodiscard]] BackendTier tier() const { return info().tier; }
 };
 
 /// Name-keyed backend collection. Registration is append-only (backends
@@ -153,8 +130,6 @@ class BackendRegistry {
   [[nodiscard]] Backend* find(std::string_view name) const;
   /// Backend by name; throws qnn::Error listing the registered names.
   [[nodiscard]] Backend& at(std::string_view name) const;
-  /// First registered backend of `tier`, or nullptr.
-  [[nodiscard]] Backend* first_of_tier(BackendTier tier) const;
   /// Every registered backend, in registration order.
   [[nodiscard]] std::vector<Backend*> all() const;
   [[nodiscard]] int size() const;
@@ -164,9 +139,9 @@ class BackendRegistry {
   std::vector<std::unique_ptr<Backend>> backends_;
 };
 
-/// The process-wide registry. The three builtin backends ("engine",
-/// "simulator", "reference" — see backend/builtin.h) are registered on
-/// first call; further backends may be added by anyone at any time.
+/// The process-wide registry. The builtin "engine" backend (see
+/// backend/builtin.h) is registered on first call; further backends may be
+/// added by anyone at any time.
 [[nodiscard]] BackendRegistry& backend_registry();
 
 }  // namespace qnn

@@ -1,5 +1,5 @@
 // "engine" backend: the threaded StreamEngine behind the backend seam —
-// the fast tier, and the substrate DfeSession used to construct directly.
+// the substrate DfeSession used to construct directly.
 #include <memory>
 #include <utility>
 
@@ -46,10 +46,8 @@ class EngineBackend final : public Backend {
  public:
   EngineBackend() {
     info_.name = "engine";
-    info_.tier = BackendTier::kFast;
     info_.description =
         "threaded streaming engine (bit-exact DFE stand-in)";
-    info_.relative_cost = 1.0;
     info_.max_devices = 8;  // the modeled MPC-X node
   }
 

@@ -2,8 +2,8 @@
 // one dataflow graph cut into N segments daisy-chained by fault-tolerant
 // in-process MaxRing links, with degraded-plan failover on permanent link
 // death.
-// Not a registry builtin: pools that want a partitioned fast tier
-// construct one with their cut + link options and register it by name.
+// Not a registry builtin: callers that want partitioned replicas construct
+// one with their cut + link options and register it by name.
 #include <memory>
 #include <utility>
 
@@ -51,10 +51,8 @@ class LinkedBackend final : public Backend {
   LinkedBackend(LinkedEngineOptions defaults, std::string name)
       : defaults_(std::move(defaults)) {
     info_.name = std::move(name);
-    info_.tier = BackendTier::kFast;
     info_.description =
         "partitioned streaming engine over fault-tolerant MaxRing links";
-    info_.relative_cost = 1.0;
     info_.max_devices = 8;  // the modeled MPC-X node
   }
 

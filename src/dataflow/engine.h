@@ -125,10 +125,6 @@ class StreamEngine {
     std::uint64_t pop_stalls = 0;
     /// Fault events from EngineOptions::faults that fired during this run.
     std::uint64_t faults_injected = 0;
-    /// Backends that *model* timing instead of measuring it (the cycle-
-    /// simulator backend) report the modeled batch duration here at the
-    /// simulated fabric clock; 0.0 for live engine runs.
-    double simulated_seconds = 0.0;
     /// MaxRing link activity (LinkedEngine runs only; all zero for a
     /// single-segment engine). `links` is the *physical* link count of the
     /// original partition cut — a failed-over run keeps reporting the dead

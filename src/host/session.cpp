@@ -155,8 +155,7 @@ std::string DfeSession::report() const {
   const State& s = *state_;
   std::ostringstream os;
   os << summarize(s.pipeline) << "\n";
-  os << "backend: " << s.session->backend().name() << " (tier "
-     << to_string(s.session->backend().tier()) << ")\n";
+  os << "backend: " << s.session->backend().name() << "\n";
   os << "placement: " << s.estimate.num_dfes << " DFE(s) on "
      << s.config.board.name << "\n";
   Table t({"DFE", "kernels", "utilization"});

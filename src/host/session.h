@@ -11,7 +11,8 @@
 //                                                       // power, energy
 //
 // Inference runs on a registered Backend (backend/backend.h) — by default
-// the threaded streaming engine (bit-exact functional model); placement,
+// the threaded streaming engine (bit-exact functional model), or a
+// partitioned "linked" backend once one is registered; placement,
 // timing, power and energy come from the partitioner, cycle simulator and
 // calibrated hardware models. DfeSession is a thin wrapper over one
 // BackendSession plus the host-side deployment analyses (verification,
@@ -22,7 +23,7 @@
 // same session are NOT allowed. Distinct sessions are fully independent:
 // compile() copies the spec and takes its own NetworkParams, and neither
 // retains mutable state shared with other sessions, so a replica pool
-// (serve/server.h) may compile N sessions from one NetworkSpec/
+// (serve/server.h) may compile N identical sessions from one NetworkSpec/
 // NetworkParams pair and run them concurrently.
 #pragma once
 
@@ -43,7 +44,8 @@ struct SessionConfig {
   PartitionConfig partition{};
   DfeBoard board = max4_maia();
   EngineOptions engine{};
-  /// Registered backend that executes inference (backend/backend.h).
+  /// Registered backend that executes inference (backend/backend.h). A
+  /// DfeServer compiles every one of its replicas with this backend.
   std::string backend = "engine";
   /// Skip the cycle simulation at compile time (use the analytic clock
   /// model); useful when constructing many sessions in sweeps.

@@ -61,11 +61,9 @@ void ServerMetrics::init_replicas(int n) {
   }
 }
 
-void ServerMetrics::set_replica_backend(int replica, std::string backend,
-                                        std::string tier) {
-  ReplicaMetrics& r = *replicas_.at(static_cast<std::size_t>(replica));
-  r.backend = std::move(backend);
-  r.tier = std::move(tier);
+void ServerMetrics::set_replica_backend(int replica, std::string backend) {
+  replicas_.at(static_cast<std::size_t>(replica))->backend =
+      std::move(backend);
 }
 
 void ServerMetrics::set_replica_plan(int replica, std::string plan) {
@@ -197,7 +195,6 @@ MetricsSnapshot ServerMetrics::snapshot() const {
     rs.probes = r->probes.load(std::memory_order_relaxed);
     rs.restarts = r->restarts.load(std::memory_order_relaxed);
     rs.backend = r->backend;
-    rs.tier = r->tier;
     rs.plan = r->plan;
     s.replicas.push_back(rs);
   }
@@ -260,7 +257,7 @@ std::string ServerMetrics::report() const {
     const ReplicaStatus& r = s.replicas[i];
     os << "  replica " << i;
     if (!r.backend.empty()) {
-      os << " [" << r.backend << "/" << r.tier << "]";
+      os << " [" << r.backend << "]";
     }
     if (!r.plan.empty()) {
       os << " plan=" << r.plan;

@@ -38,7 +38,7 @@ inline constexpr const char* kReplicaRestarted = "replica-restarted";
 /// Event-log tag of a cold start that loaded a persisted CompiledPlan from
 /// the plan cache (plan/cache.h) instead of re-deriving the default.
 inline constexpr const char* kPlanCacheHit = "plan-cache-hit";
-/// Event-log tag of a primary replica quarantined because shadow
+/// Event-log tag of a replica quarantined because shadow
 /// comparison pinned repeated bit-exactness mismatches on it
 /// (ServerConfig::shadow_mismatch_after).
 inline constexpr const char* kShadowQuarantine = "shadow-quarantine";
@@ -58,7 +58,6 @@ struct ReplicaStatus {
   std::uint64_t probes = 0;    // probe runs while quarantined/probation
   std::uint64_t restarts = 0;  // backend recompiles after failed probes
   std::string backend;         // registered backend that compiled it
-  std::string tier;            // replica tier ("fast" / "shadow" / "slow")
   std::string plan;            // fingerprint of the CompiledPlan it runs
                                // ("" = default, engine-derived)
 };
@@ -264,8 +263,7 @@ class ServerMetrics {
   void init_replicas(int n);
   /// Tag a replica with the backend that compiled it. Call before the
   /// workers start (the strings are read without synchronization after).
-  void set_replica_backend(int replica, std::string backend,
-                           std::string tier);
+  void set_replica_backend(int replica, std::string backend);
   /// Record the CompiledPlan fingerprint a replica runs. Call before the
   /// workers start (same publication rule as set_replica_backend).
   void set_replica_plan(int replica, std::string plan);
@@ -324,7 +322,6 @@ class ServerMetrics {
     std::atomic<std::uint64_t> probes{0};
     std::atomic<std::uint64_t> restarts{0};
     std::string backend;  // written before workers start, then read-only
-    std::string tier;
     std::string plan;  // CompiledPlan fingerprint ("" = default)
   };
 

@@ -6,10 +6,12 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "nn/reference.h"
 #include "plan/cache.h"
 #include "verify/graph_check.h"
 #include "verify/plan_check.h"
@@ -48,22 +50,15 @@ const char* to_string(ServerStatus status) {
   return "unknown";
 }
 
-const char* to_string(DeadlineClass cls) {
-  switch (cls) {
-    case DeadlineClass::kTight:
-      return "tight";
-    case DeadlineClass::kStandard:
-      return "standard";
-    case DeadlineClass::kBestEffort:
-      return "best-effort";
-  }
-  return "unknown";
-}
-
 std::int64_t retry_backoff_delay_us(const ServerConfig& config, int attempt,
                                     Rng& rng) {
-  const int shift = attempt > 1 ? attempt - 1 : 0;
-  const std::int64_t base = config.retry_backoff_us << shift;
+  // Saturate instead of shifting past the ceiling: an unbounded
+  // max_retries must never overflow the shift or the clock.
+  const int shift = std::clamp(attempt - 1, 0, 62);
+  const std::int64_t base =
+      config.retry_backoff_us > (kMaxRetryBackoffUs >> shift)
+          ? kMaxRetryBackoffUs
+          : config.retry_backoff_us << shift;
   if (!config.retry_jitter || base <= 0) return base;
   // Uniform in [base/2, 3*base/2]: full-width jitter around the
   // exponential schedule, so a batch failed together retries spread out.
@@ -81,16 +76,15 @@ struct DfeServer::Impl {
     /// Retry backoff gate: not dispatched before this (epoch = no gate).
     Clock::time_point not_before{};
     bool has_deadline = false;
-    DeadlineClass cls = DeadlineClass::kBestEffort;
     int attempt = 0;           // retries consumed so far
     int exclude_replica = -1;  // replica that failed this request last
     double queue_wait_us = 0.0;
     double batch_form_us = 0.0;
   };
 
-  /// One mirrored request for a shadow-tier replica: the image plus the
-  /// primary's logits to compare against. Internal only — shadow results
-  /// are never returned to a client.
+  /// One mirrored request for the shadow thread: the image plus the
+  /// serving replica's logits to compare against. Internal only — shadow
+  /// results are never returned to a client.
   struct ShadowJob {
     IntTensor image;
     IntTensor primary;
@@ -105,22 +99,20 @@ struct DfeServer::Impl {
     Replica(DfeSession s, SessionConfig cfg)
         : session(std::move(s)),
           session_config(std::move(cfg)),
-          backend_name(session.backend().name()),
-          tier(session.backend().tier()) {}
+          backend_name(session.backend().name()) {}
     DfeSession session;
     /// The exact config this replica was compiled with — a restart
     /// recompiles through the same backend with the same options.
     SessionConfig session_config;
     std::string backend_name;
-    BackendTier tier;
 
     // Guarded by Impl::mu.
     ReplicaHealth health = ReplicaHealth::kHealthy;
     int consecutive_failures = 0;
     int clean_probes = 0;
     int failed_probes = 0;  // consecutive; restart_after triggers on it
-    /// Shadow-comparison mismatches pinned on this replica as primary;
-    /// reset on readmission (ServerConfig::shadow_mismatch_after).
+    /// Shadow-comparison mismatches pinned on this replica; reset on
+    /// readmission (ServerConfig::shadow_mismatch_after).
     int shadow_mismatches = 0;
     Clock::time_point next_probe{};
 
@@ -136,11 +128,14 @@ struct DfeServer::Impl {
   Shape input_shape{};
   ServerMetrics metrics;
   const Clock::time_point epoch = Clock::now();
-  /// Kept for restarts: a recompile needs the network, not just the old
-  /// session.
+  /// Kept for restarts (a recompile needs the network, not just the old
+  /// session) and for the shadow reference, which reads them in place.
   NetworkSpec spec;
+  Pipeline pipeline;
   NetworkParams params;
-  bool have_shadow = false;  // any shadow-tier replica in the pool
+  /// The golden model shadow jobs are checked against; set iff
+  /// shadow_fraction > 0.
+  std::optional<ReferenceExecutor> shadow_ref;
 
   std::mutex mu;
   std::condition_variable cv;        // work arrival / queue changes
@@ -152,7 +147,9 @@ struct DfeServer::Impl {
   Rng retry_rng{1};                    // retry jitter; guarded by mu
   bool accepting = true;
   bool stopping = false;
-  bool watchdog_stop = false;
+  /// Set once every worker has joined: the watchdog retires and the
+  /// shadow thread exits after draining its queue.
+  bool workers_done = false;
   bool brownout_active = false;
   int quarantined_count = 0;   // replicas out of rotation (incl. probation)
   int global_fail_streak = 0;  // consecutive failed runs across replicas
@@ -161,6 +158,7 @@ struct DfeServer::Impl {
   bool joined = false;
   std::vector<std::thread> workers;
   std::thread watchdog_thread;
+  std::thread shadow_thread;
 
   [[nodiscard]] std::int64_t to_ns(Clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch)
@@ -234,10 +232,10 @@ struct DfeServer::Impl {
 
   void watchdog_loop() {
     std::unique_lock<std::mutex> lock(mu);
-    while (!watchdog_stop) {
+    while (!workers_done) {
       maint_cv.wait_for(
           lock, std::chrono::microseconds(config.watchdog_period_us));
-      if (watchdog_stop) break;
+      if (workers_done) break;
       const std::int64_t now = now_ns();
       for (std::size_t i = 0; i < replicas.size(); ++i) {
         Replica& rep = *replicas[i];
@@ -287,35 +285,19 @@ struct DfeServer::Impl {
     req.promise.set_value(std::move(res));
   }
 
-  /// "replica 2 [engine/fast]" — event-log label with backend identity.
+  /// "replica 2 [engine]" — event-log label with backend identity.
   [[nodiscard]] std::string rep_label(int idx) const {
     const Replica& rep = *replicas[static_cast<std::size_t>(idx)];
-    return "replica " + std::to_string(idx) + " [" + rep.backend_name +
-           "/" + to_string(rep.tier) + "]";
+    return "replica " + std::to_string(idx) + " [" + rep.backend_name + "]";
   }
 
-  /// May `rep` take queue traffic of class `cls`? Shadow replicas never
-  /// do; with deadline routing, tight work is fast-tier-only and slow-tier
-  /// replicas take everything else. These gates are ABSOLUTE — they hold
-  /// during drain too, so a tight request can never land on a slow
-  /// replica (the constructor guarantees a fast traffic replica exists).
-  [[nodiscard]] bool may_serve(const Replica& rep, DeadlineClass cls) const {
-    if (rep.tier == BackendTier::kShadow) return false;
-    if (!config.route_by_deadline) return true;
-    if (rep.tier == BackendTier::kFast) return true;
-    return cls != DeadlineClass::kTight;  // kSlow: standard / best-effort
-  }
-
-  /// Any replica other than `idx` still in traffic rotation that may
-  /// serve `cls`? Gates retry exclusion: a request is only skipped by the
-  /// replica that failed it when some OTHER replica could take it. (mu
-  /// held.)
-  [[nodiscard]] bool other_live(int idx, DeadlineClass cls) const {
+  /// Any replica other than `idx` still in traffic rotation? Gates retry
+  /// exclusion: a request is only skipped by the replica that failed it
+  /// when some OTHER replica could take it. (mu held.)
+  [[nodiscard]] bool other_live(int idx) const {
     for (std::size_t j = 0; j < replicas.size(); ++j) {
       if (static_cast<int>(j) == idx) continue;
-      const Replica& rep = *replicas[j];
-      if (!may_serve(rep, cls)) continue;
-      const ReplicaHealth h = rep.health;
+      const ReplicaHealth h = replicas[j]->health;
       if (h == ReplicaHealth::kHealthy || h == ReplicaHealth::kDegraded) {
         return true;
       }
@@ -347,7 +329,6 @@ struct DfeServer::Impl {
   void take_ready(std::vector<Request>& batch, int replica_idx, int limit) {
     const Clock::time_point now = Clock::now();
     if (brownout_active) shed_expired(now);
-    const Replica& rep = *replicas[static_cast<std::size_t>(replica_idx)];
     const bool honor_gates = !stopping;
     for (auto it = queue.begin();
          it != queue.end() && static_cast<int>(batch.size()) < limit;) {
@@ -357,17 +338,12 @@ struct DfeServer::Impl {
         it = queue.erase(it);
         continue;
       }
-      // Class routing is absolute (never relaxed during drain).
-      if (!may_serve(rep, it->cls)) {
-        ++it;
-        continue;
-      }
       if (honor_gates && it->not_before > now) {
         ++it;
         continue;
       }
       if (honor_gates && it->exclude_replica == replica_idx &&
-          other_live(replica_idx, it->cls)) {
+          other_live(replica_idx)) {
         ++it;
         continue;
       }
@@ -386,16 +362,11 @@ struct DfeServer::Impl {
   /// exclusion-only gates, pass the baton so a worker that CAN take the
   /// work gets woken even if the original notify landed on us. (mu held
   /// via lock.)
-  void wait_for_gate(std::unique_lock<std::mutex>& lock, int replica_idx) {
-    const Replica& rep = *replicas[static_cast<std::size_t>(replica_idx)];
+  void wait_for_gate(std::unique_lock<std::mutex>& lock) {
     Clock::time_point earliest = Clock::time_point::max();
     bool excluded_only = false;
     const Clock::time_point now = Clock::now();
     for (const Request& r : queue) {
-      // Entries this replica may never serve (class routing) are some
-      // other worker's problem: submit wakes every worker, so whoever is
-      // entitled will pick them up — no baton needed, no timer.
-      if (!may_serve(rep, r.cls)) continue;
       if (r.not_before > now) {
         earliest = std::min(earliest, r.not_before);
       } else {
@@ -467,10 +438,10 @@ struct DfeServer::Impl {
   }
 
   /// A shadow comparison pinned a bit-exactness mismatch on `primary`.
-  /// After shadow_mismatch_after of those, the primary is pulled from
+  /// After shadow_mismatch_after of those, the replica is pulled from
   /// rotation through the same quarantine/probe/readmit path a failure
   /// streak uses — a replica that computes WRONG answers is worse than one
-  /// that crashes, but only the shadow tier can see it.
+  /// that crashes, but only the reference comparison can see it.
   void escalate_shadow_mismatch(int primary) {
     if (config.shadow_mismatch_after <= 0) return;
     if (primary < 0 ||
@@ -681,9 +652,9 @@ struct DfeServer::Impl {
           fulfill(req, ServerStatus::kDeadlineExceeded, done, {}, idx);
           continue;
         }
-        // Mirror a fraction of served traffic to the shadow tier. The
-        // image is dead after this loop, so a mirrored job can steal it.
-        if (have_shadow && config.shadow_fraction > 0.0) {
+        // Mirror a fraction of served traffic to the reference. The image
+        // is dead after this loop, so a mirrored job can steal it.
+        if (shadow_ref) {
           maybe_mirror(images[i], outputs[i], idx);
         }
         InferenceResult res;
@@ -726,7 +697,7 @@ struct DfeServer::Impl {
 
   /// Fractional mirroring: every served request adds shadow_fraction to
   /// an accumulator; each time it crosses 1 one job is queued for the
-  /// shadow tier (so fraction 0.25 mirrors exactly every 4th request).
+  /// shadow thread (so fraction 0.25 mirrors exactly every 4th request).
   /// The image is MOVED into the job; the primary logits are copied.
   void maybe_mirror(IntTensor& image, const IntTensor& primary, int idx) {
     {
@@ -743,51 +714,37 @@ struct DfeServer::Impl {
     shadow_cv.notify_one();
   }
 
-  /// Worker loop of a shadow-tier replica: it never touches the admission
-  /// queue. It re-runs mirrored requests on its own session and compares
-  /// the result bit-exactly against the primary's logits — a cheap
-  /// continuous conformance check of the fast tier against the simulator
-  /// backend's reference path. Results are never returned to clients;
-  /// mismatches and failures are counted and logged, and repeated
-  /// mismatches pinned on one primary quarantine it
-  /// (ServerConfig::shadow_mismatch_after).
-  void shadow_worker(int idx) {
-    Replica& rep = *replicas[static_cast<std::size_t>(idx)];
+  /// The shadow thread: it never touches the admission queue. It re-runs
+  /// mirrored requests on the golden model and compares the result
+  /// bit-exactly against the serving replica's logits — a continuous
+  /// conformance check of the live replicas. Results are never returned
+  /// to clients; mismatches and failures are counted and logged, and
+  /// repeated mismatches pinned on one replica quarantine it
+  /// (ServerConfig::shadow_mismatch_after). Exits once the workers have
+  /// joined and the queue is drained.
+  void shadow_loop() {
     for (;;) {
       ShadowJob job;
       {
         std::unique_lock<std::mutex> lock(mu);
         shadow_cv.wait(lock, [&] {
-          return stopping || !shadow_queue.empty();
+          return workers_done || !shadow_queue.empty();
         });
-        if (shadow_queue.empty()) {
-          if (stopping) return;
-          continue;
-        }
+        if (shadow_queue.empty()) return;
         job = std::move(shadow_queue.front());
         shadow_queue.pop_front();
       }
-      // Probe-style watchdog arming: a wedged shadow run is cancelled on
-      // the run budget, so it can never hold up stop().
-      arm_watchdog_probe(rep);
       try {
-        std::vector<IntTensor> in;
-        in.push_back(std::move(job.image));
-        const std::vector<IntTensor> out = rep.session.infer_batch(in);
-        disarm_watchdog(rep);
-        const bool match = out.size() == 1 && out[0] == job.primary;
+        const bool match = shadow_ref->run(job.image) == job.primary;
         metrics.on_shadow(match);
         if (!match) {
-          metrics.log_event(rep_label(idx) +
-                            " shadow MISMATCH vs replica " +
-                            std::to_string(job.primary_replica));
+          metrics.log_event("shadow MISMATCH vs " +
+                            rep_label(job.primary_replica));
           escalate_shadow_mismatch(job.primary_replica);
         }
       } catch (const std::exception& e) {
-        disarm_watchdog(rep);
         metrics.on_shadow(false);
-        metrics.log_event(rep_label(idx) +
-                          " shadow run failed: " + std::string(e.what()));
+        metrics.log_event("shadow run failed: " + std::string(e.what()));
       }
     }
   }
@@ -847,17 +804,10 @@ struct DfeServer::Impl {
           const int limit = effective_max_batch();
           take_ready(batch, idx, limit);
           if (batch.empty()) {
-            if (stopping) {
-              // Drain: the rest of the queue is class-gated away from us
-              // (tight work on a slow replica stays gated even now). Poll
-              // until the entitled workers empty it — queue erasure has
-              // no dedicated notify.
-              cv.wait_for(lock, std::chrono::microseconds(200));
-            } else {
-              // Everything queued is backoff-gated, excluded from us, or
-              // class-routed to another tier.
-              wait_for_gate(lock, idx);
-            }
+            // Draining takes every live entry, so an empty batch while
+            // stopping means the queue is empty. Otherwise everything
+            // queued is backoff-gated or excluded from us.
+            if (!stopping) wait_for_gate(lock);
             continue;
           }
           const std::int64_t timeout_us = effective_batch_timeout_us();
@@ -910,8 +860,6 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
             "brownout_fail_streak must be positive");
   QNN_CHECK(server_config.restart_after >= 0,
             "restart_after must be non-negative");
-  QNN_CHECK(server_config.tight_deadline_us >= 0,
-            "tight_deadline_us must be non-negative");
   QNN_CHECK(server_config.shadow_fraction >= 0.0 &&
                 server_config.shadow_fraction <= 1.0,
             "shadow_fraction must be in [0, 1]");
@@ -920,21 +868,10 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
   QNN_CHECK(server_config.shadow_mismatch_after >= 0,
             "shadow_mismatch_after must be non-negative");
 
-  // Resolve the pool spec: every slice names a registered backend. The
-  // legacy homogeneous shape (`replicas` copies of the session backend)
-  // is just the one-entry special case.
-  std::vector<ServerConfig::PoolEntry> pool = server_config.pool;
-  if (pool.empty()) {
-    pool.push_back(ServerConfig::PoolEntry{session_config.backend,
-                                           server_config.replicas});
-  }
-  int total = 0;
-  for (const ServerConfig::PoolEntry& e : pool) {
-    QNN_CHECK(e.count >= 1, "pool entry count must be positive");
-    (void)backend_registry().at(e.backend);  // throws on unknown names
-    total += e.count;
-  }
-  server_config.replicas = total;
+  // Fail fast on an unknown name, before any plan or compile work; the
+  // error lists the registered names.
+  (void)backend_registry().at(session_config.backend);
+  const int total = server_config.replicas;
   impl_->config = server_config;
   impl_->retry_rng = Rng(server_config.retry_jitter_seed);
 
@@ -982,7 +919,11 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
             "DfeServer(" + pipeline.name + ")");
   }
   impl_->spec = spec;
+  impl_->pipeline = pipeline;
   impl_->params = params;
+  if (server_config.shadow_fraction > 0.0) {
+    impl_->shadow_ref.emplace(impl_->pipeline, impl_->params);
+  }
   impl_->replicas.reserve(static_cast<std::size_t>(total));
   // Replica pools share one pinning map: each replica's engine gets a core
   // window staggered by its worker count, so with pin_threads set four
@@ -992,31 +933,17 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
       session_config.engine.pool_threads != 0
           ? session_config.engine.pool_threads
           : std::max(1u, hw / static_cast<unsigned>(std::max(1, total)));
-  int fast_traffic = 0;
-  int traffic = 0;
-  for (const ServerConfig::PoolEntry& e : pool) {
-    for (int k = 0; k < e.count; ++k) {
-      const int i = static_cast<int>(impl_->replicas.size());
-      // Each replica gets its own copy of the parameters: sessions share
-      // no mutable state, so the workers may run them concurrently. The
-      // fault identity lets one FaultPlan target individual replicas.
-      SessionConfig replica_config = session_config;
-      replica_config.backend = e.backend;
-      replica_config.engine.fault_replica = i;
-      replica_config.engine.pin_offset =
-          session_config.engine.pin_offset +
-          static_cast<unsigned>(i) * pin_stride;
-      impl_->replicas.push_back(std::make_unique<Impl::Replica>(
-          DfeSession::compile(spec, params, replica_config),
-          replica_config));
-      const Impl::Replica& rep = *impl_->replicas.back();
-      if (rep.tier != BackendTier::kShadow) {
-        ++traffic;
-        if (rep.tier == BackendTier::kFast) ++fast_traffic;
-      } else {
-        impl_->have_shadow = true;
-      }
-    }
+  for (int i = 0; i < total; ++i) {
+    // Each replica gets its own copy of the parameters: sessions share no
+    // mutable state, so the workers may run them concurrently. The fault
+    // identity lets one FaultPlan target individual replicas.
+    SessionConfig replica_config = session_config;
+    replica_config.engine.fault_replica = i;
+    replica_config.engine.pin_offset =
+        session_config.engine.pin_offset +
+        static_cast<unsigned>(i) * pin_stride;
+    impl_->replicas.push_back(std::make_unique<Impl::Replica>(
+        DfeSession::compile(spec, params, replica_config), replica_config));
   }
   if (session_config.engine.pin_threads) {
     // Lint the pool's core tiling (verify/plan_check.h): a stagger bug, an
@@ -1037,19 +964,11 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
       if (d.severity != Severity::kInfo) impl_->metrics.log_event(d.str());
     }
   }
-  QNN_CHECK(traffic >= 1,
-            "replica pool needs at least one non-shadow replica");
-  QNN_CHECK(!server_config.route_by_deadline || fast_traffic >= 1,
-            "deadline routing needs at least one fast-tier replica "
-            "(tight requests can only dispatch there)");
-  QNN_CHECK(server_config.shadow_fraction == 0.0 || impl_->have_shadow,
-            "shadow_fraction > 0 needs a shadow-tier replica in the pool");
   impl_->input_shape = impl_->replicas.front()->session.pipeline().input;
   impl_->metrics.init_replicas(total);
   for (int i = 0; i < total; ++i) {
     const Impl::Replica& rep = *impl_->replicas[static_cast<std::size_t>(i)];
-    impl_->metrics.set_replica_backend(i, rep.backend_name,
-                                       to_string(rep.tier));
+    impl_->metrics.set_replica_backend(i, rep.backend_name);
     if (rep.session_config.plan != nullptr) {
       impl_->metrics.set_replica_plan(
           i, rep.session_config.plan->fingerprint());
@@ -1059,10 +978,10 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
   impl_->watchdog_thread = std::thread([im] { im->watchdog_loop(); });
   impl_->workers.reserve(impl_->replicas.size());
   for (int i = 0; i < total; ++i) {
-    const bool shadow = impl_->replicas[static_cast<std::size_t>(i)]->tier ==
-                        BackendTier::kShadow;
-    impl_->workers.emplace_back(
-        [im, i, shadow] { shadow ? im->shadow_worker(i) : im->worker(i); });
+    impl_->workers.emplace_back([im, i] { im->worker(i); });
+  }
+  if (impl_->shadow_ref) {
+    impl_->shadow_thread = std::thread([im] { im->shadow_loop(); });
   }
 }
 
@@ -1083,10 +1002,6 @@ std::future<InferenceResult> DfeServer::submit_async(
   req.has_deadline = dl > 0;
   if (req.has_deadline) {
     req.deadline = req.enqueue + std::chrono::microseconds(dl);
-    req.cls = dl <= im.config.tight_deadline_us ? DeadlineClass::kTight
-                                                : DeadlineClass::kStandard;
-  } else {
-    req.cls = DeadlineClass::kBestEffort;
   }
   im.metrics.on_submit();
   {
@@ -1104,9 +1019,8 @@ std::future<InferenceResult> DfeServer::submit_async(
     im.queue.push_back(std::move(req));
     im.metrics.set_queue_depth(im.queue.size());
   }
-  // Wake every worker, not one: with class routing, notify_one could land
-  // on a worker the entry is gated away from (a lost wakeup). Non-entitled
-  // workers recheck and go straight back to sleep.
+  // Wake every worker: idle ones race for the entry, and one holding a
+  // partial micro-batch open may add it.
   im.cv.notify_all();
   return fut;
 }
@@ -1127,17 +1041,19 @@ void DfeServer::stop() {
   }
   im.cv.notify_all();
   im.maint_cv.notify_all();
-  im.shadow_cv.notify_all();
   // Workers drain first (the watchdog must stay alive to cancel hung
-  // drain runs), then the watchdog is retired.
+  // drain runs, and drained requests may still be mirrored), then the
+  // watchdog retires and the shadow thread finishes the mirror queue.
   for (std::thread& t : im.workers) t.join();
   im.workers.clear();
   {
     const std::lock_guard<std::mutex> lock(im.mu);
-    im.watchdog_stop = true;
+    im.workers_done = true;
   }
   im.maint_cv.notify_all();
+  im.shadow_cv.notify_all();
   if (im.watchdog_thread.joinable()) im.watchdog_thread.join();
+  if (im.shadow_thread.joinable()) im.shadow_thread.join();
   im.joined = true;
 }
 

@@ -17,16 +17,13 @@
 //    one infer_batch() call; a batch closes at `max_batch` requests or
 //    `batch_timeout_us` after it opened, whichever comes first, so the
 //    pipeline stays full under load and latency stays bounded when idle.
-//  * Replica pool: N independently compiled DfeSessions (a farm of DFE
-//    boards), one worker thread per replica. The pool may be
-//    HETEROGENEOUS (ServerConfig::pool): each replica is compiled by a
-//    registered backend (backend/backend.h) and tagged with that
-//    backend's tier. Admission is routed by deadline class — a TIGHT
-//    request (deadline <= tight_deadline_us) only ever runs on a
-//    fast-tier replica, best-effort / standard work may overflow onto
-//    slow-tier replicas, and shadow-tier replicas never take queue
-//    traffic at all: a configurable fraction of completed requests is
-//    mirrored to them and the results compared (never returned).
+//  * Replica pool: `replicas` independently compiled DfeSessions of one
+//    backend (SessionConfig::backend) — a farm of identical DFE boards,
+//    one worker thread per replica.
+//  * Shadow mirroring: a configurable fraction of completed requests is
+//    re-run on the golden model (ReferenceExecutor) by one background
+//    thread and compared bit-exactly; mirrored results are counted, never
+//    returned.
 //  * Metrics: lock-cheap counters/histograms (serve/metrics.h) exposed
 //    via metrics() / metrics_report().
 //
@@ -81,18 +78,9 @@ enum class ServerStatus {
 
 [[nodiscard]] const char* to_string(ServerStatus status);
 
-/// Admission class of a request, derived from its deadline at submit time.
-enum class DeadlineClass {
-  kTight,       // deadline <= ServerConfig::tight_deadline_us
-  kStandard,    // any longer deadline
-  kBestEffort,  // no deadline
-};
-
-[[nodiscard]] const char* to_string(DeadlineClass cls);
-
 struct ServerConfig {
-  /// Number of DfeSession replicas (modeled DFE boards); one worker each.
-  /// Ignored when `pool` is non-empty.
+  /// Number of DfeSession replicas (modeled DFE boards), each compiled by
+  /// SessionConfig::backend; one worker each.
   int replicas = 1;
   /// Admission queue bound; submissions beyond it are rejected.
   std::size_t queue_capacity = 256;
@@ -115,7 +103,9 @@ struct ServerConfig {
   /// Times a failed (non-expired) request is requeued before kError.
   int max_retries = 2;
   /// Base backoff before a retried request may dispatch again; doubles
-  /// per attempt (attempt k waits retry_backoff_us << (k-1)).
+  /// per attempt (attempt k waits retry_backoff_us << (k-1)), saturating
+  /// at kMaxRetryBackoffUs (one hour) so no attempt count overflows the
+  /// clock.
   std::int64_t retry_backoff_us = 200;
   /// Jitter each retry delay uniformly within +-50% of its exponential
   /// base, drawn from a generator seeded with retry_jitter_seed — a burst
@@ -142,39 +132,30 @@ struct ServerConfig {
   /// re-enters the probe loop. 0 = never restart.
   int restart_after = 0;
 
-  // ---- mixed pool / deadline routing -------------------------------------
-  /// One slice of a heterogeneous replica pool.
-  struct PoolEntry {
-    std::string backend;  // registered backend name (backend/backend.h)
-    int count = 1;        // replicas compiled by it
-  };
-  /// Heterogeneous pool spec. Empty = `replicas` copies of
-  /// SessionConfig::backend (the homogeneous legacy shape).
-  std::vector<PoolEntry> pool;
-  /// Route admissions by deadline class: tight requests only ever dispatch
-  /// to fast-tier replicas; standard / best-effort may land on slow-tier
-  /// ones. false = naive routing — any traffic replica takes anything
-  /// (shadow replicas still never take queue traffic).
-  bool route_by_deadline = true;
-  /// A request whose deadline is at most this is "tight" (kTight).
-  std::int64_t tight_deadline_us = 20'000;
-  /// Fraction of successfully served requests mirrored to a shadow-tier
-  /// replica for comparison (0 = no shadowing). Mirrored results are
-  /// compared bit-exactly and counted (ServerMetrics), never returned.
+  // ---- shadow mirroring ---------------------------------------------------
+  /// Fraction of successfully served requests mirrored to the golden
+  /// model (ReferenceExecutor) for comparison (0 = no shadowing; > 0 starts
+  /// one shadow thread). Mirrored results are compared bit-exactly and
+  /// counted (ServerMetrics), never returned.
   double shadow_fraction = 0.0;
   /// Bound on queued shadow jobs; overflow is dropped (and counted).
   std::size_t shadow_queue_capacity = 64;
-  /// Quarantine a primary replica after this many bit-exactness
-  /// mismatches are pinned on it by shadow comparison (it then heals
-  /// through the normal probe/readmit path, which also resets the count).
-  /// 0 = count mismatches but never escalate.
+  /// Quarantine a replica after this many bit-exactness mismatches are
+  /// pinned on it by shadow comparison (it then heals through the normal
+  /// probe/readmit path, which also resets the count). 0 = count
+  /// mismatches but never escalate.
   int shadow_mismatch_after = 0;
 };
 
+/// Ceiling of the exponential retry backoff base (one hour): far inside
+/// Clock::time_point's range even after +50% jitter.
+inline constexpr std::int64_t kMaxRetryBackoffUs = 3'600'000'000;
+
 /// Backoff gate before retry `attempt` (1-based) may re-dispatch:
-/// exponential base retry_backoff_us << (attempt-1), jittered uniformly in
-/// [base/2, 3*base/2] from `rng` when config.retry_jitter is set. Exposed
-/// as a free function so tests can assert the spread deterministically.
+/// exponential base retry_backoff_us << (attempt-1), saturated at
+/// kMaxRetryBackoffUs, jittered uniformly in [base/2, 3*base/2] from `rng`
+/// when config.retry_jitter is set. Exposed as a free function so tests
+/// can assert the spread deterministically.
 [[nodiscard]] std::int64_t retry_backoff_delay_us(const ServerConfig& config,
                                                   int attempt, Rng& rng);
 
@@ -193,11 +174,10 @@ struct InferenceResult {
 
 class DfeServer {
  public:
-  /// Compiles the replica pool from one network (each replica gets its own
-  /// copy of the parameters, compiled by its pool entry's backend) and
-  /// starts the workers. Requires at least one non-shadow replica; with
-  /// route_by_deadline also at least one fast-tier one (otherwise tight
-  /// requests could never dispatch).
+  /// Compiles `replicas` copies of the network through
+  /// SessionConfig::backend (each replica gets its own copy of the
+  /// parameters) and starts the workers. Throws Error on an invalid config
+  /// or an unregistered backend name.
   DfeServer(const NetworkSpec& spec, const NetworkParams& params,
             ServerConfig server_config = {},
             SessionConfig session_config = {});

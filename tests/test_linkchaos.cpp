@@ -422,10 +422,10 @@ TEST(LinkChaos, ServerServesThroughLinkDeathWithZeroLostRequests) {
 
   SessionConfig sc;
   sc.fast_estimate = true;
+  sc.backend = "linked-4dfe";
   sc.engine.faults.add(FaultPlan::link_death(
       /*link=*/1, /*run=*/1, /*after_frames=*/4));
   ServerConfig cfg;
-  cfg.pool = {{"linked-4dfe", 1}};
   cfg.max_batch = 4;
   cfg.batch_timeout_us = 500;
   cfg.max_retries = 3;

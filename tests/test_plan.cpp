@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/backend.h"
 #include "host/session.h"
 #include "models/zoo.h"
 #include "nn/params.h"
@@ -21,7 +20,6 @@
 #include "plan/autotune.h"
 #include "plan/cache.h"
 #include "plan/json.h"
-#include "plan/pool_shape.h"
 #include "serve/server.h"
 #include "test_util.h"
 #include "verify/graph_check.h"
@@ -505,35 +503,6 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
     ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
     EXPECT_EQ(res.logits, ref.run(image));
   }
-}
-
-// ---- pool shaping ---------------------------------------------------------
-
-TEST(PoolShape, DerivesFastSlicesAndOneShadow) {
-  PoolShapeConfig config;
-  config.target_qps = 1000.0;
-  config.tight_fraction = 0.5;
-  config.replica_qps = 400.0;
-  config.want_shadow = true;
-  const std::vector<PoolSlice> pool =
-      shape_pool(config, backend_registry());
-  ASSERT_FALSE(pool.empty());
-  EXPECT_EQ(backend_registry().at(pool.front().backend).tier(),
-            BackendTier::kFast);
-  int shadows = 0;
-  int total = 0;
-  for (const PoolSlice& slice : pool) {
-    EXPECT_GE(slice.count, 1) << slice.backend;
-    total += slice.count;
-    shadows += backend_registry().at(slice.backend).tier() ==
-               BackendTier::kShadow;
-  }
-  EXPECT_EQ(shadows, 1);
-  EXPECT_LE(total, config.max_replicas + 1);  // +1 for the shadow replica
-
-  PoolShapeConfig infeasible = config;
-  infeasible.replica_qps = 0.0;
-  EXPECT_THROW((void)shape_pool(infeasible, backend_registry()), Error);
 }
 
 }  // namespace

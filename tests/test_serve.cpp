@@ -340,84 +340,45 @@ TEST(Serve, ServerValidatesConfigAndInput) {
   EXPECT_THROW((void)server.submit(IntTensor(Shape{3, 3, 3})), Error);
 }
 
-// ---- mixed pools, deadline routing, shadow serving, restart ------------
-
-TEST(Serve, TightDeadlinesNeverLandOnSlowTier) {
+TEST(Serve, MixedPoolConfigValidation) {
+  // Every replica is built by SessionConfig::backend; the shadow is the
+  // golden model, not a pool member.
   const TinyNet net;
-  ServerConfig cfg;
-  cfg.pool = {{"engine", 2}, {"reference", 1}};
-  cfg.max_batch = 4;
-  cfg.batch_timeout_us = 200;
-  cfg.tight_deadline_us = 5'000'000;
-  DfeServer server = net.server(cfg);
-  ASSERT_EQ(server.replicas(), 3);
-  ASSERT_EQ(server.replica(2).backend().tier(), BackendTier::kSlow);
-  Rng rng(71);
-  std::vector<std::future<InferenceResult>> tight;
-  for (int i = 0; i < 24; ++i) {
-    tight.push_back(server.submit_async(testutil::random_image(12, 12, 3, rng),
-                                        /*deadline_us=*/1'000'000));
+  // An unknown backend names the registered ones and the near miss.
+  SessionConfig typo = net.session_config;
+  typo.backend = "engin";
+  try {
+    DfeServer server(net.spec, net.params, ServerConfig{}, typo);
+    FAIL() << "an unregistered backend must be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("registered: "), std::string::npos) << what;
+    EXPECT_NE(what.find("did you mean \"engine\"?"), std::string::npos)
+        << what;
   }
-  for (std::future<InferenceResult>& fut : tight) {
-    const InferenceResult res = fut.get();
-    ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
-    ASSERT_GE(res.replica, 0);
-    EXPECT_EQ(server.replica(res.replica).backend().tier(),
-              BackendTier::kFast)
-        << "tight request served by slow replica " << res.replica;
+  for (const double fraction : {-0.1, 1.5}) {
+    ServerConfig shadow;
+    shadow.shadow_fraction = fraction;
+    EXPECT_THROW((void)net.server(shadow), Error) << fraction;
   }
-  // Best-effort traffic may land anywhere, including the slow tier.
-  std::vector<std::future<InferenceResult>> loose;
-  for (int i = 0; i < 12; ++i) {
-    loose.push_back(server.submit_async(
-        testutil::random_image(12, 12, 3, rng), /*deadline_us=*/0));
-  }
-  for (std::future<InferenceResult>& fut : loose) {
-    EXPECT_EQ(fut.get().status, ServerStatus::kOk);
-  }
-  // Satellite: the health table names each replica's backend and tier.
-  const std::string report = server.metrics_report();
-  EXPECT_NE(report.find("[engine/fast]"), std::string::npos);
-  EXPECT_NE(report.find("[reference/slow]"), std::string::npos);
+  ServerConfig mirrored;
+  mirrored.shadow_fraction = 0.5;  // needs no shadow replica
+  DfeServer ok = net.server(mirrored);
+  Rng rng(75);
+  EXPECT_EQ(ok.submit(testutil::random_image(12, 12, 3, rng)).status,
+            ServerStatus::kOk);
 }
 
-TEST(Serve, NaiveRoutingLetsAnyReplicaTakeTightWork) {
-  const TinyNet net;
-  ServerConfig cfg;
-  cfg.pool = {{"engine", 1}, {"reference", 1}};
-  cfg.route_by_deadline = false;
-  cfg.max_batch = 1;
-  cfg.batch_timeout_us = 0;
-  cfg.tight_deadline_us = 5'000'000;
-  DfeServer server = net.server(cfg);
-  Rng rng(72);
-  std::vector<std::future<InferenceResult>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(server.submit_async(
-        testutil::random_image(12, 12, 3, rng), /*deadline_us=*/2'000'000));
-  }
-  int on_slow = 0;
-  for (std::future<InferenceResult>& fut : futures) {
-    const InferenceResult res = fut.get();
-    ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
-    on_slow += server.replica(res.replica).backend().tier() ==
-               BackendTier::kSlow;
-  }
-  // The ablation baseline: without class routing an idle slow replica
-  // pulls tight work the moment the queue backs up.
-  EXPECT_GE(on_slow, 1);
-}
+// ---- reference shadow, restart ------------------------------------------
 
 TEST(Serve, ShadowMirrorsAreComparedNeverReturned) {
   const TinyNet net;
   ServerConfig cfg;
-  cfg.pool = {{"engine", 1}, {"simulator", 1}};
   cfg.shadow_fraction = 1.0;
   cfg.max_batch = 4;
   cfg.batch_timeout_us = 200;
   DfeServer server = net.server(cfg);
-  ASSERT_EQ(server.replicas(), 2);
-  ASSERT_EQ(server.replica(1).backend().tier(), BackendTier::kShadow);
+  ASSERT_EQ(server.replicas(), 1);  // the shadow takes no replica slot
   Rng rng(73);
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 10; ++i) {
@@ -427,21 +388,21 @@ TEST(Serve, ShadowMirrorsAreComparedNeverReturned) {
   for (std::future<InferenceResult>& fut : futures) {
     const InferenceResult res = fut.get();
     ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
-    EXPECT_NE(res.replica, 1) << "shadow replica returned to a client";
+    EXPECT_EQ(res.replica, 0);
   }
   server.stop();  // drains the shadow queue before joining
   const MetricsSnapshot s = server.metrics().snapshot();
   EXPECT_EQ(s.shadow_runs + s.shadow_dropped, 10u);
   EXPECT_GT(s.shadow_runs, 0u);
-  EXPECT_EQ(s.shadow_mismatches, 0u);  // engine and simulator are bit-exact
+  EXPECT_EQ(s.shadow_mismatches, 0u);  // the engine is bit-exact
   EXPECT_NE(server.metrics_report().find("shadow:"), std::string::npos);
 }
 
 TEST(Serve, RepeatedShadowMismatchesQuarantineThePrimary) {
-  // A primary that computes WRONG answers is invisible to the failure-streak
-  // path — only the shadow tier can see it. Replica 0 silently flips one
-  // output bit on every run; the clean shadow replica pins the mismatches on
-  // it, and after shadow_mismatch_after of them it is quarantined with a
+  // A replica that computes WRONG answers is invisible to the failure-streak
+  // path — only the reference shadow can see it. Replica 0 silently flips
+  // one output bit on every run; the shadow pins the mismatches on it, and
+  // after shadow_mismatch_after of them it is quarantined with a
   // kShadowQuarantine event.
   TinyNet net;
   FaultEvent flip = FaultPlan::bit_flip(
@@ -452,7 +413,6 @@ TEST(Serve, RepeatedShadowMismatchesQuarantineThePrimary) {
   net.session_config.engine.faults.add(flip);
 
   ServerConfig cfg;
-  cfg.pool = {{"engine", 1}, {"simulator", 1}};
   cfg.shadow_fraction = 1.0;
   cfg.shadow_mismatch_after = 3;
   cfg.max_batch = 1;
@@ -462,7 +422,7 @@ TEST(Serve, RepeatedShadowMismatchesQuarantineThePrimary) {
   for (int i = 0; i < 8; ++i) {
     // Synchronous submits: every mirrored request is enqueued before
     // stop() drains the shadow queue, and no client is left waiting on a
-    // quarantined primary.
+    // quarantined replica.
     (void)server.submit(testutil::random_image(12, 12, 3, rng));
   }
   server.stop();
@@ -488,7 +448,6 @@ TEST(Serve, ShadowMismatchEscalationIsOffByDefault) {
   net.session_config.engine.faults.add(flip);
 
   ServerConfig cfg;
-  cfg.pool = {{"engine", 1}, {"simulator", 1}};
   cfg.shadow_fraction = 1.0;
   cfg.max_batch = 1;
   cfg.batch_timeout_us = 0;
@@ -503,53 +462,7 @@ TEST(Serve, ShadowMismatchEscalationIsOffByDefault) {
   EXPECT_EQ(s.quarantines, 0u);
 }
 
-TEST(Serve, StopDrainsMixedPoolWithClassGates) {
-  const TinyNet net;
-  ServerConfig cfg;
-  cfg.pool = {{"engine", 1}, {"reference", 1}};
-  cfg.max_batch = 2;
-  cfg.batch_timeout_us = 0;
-  cfg.tight_deadline_us = 10'000'000;
-  DfeServer server = net.server(cfg);
-  Rng rng(74);
-  std::vector<std::future<InferenceResult>> futures;
-  for (int i = 0; i < 12; ++i) {
-    // Alternate tight and best-effort so the drain interleaves entries the
-    // slow replica may and may not take — the gate holds during shutdown,
-    // yet every future must still be fulfilled.
-    futures.push_back(server.submit_async(
-        testutil::random_image(12, 12, 3, rng),
-        i % 2 == 0 ? 5'000'000 : 0));
-  }
-  server.stop();
-  for (std::future<InferenceResult>& fut : futures) {
-    EXPECT_EQ(fut.get().status, ServerStatus::kOk);
-  }
-}
-
-TEST(Serve, MixedPoolConfigValidation) {
-  const TinyNet net;
-  ServerConfig unknown;
-  unknown.pool = {{"no-such-backend", 1}};
-  EXPECT_THROW((void)net.server(unknown), Error);
-  ServerConfig shadow_only;
-  shadow_only.pool = {{"simulator", 1}};
-  EXPECT_THROW((void)net.server(shadow_only), Error);
-  ServerConfig no_fast;
-  no_fast.pool = {{"reference", 1}};
-  EXPECT_THROW((void)net.server(no_fast), Error)
-      << "deadline routing without a fast tier strands tight requests";
-  no_fast.route_by_deadline = false;
-  DfeServer ok = net.server(no_fast);  // naive slow-only pool is legal
-  Rng rng(75);
-  EXPECT_EQ(ok.submit(testutil::random_image(12, 12, 3, rng)).status,
-            ServerStatus::kOk);
-  ServerConfig unmirrorable;
-  unmirrorable.shadow_fraction = 0.5;  // no shadow replica to mirror to
-  EXPECT_THROW((void)net.server(unmirrorable), Error);
-}
-
-// A fast-tier backend whose first kBrokenSessions compiled sessions fail
+// A backend whose first kBrokenSessions compiled sessions fail
 // every run — including quarantine probes — while later sessions execute
 // the scalar reference. Healing therefore *requires* the watchdog restart
 // path: probes alone can never readmit a wedged session.
@@ -596,9 +509,8 @@ class FlakySession final : public BackendSession {
 class FlakyBackend final : public Backend {
  public:
   [[nodiscard]] const BackendInfo& info() const override {
-    static const BackendInfo kInfo{"flaky", BackendTier::kFast,
-                                   "test-only: first sessions always fail",
-                                   1.0, 8};
+    static const BackendInfo kInfo{"flaky",
+                                   "test-only: first sessions always fail", 8};
     return kInfo;
   }
   [[nodiscard]] bool supports_op(const Node&) const override { return true; }
@@ -615,9 +527,9 @@ TEST(Serve, WatchdogRestartRecompilesWedgedReplica) {
   static const Backend& flaky =
       backend_registry().register_backend(std::make_unique<FlakyBackend>());
   (void)flaky;
-  const TinyNet net;
+  TinyNet net;
+  net.session_config.backend = "flaky";
   ServerConfig cfg;
-  cfg.pool = {{"flaky", 1}};
   cfg.max_batch = 2;
   cfg.batch_timeout_us = 0;
   cfg.max_retries = 4;
@@ -650,7 +562,7 @@ TEST(Serve, WatchdogRestartRecompilesWedgedReplica) {
     restart_logged |= e.find(kReplicaRestarted) != std::string::npos;
   }
   EXPECT_TRUE(restart_logged);
-  EXPECT_NE(server.metrics_report().find("[flaky/fast]"), std::string::npos);
+  EXPECT_NE(server.metrics_report().find("[flaky]"), std::string::npos);
   EXPECT_EQ(server.replica_health(0), ReplicaHealth::kHealthy);
 }
 
@@ -706,6 +618,33 @@ TEST(Serve, RetryBackoffJitterSpreadsUnderAFixedSeed) {
   cfg.retry_jitter = false;
   EXPECT_EQ(retry_backoff_delay_us(cfg, 1, rng), 400);
   EXPECT_EQ(retry_backoff_delay_us(cfg, 3, rng), 1600);
+
+  // max_retries has no upper bound, so every attempt count must give a
+  // usable gate: never negative, never past the clock's range, and (with
+  // jitter off) never shrinking as attempts grow. The default base used
+  // to overflow at attempt 56 and shift out of range at 65.
+  for (const bool jitter : {false, true}) {
+    ServerConfig deep;
+    deep.retry_jitter = jitter;
+    Rng deep_rng(deep.retry_jitter_seed);
+    std::int64_t previous = 0;
+    for (int attempt = 1; attempt <= 200; ++attempt) {
+      const std::int64_t d = retry_backoff_delay_us(deep, attempt, deep_rng);
+      ASSERT_GE(d, 0) << "attempt " << attempt;
+      const auto headroom =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::time_point::max() -
+              std::chrono::steady_clock::now());
+      ASSERT_LE(d, headroom.count()) << "attempt " << attempt;
+      if (!jitter) {
+        ASSERT_GE(d, previous) << "attempt " << attempt;
+        previous = d;
+      }
+    }
+    if (!jitter) {
+      EXPECT_EQ(previous, kMaxRetryBackoffUs);
+    }
+  }
 }
 
 TEST(Serve, EventTimelineRingKeepsTheNewestEvents) {

@@ -26,12 +26,8 @@
 #                                   # BENCH_kernels.json geomean and every
 #                                   # cell's packed+SIMD images/s >= 0.8x
 #                                   # its committed rate on the same
-#                                   # host), the
-#                                   # mixed-pool serving ablation (fail
-#                                   # unless deadline routing beats naive
-#                                   # routing >= 1.3x on tight goodput),
-#                                   # the autotuned-plan ablation (fail
-#                                   # if the tuned plan loses on any
+#                                   # host), the autotuned-plan ablation
+#                                   # (fail if the tuned plan loses on any
 #                                   # throughput metric, replaying
 #                                   # BENCH_autotune.json), and the
 #                                   # link-fault serving ablation (fail
@@ -176,11 +172,6 @@ for cell in fresh["cells"]:
                          "BENCH_kernels.json")
 print("perf gate: packed conv datapath holds its recorded margin and rates")
 EOF
-
-  echo "== perf (mixed-pool serving ablation: routing >= 1.3x naive) =="
-  # Exit code enforces the bar; the json lands next to the executor one.
-  QNN_CSV_DIR="$BUILD_DIR" \
-    "$BUILD_DIR/bench/bench_serving" --backends-only
 
   echo "== perf (autotuned-plan ablation vs recorded baseline) =="
   # The ablation's exit code enforces the noise-robust bar (the tuned plan
