@@ -363,8 +363,9 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
 }  // namespace
 
 /// Two-arm ablation of the conv inner datapath — packed incremental line
-/// buffers with the scalar word loop vs the same with the widest SIMD level
-/// — per cell, best of five timed runs of 8 images per arm. Writes
+/// buffers with the scalar loops (the scalar word loop of the bit-plane
+/// path, the scalar byte dot of the byte path) vs the same with the widest
+/// SIMD level — per cell, best of five timed runs of 8 images per arm. Writes
 /// BENCH_kernels.json; with AVX2 or wider the exit code enforces a >= 2x
 /// geomean SIMD speedup, without it there is no bar.
 int run_conv_datapath_ablation() {
@@ -383,18 +384,21 @@ int run_conv_datapath_ablation() {
     int pad;
     int bits;
   };
-  // A mid-network conv at paper scale: 3x3x64 -> 64 puts 576 bits (9
-  // words) in each bit-plane window, enough for the word-granular inner
-  // loop to matter, at three activation widths. The conv_0 cell is
-  // ResNet-18's first layer (7x7x3 -> 64, stride 2, pad 3, 8-bit input) on
-  // a smaller map: 147-bit (3-word) planes, eight of them per window — the
-  // short-window case where per-filter overheads dominate. Tiny-channel
-  // layers are covered by the test suite.
+  // A mid-network conv at paper scale: 3x3x64 -> 64 puts 576 values in
+  // each window, enough for the inner loops to matter, at four activation
+  // widths: 1 and 2 bits run the bit-plane path (9-word planes), 4 and 8
+  // bits the byte path (144 quads). The conv_0 cells are the 8-bit input
+  // layers on smaller maps, byte path: ResNet-18's (7x7x3 -> 64, stride
+  // 2, pad 3; 147 values per window) and VGG's (3x3x3 -> 64; 27 values) —
+  // the short-window cases where per-filter overheads dominate.
+  // Tiny-channel layers are covered by the test suite.
   const Cell cells[] = {
       {"3x3x64-64_b1", {16, 16, 64}, 64, 3, 1, 1, 1},
       {"3x3x64-64_b2", {16, 16, 64}, 64, 3, 1, 1, 2},
+      {"3x3x64-64_b4", {16, 16, 64}, 64, 3, 1, 1, 4},
       {"3x3x64-64_b8", {16, 16, 64}, 64, 3, 1, 1, 8},
       {"conv_0_7x7x3-64_s2_b8", {64, 64, 3}, 64, 7, 2, 3, 8},
+      {"conv_0_3x3x3-64_b8", {32, 32, 3}, 64, 3, 1, 1, 8},
   };
   constexpr std::size_t kCells = std::size(cells);
 

@@ -15,14 +15,6 @@ namespace {
 
 // ------------------------------------------------------------------ scalar
 
-std::uint64_t popcount_scalar(const Word* a, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(qnn::popcount(a[i]));
-  }
-  return total;
-}
-
 void pack_codes_scalar(const std::int32_t* codes, int n, int planes,
                        int off, Word* dst) {
   // Eight codes' low bytes side by side in x; for each plane p,
@@ -34,16 +26,14 @@ void pack_codes_scalar(const std::int32_t* codes, int n, int planes,
   const auto np = static_cast<std::size_t>(planes);
   Word chunk[kMaxPlanes] = {};
   int j = 0;
-  if (planes <= 8) {
-    for (; j + 8 <= n; j += 8) {
-      Word x = 0;
-      for (int b = 0; b < 8; ++b) {
-        x |= static_cast<Word>(static_cast<std::uint8_t>(codes[j + b]))
-             << (8 * b);
-      }
-      for (std::size_t p = 0; p < np; ++p) {
-        chunk[p] |= (((x >> p) & kLsb) * kGather >> 56) << j;
-      }
+  for (; j + 8 <= n; j += 8) {
+    Word x = 0;
+    for (int b = 0; b < 8; ++b) {
+      x |= static_cast<Word>(static_cast<std::uint8_t>(codes[j + b]))
+           << (8 * b);
+    }
+    for (std::size_t p = 0; p < np; ++p) {
+      chunk[p] |= (((x >> p) & kLsb) * kGather >> 56) << j;
     }
   }
   for (; j < n; ++j) {
@@ -129,6 +119,36 @@ void build_window_scalar(const Word* rows, std::size_t row_size, int k,
   if (fill != 0) std::copy_n(pending, np, out);
 }
 
+void dot_bytes_scalar(const std::uint8_t* a, std::size_t quads, int planes,
+                      const Word* w, std::size_t filters, std::int32_t* out) {
+  // Unsigned throughout: every sum wraps mod 2^32, the int32 truncation
+  // contract, with no signed overflow on the way.
+  const std::size_t len = 4 * quads;  // bytes per plane
+  const auto np = static_cast<std::size_t>(planes);
+  std::uint32_t sums[kMaxBytePlanes] = {};
+  for (std::size_t q = 0; q < np; ++q) {
+    for (std::size_t i = 0; i < len; ++i) sums[q] += a[q * len + i];
+  }
+  for (std::size_t f = 0; f < filters; ++f) {
+    const Word* wf = w + f / kByteLanes * quads;
+    const auto shift = static_cast<int>(4 * (f % kByteLanes));
+    // Horner over the byte-planes, high to low.
+    std::uint32_t total = 0;
+    for (std::size_t q = np; q-- > 0;) {
+      const std::uint8_t* aq = a + q * len;
+      std::uint32_t on = 0;  // sum of the bytes whose weight is +1
+      for (std::size_t v = 0; v < quads; ++v) {
+        const auto bits = static_cast<std::uint32_t>(wf[v] >> shift);
+        for (std::size_t j = 0; j < 4; ++j) {
+          on += ((bits >> j) & 1U) * aq[4 * v + j];
+        }
+      }
+      total = (total << 8) + 2 * on - sums[q];
+    }
+    out[f] = static_cast<std::int32_t>(total);
+  }
+}
+
 void threshold_codes_scalar(const std::int32_t* a, std::size_t n,
                             const std::int32_t* sign, const std::int32_t* t,
                             std::size_t stride, int levels,
@@ -143,9 +163,9 @@ void threshold_codes_scalar(const std::int32_t* a, std::size_t n,
   }
 }
 
-constexpr VecOps kScalarOps{Level::kScalar,        "scalar",
-                            popcount_scalar,       pack_codes_scalar,
-                            dot_window_scalar,     build_window_scalar,
+constexpr VecOps kScalarOps{Level::kScalar,       "scalar",
+                            pack_codes_scalar,    dot_window_scalar,
+                            build_window_scalar,  dot_bytes_scalar,
                             threshold_codes_scalar};
 
 // ---------------------------------------------------------------- dispatch
@@ -158,7 +178,7 @@ const VecOps* level_table(Level level) {
     case Level::kAvx2:
       return detail::cpu_has_avx2() ? detail::avx2_ops() : nullptr;
     case Level::kAvx512:
-      return detail::cpu_has_avx512_popcnt() ? detail::avx512_ops() : nullptr;
+      return detail::cpu_has_avx512() ? detail::avx512_ops() : nullptr;
   }
   return nullptr;
 }

@@ -1,11 +1,17 @@
-// Runtime-dispatched word-vector primitives behind the packed conv datapath.
+// Runtime-dispatched vector primitives behind the two conv datapaths: the
+// bit-plane XNOR-popcount path for 1-2-bit codes (§III-B1) and the byte
+// path for 3-16-bit codes (the 8-bit image layer above all), both against
+// 1-bit weights.
 //
 // The layering follows the vec_ops/vec_dot split used by ggml's QNN NPU
 // device code: a scalar implementation defines the semantics and stays the
 // bit-exact reference, and the wider paths (AVX2: nibble-LUT popcount,
-// `vpslld` + `vmovmskps` plane packing; AVX-512: `vpopcntdq`, `vptestmd`
-// plane packing, `vpmovqd` narrowing) are pinned against it by tests at
-// every compiled level. All paths are built with per-function target attributes, so the
+// `vpslld` + `vmovmskps` plane packing, `vpshufb` + `vpcmpeqb` weight-mask
+// expansion into `vpmaddubsw`; AVX-512: `vpopcntdq`, `vptestmd` plane
+// packing, `vpmovqd` narrowing, `vpmovm2b` weight-mask expansion into the
+// VNNI `vpdpbusd` byte dot) are pinned against it by tests at every
+// compiled level. The AVX-512 level needs AVX512F, BW, VNNI and VPOPCNTDQ.
+// All paths are built with per-function target attributes, so the
 // binary itself is portable; dispatch picks an implementation at runtime:
 //
 //   1. explicit override (set_level — tests and bench ablations),
@@ -34,8 +40,17 @@ enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// per 64-bit slot of an AVX-512 register (two AVX2 halves).
 inline constexpr std::size_t kFilterLanes = 8;
 
-/// Most bit-planes a window may carry (16-bit activation codes).
-inline constexpr int kMaxPlanes = 16;
+/// Most bit-planes a window may carry: the bit-plane path takes 1- and
+/// 2-bit codes; wider codes run in the byte domain (dot_bytes).
+inline constexpr int kMaxPlanes = 2;
+
+/// Filters per weight-mask word in the byte path's layout: one mask word
+/// holds kByteLanes filters x 4 values, vpdpbusd's lane order.
+inline constexpr std::size_t kByteLanes = 16;
+
+/// Most byte-planes a byte-path window may carry (16-bit codes: low byte,
+/// high byte).
+inline constexpr int kMaxBytePlanes = 2;
 
 /// One implementation of the word-granular kernels. Bit operands are plain
 /// arrays of 64-bit words; tail masking is the caller's job (operands keep
@@ -45,9 +60,6 @@ inline constexpr int kMaxPlanes = 16;
 struct VecOps {
   Level level;
   const char* name;
-
-  /// Total set bits over a[0..n).
-  std::uint64_t (*popcount)(const Word* a, std::size_t n);
 
   /// Bit-plane packing of one line-buffer chunk (§III-B1's input side):
   /// for i < n and p < planes, bit p of codes[i] is ORed into bit off + i of
@@ -84,6 +96,21 @@ struct VecOps {
   void (*build_window)(const Word* rows, std::size_t row_size, int k, int top,
                        std::int64_t src_bit, std::int64_t seg, int planes,
                        Word* out);
+
+  /// The byte-domain window dot of 3..16-bit codes against 1-bit weights:
+  /// `a` holds `planes` (1 or 2) byte-planes of 4*quads bytes each, plane
+  /// after plane (plane q holds byte q of every code, low byte first), the
+  /// bytes past the window's last value zero; `w` holds
+  /// ceil(filters / kByteLanes) groups of `quads` mask words,
+  /// [group][quad], bit 4*l + j of w[g][v] the sign bit (1 = +1) of filter
+  /// g*16 + l at value 4*v + j. With S_q the byte sum of plane q, for every
+  /// filter f < filters,
+  ///   out[f] = sum_q 256^q * (2 * sum_{i : w_f,i = +1} a_q[i] - S_q)
+  /// which is sum_i w_f,i * code_i, wrapping mod 2^32 (the int32
+  /// truncation contract of dot_window). Exactly `filters` entries of out
+  /// are written.
+  void (*dot_bytes)(const std::uint8_t* a, std::size_t quads, int planes,
+                    const Word* w, std::size_t filters, std::int32_t* out);
 
   /// Threshold activation (§III-B3's comparator + mux) of `n` consecutive
   /// channels, vectorised over the channels: for i < n,

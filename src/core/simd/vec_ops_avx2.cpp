@@ -1,7 +1,11 @@
 // AVX2 path: 4-word AND + vpshufb nibble-LUT popcount (the classic Mula
 // kernel), summed with vpsadbw. The window dot runs a filter-lane group as
 // two 4-lane halves, so no horizontal sum is ever needed there; the plane
-// pack moves one plane of eight codes per vpslld + vmovmskps. Built with
+// pack moves one plane of eight codes per vpslld + vmovmskps. The byte dot
+// expands each half of a weight-mask word into 32 bytes of 0/-1 (vpshufb
+// spreads a mask byte over eight lanes, vpcmpeqb tests one bit in each)
+// and multiplies them against four broadcast window bytes with vpmaddubsw,
+// widening with vpmaddwd. Built with
 // a per-function target attribute (AVX2 + POPCNT) so the TU compiles under
 // the generic -march; the dispatcher only hands these functions out after
 // a CPUID check.
@@ -12,6 +16,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 namespace qnn::simd::detail {
 namespace {
@@ -27,29 +32,6 @@ __attribute__((QNN_AVX2_TARGET)) inline __m256i popcount_bytes(__m256i v) {
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
   return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
                          _mm256_shuffle_epi8(lut, hi));
-}
-
-__attribute__((QNN_AVX2_TARGET)) inline std::uint64_t hsum_epi64(__m256i v) {
-  Word lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), v);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
-__attribute__((QNN_AVX2_TARGET)) std::uint64_t popcount_avx2(
-    const Word* a, std::size_t n) {
-  __m256i total = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    total = _mm256_add_epi64(
-        total, _mm256_sad_epu8(popcount_bytes(v), _mm256_setzero_si256()));
-  }
-  std::uint64_t t = hsum_epi64(total);
-  for (; i < n; ++i) {
-    t += static_cast<std::uint64_t>(__builtin_popcountll(a[i]));
-  }
-  return t;
 }
 
 /// Eight codes per register (the chunk tail is a masked load, so nothing
@@ -176,45 +158,162 @@ __attribute__((QNN_AVX2_TARGET)) void build_window_avx2(
     std::int64_t src_bit, std::int64_t seg, int planes, Word* out) {
   const auto np = static_cast<std::size_t>(planes);
   const std::size_t ring = static_cast<std::size_t>(k) * row_size;
-  // Four planes per register; shifts by >= 64 yield zero, so the
+  // Every plane in one register; shifts by >= 64 yield zero, so the
   // word-aligned and word-completing cases need no special shifts.
-  for (std::size_t b = 0; b < np; b += 4) {
-    const __m256i m = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(
-            static_cast<long long>(std::min<std::size_t>(4, np - b))),
-        _mm256_setr_epi64x(0, 1, 2, 3));
-    __m256i pending = _mm256_setzero_si256();
-    int fill = 0;  // bits pending in every plane's next word
-    Word* o = out + b;
-    std::size_t at = static_cast<std::size_t>(top) * row_size;
-    for (int dy = 0; dy < k; ++dy) {
-      const Word* row = rows + at + b;
-      at += row_size;
-      if (at == ring) at = 0;
-      for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
-        const int n =
-            static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
-        const int soff = static_cast<int>(pos % kWordBits);
-        const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
-        __m256i bits = shr(load(m, src), soff);
-        if (soff + n > kWordBits) {
-          bits = _mm256_or_si256(bits,
-                                 shl(load(m, src + np), kWordBits - soff));
-        }
-        bits = _mm256_and_si256(
-            bits, _mm256_set1_epi64x(static_cast<long long>(low_mask(n))));
-        pending = _mm256_or_si256(pending, shl(bits, fill));
-        fill += n;
-        if (fill >= kWordBits) {
-          store(m, o, pending);
-          o += np;
-          fill -= kWordBits;
-          pending = shr(bits, n - fill);
-        }
-        pos += n;
+  const __m256i m =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(np)),
+                         _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256i pending = _mm256_setzero_si256();
+  int fill = 0;  // bits pending in every plane's next word
+  std::size_t at = static_cast<std::size_t>(top) * row_size;
+  for (int dy = 0; dy < k; ++dy) {
+    const Word* row = rows + at;
+    at += row_size;
+    if (at == ring) at = 0;
+    for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
+      const int n =
+          static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
+      const int soff = static_cast<int>(pos % kWordBits);
+      const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
+      __m256i bits = shr(load(m, src), soff);
+      if (soff + n > kWordBits) {
+        bits =
+            _mm256_or_si256(bits, shl(load(m, src + np), kWordBits - soff));
+      }
+      bits = _mm256_and_si256(
+          bits, _mm256_set1_epi64x(static_cast<long long>(low_mask(n))));
+      pending = _mm256_or_si256(pending, shl(bits, fill));
+      fill += n;
+      if (fill >= kWordBits) {
+        store(m, out, pending);
+        out += np;
+        fill -= kWordBits;
+        pending = shr(bits, n - fill);
+      }
+      pos += n;
+    }
+  }
+  if (fill != 0) store(m, out, pending);
+}
+
+/// 32 bytes of 0/-1 from the 32 mask bits `m`: byte b is -1 iff bit b is
+/// set. vpshufb copies mask byte b/8 into byte b (the 32-bit broadcast
+/// puts all four mask bytes in both 128-bit lanes), vpcmpeqb tests bit
+/// b%8 of it.
+__attribute__((QNN_AVX2_TARGET)) inline __m256i expand_mask(std::uint32_t m) {
+  const __m256i spread = _mm256_setr_epi8(
+      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2,
+      3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i bit = _mm256_set1_epi64x(
+      static_cast<long long>(0x8040201008040201ULL));
+  const __m256i x = _mm256_shuffle_epi8(
+      _mm256_set1_epi32(static_cast<std::int32_t>(m)), spread);
+  return _mm256_cmpeq_epi8(_mm256_and_si256(x, bit), bit);
+}
+
+/// One group of kByteLanes filters, as two 8-filter halves (the low and
+/// high 32 bits of each mask word), over kP byte-planes. vpmaddubsw pairs
+/// window bytes with 0/-1 weight bytes into int16 sums of magnitude at
+/// most 510, so up to 64 quads accumulate in int16 before one vpmaddwd
+/// widens them; acc = -(sum of the bytes whose weight is +1), and
+/// out = -2*acc - sum after Horner over the planes.
+template <std::size_t kP>
+__attribute__((QNN_AVX2_TARGET)) void dot_byte_group(
+    const std::uint8_t* a, std::size_t quads, const Word* wg, __m256i sum,
+    std::size_t filters, std::int32_t* out) {
+  constexpr std::size_t kQuadRun = 64;  // 64 * 510 <= INT16_MAX
+  const std::size_t len = 4 * quads;
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc[kP][2];
+  for (auto& plane : acc) plane[0] = plane[1] = zero;
+  for (std::size_t v0 = 0; v0 < quads; v0 += kQuadRun) {
+    const std::size_t v1 = std::min(quads, v0 + kQuadRun);
+    __m256i part[kP][2];
+    for (auto& plane : part) plane[0] = plane[1] = zero;
+    for (std::size_t v = v0; v < v1; ++v) {
+      const __m256i lo = expand_mask(static_cast<std::uint32_t>(wg[v]));
+      const __m256i hi = expand_mask(static_cast<std::uint32_t>(wg[v] >> 32));
+#pragma GCC unroll 2
+      for (std::size_t p = 0; p < kP; ++p) {
+        std::int32_t quad;
+        std::memcpy(&quad, a + p * len + 4 * v, sizeof quad);
+        const __m256i av = _mm256_set1_epi32(quad);
+        part[p][0] = _mm256_add_epi16(part[p][0], _mm256_maddubs_epi16(av, lo));
+        part[p][1] = _mm256_add_epi16(part[p][1], _mm256_maddubs_epi16(av, hi));
       }
     }
-    if (fill != 0) store(m, o, pending);
+#pragma GCC unroll 2
+    for (std::size_t p = 0; p < kP; ++p) {
+#pragma GCC unroll 2
+      for (std::size_t h = 0; h < 2; ++h) {
+        acc[p][h] =
+            _mm256_add_epi32(acc[p][h], _mm256_madd_epi16(part[p][h], ones));
+      }
+    }
+  }
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t h = 0; h < 2; ++h) {
+    __m256i t = acc[kP - 1][h];
+    for (std::size_t p = kP - 1; p-- > 0;) {
+      t = _mm256_add_epi32(_mm256_slli_epi32(t, 8), acc[p][h]);
+    }
+    const __m256i v =
+        _mm256_sub_epi32(zero, _mm256_add_epi32(_mm256_add_epi32(t, t), sum));
+    const std::size_t at = h * 8;
+    if (at >= filters) break;
+    const std::size_t lanes = filters - at;
+    if (lanes >= 8) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + at), v);
+    } else {
+      _mm256_maskstore_epi32(
+          out + at,
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                             lane),
+          v);
+    }
+  }
+}
+
+template <std::size_t kP>
+__attribute__((QNN_AVX2_TARGET)) void dot_bytes_planes(
+    const std::uint8_t* a, std::size_t quads, const Word* w,
+    std::size_t filters, std::int32_t* out) {
+  // sum_q 256^q * S_q, S_q by vpsadbw over 32-byte chunks and a scalar
+  // tail.
+  const std::size_t len = 4 * quads;
+  std::uint32_t sum = 0;
+  for (std::size_t p = kP; p-- > 0;) {
+    const std::uint8_t* ap = a + p * len;
+    __m256i s = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 32 <= len; i += 32) {
+      s = _mm256_add_epi64(
+          s, _mm256_sad_epu8(
+                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap + i)),
+                 _mm256_setzero_si256()));
+    }
+    Word lanes[4];
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), s);
+    auto sp = static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] +
+                                         lanes[3]);
+    for (; i < len; ++i) sp += ap[i];
+    sum = (sum << 8) + sp;
+  }
+  const __m256i vsum = _mm256_set1_epi32(static_cast<std::int32_t>(sum));
+  for (std::size_t f = 0; f < filters; f += kByteLanes) {
+    dot_byte_group<kP>(a, quads, w + f / kByteLanes * quads, vsum,
+                       filters - f, out + f);
+  }
+}
+
+__attribute__((QNN_AVX2_TARGET)) void dot_bytes_avx2(
+    const std::uint8_t* a, std::size_t quads, int planes, const Word* w,
+    std::size_t filters, std::int32_t* out) {
+  if (planes == 1) {
+    dot_bytes_planes<1>(a, quads, w, filters, out);
+  } else {
+    dot_bytes_planes<2>(a, quads, w, filters, out);
   }
 }
 
@@ -250,9 +349,9 @@ __attribute__((QNN_AVX2_TARGET)) void threshold_codes_avx2(
 
 #undef QNN_AVX2_TARGET
 
-constexpr VecOps kAvx2Ops{Level::kAvx2,         "avx2",
-                          popcount_avx2,        pack_codes_avx2,
-                          dot_window_avx2,      build_window_avx2,
+constexpr VecOps kAvx2Ops{Level::kAvx2,       "avx2",
+                          pack_codes_avx2,    dot_window_avx2,
+                          build_window_avx2,  dot_bytes_avx2,
                           threshold_codes_avx2};
 
 }  // namespace

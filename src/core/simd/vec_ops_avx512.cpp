@@ -3,10 +3,11 @@
 // for binary conv, per FINN/XNORBIN). The window dot maps one filter-lane
 // group onto one register: a broadcast plane word against eight filters'
 // words per instruction, two groups per broadcast, narrowed to int32 by
-// vpmovqd. The window build moves one word of eight planes per register;
-// the plane pack tests sixteen codes per vptestmd. popcount tails use a
-// masked load; its horizontal sum avoids _mm512_reduce_add_epi64, whose
-// gcc-12 header trips -Wuninitialized under -Werror.
+// vpmovqd. The window build moves one word of both planes per register;
+// the plane pack tests sixteen codes per vptestmd. The byte dot expands one
+// weight-mask word into 64 bytes of 0/-1 with vpmovm2b (AVX512BW) and
+// multiplies them against four broadcast window bytes with the VNNI
+// vpdpbusd, sixteen filters per register; vpsadbw sums the window bytes.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX512)
@@ -14,44 +15,13 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 namespace qnn::simd::detail {
 namespace {
 
-#define QNN_AVX512_TARGET target("avx512f,avx512vpopcntdq,popcnt")
-
-__attribute__((QNN_AVX512_TARGET)) inline std::uint64_t hsum_epi64(
-    __m512i v) {
-  Word lanes[8];
-  _mm512_storeu_si512(lanes, v);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] + lanes[5] +
-         lanes[6] + lanes[7];
-}
-
-__attribute__((QNN_AVX512_TARGET)) std::uint64_t popcount_avx512(
-    const Word* a, std::size_t n) {
-  if (n < 8) {
-    // Short (per-window-plane) inputs: hardware popcnt per word beats a
-    // masked vector load plus a store-and-reload horizontal sum.
-    std::uint64_t t = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      t += static_cast<std::uint64_t>(__builtin_popcountll(a[i]));
-    }
-    return t;
-  }
-  __m512i total = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    total = _mm512_add_epi64(total,
-                             _mm512_popcnt_epi64(_mm512_loadu_si512(a + i)));
-  }
-  if (i < n) {
-    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    total = _mm512_add_epi64(
-        total, _mm512_popcnt_epi64(_mm512_maskz_loadu_epi64(tail, a + i)));
-  }
-  return hsum_epi64(total);
-}
+#define QNN_AVX512_TARGET \
+  target("avx512f,avx512bw,avx512vnni,avx512vpopcntdq,popcnt")
 
 /// Sixteen codes per register (the chunk tail is a zero-masked load, so
 /// nothing past codes[n) is read); one vptestmd per plane gives that
@@ -154,44 +124,139 @@ __attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
     std::int64_t src_bit, std::int64_t seg, int planes, Word* out) {
   const auto np = static_cast<std::size_t>(planes);
   const std::size_t ring = static_cast<std::size_t>(k) * row_size;
-  // Eight planes per register; shifts by >= 64 yield zero, so the
+  // Every plane in one register; shifts by >= 64 yield zero, so the
   // word-aligned and word-completing cases need no special shifts.
-  for (std::size_t b = 0; b < np; b += 8) {
-    const auto m = static_cast<__mmask8>(
-        (1u << std::min<std::size_t>(8, np - b)) - 1u);
-    __m512i pending = _mm512_setzero_si512();
-    int fill = 0;  // bits pending in every plane's next word
-    Word* o = out + b;
-    std::size_t at = static_cast<std::size_t>(top) * row_size;
-    for (int dy = 0; dy < k; ++dy) {
-      const Word* row = rows + at + b;
-      at += row_size;
-      if (at == ring) at = 0;
-      for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
-        const int n =
-            static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
-        const int soff = static_cast<int>(pos % kWordBits);
-        const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
-        __m512i bits = shr(m, _mm512_maskz_loadu_epi64(m, src), soff);
-        if (soff + n > kWordBits) {
-          bits = _mm512_or_si512(
-              bits, shl(m, _mm512_maskz_loadu_epi64(m, src + np),
-                        kWordBits - soff));
-        }
-        bits = _mm512_and_si512(
-            bits, _mm512_set1_epi64(static_cast<long long>(low_mask(n))));
-        pending = _mm512_or_si512(pending, shl(m, bits, fill));
-        fill += n;
-        if (fill >= kWordBits) {
-          _mm512_mask_storeu_epi64(o, m, pending);
-          o += np;
-          fill -= kWordBits;
-          pending = shr(m, bits, n - fill);
-        }
-        pos += n;
+  const auto m = static_cast<__mmask8>((1u << np) - 1u);
+  __m512i pending = _mm512_setzero_si512();
+  int fill = 0;  // bits pending in every plane's next word
+  std::size_t at = static_cast<std::size_t>(top) * row_size;
+  for (int dy = 0; dy < k; ++dy) {
+    const Word* row = rows + at;
+    at += row_size;
+    if (at == ring) at = 0;
+    for (std::int64_t pos = src_bit, end = src_bit + seg; pos < end;) {
+      const int n =
+          static_cast<int>(std::min<std::int64_t>(end - pos, kWordBits));
+      const int soff = static_cast<int>(pos % kWordBits);
+      const Word* src = row + static_cast<std::size_t>(pos / kWordBits) * np;
+      __m512i bits = shr(m, _mm512_maskz_loadu_epi64(m, src), soff);
+      if (soff + n > kWordBits) {
+        bits = _mm512_or_si512(
+            bits,
+            shl(m, _mm512_maskz_loadu_epi64(m, src + np), kWordBits - soff));
+      }
+      bits = _mm512_and_si512(
+          bits, _mm512_set1_epi64(static_cast<long long>(low_mask(n))));
+      pending = _mm512_or_si512(pending, shl(m, bits, fill));
+      fill += n;
+      if (fill >= kWordBits) {
+        _mm512_mask_storeu_epi64(out, m, pending);
+        out += np;
+        fill -= kWordBits;
+        pending = shr(m, bits, n - fill);
+      }
+      pos += n;
+    }
+  }
+  if (fill != 0) _mm512_mask_storeu_epi64(out, m, pending);
+}
+
+/// Up to kG groups of kByteLanes filters against the window at once, over
+/// kP byte-planes: per quad of values, each group's mask word becomes 64
+/// bytes of 0/-1 (vpmovm2b) and meets the broadcast four window bytes of
+/// every plane in one vpdpbusd, so acc = -(sum of the bytes whose weight
+/// is +1). Horner over the planes (acc_1 * 256 + acc_0) and
+/// out = -2*acc - sum, with `sum` the planes' byte sums likewise
+/// combined; `filters` (<= kG*16) responses are written, a masked store
+/// for a partial last group.
+template <std::size_t kG, std::size_t kP>
+__attribute__((QNN_AVX512_TARGET)) inline void dot_byte_groups(
+    const std::uint8_t* a, std::size_t quads, const Word* wg, __m512i sum,
+    std::size_t filters, std::int32_t* out) {
+  const std::size_t len = 4 * quads;
+  // The constant-trip loops are unrolled so that acc and wv stay in
+  // registers (-O2 would otherwise keep them on the stack).
+  __m512i acc[kP][kG];
+  for (auto& plane : acc) {
+    for (auto& v : plane) v = _mm512_setzero_si512();
+  }
+  for (std::size_t v = 0; v < quads; ++v) {
+    __m512i wv[kG];
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < kG; ++g) {
+      wv[g] = _mm512_movm_epi8(_cvtu64_mask64(wg[g * quads + v]));
+    }
+#pragma GCC unroll 2
+    for (std::size_t p = 0; p < kP; ++p) {
+      std::int32_t quad;
+      std::memcpy(&quad, a + p * len + 4 * v, sizeof quad);
+      const __m512i av = _mm512_set1_epi32(quad);
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < kG; ++g) {
+        acc[p][g] = _mm512_dpbusd_epi32(acc[p][g], av, wv[g]);
       }
     }
-    if (fill != 0) _mm512_mask_storeu_epi64(o, m, pending);
+  }
+  const __m512i zero = _mm512_setzero_si512();
+  for (std::size_t g = 0; g < kG; ++g) {
+    __m512i t = acc[kP - 1][g];
+    for (std::size_t p = kP - 1; p-- > 0;) {
+      t = _mm512_add_epi32(_mm512_maskz_slli_epi32(0xffff, t, 8), acc[p][g]);
+    }
+    const __m512i v =
+        _mm512_sub_epi32(zero, _mm512_add_epi32(_mm512_add_epi32(t, t), sum));
+    const std::size_t lanes = filters - g * kByteLanes;
+    _mm512_mask_storeu_epi32(
+        out + g * kByteLanes,
+        static_cast<__mmask16>(lanes >= kByteLanes ? 0xffffu
+                                                   : (1u << lanes) - 1u),
+        v);
+  }
+}
+
+template <std::size_t kP>
+__attribute__((QNN_AVX512_TARGET)) void dot_bytes_planes(
+    const std::uint8_t* a, std::size_t quads, const Word* w,
+    std::size_t filters, std::int32_t* out) {
+  // sum_q 256^q * S_q, S_q by vpsadbw over 64-byte chunks (a zero-masked
+  // load for the tail).
+  const std::size_t len = 4 * quads;
+  std::uint32_t sum = 0;
+  for (std::size_t p = kP; p-- > 0;) {
+    __m512i s = _mm512_setzero_si512();
+    for (std::size_t i = 0; i < len; i += 64) {
+      const auto m = static_cast<__mmask64>(
+          len - i >= 64 ? ~0ULL : (1ULL << (len - i)) - 1ULL);
+      s = _mm512_add_epi64(
+          s, _mm512_sad_epu8(_mm512_maskz_loadu_epi8(m, a + p * len + i),
+                             _mm512_setzero_si512()));
+    }
+    Word lanes[8];
+    _mm512_storeu_si512(lanes, s);
+    sum = (sum << 8) + static_cast<std::uint32_t>(
+                           lanes[0] + lanes[1] + lanes[2] + lanes[3] +
+                           lanes[4] + lanes[5] + lanes[6] + lanes[7]);
+  }
+  const __m512i vsum = _mm512_set1_epi32(static_cast<std::int32_t>(sum));
+  constexpr std::size_t kBlock = 4;  // groups sharing each broadcast
+  std::size_t f = 0;
+  for (; f + (kBlock - 1) * kByteLanes < filters; f += kBlock * kByteLanes) {
+    dot_byte_groups<kBlock, kP>(a, quads, w + f / kByteLanes * quads, vsum,
+                                filters - f, out + f);
+  }
+  for (; f < filters; f += kByteLanes) {
+    dot_byte_groups<1, kP>(a, quads, w + f / kByteLanes * quads, vsum,
+                           filters - f, out + f);
+  }
+}
+
+__attribute__((QNN_AVX512_TARGET)) void dot_bytes_avx512(
+    const std::uint8_t* a, std::size_t quads, int planes, const Word* w,
+    std::size_t filters, std::int32_t* out) {
+  if (planes == 1) {
+    dot_bytes_planes<1>(a, quads, w, filters, out);
+  } else {
+    dot_bytes_planes<2>(a, quads, w, filters, out);
   }
 }
 
@@ -224,17 +289,19 @@ __attribute__((QNN_AVX512_TARGET)) void threshold_codes_avx512(
 
 #undef QNN_AVX512_TARGET
 
-constexpr VecOps kAvx512Ops{Level::kAvx512,         "avx512",
-                            popcount_avx512,        pack_codes_avx512,
-                            dot_window_avx512,      build_window_avx512,
+constexpr VecOps kAvx512Ops{Level::kAvx512,       "avx512",
+                            pack_codes_avx512,    dot_window_avx512,
+                            build_window_avx512,  dot_bytes_avx512,
                             threshold_codes_avx512};
 
 }  // namespace
 
 const VecOps* avx512_ops() { return &kAvx512Ops; }
 
-bool cpu_has_avx512_popcnt() {
+bool cpu_has_avx512() {
   return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512vnni") != 0 &&
          __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
          __builtin_cpu_supports("popcnt") != 0;
 }
@@ -245,7 +312,7 @@ bool cpu_has_avx512_popcnt() {
 
 namespace qnn::simd::detail {
 const VecOps* avx512_ops() { return nullptr; }
-bool cpu_has_avx512_popcnt() { return false; }
+bool cpu_has_avx512() { return false; }
 }  // namespace qnn::simd::detail
 
 #endif

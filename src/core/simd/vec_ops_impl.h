@@ -12,6 +12,6 @@ namespace qnn::simd::detail {
 
 /// CPU support probes (false on non-x86 builds).
 [[nodiscard]] bool cpu_has_avx2();
-[[nodiscard]] bool cpu_has_avx512_popcnt();
+[[nodiscard]] bool cpu_has_avx512();  // F + BW + VNNI + VPOPCNTDQ
 
 }  // namespace qnn::simd::detail

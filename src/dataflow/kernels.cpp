@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/packed_planes.h"
+
 namespace qnn {
 namespace {
 
@@ -206,36 +208,124 @@ StepResult WindowKernel::step() {
 
 // ---------------------------------------------------------------- ConvKernel
 
+class ConvKernel::Datapath {
+ public:
+  virtual ~Datapath() = default;
+  /// Zero line-buffer row `r`: it re-enters the ring as padding (code 0).
+  virtual void clear_row(int r) = 0;
+  /// Store a run of codes into row `r` from value position `start`.
+  virtual void pack_run(int r, std::int64_t start,
+                        std::span<const std::int32_t> vals) = 0;
+  /// Build the window whose K rows start at ring row `top`, `seg` values
+  /// of each from value position `src`, and write its O responses to out.
+  virtual void dot(int top, std::int64_t src, std::int64_t seg,
+                   std::int32_t* out) = 0;
+};
+
+namespace {
+
+/// Re-lay every filter of `weights` into `packed` (PackedFilters or
+/// ByteFilters) from its BitVector words; their tail-zero invariant
+/// carries over, so neither sweep needs weight-side masking.
+template <class Packed>
+void pack_filters(const FilterBank& weights, Packed& packed) {
+  std::vector<Word> words;
+  for (int o = 0; o < weights.shape().out_c; ++o) {
+    const BitVector& f = weights.filter(o);
+    words.resize(static_cast<std::size_t>(f.words()));
+    for (std::int64_t w = 0; w < f.words(); ++w) {
+      words[static_cast<std::size_t>(w)] = f.word(w);
+    }
+    packed.set(o, words);
+  }
+}
+
+/// 1-2-bit codes: bit-plane line buffer, packed window, XNOR-popcount.
+class BitPlanePath final : public ConvKernel::Datapath {
+ public:
+  BitPlanePath(const Node& node, const FilterBank& weights,
+               std::int64_t row_values, std::int64_t window_values)
+      : ops_(simd::vec_ops()),
+        weights_(window_values, node.out.c),
+        lines_(node.in_bits, node.k, row_values),
+        window_(window_values, node.in_bits) {
+    pack_filters(weights, weights_);
+  }
+  void clear_row(int r) override { lines_.clear_row(r); }
+  void pack_run(int r, std::int64_t start,
+                std::span<const std::int32_t> vals) override {
+    lines_.pack_run(ops_, r, start, vals);
+  }
+  void dot(int top, std::int64_t src, std::int64_t seg,
+           std::int32_t* out) override {
+    window_.build(ops_, lines_, top, src, seg);
+    window_.dot(ops_, weights_, out);
+  }
+
+ private:
+  const simd::VecOps& ops_;  // resolved once, at construction
+  PackedFilters weights_;
+  BitPlaneLineBuffer lines_;
+  PackedWindow window_;
+};
+
+/// 3-16-bit codes: byte line buffer, byte window, VNNI byte dot.
+class BytePath final : public ConvKernel::Datapath {
+ public:
+  BytePath(const Node& node, const FilterBank& weights,
+           std::int64_t row_values, std::int64_t window_values)
+      : ops_(simd::vec_ops()),
+        weights_(window_values, node.out.c),
+        lines_(node.in_bits, node.k, row_values),
+        window_(window_values, lines_.planes()) {
+    pack_filters(weights, weights_);
+  }
+  void clear_row(int r) override { lines_.clear_row(r); }
+  void pack_run(int r, std::int64_t start,
+                std::span<const std::int32_t> vals) override {
+    lines_.pack_run(r, start, vals);
+  }
+  void dot(int top, std::int64_t src, std::int64_t seg,
+           std::int32_t* out) override {
+    window_.build(lines_, top, src, seg);
+    window_.dot(ops_, weights_, out);
+  }
+
+ private:
+  const simd::VecOps& ops_;  // resolved once, at construction
+  ByteFilters weights_;
+  ByteLineBuffer lines_;
+  ByteWindow window_;
+};
+
+}  // namespace
+
 ConvKernel::ConvKernel(const Node& node, const FilterBank& weights,
                        Stream& in, PortRings outs, std::size_t burst)
-    : WindowKernel(node, in, std::move(outs), burst),
-      packed_weights_(scanner().window_values(), node.out.c),
-      lines_(node.in_bits, node.k,
-             static_cast<std::int64_t>(scanner().padded_w()) * node.in.c),
-      window_(scanner().window_values(), node.in_bits),
-      ops_(simd::vec_ops()) {
+    : WindowKernel(node, in, std::move(outs), burst) {
   QNN_CHECK(node.kind == NodeKind::Conv, "ConvKernel needs a Conv node");
   QNN_CHECK(weights.shape() == node.filter_shape(),
             "weight bank does not match node geometry");
-  // Re-pack the weight cache into the filter-lane layout once; the
-  // BitVector tail-zero invariant carries over, so the SIMD sweep needs no
-  // weight-side masking.
-  std::vector<Word> tmp(packed_weights_.words());
-  for (int o = 0; o < node.out.c; ++o) {
-    const BitVector& f = weights.filter(o);
-    for (std::int64_t w = 0; w < f.words(); ++w) {
-      tmp[static_cast<std::size_t>(w)] = f.word(w);
-    }
-    packed_weights_.set(o, tmp);
+  const std::int64_t row_values =
+      static_cast<std::int64_t>(scanner().padded_w()) * node.in.c;
+  const std::int64_t window_values = scanner().window_values();
+  if (node.in_bits <= simd::kMaxPlanes) {
+    path_ = std::make_unique<BitPlanePath>(node, weights, row_values,
+                                           window_values);
+  } else {
+    path_ = std::make_unique<BytePath>(node, weights, row_values,
+                                       window_values);
   }
 }
+
+ConvKernel::~ConvKernel() = default;
 
 void ConvKernel::rearm_image() { packed_row_ = -1; }
 
 void ConvKernel::ensure_row(int y) {
   const int k = node().k;
   for (int r = std::max(packed_row_ + 1, y - k + 1); r <= y; ++r) {
-    lines_.clear_row(r % k);
+    path_->clear_row(r % k);
   }
   packed_row_ = std::max(packed_row_, y);
 }
@@ -246,28 +336,26 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals,
   if (vals.empty()) return;
   const int y = scanner().cur_row();
   ensure_row(y);
-  lines_.pack_run(ops_, y % node().k, scanner().row_value_pos(), vals);
+  path_->pack_run(y % node().k, scanner().row_value_pos(), vals);
 }
 
 void ConvKernel::emit(const WindowScanner::Completed& at) {
-  // Every activation was bit-plane-packed exactly once at ingest; a window
-  // is built in one pass over its K row segments of the line buffer (rows
-  // recycled mod K, keyed on the scanner's row), then one fused SIMD
-  // AND-popcount sweep of every plane over all O filters.
+  // Every activation was stored exactly once at ingest; a window is built
+  // in one pass over its K row segments of the line buffer (rows recycled
+  // mod K, keyed on the scanner's row), then one SIMD sweep over all O
+  // filters.
   const int k = node().k;
   const int stride = node().stride;
   const std::int64_t chans = node().in.c;
   // All-padding rows (top/bottom pad) never see an ingest_run; enter them
-  // into the ring here so their bits read as zero (= pad code 0).
+  // into the ring here so they read as zero (= pad code 0).
   ensure_row(at.oy * stride + k - 1);
-  window_.build(ops_, lines_, at.oy * stride,
-                static_cast<std::int64_t>(at.ox) * stride * chans,
-                static_cast<std::int64_t>(k) * chans);
   // "One output pixel per clock cycle, until all the filters are applied
   // at this position" (§III-B1): the O responses go straight into the
   // output stage.
-  window_.dot(ops_, packed_weights_,
-              stage().extend(static_cast<std::size_t>(node().out.c)).data());
+  path_->dot(at.oy * stride, static_cast<std::int64_t>(at.ox) * stride * chans,
+             static_cast<std::int64_t>(k) * chans,
+             stage().extend(static_cast<std::size_t>(node().out.c)).data());
 }
 
 // ---------------------------------------------------------------- PoolKernel

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "core/packed_planes.h"
 #include "core/simd/vec_ops.h"
 #include "dataflow/stream.h"
 #include "fault/fault.h"
@@ -337,25 +336,39 @@ class WindowKernel : public Kernel {
   bool image_open_ = false;
 };
 
-/// XNOR-popcount convolution kernel (Figure 3). Consumes depth-first
-/// activation codes in row-segment bursts, injects padding locally, and on
-/// each completed window emits all O filter responses for that position.
-/// Activations are decomposed once, as rows stream in, into a
-/// plane-interleaved bit-plane line buffer (one vec_ops pack_codes call per
-/// <=64-code chunk); each window is built from it in one pass over its K
-/// row segments (a memcpy per segment when word-aligned), and the O-filter
-/// sweep runs through the vec_ops SIMD seam and writes its O int32
-/// responses straight into the output stage. The kernel resolves the
-/// dispatched VecOps once, at construction. The line buffer is the
-/// kernel's only copy of its input. Weights live in the kernel as a packed FilterBank — the on-chip
-/// weight cache of §III-B1a — packed once at construction into the
-/// filter-lane layout (eight filters interleaved per word) for that sweep;
-/// it is the kernel's only copy. A BnAct it feeds is evaluated by its
-/// output port on the way out (OutStage).
+/// Convolution kernel (Figure 3). Consumes depth-first activation codes in
+/// row-segment bursts, injects padding locally, and on each completed
+/// window emits all O filter responses for that position. Weights live in
+/// the kernel as a packed FilterBank — the on-chip weight cache of
+/// §III-B1a — re-laid once, at construction, for the datapath's sweep; it
+/// is the kernel's only copy, as its line buffer is the only copy of its
+/// input.
+///
+/// The datapath is chosen once, at construction, from node.in_bits alone:
+///   - 1-2 bits: the paper's XNOR-popcount datapath. Activations are
+///     decomposed once, as rows stream in, into a plane-interleaved
+///     bit-plane line buffer (one vec_ops pack_codes call per <=64-code
+///     chunk); each window is built from it in one pass over its K row
+///     segments (a memcpy per segment when word-aligned) and swept against
+///     the filter-lane weights by vec_ops dot_window.
+///   - 3-16 bits (the 8-bit image layer above all): the byte domain. Rows
+///     are stored one byte per value per byte-plane (two planes past 8
+///     bits), a window is K memcpys per plane, and vec_ops dot_bytes runs
+///     the VNNI byte dot against the same 1-bit weights, one mask word per
+///     16 filters x 4 values.
+/// Either sweep writes its O int32 responses straight into the output
+/// stage. The kernel resolves the dispatched VecOps once, at construction.
+/// A BnAct it feeds is evaluated by its output port on the way out
+/// (OutStage).
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
              PortRings outs, std::size_t burst = kDefaultBurst);
+  ~ConvKernel() override;
+
+  /// The arithmetic of one conv (kernels.cpp): its weights, the line
+  /// buffer of its last K padded input rows, and the window built from it.
+  class Datapath;
 
  private:
   void emit(const WindowScanner::Completed& at) override;
@@ -367,11 +380,8 @@ class ConvKernel final : public WindowKernel {
   /// this is the only place they get recycled).
   void ensure_row(int y);
 
-  PackedFilters packed_weights_;
-  BitPlaneLineBuffer lines_;
-  PackedWindow window_;
-  const simd::VecOps& ops_;  // resolved once, at construction
-  int packed_row_ = -1;  // highest padded row already entered into lines_
+  std::unique_ptr<Datapath> path_;
+  int packed_row_ = -1;  // highest padded row already entered into the path
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each

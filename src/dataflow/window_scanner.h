@@ -10,9 +10,10 @@
 //
 // The scanner itself tracks positions only: where the next value lands and
 // which windows it completes. The values live in whichever line buffer the
-// kernel keeps — bit-planes for conv (core/packed_planes.h), the int32
-// PixelRing below for pooling — each retaining exactly the last K rows of
-// the padded map, the depth-first scan of §III-B1b whose buffer cost is
+// kernel keeps — bit- or byte-planes for conv (core/packed_planes.h), the
+// int32 PixelRing below for pooling — each retaining exactly the last K
+// rows of the padded map, the depth-first scan of §III-B1b whose buffer
+// cost is
 //     I * (W_padded * (K - 1) + K)
 // values, versus Theta(I*W_padded + K) per *width* unit for a width-first
 // scan (see fpga/resource_model.h for the accounting used in Fig 6).

@@ -128,15 +128,16 @@ TEST(BackendCheck, BuiltinsSupportTheZoo) {
 }
 
 TEST(BackendCheck, EngineRejectsWideConvInputs) {
-  // The engine's XNOR datapath decomposes conv inputs into bit-planes;
-  // beyond 16 bits it refuses (mirrors the D105 shape check).
+  // The engine's conv takes 1-2-bit inputs as bit-planes and 3-16-bit
+  // inputs as one or two byte-planes; beyond 16 bits it refuses (mirrors
+  // the D105 shape check).
   Node conv;
   conv.kind = NodeKind::Conv;
   conv.in_bits = 20;
   conv.out_bits = 2;
   const Backend& engine = backend_registry().at("engine");
   EXPECT_FALSE(engine.supports_op(conv));
-  conv.in_bits = 16;  // the widest input the bit-plane datapath takes
+  conv.in_bits = 16;  // the widest input the byte datapath takes
   EXPECT_TRUE(engine.supports_op(conv));
 }
 

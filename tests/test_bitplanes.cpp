@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/bitvector.h"
+#include "core/error.h"
 #include "core/packed_planes.h"
 #include "core/rng.h"
 #include "core/simd/vec_ops.h"
@@ -16,12 +17,23 @@
 namespace qnn {
 namespace {
 
-/// Property: the packed bit-plane dot the conv kernel computes (codes
+/// Property: the packed dot the conv kernel computes for a code width
+/// equals the scalar signed dot for random weights and codes. Widths of 1
+/// and 2 bits (the paper's activations) take the bit-plane path — codes
 /// packed into a line-buffer row, built into a window, swept against a
-/// packed filter) equals the scalar signed dot for random weights and
-/// codes, across bit widths (the 2-bit activations of the paper and the
-/// 8-bit first layer alike).
+/// packed filter; wider ones (the 8-bit first layer, up to 16 bits) the
+/// byte path — codes stored as byte-planes, copied into a byte window,
+/// swept against the same sign bits as mask words.
 class BitPlaneDotProperty : public ::testing::TestWithParam<int> {};
+
+/// The filter's BitVector words, as a conv packs them.
+std::vector<Word> filter_words(const BitVector& w) {
+  std::vector<Word> words(static_cast<std::size_t>(w.words()));
+  for (std::int64_t i = 0; i < w.words(); ++i) {
+    words[static_cast<std::size_t>(i)] = w.word(i);
+  }
+  return words;
+}
 
 TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
   const int bits = GetParam();
@@ -39,25 +51,47 @@ TEST_P(BitPlaneDotProperty, MatchesScalarReference) {
       codes[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
           rng.next_below(std::uint64_t{1} << bits));
     }
-    BitPlaneLineBuffer lines(bits, /*rows=*/1, n);
-    lines.pack_run(ops, 0, 0, codes);
-    PackedWindow win(n, bits);
-    win.build(ops, lines, 0, 0, n);
-    PackedFilters filter(n, 1);
-    std::vector<Word> words(filter.words());
-    for (std::int64_t i = 0; i < w.words(); ++i) {
-      words[static_cast<std::size_t>(i)] = w.word(i);
-    }
-    filter.set(0, words);
     std::int32_t out = 0;
-    win.dot(ops, filter, &out);
+    if (bits <= simd::kMaxPlanes) {
+      BitPlaneLineBuffer lines(bits, /*rows=*/1, n);
+      lines.pack_run(ops, 0, 0, codes);
+      PackedWindow win(n, bits);
+      win.build(ops, lines, 0, 0, n);
+      PackedFilters filter(n, 1);
+      filter.set(0, filter_words(w));
+      win.dot(ops, filter, &out);
+    } else {
+      ByteLineBuffer lines(bits, /*rows=*/1, n);
+      lines.pack_run(0, 0, codes);
+      ByteWindow win(n, lines.planes());
+      win.build(lines, 0, 0, n);
+      ByteFilters filter(n, 1);
+      filter.set(0, filter_words(w));
+      win.dot(ops, filter, &out);
+    }
     EXPECT_EQ(out, reference_pm1_dot(w_pm1, codes))
         << "bits=" << bits << " n=" << n;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPlaneDotProperty,
-                         ::testing::Values(1, 2, 3, 4, 8));
+                         ::testing::Values(1, 2, 3, 4, 8, 12, 16));
+
+TEST(BitPlaneLineBufferTest, RejectsBadShapesBeforeAllocating) {
+  // A negative count must fail the shape check, not become a huge size_t
+  // and a bad_alloc; the bit-plane path also takes at most two planes.
+  EXPECT_THROW(BitPlaneLineBuffer(-1, 2, 64), Error);
+  EXPECT_THROW(BitPlaneLineBuffer(simd::kMaxPlanes + 1, 2, 64), Error);
+  EXPECT_THROW(BitPlaneLineBuffer(1, -2, 64), Error);
+  EXPECT_THROW(PackedWindow(64, -1), Error);
+  EXPECT_THROW(PackedWindow(-64, 1), Error);
+  EXPECT_THROW(PackedWindow(64, simd::kMaxPlanes + 1), Error);
+  EXPECT_THROW(ByteLineBuffer(-1, 2, 64), Error);
+  EXPECT_THROW(ByteLineBuffer(17, 2, 64), Error);
+  EXPECT_THROW(ByteLineBuffer(8, 2, -64), Error);
+  EXPECT_THROW(ByteWindow(64, -1), Error);
+  EXPECT_THROW(ByteWindow(-64, 1), Error);
+}
 
 /// Bit `pos` of plane `p` in a plane-interleaved [word][plane] buffer.
 bool interleaved_bit(const Word* words, int planes, std::int64_t pos, int p) {
@@ -75,9 +109,9 @@ std::vector<std::int32_t> noisy_codes(std::int64_t n, Rng& rng) {
 
 TEST(BitPlaneLineBufferTest, PackRunMatchesBitByBitReference) {
   // Runs of every length up to a few words, starting mid-word and ending
-  // mid-row, at every plane count and every SIMD level: 1..8 planes take
-  // the scalar eight-codes-per-multiply path (and its per-bit tail), 9..16
-  // its per-bit fallback. Code bits at or above the plane count must not
+  // mid-row, at both plane counts and every SIMD level (the scalar level's
+  // eight-codes-per-multiply path and its per-bit tail alike). Code bits at
+  // or above the plane count must not
   // leak into any plane. Each run is a whole, exactly sized heap vector,
   // so a pack that reads past a run's last code is an ASan report.
   for (const simd::Level level : simd::available_levels()) {
@@ -146,7 +180,7 @@ TEST_P(PackedWindowProperty, BuildMatchesBitByBitReferenceAtEveryLevel) {
   // by runs of random length (so runs start mid-word); every window of the
   // row is built for several ring phases and compared bit by bit with the
   // codes it covers, and its dot at every SIMD level with the plain integer
-  // reference_pm1_dot. Plane counts cycle through 1..16 across windows.
+  // reference_pm1_dot, at both plane counts.
   const WindowGeometry g = GetParam();
   Rng rng(0x51de + static_cast<std::uint64_t>(g.c * 131 + g.k * 7 + g.stride));
   const int wp = g.k + 3 * g.stride + 1;
@@ -154,8 +188,7 @@ TEST_P(PackedWindowProperty, BuildMatchesBitByBitReferenceAtEveryLevel) {
   const std::int64_t seg = static_cast<std::int64_t>(g.k) * g.c;
   const std::int64_t values = seg * g.k;
   const int out_w = (wp - g.k) / g.stride + 1;
-  for (int planes = 1 + (g.c + g.k + g.stride) % 4;
-       planes <= BitPlaneLineBuffer::kMaxPlanes; planes += 4) {
+  for (int planes = 1; planes <= BitPlaneLineBuffer::kMaxPlanes; ++planes) {
     BitPlaneLineBuffer lines(planes, g.k, row_bits);
     std::vector<std::vector<std::int32_t>> rows;
     for (int r = 0; r < g.k; ++r) {
@@ -181,11 +214,7 @@ TEST_P(PackedWindowProperty, BuildMatchesBitByBitReferenceAtEveryLevel) {
         w.set(i, bit);
         w_pm1[static_cast<std::size_t>(i)] = bit ? 1 : -1;
       }
-      std::vector<Word> words(filter.words());
-      for (std::int64_t i = 0; i < w.words(); ++i) {
-        words[static_cast<std::size_t>(i)] = w.word(i);
-      }
-      filter.set(0, words);
+      filter.set(0, filter_words(w));
     }
     PackedWindow win(values, planes);
     for (int top = 0; top < g.k; ++top) {

@@ -1,13 +1,17 @@
-// Randomized property suite pinning the word-packed incremental conv
-// datapath (bit-plane line buffers + splice window assembly + vec_ops
-// filter-lane window dot) to the plain integer reference
-// reference_pm1_dot, across activation widths 1..8, window lengths chosen
-// to straddle word boundaries (63/64/65/127/129), all-padding windows,
-// strides, multi-image streams, filter counts that are not a multiple of
-// the 8-filter lane group, and every SIMD dispatch level on the host.
+// Randomized property suite pinning both conv datapaths — the word-packed
+// bit-plane path for 1-2-bit inputs (bit-plane line buffers + splice
+// window assembly + vec_ops filter-lane window dot) and the byte path for
+// 3-16-bit inputs (byte line buffers + memcpy windows + vec_ops dot_bytes)
+// — to the plain integer reference reference_pm1_dot, across activation
+// widths 1..8, 9, 12 and 16, window lengths chosen to straddle word
+// boundaries (63/64/65/127/129), all-padding windows, strides, ResNet-18's
+// 7x7 stride-2 input layer, multi-image streams, filter counts that are not
+// a multiple of the 8- or 16-filter lane group, and every SIMD dispatch
+// level on the host.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/bitplanes.h"
@@ -120,11 +124,12 @@ const Geometry kGeometries[] = {
     {{5, 5, 3}, 2, 3, 2, 1},    // strided scan
     {{6, 5, 2}, 3, 2, 2, 0},    // strided, even k, no pad
     {{3, 3, 5}, 2, 3, 1, 0},    // dense: window == whole map
+    {{9, 8, 3}, 5, 7, 2, 3},    // ResNet-18 conv_0's 7x7 stride 2 pad 3
 };
 
 TEST_F(PackedConvTest, PackedMatchesReferenceAcrossBitsAndGeometries) {
   Rng rng(0xdada);
-  for (int bits = 1; bits <= 8; ++bits) {
+  for (const int bits : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16}) {
     for (const auto& g : kGeometries) {
       const Node n = conv_node(g.in, g.out_c, g.k, g.stride, g.pad, bits);
       const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
@@ -162,6 +167,32 @@ TEST_F(PackedConvTest, PackedHandlesMultipleImagesBackToBack) {
     expect.insert(expect.end(), one.begin(), one.end());
   }
   EXPECT_EQ(run_conv(n, fb, images), expect);
+}
+
+TEST_F(PackedConvTest, ByteDatapathMatchesReferenceOnResnetConv0AtEveryLevel) {
+  // ResNet-18's input layer (7x7x3, stride 2, pad 3, 8-bit codes) on a
+  // smaller map, three images back to back: 147-value windows (36 quads
+  // and a partial one), a ring of seven rows recycled across image
+  // boundaries, and 64 filters = one four-group AVX-512 block. A second
+  // run with 16-bit codes and 17 filters takes both byte-planes and a
+  // one-filter last group.
+  Rng rng(0xdae1);
+  for (const auto& [bits, out_c] : {std::pair{8, 64}, std::pair{16, 17}}) {
+    const Node n = conv_node({13, 15, 3}, out_c, 7, 2, 3, bits);
+    const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+    std::vector<IntTensor> images;
+    std::vector<std::int32_t> expect;
+    for (int i = 0; i < 3; ++i) {
+      images.push_back(testutil::random_codes(n.in, bits, rng));
+      const auto one = reference_conv(n, fb, images.back());
+      expect.insert(expect.end(), one.begin(), one.end());
+    }
+    for (const simd::Level level : simd::available_levels()) {
+      simd::set_level(level);
+      ASSERT_EQ(run_conv(n, fb, images), expect)
+          << "level=" << simd::level_name(level) << " bits=" << bits;
+    }
+  }
 }
 
 TEST_F(PackedConvTest, PackedMatchesReferenceWhenFilterCountIsNotALaneMultiple) {

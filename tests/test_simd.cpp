@@ -1,9 +1,11 @@
 // vec_ops seam: every compiled+supported SIMD level must agree bit-exactly
-// with the scalar reference on random word buffers, including lengths that
-// exercise every tail-handling path (0, sub-block, block-multiple, and
-// block+tail), filter counts that leave filter-lane groups partly padded,
-// and plane-pack chunks of every length and offset. Also pins the dispatch contract: kScalar is always present, and
-// set_level overrides whatever auto/env dispatch picked.
+// with the scalar reference on random buffers, including window lengths
+// that exercise every tail-handling path, filter counts that leave
+// filter-lane groups (8 bit-plane filters, 16 byte-path filters) partly
+// padded, both bit-planes and both byte-planes, and plane-pack chunks of
+// every length and offset. Also pins the dispatch contract: kScalar is
+// always present, and set_level overrides whatever auto/env dispatch
+// picked.
 #include "core/simd/vec_ops.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "core/bitops.h"
+#include "core/bitplanes.h"
+#include "core/bitvector.h"
 #include "core/packed_planes.h"
 #include "core/rng.h"
 #include "quant/threshold.h"
@@ -54,25 +58,6 @@ TEST(VecOps, SetLevelOverridesDispatch) {
                         simd::vec_ops().level) != levels.end());
 }
 
-// Lengths covering empty, scalar tails, exact SIMD blocks (4 words for
-// AVX2, 8 for AVX-512), and block+tail combinations.
-constexpr std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31};
-
-TEST(VecOps, PopcountMatchesScalarAtEveryLevel) {
-  const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
-  Rng rng(0xabc1);
-  for (const simd::Level level : simd::available_levels()) {
-    const auto& ops = simd::vec_ops_at(level);
-    for (const std::size_t n : kLengths) {
-      for (int trial = 0; trial < 8; ++trial) {
-        const auto a = random_words(n, rng);
-        EXPECT_EQ(ops.popcount(a.data(), n), scalar.popcount(a.data(), n))
-            << simd::level_name(level) << " n=" << n;
-      }
-    }
-  }
-}
-
 /// Random filters in the filter-lane layout (count padded to 8 with zero
 /// filters) and a random plane-interleaved `n`-word x `planes` window.
 struct DotCase {
@@ -99,7 +84,7 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
   Rng rng(0xabc3);
   for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9},
                               std::size_t{17}, std::size_t{72}}) {
-    for (const int planes : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16}) {
+    for (int planes = 1; planes <= simd::kMaxPlanes; ++planes) {
       for (const int filters : {1, 5, 7, 8, 9, 10, 63, 64, 1000}) {
         const DotCase c = random_dot_case(n, planes, filters, rng);
         const auto o = static_cast<std::size_t>(filters);
@@ -148,10 +133,119 @@ TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
   }
 }
 
+// ---------------------------------------------------------------- dot_bytes
+
+/// A byte-path window of `values` codes in `planes` byte-planes, each plane
+/// zero-padded to whole quads, and `filters` random 1-bit filters.
+struct ByteDotCase {
+  ByteFilters filters;
+  std::vector<std::uint8_t> window;
+};
+
+ByteDotCase random_byte_dot_case(std::size_t values, int planes,
+                                 int filters, Rng& rng) {
+  const auto n = static_cast<std::int64_t>(values);
+  ByteDotCase c{ByteFilters(n, filters), {}};
+  const std::size_t plane_size = 4 * c.filters.quads();
+  c.window.assign(static_cast<std::size_t>(planes) * plane_size, 0);
+  for (int q = 0; q < planes; ++q) {
+    for (std::size_t i = 0; i < values; ++i) {
+      c.window[static_cast<std::size_t>(q) * plane_size + i] =
+          static_cast<std::uint8_t>(rng.next_u64());
+    }
+  }
+  std::vector<Word> words(static_cast<std::size_t>(words_for_bits(n)));
+  for (int f = 0; f < filters; ++f) {
+    for (auto& w : words) w = rng.next_u64();
+    if (n % kWordBits != 0) {
+      words.back() &= low_mask(static_cast<int>(n % kWordBits));
+    }
+    c.filters.set(f, words);
+  }
+  return c;
+}
+
+TEST(VecOps, DotBytesMatchesScalarAtEveryLevel) {
+  // Value counts from one through VGG's conv_0 (27), ResNet's conv_0 (147,
+  // and one past it: a whole last quad), 513 (a word and a quad past
+  // 512) to a 3x3x512 window; filter counts around the 16-filter group
+  // (and AVX-512's four-group block: 64, 1000), each partial last group
+  // included; one and two byte-planes. Exactly O responses are written: a
+  // canary after out[O] stays untouched.
+  constexpr std::int32_t kCanary = 0x5e5e5e5e;
+  const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
+  Rng rng(0xb17e5);
+  for (const std::size_t values :
+       {std::size_t{1}, std::size_t{3}, std::size_t{27}, std::size_t{147},
+        std::size_t{148}, std::size_t{513}, std::size_t{4608}}) {
+    for (int planes = 1; planes <= simd::kMaxBytePlanes; ++planes) {
+      for (const int filters : {1, 5, 15, 16, 17, 64, 1000}) {
+        const ByteDotCase c = random_byte_dot_case(values, planes, filters, rng);
+        const auto o = static_cast<std::size_t>(filters);
+        std::vector<std::int32_t> expect(o + 1, kCanary);
+        scalar.dot_bytes(c.window.data(), c.filters.quads(), planes,
+                         c.filters.data(), o, expect.data());
+        ASSERT_EQ(expect[o], kCanary) << "scalar wrote past out[O]";
+        for (const simd::Level level : simd::available_levels()) {
+          std::vector<std::int32_t> got(o + 1, kCanary);
+          simd::vec_ops_at(level).dot_bytes(c.window.data(), c.filters.quads(),
+                                            planes, c.filters.data(), o,
+                                            got.data());
+          ASSERT_EQ(got, expect)
+              << simd::level_name(level) << " values=" << values
+              << " planes=" << planes << " filters=" << filters;
+        }
+      }
+    }
+  }
+}
+
+TEST(VecOps, DotBytesImplementsPm1Sum) {
+  // out[f] = sum_i w_f,i * code_i, the +-1 dot of reference_pm1_dot, at
+  // every level: 16-bit codes of 0xFFFF (both byte-planes full) over a
+  // window long enough that 2 * (sum of the +1 bytes) passes 2^31 and
+  // wraps, against all-+1, all--1 and alternating weights.
+  constexpr std::int64_t kValues = 16400;  // 2 * 65535 * 16400 > 2^31
+  const std::vector<std::int32_t> codes(static_cast<std::size_t>(kValues),
+                                        0xFFFF);
+  const std::int8_t signs[3][2] = {{1, 1}, {-1, -1}, {1, -1}};
+  ByteFilters filters(kValues, 3);
+  std::vector<std::vector<std::int8_t>> w_pm1;
+  for (int f = 0; f < 3; ++f) {
+    BitVector w(kValues);
+    w_pm1.emplace_back(static_cast<std::size_t>(kValues));
+    for (std::int64_t i = 0; i < kValues; ++i) {
+      const std::int8_t s = signs[f][i % 2];
+      w.set(i, s > 0);
+      w_pm1.back()[static_cast<std::size_t>(i)] = s;
+    }
+    std::vector<Word> words(static_cast<std::size_t>(w.words()));
+    for (std::int64_t j = 0; j < w.words(); ++j) {
+      words[static_cast<std::size_t>(j)] = w.word(j);
+    }
+    filters.set(f, words);
+  }
+  ByteLineBuffer lines(16, 1, kValues);
+  lines.pack_run(0, 0, codes);
+  ByteWindow window(kValues, lines.planes());
+  window.build(lines, 0, 0, kValues);
+  ASSERT_EQ(window.planes(), 2);
+  for (const simd::Level level : simd::available_levels()) {
+    std::int32_t out[3];
+    window.dot(simd::vec_ops_at(level), filters, out);
+    for (int f = 0; f < 3; ++f) {
+      EXPECT_EQ(out[f], reference_pm1_dot(w_pm1[static_cast<std::size_t>(f)],
+                                          codes))
+          << simd::level_name(level) << " filter " << f;
+    }
+  }
+  EXPECT_EQ(reference_pm1_dot(w_pm1[0], codes), 65535 * kValues);
+}
+
 // --------------------------------------------------------------- pack_codes
 
 TEST(VecOps, PackCodesMatchesScalarAtEveryLevel) {
-  // Every plane count, every chunk length a word can take at offsets 0, 1,
+  // Every plane count (1 and 2), every chunk length a word can take at offsets 0, 1,
   // 31 and 63, codes with every bit of 32 random (negative ones and bits
   // at or above the plane count included: those must not leak), into
   // destination words that already hold random bits (which the OR keeps).
