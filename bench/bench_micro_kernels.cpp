@@ -390,8 +390,11 @@ int run_conv_datapath_ablation() {
   // bits the byte path (144 quads). The conv_0 cells are the 8-bit input
   // layers on smaller maps, byte path: ResNet-18's (7x7x3 -> 64, stride
   // 2, pad 3; 147 values per window) and VGG's (3x3x3 -> 64; 27 values) —
-  // the short-window cases where per-filter overheads dominate.
-  // Tiny-channel layers are covered by the test suite.
+  // the short-window cases where per-filter overheads dominate. The
+  // 3x3x256 -> 256 cell on an 8x8 map is the deep 2-bit layer (VGG
+  // conv_12, ResNet-18 conv_24..conv_32 geometry): 36-word planes and a
+  // 73 KB weight bank, larger than L1. Tiny-channel layers are covered by
+  // the test suite.
   const Cell cells[] = {
       {"3x3x64-64_b1", {16, 16, 64}, 64, 3, 1, 1, 1},
       {"3x3x64-64_b2", {16, 16, 64}, 64, 3, 1, 1, 2},
@@ -399,6 +402,7 @@ int run_conv_datapath_ablation() {
       {"3x3x64-64_b8", {16, 16, 64}, 64, 3, 1, 1, 8},
       {"conv_0_7x7x3-64_s2_b8", {64, 64, 3}, 64, 7, 2, 3, 8},
       {"conv_0_3x3x3-64_b8", {32, 32, 3}, 64, 3, 1, 1, 8},
+      {"3x3x256-256_b2", {8, 8, 256}, 256, 3, 1, 1, 2},
   };
   constexpr std::size_t kCells = std::size(cells);
 

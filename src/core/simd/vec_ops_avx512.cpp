@@ -2,12 +2,13 @@
 // bits per lane in one instruction — popcount bandwidth is the whole game
 // for binary conv, per FINN/XNORBIN). The window dot maps one filter-lane
 // group onto one register: a broadcast plane word against eight filters'
-// words per instruction, two groups per broadcast, narrowed to int32 by
-// vpmovqd. The window build moves one word of both planes per register;
-// the plane pack tests sixteen codes per vptestmd. The byte dot expands one
-// weight-mask word into 64 bytes of 0/-1 with vpmovm2b (AVX512BW) and
-// multiplies them against four broadcast window bytes with the VNNI
-// vpdpbusd, sixteen filters per register; vpsadbw sums the window bytes.
+// words per instruction, each weight vector loaded once for both planes,
+// four groups per broadcast, narrowed to int32 by vpmovqd. The window build
+// moves one word of both planes per register; the plane pack tests sixteen
+// codes per vptestmd. The byte dot expands one weight-mask word into 64
+// bytes of 0/-1 with vpmovm2b (AVX512BW) and multiplies them against four
+// broadcast window bytes with the VNNI vpdpbusd, sixteen filters per
+// register; vpsadbw sums the window bytes.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX512)
@@ -44,38 +45,54 @@ __attribute__((QNN_AVX512_TARGET)) void pack_codes_avx512(
   for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
 }
 
-/// Up to kG filter-lane groups against the window at once, sharing each
-/// broadcast window word; `filters` (<= kG*8) responses are written. Horner
-/// over the planes, high to low (sum = 2*sum + on_p, adds only: the shift
-/// intrinsics' undefined-source operand trips -Wmaybe-uninitialized),
-/// builds sum_p on_p << p; the window's sum_p pop_p << p is subtracted once
-/// at the end, and vpmovqd narrows each group's eight sums to int32 (a
-/// masked store for a partial last group).
-template <std::size_t kG>
+/// Up to kG filter-lane groups against a kP-plane window at once. The
+/// word loop is outermost: per word, both plane words are broadcast once,
+/// and each group's weight vector is loaded once and ANDed with every
+/// plane, so the loop issues one load and kP AND + vpopcntq + add per
+/// group, with kG*kP independent accumulators in flight. Horner over the
+/// planes, high to low (sum = 2*sum + on_p, adds only: the shift
+/// intrinsics' undefined-source operand trips -Wmaybe-uninitialized), then
+/// builds sum_p on_p << p once, after the loop; the window's
+/// sum_p pop_p << p is subtracted, and vpmovqd narrows each group's eight
+/// sums to int32 (a masked store for a partial last group). `filters`
+/// (<= kG*8) responses are written.
+template <std::size_t kG, std::size_t kP>
 __attribute__((QNN_AVX512_TARGET)) inline void dot_groups(
-    const Word* a, std::size_t n, std::size_t np, const Word* wg, __m512i pop,
+    const Word* a, std::size_t n, const Word* wg, __m512i pop,
     std::size_t filters, std::int32_t* out) {
-  __m512i sum[kG];
-  for (auto& s : sum) s = _mm512_setzero_si512();
-  for (std::size_t p = np; p-- > 0;) {
-    __m512i on[kG];
-    for (auto& o : on) o = _mm512_setzero_si512();
-    for (std::size_t j = 0; j < n; ++j) {
-      const __m512i av =
-          _mm512_set1_epi64(static_cast<long long>(a[j * np + p]));
-      for (std::size_t g = 0; g < kG; ++g) {
-        on[g] = _mm512_add_epi64(
-            on[g], _mm512_popcnt_epi64(_mm512_and_si512(
-                       _mm512_loadu_si512(wg + (g * n + j) * kFilterLanes),
-                       av)));
+  // The constant-trip loops are unrolled so that the accumulators stay in
+  // registers.
+  __m512i on[kP][kG];
+#pragma GCC unroll 2
+  for (auto& plane : on) {
+#pragma GCC unroll 4
+    for (auto& v : plane) v = _mm512_setzero_si512();
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    __m512i av[kP];
+#pragma GCC unroll 2
+    for (std::size_t p = 0; p < kP; ++p) {
+      av[p] = _mm512_set1_epi64(static_cast<long long>(a[j * kP + p]));
+    }
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < kG; ++g) {
+      const __m512i wv =
+          _mm512_loadu_si512(wg + (g * n + j) * kFilterLanes);
+#pragma GCC unroll 2
+      for (std::size_t p = 0; p < kP; ++p) {
+        on[p][g] = _mm512_add_epi64(
+            on[p][g], _mm512_popcnt_epi64(_mm512_and_si512(wv, av[p])));
       }
     }
-    for (std::size_t g = 0; g < kG; ++g) {
-      sum[g] = _mm512_add_epi64(_mm512_add_epi64(sum[g], sum[g]), on[g]);
-    }
   }
+#pragma GCC unroll 4
   for (std::size_t g = 0; g < kG; ++g) {
-    const __m512i v = _mm512_sub_epi64(_mm512_add_epi64(sum[g], sum[g]), pop);
+    __m512i sum = on[kP - 1][g];
+#pragma GCC unroll 2
+    for (std::size_t p = kP - 1; p > 0; --p) {
+      sum = _mm512_add_epi64(_mm512_add_epi64(sum, sum), on[p - 1][g]);
+    }
+    const __m512i v = _mm512_sub_epi64(_mm512_add_epi64(sum, sum), pop);
     const std::size_t lanes = filters - g * kFilterLanes;
     _mm512_mask_cvtepi64_storeu_epi32(
         out + g * kFilterLanes,
@@ -85,24 +102,36 @@ __attribute__((QNN_AVX512_TARGET)) inline void dot_groups(
   }
 }
 
-__attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
-    const Word* a, std::size_t n, int planes, const Word* w,
-    std::size_t filters, std::int32_t* out) {
-  const auto np = static_cast<std::size_t>(planes);
+template <std::size_t kP>
+__attribute__((QNN_AVX512_TARGET)) void dot_window_planes(
+    const Word* a, std::size_t n, const Word* w, std::size_t filters,
+    std::int32_t* out) {
   std::int64_t pop = 0;  // sum_p popcount(plane p) << p
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < np; ++p) {
-      pop += static_cast<std::int64_t>(__builtin_popcountll(a[j * np + p]))
+    for (std::size_t p = 0; p < kP; ++p) {
+      pop += static_cast<std::int64_t>(__builtin_popcountll(a[j * kP + p]))
              << p;
     }
   }
   const __m512i vpop = _mm512_set1_epi64(pop);
+  constexpr std::size_t kBlock = 4;  // groups sharing each broadcast
   std::size_t f = 0;
-  for (; f + kFilterLanes < filters; f += 2 * kFilterLanes) {
-    dot_groups<2>(a, n, np, w + f * n, vpop, filters - f, out + f);
+  for (; f + (kBlock - 1) * kFilterLanes < filters;
+       f += kBlock * kFilterLanes) {
+    dot_groups<kBlock, kP>(a, n, w + f * n, vpop, filters - f, out + f);
   }
-  if (f < filters) {
-    dot_groups<1>(a, n, np, w + f * n, vpop, filters - f, out + f);
+  for (; f < filters; f += kFilterLanes) {
+    dot_groups<1, kP>(a, n, w + f * n, vpop, filters - f, out + f);
+  }
+}
+
+__attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
+    const Word* a, std::size_t n, int planes, const Word* w,
+    std::size_t filters, std::int32_t* out) {
+  if (planes == 1) {
+    dot_window_planes<1>(a, n, w, filters, out);
+  } else {
+    dot_window_planes<2>(a, n, w, filters, out);
   }
 }
 
@@ -161,11 +190,37 @@ __attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
   if (fill != 0) _mm512_mask_storeu_epi64(out, m, pending);
 }
 
+/// Quad `v` of the window against kG groups' mask words `wg`
+/// ([group][quad], `quads` per group), into one accumulator set.
+template <std::size_t kG, std::size_t kP>
+__attribute__((QNN_AVX512_TARGET, always_inline)) inline void byte_quad(
+    const std::uint8_t* a, std::size_t quads, const Word* wg, std::size_t v,
+    __m512i (&acc)[kP][kG]) {
+  const std::size_t len = 4 * quads;
+  __m512i wv[kG];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < kG; ++g) {
+    wv[g] = _mm512_movm_epi8(_cvtu64_mask64(wg[g * quads + v]));
+  }
+#pragma GCC unroll 2
+  for (std::size_t p = 0; p < kP; ++p) {
+    std::int32_t bytes;
+    std::memcpy(&bytes, a + p * len + 4 * v, sizeof bytes);
+    const __m512i av = _mm512_set1_epi32(bytes);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < kG; ++g) {
+      acc[p][g] = _mm512_dpbusd_epi32(acc[p][g], av, wv[g]);
+    }
+  }
+}
+
 /// Up to kG groups of kByteLanes filters against the window at once, over
 /// kP byte-planes: per quad of values, each group's mask word becomes 64
 /// bytes of 0/-1 (vpmovm2b) and meets the broadcast four window bytes of
 /// every plane in one vpdpbusd, so acc = -(sum of the bytes whose weight
-/// is +1). Horner over the planes (acc_1 * 256 + acc_0) and
+/// is +1). One plane keeps two accumulator sets, even and odd quads, so
+/// that eight vpdpbusd chains rather than four hide its latency; they are
+/// added after the loop. Horner over the planes (acc_1 * 256 + acc_0) and
 /// out = -2*acc - sum, with `sum` the planes' byte sums likewise
 /// combined; `filters` (<= kG*16) responses are written, a masked store
 /// for a partial last group.
@@ -173,35 +228,41 @@ template <std::size_t kG, std::size_t kP>
 __attribute__((QNN_AVX512_TARGET)) inline void dot_byte_groups(
     const std::uint8_t* a, std::size_t quads, const Word* wg, __m512i sum,
     std::size_t filters, std::int32_t* out) {
-  const std::size_t len = 4 * quads;
+  constexpr std::size_t kSets = kP == 1 ? 2 : 1;
   // The constant-trip loops are unrolled so that acc and wv stay in
   // registers (-O2 would otherwise keep them on the stack).
-  __m512i acc[kP][kG];
-  for (auto& plane : acc) {
-    for (auto& v : plane) v = _mm512_setzero_si512();
-  }
-  for (std::size_t v = 0; v < quads; ++v) {
-    __m512i wv[kG];
-#pragma GCC unroll 4
-    for (std::size_t g = 0; g < kG; ++g) {
-      wv[g] = _mm512_movm_epi8(_cvtu64_mask64(wg[g * quads + v]));
-    }
+  __m512i acc[kSets][kP][kG];
 #pragma GCC unroll 2
+  for (auto& set : acc) {
+#pragma GCC unroll 2
+    for (auto& plane : set) {
+#pragma GCC unroll 4
+      for (auto& v : plane) v = _mm512_setzero_si512();
+    }
+  }
+  std::size_t q = 0;
+  for (; q + kSets <= quads; q += kSets) {
+#pragma GCC unroll 2
+    for (std::size_t s = 0; s < kSets; ++s) {
+      byte_quad<kG, kP>(a, quads, wg, q + s, acc[s]);
+    }
+  }
+  if (q < quads) byte_quad<kG, kP>(a, quads, wg, q, acc[0]);
+  for (std::size_t s = 1; s < kSets; ++s) {
     for (std::size_t p = 0; p < kP; ++p) {
-      std::int32_t quad;
-      std::memcpy(&quad, a + p * len + 4 * v, sizeof quad);
-      const __m512i av = _mm512_set1_epi32(quad);
 #pragma GCC unroll 4
       for (std::size_t g = 0; g < kG; ++g) {
-        acc[p][g] = _mm512_dpbusd_epi32(acc[p][g], av, wv[g]);
+        acc[0][p][g] = _mm512_add_epi32(acc[0][p][g], acc[s][p][g]);
       }
     }
   }
   const __m512i zero = _mm512_setzero_si512();
+#pragma GCC unroll 4
   for (std::size_t g = 0; g < kG; ++g) {
-    __m512i t = acc[kP - 1][g];
+    __m512i t = acc[0][kP - 1][g];
     for (std::size_t p = kP - 1; p-- > 0;) {
-      t = _mm512_add_epi32(_mm512_maskz_slli_epi32(0xffff, t, 8), acc[p][g]);
+      t = _mm512_add_epi32(_mm512_maskz_slli_epi32(0xffff, t, 8),
+                           acc[0][p][g]);
     }
     const __m512i v =
         _mm512_sub_epi32(zero, _mm512_add_epi32(_mm512_add_epi32(t, t), sum));

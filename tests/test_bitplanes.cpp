@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <span>
 #include <string>
@@ -91,6 +92,21 @@ TEST(BitPlaneLineBufferTest, RejectsBadShapesBeforeAllocating) {
   EXPECT_THROW(ByteLineBuffer(8, 2, -64), Error);
   EXPECT_THROW(ByteWindow(64, -1), Error);
   EXPECT_THROW(ByteWindow(-64, 1), Error);
+}
+
+TEST(PackedFilters, BankIsCacheLineAligned) {
+  // The weight bank starts on a 64-byte boundary whatever its size, so no
+  // zmm weight load of the AVX-512 dot splits a cache line; the window's
+  // and the line buffer's words stay plain vectors.
+  for (const int count : {1, 8, 64, 1000}) {
+    for (const std::int64_t bits : {std::int64_t{27}, std::int64_t{576},
+                                    std::int64_t{2304}}) {
+      const PackedFilters filters(bits, count);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(filters.data()) % 64, 0u)
+          << "count=" << count << " bits=" << bits;
+      EXPECT_EQ(filters.padded_count() % simd::kFilterLanes, 0u);
+    }
+  }
 }
 
 /// Bit `pos` of plane `p` in a plane-interleaved [word][plane] buffer.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -74,26 +75,35 @@ DotCase random_dot_case(std::size_t n, int planes, int filters, Rng& rng) {
 
 TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
   // Words per plane from the one-word case through conv_0's 3 (a 7x7x3
-  // window) to a 3x3x256 window's 72, odd lengths exercising the AVX-512
-  // pairwise tail; filter counts below, at and around the 8-lane group,
-  // with every partial last group (1, 5, 7, 9, 10, 63) and both group
-  // parities. Exactly O responses are written: a canary after out[O]
-  // stays untouched.
+  // window) and a 3x3x256 window's 36 to a 3x3x512 window's 72, odd
+  // lengths included; filter counts below, at and around the 8-lane group,
+  // with every partial last group (1, 5, 7, 9, 10, 63), and around the
+  // AVX-512 32-filter block: every remainder of a block (20, 24, 25, 31,
+  // 32, 33, 40, 56: a short block, a full one, one to three single groups
+  // after it). Exactly O responses are written: a block's worth of
+  // canaries after out[O] stays untouched.
   constexpr std::int32_t kCanary = 0x5e5e5e5e;
+  constexpr std::size_t kGuard = 4 * simd::kFilterLanes;
   const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
   Rng rng(0xabc3);
   for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9},
-                              std::size_t{17}, std::size_t{72}}) {
+                              std::size_t{17}, std::size_t{36},
+                              std::size_t{72}}) {
     for (int planes = 1; planes <= simd::kMaxPlanes; ++planes) {
-      for (const int filters : {1, 5, 7, 8, 9, 10, 63, 64, 1000}) {
+      for (const int filters :
+           {1, 5, 7, 8, 9, 10, 20, 24, 25, 31, 32, 33, 40, 56, 63, 64,
+            1000}) {
         const DotCase c = random_dot_case(n, planes, filters, rng);
         const auto o = static_cast<std::size_t>(filters);
-        std::vector<std::int32_t> expect(o + 1, kCanary);
+        std::vector<std::int32_t> expect(o + kGuard, kCanary);
         scalar.dot_window(c.window.data(), n, planes, c.filters.data(), o,
                           expect.data());
-        ASSERT_EQ(expect[o], kCanary) << "scalar wrote past out[O]";
+        const auto tail = expect.begin() + static_cast<std::ptrdiff_t>(o);
+        ASSERT_TRUE(std::all_of(tail, expect.end(),
+                                [](std::int32_t v) { return v == kCanary; }))
+            << "scalar wrote past out[O]";
         for (const simd::Level level : simd::available_levels()) {
-          std::vector<std::int32_t> got(o + 1, kCanary);
+          std::vector<std::int32_t> got(o + kGuard, kCanary);
           simd::vec_ops_at(level).dot_window(c.window.data(), n, planes,
                                              c.filters.data(), o, got.data());
           ASSERT_EQ(got, expect)
@@ -101,6 +111,35 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
               << " filters=" << filters;
         }
       }
+    }
+  }
+}
+
+TEST(VecOps, DotWindowTakesFiltersOffTheCacheLine) {
+  // PackedFilters banks start on a 64-byte boundary, but dot_window does
+  // not require it: the same filters copied to one word past a boundary
+  // (every weight vector then splits a cache line) give the same
+  // responses at every level, for both plane counts and a partial block.
+  const auto& scalar = simd::vec_ops_at(simd::Level::kScalar);
+  Rng rng(0x0ff1);
+  constexpr std::size_t kN = 9;
+  constexpr int kFilters = 57;
+  for (int planes = 1; planes <= simd::kMaxPlanes; ++planes) {
+    const DotCase c = random_dot_case(kN, planes, kFilters, rng);
+    const std::size_t bank = c.filters.padded_count() * kN;
+    std::vector<Word, CacheLineAllocator<Word>> shifted(bank + 1);
+    std::copy_n(c.filters.data(), bank, shifted.begin() + 1);
+    const Word* w = shifted.data() + 1;
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(w) % 64, sizeof(Word));
+    std::vector<std::int32_t> expect(kFilters);
+    scalar.dot_window(c.window.data(), kN, planes, c.filters.data(), kFilters,
+                      expect.data());
+    for (const simd::Level level : simd::available_levels()) {
+      std::vector<std::int32_t> got(kFilters);
+      simd::vec_ops_at(level).dot_window(c.window.data(), kN, planes, w,
+                                         kFilters, got.data());
+      EXPECT_EQ(got, expect) << simd::level_name(level)
+                             << " planes=" << planes;
     }
   }
 }
