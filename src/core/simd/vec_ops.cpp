@@ -163,10 +163,36 @@ void threshold_codes_scalar(const std::int32_t* a, std::size_t n,
   }
 }
 
+void narrow_i8_scalar(const std::int32_t* src, std::size_t n,
+                      std::int8_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::int8_t>(src[i]);
+  }
+}
+
+void narrow_i16_scalar(const std::int32_t* src, std::size_t n,
+                       std::int16_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::int16_t>(src[i]);
+  }
+}
+
+void widen_i8_scalar(const std::int8_t* src, std::size_t n,
+                     std::int32_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+}
+
+void widen_i16_scalar(const std::int16_t* src, std::size_t n,
+                      std::int32_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+}
+
 constexpr VecOps kScalarOps{Level::kScalar,       "scalar",
                             pack_codes_scalar,    dot_window_scalar,
                             build_window_scalar,  dot_bytes_scalar,
-                            threshold_codes_scalar};
+                            threshold_codes_scalar, narrow_i8_scalar,
+                            narrow_i16_scalar,    widen_i8_scalar,
+                            widen_i16_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -1,7 +1,9 @@
 // Runtime-dispatched vector primitives behind the two conv datapaths: the
 // bit-plane XNOR-popcount path for 1-2-bit codes (§III-B1) and the byte
 // path for 3-16-bit codes (the 8-bit image layer above all), both against
-// 1-bit weights.
+// 1-bit weights; plus the ring conversions that let a Stream store each
+// value at its declared width (int8/int16 narrowing on push, sign
+// extension on pop).
 //
 // The layering follows the vec_ops/vec_dot split used by ggml's QNN NPU
 // device code: a scalar implementation defines the semantics and stays the
@@ -9,10 +11,12 @@
 // `vpslld` + `vmovmskps` plane packing, `vpshufb` + `vpcmpeqb` weight-mask
 // expansion into `vpmaddubsw`; AVX-512: `vpopcntdq`, `vptestmd` plane
 // packing, `vpmovqd` narrowing, `vpmovm2b` weight-mask expansion into the
-// VNNI `vpdpbusd` byte dot) are pinned against it by tests at every
-// compiled level. The AVX-512 level needs AVX512F, BW, VNNI and VPOPCNTDQ.
-// All paths are built with per-function target attributes, so the
-// binary itself is portable; dispatch picks an implementation at runtime:
+// VNNI `vpdpbusd` byte dot, `vpmovdb`/`vpmovdw` narrowing and
+// `vpmovsxbd`/`vpmovsxwd` widening) are pinned against it by tests at
+// every compiled level. The AVX-512 level needs AVX512F, BW, VNNI and
+// VPOPCNTDQ. All paths are built with per-function target attributes, so
+// the binary itself is portable; dispatch picks an implementation at
+// runtime:
 //
 //   1. explicit override (set_level — tests and bench ablations),
 //   2. the QNN_SIMD environment variable (auto|avx512|avx2|scalar),
@@ -122,6 +126,20 @@ struct VecOps {
                           const std::int32_t* sign, const std::int32_t* t,
                           std::size_t stride, int levels,
                           std::int32_t* codes);
+
+  /// Ring narrowing (Stream::try_push_burst): for i < n, dst[i] is the low
+  /// 8 (narrow_i8) or 16 (narrow_i16) bits of src[i], two's complement —
+  /// exact for every value the narrow element holds.
+  void (*narrow_i8)(const std::int32_t* src, std::size_t n,
+                    std::int8_t* dst);
+  void (*narrow_i16)(const std::int32_t* src, std::size_t n,
+                     std::int16_t* dst);
+
+  /// Ring widening (Stream::try_pop_burst): dst[i] = src[i] sign-extended
+  /// to int32, for i < n.
+  void (*widen_i8)(const std::int8_t* src, std::size_t n, std::int32_t* dst);
+  void (*widen_i16)(const std::int16_t* src, std::size_t n,
+                    std::int32_t* dst);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

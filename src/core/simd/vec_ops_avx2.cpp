@@ -5,7 +5,9 @@
 // expands each half of a weight-mask word into 32 bytes of 0/-1 (vpshufb
 // spreads a mask byte over eight lanes, vpcmpeqb tests one bit in each)
 // and multiplies them against four broadcast window bytes with vpmaddubsw,
-// widening with vpmaddwd. Built with
+// widening with vpmaddwd. The ring conversions narrow by masking each
+// value to its low byte or word, so the saturating vpackus* packs are
+// exact truncations, and widen with vpmovsxbd/vpmovsxwd. Built with
 // a per-function target attribute (AVX2 + POPCNT) so the TU compiles under
 // the generic -march; the dispatcher only hands these functions out after
 // a CPUID check.
@@ -347,12 +349,85 @@ __attribute__((QNN_AVX2_TARGET)) void threshold_codes_avx2(
   }
 }
 
+/// Eight values, each masked by `low` (to its low byte or word).
+__attribute__((QNN_AVX2_TARGET)) inline __m256i load_low(
+    const std::int32_t* src, __m256i low) {
+  return _mm256_and_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)), low);
+}
+
+/// Thirty-two values per four loads: masked to their low bytes, two
+/// vpackusdw and one vpackuswb pack them lane by lane, and one vpermd puts
+/// the eight 4-byte runs back in order; the (< 32) tail value by value.
+__attribute__((QNN_AVX2_TARGET)) void narrow_i8_avx2(
+    const std::int32_t* src, std::size_t n, std::int8_t* dst) {
+  const __m256i low = _mm256_set1_epi32(0xff);
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i ab = _mm256_packus_epi32(load_low(src + i, low),
+                                           load_low(src + i + 8, low));
+    const __m256i cd = _mm256_packus_epi32(load_low(src + i + 16, low),
+                                           load_low(src + i + 24, low));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd), order));
+  }
+  for (; i < n; ++i) dst[i] = static_cast<std::int8_t>(src[i]);
+}
+
+/// Sixteen values per two loads: masked to their low words, one vpackusdw
+/// packs them lane by lane and one vpermq restores their order; the
+/// (< 16) tail value by value.
+__attribute__((QNN_AVX2_TARGET)) void narrow_i16_avx2(
+    const std::int32_t* src, std::size_t n, std::int16_t* dst) {
+  const __m256i low = _mm256_set1_epi32(0xffff);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_permute4x64_epi64(
+            _mm256_packus_epi32(load_low(src + i, low),
+                                load_low(src + i + 8, low)),
+            0xd8));
+  }
+  for (; i < n; ++i) dst[i] = static_cast<std::int16_t>(src[i]);
+}
+
+__attribute__((QNN_AVX2_TARGET)) void widen_i8_avx2(const std::int8_t* src,
+                                                    std::size_t n,
+                                                    std::int32_t* dst) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i))));
+  }
+  for (; i < n; ++i) dst[i] = src[i];
+}
+
+__attribute__((QNN_AVX2_TARGET)) void widen_i16_avx2(const std::int16_t* src,
+                                                     std::size_t n,
+                                                     std::int32_t* dst) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_cvtepi16_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i))));
+  }
+  for (; i < n; ++i) dst[i] = src[i];
+}
+
 #undef QNN_AVX2_TARGET
 
-constexpr VecOps kAvx2Ops{Level::kAvx2,       "avx2",
-                          pack_codes_avx2,    dot_window_avx2,
-                          build_window_avx2,  dot_bytes_avx2,
-                          threshold_codes_avx2};
+constexpr VecOps kAvx2Ops{Level::kAvx2,         "avx2",
+                          pack_codes_avx2,      dot_window_avx2,
+                          build_window_avx2,    dot_bytes_avx2,
+                          threshold_codes_avx2, narrow_i8_avx2,
+                          narrow_i16_avx2,      widen_i8_avx2,
+                          widen_i16_avx2};
 
 }  // namespace
 

@@ -8,7 +8,9 @@
 // codes per vptestmd. The byte dot expands one weight-mask word into 64
 // bytes of 0/-1 with vpmovm2b (AVX512BW) and multiplies them against four
 // broadcast window bytes with the VNNI vpdpbusd, sixteen filters per
-// register; vpsadbw sums the window bytes.
+// register; vpsadbw sums the window bytes. The ring conversions move
+// sixteen values per vpmovdb/vpmovdw (masked at the tail) and per
+// vpmovsxbd/vpmovsxwd.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX512)
@@ -348,12 +350,65 @@ __attribute__((QNN_AVX512_TARGET)) void threshold_codes_avx512(
   }
 }
 
+/// Mask of the first min(16, n) lanes.
+inline __mmask16 lanes16(std::size_t n) {
+  return static_cast<__mmask16>(n >= 16 ? 0xffffu : (1u << n) - 1u);
+}
+
+__attribute__((QNN_AVX512_TARGET)) void narrow_i8_avx512(
+    const std::int32_t* src, std::size_t n, std::int8_t* dst) {
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lanes16(n - i);
+    _mm512_mask_cvtepi32_storeu_epi8(dst + i, m,
+                                     _mm512_maskz_loadu_epi32(m, src + i));
+  }
+}
+
+__attribute__((QNN_AVX512_TARGET)) void narrow_i16_avx512(
+    const std::int32_t* src, std::size_t n, std::int16_t* dst) {
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lanes16(n - i);
+    _mm512_mask_cvtepi32_storeu_epi16(dst + i, m,
+                                      _mm512_maskz_loadu_epi32(m, src + i));
+  }
+}
+
+/// Full registers, then the (< 16) tail value by value: a masked byte or
+/// word load would need AVX512VL on top of the level's extensions. (The
+/// all-lanes maskz forms: the plain ones' undefined-source operand trips
+/// -Wmaybe-uninitialized.)
+__attribute__((QNN_AVX512_TARGET)) void widen_i8_avx512(
+    const std::int8_t* src, std::size_t n, std::int32_t* dst) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_si512(
+        dst + i, _mm512_maskz_cvtepi8_epi32(
+                     0xffff, _mm_loadu_si128(
+                                 reinterpret_cast<const __m128i*>(src + i))));
+  }
+  for (; i < n; ++i) dst[i] = src[i];
+}
+
+__attribute__((QNN_AVX512_TARGET)) void widen_i16_avx512(
+    const std::int16_t* src, std::size_t n, std::int32_t* dst) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_si512(
+        dst + i, _mm512_maskz_cvtepi16_epi32(
+                     0xffff, _mm256_loadu_si256(
+                                 reinterpret_cast<const __m256i*>(src + i))));
+  }
+  for (; i < n; ++i) dst[i] = src[i];
+}
+
 #undef QNN_AVX512_TARGET
 
-constexpr VecOps kAvx512Ops{Level::kAvx512,       "avx512",
-                            pack_codes_avx512,    dot_window_avx512,
-                            build_window_avx512,  dot_bytes_avx512,
-                            threshold_codes_avx512};
+constexpr VecOps kAvx512Ops{Level::kAvx512,         "avx512",
+                            pack_codes_avx512,      dot_window_avx512,
+                            build_window_avx512,    dot_bytes_avx512,
+                            threshold_codes_avx512, narrow_i8_avx512,
+                            narrow_i16_avx512,      widen_i8_avx512,
+                            widen_i16_avx512};
 
 }  // namespace
 

@@ -196,6 +196,17 @@ StreamEngine::StreamEngine(const Pipeline& pipeline,
   }
   QNN_CHECK(output_stream_ != nullptr, "output stream not wired");
 
+  // A conv reads its input as unsigned codes of input_bits bits (its line
+  // buffer keeps only those bits); any other first node reads the values
+  // as the input ring holds them.
+  const bool codes = std::ranges::any_of(pipeline.nodes, [](const Node& n) {
+    return n.main_from < 0 && n.kind == NodeKind::Conv;
+  });
+  input_width_ = pipeline.input_bits + (codes ? 0 : 1);
+  input_offset_ = codes || pipeline.input_bits >= 32
+                      ? 0U
+                      : 1U << pipeline.input_bits;
+
   for (int i = 0; i < pipeline.size(); ++i) {
     const Node& n = pipeline.node(i);
     const auto idx = static_cast<std::size_t>(i);
@@ -277,6 +288,24 @@ void StreamEngine::run_collecting(std::span<const IntTensor> images,
     QNN_CHECK(img.shape() == pipeline_.input,
               "image shape " + img.shape().str() + " != network input " +
                   pipeline_.input.str());
+    if (input_width_ >= 32) continue;
+    // One OR-reduction over the image; the value is found only to name it.
+    const auto off = [this](std::int32_t v) {
+      return static_cast<std::uint32_t>(v) + input_offset_;
+    };
+    std::uint32_t any = 0;
+    for (const std::int32_t v : img.flat()) any |= off(v);
+    if ((any >> input_width_) == 0) continue;
+    const std::int32_t bad =
+        *std::ranges::find_if(img.flat(), [&](std::int32_t v) {
+          return (off(v) >> input_width_) != 0;
+        });
+    const std::int64_t lo = -static_cast<std::int64_t>(input_offset_);
+    throw Error("input value " + std::to_string(bad) + " outside [" +
+                std::to_string(lo) + ", " +
+                std::to_string(lo + (std::int64_t{1} << input_width_)) +
+                "), what " + std::to_string(pipeline_.input_bits) +
+                "-bit input carries exactly");
   }
 
   // The engine is reusable: each run starts from pristine streams and

@@ -139,6 +139,10 @@ class StreamEngine {
   /// Stream a batch of images through the pipeline; returns one output
   /// tensor per image. Kernels run concurrently for the whole batch.
   /// Optionally reports wall-clock throughput of the software engine.
+  /// Throws Error for an image value the engine cannot carry exactly: one
+  /// outside [0, 2^input_bits) when the input is an image of codes (a conv
+  /// reads it), else — a segment whose input is a signed boundary value —
+  /// one outside [-2^input_bits, 2^input_bits), what the input ring holds.
   [[nodiscard]] std::vector<IntTensor> run(std::span<const IntTensor> images,
                                            RunStats* stats = nullptr);
 
@@ -198,6 +202,11 @@ class StreamEngine {
   std::unique_ptr<FaultInjector> own_injector_;
   FaultInjector* injector_ = nullptr;  // own_injector_ or the caller's
   PortRings input_port_{};  // the feeder's rings
+  // run() accepts an input value v iff (v + input_offset_) mod 2^32 lies
+  // below 2^input_width_: [0, 2^input_bits) for codes, else
+  // [-2^input_bits, 2^input_bits).
+  std::uint32_t input_offset_ = 0;
+  int input_width_ = 32;
   Stream* output_stream_ = nullptr;
   std::atomic<bool> abort_{false};
 };

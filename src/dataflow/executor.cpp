@@ -92,7 +92,6 @@ class ReadyQueueScheduler final : public ReadyHook {
       homes_[i] = i * workers / n;
       queues_[homes_[i]].q.push_back(static_cast<int>(i));
     }
-    ready_.store(static_cast<int>(n), std::memory_order_relaxed);
   }
 
   void wake(int task) override {
@@ -175,7 +174,6 @@ class ReadyQueueScheduler final : public ReadyHook {
     // keeps a whole overprovisioned pool runnable, thrashing context
     // switches against the productive workers.
     activity_.fetch_add(1, std::memory_order_release);
-    ready_.fetch_add(1, std::memory_order_acq_rel);
     const int parked = parked_.load(std::memory_order_seq_cst);
     if (parked > 0 && awake_.load(std::memory_order_relaxed) < awake_limit_) {
       // Lock so the notify cannot fall between a parker's counter bump
@@ -192,7 +190,6 @@ class ReadyQueueScheduler final : public ReadyHook {
     if (wq.q.empty()) return -1;
     const int t = wq.q.back();  // LIFO: the task whose data is cache-hot
     wq.q.pop_back();
-    ready_.fetch_sub(1, std::memory_order_acq_rel);
     return t;
   }
 
@@ -203,7 +200,6 @@ class ReadyQueueScheduler final : public ReadyHook {
       if (wq.q.empty()) continue;
       const int t = wq.q.front();  // FIFO side: the victim's coldest task
       wq.q.pop_front();
-      ready_.fetch_sub(1, std::memory_order_acq_rel);
       return t;
     }
     return -1;
@@ -284,7 +280,6 @@ class ReadyQueueScheduler final : public ReadyHook {
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::atomic<int> parked_{0};
-  std::atomic<int> ready_{0};  // tasks sitting in deques (surplus gauge)
   std::atomic<std::uint64_t> activity_{0};  // enqueues + completions
   const int awake_limit_;  // #cores: workers awake beyond this only thrash
   std::atomic<int> awake_;

@@ -439,10 +439,9 @@ StepResult AddKernel::step() {
   for (int round = 0; round < kRoundsPerStep; ++round) {
     if (open_ == 0) {
       // Stage the next skip burst as it leaves the ring.
-      open_ = skip_.try_pop_with(
-          burst_skip_, [this](std::span<const std::int32_t> vals) {
-            std::ranges::copy(vals, stage_.extend(vals.size()).begin());
-          });
+      open_ = skip_.try_pop_with(burst_skip_, [this](auto vals) {
+        std::ranges::copy(vals, stage_.extend(vals.size()).begin());
+      });
       if (open_ == 0) {
         if (!skip_.drained()) {
           skip_starve_.starved(skip_);
@@ -462,13 +461,13 @@ StepResult AddKernel::step() {
       }
       skip_starve_.fed();
     }
-    // Add the regular path onto the staged skip values in place.
+    // Add the regular path onto the staged skip values in place, straight
+    // from the ring's own (narrow) elements.
     const auto sums = stage_.tail(open_);
     std::size_t i = 0;
-    main_.try_pop_with(std::min(open_, burst_main_),
-                       [&](std::span<const std::int32_t> vals) {
-                         for (const std::int32_t v : vals) sums[i++] += v;
-                       });
+    main_.try_pop_with(std::min(open_, burst_main_), [&](auto vals) {
+      for (const auto v : vals) sums[i++] += v;
+    });
     if (i == 0) {
       QNN_CHECK(!main_.drained(), name() + ": main stream ended before skip");
       main_starve_.starved(main_);

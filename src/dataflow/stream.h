@@ -2,9 +2,21 @@
 //
 // Models the on-chip FIFOs that connect DFE kernels: "data are transferred
 // using configurable routing resources, buffered on-chip memory, and
-// flip-flops" (§II-B). The declared bit width is metadata used by the link
-// bandwidth model and the resource estimator, while the functional payload
-// is a full int32.
+// flip-flops" (§II-B). Like the paper's streams, which move 2-bit codes at
+// 2 bit/pixel and buffer only the skip path's 16-bit sums (§III-B5), a
+// ring stores each value at its declared width: one storage element per
+// stream, chosen once at construction by
+//
+//   bits <= 7  -> int8,   bits <= 15 -> int16,   otherwise int32,
+//
+// which holds every value in [-2^bits, 2^bits) exactly — unsigned
+// `bits`-bit codes and signed sums whose `bits` include the sign alike
+// (the D1xx width proofs bound every value the plan puts on a ring).
+// Kernels keep an int32 API: try_push_burst() narrows and try_pop_burst()
+// sign-extends through the dispatched VecOps conversions, and
+// try_pop_with() hands a generic visitor the ring's own element type.
+// Debug and sanitizer builds check that every pushed value survives the
+// narrowing.
 //
 // The hardware moves one value per clock; the software analog used to do
 // the same — one atomic acquire/release pair per int32 — which made the
@@ -13,9 +25,9 @@
 // run of ring positions with a single index update per burst (the
 // widened, compute-rate-folded transport of FINN-style dataflow engines).
 // The ring is allocated at exactly its capacity, so a burst that wraps is
-// two memcpy calls, never a per-value index mask. A burst of one is still
-// legal, so capacity models the FIFO depth precisely and `pushed()` still
-// counts values.
+// two contiguous conversions, never a per-value index mask. A burst of one
+// is still legal, so capacity models the FIFO depth precisely and
+// `pushed()` still counts values.
 //
 // The API never blocks: a transfer moves what fits (possibly nothing) and
 // returns. Kernels are resumable tasks (kernels.h) that report kBlocked
@@ -47,9 +59,12 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/error.h"
+#include "core/simd/vec_ops.h"
 #include "dataflow/ring_core.h"
 #include "fault/fault.h"
 
@@ -61,10 +76,27 @@ class Stream {
       : core_(capacity),
         bits_(bits),
         name_(std::move(name)),
-        buf_(capacity) {
+        ops_(simd::vec_ops()),
+        buf_(make_ring(capacity, bits)) {
     QNN_CHECK(capacity >= 1, "stream capacity must be positive");
     QNN_CHECK(bits >= 1 && bits <= 32, "stream width out of range");
   }
+
+  /// Bytes of the storage element a `bits`-wide stream keeps each value
+  /// in: 1 for bits <= 7, 2 for bits <= 15, else 4.
+  [[nodiscard]] static constexpr std::size_t element_bytes_for(int bits) {
+    return bits <= 7 ? 1 : bits <= 15 ? 2 : 4;
+  }
+
+  /// Debug and sanitizer builds throw Error from try_push_burst() for a
+  /// value the ring's element cannot hold (a stream declared narrower
+  /// than what it carries); other builds trust the width proofs.
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  static constexpr bool kChecksNarrowing = true;
+#else
+  static constexpr bool kChecksNarrowing = false;
+#endif
 
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
@@ -101,36 +133,25 @@ class Stream {
     const RingWindow w = core_.push_window(vs.size());
     const std::size_t n = w.count;
     if (n == 0) return 0;
-    const std::size_t first = core_.slot(w.start);
-    const std::size_t run = std::min(n, buf_.size() - first);
-    if (fault_ != nullptr && fault_->armed) {
-      // Injection path: an armed stall makes the ring report "full"; an
-      // armed bit flip corrupts the targeted value as it enters the ring.
-      if (fault_->blocked()) return 0;
-      for (std::size_t i = 0; i < run; ++i) {
-        buf_[first + i] = fault_->filter(vs[i]);
-      }
-      for (std::size_t i = run; i < n; ++i) {
-        buf_[i - run] = fault_->filter(vs[i]);
-      }
-    } else {
-      std::memcpy(&buf_[first], vs.data(), run * sizeof(std::int32_t));
-      std::memcpy(buf_.data(), vs.data() + run,
-                  (n - run) * sizeof(std::int32_t));
-    }
+    // An armed stall makes the ring report "full".
+    if (fault_ != nullptr && fault_->armed && fault_->blocked()) return 0;
+    std::visit(
+        [&](auto& ring) { store(ring, core_.slot(w.start), vs.first(n)); },
+        buf_);
     pushed_ += n;
     ++transactions_;
     core_.commit_push(w, n);
     return n;
   }
 
-  /// Move up to `out.size()` available values out of the ring; returns the
-  /// number transferred (possibly 0 — distinguish starvation from end of
-  /// stream with drained()). Must only be called by the single consumer.
+  /// Move up to `out.size()` available values out of the ring, sign-
+  /// extended to int32; returns the number transferred (possibly 0 —
+  /// distinguish starvation from end of stream with drained()). Must only
+  /// be called by the single consumer.
   std::size_t try_pop_burst(std::span<std::int32_t> out) {
     std::int32_t* dst = out.data();
-    return try_pop_with(out.size(), [&dst](std::span<const std::int32_t> seg) {
-      std::memcpy(dst, seg.data(), seg.size() * sizeof(std::int32_t));
+    return try_pop_with(out.size(), [this, &dst](auto seg) {
+      widen(seg, dst);
       dst += seg.size();
     });
   }
@@ -139,7 +160,11 @@ class Stream {
   /// popped values in FIFO order as at most two contiguous ring segments
   /// (two only when the burst wraps), and the slots are released after it
   /// returns — so a kernel transforms the values straight into its own
-  /// output stage. Returns the number popped (0: nothing was visited).
+  /// output stage. A generic visitor is handed spans of the ring's own
+  /// element type (std::span<const std::int8_t/int16_t/int32_t>); one that
+  /// takes only std::span<const std::int32_t> gets each segment widened
+  /// into a scratch copy first. Returns the number popped (0: nothing was
+  /// visited).
   template <class Visit>
   std::size_t try_pop_with(std::size_t want, Visit&& visit) {
     if (want == 0) return 0;
@@ -147,10 +172,14 @@ class Stream {
     const std::size_t n = w.count;
     if (n == 0) return 0;
     const std::size_t first = core_.slot(w.start);
-    const std::size_t run = std::min(n, buf_.size() - first);
-    const std::span<const std::int32_t> ring(buf_);
-    visit(ring.subspan(first, run));
-    if (run < n) visit(ring.first(n - run));
+    std::visit(
+        [&](const auto& buf) {
+          const std::span ring(buf);
+          const std::size_t run = std::min(n, ring.size() - first);
+          deliver(ring.subspan(first, run), visit);
+          if (run < n) deliver(ring.first(n - run), visit);
+        },
+        buf_);
     core_.commit_pop(w, n);
     return n;
   }
@@ -181,6 +210,11 @@ class Stream {
 
   [[nodiscard]] bool closed() const { return core_.closed(); }
   [[nodiscard]] int bits() const { return bits_; }
+  /// Bytes per ring slot (element_bytes_for(bits())).
+  [[nodiscard]] std::size_t element_bytes() const {
+    return std::visit(
+        [](const auto& ring) { return sizeof(ring.front()); }, buf_);
+  }
   [[nodiscard]] std::size_t capacity() const { return core_.capacity(); }
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Total values pushed over the stream's lifetime (producer thread view).
@@ -196,10 +230,86 @@ class Stream {
   [[nodiscard]] std::uint64_t pop_stalls() const { return pop_stalls_; }
 
  private:
+  using Ring = std::variant<std::vector<std::int8_t>,
+                            std::vector<std::int16_t>,
+                            std::vector<std::int32_t>>;
+
+  static Ring make_ring(std::size_t capacity, int bits) {
+    switch (element_bytes_for(bits)) {
+      case 1:
+        return std::vector<std::int8_t>(capacity);
+      case 2:
+        return std::vector<std::int16_t>(capacity);
+      default:
+        return std::vector<std::int32_t>(capacity);
+    }
+  }
+
+  // The conversions between the kernels' int32 values and a ring element.
+  void narrow(std::span<const std::int32_t> src, std::int8_t* dst) const {
+    ops_.narrow_i8(src.data(), src.size(), dst);
+  }
+  void narrow(std::span<const std::int32_t> src, std::int16_t* dst) const {
+    ops_.narrow_i16(src.data(), src.size(), dst);
+  }
+  static void narrow(std::span<const std::int32_t> src, std::int32_t* dst) {
+    std::memcpy(dst, src.data(), src.size_bytes());
+  }
+  void widen(std::span<const std::int8_t> src, std::int32_t* dst) const {
+    ops_.widen_i8(src.data(), src.size(), dst);
+  }
+  void widen(std::span<const std::int16_t> src, std::int32_t* dst) const {
+    ops_.widen_i16(src.data(), src.size(), dst);
+  }
+  static void widen(std::span<const std::int32_t> src, std::int32_t* dst) {
+    std::memcpy(dst, src.data(), src.size_bytes());
+  }
+
+  /// Write `vs` into `ring` from slot `first` on, wrapping at most once.
+  template <class T>
+  void store(std::vector<T>& ring, std::size_t first,
+             std::span<const std::int32_t> vs) {
+    if constexpr (kChecksNarrowing && sizeof(T) < sizeof(std::int32_t)) {
+      for (const std::int32_t v : vs) {
+        QNN_CHECK(static_cast<T>(v) == v,
+                  "stream " + name_ + " (" + std::to_string(bits_) +
+                      " bits) cannot hold the value " + std::to_string(v));
+      }
+    }
+    if (fault_ != nullptr && fault_->armed) {
+      // An armed bit flip corrupts the targeted value as it enters the
+      // ring, inside the element's width so that the consumer sees it.
+      constexpr int kWidth = 8 * sizeof(T);
+      for (std::size_t i = 0; i < vs.size(); ++i) {
+        ring[(first + i) % ring.size()] =
+            static_cast<T>(fault_->filter(vs[i], kWidth));
+      }
+      return;
+    }
+    const std::size_t run = std::min(vs.size(), ring.size() - first);
+    narrow(vs.first(run), ring.data() + first);
+    narrow(vs.subspan(run), ring.data());
+  }
+
+  /// Hand one ring segment to a visitor: as it is when the visitor takes
+  /// the ring's element type, else widened into the scratch copy.
+  template <class T, class Visit>
+  void deliver(std::span<const T> seg, Visit& visit) {
+    if constexpr (std::is_invocable_v<Visit&, std::span<const T>>) {
+      visit(seg);
+    } else {
+      if (wide_.size() < seg.size()) wide_.resize(core_.capacity());
+      widen(seg, wide_.data());
+      visit(std::span<const std::int32_t>(wide_).first(seg.size()));
+    }
+  }
+
   RingCore<RealSync> core_;
   const int bits_;
   const std::string name_;
-  std::vector<std::int32_t> buf_;
+  const simd::VecOps& ops_;  // resolved once, at construction
+  Ring buf_;
+  std::vector<std::int32_t> wide_;  // consumer-side scratch of deliver()
   StreamFaultSite* fault_ = nullptr;
   std::uint64_t pushed_ = 0;
   std::uint64_t transactions_ = 0;

@@ -11,9 +11,10 @@
 //
 // Fault taxonomy (see DESIGN.md §7):
 //   * kStreamBitFlip   — XOR a mask into the Nth value pushed through one
-//                        FIFO (silent data corruption; *undetectable* by
-//                        the engine, only a checksum/golden compare sees
-//                        it).
+//                        FIFO, folded into the ring's element width so it
+//                        always lands (silent data corruption;
+//                        *undetectable* by the engine, only a
+//                        checksum/golden compare sees it).
 //   * kStreamStall     — a FIFO reports "full" for N producer attempts
 //                        (backpressure glitch; detectable as latency).
 //   * kKernelHang      — a kernel reports kBlocked forever (wedged
@@ -55,6 +56,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -107,7 +109,8 @@ struct FaultEvent {
   // --- stream faults ------------------------------------------------------
   /// Value index (per run, per stream) the fault triggers at.
   std::uint64_t after_values = 0;
-  /// kStreamBitFlip: XOR mask applied to the targeted value.
+  /// kStreamBitFlip: XOR mask applied to the targeted value (bits past
+  /// the ring's element width fold into it: StreamFaultSite::filter).
   std::int32_t xor_mask = 1;
   /// kStreamStall: producer push attempts that report "full".
   std::uint64_t stall_attempts = 4096;
@@ -237,14 +240,28 @@ struct StreamFaultSite {
     return false;
   }
 
-  /// Filter one value entering the ring (counts it; may corrupt it).
-  [[nodiscard]] std::int32_t filter(std::int32_t v) {
+  /// Filter one value entering a ring whose storage element is `width`
+  /// bits wide (counts it; may corrupt it). The flip always lands inside
+  /// the element, so a fired fault always changes the value the consumer
+  /// pops: the mask's bits below `width`, or, when it has none there, its
+  /// lowest bit taken modulo `width`.
+  [[nodiscard]] std::int32_t filter(std::int32_t v, int width) {
     if (values == flip_at) {
-      v ^= flip_mask;
+      v ^= flip_within(flip_mask, width);
       fired->fetch_add(1, std::memory_order_relaxed);
     }
     ++values;
     return v;
+  }
+
+  /// The flip `mask` makes in a `width`-bit element (see filter()).
+  [[nodiscard]] static std::int32_t flip_within(std::int32_t mask,
+                                                int width) {
+    if (width >= 32 || mask == 0) return mask;
+    const auto m = static_cast<std::uint32_t>(mask);
+    const std::uint32_t inside = m & ((1U << width) - 1U);
+    return static_cast<std::int32_t>(
+        inside != 0 ? inside : 1U << (std::countr_zero(m) % width));
   }
 };
 

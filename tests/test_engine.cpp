@@ -170,6 +170,51 @@ TEST(Engine, RejectsWrongImageShape) {
   EXPECT_THROW((void)engine.run_one(IntTensor(Shape{8, 8, 3})), Error);
 }
 
+TEST(Engine, AcceptsExactlyTheImageCodesItsInputCarries) {
+  // conv_0 reads 8-bit codes: [0, 255] runs bit-exact, a value on either
+  // side of it is rejected (a conv line buffer would keep only its low
+  // bits and silently diverge from the reference).
+  const NetworkSpec spec = models::tiny(12, 4, 2);
+  const Pipeline p = expand(spec);
+  ASSERT_EQ(p.input_bits, 8);
+  const NetworkParams params = NetworkParams::random(p, 25);
+  const ReferenceExecutor ref(p, params);
+  StreamEngine engine(p, params);
+  IntTensor img(p.input);
+  img[0] = 255;
+  img[1] = 0;
+  EXPECT_EQ(engine.run_one(img), ref.run(img));
+  for (const std::int32_t bad : {256, -1}) {
+    IntTensor off = img;
+    off[5] = bad;
+    EXPECT_THROW((void)engine.run_one(off), Error) << bad;
+  }
+  EXPECT_EQ(engine.run_one(img), ref.run(img));  // still usable
+}
+
+TEST(Engine, AcceptsExactlyTheSignedValuesASegmentInputHolds) {
+  // A segment that starts with a BnAct reads conv_0's signed sums, whose
+  // width includes the sign: it runs every value its input ring holds,
+  // [-2^bits, 2^bits), and rejects the first value past either end.
+  const Pipeline p = expand(models::tiny(12, 4, 2));
+  const NetworkParams params = NetworkParams::random(p, 26);
+  const PipelineSegment seg = extract_segment(p, params, 1, 2);
+  const int bits = seg.pipeline.input_bits;
+  ASSERT_LT(bits, 31);
+  const std::int32_t room = std::int32_t{1} << bits;
+  const ReferenceExecutor ref(seg.pipeline, seg.params);
+  StreamEngine engine(seg.pipeline, seg.params);
+  IntTensor img(seg.pipeline.input);
+  img[0] = room - 1;
+  img[1] = -room;
+  EXPECT_EQ(engine.run_one(img), ref.run(img));
+  for (const std::int32_t bad : {room, -room - 1}) {
+    IntTensor off = img;
+    off[3] = bad;
+    EXPECT_THROW((void)engine.run_one(off), Error) << bad;
+  }
+}
+
 // Every zoo-style topology must be bit-exact on a single worker and on the
 // full pool, at both ends of the burst spectrum (1 = scalar transport).
 TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {

@@ -226,9 +226,9 @@ void PrintTo(const PoolGeometry& g, std::ostream* os) { *os << g.name; }
 
 /// The kernel's output for `img`, streamed twice back to back (the second
 /// image must not see the first one's ring contents), against
-/// ReferenceExecutor on a one-node pipeline.
+/// ReferenceExecutor on a one-node pipeline whose input is `in_bits` wide.
 void expect_pool_matches_reference(const PoolGeometry& g, NodeKind kind,
-                                   const IntTensor& img) {
+                                   const IntTensor& img, int in_bits = 8) {
   Pipeline p;
   p.name = g.name;
   p.input = g.in;
@@ -237,8 +237,8 @@ void expect_pool_matches_reference(const PoolGeometry& g, NodeKind kind,
   n.name = g.name;
   n.in = g.in;
   n.out = conv_out_shape(g.in, g.in.c, g.k, g.stride, g.pad);
-  n.in_bits = 8;
-  n.out_bits = kind == NodeKind::MaxPool ? 8 : 32;
+  n.in_bits = in_bits;
+  n.out_bits = kind == NodeKind::MaxPool ? in_bits : 32;
   n.k = g.k;
   n.stride = g.stride;
   n.pad = g.pad;
@@ -248,7 +248,7 @@ void expect_pool_matches_reference(const PoolGeometry& g, NodeKind kind,
 
   const auto row = static_cast<std::size_t>(g.in.w) *
                    static_cast<std::size_t>(g.in.c);
-  Stream sin(2 * row, 8, "in");
+  Stream sin(2 * row, in_bits, "in");
   Stream sout(2 * row, 32, "out");
   PoolKernel kernel(p.nodes.front(), sin, {&sout});
   std::vector<std::int32_t> twice = values(img);
@@ -299,7 +299,7 @@ TEST(PoolKernelTest, AverageSumWrapsToInt32LikeTheReference) {
     img[i] = std::numeric_limits<std::int32_t>::max() -
              static_cast<std::int32_t>(i);
   }
-  expect_pool_matches_reference(g, NodeKind::AvgPool, img);
+  expect_pool_matches_reference(g, NodeKind::AvgPool, img, 31);
   Node n;
   n.kind = NodeKind::AvgPool;
   n.name = "wrap";

@@ -3,7 +3,8 @@
 // that exercise every tail-handling path, filter counts that leave
 // filter-lane groups (8 bit-plane filters, 16 byte-path filters) partly
 // padded, both bit-planes and both byte-planes, and plane-pack chunks of
-// every length and offset. Also pins the dispatch contract: kScalar is
+// every length and offset, and the ring narrowing/widening conversions at
+// every length. Also pins the dispatch contract: kScalar is
 // always present, and set_level overrides whatever auto/env dispatch
 // picked.
 #include "core/simd/vec_ops.h"
@@ -318,6 +319,42 @@ TEST(VecOps, PackCodesMatchesScalarAtEveryLevel) {
                                  << " n=" << n;
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------------- ring conversions
+
+/// Every level narrows to exactly the low byte/word (two's complement) and
+/// sign-extends back, at every length 0..80 (every vector main loop and
+/// tail), from an odd offset, over values with all 32 bits random. Inputs
+/// and outputs sit at the end of exactly sized heap vectors, so an access
+/// past element n is an ASan report.
+TEST(VecOps, RingConversionsMatchScalarAtEveryLevel) {
+  Rng rng(0xc0de);
+  for (std::size_t n = 0; n <= 80; ++n) {
+    std::vector<std::int32_t> wide(n + 1);
+    for (auto& v : wide) v = static_cast<std::int32_t>(rng.next_u64());
+    const std::int32_t* src = wide.data() + 1;
+    std::vector<std::int8_t> b8(n);
+    std::vector<std::int16_t> b16(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      b8[i] = static_cast<std::int8_t>(src[i]);
+      b16[i] = static_cast<std::int16_t>(src[i]);
+    }
+    for (const simd::Level level : simd::available_levels()) {
+      const simd::VecOps& ops = simd::vec_ops_at(level);
+      std::vector<std::int8_t> got8(n);
+      std::vector<std::int16_t> got16(n);
+      ops.narrow_i8(src, n, got8.data());
+      ops.narrow_i16(src, n, got16.data());
+      ASSERT_EQ(got8, b8) << simd::level_name(level) << " n=" << n;
+      ASSERT_EQ(got16, b16) << simd::level_name(level) << " n=" << n;
+      std::vector<std::int32_t> back(n);
+      ops.widen_i8(b8.data(), n, back.data());
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(back[i], b8[i]) << i;
+      ops.widen_i16(b16.data(), n, back.data());
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(back[i], b16[i]) << i;
     }
   }
 }

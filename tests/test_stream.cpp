@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -490,6 +491,144 @@ TEST(StreamRing, ResetMidRingStartsFreshAtFullCapacity) {
   }
   s.close();
   EXPECT_TRUE(s.drained());
+}
+
+// ------------------------------------------------- rings at declared width
+//
+// A ring stores each value in the element its declared width selects
+// (int8 / int16 / int32) and hands kernels int32 back: every value in
+// [-2^bits, 2^bits) must survive the round trip exactly, at every SIMD
+// level, whether the burst wraps or not and whichever pop API reads it.
+
+/// Restores env/auto SIMD dispatch when a test that forces levels ends.
+struct LevelGuard {
+  ~LevelGuard() { simd::set_level(std::nullopt); }
+};
+
+TEST(StreamWidth, StorageElementFollowsTheDeclaredBits) {
+  const std::pair<int, std::size_t> rule[] = {
+      {1, 1}, {2, 1}, {7, 1}, {8, 2}, {15, 2}, {16, 4}, {31, 4}, {32, 4}};
+  for (const auto& [bits, bytes] : rule) {
+    EXPECT_EQ(Stream::element_bytes_for(bits), bytes) << bits;
+    EXPECT_EQ(Stream(4, bits, "w").element_bytes(), bytes) << bits;
+  }
+}
+
+/// `n` values alternating between the two ends of [-2^bits, 2^bits), with
+/// a counter in between so that order is checked too.
+std::vector<std::int32_t> boundary_values(int bits, std::size_t n) {
+  const std::int64_t lo = -(std::int64_t{1} << bits);
+  const std::int64_t hi = (std::int64_t{1} << bits) - 1;
+  std::vector<std::int32_t> vs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t v = i % 3 == 0   ? lo
+                           : i % 3 == 1 ? hi
+                                        : static_cast<std::int64_t>(i) % hi;
+    vs[i] = static_cast<std::int32_t>(v);
+  }
+  return vs;
+}
+
+TEST(StreamWidth, BoundaryValuesRoundTripAcrossTheWrapAtEveryLevel) {
+  // Ring of 101 advanced to slot 60: an 80-value burst lands in slots
+  // 60..100 and 0..38, long enough for every vector loop and its tail.
+  const LevelGuard guard;
+  constexpr std::size_t kCap = 101;
+  constexpr std::size_t kBurst = 80;
+  for (const simd::Level level : simd::available_levels()) {
+    simd::set_level(level);
+    for (const int bits : {1, 7, 8, 15, 16, 31}) {
+      const std::vector<std::int32_t> vs = boundary_values(bits, kBurst);
+      for (int api = 0; api < 3; ++api) {
+        Stream s(kCap, bits, "edge");
+        ASSERT_EQ(push_seq(s, 0, 60), 60u);
+        std::vector<std::int32_t> out(kCap);
+        ASSERT_EQ(s.try_pop_burst(out), 60u);
+        ASSERT_EQ(s.try_push_burst(vs), kBurst);
+        std::vector<std::int32_t> got;
+        std::size_t segments = 0;
+        if (api == 0) {
+          // try_pop_burst, in two bursts, the second across the wrap.
+          got.resize(kBurst);
+          ASSERT_EQ(s.try_pop_burst(std::span(got).first(30)), 30u);
+          ASSERT_EQ(s.try_pop_burst(std::span(got).subspan(30)), 50u);
+        } else if (api == 1) {
+          // try_pop_with, visited at the ring's own element type.
+          EXPECT_EQ(s.try_pop_with(kBurst,
+                                   [&](auto seg) {
+                                     ++segments;
+                                     EXPECT_EQ(sizeof(seg[0]),
+                                               s.element_bytes());
+                                     got.insert(got.end(), seg.begin(),
+                                                seg.end());
+                                   }),
+                    kBurst);
+        } else {
+          // try_pop_with, an int32-only visitor: widened, same segments.
+          EXPECT_EQ(s.try_pop_with(kBurst,
+                                   [&](std::span<const std::int32_t> seg) {
+                                     ++segments;
+                                     got.insert(got.end(), seg.begin(),
+                                                seg.end());
+                                   }),
+                    kBurst);
+        }
+        EXPECT_EQ(segments, api == 0 ? 0u : 2u);
+        EXPECT_EQ(got, vs) << simd::level_name(level) << " bits " << bits
+                           << " api " << api;
+      }
+    }
+  }
+}
+
+TEST(StreamWidth, FlipOutsideTheElementStillChangesThePoppedValue) {
+  // Bit 12 lies outside an int8 element: the flip folds to bit 12 mod 8
+  // there. Inside int16 and int32 elements it stays bit 12. Each width
+  // also takes a mask inside the element unchanged.
+  for (const int bits : {2, 8, 16}) {
+    for (const std::int32_t mask : {std::int32_t{1} << 12, 0x40}) {
+      Stream s(4, bits, "flip");
+      std::atomic<std::uint64_t> fired{0};
+      StreamFaultSite site;
+      site.armed = true;
+      site.flip_at = 1;
+      site.flip_mask = mask;
+      site.fired = &fired;
+      s.set_fault(&site);
+      const std::vector<std::int32_t> vs = {3, 3, 3};
+      ASSERT_EQ(s.try_push_burst(vs), 3u);
+      std::vector<std::int32_t> out(3);
+      ASSERT_EQ(s.try_pop_burst(out), 3u);
+      const int width = 8 * static_cast<int>(s.element_bytes());
+      const std::int32_t flip = StreamFaultSite::flip_within(mask, width);
+      EXPECT_EQ(out[0], 3);
+      EXPECT_NE(out[1], 3) << "bits " << bits << " mask " << mask;
+      EXPECT_EQ(out[1], 3 ^ flip) << "bits " << bits << " mask " << mask;
+      EXPECT_EQ(out[2], 3);
+      EXPECT_EQ(fired.load(), 1u);
+    }
+  }
+  EXPECT_EQ(StreamFaultSite::flip_within(1 << 12, 8), 1 << 4);
+  EXPECT_EQ(StreamFaultSite::flip_within(1 << 12, 16), 1 << 12);
+  EXPECT_EQ(StreamFaultSite::flip_within(0x101, 8), 0x01);
+  EXPECT_EQ(StreamFaultSite::flip_within(1 << 30, 32), 1 << 30);
+}
+
+TEST(StreamWidth, DebugBuildsRejectAValueTheElementCannotHold) {
+  if (!Stream::kChecksNarrowing) {
+    GTEST_SKIP() << "the narrowing check is compiled into Debug and "
+                    "sanitizer builds only";
+  }
+  for (const int bits : {7, 15}) {
+    Stream s(4, bits, "narrow");
+    const std::int32_t room = std::int32_t{1} << bits;
+    const std::vector<std::int32_t> fits = {room - 1, -room};
+    EXPECT_EQ(s.try_push_burst(fits), 2u);
+    const std::vector<std::int32_t> over = {room};
+    EXPECT_THROW((void)s.try_push_burst(over), Error) << bits;
+    const std::vector<std::int32_t> under = {-room - 1};
+    EXPECT_THROW((void)s.try_push_burst(under), Error) << bits;
+  }
 }
 
 }  // namespace

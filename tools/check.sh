@@ -51,10 +51,11 @@
 # The default run already includes the QNN-D6xx static gates — the
 # compiled-plan consistency lint (PlanLint suite) and the exact token-flow
 # deadlock proofs (TokenFlow suite) run inside test_verify/test_plan. It
-# then re-runs the datapath and engine bit-exactness suites (VecOps,
-# Packed*, BitPlane*, Conv*, Engine*) under QNN_SIMD=avx2 and
-# QNN_SIMD=scalar, so every kernel the engine builds is checked at the
-# narrower levels too, not only at the widest one the host has.
+# then re-runs the datapath, ring and engine bit-exactness suites (VecOps,
+# Packed*, BitPlane*, Conv*, Engine*, Stream*) under QNN_SIMD=avx2 and
+# QNN_SIMD=scalar, so every kernel the engine builds and every ring
+# conversion is checked at the narrower levels too, not only at the
+# widest one the host has.
 #
 # The build directory is build-check[-$SANITIZE], separate from the
 # default build/ so a strict -Werror configure never pollutes it.
@@ -84,12 +85,13 @@ if [ -n "$SANITIZE" ]; then
   ctest --test-dir "$BUILD_DIR" -L sanitize --output-on-failure
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure
-  # Engines and conv kernels resolve the dispatched vec_ops table once, at
-  # construction, from QNN_SIMD; a level the host lacks clamps down.
+  # Engines, conv kernels and streams resolve the dispatched vec_ops table
+  # once, at construction, from QNN_SIMD; a level the host lacks clamps
+  # down.
   for level in avx2 scalar; do
-    echo "== test (datapath + engine suites, QNN_SIMD=$level) =="
+    echo "== test (datapath + ring + engine suites, QNN_SIMD=$level) =="
     QNN_SIMD="$level" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R '(^|/)(VecOps|Packed|BitPlane|Conv|Engine)[A-Za-z]*\.'
+      -R '(^|/)(VecOps|Packed|BitPlane|Conv|Engine|Stream)[A-Za-z]*\.'
   done
 fi
 
