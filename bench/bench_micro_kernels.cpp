@@ -6,9 +6,10 @@
 // After the google-benchmark suite, main() runs the host-executor
 // ablation: ready-queue vs ready-queue + pinned workers at equal thread
 // counts, on a shallow (8-kernel) and a deep (>= 50-kernel) chain. Results
-// land in BENCH_executor.json (honouring QNN_CSV_DIR like the other
-// benches) with the host fingerprint; `PERF=1 tools/check.sh` holds the
-// fresh ready-queue rates to the committed file on the same host. Pass
+// land in $QNN_CSV_DIR/BENCH_executor.json (written only when QNN_CSV_DIR
+// is set, like every BENCH file) with the host fingerprint; `PERF=1
+// tools/check.sh` holds the fresh ready-queue rates to the committed file
+// on the same host. Pass
 // `--benchmark_filter=__none__` to skip the microbenchmarks and run the
 // ablation alone, or `--conv-datapath-only` for the conv ablation.
 #include <benchmark/benchmark.h>
@@ -16,9 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "bench_host.h"
+#include "bench_util.h"
 #include "core/bitplanes.h"
 #include "core/bitvector.h"
 #include "core/simd/vec_ops.h"
@@ -194,16 +194,6 @@ namespace {
 
 using bench::host_json;
 
-/// Write `json` to $QNN_CSV_DIR/<name> (or ./<name>) and say where.
-void write_bench_json(const std::string& name, const std::string& json) {
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      name;
-  std::ofstream jf(path);
-  if (jf && (jf << json)) std::cout << "(json written to " << path << ")\n";
-}
-
 /// A straight chain of `convs` (conv + bnact) pairs plus a dense head:
 /// 2*convs + 1 + (bn_act ? 1 : 0) nodes once expanded, each conv + bnact
 /// pair (the head's too) run as one kernel, the conv's port evaluating
@@ -321,7 +311,7 @@ int run_executor_ablation() {
   js << "  ],\n  \"shallow_ready_ips\": " << ready_ips[0]
      << ",\n  \"deep_ready_ips\": " << ready_ips[1] << "\n}\n";
   std::cout << js.str();
-  write_bench_json("BENCH_executor.json", js.str());
+  bench::write_json("BENCH_executor.json", js.str());
   return ready_ips[0] > 0.0 && ready_ips[1] > 0.0 ? 0 : 1;
 }
 
@@ -492,7 +482,7 @@ int run_conv_datapath_ablation() {
             << "x (bar: " << (has_bar ? ">= 2" : "none without AVX2")
             << ")\n"
             << js.str();
-  write_bench_json("BENCH_kernels.json", js.str());
+  bench::write_json("BENCH_kernels.json", js.str());
   return pass ? 0 : 1;
 }
 

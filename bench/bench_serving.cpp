@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -281,14 +280,7 @@ int run_autotune() {
        << ",\n  \"p99_ratio\": " << p99_ratio
        << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::cout << "\n" << json.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_autotune.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << json.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_autotune.json", json.str());
   return no_loss ? 0 : 1;
 }
 
@@ -447,14 +439,7 @@ int run_linkfault() {
                "observed)\nhealthy linked/single unsplit: "
             << Table::num(split, 2) << " (acceptance bar: >= 0.80)\n\n"
             << json.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_linkfault.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << json.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_linkfault.json", json.str());
   return ratio >= 0.70 && split >= 0.80 && no_loss && failover_seen ? 0 : 1;
 }
 
@@ -618,14 +603,7 @@ int run() {
   std::cout << "\ndegraded/healthy throughput: " << Table::num(ratio, 2)
             << " (acceptance bar: >= 0.70)\n\n"
             << rj.str();
-  const char* csv_dir = std::getenv("QNN_CSV_DIR");
-  const std::string json_path =
-      (csv_dir != nullptr ? std::string(csv_dir) + "/" : std::string()) +
-      "BENCH_robustness.json";
-  std::ofstream jf(json_path);
-  if (jf && (jf << rj.str())) {
-    std::cout << "(json written to " << json_path << ")\n";
-  }
+  bench::write_json("BENCH_robustness.json", rj.str());
   const int autotune_rc = run_autotune();
   const int linkfault_rc = run_linkfault();
   return ratio >= 0.70 && autotune_rc == 0 && linkfault_rc == 0 ? 0 : 1;

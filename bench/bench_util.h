@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -28,6 +29,27 @@ inline void emit(const Table& t, const std::string& name) {
   const std::string path = std::string(dir) + "/" + name + ".csv";
   if (t.save_csv(path)) {
     std::cout << "(csv written to " << path << ")\n";
+  } else {
+    std::cout << "(could not write " << path << ")\n";
+  }
+}
+
+/// Save `json` as $QNN_CSV_DIR/<name> (a BENCH_*.json record). Without
+/// QNN_CSV_DIR nothing is written, only where it would have gone: a bench
+/// run from the repository root must never overwrite the committed
+/// baseline of the same name.
+inline void write_json(const std::string& name, const std::string& json) {
+  const char* dir = std::getenv("QNN_CSV_DIR");
+  if (dir == nullptr) {
+    std::cout << "(json not written: set QNN_CSV_DIR to write it to "
+                 "$QNN_CSV_DIR/"
+              << name << ")\n";
+    return;
+  }
+  const std::string path = std::string(dir) + "/" + name;
+  std::ofstream out(path);
+  if (out && (out << json)) {
+    std::cout << "(json written to " << path << ")\n";
   } else {
     std::cout << "(could not write " << path << ")\n";
   }

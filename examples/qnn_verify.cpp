@@ -15,17 +15,55 @@
 // Exit status (distinct, so CI can gate on warnings without parsing):
 //   0  clean — no errors, no warnings (info notes allowed)
 //   1  at least one error-severity diagnostic
-//   2  bad usage (unknown model / flag)
+//   2  bad usage (unknown model / flag, an input_size or fifo_capacity
+//      that is not a whole non-negative decimal in range, or a size the
+//      model cannot be built at)
 //   3  warnings only — the graph runs, but something deserves a look
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "models/zoo.h"
 #include "partition/partitioner.h"
 #include "verify/graph_check.h"
+
+namespace {
+
+/// `text` as a whole non-negative decimal no larger than `max`; nullopt
+/// for anything else (sign, blank, trailing characters, overflow).
+std::optional<std::uint64_t> parse_whole(const std::string& text,
+                                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// The zoo model named `model` at `size` pixels per side; nullopt for an
+/// unknown name. Throws qnn::Error for a size the model cannot be built at.
+std::optional<qnn::NetworkSpec> zoo_spec(const std::string& model, int size) {
+  namespace models = qnn::models;
+  if (model == "resnet18") return models::resnet18(size, 1000, 2);
+  if (model == "resnet34") return models::resnet34(size, 1000, 2);
+  if (model == "resnet18_noskip") {
+    return models::resnet18_noskip(size, 1000, 2);
+  }
+  if (model == "alexnet") return models::alexnet(size, 1000, 2);
+  if (model == "vgg") return models::vgg_like(size, 10, 2);
+  if (model == "finn") return models::finn_cnv(10, 2);
+  if (model == "tiny") return models::tiny(size, 4, 2);
+  return std::nullopt;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace qnn;
@@ -46,34 +84,45 @@ int main(int argc, char** argv) {
   const int default_size =
       model == "vgg" ? 32 : (model == "finn" ? 32 : (model == "tiny" ? 12
                                                                      : 224));
-  const int size = args.size() > 1 ? std::atoi(args[1].c_str()) : default_size;
-  const std::size_t fifo_capacity =
-      args.size() > 2 ? static_cast<std::size_t>(std::atoll(args[2].c_str()))
-                      : 0;
+  int size = default_size;
+  if (args.size() > 1) {
+    const auto v = parse_whole(args[1], std::numeric_limits<int>::max());
+    if (!v) {
+      std::cerr << "input_size '" << args[1]
+                << "' is not a whole non-negative number of pixels\n";
+      return 2;
+    }
+    size = static_cast<int>(*v);
+  }
+  std::size_t fifo_capacity = 0;
+  if (args.size() > 2) {
+    const auto v =
+        parse_whole(args[2], std::numeric_limits<std::size_t>::max());
+    if (!v) {
+      std::cerr << "fifo_capacity '" << args[2]
+                << "' is not a whole non-negative number of values\n";
+      return 2;
+    }
+    fifo_capacity = static_cast<std::size_t>(*v);
+  }
 
-  NetworkSpec spec;
-  if (model == "resnet18") {
-    spec = models::resnet18(size, 1000, 2);
-  } else if (model == "resnet34") {
-    spec = models::resnet34(size, 1000, 2);
-  } else if (model == "resnet18_noskip") {
-    spec = models::resnet18_noskip(size, 1000, 2);
-  } else if (model == "alexnet") {
-    spec = models::alexnet(size, 1000, 2);
-  } else if (model == "vgg") {
-    spec = models::vgg_like(size, 10, 2);
-  } else if (model == "finn") {
-    spec = models::finn_cnv(10, 2);
-  } else if (model == "tiny") {
-    spec = models::tiny(size, 4, 2);
-  } else {
+  // An unknown model is nullopt; a size the model cannot take throws.
+  std::optional<NetworkSpec> spec;
+  Pipeline pipeline;
+  try {
+    spec = zoo_spec(model, size);
+    if (spec) pipeline = expand(*spec);
+  } catch (const Error& e) {
+    std::cerr << "cannot build " << model << " at input_size " << size
+              << ": " << e.what() << "\n";
+    return 2;
+  }
+  if (!spec) {
     std::cerr << "unknown model '" << model
               << "' (use resnet18 | resnet34 | resnet18_noskip | alexnet | "
                  "vgg | finn | tiny)\n";
     return 2;
   }
-
-  const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, /*seed=*/1);
   EngineOptions options;
   options.fifo_capacity = fifo_capacity;
@@ -95,7 +144,7 @@ int main(int argc, char** argv) {
       pipeline.nodes.begin(), pipeline.nodes.end(),
       [](const Node& n) { return n.kind != NodeKind::BnAct; });
   std::ostream& banner = json ? std::cerr : std::cout;
-  banner << spec.name << ": " << pipeline.size() << " nodes in " << kernels
+  banner << spec->name << ": " << pipeline.size() << " nodes in " << kernels
          << " kernels, " << plan.streams.size() << " streams, "
          << plan.total_capacity()
          << " buffered values ("

@@ -53,9 +53,6 @@ struct EngineOptions {
   /// FIFO capacity (values) of regular kernel-to-kernel streams.
   /// 0 = auto-size each edge from the §III-B1b line-buffer formula.
   std::size_t fifo_capacity = 0;
-  /// Extra slack added to skip-connection FIFOs beyond the full feature
-  /// map they may need to hold while the regular path lags.
-  std::size_t skip_slack = 64;
   /// Cap on the values kernels move per stream transaction; 0 = no cap.
   /// With adaptive_burst each edge moves one row of the map it carries,
   /// clamped to this cap; without it every edge moves exactly this many

@@ -16,6 +16,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Seed of link 0's jittered retransmit backoff; link k adds k times the
+/// golden-ratio constant so parallel links never retry in lockstep.
+constexpr std::uint64_t kLinkBackoffSeed = 1;
+
 }  // namespace
 
 PipelineSegment extract_segment(const Pipeline& pipeline,
@@ -114,11 +118,10 @@ struct LinkedEngine::Impl {
     lc.bits = crossing.empty() ? 32 : crossing[0].bits;
     lc.link_bits_per_cycle = options.partition.link_bits_per_cycle;
     lc.clock_hz = options.partition.clock_hz;
-    lc.pace = options.pace_links;
     lc.ack_timeout_us = options.ack_timeout_us;
     lc.max_retransmits = options.max_retransmits;
     lc.retransmit_backoff_us = options.retransmit_backoff_us;
-    lc.backoff_seed = options.link_seed + k * 0x9e3779b97f4a7c15ULL;
+    lc.backoff_seed = kLinkBackoffSeed + k * 0x9e3779b97f4a7c15ULL;
     cut.fault = k < sites.size() ? sites[k] : nullptr;
     return cut;
   }
@@ -146,8 +149,7 @@ struct LinkedEngine::Impl {
   [[nodiscard]] bool proved(const std::vector<int>& cuts,
                             const PartitionConfig& cfg) {
     Report report;
-    check_link_plan(pipeline, cuts, cfg, options.target_fps,
-                    options.retransmit_headroom, report);
+    check_link_plan(pipeline, cuts, cfg, report);
     if (!report.ok()) {
       event("failover: candidate plan refused: " + report.summary());
     }
@@ -212,11 +214,10 @@ LinkedEngine::LinkedEngine(const Pipeline& pipeline,
       for (const CutInfo& c : res.cuts) cuts.push_back(c.after_node);
     }
   }
-  // Prove the plan before arming it (D420 dead links, D421 retransmit
-  // headroom, D422 chain-only cuts).
+  // Prove the plan before arming it (D420 dead links, D422 chain-only
+  // cuts).
   Report report;
-  check_link_plan(pipeline, cuts, im.options.partition, im.options.target_fps,
-                  im.options.retransmit_headroom, report);
+  check_link_plan(pipeline, cuts, im.options.partition, report);
   enforce(report, "LinkedEngine(" + pipeline.name + ")");
   im.original_cuts = cuts;
   im.link_health.assign(cuts.size(), 1.0);

@@ -25,7 +25,7 @@
 //       2. the prefix of the current cuts that avoids the dead link,
 //       3. the single-DFE plan (always runnable: the same graph with no
 //          pumps);
-//     every rung is proved by verify/link_check.h (D420/D421/D422)
+//     every rung is proved by verify/link_check.h (D420/D422)
 //     before it arms, and the images the failed attempt did not collect
 //     are replayed on the rebuilt graph — zero lost work, bit-exact.
 //
@@ -61,18 +61,9 @@ struct LinkedEngineOptions {
   /// Values per MaxRing frame; 0 = the planned burst of the crossing
   /// stream (PartitionConfig::link_bursts), falling back to 256.
   std::size_t frame_values = 0;
-  bool pace_links = true;
   std::int64_t ack_timeout_us = 20000;
   int max_retransmits = 8;
   std::int64_t retransmit_backoff_us = 200;
-  /// Seed of the links' jittered retransmit backoff.
-  std::uint64_t link_seed = 1;
-  /// D421 proof margin: wire rate must leave this fraction of capacity
-  /// free for retransmissions.
-  double retransmit_headroom = 0.10;
-  /// Target frame rate of the D421 wire-rate proof; 0 = structural
-  /// checks only (D420/D422).
-  double target_fps = 0.0;
   /// Failover timeline callback (link death, ladder rungs, re-arms);
   /// invoked from run()'s caller thread only.
   std::function<void(const std::string&)> on_event;

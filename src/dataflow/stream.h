@@ -59,7 +59,6 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -160,11 +159,9 @@ class Stream {
   /// popped values in FIFO order as at most two contiguous ring segments
   /// (two only when the burst wraps), and the slots are released after it
   /// returns — so a kernel transforms the values straight into its own
-  /// output stage. A generic visitor is handed spans of the ring's own
-  /// element type (std::span<const std::int8_t/int16_t/int32_t>); one that
-  /// takes only std::span<const std::int32_t> gets each segment widened
-  /// into a scratch copy first. Returns the number popped (0: nothing was
-  /// visited).
+  /// output stage. The visitor must be generic: it is handed spans of the
+  /// ring's own element type (std::span<const std::int8_t/int16_t/int32_t>).
+  /// Returns the number popped (0: nothing was visited).
   template <class Visit>
   std::size_t try_pop_with(std::size_t want, Visit&& visit) {
     if (want == 0) return 0;
@@ -176,8 +173,8 @@ class Stream {
         [&](const auto& buf) {
           const std::span ring(buf);
           const std::size_t run = std::min(n, ring.size() - first);
-          deliver(ring.subspan(first, run), visit);
-          if (run < n) deliver(ring.first(n - run), visit);
+          visit(ring.subspan(first, run));
+          if (run < n) visit(ring.first(n - run));
         },
         buf_);
     core_.commit_pop(w, n);
@@ -291,25 +288,11 @@ class Stream {
     narrow(vs.subspan(run), ring.data());
   }
 
-  /// Hand one ring segment to a visitor: as it is when the visitor takes
-  /// the ring's element type, else widened into the scratch copy.
-  template <class T, class Visit>
-  void deliver(std::span<const T> seg, Visit& visit) {
-    if constexpr (std::is_invocable_v<Visit&, std::span<const T>>) {
-      visit(seg);
-    } else {
-      if (wide_.size() < seg.size()) wide_.resize(core_.capacity());
-      widen(seg, wide_.data());
-      visit(std::span<const std::int32_t>(wide_).first(seg.size()));
-    }
-  }
-
   RingCore<RealSync> core_;
   const int bits_;
   const std::string name_;
   const simd::VecOps& ops_;  // resolved once, at construction
   Ring buf_;
-  std::vector<std::int32_t> wide_;  // consumer-side scratch of deliver()
   StreamFaultSite* fault_ = nullptr;
   std::uint64_t pushed_ = 0;
   std::uint64_t transactions_ = 0;

@@ -18,10 +18,6 @@ const char* to_string(FaultKind kind) {
       return "kernel-exception";
     case FaultKind::kReplicaCrash:
       return "replica-crash";
-    case FaultKind::kLinkDrop:
-      return "link-drop";
-    case FaultKind::kLinkCorrupt:
-      return "link-corrupt";
     case FaultKind::kLinkOutage:
       return "link-outage";
     case FaultKind::kLinkFrameCorrupt:
@@ -85,24 +81,6 @@ FaultEvent FaultPlan::replica_crash(int replica, std::uint64_t first_run,
   return e;
 }
 
-FaultEvent FaultPlan::link_drop(int link, std::uint64_t down_from_cycle,
-                                std::uint64_t down_cycles) {
-  FaultEvent e;
-  e.kind = FaultKind::kLinkDrop;
-  e.link = link;
-  e.down_from_cycle = down_from_cycle;
-  e.down_cycles = down_cycles;
-  return e;
-}
-
-FaultEvent FaultPlan::link_corrupt(int link, std::uint32_t per_million) {
-  FaultEvent e;
-  e.kind = FaultKind::kLinkCorrupt;
-  e.link = link;
-  e.corrupt_per_million = per_million;
-  return e;
-}
-
 FaultEvent FaultPlan::link_outage(int link, std::uint64_t run,
                                   std::uint64_t after_frames,
                                   std::int64_t outage_us) {
@@ -146,14 +124,13 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed, const ChaosOptions& opts) {
   Rng rng(seed);
   FaultPlan plan;
   plan.events.reserve(static_cast<std::size_t>(opts.events));
-  // Detectable kinds only (plus optional bit flips / live link faults):
-  // the healing layer can observe and mask these, so chaos soaks can
-  // assert full recovery. The draw order is append-only so a given seed
-  // under the default options keeps producing the identical plan.
+  // Detectable kinds only (plus optional live link faults): the healing
+  // layer can observe and mask these, so chaos soaks can assert full
+  // recovery. The draw order is append-only so a given seed under the
+  // default options keeps producing the identical plan.
   std::vector<FaultKind> kinds = {
       FaultKind::kKernelHang, FaultKind::kKernelException,
       FaultKind::kReplicaCrash, FaultKind::kStreamStall};
-  if (opts.include_bit_flips) kinds.push_back(FaultKind::kStreamBitFlip);
   if (opts.include_link_faults) {
     QNN_CHECK(opts.links >= 1, "FaultPlan::chaos: links must be >= 1");
     kinds.push_back(FaultKind::kLinkOutage);
@@ -185,12 +162,6 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed, const ChaosOptions& opts) {
         e.target_index = static_cast<int>(rng.next_below(64));
         e.after_values = rng.next_below(512);
         e.stall_attempts = 64 + rng.next_below(512);
-        break;
-      case FaultKind::kStreamBitFlip:
-        e.kind = FaultKind::kStreamBitFlip;
-        e.target_index = static_cast<int>(rng.next_below(64));
-        e.after_values = rng.next_below(512);
-        e.xor_mask = static_cast<std::int32_t>(1U << rng.next_below(15));
         break;
       case FaultKind::kLinkOutage:
         e.kind = FaultKind::kLinkOutage;
@@ -385,10 +356,6 @@ void FaultInjector::begin_run() {
         l.armed = true;
         break;
       }
-      case FaultKind::kLinkDrop:
-      case FaultKind::kLinkCorrupt:
-        // Timing-model faults; consumed by fault/apply.h, not the engine.
-        break;
     }
   }
   if (crash_) fired_.fetch_add(1, std::memory_order_relaxed);

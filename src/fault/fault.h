@@ -25,9 +25,6 @@
 //   * kReplicaCrash    — StreamEngine::run() throws before streaming
 //                        anything (board lost; per-run, so a range of
 //                        runs models a dead replica).
-//   * kLinkDrop /      — MaxRing outage / corruption-retransmit windows,
-//     kLinkCorrupt       consumed by sim/cycle_model and partition/ via
-//                        fault/apply.h (the timing model side).
 //   * kLinkOutage      — live MaxRing link drops every frame for a
 //                        wall-clock window (transient outage; healed by
 //                        the link's retransmit loop).
@@ -79,8 +76,6 @@ enum class FaultKind {
   kKernelHang,
   kKernelException,
   kReplicaCrash,
-  kLinkDrop,
-  kLinkCorrupt,
   kLinkOutage,        // live link: wall-clock outage window
   kLinkFrameCorrupt,  // live link: seeded in-transit frame corruption
   kLinkDeath,         // live link: permanent loss from the Nth frame
@@ -119,14 +114,11 @@ struct FaultEvent {
   /// Step index (per run, per kernel) the fault triggers at.
   std::uint64_t after_steps = 0;
 
-  // --- MaxRing link faults (fault/apply.h + dataflow/link.h) --------------
-  /// Link ordinal in cut order (LinkSim creation order in the sim; the
-  /// LinkedEngine's physical link ordinal on the live path).
+  // --- live MaxRing link faults (dataflow/link.h) -------------------------
+  /// The LinkedEngine's physical link ordinal, in cut order.
   int link = 0;
-  std::uint64_t down_from_cycle = 0;   // kLinkDrop: outage window start
-  std::uint64_t down_cycles = 0;       // kLinkDrop: outage length
-  std::uint32_t corrupt_per_million = 0;  // kLinkCorrupt /
-                                          // kLinkFrameCorrupt: rate
+  /// kLinkFrameCorrupt: in-transit corruption rate per million frames.
+  std::uint32_t corrupt_per_million = 0;
   /// kLinkOutage: wall-clock outage length. The window opens at the
   /// transmission ordinal `after_values` (live links count frames, not
   /// stream values) and closes after outage_us microseconds; kLinkDeath
@@ -160,9 +152,6 @@ struct FaultPlan {
                                  std::uint64_t step = 0);
   static FaultEvent replica_crash(int replica, std::uint64_t first_run,
                                   std::uint64_t last_run);
-  static FaultEvent link_drop(int link, std::uint64_t down_from_cycle,
-                              std::uint64_t down_cycles);
-  static FaultEvent link_corrupt(int link, std::uint32_t per_million);
   static FaultEvent link_outage(int link, std::uint64_t run,
                                 std::uint64_t after_frames,
                                 std::int64_t outage_us);
@@ -185,10 +174,6 @@ struct FaultPlan {
     std::uint64_t runs = 16;
     /// Number of events to draw.
     int events = 4;
-    /// Include kStreamBitFlip draws. Off by default so every chaos fault
-    /// is *detectable* (hang / throw / crash / stall) and non-faulted
-    /// results stay provably bit-exact against a fault-free run.
-    bool include_bit_flips = false;
     /// Also draw the live MaxRing link kinds (outage window / seeded frame
     /// corruption / permanent death) against links [0, links). Off by
     /// default: existing soaks run unpartitioned engines with no link
@@ -200,8 +185,10 @@ struct FaultPlan {
     int links = 1;
   };
 
-  /// Seeded random plan over the detectable fault kinds: same seed (and
-  /// options) => the identical event list, bit for bit.
+  /// Seeded random plan over the detectable fault kinds (never
+  /// kStreamBitFlip: a silent flip would break the bit-exact assertions
+  /// soaks make on every run that completed): same seed (and options) =>
+  /// the identical event list, bit for bit.
   static FaultPlan chaos(std::uint64_t seed, const ChaosOptions& opts);
   static FaultPlan chaos(std::uint64_t seed) { return chaos(seed, {}); }
 };

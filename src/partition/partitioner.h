@@ -47,8 +47,8 @@ struct PartitionConfig {
   std::vector<SimConfig::EdgeBurst> link_bursts;
   /// Per-link health derating in [0, 1], indexed by MaxRing link ordinal
   /// (link k connects DFE k to k+1). Missing entries mean 1.0 (healthy);
-  /// 0 marks a dead link, making any cut over it infeasible. Populated
-  /// from a FaultPlan by apply_link_faults (fault/apply.h).
+  /// 0 marks a dead link, making any cut over it infeasible. The
+  /// LinkedEngine's failover zeroes the entry of a link that died.
   std::vector<double> link_health;
 
   /// Effective capacity of link `link` after health derating.

@@ -67,7 +67,7 @@ double calibrate_ips(const Backend& backend, const Pipeline& pipeline,
                              std::min(images.size(), i + micro)));
   }
   double best = 0.0;
-  for (int r = 0; r < std::max(1, config.calibration_repeats); ++r) {
+  for (int r = 0; r < kCalibrationRepeats; ++r) {
     const auto start = Clock::now();
     for (const std::vector<IntTensor>& chunk : chunks) {
       (void)session->infer_batch(chunk);
@@ -108,25 +108,19 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
 
   // The grid. Every candidate is verified through verify/ before it is
   // allowed anywhere near a live run.
-  std::vector<bool> adaptives = {default_opts.adaptive_burst};
-  if (config.try_adaptive) adaptives = {true, false};
-
   std::vector<std::size_t> fifo_capacities = config.fifo_capacities;
   if (fifo_capacities.empty()) {
     fifo_capacities.push_back(default_opts.fifo_capacity);
   }
   std::vector<EngineOptions> grid;
   for (const std::size_t burst : config.bursts) {
-    for (const bool adaptive : adaptives) {
+    for (const bool adaptive : {true, false}) {
       for (const std::size_t fifo_capacity : fifo_capacities) {
         grid.push_back(grid_options(burst, adaptive, fifo_capacity));
       }
     }
   }
   for (const EngineOptions& opts : grid) {
-    if (static_cast<int>(result.candidates.size()) > config.max_candidates) {
-      break;
-    }
     if (same_point(opts, default_opts)) continue;
     AutotuneCandidate c;
     c.plan = compile_plan(pipeline, opts, config.slo_us, config.backend);
@@ -158,14 +152,14 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
                      return result.candidates[a].predicted_ips >
                             result.candidates[b].predicted_ips;
                    });
-  if (static_cast<int>(order.size()) > config.calibrate_top) {
-    order.resize(static_cast<std::size_t>(std::max(0, config.calibrate_top)));
+  if (order.size() > static_cast<std::size_t>(kCalibrateTop)) {
+    order.resize(static_cast<std::size_t>(kCalibrateTop));
   }
 
   std::size_t best_index = 0;  // the default, until strictly beaten
   if (config.live_calibration) {
     const std::vector<IntTensor> images = synthetic_batch(
-        config.calibration_images, pipeline.input.h, pipeline.input.w,
+        kCalibrationImages, pipeline.input.h, pipeline.input.w,
         pipeline.input.c, config.seed);
     // The default is ALWAYS calibrated, budget or not: a baseline-free
     // result could report a winner that was never compared to anything.

@@ -3,14 +3,19 @@
 // The paper tunes its streaming architecture by hand (§IV-B: burst sizing,
 // buffer depths, one kernel graph per DFE). This driver automates the
 // host-side analog as a small grid search over the CompiledPlan knobs —
-// plan-wide burst cap, adaptive per-edge bursts, FIFO depth — with two
-// oracles in sequence:
+// plan-wide burst cap, adaptive and flat per-edge bursts, FIFO depth —
+// with two oracles in sequence:
 //
 //   1. the sim/ cycle model prices each candidate's per-edge bursts and
 //      partition cut (predicted_ips), ranking the grid cheaply;
 //   2. a short live calibration run (backend compile + timed infer_batch
 //      on synthetic images) decides among the top-ranked candidates,
 //      because host scheduling costs are invisible to the DFE cycle model.
+//      The top kCalibrateTop candidates each get the best of
+//      kCalibrationRepeats timed repeats over kCalibrationImages images
+//      (enough to keep a repeat's window well above the OS scheduler tick
+//      on a fast model — short windows made the ranking a lottery on a
+//      1-core box).
 //
 // Every candidate is proved deadlock-free by verify/ BEFORE it may run:
 // a candidate whose Report is not ok() is pruned, never executed. The
@@ -31,6 +36,15 @@
 
 namespace qnn {
 
+/// Candidates (beyond the default) that get a live calibration run,
+/// best-predicted first (ties keep grid order).
+inline constexpr int kCalibrateTop = 9;
+/// Images per timed calibration repeat.
+inline constexpr int kCalibrationImages = 64;
+/// Timed repeats per calibrated candidate; the BEST repeat is kept
+/// (scheduling interference only ever slows a run down).
+inline constexpr int kCalibrationRepeats = 3;
+
 struct AutotuneConfig {
   /// Latency budget the plan is tuned for (PlanKey::slo_us); 0 = pure
   /// throughput tuning.
@@ -47,22 +61,11 @@ struct AutotuneConfig {
   /// (0). Deeper FIFOs let producers run further ahead — fewer blocking
   /// handoffs, which is what dominates small models on few cores.
   std::vector<std::size_t> fifo_capacities = {0, 4096};
-  /// Try both adaptive per-edge bursts and the flat plan-wide burst.
-  bool try_adaptive = true;
-  /// Hard cap on grid size after pruning duplicates.
-  int max_candidates = 96;
 
   // ---- live calibration --------------------------------------------------
   /// Measure the top-ranked candidates on the real backend; without it the
   /// cycle-model prediction picks the winner.
   bool live_calibration = true;
-  /// Candidates (beyond the default) that get a live run, best-predicted
-  /// first (ties keep grid order).
-  int calibrate_top = 9;
-  /// Images per timed repeat. The default keeps a repeat's window well
-  /// above the OS scheduler tick on a fast model — short windows made the
-  /// ranking a lottery on a 1-core box.
-  int calibration_images = 64;
   /// Micro-batch size for the timed runs. 0 = derive: the whole image set
   /// in one infer_batch when slo_us == 0 (pure throughput), batches of 4
   /// when an SLO is set. A latency-SLO deployment serves small
@@ -70,9 +73,7 @@ struct AutotuneConfig {
   /// drain — calibrating on one big batch is blind to exactly the cost
   /// that dominates that regime.
   int calibration_micro_batch = 0;
-  /// Timed repeats per candidate; the BEST repeat is kept (scheduling
-  /// interference only ever slows a run down).
-  int calibration_repeats = 3;
+  /// Seed of the synthetic calibration images.
   std::uint64_t seed = 7;
 
   /// Soft wall-clock budget: no NEW calibration run starts after this many

@@ -81,7 +81,6 @@ PlanKey plan_key(const Pipeline& pipeline, std::int64_t slo_us) {
 
 void CompiledPlan::apply_engine(EngineOptions& options) const {
   options.fifo_capacity = fifo_capacity;
-  options.skip_slack = skip_slack;
   options.burst = burst;
   options.adaptive_burst = adaptive_burst;
   options.pool_threads = pool_threads;
@@ -105,7 +104,6 @@ CompiledPlan compile_plan(const Pipeline& pipeline,
   plan.model = pipeline.name;
   plan.key = plan_key(pipeline, slo_us);
   plan.fifo_capacity = options.fifo_capacity;
-  plan.skip_slack = options.skip_slack;
   plan.burst = options.burst;
   plan.adaptive_burst = options.adaptive_burst;
   plan.pool_threads = options.pool_threads;

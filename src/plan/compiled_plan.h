@@ -47,8 +47,10 @@ namespace qnn {
 /// version-3 plan's fork "trunk" and "branch" streams are a miss as well.
 /// Version 5 plans no ring into any BnAct (the port that writes its input
 /// evaluates it), so a version-4 plan's rings into the BnActs after an
-/// Add are a miss too.
-inline constexpr int kPlanFormatVersion = 5;
+/// Add are a miss too. Version 6 dropped the "skip_slack" field (the slack
+/// of a skip-path ring is the fixed kSkipSlack), so a version-5 plan is a
+/// miss rather than a plan carrying a knob nothing reads.
+inline constexpr int kPlanFormatVersion = 6;
 
 /// Structural hash of a pipeline (FNV-1a over shapes, edges, widths and
 /// window geometry; node *names* are excluded so a rename does not orphan
@@ -88,7 +90,6 @@ struct CompiledPlan {
 
   // ---- host engine knobs (EngineOptions mirror) --------------------------
   std::size_t fifo_capacity = 0;
-  std::size_t skip_slack = 64;
   std::size_t burst = 0;
   bool adaptive_burst = true;
   unsigned pool_threads = 0;

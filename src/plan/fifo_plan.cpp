@@ -92,7 +92,7 @@ FifoPlan plan_rings(const Pipeline& pipeline, const EngineOptions& options,
         // slack, whatever fifo_capacity says: functionally it subsumes
         // the delay-compensation buffer of §III-B5 (which only needs to
         // cover the regular path's *lag*, a prefix of the map).
-        return static_cast<std::size_t>(shape.elems()) + options.skip_slack;
+        return static_cast<std::size_t>(shape.elems()) + kSkipSlack;
       }
       if (user != 0) return user;
       // Auto mode: a window kernel's input FIFO is its §III-B1b line

@@ -7,8 +7,8 @@
 //
 //  * an edge feeding a window kernel gets the §III-B1b depth-first line
 //    buffer I*(W_p*(K-1) + K);
-//  * a skip-path edge into an adder holds one full feature map plus slack,
-//    which subsumes the §III-B5 delay-compensation buffer for any lag of
+//  * a skip-path edge into an adder holds one full feature map plus
+//    kSkipSlack values, which subsumes the §III-B5 delay-compensation buffer for any lag of
 //    the regular path;
 //  * each edge's burst is one whole row (W*C) of the map it carries
 //    (adaptive mode), capped only by an explicit EngineOptions::burst and
@@ -45,6 +45,10 @@ namespace qnn {
 /// kDefaultBurst transactions): the rings of small maps, whose two rows
 /// are shallower, stay this deep.
 inline constexpr std::size_t kMinFifoCapacity = 2 * kDefaultBurst;
+
+/// Values a skip-path ring holds beyond the full feature map it may need
+/// to buffer while the regular path lags.
+inline constexpr std::size_t kSkipSlack = 64;
 
 /// One FIFO the engine will create for a given Pipeline + EngineOptions.
 struct PlannedStream {

@@ -393,7 +393,6 @@ std::string to_json(const CompiledPlan& plan) {
   write_escaped(o, plan.key.machine);
   o += ", \"slo_us\": " + std::to_string(plan.key.slo_us) + "},\n";
   o += "  \"fifo_capacity\": " + std::to_string(plan.fifo_capacity) + ",\n";
-  o += "  \"skip_slack\": " + std::to_string(plan.skip_slack) + ",\n";
   o += "  \"burst\": " + std::to_string(plan.burst) + ",\n";
   o += std::string("  \"adaptive_burst\": ") +
        (plan.adaptive_burst ? "true" : "false") + ",\n";
@@ -460,7 +459,6 @@ CompiledPlan plan_from_json(const std::string& text) {
   plan.key.machine = key.as_str("machine");
   plan.key.slo_us = key.as_whole<std::int64_t>("slo_us");
   plan.fifo_capacity = root.as_whole<std::size_t>("fifo_capacity");
-  plan.skip_slack = root.as_whole<std::size_t>("skip_slack");
   plan.burst = root.as_whole<std::size_t>("burst");
   plan.adaptive_burst = root.as_bool("adaptive_burst");
   plan.pool_threads = root.as_whole<unsigned>("pool_threads");

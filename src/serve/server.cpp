@@ -169,9 +169,8 @@ struct DfeServer::Impl {
   // ---- brownout (mu held) ------------------------------------------------
 
   void update_brownout() {
-    const bool want =
-        config.brownout && (quarantined_count > 0 ||
-                            global_fail_streak >= config.brownout_fail_streak);
+    const bool want = quarantined_count > 0 ||
+                      global_fail_streak >= kBrownoutFailStreak;
     if (want != brownout_active) {
       brownout_active = want;
       metrics.set_brownout(want);
@@ -705,7 +704,7 @@ struct DfeServer::Impl {
       shadow_accum += config.shadow_fraction;
       if (shadow_accum < 1.0) return;
       shadow_accum -= 1.0;
-      if (shadow_queue.size() >= config.shadow_queue_capacity) {
+      if (shadow_queue.size() >= kShadowQueueCapacity) {
         metrics.on_shadow_drop();
         return;
       }
@@ -856,15 +855,11 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
             "probation_probes must be positive");
   QNN_CHECK(server_config.probe_period_us >= 1,
             "probe_period_us must be positive");
-  QNN_CHECK(server_config.brownout_fail_streak >= 1,
-            "brownout_fail_streak must be positive");
   QNN_CHECK(server_config.restart_after >= 0,
             "restart_after must be non-negative");
   QNN_CHECK(server_config.shadow_fraction >= 0.0 &&
                 server_config.shadow_fraction <= 1.0,
             "shadow_fraction must be in [0, 1]");
-  QNN_CHECK(server_config.shadow_queue_capacity >= 1,
-            "shadow_queue_capacity must be positive");
   QNN_CHECK(server_config.shadow_mismatch_after >= 0,
             "shadow_mismatch_after must be non-negative");
 
@@ -873,7 +868,7 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
   (void)backend_registry().at(session_config.backend);
   const int total = server_config.replicas;
   impl_->config = server_config;
-  impl_->retry_rng = Rng(server_config.retry_jitter_seed);
+  impl_->retry_rng = Rng(kRetryJitterSeed);
 
   const Pipeline pipeline = expand(spec);
   // Cold-start plan resolution: ONE cache lookup for the whole pool (every

@@ -46,9 +46,10 @@
 //    replica through its backend (the software analog of reflashing a
 //    wedged board); the fresh session then re-enters the probe loop so
 //    readmission still requires clean probes.
-//  * Brownout: while any replica is quarantined (or failures persist), the
-//    effective max_batch/batch_timeout shrink and already-expired queue
-//    entries are shed first — graceful degradation instead of collapse.
+//  * Brownout: while any replica is quarantined (or kBrownoutFailStreak
+//    consecutive runs have failed), the effective max_batch/batch_timeout
+//    shrink and already-expired queue entries are shed first — graceful
+//    degradation instead of collapse. It is always armed.
 //
 // submit_async() enqueues and returns a std::future; submit() is the
 // synchronous convenience wrapper. stop() (also run by the destructor)
@@ -108,25 +109,17 @@ struct ServerConfig {
   /// clock.
   std::int64_t retry_backoff_us = 200;
   /// Jitter each retry delay uniformly within +-50% of its exponential
-  /// base, drawn from a generator seeded with retry_jitter_seed — a burst
+  /// base, drawn from a generator seeded with kRetryJitterSeed — a burst
   /// of requests failed by one fault then spreads out instead of
   /// re-dispatching (and possibly re-failing) in lockstep. false = the
   /// exact base delay every time.
   bool retry_jitter = true;
-  std::uint64_t retry_jitter_seed = 0x7e7125a5;
   /// Consecutive failed runs that quarantine a replica.
   int quarantine_after = 3;
   /// Consecutive clean probes that readmit a quarantined replica.
   int probation_probes = 2;
   /// Delay between probe runs of a quarantined replica.
   std::int64_t probe_period_us = 2000;
-  /// Enable brownout-mode degradation (halved max_batch, quartered batch
-  /// timeout, shed-expired-first) while replicas are quarantined or
-  /// failures persist.
-  bool brownout = true;
-  /// Global consecutive-failure streak that also triggers brownout even
-  /// before anything is quarantined.
-  int brownout_fail_streak = 6;
   /// Consecutive failed probes of a quarantined replica that trigger a
   /// restart: the replica's backend recompiles a fresh session which then
   /// re-enters the probe loop. 0 = never restart.
@@ -138,8 +131,6 @@ struct ServerConfig {
   /// one shadow thread). Mirrored results are compared bit-exactly and
   /// counted (ServerMetrics), never returned.
   double shadow_fraction = 0.0;
-  /// Bound on queued shadow jobs; overflow is dropped (and counted).
-  std::size_t shadow_queue_capacity = 64;
   /// Quarantine a replica after this many bit-exactness mismatches are
   /// pinned on it by shadow comparison (it then heals through the normal
   /// probe/readmit path, which also resets the count). 0 = count
@@ -150,6 +141,17 @@ struct ServerConfig {
 /// Ceiling of the exponential retry backoff base (one hour): far inside
 /// Clock::time_point's range even after +50% jitter.
 inline constexpr std::int64_t kMaxRetryBackoffUs = 3'600'000'000;
+
+/// Seed of the server's retry-jitter generator (ServerConfig::retry_jitter).
+inline constexpr std::uint64_t kRetryJitterSeed = 0x7e7125a5;
+
+/// Brownout-mode degradation (halved max_batch, quartered batch timeout,
+/// shed-expired-first) runs while any replica is quarantined or after
+/// this many consecutive failed runs across the pool.
+inline constexpr int kBrownoutFailStreak = 6;
+
+/// Bound on queued shadow jobs; overflow is dropped (and counted).
+inline constexpr std::size_t kShadowQueueCapacity = 64;
 
 /// Backoff gate before retry `attempt` (1-based) may re-dispatch:
 /// exponential base retry_backoff_us << (attempt-1), saturated at

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/rng.h"
-
 namespace qnn {
 namespace {
 
@@ -86,7 +84,7 @@ class KernelSim {
   explicit KernelSim(std::string name) { st_.name = std::move(name); }
   virtual ~KernelSim() = default;
   /// Advance one fabric clock; `now` is the global cycle counter (used by
-  /// the sink for completion timestamps and by links for outage windows).
+  /// the sink for completion timestamps).
   virtual void step(std::uint64_t now) = 0;
   [[nodiscard]] const KernelStats& stats() const { return st_; }
 
@@ -311,36 +309,29 @@ class PassSim final : public KernelSim {
 /// carried across the cut; 1 without a plan). A frame of m pixels costs
 /// ceil(m * pixel_bits / link_bits_per_cycle) clocks, so a planned burst
 /// pays the link-word rounding once per frame where per-pixel framing
-/// pays it on every pixel. An injected LinkFault adds outage windows
-/// (nothing moves) and CRC-style corruption: a corrupted frame is
-/// re-serialized once before delivery.
+/// pays it on every pixel. The model is a healthy link: outages,
+/// corruption and retransmission are exercised on the live MaxRingLink
+/// (dataflow/link.h), not replayed here.
 class LinkSim final : public KernelSim {
  public:
   LinkSim(std::string name, SimFifo& in, SimFifo& out, int frame_pixels,
-          std::int64_t pixel_bits, int link_bits,
-          SimConfig::LinkFault fault = {})
+          std::int64_t pixel_bits, int link_bits)
       : KernelSim(std::move(name)), in_(in), out_(out),
         frame_pixels_(frame_pixels), pixel_bits_(pixel_bits),
-        link_bits_(link_bits), fault_(fault), rng_(fault.seed) {
+        link_bits_(link_bits) {
     QNN_CHECK(frame_pixels_ >= 1, "link frame must hold >= 1 pixel");
     QNN_CHECK(pixel_bits_ >= 1 && link_bits_ >= 1,
               "link serialization needs positive widths");
   }
 
-  void step(std::uint64_t now) override {
-    if (now >= fault_.down_from_cycle &&
-        now - fault_.down_from_cycle < fault_.down_cycles) {
-      // Outage window: the link moves nothing this cycle.
-      if (holding_ > 0 || !in_.empty()) ++st_.stall_out;
-      return;
-    }
+  void step(std::uint64_t /*now*/) override {
     if (holding_ > 0) {
       if (remaining_ > 0) {
         --remaining_;
         ++st_.busy;
         if (remaining_ > 0) return;
       }
-      try_deliver();
+      deliver();
       return;
     }
     if (in_.empty()) {
@@ -357,7 +348,7 @@ class LinkSim final : public KernelSim {
     holding_ = taken;
     remaining_ = serialize_cycles(taken) - 1;
     ++st_.busy;
-    if (remaining_ == 0) try_deliver();
+    if (remaining_ == 0) deliver();
   }
 
  private:
@@ -366,17 +357,9 @@ class LinkSim final : public KernelSim {
     return static_cast<int>((bits + link_bits_ - 1) / link_bits_);
   }
 
-  /// Serialization of the held frame is complete: draw the corruption
-  /// fault (once per frame — a corrupted frame re-serializes exactly
-  /// once), then land its pixels as the far FIFO accepts them.
-  void try_deliver() {
-    if (fault_.corrupt_per_million > 0 && !retransmitted_ &&
-        rng_.next_below(1'000'000) < fault_.corrupt_per_million) {
-      retransmitted_ = true;
-      ++st_.retransmits;
-      remaining_ = serialize_cycles(holding_);
-      return;
-    }
+  /// Serialization of the held frame is complete: land its pixels as the
+  /// far FIFO accepts them.
+  void deliver() {
     while (holding_ > 0) {
       if (out_.full()) {
         ++st_.stall_out;
@@ -386,7 +369,6 @@ class LinkSim final : public KernelSim {
       ++st_.outputs;
       --holding_;
     }
-    retransmitted_ = false;
   }
 
   SimFifo& in_;
@@ -394,11 +376,8 @@ class LinkSim final : public KernelSim {
   int frame_pixels_;
   std::int64_t pixel_bits_;
   int link_bits_;
-  SimConfig::LinkFault fault_;
-  Rng rng_;
   int remaining_ = 0;
   int holding_ = 0;  // pixels of the open frame not yet delivered
-  bool retransmitted_ = false;
 };
 
 class AddSim final : public KernelSim {
@@ -434,28 +413,6 @@ SimResult simulate(const Pipeline& pipeline, const SimConfig& config,
                    int images) {
   pipeline.validate();
   QNN_CHECK(images >= 2, "need >= 2 images to observe the steady interval");
-  for (const SimConfig::LinkFault& f : config.link_faults) {
-    QNN_CHECK(f.corrupt_per_million <= 250'000,
-              "link corruption rate above 25% is not a working link");
-  }
-  // Merge the faults targeting one link ordinal (earliest outage wins,
-  // corruption rates take the max) so each LinkSim carries one record.
-  auto fault_for = [&](int link) {
-    SimConfig::LinkFault merged;
-    merged.link = link;
-    for (const SimConfig::LinkFault& f : config.link_faults) {
-      if (f.link != link) continue;
-      if (f.down_cycles > 0 && f.down_from_cycle < merged.down_from_cycle) {
-        merged.down_from_cycle = f.down_from_cycle;
-        merged.down_cycles = f.down_cycles;
-      }
-      merged.corrupt_per_million =
-          std::max(merged.corrupt_per_million, f.corrupt_per_million);
-      if (f.seed != 0) merged.seed = f.seed;
-    }
-    return merged;
-  };
-
   std::vector<std::unique_ptr<SimFifo>> fifos;
   auto make_fifo = [&](std::size_t cap, std::string name) -> SimFifo& {
     auto f = std::make_unique<SimFifo>();
@@ -519,8 +476,7 @@ SimResult simulate(const Pipeline& pipeline, const SimConfig& config,
             make_fifo(upstream.cap, pname + "~link~" + n.name);
         kernels.push_back(std::make_unique<LinkSim>(
             "link_" + pname + "_" + std::to_string(links_made), upstream,
-            landed, frame_pixels, pixel_bits, config.link_bits_per_cycle,
-            fault_for(links_made)));
+            landed, frame_pixels, pixel_bits, config.link_bits_per_cycle));
         ++links_made;
         f = &landed;
       }
@@ -645,14 +601,6 @@ SimResult simulate(const Pipeline& pipeline, const SimConfig& config,
                 4;
     }
   }
-  // Injected link faults legitimately slow the run: extend the deadlock
-  // budget by each outage window and by the worst-case retransmission
-  // overhead (rate is capped at 25%, so <= budget/2 extra).
-  for (const SimConfig::LinkFault& f : config.link_faults) {
-    budget += f.down_cycles * 2;
-    if (f.corrupt_per_million > 0) budget += budget / 2;
-  }
-
   std::uint64_t cycle = 0;
   while (!sink_ptr->done()) {
     if (cycle >= budget) {

@@ -91,24 +91,6 @@ struct SimConfig {
     return 0;
   }
 
-  /// MaxRing link fault to replay during simulation (see fault/apply.h for
-  /// the FaultPlan adapter). `link` is the serializer ordinal in cut order
-  /// (0 = the link after the first cut).
-  struct LinkFault {
-    int link = 0;
-    /// Outage window: the link transfers nothing for `down_cycles` starting
-    /// at `down_from_cycle` (kFaultNever start = no outage).
-    std::uint64_t down_from_cycle = ~0ULL;
-    std::uint64_t down_cycles = 0;
-    /// Corruption: each delivered frame is independently corrupted with
-    /// probability corrupt_per_million / 1e6 and retransmitted once (the
-    /// MaxRing CRC-and-resend cost model). Capped at 250'000 (25%).
-    std::uint32_t corrupt_per_million = 0;
-    /// Seed of the per-link corruption draw (deterministic replay).
-    std::uint64_t seed = 0;
-  };
-  std::vector<LinkFault> link_faults;
-
   /// Clocks needed per output value of a conv node (datapath fold factor).
   [[nodiscard]] int cycles_per_output(const Node& n) const {
     const std::int64_t bit_products =
@@ -124,9 +106,6 @@ struct KernelStats {
   std::uint64_t stall_in = 0;   // starved: waiting for input
   std::uint64_t stall_out = 0;  // blocked: waiting for output space
   std::uint64_t outputs = 0;    // output transactions (pixels) emitted
-  /// Link kernels only: frames re-serialized after an injected corruption
-  /// (a frame is one pixel unless a planned burst widens it).
-  std::uint64_t retransmits = 0;
 };
 
 struct FifoStats {

@@ -8,8 +8,7 @@ namespace qnn {
 
 void check_link_plan(const Pipeline& pipeline,
                      const std::vector<int>& cut_after_nodes,
-                     const PartitionConfig& config, double images_per_second,
-                     double retransmit_headroom, Report& report) {
+                     const PartitionConfig& config, Report& report) {
   const int n = pipeline.size();
   int prev = -1;
   for (std::size_t k = 0; k < cut_after_nodes.size(); ++k) {
@@ -24,7 +23,7 @@ void check_link_plan(const Pipeline& pipeline,
     }
     prev = after;
     const std::vector<CrossingStream> crossing =
-        crossing_streams(pipeline, after, &config.link_bursts);
+        crossing_streams(pipeline, after);
     if (crossing.size() != 1) {
       report.error(diag::kCutCrossesSkip, after, where,
                    "cut after '" + pipeline.node(after).name + "' is crossed "
@@ -42,24 +41,6 @@ void check_link_plan(const Pipeline& pipeline,
     }
     report.info(diag::kDeadLinkCut, after, where,
                 "link alive: capacity " + Table::num(capacity, 1) + " Mbps");
-    if (images_per_second > 0.0) {
-      const double wire = crossing[0].wire_mbps(images_per_second,
-                                               config.link_bits_per_cycle);
-      const double needed = wire * (1.0 + retransmit_headroom);
-      if (needed > capacity) {
-        report.warn(diag::kRetransmitHeadroom, after, where,
-                    "wire rate " + Table::num(wire, 1) + " Mbps leaves less "
-                        "than " +
-                        Table::num(100.0 * retransmit_headroom, 0) +
-                        "% retransmit headroom against " +
-                        Table::num(capacity, 1) + " Mbps capacity");
-      } else {
-        report.info(diag::kRetransmitHeadroom, after, where,
-                    "retransmit headroom proved: " + Table::num(wire, 1) +
-                        " * " + Table::num(1.0 + retransmit_headroom, 2) +
-                        " <= " + Table::num(capacity, 1) + " Mbps");
-      }
-    }
   }
 }
 

@@ -8,15 +8,15 @@
 //   QNN-D420  a cut rides a link whose health is 0 (dead): running it
 //             would wedge on the first frame, so the plan is refused and
 //             the ladder falls through to the next rung.
-//   QNN-D421  the cut's wire rate is within the retransmit headroom of
-//             the link capacity: legal, but a single corrupt-retransmit
-//             burst would oversubscribe the wire (warning).
 //   QNN-D422  the cut is crossed by more than one stream (a skip edge
 //             spans it): the in-process MaxRing carries exactly one
 //             framed stream per link, so such cuts are refused.
 //
-// Discharged obligations are recorded as kInfo findings, so the report
-// shows *why* a degraded plan is safe, not just that it is.
+// Wire rate is not re-proved here: the D401 partition check prices it
+// when a placement is chosen, and a cut needs ~210 Mbps (2 bit/pixel at
+// 105 MHz, §III-B6), far below the MaxRing capacity. Discharged
+// obligations are recorded as kInfo findings, so the report shows *why* a
+// degraded plan is safe, not just that it is.
 #pragma once
 
 #include <vector>
@@ -29,12 +29,8 @@ namespace qnn {
 
 /// Prove the explicit cut list `cut_after_nodes` (link k = the cut after
 /// cut_after_nodes[k]) against `config`'s link capacities and health.
-/// `images_per_second` > 0 enables the D421 wire-rate check at that
-/// target frame rate with `retransmit_headroom` spare capacity (0.10 =
-/// the wire must leave 10% for retransmissions).
 void check_link_plan(const Pipeline& pipeline,
                      const std::vector<int>& cut_after_nodes,
-                     const PartitionConfig& config, double images_per_second,
-                     double retransmit_headroom, Report& report);
+                     const PartitionConfig& config, Report& report);
 
 }  // namespace qnn

@@ -82,10 +82,6 @@ inline constexpr const char* kBadSegments = "QNN-D404";
 // --- arms a (possibly degraded, post-failover) partition cut ------------
 inline constexpr const char* kDeadLinkCut = "QNN-D420";       // cut rides a
                                                               // health-0 link
-inline constexpr const char* kRetransmitHeadroom = "QNN-D421";  // wire rate
-                                                                // too close to
-                                                                // capacity for
-                                                                // retransmits
 inline constexpr const char* kCutCrossesSkip = "QNN-D422";    // cut crossed by
                                                               // more than the
                                                               // one main edge

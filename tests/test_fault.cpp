@@ -15,12 +15,10 @@
 #include "dataflow/engine.h"
 #include "dataflow/link.h"
 #include "dataflow/linked_engine.h"
-#include "fault/apply.h"
 #include "models/zoo.h"
 #include "nn/reference.h"
 #include "partition/partitioner.h"
 #include "serve/server.h"
-#include "sim/cycle_model.h"
 #include "test_util.h"
 #include "verify/graph_check.h"
 
@@ -84,6 +82,70 @@ TEST(Fault, ChaosPlansAreSeedDeterministic) {
     EXPECT_NE(a.events[i].kind, FaultKind::kStreamBitFlip) << i;
   }
   EXPECT_TRUE(any_difference_from_reseed);
+}
+
+/// The identity fields of one drawn chaos event.
+struct PinnedEvent {
+  FaultKind kind;
+  int replica;
+  std::uint64_t first_run;
+  int target_index;
+  int link;
+};
+
+void expect_plan_is(const FaultPlan& plan,
+                    const std::vector<PinnedEvent>& expected) {
+  ASSERT_EQ(plan.events.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const FaultEvent& e = plan.events[i];
+    EXPECT_EQ(e.kind, expected[i].kind) << i;
+    EXPECT_EQ(e.replica, expected[i].replica) << i;
+    EXPECT_EQ(e.first_run, expected[i].first_run) << i;
+    EXPECT_EQ(e.target_index, expected[i].target_index) << i;
+    EXPECT_EQ(e.link, expected[i].link) << i;
+  }
+}
+
+TEST(Fault, SeededChaosPlansArePinned) {
+  // Literal plans, so a change to the drawable kinds or the draw order
+  // shows up here rather than as a silently different soak.
+  expect_plan_is(FaultPlan::chaos(404), {
+      {FaultKind::kStreamStall, 0, 10, 55, 0},
+      {FaultKind::kKernelHang, 0, 3, 59, 0},
+      {FaultKind::kStreamStall, 0, 2, 2, 0},
+      {FaultKind::kKernelHang, 0, 14, 22, 0},
+  });
+
+  FaultPlan::ChaosOptions opts;
+  opts.events = 24;
+  opts.include_link_faults = true;
+  opts.links = 3;
+  expect_plan_is(FaultPlan::chaos(404, opts), {
+      {FaultKind::kLinkDeath, 0, 10, 0, 2},
+      {FaultKind::kKernelException, 0, 12, 2, 0},
+      {FaultKind::kKernelException, 0, 7, 61, 0},
+      {FaultKind::kKernelHang, 0, 6, 59, 0},
+      {FaultKind::kKernelException, 0, 0, 21, 0},
+      {FaultKind::kLinkFrameCorrupt, 0, 7, 0, 2},
+      {FaultKind::kLinkDeath, 0, 12, 0, 1},
+      {FaultKind::kLinkFrameCorrupt, 0, 13, 0, 0},
+      {FaultKind::kLinkOutage, 0, 13, 0, 0},
+      {FaultKind::kKernelHang, 0, 11, 31, 0},
+      {FaultKind::kLinkDeath, 0, 9, 0, 1},
+      {FaultKind::kKernelHang, 0, 2, 22, 0},
+      {FaultKind::kLinkOutage, 0, 15, 0, 1},
+      {FaultKind::kKernelHang, 0, 9, 7, 0},
+      {FaultKind::kStreamStall, 0, 8, 11, 0},
+      {FaultKind::kStreamStall, 0, 3, 41, 0},
+      {FaultKind::kLinkOutage, 0, 5, 0, 2},
+      {FaultKind::kReplicaCrash, 0, 11, 0, 0},
+      {FaultKind::kLinkOutage, 0, 6, 0, 2},
+      {FaultKind::kReplicaCrash, 0, 4, 0, 0},
+      {FaultKind::kKernelException, 0, 5, 34, 0},
+      {FaultKind::kLinkOutage, 0, 4, 0, 0},
+      {FaultKind::kKernelException, 0, 15, 48, 0},
+      {FaultKind::kKernelException, 0, 0, 37, 0},
+  });
 }
 
 TEST(Fault, EventRunWindowAndReplicaFilter) {
@@ -217,55 +279,7 @@ TEST(Fault, ReplicaCrashTargetsOnlyItsReplicaIdentity) {
   EXPECT_NO_THROW((void)engine1.run(batch));      // past the window
 }
 
-// ---- timing-model link faults --------------------------------------------
-
-TEST(Fault, SimLinkOutageStallsThePartitionedPipeline) {
-  const Pipeline p = expand(models::tiny(12, 4, 2));
-  SimConfig base;
-  base.cut_after_nodes = {1};
-  const SimResult healthy = simulate(p, base, 2);
-
-  SimConfig faulty = base;
-  FaultPlan plan;
-  plan.add(FaultPlan::link_drop(/*link=*/0, /*down_from_cycle=*/100,
-                                /*down_cycles=*/5000));
-  apply_link_faults(plan, faulty, /*seed=*/7);
-  ASSERT_EQ(faulty.link_faults.size(), 1u);
-  const SimResult r = simulate(p, faulty, 2);
-  EXPECT_GT(r.total_cycles, healthy.total_cycles)
-      << "a 5000-cycle MaxRing outage cannot be free";
-}
-
-TEST(Fault, SimLinkCorruptionRetransmitsDeterministically) {
-  const Pipeline p = expand(models::tiny(12, 4, 2));
-  SimConfig cfg;
-  cfg.cut_after_nodes = {1};
-  FaultPlan plan;
-  plan.add(FaultPlan::link_corrupt(/*link=*/0, /*per_million=*/200'000));
-  apply_link_faults(plan, cfg, /*seed=*/42);
-  const SimResult r1 = simulate(p, cfg, 2);
-  const SimResult r2 = simulate(p, cfg, 2);
-  std::uint64_t retransmits = 0;
-  for (const KernelStats& k : r1.kernels) retransmits += k.retransmits;
-  EXPECT_GT(retransmits, 0u);
-  EXPECT_EQ(r1.total_cycles, r2.total_cycles);  // seeded replay
-  std::uint64_t retransmits2 = 0;
-  for (const KernelStats& k : r2.kernels) retransmits2 += k.retransmits;
-  EXPECT_EQ(retransmits, retransmits2);
-}
-
-TEST(Fault, ApplyDeratesPartitionLinkCapacity) {
-  FaultPlan plan;
-  plan.add(FaultPlan::link_drop(/*link=*/1, /*down_from_cycle=*/0,
-                                /*down_cycles=*/10));
-  plan.add(FaultPlan::link_corrupt(/*link=*/0, /*per_million=*/100'000));
-  PartitionConfig cfg;
-  apply_link_faults(plan, cfg);
-  EXPECT_EQ(cfg.link_capacity_mbps(1), 0.0);  // dead link
-  // A 10% corruption rate re-serializes 10% of traffic: 1/1.1 capacity.
-  EXPECT_NEAR(cfg.link_capacity_mbps(0), 4000.0 / 1.1, 1.0);
-  EXPECT_EQ(cfg.link_capacity_mbps(5), 4000.0);  // untouched links
-}
+// ---- link faults in the planner view -------------------------------------
 
 TEST(Fault, DeadLinkMakesThePartitionInfeasible) {
   const Pipeline p = expand(models::resnet18(224, 1000, 2));
@@ -319,20 +333,6 @@ TEST(FaultLink, ChaosEmitsLinkKindsOnlyWhenAsked) {
   }
 }
 
-TEST(FaultLink, ApplyDeratesPartitionForLiveLinkKinds) {
-  FaultPlan plan;
-  plan.add(FaultPlan::link_death(/*link=*/1, /*run=*/0, /*after_frames=*/8));
-  plan.add(FaultPlan::link_frame_corrupt(/*link=*/0, /*per_million=*/100'000));
-  plan.add(FaultPlan::link_outage(/*link=*/2, /*run=*/0, /*after_frames=*/0,
-                                  /*outage_us=*/2'000));
-  PartitionConfig cfg;
-  apply_link_faults(plan, cfg);
-  EXPECT_EQ(cfg.link_capacity_mbps(1), 0.0);  // death: planner sees it gone
-  EXPECT_NEAR(cfg.link_capacity_mbps(0), 4000.0 / 1.1, 1.0);
-  EXPECT_EQ(cfg.link_capacity_mbps(2), 0.0);  // outage derates like a drop
-  EXPECT_EQ(cfg.link_capacity_mbps(5), 4000.0);
-}
-
 TEST(FaultLink, DeadLinkFlipsCheckPartitionInfeasible) {
   const Pipeline p = expand(models::resnet18(224, 1000, 2));
   const PartitionConfig healthy_cfg;
@@ -346,9 +346,7 @@ TEST(FaultLink, DeadLinkFlipsCheckPartitionInfeasible) {
   // Kill the first MaxRing hop: the same placement must now fail the
   // wire-rate proof with the exact oversubscription code.
   PartitionConfig derated = healthy_cfg;
-  FaultPlan plan;
-  plan.add(FaultPlan::link_death(/*link=*/0, /*run=*/0, /*after_frames=*/0));
-  apply_link_faults(plan, derated);
+  derated.link_health = {0.0};
   Report after;
   check_partition(p, placement, derated, after);
   EXPECT_FALSE(after.ok());

@@ -505,5 +505,51 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
   }
 }
 
+// Plan format v6 regression: a version-5 file still carries the
+// "skip_slack" field format 6 dropped (skip-path rings take the fixed
+// kSkipSlack). Left behind in a cache directory it is a loud MISS: the
+// parser rejects it, the cache reports a miss, the D305 lint names the
+// `version` field, and a server cold start neither throws nor hits.
+TEST(PlanCacheTest, VersionFivePlanWithSkipSlackFieldIsNeverArmed) {
+  const TinyNet net;
+  const ScratchDir dir("test_plan_cache.v5");
+  ASSERT_EQ(kPlanFormatVersion, 6);
+  CompiledPlan v5 = compile_plan(net.pipeline);
+  v5.version = 5;
+  std::string text = to_json(v5);
+  const std::size_t at = text.find("  \"burst\": ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "  \"skip_slack\": 64,\n");
+  const PlanCache cache(dir.path.string());
+  {
+    std::ofstream out(cache.path_for(v5.key), std::ios::trunc);
+    out << text;
+  }
+
+  EXPECT_THROW((void)plan_from_json(text), Error);
+  EXPECT_FALSE(cache.load(v5.key).has_value());
+
+  Report lint;
+  lint_plan(net.pipeline, v5, lint);
+  EXPECT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
+  EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
+      << lint.str();
+
+  SessionConfig warm = net.session_config;
+  warm.plan_cache_dir = dir.path.string();
+  std::unique_ptr<DfeServer> server;
+  ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
+                      net.spec, net.params, ServerConfig{}, warm));
+  for (const std::string& event : server->metrics().events()) {
+    EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+  }
+  const ReferenceExecutor ref(net.pipeline, net.params);
+  const IntTensor image = net.batch(1, 68).front();
+  const InferenceResult res = server->submit(image);
+  ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
+  EXPECT_EQ(res.logits, ref.run(image));
+}
+
 }  // namespace
 }  // namespace qnn

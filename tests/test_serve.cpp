@@ -583,7 +583,7 @@ TEST(Serve, RetryBackoffJitterSpreadsUnderAFixedSeed) {
   ServerConfig cfg;
   cfg.retry_backoff_us = 400;
   ASSERT_TRUE(cfg.retry_jitter);  // the default
-  Rng rng(cfg.retry_jitter_seed);
+  Rng rng(kRetryJitterSeed);
   std::vector<std::int64_t> delays;
   for (int draw = 0; draw < 24; ++draw) {
     const std::int64_t d = retry_backoff_delay_us(cfg, /*attempt=*/1, rng);
@@ -626,7 +626,7 @@ TEST(Serve, RetryBackoffJitterSpreadsUnderAFixedSeed) {
   for (const bool jitter : {false, true}) {
     ServerConfig deep;
     deep.retry_jitter = jitter;
-    Rng deep_rng(deep.retry_jitter_seed);
+    Rng deep_rng(kRetryJitterSeed);
     std::int64_t previous = 0;
     for (int attempt = 1; attempt <= 200; ++attempt) {
       const std::int64_t d = retry_backoff_delay_us(deep, attempt, deep_rng);

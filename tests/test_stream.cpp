@@ -431,9 +431,11 @@ TEST(StreamRing, BurstsStraddlingTheWrapComeOutInOrder) {
       next_in += static_cast<std::int32_t>(push_seq(s, next_in, want));
       std::size_t segments = 0;
       const std::size_t n = s.try_pop_with(
-          (round * 5) % cap + 1, [&](std::span<const std::int32_t> seg) {
+          (round * 5) % cap + 1, [&](auto seg) {
             ++segments;
-            for (const std::int32_t v : seg) ASSERT_EQ(v, next_out++) << cap;
+            for (const auto v : seg) {
+              ASSERT_EQ(static_cast<std::int32_t>(v), next_out++) << cap;
+            }
           });
       EXPECT_LE(segments, 2u);
       if (segments == 2) ++straddled;
@@ -539,7 +541,7 @@ TEST(StreamWidth, BoundaryValuesRoundTripAcrossTheWrapAtEveryLevel) {
     simd::set_level(level);
     for (const int bits : {1, 7, 8, 15, 16, 31}) {
       const std::vector<std::int32_t> vs = boundary_values(bits, kBurst);
-      for (int api = 0; api < 3; ++api) {
+      for (int api = 0; api < 2; ++api) {
         Stream s(kCap, bits, "edge");
         ASSERT_EQ(push_seq(s, 0, 60), 60u);
         std::vector<std::int32_t> out(kCap);
@@ -552,22 +554,13 @@ TEST(StreamWidth, BoundaryValuesRoundTripAcrossTheWrapAtEveryLevel) {
           got.resize(kBurst);
           ASSERT_EQ(s.try_pop_burst(std::span(got).first(30)), 30u);
           ASSERT_EQ(s.try_pop_burst(std::span(got).subspan(30)), 50u);
-        } else if (api == 1) {
+        } else {
           // try_pop_with, visited at the ring's own element type.
           EXPECT_EQ(s.try_pop_with(kBurst,
                                    [&](auto seg) {
                                      ++segments;
                                      EXPECT_EQ(sizeof(seg[0]),
                                                s.element_bytes());
-                                     got.insert(got.end(), seg.begin(),
-                                                seg.end());
-                                   }),
-                    kBurst);
-        } else {
-          // try_pop_with, an int32-only visitor: widened, same segments.
-          EXPECT_EQ(s.try_pop_with(kBurst,
-                                   [&](std::span<const std::int32_t> seg) {
-                                     ++segments;
                                      got.insert(got.end(), seg.begin(),
                                                 seg.end());
                                    }),
