@@ -321,12 +321,17 @@ namespace {
 
 /// Images/second through a single ConvKernel driven cooperatively on one
 /// thread (push burst / step / drain), so the measurement isolates the conv
-/// inner datapath with no executor or thread-scheduling noise.
+/// inner datapath with no executor or thread-scheduling noise. The kernel
+/// pops one input row per burst, the transaction the engine's default
+/// (adaptive) plan gives every edge, so a row's windows pair as they do in
+/// the engine.
 double conv_datapath_ips(const Node& n, const FilterBank& fb,
                          const std::vector<std::int32_t>& img, int images) {
   Stream sin(8192, 16, "abl_in");
   Stream sout(8192, 32, "abl_out");
-  ConvKernel kernel(n, fb, sin, {&sout});
+  ConvKernel kernel(n, fb, sin, {&sout},
+                    static_cast<std::size_t>(n.in.w) *
+                        static_cast<std::size_t>(n.in.c));
   const std::int64_t out_per_image = n.out.elems();
   std::vector<std::int32_t> sink(4096);
   const auto t0 = std::chrono::steady_clock::now();
@@ -383,8 +388,9 @@ int run_conv_datapath_ablation() {
   // the short-window cases where per-filter overheads dominate. The
   // 3x3x256 -> 256 cell on an 8x8 map is the deep 2-bit layer (VGG
   // conv_12, ResNet-18 conv_24..conv_32 geometry): 36-word planes and a
-  // 73 KB weight bank, larger than L1. Tiny-channel layers are covered by
-  // the test suite.
+  // 73 KB weight bank, larger than L1. The 3x3x512 -> 512 cell on a 7x7 map
+  // is ResNet-18's stage 4: 72-word planes and a 295 KB bank streamed once
+  // per pair of windows. Tiny-channel layers are covered by the test suite.
   const Cell cells[] = {
       {"3x3x64-64_b1", {16, 16, 64}, 64, 3, 1, 1, 1},
       {"3x3x64-64_b2", {16, 16, 64}, 64, 3, 1, 1, 2},
@@ -393,6 +399,7 @@ int run_conv_datapath_ablation() {
       {"conv_0_7x7x3-64_s2_b8", {64, 64, 3}, 64, 7, 2, 3, 8},
       {"conv_0_3x3x3-64_b8", {32, 32, 3}, 64, 3, 1, 1, 8},
       {"3x3x256-256_b2", {8, 8, 256}, 256, 3, 1, 1, 2},
+      {"3x3x512-512_b2", {7, 7, 512}, 512, 3, 1, 1, 2},
   };
   constexpr std::size_t kCells = std::size(cells);
 

@@ -20,6 +20,7 @@ endfunction()
 
 expect_exit(2 tiny abc)    # non-numeric input_size
 expect_exit(2 tiny 0)      # the model builder refuses the size
+expect_exit(2 tiny 592)    # its pooled head input is wider than 16 bits
 expect_exit(2 tiny 12 -5)  # negative fifo_capacity
 expect_exit(2 tiny 12 x)   # non-numeric fifo_capacity
 expect_exit(0 tiny)

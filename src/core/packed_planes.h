@@ -25,11 +25,12 @@
 //     filters, eight filters per vector, and writes the O int32 responses
 //     straight to the caller's buffer. Its bank is 64-byte aligned, so each
 //     zmm weight load is one cache line: the AVX-512 dot walks the words
-//     outermost, loads each group's weight vector once for both planes and
-//     keeps four groups (32 filters) in flight, near the ~0.67 popcounts
-//     per cycle that AND + VPOPCNTQ + ADD on ports 0/5 allow. It is the
-//     only aligned buffer: the dot loads the window by broadcast words, and
-//     the line buffers and windows stay plain vectors.
+//     outermost, loads each group's weight vector once for both planes of
+//     both windows of a pair and keeps four groups (32 filters) in flight,
+//     near the ~0.67 popcounts per cycle that AND + VPOPCNTQ + ADD on
+//     ports 0/5 allow. It is the only aligned buffer: the dot loads the
+//     window by broadcast words, and the line buffers and windows stay
+//     plain vectors.
 //
 // Line-buffer rows and windows are plane-interleaved, [word][plane]: word j
 // of every plane sits side by side, so one window row segment is one
@@ -47,8 +48,9 @@
 //     zero.
 //   ByteFilters — the same 1-bit weights, one mask word per 16 filters x 4
 //     values in vpdpbusd lane order, so one vec_ops dot_bytes call expands
-//     each word into 64 bytes of 0/-1 and sweeps all O filters. An int8
-//     weight layout would skip the expansion, at 8x the weight memory.
+//     each word into 64 bytes of 0/-1, once for a pair of windows, and
+//     sweeps all O filters. An int8 weight layout would skip the
+//     expansion, at 8x the weight memory.
 #pragma once
 
 #include <algorithm>
@@ -252,13 +254,18 @@ class PackedWindow {
   /// XNOR-popcount dot of this window against every filter of `filters`
   /// in one dot_window call; out[f] receives the signed fixed-point dot
   /// (sum over planes of 2^p * pm1 agreement score) as int32, for exactly
-  /// filters.count() entries.
+  /// filters.count() entries. A `pair` window of the same shape is dotted
+  /// in the same call, its responses following at out[filters.count()..).
   void dot(const simd::VecOps& ops, const PackedFilters& filters,
-           std::int32_t* out) const {
-    QNN_DCHECK(filters.words() == static_cast<std::size_t>(plane_words_),
+           std::int32_t* out, const PackedWindow* pair = nullptr) const {
+    QNN_DCHECK(filters.words() == static_cast<std::size_t>(plane_words_) &&
+                   (pair == nullptr || (pair->planes_ == planes_ &&
+                                        pair->plane_words_ == plane_words_)),
                "filter width does not match the window");
     ops.dot_window(data_.data(), static_cast<std::size_t>(plane_words_),
-                   planes_, filters.data(), filters.count(), out);
+                   planes_, filters.data(), filters.count(), out,
+                   pair != nullptr ? pair->data() : nullptr,
+                   pair != nullptr ? out + filters.count() : nullptr);
   }
 
  private:
@@ -418,13 +425,19 @@ class ByteWindow {
   }
 
   /// Signed dot of this window's codes against every filter of `filters`
-  /// in one dot_bytes call: exactly filters.count() int32 responses.
+  /// in one dot_bytes call: exactly filters.count() int32 responses. A
+  /// `pair` window of the same shape is dotted in the same call, its
+  /// responses following at out[filters.count()..).
   void dot(const simd::VecOps& ops, const ByteFilters& filters,
-           std::int32_t* out) const {
-    QNN_DCHECK(filters.quads() == static_cast<std::size_t>(quads_),
+           std::int32_t* out, const ByteWindow* pair = nullptr) const {
+    QNN_DCHECK(filters.quads() == static_cast<std::size_t>(quads_) &&
+                   (pair == nullptr || (pair->planes_ == planes_ &&
+                                        pair->quads_ == quads_)),
                "filter width does not match the window");
     ops.dot_bytes(data_.data(), static_cast<std::size_t>(quads_), planes_,
-                  filters.data(), filters.count(), out);
+                  filters.data(), filters.count(), out,
+                  pair != nullptr ? pair->data() : nullptr,
+                  pair != nullptr ? out + filters.count() : nullptr);
   }
 
  private:

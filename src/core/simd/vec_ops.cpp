@@ -45,9 +45,8 @@ void pack_codes_scalar(const std::int32_t* codes, int n, int planes,
   for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
 }
 
-void dot_window_scalar(const Word* a, std::size_t n, int planes,
-                       const Word* w, std::size_t filters,
-                       std::int32_t* out) {
+void dot_window_one(const Word* a, std::size_t n, int planes, const Word* w,
+                    std::size_t filters, std::int32_t* out) {
   constexpr std::size_t kL = kFilterLanes;
   const auto np = static_cast<std::size_t>(planes);
   std::int64_t pops[kMaxPlanes] = {};
@@ -76,6 +75,14 @@ void dot_window_scalar(const Word* a, std::size_t n, int planes,
       out[f0 + l] = static_cast<std::int32_t>(sum[l]);
     }
   }
+}
+
+/// The reference runs a pair of windows in turn.
+void dot_window_scalar(const Word* a, std::size_t n, int planes,
+                       const Word* w, std::size_t filters, std::int32_t* out,
+                       const Word* a2, std::int32_t* out2) {
+  dot_window_one(a, n, planes, w, filters, out);
+  if (a2 != nullptr) dot_window_one(a2, n, planes, w, filters, out2);
 }
 
 void build_window_scalar(const Word* rows, std::size_t row_size, int k,
@@ -119,8 +126,8 @@ void build_window_scalar(const Word* rows, std::size_t row_size, int k,
   if (fill != 0) std::copy_n(pending, np, out);
 }
 
-void dot_bytes_scalar(const std::uint8_t* a, std::size_t quads, int planes,
-                      const Word* w, std::size_t filters, std::int32_t* out) {
+void dot_bytes_one(const std::uint8_t* a, std::size_t quads, int planes,
+                   const Word* w, std::size_t filters, std::int32_t* out) {
   // Unsigned throughout: every sum wraps mod 2^32, the int32 truncation
   // contract, with no signed overflow on the way.
   const std::size_t len = 4 * quads;  // bytes per plane
@@ -147,6 +154,13 @@ void dot_bytes_scalar(const std::uint8_t* a, std::size_t quads, int planes,
     }
     out[f] = static_cast<std::int32_t>(total);
   }
+}
+
+void dot_bytes_scalar(const std::uint8_t* a, std::size_t quads, int planes,
+                      const Word* w, std::size_t filters, std::int32_t* out,
+                      const std::uint8_t* a2, std::int32_t* out2) {
+  dot_bytes_one(a, quads, planes, w, filters, out);
+  if (a2 != nullptr) dot_bytes_one(a2, quads, planes, w, filters, out2);
 }
 
 void threshold_codes_scalar(const std::int32_t* a, std::size_t n,

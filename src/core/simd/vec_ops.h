@@ -3,7 +3,10 @@
 // path for 3-16-bit codes (the 8-bit image layer above all), both against
 // 1-bit weights; plus the ring conversions that let a Stream store each
 // value at its declared width (int8/int16 narrowing on push, sign
-// extension on pop).
+// extension on pop). Both window dots take one window or a pair of
+// windows of the same shape: a pair shares the weight-side work (each
+// AVX-512 weight vector loaded, each mask word expanded, once for both),
+// and the scalar reference runs the two in turn.
 //
 // The layering follows the vec_ops/vec_dot split used by ggml's QNN NPU
 // device code: a scalar implementation defines the semantics and stays the
@@ -86,8 +89,14 @@ struct VecOps {
   /// to int32 by truncation. The plane popcounts are summed once per call;
   /// the eight lane sums of a group stay in registers across all planes;
   /// exactly `filters` entries of out are written.
+  ///
+  /// `a2`, when not null, is a second window of the same shape, whose
+  /// responses go to `out2` by the same rule: one call dots two windows,
+  /// so each weight vector is loaded once for both (null: one window,
+  /// `out2` unused).
   void (*dot_window)(const Word* a, std::size_t n, int planes, const Word* w,
-                     std::size_t filters, std::int32_t* out);
+                     std::size_t filters, std::int32_t* out, const Word* a2,
+                     std::int32_t* out2);
 
   /// Window build from a line buffer (§III-B1's shift-register taps): `k`
   /// rows of `row_size` words each at `rows`, every row plane-interleaved
@@ -112,9 +121,12 @@ struct VecOps {
   ///   out[f] = sum_q 256^q * (2 * sum_{i : w_f,i = +1} a_q[i] - S_q)
   /// which is sum_i w_f,i * code_i, wrapping mod 2^32 (the int32
   /// truncation contract of dot_window). Exactly `filters` entries of out
-  /// are written.
+  /// are written. A non-null `a2` is a second window of the same shape,
+  /// dotted into `out2` in the same call, so each mask word is expanded
+  /// once for both windows (null: one window, `out2` unused).
   void (*dot_bytes)(const std::uint8_t* a, std::size_t quads, int planes,
-                    const Word* w, std::size_t filters, std::int32_t* out);
+                    const Word* w, std::size_t filters, std::int32_t* out,
+                    const std::uint8_t* a2, std::int32_t* out2);
 
   /// Threshold activation (§III-B3's comparator + mux) of `n` consecutive
   /// channels, vectorised over the channels: for i < n,

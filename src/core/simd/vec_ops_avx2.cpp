@@ -3,9 +3,10 @@
 // two 4-lane halves, so no horizontal sum is ever needed there; the plane
 // pack moves one plane of eight codes per vpslld + vmovmskps. The byte dot
 // expands each half of a weight-mask word into 32 bytes of 0/-1 (vpshufb
-// spreads a mask byte over eight lanes, vpcmpeqb tests one bit in each)
-// and multiplies them against four broadcast window bytes with vpmaddubsw,
-// widening with vpmaddwd. The ring conversions narrow by masking each
+// spreads a mask byte over eight lanes, vpcmpeqb tests one bit in each),
+// once for a pair of windows, and multiplies them against four broadcast
+// window bytes with vpmaddubsw, widening with vpmaddwd; a pair of windows
+// runs the window dot in turn. The ring conversions narrow by masking each
 // value to its low byte or word, so the saturating vpackus* packs are
 // exact truncations, and widen with vpmovsxbd/vpmovsxwd. Built with
 // a per-function target attribute (AVX2 + POPCNT) so the TU compiles under
@@ -64,7 +65,7 @@ __attribute__((QNN_AVX2_TARGET)) void pack_codes_avx2(
   for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
 }
 
-__attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
+__attribute__((QNN_AVX2_TARGET)) void dot_window_one(
     const Word* a, std::size_t n, int planes, const Word* w,
     std::size_t filters, std::int32_t* out) {
   const auto np = static_cast<std::size_t>(planes);
@@ -136,6 +137,15 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
           v);
     }
   }
+}
+
+/// A pair of windows runs in turn.
+__attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
+    const Word* a, std::size_t n, int planes, const Word* w,
+    std::size_t filters, std::int32_t* out, const Word* a2,
+    std::int32_t* out2) {
+  dot_window_one(a, n, planes, w, filters, out);
+  if (a2 != nullptr) dot_window_one(a2, n, planes, w, filters, out2);
 }
 
 /// Shifts of every lane by `c` (>= 64 yields zero), and loads/stores of
@@ -214,108 +224,137 @@ __attribute__((QNN_AVX2_TARGET)) inline __m256i expand_mask(std::uint32_t m) {
 }
 
 /// One group of kByteLanes filters, as two 8-filter halves (the low and
-/// high 32 bits of each mask word), over kP byte-planes. vpmaddubsw pairs
-/// window bytes with 0/-1 weight bytes into int16 sums of magnitude at
-/// most 510, so up to 64 quads accumulate in int16 before one vpmaddwd
-/// widens them; acc = -(sum of the bytes whose weight is +1), and
-/// out = -2*acc - sum after Horner over the planes.
-template <std::size_t kP>
+/// high 32 bits of each mask word), against kW (1 or 2) windows over kP
+/// byte-planes: each half of a mask word is expanded once and meets every
+/// plane of every window. vpmaddubsw pairs window bytes with 0/-1 weight
+/// bytes into int16 sums of magnitude at most 510, so up to 64 quads
+/// accumulate in int16 before one vpmaddwd widens them; acc = -(sum of
+/// the bytes whose weight is +1), and out = -2*acc - sum after Horner over
+/// the planes, written per window from out[x][at] on.
+template <std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX2_TARGET)) void dot_byte_group(
-    const std::uint8_t* a, std::size_t quads, const Word* wg, __m256i sum,
-    std::size_t filters, std::int32_t* out) {
+    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* wg,
+    const __m256i (&sum)[kW], std::size_t filters,
+    std::int32_t* const (&out)[kW], std::size_t at) {
   constexpr std::size_t kQuadRun = 64;  // 64 * 510 <= INT16_MAX
   const std::size_t len = 4 * quads;
   const __m256i zero = _mm256_setzero_si256();
   const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc[kP][2];
-  for (auto& plane : acc) plane[0] = plane[1] = zero;
+  __m256i acc[kW][kP][2];
+  for (auto& window : acc) {
+    for (auto& plane : window) plane[0] = plane[1] = zero;
+  }
   for (std::size_t v0 = 0; v0 < quads; v0 += kQuadRun) {
     const std::size_t v1 = std::min(quads, v0 + kQuadRun);
-    __m256i part[kP][2];
-    for (auto& plane : part) plane[0] = plane[1] = zero;
+    __m256i part[kW][kP][2];
+    for (auto& window : part) {
+      for (auto& plane : window) plane[0] = plane[1] = zero;
+    }
     for (std::size_t v = v0; v < v1; ++v) {
       const __m256i lo = expand_mask(static_cast<std::uint32_t>(wg[v]));
       const __m256i hi = expand_mask(static_cast<std::uint32_t>(wg[v] >> 32));
 #pragma GCC unroll 2
-      for (std::size_t p = 0; p < kP; ++p) {
-        std::int32_t quad;
-        std::memcpy(&quad, a + p * len + 4 * v, sizeof quad);
-        const __m256i av = _mm256_set1_epi32(quad);
-        part[p][0] = _mm256_add_epi16(part[p][0], _mm256_maddubs_epi16(av, lo));
-        part[p][1] = _mm256_add_epi16(part[p][1], _mm256_maddubs_epi16(av, hi));
+      for (std::size_t x = 0; x < kW; ++x) {
+#pragma GCC unroll 2
+        for (std::size_t p = 0; p < kP; ++p) {
+          std::int32_t quad;
+          std::memcpy(&quad, a[x] + p * len + 4 * v, sizeof quad);
+          const __m256i av = _mm256_set1_epi32(quad);
+          part[x][p][0] =
+              _mm256_add_epi16(part[x][p][0], _mm256_maddubs_epi16(av, lo));
+          part[x][p][1] =
+              _mm256_add_epi16(part[x][p][1], _mm256_maddubs_epi16(av, hi));
+        }
       }
     }
 #pragma GCC unroll 2
-    for (std::size_t p = 0; p < kP; ++p) {
+    for (std::size_t x = 0; x < kW; ++x) {
 #pragma GCC unroll 2
-      for (std::size_t h = 0; h < 2; ++h) {
-        acc[p][h] =
-            _mm256_add_epi32(acc[p][h], _mm256_madd_epi16(part[p][h], ones));
+      for (std::size_t p = 0; p < kP; ++p) {
+#pragma GCC unroll 2
+        for (std::size_t h = 0; h < 2; ++h) {
+          acc[x][p][h] = _mm256_add_epi32(
+              acc[x][p][h], _mm256_madd_epi16(part[x][p][h], ones));
+        }
       }
     }
   }
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  for (std::size_t h = 0; h < 2; ++h) {
-    __m256i t = acc[kP - 1][h];
-    for (std::size_t p = kP - 1; p-- > 0;) {
-      t = _mm256_add_epi32(_mm256_slli_epi32(t, 8), acc[p][h]);
-    }
-    const __m256i v =
-        _mm256_sub_epi32(zero, _mm256_add_epi32(_mm256_add_epi32(t, t), sum));
-    const std::size_t at = h * 8;
-    if (at >= filters) break;
-    const std::size_t lanes = filters - at;
-    if (lanes >= 8) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + at), v);
-    } else {
-      _mm256_maskstore_epi32(
-          out + at,
-          _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
-                             lane),
-          v);
+  for (std::size_t x = 0; x < kW; ++x) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      __m256i t = acc[x][kP - 1][h];
+      for (std::size_t p = kP - 1; p-- > 0;) {
+        t = _mm256_add_epi32(_mm256_slli_epi32(t, 8), acc[x][p][h]);
+      }
+      const __m256i v = _mm256_sub_epi32(
+          zero, _mm256_add_epi32(_mm256_add_epi32(t, t), sum[x]));
+      const std::size_t first = h * 8;
+      if (first >= filters) break;
+      const std::size_t lanes = filters - first;
+      std::int32_t* const dst = out[x] + at + first;
+      if (lanes >= 8) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
+      } else {
+        _mm256_maskstore_epi32(
+            dst,
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                               lane),
+            v);
+      }
     }
   }
 }
 
-template <std::size_t kP>
+template <std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX2_TARGET)) void dot_bytes_planes(
-    const std::uint8_t* a, std::size_t quads, const Word* w,
-    std::size_t filters, std::int32_t* out) {
-  // sum_q 256^q * S_q, S_q by vpsadbw over 32-byte chunks and a scalar
-  // tail.
+    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* w,
+    std::size_t filters, std::int32_t* const (&out)[kW]) {
+  // Per window, sum_q 256^q * S_q, S_q by vpsadbw over 32-byte chunks and
+  // a scalar tail.
   const std::size_t len = 4 * quads;
-  std::uint32_t sum = 0;
-  for (std::size_t p = kP; p-- > 0;) {
-    const std::uint8_t* ap = a + p * len;
-    __m256i s = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-      s = _mm256_add_epi64(
-          s, _mm256_sad_epu8(
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap + i)),
-                 _mm256_setzero_si256()));
+  __m256i vsum[kW];
+  for (std::size_t x = 0; x < kW; ++x) {
+    std::uint32_t sum = 0;
+    for (std::size_t p = kP; p-- > 0;) {
+      const std::uint8_t* ap = a[x] + p * len;
+      __m256i s = _mm256_setzero_si256();
+      std::size_t i = 0;
+      for (; i + 32 <= len; i += 32) {
+        s = _mm256_add_epi64(
+            s,
+            _mm256_sad_epu8(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap + i)),
+                _mm256_setzero_si256()));
+      }
+      Word lanes[4];
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), s);
+      auto sp = static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] +
+                                           lanes[3]);
+      for (; i < len; ++i) sp += ap[i];
+      sum = (sum << 8) + sp;
     }
-    Word lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), s);
-    auto sp = static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] +
-                                         lanes[3]);
-    for (; i < len; ++i) sp += ap[i];
-    sum = (sum << 8) + sp;
+    vsum[x] = _mm256_set1_epi32(static_cast<std::int32_t>(sum));
   }
-  const __m256i vsum = _mm256_set1_epi32(static_cast<std::int32_t>(sum));
   for (std::size_t f = 0; f < filters; f += kByteLanes) {
-    dot_byte_group<kP>(a, quads, w + f / kByteLanes * quads, vsum,
-                       filters - f, out + f);
+    dot_byte_group<kP, kW>(a, quads, w + f / kByteLanes * quads, vsum,
+                           filters - f, out, f);
   }
 }
 
 __attribute__((QNN_AVX2_TARGET)) void dot_bytes_avx2(
     const std::uint8_t* a, std::size_t quads, int planes, const Word* w,
-    std::size_t filters, std::int32_t* out) {
-  if (planes == 1) {
-    dot_bytes_planes<1>(a, quads, w, filters, out);
+    std::size_t filters, std::int32_t* out, const std::uint8_t* a2,
+    std::int32_t* out2) {
+  if (a2 == nullptr) {
+    const std::uint8_t* const win[1] = {a};
+    std::int32_t* const dst[1] = {out};
+    (planes == 1 ? dot_bytes_planes<1, 1> : dot_bytes_planes<2, 1>)(
+        win, quads, w, filters, dst);
   } else {
-    dot_bytes_planes<2>(a, quads, w, filters, out);
+    const std::uint8_t* const win[2] = {a, a2};
+    std::int32_t* const dst[2] = {out, out2};
+    (planes == 1 ? dot_bytes_planes<1, 2> : dot_bytes_planes<2, 2>)(
+        win, quads, w, filters, dst);
   }
 }
 

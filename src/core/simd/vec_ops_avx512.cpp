@@ -47,93 +47,120 @@ __attribute__((QNN_AVX512_TARGET)) void pack_codes_avx512(
   for (std::size_t p = 0; p < np; ++p) dst[p] |= chunk[p] << off;
 }
 
-/// Up to kG filter-lane groups against a kP-plane window at once. The
-/// word loop is outermost: per word, both plane words are broadcast once,
-/// and each group's weight vector is loaded once and ANDed with every
-/// plane, so the loop issues one load and kP AND + vpopcntq + add per
-/// group, with kG*kP independent accumulators in flight. Horner over the
-/// planes, high to low (sum = 2*sum + on_p, adds only: the shift
-/// intrinsics' undefined-source operand trips -Wmaybe-uninitialized), then
-/// builds sum_p on_p << p once, after the loop; the window's
-/// sum_p pop_p << p is subtracted, and vpmovqd narrows each group's eight
-/// sums to int32 (a masked store for a partial last group). `filters`
-/// (<= kG*8) responses are written.
-template <std::size_t kG, std::size_t kP>
+/// Up to kG filter-lane groups against kW (1 or 2) kP-plane windows at
+/// once. The word loop is outermost: per word, every window's plane words
+/// are broadcast once, and each group's weight vector is loaded once and
+/// ANDed with every plane of every window, so the loop issues one load and
+/// kW*kP AND + vpopcntq + add per group, with kG*kP*kW independent
+/// accumulators in flight (16 at four groups, two planes, two windows).
+/// Horner over the planes, high to low (sum = 2*sum + on_p, adds only: the
+/// shift intrinsics' undefined-source operand trips
+/// -Wmaybe-uninitialized), then builds sum_p on_p << p once, after the
+/// loop; each window's sum_p pop_p << p is subtracted, and vpmovqd narrows
+/// each group's eight sums to int32 (a masked store for a partial last
+/// group). `filters` (<= kG*8) responses are written per window, from
+/// out[x][at] on.
+template <std::size_t kG, std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX512_TARGET)) inline void dot_groups(
-    const Word* a, std::size_t n, const Word* wg, __m512i pop,
-    std::size_t filters, std::int32_t* out) {
+    const Word* const (&a)[kW], std::size_t n, const Word* wg,
+    const __m512i (&pop)[kW], std::size_t filters,
+    std::int32_t* const (&out)[kW], std::size_t at) {
   // The constant-trip loops are unrolled so that the accumulators stay in
   // registers.
-  __m512i on[kP][kG];
+  __m512i on[kW][kP][kG];
 #pragma GCC unroll 2
-  for (auto& plane : on) {
+  for (auto& window : on) {
+#pragma GCC unroll 2
+    for (auto& plane : window) {
 #pragma GCC unroll 4
-    for (auto& v : plane) v = _mm512_setzero_si512();
+      for (auto& v : plane) v = _mm512_setzero_si512();
+    }
   }
   for (std::size_t j = 0; j < n; ++j) {
-    __m512i av[kP];
+    __m512i av[kW][kP];
 #pragma GCC unroll 2
-    for (std::size_t p = 0; p < kP; ++p) {
-      av[p] = _mm512_set1_epi64(static_cast<long long>(a[j * kP + p]));
+    for (std::size_t x = 0; x < kW; ++x) {
+#pragma GCC unroll 2
+      for (std::size_t p = 0; p < kP; ++p) {
+        av[x][p] = _mm512_set1_epi64(static_cast<long long>(a[x][j * kP + p]));
+      }
     }
 #pragma GCC unroll 4
     for (std::size_t g = 0; g < kG; ++g) {
       const __m512i wv =
           _mm512_loadu_si512(wg + (g * n + j) * kFilterLanes);
 #pragma GCC unroll 2
-      for (std::size_t p = 0; p < kP; ++p) {
-        on[p][g] = _mm512_add_epi64(
-            on[p][g], _mm512_popcnt_epi64(_mm512_and_si512(wv, av[p])));
+      for (std::size_t x = 0; x < kW; ++x) {
+#pragma GCC unroll 2
+        for (std::size_t p = 0; p < kP; ++p) {
+          on[x][p][g] = _mm512_add_epi64(
+              on[x][p][g],
+              _mm512_popcnt_epi64(_mm512_and_si512(wv, av[x][p])));
+        }
       }
     }
   }
-#pragma GCC unroll 4
-  for (std::size_t g = 0; g < kG; ++g) {
-    __m512i sum = on[kP - 1][g];
 #pragma GCC unroll 2
-    for (std::size_t p = kP - 1; p > 0; --p) {
-      sum = _mm512_add_epi64(_mm512_add_epi64(sum, sum), on[p - 1][g]);
+  for (std::size_t x = 0; x < kW; ++x) {
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < kG; ++g) {
+      __m512i sum = on[x][kP - 1][g];
+#pragma GCC unroll 2
+      for (std::size_t p = kP - 1; p > 0; --p) {
+        sum = _mm512_add_epi64(_mm512_add_epi64(sum, sum), on[x][p - 1][g]);
+      }
+      const __m512i v = _mm512_sub_epi64(_mm512_add_epi64(sum, sum), pop[x]);
+      const std::size_t lanes = filters - g * kFilterLanes;
+      _mm512_mask_cvtepi64_storeu_epi32(
+          out[x] + at + g * kFilterLanes,
+          static_cast<__mmask8>(lanes >= kFilterLanes ? 0xffu
+                                                      : (1u << lanes) - 1u),
+          v);
     }
-    const __m512i v = _mm512_sub_epi64(_mm512_add_epi64(sum, sum), pop);
-    const std::size_t lanes = filters - g * kFilterLanes;
-    _mm512_mask_cvtepi64_storeu_epi32(
-        out + g * kFilterLanes,
-        static_cast<__mmask8>(lanes >= kFilterLanes ? 0xffu
-                                                    : (1u << lanes) - 1u),
-        v);
   }
 }
 
-template <std::size_t kP>
+template <std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX512_TARGET)) void dot_window_planes(
-    const Word* a, std::size_t n, const Word* w, std::size_t filters,
-    std::int32_t* out) {
-  std::int64_t pop = 0;  // sum_p popcount(plane p) << p
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < kP; ++p) {
-      pop += static_cast<std::int64_t>(__builtin_popcountll(a[j * kP + p]))
-             << p;
+    const Word* const (&a)[kW], std::size_t n, const Word* w,
+    std::size_t filters, std::int32_t* const (&out)[kW]) {
+  __m512i pop[kW];  // per window: sum_p popcount(plane p) << p
+  for (std::size_t x = 0; x < kW; ++x) {
+    std::int64_t sum = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = 0; p < kP; ++p) {
+        sum += static_cast<std::int64_t>(
+                   __builtin_popcountll(a[x][j * kP + p]))
+               << p;
+      }
     }
+    pop[x] = _mm512_set1_epi64(sum);
   }
-  const __m512i vpop = _mm512_set1_epi64(pop);
   constexpr std::size_t kBlock = 4;  // groups sharing each broadcast
   std::size_t f = 0;
   for (; f + (kBlock - 1) * kFilterLanes < filters;
        f += kBlock * kFilterLanes) {
-    dot_groups<kBlock, kP>(a, n, w + f * n, vpop, filters - f, out + f);
+    dot_groups<kBlock, kP, kW>(a, n, w + f * n, pop, filters - f, out, f);
   }
   for (; f < filters; f += kFilterLanes) {
-    dot_groups<1, kP>(a, n, w + f * n, vpop, filters - f, out + f);
+    dot_groups<1, kP, kW>(a, n, w + f * n, pop, filters - f, out, f);
   }
 }
 
 __attribute__((QNN_AVX512_TARGET)) void dot_window_avx512(
     const Word* a, std::size_t n, int planes, const Word* w,
-    std::size_t filters, std::int32_t* out) {
-  if (planes == 1) {
-    dot_window_planes<1>(a, n, w, filters, out);
+    std::size_t filters, std::int32_t* out, const Word* a2,
+    std::int32_t* out2) {
+  if (a2 == nullptr) {
+    const Word* const win[1] = {a};
+    std::int32_t* const dst[1] = {out};
+    (planes == 1 ? dot_window_planes<1, 1> : dot_window_planes<2, 1>)(
+        win, n, w, filters, dst);
   } else {
-    dot_window_planes<2>(a, n, w, filters, out);
+    const Word* const win[2] = {a, a2};
+    std::int32_t* const dst[2] = {out, out2};
+    (planes == 1 ? dot_window_planes<1, 2> : dot_window_planes<2, 2>)(
+        win, n, w, filters, dst);
   }
 }
 
@@ -192,12 +219,13 @@ __attribute__((QNN_AVX512_TARGET)) void build_window_avx512(
   if (fill != 0) _mm512_mask_storeu_epi64(out, m, pending);
 }
 
-/// Quad `v` of the window against kG groups' mask words `wg`
-/// ([group][quad], `quads` per group), into one accumulator set.
-template <std::size_t kG, std::size_t kP>
+/// Quad `v` of kW windows against kG groups' mask words `wg`
+/// ([group][quad], `quads` per group): each mask word is expanded once and
+/// meets every plane of every window.
+template <std::size_t kG, std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX512_TARGET, always_inline)) inline void byte_quad(
-    const std::uint8_t* a, std::size_t quads, const Word* wg, std::size_t v,
-    __m512i (&acc)[kP][kG]) {
+    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* wg,
+    std::size_t v, __m512i (&acc)[kW][kP][kG]) {
   const std::size_t len = 4 * quads;
   __m512i wv[kG];
 #pragma GCC unroll 4
@@ -205,121 +233,123 @@ __attribute__((QNN_AVX512_TARGET, always_inline)) inline void byte_quad(
     wv[g] = _mm512_movm_epi8(_cvtu64_mask64(wg[g * quads + v]));
   }
 #pragma GCC unroll 2
-  for (std::size_t p = 0; p < kP; ++p) {
-    std::int32_t bytes;
-    std::memcpy(&bytes, a + p * len + 4 * v, sizeof bytes);
-    const __m512i av = _mm512_set1_epi32(bytes);
+  for (std::size_t x = 0; x < kW; ++x) {
+#pragma GCC unroll 2
+    for (std::size_t p = 0; p < kP; ++p) {
+      std::int32_t bytes;
+      std::memcpy(&bytes, a[x] + p * len + 4 * v, sizeof bytes);
+      const __m512i av = _mm512_set1_epi32(bytes);
 #pragma GCC unroll 4
-    for (std::size_t g = 0; g < kG; ++g) {
-      acc[p][g] = _mm512_dpbusd_epi32(acc[p][g], av, wv[g]);
+      for (std::size_t g = 0; g < kG; ++g) {
+        acc[x][p][g] = _mm512_dpbusd_epi32(acc[x][p][g], av, wv[g]);
+      }
     }
   }
 }
 
-/// Up to kG groups of kByteLanes filters against the window at once, over
-/// kP byte-planes: per quad of values, each group's mask word becomes 64
-/// bytes of 0/-1 (vpmovm2b) and meets the broadcast four window bytes of
-/// every plane in one vpdpbusd, so acc = -(sum of the bytes whose weight
-/// is +1). One plane keeps two accumulator sets, even and odd quads, so
-/// that eight vpdpbusd chains rather than four hide its latency; they are
-/// added after the loop. Horner over the planes (acc_1 * 256 + acc_0) and
-/// out = -2*acc - sum, with `sum` the planes' byte sums likewise
-/// combined; `filters` (<= kG*16) responses are written, a masked store
-/// for a partial last group.
-template <std::size_t kG, std::size_t kP>
+/// Up to kG groups of kByteLanes filters against kW (1 or 2) windows at
+/// once, over kP byte-planes: per quad of values, each group's mask word
+/// becomes 64 bytes of 0/-1 (vpmovm2b) once and meets the broadcast four
+/// bytes of every plane of every window in one vpdpbusd each, so
+/// acc = -(sum of the bytes whose weight is +1); a pair of windows keeps
+/// kW*kP*kG vpdpbusd chains in flight. Horner over the planes
+/// (acc_1 * 256 + acc_0) and out = -2*acc - sum, with `sum` the window's
+/// byte sums likewise combined; `filters` (<= kG*16) responses are written
+/// per window from out[x][at] on, a masked store for a partial last group.
+template <std::size_t kG, std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX512_TARGET)) inline void dot_byte_groups(
-    const std::uint8_t* a, std::size_t quads, const Word* wg, __m512i sum,
-    std::size_t filters, std::int32_t* out) {
-  constexpr std::size_t kSets = kP == 1 ? 2 : 1;
+    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* wg,
+    const __m512i (&sum)[kW], std::size_t filters,
+    std::int32_t* const (&out)[kW], std::size_t at) {
   // The constant-trip loops are unrolled so that acc and wv stay in
   // registers (-O2 would otherwise keep them on the stack).
-  __m512i acc[kSets][kP][kG];
+  __m512i acc[kW][kP][kG];
 #pragma GCC unroll 2
-  for (auto& set : acc) {
+  for (auto& window : acc) {
 #pragma GCC unroll 2
-    for (auto& plane : set) {
+    for (auto& plane : window) {
 #pragma GCC unroll 4
       for (auto& v : plane) v = _mm512_setzero_si512();
     }
   }
-  std::size_t q = 0;
-  for (; q + kSets <= quads; q += kSets) {
-#pragma GCC unroll 2
-    for (std::size_t s = 0; s < kSets; ++s) {
-      byte_quad<kG, kP>(a, quads, wg, q + s, acc[s]);
-    }
-  }
-  if (q < quads) byte_quad<kG, kP>(a, quads, wg, q, acc[0]);
-  for (std::size_t s = 1; s < kSets; ++s) {
-    for (std::size_t p = 0; p < kP; ++p) {
-#pragma GCC unroll 4
-      for (std::size_t g = 0; g < kG; ++g) {
-        acc[0][p][g] = _mm512_add_epi32(acc[0][p][g], acc[s][p][g]);
-      }
-    }
+  for (std::size_t q = 0; q < quads; ++q) {
+    byte_quad<kG, kP, kW>(a, quads, wg, q, acc);
   }
   const __m512i zero = _mm512_setzero_si512();
+#pragma GCC unroll 2
+  for (std::size_t x = 0; x < kW; ++x) {
 #pragma GCC unroll 4
-  for (std::size_t g = 0; g < kG; ++g) {
-    __m512i t = acc[0][kP - 1][g];
-    for (std::size_t p = kP - 1; p-- > 0;) {
-      t = _mm512_add_epi32(_mm512_maskz_slli_epi32(0xffff, t, 8),
-                           acc[0][p][g]);
+    for (std::size_t g = 0; g < kG; ++g) {
+      __m512i t = acc[x][kP - 1][g];
+      for (std::size_t p = kP - 1; p-- > 0;) {
+        t = _mm512_add_epi32(_mm512_maskz_slli_epi32(0xffff, t, 8),
+                             acc[x][p][g]);
+      }
+      const __m512i v = _mm512_sub_epi32(
+          zero, _mm512_add_epi32(_mm512_add_epi32(t, t), sum[x]));
+      const std::size_t lanes = filters - g * kByteLanes;
+      _mm512_mask_storeu_epi32(
+          out[x] + at + g * kByteLanes,
+          static_cast<__mmask16>(lanes >= kByteLanes ? 0xffffu
+                                                     : (1u << lanes) - 1u),
+          v);
     }
-    const __m512i v =
-        _mm512_sub_epi32(zero, _mm512_add_epi32(_mm512_add_epi32(t, t), sum));
-    const std::size_t lanes = filters - g * kByteLanes;
-    _mm512_mask_storeu_epi32(
-        out + g * kByteLanes,
-        static_cast<__mmask16>(lanes >= kByteLanes ? 0xffffu
-                                                   : (1u << lanes) - 1u),
-        v);
   }
 }
 
-template <std::size_t kP>
+template <std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX512_TARGET)) void dot_bytes_planes(
-    const std::uint8_t* a, std::size_t quads, const Word* w,
-    std::size_t filters, std::int32_t* out) {
-  // sum_q 256^q * S_q, S_q by vpsadbw over 64-byte chunks (a zero-masked
-  // load for the tail).
+    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* w,
+    std::size_t filters, std::int32_t* const (&out)[kW]) {
+  // Per window, sum_q 256^q * S_q, S_q by vpsadbw over 64-byte chunks (a
+  // zero-masked load for the tail).
   const std::size_t len = 4 * quads;
-  std::uint32_t sum = 0;
-  for (std::size_t p = kP; p-- > 0;) {
-    __m512i s = _mm512_setzero_si512();
-    for (std::size_t i = 0; i < len; i += 64) {
-      const auto m = static_cast<__mmask64>(
-          len - i >= 64 ? ~0ULL : (1ULL << (len - i)) - 1ULL);
-      s = _mm512_add_epi64(
-          s, _mm512_sad_epu8(_mm512_maskz_loadu_epi8(m, a + p * len + i),
-                             _mm512_setzero_si512()));
+  __m512i vsum[kW];
+  for (std::size_t x = 0; x < kW; ++x) {
+    std::uint32_t sum = 0;
+    for (std::size_t p = kP; p-- > 0;) {
+      __m512i s = _mm512_setzero_si512();
+      for (std::size_t i = 0; i < len; i += 64) {
+        const auto m = static_cast<__mmask64>(
+            len - i >= 64 ? ~0ULL : (1ULL << (len - i)) - 1ULL);
+        s = _mm512_add_epi64(
+            s, _mm512_sad_epu8(_mm512_maskz_loadu_epi8(m, a[x] + p * len + i),
+                               _mm512_setzero_si512()));
+      }
+      Word lanes[8];
+      _mm512_storeu_si512(lanes, s);
+      sum = (sum << 8) + static_cast<std::uint32_t>(
+                             lanes[0] + lanes[1] + lanes[2] + lanes[3] +
+                             lanes[4] + lanes[5] + lanes[6] + lanes[7]);
     }
-    Word lanes[8];
-    _mm512_storeu_si512(lanes, s);
-    sum = (sum << 8) + static_cast<std::uint32_t>(
-                           lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-                           lanes[4] + lanes[5] + lanes[6] + lanes[7]);
+    vsum[x] = _mm512_set1_epi32(static_cast<std::int32_t>(sum));
   }
-  const __m512i vsum = _mm512_set1_epi32(static_cast<std::int32_t>(sum));
   constexpr std::size_t kBlock = 4;  // groups sharing each broadcast
   std::size_t f = 0;
   for (; f + (kBlock - 1) * kByteLanes < filters; f += kBlock * kByteLanes) {
-    dot_byte_groups<kBlock, kP>(a, quads, w + f / kByteLanes * quads, vsum,
-                                filters - f, out + f);
+    dot_byte_groups<kBlock, kP, kW>(a, quads, w + f / kByteLanes * quads,
+                                    vsum, filters - f, out, f);
   }
   for (; f < filters; f += kByteLanes) {
-    dot_byte_groups<1, kP>(a, quads, w + f / kByteLanes * quads, vsum,
-                           filters - f, out + f);
+    dot_byte_groups<1, kP, kW>(a, quads, w + f / kByteLanes * quads, vsum,
+                               filters - f, out, f);
   }
 }
 
 __attribute__((QNN_AVX512_TARGET)) void dot_bytes_avx512(
     const std::uint8_t* a, std::size_t quads, int planes, const Word* w,
-    std::size_t filters, std::int32_t* out) {
-  if (planes == 1) {
-    dot_bytes_planes<1>(a, quads, w, filters, out);
+    std::size_t filters, std::int32_t* out, const std::uint8_t* a2,
+    std::int32_t* out2) {
+  if (a2 == nullptr) {
+    const std::uint8_t* const win[1] = {a};
+    std::int32_t* const dst[1] = {out};
+    (planes == 1 ? dot_bytes_planes<1, 1> : dot_bytes_planes<2, 1>)(
+        win, quads, w, filters, dst);
   } else {
-    dot_bytes_planes<2>(a, quads, w, filters, out);
+    const std::uint8_t* const win[2] = {a, a2};
+    std::int32_t* const dst[2] = {out, out2};
+    (planes == 1 ? dot_bytes_planes<1, 2> : dot_bytes_planes<2, 2>)(
+        win, quads, w, filters, dst);
   }
 }
 

@@ -146,6 +146,11 @@ void WindowKernel::advance_padding() {
   while (const std::int64_t n = scanner_.pad_run()) scan({}, n);
 }
 
+bool WindowKernel::flush() {
+  settle();
+  return stage_.flush();
+}
+
 void WindowKernel::reset() {
   scanner_.reset();
   in_burst_.clear();
@@ -160,7 +165,7 @@ void WindowKernel::bind_ready(ReadyHook* hook, int task) {
 }
 
 StepResult WindowKernel::step() {
-  if (!stage_.flush()) return StepResult::kBlocked;
+  if (!flush()) return StepResult::kBlocked;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
     // Padding positions (including whole trailing pad rows) consume no
@@ -175,7 +180,7 @@ StepResult WindowKernel::step() {
       rearm_image();
       image_open_ = false;
       progressed = true;
-      if (!stage_.flush()) return StepResult::kBlocked;
+      if (!flush()) return StepResult::kBlocked;
       continue;
     }
     if (in_burst_.refill(in_) == 0) {
@@ -183,7 +188,7 @@ StepResult WindowKernel::step() {
         // End of stream is only legal at an image boundary.
         QNN_CHECK(!image_open_,
                   name() + ": input stream closed mid-image");
-        if (!stage_.flush()) return StepResult::kBlocked;
+        if (!flush()) return StepResult::kBlocked;
         stage_.close();
         return StepResult::kDone;
       }
@@ -201,7 +206,7 @@ StepResult WindowKernel::step() {
       scan(in_burst_.take(static_cast<std::size_t>(run)), run);
     }
     progressed = true;
-    if (!stage_.flush()) return StepResult::kBlocked;
+    if (!flush()) return StepResult::kBlocked;
   }
   return StepResult::kProgress;
 }
@@ -217,9 +222,12 @@ class ConvKernel::Datapath {
   virtual void pack_run(int r, std::int64_t start,
                         std::span<const std::int32_t> vals) = 0;
   /// Build the window whose K rows start at ring row `top`, `seg` values
-  /// of each from value position `src`, and write its O responses to out.
-  virtual void dot(int top, std::int64_t src, std::int64_t seg,
-                   std::int32_t* out) = 0;
+  /// of each from value position `src`, into window slot `slot` (0 or 1).
+  virtual void build(int slot, int top, std::int64_t src,
+                     std::int64_t seg) = 0;
+  /// Dot slot 0 — with slot 1 in the same sweep when `pair` — and write
+  /// its O responses to out (then slot 1's O after them).
+  virtual void dot(bool pair, std::int32_t* out) = 0;
 };
 
 namespace {
@@ -248,7 +256,8 @@ class BitPlanePath final : public ConvKernel::Datapath {
       : ops_(simd::vec_ops()),
         weights_(window_values, node.out.c),
         lines_(node.in_bits, node.k, row_values),
-        window_(window_values, node.in_bits) {
+        slots_{PackedWindow(window_values, node.in_bits),
+               PackedWindow(window_values, node.in_bits)} {
     pack_filters(weights, weights_);
   }
   void clear_row(int r) override { lines_.clear_row(r); }
@@ -256,17 +265,18 @@ class BitPlanePath final : public ConvKernel::Datapath {
                 std::span<const std::int32_t> vals) override {
     lines_.pack_run(ops_, r, start, vals);
   }
-  void dot(int top, std::int64_t src, std::int64_t seg,
-           std::int32_t* out) override {
-    window_.build(ops_, lines_, top, src, seg);
-    window_.dot(ops_, weights_, out);
+  void build(int slot, int top, std::int64_t src, std::int64_t seg) override {
+    slots_[slot].build(ops_, lines_, top, src, seg);
+  }
+  void dot(bool pair, std::int32_t* out) override {
+    slots_[0].dot(ops_, weights_, out, pair ? &slots_[1] : nullptr);
   }
 
  private:
   const simd::VecOps& ops_;  // resolved once, at construction
   PackedFilters weights_;
   BitPlaneLineBuffer lines_;
-  PackedWindow window_;
+  PackedWindow slots_[2];
 };
 
 /// 3-16-bit codes: byte line buffer, byte window, VNNI byte dot.
@@ -277,7 +287,8 @@ class BytePath final : public ConvKernel::Datapath {
       : ops_(simd::vec_ops()),
         weights_(window_values, node.out.c),
         lines_(node.in_bits, node.k, row_values),
-        window_(window_values, lines_.planes()) {
+        slots_{ByteWindow(window_values, lines_.planes()),
+               ByteWindow(window_values, lines_.planes())} {
     pack_filters(weights, weights_);
   }
   void clear_row(int r) override { lines_.clear_row(r); }
@@ -285,17 +296,18 @@ class BytePath final : public ConvKernel::Datapath {
                 std::span<const std::int32_t> vals) override {
     lines_.pack_run(r, start, vals);
   }
-  void dot(int top, std::int64_t src, std::int64_t seg,
-           std::int32_t* out) override {
-    window_.build(lines_, top, src, seg);
-    window_.dot(ops_, weights_, out);
+  void build(int slot, int top, std::int64_t src, std::int64_t seg) override {
+    slots_[slot].build(lines_, top, src, seg);
+  }
+  void dot(bool pair, std::int32_t* out) override {
+    slots_[0].dot(ops_, weights_, out, pair ? &slots_[1] : nullptr);
   }
 
  private:
   const simd::VecOps& ops_;  // resolved once, at construction
   ByteFilters weights_;
   ByteLineBuffer lines_;
-  ByteWindow window_;
+  ByteWindow slots_[2];
 };
 
 }  // namespace
@@ -322,6 +334,18 @@ ConvKernel::~ConvKernel() = default;
 
 void ConvKernel::rearm_image() { packed_row_ = -1; }
 
+void ConvKernel::reset() {
+  WindowKernel::reset();
+  pending_ = false;
+}
+
+void ConvKernel::settle() {
+  if (!pending_) return;
+  path_->dot(false,
+             stage().extend(static_cast<std::size_t>(node().out.c)).data());
+  pending_ = false;
+}
+
 void ConvKernel::ensure_row(int y) {
   const int k = node().k;
   for (int r = std::max(packed_row_ + 1, y - k + 1); r <= y; ++r) {
@@ -342,20 +366,29 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals,
 void ConvKernel::emit(const WindowScanner::Completed& at) {
   // Every activation was stored exactly once at ingest; a window is built
   // in one pass over its K row segments of the line buffer (rows recycled
-  // mod K, keyed on the scanner's row), then one SIMD sweep over all O
-  // filters.
+  // mod K, keyed on the scanner's row) into a window slot of its own, as
+  // the rows it reads may be recycled before its partner completes.
   const int k = node().k;
   const int stride = node().stride;
   const std::int64_t chans = node().in.c;
   // All-padding rows (top/bottom pad) never see an ingest_run; enter them
   // into the ring here so they read as zero (= pad code 0).
   ensure_row(at.oy * stride + k - 1);
+  path_->build(pending_ ? 1 : 0, at.oy * stride,
+               static_cast<std::int64_t>(at.ox) * stride * chans,
+               static_cast<std::int64_t>(k) * chans);
+  if (!pending_) {
+    pending_ = true;
+    return;
+  }
   // "One output pixel per clock cycle, until all the filters are applied
-  // at this position" (§III-B1): the O responses go straight into the
-  // output stage.
-  path_->dot(at.oy * stride, static_cast<std::int64_t>(at.ox) * stride * chans,
-             static_cast<std::int64_t>(k) * chans,
-             stage().extend(static_cast<std::size_t>(node().out.c)).data());
+  // at this position" (§III-B1): one SIMD sweep over all O filters dots
+  // both windows, and their 2*O responses go straight into the output
+  // stage, in completion order.
+  path_->dot(true, stage()
+                       .extend(2 * static_cast<std::size_t>(node().out.c))
+                       .data());
+  pending_ = false;
 }
 
 // ---------------------------------------------------------------- PoolKernel

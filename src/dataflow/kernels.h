@@ -24,7 +24,8 @@
 // Data moves in bursts end to end: a kernel pops a burst of input values,
 // transforms it (Add sums it straight from the ring into its output
 // stage; Conv/Pool ingest row segments at a time and emit all O filter
-// responses per completed window position), stages the results, and
+// responses per completed window position, Conv two positions per weight
+// pass), stages the results, and
 // flushes them with one ring transaction per ring. Blocked-episode
 // accounting (Stream::note_*_stall) fires once per continuous blocked
 // period per ring, so the stall counters keep their pre-burst meaning.
@@ -316,6 +317,11 @@ class WindowKernel : public Kernel {
   /// reset()); subclasses recycle per-image state (e.g. line-buffer rows).
   virtual void rearm_image() {}
 
+  /// Called before every flush of the output stage: a subclass whose
+  /// emit() defers a window stages it here, so every window completed
+  /// before a flush is in the stage when that flush runs.
+  virtual void settle() {}
+
   [[nodiscard]] const Node& node() const { return node_; }
   [[nodiscard]] WindowScanner& scanner() { return scanner_; }
   [[nodiscard]] OutStage& stage() { return stage_; }
@@ -327,6 +333,8 @@ class WindowKernel : public Kernel {
   void scan(std::span<const std::int32_t> vals, std::int64_t n);
   /// Inject padding positions until the next position is real (or done).
   void advance_padding();
+  /// settle(), then move the stage into the rings; true when all have it.
+  bool flush();
 
   const Node& node_;
   Stream& in_;
@@ -356,24 +364,34 @@ class WindowKernel : public Kernel {
 ///     bits), a window is K memcpys per plane, and vec_ops dot_bytes runs
 ///     the VNNI byte dot against the same 1-bit weights, one mask word per
 ///     16 filters x 4 values.
-/// Either sweep writes its O int32 responses straight into the output
-/// stage. The kernel resolves the dispatched VecOps once, at construction.
-/// A BnAct it feeds is evaluated by its output port on the way out
-/// (OutStage).
+/// Completed windows are dotted in pairs: each is built at once into one
+/// of two window slots (the line-buffer rows it reads recycle as new rows
+/// enter), and when both are full one sweep writes the 2*O int32
+/// responses, in completion order, straight into the output stage, so
+/// each weight vector (bit-plane) or expanded mask word (byte) serves two
+/// windows. settle() dots a lone pending window before every flush, so
+/// each ring sees the same values at the same flushes as with one window
+/// per sweep; reset() drops it. The kernel resolves the dispatched VecOps
+/// once, at construction. A BnAct it feeds is evaluated by its output
+/// port on the way out (OutStage).
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
              PortRings outs, std::size_t burst = kDefaultBurst);
   ~ConvKernel() override;
+  void reset() override;
 
   /// The arithmetic of one conv (kernels.cpp): its weights, the line
-  /// buffer of its last K padded input rows, and the window built from it.
+  /// buffer of its last K padded input rows, and the two window slots
+  /// built from it.
   class Datapath;
 
  private:
   void emit(const WindowScanner::Completed& at) override;
   void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
   void rearm_image() override;
+  /// Dot a lone pending window before the stage flushes.
+  void settle() override;
 
   /// Make line-buffer rows (.., y] valid: rows entered since the last
   /// ensure are zero-cleared (all-padding rows never see a real run, so
@@ -382,6 +400,9 @@ class ConvKernel final : public WindowKernel {
 
   std::unique_ptr<Datapath> path_;
   int packed_row_ = -1;  // highest padded row already entered into the path
+  /// Slot 0 holds a completed window awaiting its partner (or the next
+  /// flush); a re-armed image keeps it, reset() drops it.
+  bool pending_ = false;
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each

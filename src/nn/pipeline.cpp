@@ -74,7 +74,7 @@ void Pipeline::validate() const {
 }
 
 int preact_bits(std::int64_t window_values, int in_bits) {
-  QNN_CHECK(window_values > 0 && in_bits >= 1 && in_bits <= 16,
+  QNN_CHECK(window_values > 0 && in_bits >= 1 && in_bits <= kMaxConvInputBits,
             "bad pre-activation width query");
   const auto max_abs = static_cast<std::uint64_t>(window_values) *
                        ((std::uint64_t{1} << in_bits) - 1);
@@ -112,9 +112,13 @@ class Expander {
   }
 
  private:
+  /// The name push() gives the next node, of kind `k`.
+  [[nodiscard]] std::string next_name(NodeKind k) const {
+    return std::string(node_kind_name(k)) + "_" + std::to_string(p_.size());
+  }
+
   int push(Node n) {
-    n.name = std::string(node_kind_name(n.kind)) + "_" +
-             std::to_string(p_.size());
+    n.name = next_name(n.kind);
     p_.nodes.push_back(std::move(n));
     return p_.size() - 1;
   }
@@ -123,6 +127,15 @@ class Expander {
   /// returns the node index. Does not advance the carried stream state.
   int emit_conv(int from, const Shape& in, int in_bits, int out_c, int k,
                 int stride, int pad) {
+    // A stream wider than the datapath (a large map's average-pool window
+    // sum, say; the network input is at most 8 bits) is refused here,
+    // naming where it comes from.
+    QNN_CHECK(in_bits <= kMaxConvInputBits,
+              next_name(NodeKind::Conv) + ": input is " +
+                  std::to_string(in_bits) + " bits wide, past the " +
+                  std::to_string(kMaxConvInputBits) +
+                  "-bit conv datapath limit; it comes from " +
+                  p_.node(from).name);
     Node n;
     n.kind = NodeKind::Conv;
     n.main_from = from;

@@ -93,6 +93,9 @@ struct Pipeline {
   void validate() const;
 };
 
+/// Widest input code a conv takes: the byte datapath's two byte-planes.
+inline constexpr int kMaxConvInputBits = 16;
+
 /// Bits required to represent any pre-activation sum of a conv node with
 /// the given window size and unsigned input width, as a signed integer.
 [[nodiscard]] int preact_bits(std::int64_t window_values, int in_bits);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -170,15 +171,22 @@ TEST_F(PackedConvTest, PackedHandlesMultipleImagesBackToBack) {
 }
 
 TEST_F(PackedConvTest, ByteDatapathMatchesReferenceOnResnetConv0AtEveryLevel) {
-  // ResNet-18's input layer (7x7x3, stride 2, pad 3, 8-bit codes) on a
-  // smaller map, three images back to back: 147-value windows (36 quads
+  // ResNet-18's input layer (7x7x3, stride 2, pad 3, 8-bit codes) on
+  // smaller maps, three images back to back: 147-value windows (36 quads
   // and a partial one), a ring of seven rows recycled across image
-  // boundaries, and 64 filters = one four-group AVX-512 block. A second
-  // run with 16-bit codes and 17 filters takes both byte-planes and a
-  // one-filter last group.
+  // boundaries, and 64 filters = one four-group AVX-512 block; a 13x15
+  // map gives 7x8 windows per image, a 13x13 map an odd 7x7, so its last
+  // window is dotted without a partner. A run with 16-bit codes and 17
+  // filters takes both byte-planes and a one-filter last group.
   Rng rng(0xdae1);
-  for (const auto& [bits, out_c] : {std::pair{8, 64}, std::pair{16, 17}}) {
-    const Node n = conv_node({13, 15, 3}, out_c, 7, 2, 3, bits);
+  struct Run {
+    int bits;
+    int out_c;
+    int w;
+  };
+  for (const auto& [bits, out_c, w] :
+       {Run{8, 64, 15}, Run{16, 17, 15}, Run{8, 64, 13}}) {
+    const Node n = conv_node({13, w, 3}, out_c, 7, 2, 3, bits);
     const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
     std::vector<IntTensor> images;
     std::vector<std::int32_t> expect;
@@ -190,7 +198,8 @@ TEST_F(PackedConvTest, ByteDatapathMatchesReferenceOnResnetConv0AtEveryLevel) {
     for (const simd::Level level : simd::available_levels()) {
       simd::set_level(level);
       ASSERT_EQ(run_conv(n, fb, images), expect)
-          << "level=" << simd::level_name(level) << " bits=" << bits;
+          << "level=" << simd::level_name(level) << " bits=" << bits
+          << " w=" << w;
     }
   }
 }
@@ -249,6 +258,95 @@ TEST_F(PackedConvTest, PackedMatchesReferenceOnAllPaddingWindows) {
   const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
   const IntTensor img = testutil::random_codes(n.in, 2, rng);
   EXPECT_EQ(run_conv(n, fb, {img}), reference_conv(n, fb, img));
+}
+
+// ------------------------------------------------------------ window pairs
+
+/// The conv kernel dots completed windows two at a time; these pin what
+/// pairing must not change: the responses of every window, in order, with
+/// a lone window (odd counts, one-window images, a run's end) dotted alone.
+using ConvPairTest = PackedConvTest;
+
+/// Three images back to back through one kernel, against the reference.
+void expect_three_images_match(const Node& n, Rng& rng) {
+  const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+  std::vector<IntTensor> images;
+  std::vector<std::int32_t> expect;
+  for (int i = 0; i < 3; ++i) {
+    images.push_back(testutil::random_codes(n.in, n.in_bits, rng));
+    const auto one = reference_conv(n, fb, images.back());
+    expect.insert(expect.end(), one.begin(), one.end());
+  }
+  for (const simd::Level level : simd::available_levels()) {
+    simd::set_level(level);
+    ASSERT_EQ(run_conv(n, fb, images), expect)
+        << "level=" << simd::level_name(level) << " bits=" << n.in_bits
+        << " in=" << n.in.h << "x" << n.in.w << "x" << n.in.c;
+  }
+}
+
+TEST_F(ConvPairTest, OddWindowCountPerImageAtEveryLevel) {
+  // 5x7 = 35 windows per image: each image ends on a lone window, so with
+  // three images back to back a pair would straddle every image boundary
+  // if the lone one were not dotted before the flush that ends its image.
+  // Both datapaths, both plane counts of each.
+  Rng rng(0xda11);
+  for (const int bits : {1, 2, 8, 16}) {
+    expect_three_images_match(conv_node({5, 7, 3}, 9, 3, 1, 1, bits), rng);
+  }
+}
+
+TEST_F(ConvPairTest, DenseHeadWithOneWindowPerImageAtEveryLevel) {
+  // A 1x1-map dense head: the one window of each image is never paired.
+  Rng rng(0xda12);
+  for (const int bits : {2, 8}) {
+    expect_three_images_match(conv_node({3, 3, 40}, 10, 3, 1, 0, bits), rng);
+  }
+}
+
+TEST_F(ConvPairTest, ResetDropsAPendingWindowAtEveryLevel) {
+  // 3x3, pad 1, on a 5-wide map, fed the first two rows only. One step
+  // dots the windows at x = 0..3 (two pairs) and flushes them; in its next
+  // round, padding the row's right edge completes the window at x = 4,
+  // and the input is then empty, so the step returns with that window
+  // pending. An aborted run stops there: reset() must drop it, so the
+  // next image on the same kernel comes out bit-exact (a stale window
+  // would pair with the next run's first one).
+  Rng rng(0xda14);
+  for (const int bits : {2, 8}) {
+    const Node n = conv_node({4, 5, 3}, 9, 3, 1, 1, bits);
+    const FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+    const IntTensor aborted = testutil::random_codes(n.in, bits, rng);
+    const IntTensor next = testutil::random_codes(n.in, bits, rng);
+    const auto o = static_cast<std::size_t>(n.out.c);
+    const std::vector<std::int32_t> aborted_ref =
+        reference_conv(n, fb, aborted);
+    for (const simd::Level level : simd::available_levels()) {
+      simd::set_level(level);
+      Stream sin(256, 16, "in");
+      Stream sout(256, 32, "out");
+      ConvKernel kernel(n, fb, sin, {&sout});
+      const std::vector<std::int32_t> vals = testutil::values(aborted);
+      const std::size_t two_rows = 2 * 5 * 3;
+      ASSERT_EQ(sin.try_push_burst(
+                    std::span<const std::int32_t>(vals).first(two_rows)),
+                two_rows);
+      (void)kernel.step_checked();
+      std::vector<std::int32_t> got(256);
+      got.resize(sout.try_pop_burst(got));
+      ASSERT_EQ(got, std::vector<std::int32_t>(
+                         aborted_ref.begin(),
+                         aborted_ref.begin() +
+                             static_cast<std::ptrdiff_t>(4 * o)))
+          << "level=" << simd::level_name(level) << " bits=" << bits;
+      kernel.reset();
+      sin.reset();
+      sout.reset();
+      EXPECT_EQ(testutil::drive(kernel, sin, testutil::values(next), sout),
+                reference_conv(n, fb, next))
+          << "level=" << simd::level_name(level) << " bits=" << bits;
+    }
+  }
 }
 
 }  // namespace

@@ -327,6 +327,32 @@ TEST(EngineRecovery, RecoversAfterCancelledRunInEveryMode) {
   }
 }
 
+// A cancel can land while a conv holds a completed window awaiting its
+// partner (ConvKernel dots windows in pairs); reset() drops it, so the
+// rerun after the abort is bit-exact against the reference. At 13 px every
+// conv row of tiny holds an odd number of windows. The batch is long
+// enough that the canceller lands inside the run on a loaded host too.
+TEST(EngineRecovery, RecoversAfterCancelWithOddWindowRows) {
+  const Pipeline p = expand(models::tiny(13, 4, 2));
+  const NetworkParams params = NetworkParams::random(p, 51);
+  const ReferenceExecutor ref(p, params);
+  StreamEngine engine(p, params);
+  Rng rng(52);
+  const IntTensor img = testutil::random_image(13, 13, 3, rng);
+  const std::vector<IntTensor> batch(512, img);
+  std::atomic<bool> stop{false};
+  std::thread canceller([&] {
+    while (!stop.load()) {
+      engine.cancel();
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_THROW((void)engine.run(batch), Error);
+  stop.store(true);
+  canceller.join();
+  EXPECT_EQ(engine.run_one(img), ref.run(img));
+}
+
 // Satellite regression for stale stats across re-arm: RunStats of a rerun
 // after cancel() must match a clean run exactly — Stream::reset() clears
 // the pushed/transactions/stall counters along with the ring, so an

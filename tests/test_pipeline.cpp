@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "models/zoo.h"
 
 namespace qnn {
@@ -112,6 +114,32 @@ TEST(Pipeline, AvgPoolWidthGrowsWithWindow) {
   const Pipeline p = expand(spec);
   // Sum of 49 2-bit codes: max 147 -> 8 unsigned bits.
   EXPECT_EQ(p.node(0).out_bits, 8);
+}
+
+TEST(Pipeline, ConvInputWiderThanTheDatapathNamesItsSource) {
+  // tiny's dense head reads the global average pool's window sum of 2-bit
+  // codes: at 588 px the pooled map is 147x147, a sum of at most
+  // 147*147*3 = 64827 (16 bits); at 592 px it is 148x148 and 65712 needs
+  // 17, past the conv datapath's 16.
+  const Pipeline ok = expand(models::tiny(588, 4, 2));
+  const Node& head = ok.node(ok.size() - 1);
+  ASSERT_EQ(head.kind, NodeKind::Conv);
+  ASSERT_EQ(head.in_bits, kMaxConvInputBits);
+  const Node& pool = ok.node(head.main_from);
+  ASSERT_EQ(pool.kind, NodeKind::AvgPool);
+  try {
+    (void)expand(models::tiny(592, 4, 2));
+    FAIL() << "a 17-bit conv input must be refused";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(head.name + ": input is 17 bits wide"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("16-bit conv datapath limit"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("comes from " + pool.name), std::string::npos)
+        << what;
+  }
 }
 
 TEST(Pipeline, ValidateCatchesBrokenEdges) {

@@ -98,7 +98,7 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
         const auto o = static_cast<std::size_t>(filters);
         std::vector<std::int32_t> expect(o + kGuard, kCanary);
         scalar.dot_window(c.window.data(), n, planes, c.filters.data(), o,
-                          expect.data());
+                          expect.data(), nullptr, nullptr);
         const auto tail = expect.begin() + static_cast<std::ptrdiff_t>(o);
         ASSERT_TRUE(std::all_of(tail, expect.end(),
                                 [](std::int32_t v) { return v == kCanary; }))
@@ -106,10 +106,59 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
         for (const simd::Level level : simd::available_levels()) {
           std::vector<std::int32_t> got(o + kGuard, kCanary);
           simd::vec_ops_at(level).dot_window(c.window.data(), n, planes,
-                                             c.filters.data(), o, got.data());
+                                             c.filters.data(), o, got.data(),
+                                             nullptr, nullptr);
           ASSERT_EQ(got, expect)
               << simd::level_name(level) << " n=" << n << " planes=" << planes
               << " filters=" << filters;
+        }
+      }
+    }
+  }
+}
+
+/// Guard entries after each response buffer of a paired call.
+constexpr std::size_t kPairGuard = 32;
+constexpr std::int32_t kPairCanary = 0x5e5e5e5e;
+
+/// Filter counts for the paired-dot suites: a lone filter, partial and
+/// whole 8- and 16-filter groups, partial and whole AVX-512 blocks, and a
+/// 1000-class head.
+constexpr int kPairFilters[] = {1, 5, 7, 8, 9, 17, 33, 56, 64, 1000};
+
+TEST(VecOps, PairedDotWindowEqualsTwoSingleCalls) {
+  // One call with a second window must write what two single calls write:
+  // each window's O responses into its own buffer, nothing past either
+  // (a 32-entry guard after both), at every level; the windows differ.
+  Rng rng(0xa1a2);
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{9}, std::size_t{36}, std::size_t{72}}) {
+    for (int planes = 1; planes <= simd::kMaxPlanes; ++planes) {
+      for (const int filters : kPairFilters) {
+        const DotCase c = random_dot_case(n, planes, filters, rng);
+        const std::vector<Word> second =
+            random_words(n * static_cast<std::size_t>(planes), rng);
+        ASSERT_NE(second, c.window);
+        const auto o = static_cast<std::size_t>(filters);
+        for (const simd::Level level : simd::available_levels()) {
+          const auto& ops = simd::vec_ops_at(level);
+          std::vector<std::int32_t> want1(o), want2(o);
+          ops.dot_window(c.window.data(), n, planes, c.filters.data(), o,
+                         want1.data(), nullptr, nullptr);
+          ops.dot_window(second.data(), n, planes, c.filters.data(), o,
+                         want2.data(), nullptr, nullptr);
+          std::vector<std::int32_t> got1(o + kPairGuard, kPairCanary);
+          std::vector<std::int32_t> got2(o + kPairGuard, kPairCanary);
+          ops.dot_window(c.window.data(), n, planes, c.filters.data(), o,
+                         got1.data(), second.data(), got2.data());
+          want1.resize(o + kPairGuard, kPairCanary);
+          want2.resize(o + kPairGuard, kPairCanary);
+          ASSERT_EQ(got1, want1) << simd::level_name(level) << " n=" << n
+                                 << " planes=" << planes
+                                 << " filters=" << filters;
+          ASSERT_EQ(got2, want2) << simd::level_name(level) << " n=" << n
+                                 << " planes=" << planes
+                                 << " filters=" << filters;
         }
       }
     }
@@ -134,11 +183,12 @@ TEST(VecOps, DotWindowTakesFiltersOffTheCacheLine) {
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(w) % 64, sizeof(Word));
     std::vector<std::int32_t> expect(kFilters);
     scalar.dot_window(c.window.data(), kN, planes, c.filters.data(), kFilters,
-                      expect.data());
+                      expect.data(), nullptr, nullptr);
     for (const simd::Level level : simd::available_levels()) {
       std::vector<std::int32_t> got(kFilters);
       simd::vec_ops_at(level).dot_window(c.window.data(), kN, planes, w,
-                                         kFilters, got.data());
+                                         kFilters, got.data(), nullptr,
+                                         nullptr);
       EXPECT_EQ(got, expect) << simd::level_name(level)
                              << " planes=" << planes;
     }
@@ -161,7 +211,8 @@ TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
   for (const simd::Level level : simd::available_levels()) {
     std::int32_t out[8];
     simd::vec_ops_at(level).dot_window(window.data(), 2, 2, filters.data(),
-                                       filters.padded_count(), out);
+                                       filters.padded_count(), out, nullptr,
+                                       nullptr);
     // f0: plane 0 on=2 -> 4-3 = 1; plane 1 on=1 -> (2-3)<<1 = -2. Sum -1.
     EXPECT_EQ(out[0], -1) << simd::level_name(level);
     // f1: plane 0 on=3 -> 3; plane 1 on=3 -> 3<<1 = 6. Sum 9.
@@ -224,16 +275,59 @@ TEST(VecOps, DotBytesMatchesScalarAtEveryLevel) {
         const auto o = static_cast<std::size_t>(filters);
         std::vector<std::int32_t> expect(o + 1, kCanary);
         scalar.dot_bytes(c.window.data(), c.filters.quads(), planes,
-                         c.filters.data(), o, expect.data());
+                         c.filters.data(), o, expect.data(), nullptr, nullptr);
         ASSERT_EQ(expect[o], kCanary) << "scalar wrote past out[O]";
         for (const simd::Level level : simd::available_levels()) {
           std::vector<std::int32_t> got(o + 1, kCanary);
           simd::vec_ops_at(level).dot_bytes(c.window.data(), c.filters.quads(),
                                             planes, c.filters.data(), o,
-                                            got.data());
+                                            got.data(), nullptr, nullptr);
           ASSERT_EQ(got, expect)
               << simd::level_name(level) << " values=" << values
               << " planes=" << planes << " filters=" << filters;
+        }
+      }
+    }
+  }
+}
+
+TEST(VecOps, PairedDotBytesEqualsTwoSingleCalls) {
+  // The byte dot's pair contract, as dot_window's above: 1, 7 (VGG's
+  // conv_0), 37 (ResNet's conv_0) and 1152 (a 3x3x512 window) quads, one
+  // and two byte-planes, two different windows, a guard after both
+  // outputs, at every level.
+  Rng rng(0xa1a3);
+  for (const std::size_t values : {std::size_t{1}, std::size_t{27},
+                                   std::size_t{147}, std::size_t{4608}}) {
+    for (int planes = 1; planes <= simd::kMaxBytePlanes; ++planes) {
+      for (const int filters : kPairFilters) {
+        const ByteDotCase c =
+            random_byte_dot_case(values, planes, filters, rng);
+        const ByteDotCase d = random_byte_dot_case(values, planes, 1, rng);
+        ASSERT_NE(d.window, c.window);
+        const std::size_t quads = c.filters.quads();
+        const auto o = static_cast<std::size_t>(filters);
+        for (const simd::Level level : simd::available_levels()) {
+          const auto& ops = simd::vec_ops_at(level);
+          std::vector<std::int32_t> want1(o), want2(o);
+          ops.dot_bytes(c.window.data(), quads, planes, c.filters.data(), o,
+                        want1.data(), nullptr, nullptr);
+          ops.dot_bytes(d.window.data(), quads, planes, c.filters.data(), o,
+                        want2.data(), nullptr, nullptr);
+          std::vector<std::int32_t> got1(o + kPairGuard, kPairCanary);
+          std::vector<std::int32_t> got2(o + kPairGuard, kPairCanary);
+          ops.dot_bytes(c.window.data(), quads, planes, c.filters.data(), o,
+                        got1.data(), d.window.data(), got2.data());
+          want1.resize(o + kPairGuard, kPairCanary);
+          want2.resize(o + kPairGuard, kPairCanary);
+          ASSERT_EQ(got1, want1) << simd::level_name(level)
+                                 << " values=" << values
+                                 << " planes=" << planes
+                                 << " filters=" << filters;
+          ASSERT_EQ(got2, want2) << simd::level_name(level)
+                                 << " values=" << values
+                                 << " planes=" << planes
+                                 << " filters=" << filters;
         }
       }
     }
