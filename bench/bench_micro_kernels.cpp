@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -319,19 +320,25 @@ int run_executor_ablation() {
 
 namespace {
 
-/// Images/second through a single ConvKernel driven cooperatively on one
-/// thread (push burst / step / drain), so the measurement isolates the conv
-/// inner datapath with no executor or thread-scheduling noise. The kernel
-/// pops one input row per burst, the transaction the engine's default
-/// (adaptive) plan gives every edge, so a row's windows pair as they do in
-/// the engine.
-double conv_datapath_ips(const Node& n, const FilterBank& fb,
+/// Images/second through a single window kernel — a ConvKernel with the
+/// weights `fb`, or a PoolKernel without — driven cooperatively on one
+/// thread (push burst / step / drain), so the measurement isolates the
+/// kernel's inner datapath with no executor or thread-scheduling noise.
+/// The kernel pops one input row per burst, the transaction the engine's
+/// default (adaptive) plan gives every edge, so a row's windows reach it
+/// as one run, as they do in the engine.
+double window_kernel_ips(const Node& n, const std::optional<FilterBank>& fb,
                          const std::vector<std::int32_t>& img, int images) {
   Stream sin(8192, 16, "abl_in");
   Stream sout(8192, 32, "abl_out");
-  ConvKernel kernel(n, fb, sin, {&sout},
-                    static_cast<std::size_t>(n.in.w) *
-                        static_cast<std::size_t>(n.in.c));
+  const std::size_t row =
+      static_cast<std::size_t>(n.in.w) * static_cast<std::size_t>(n.in.c);
+  std::unique_ptr<Kernel> kernel;
+  if (fb) {
+    kernel = std::make_unique<ConvKernel>(n, *fb, sin, PortRings{&sout}, row);
+  } else {
+    kernel = std::make_unique<PoolKernel>(n, sin, PortRings{&sout}, row);
+  }
   const std::int64_t out_per_image = n.out.elems();
   std::vector<std::int32_t> sink(4096);
   const auto t0 = std::chrono::steady_clock::now();
@@ -347,7 +354,7 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
         if (++fed_images == images) sin.close();
       }
     }
-    (void)kernel.step_checked();
+    (void)kernel->step_checked();
     got += static_cast<std::int64_t>(sout.try_pop_burst(sink));
   }
   const std::chrono::duration<double> elapsed =
@@ -360,7 +367,9 @@ double conv_datapath_ips(const Node& n, const FilterBank& fb,
 /// Two-arm ablation of the conv inner datapath — packed incremental line
 /// buffers with the scalar loops (the scalar word loop of the bit-plane
 /// path, the scalar byte dot of the byte path) vs the same with the widest
-/// SIMD level — per cell, best of five timed runs of 8 images per arm. Writes
+/// SIMD level — per cell, best of five timed runs of 8 images per arm; one
+/// cell is ResNet-18's max pool, whose arms are the scalar and the widest
+/// combine_i32 over the same two-step run reduction. Writes
 /// BENCH_kernels.json; with AVX2 or wider the exit code enforces a >= 2x
 /// geomean SIMD speedup, without it there is no bar.
 int run_conv_datapath_ablation() {
@@ -378,6 +387,7 @@ int run_conv_datapath_ablation() {
     int stride;
     int pad;
     int bits;
+    NodeKind kind = NodeKind::Conv;
   };
   // A mid-network conv at paper scale: 3x3x64 -> 64 puts 576 values in
   // each window, enough for the inner loops to matter, at four activation
@@ -390,13 +400,18 @@ int run_conv_datapath_ablation() {
   // conv_12, ResNet-18 conv_24..conv_32 geometry): 36-word planes and a
   // 73 KB weight bank, larger than L1. The 3x3x512 -> 512 cell on a 7x7 map
   // is ResNet-18's stage 4: 72-word planes and a 295 KB bank streamed once
-  // per pair of windows. Tiny-channel layers are covered by the test suite.
+  // per block of windows. The maxpool_2 cell is ResNet-18's 3x3 stride-2
+  // pad-1 max pool on the 112x112x64 map of 2-bit codes conv_0 feeds it:
+  // runs of 56 windows, each reduced over its rows, then its taps.
+  // Tiny-channel layers are covered by the test suite.
   const Cell cells[] = {
       {"3x3x64-64_b1", {16, 16, 64}, 64, 3, 1, 1, 1},
       {"3x3x64-64_b2", {16, 16, 64}, 64, 3, 1, 1, 2},
       {"3x3x64-64_b4", {16, 16, 64}, 64, 3, 1, 1, 4},
       {"3x3x64-64_b8", {16, 16, 64}, 64, 3, 1, 1, 8},
       {"conv_0_7x7x3-64_s2_b8", {64, 64, 3}, 64, 7, 2, 3, 8},
+      {"maxpool_2_3x3x64_s2_p1_b2", {112, 112, 64}, 64, 3, 2, 1, 2,
+       NodeKind::MaxPool},
       {"conv_0_3x3x3-64_b8", {32, 32, 3}, 64, 3, 1, 1, 8},
       {"3x3x256-256_b2", {8, 8, 256}, 256, 3, 1, 1, 2},
       {"3x3x512-512_b2", {7, 7, 512}, 512, 3, 1, 1, 2},
@@ -418,26 +433,29 @@ int run_conv_datapath_ablation() {
 
   struct Input {
     Node node;
-    FilterBank weights;
+    std::optional<FilterBank> weights;  // none: a pooling cell
     std::vector<std::int32_t> image;
   };
   std::vector<Input> inputs;
   for (std::size_t c = 0; c < kCells; ++c) {
     const Cell& cell = cells[c];
+    const bool conv = cell.kind == NodeKind::Conv;
     Node n;
-    n.kind = NodeKind::Conv;
-    n.name = "abl_conv";
+    n.kind = cell.kind;
+    n.name = conv ? "abl_conv" : "abl_pool";
     n.in = cell.in;
     n.out = conv_out_shape(cell.in, cell.out_c, cell.k, cell.stride, cell.pad);
     n.in_bits = cell.bits;
-    n.out_bits = preact_bits(std::int64_t{cell.k} * cell.k * cell.in.c,
-                             cell.bits);
+    n.out_bits = conv ? preact_bits(std::int64_t{cell.k} * cell.k * cell.in.c,
+                                    cell.bits)
+                      : cell.bits;
     n.k = cell.k;
     n.stride = cell.stride;
     n.pad = cell.pad;
-    n.param = 0;
+    n.param = conv ? 0 : -1;
     Rng rng(21 + static_cast<std::uint64_t>(c));
-    FilterBank fb = FilterBank::random(n.filter_shape(), rng);
+    std::optional<FilterBank> fb;
+    if (conv) fb = FilterBank::random(n.filter_shape(), rng);
     std::vector<std::int32_t> img(static_cast<std::size_t>(cell.in.elems()));
     for (auto& v : img) {
       v = static_cast<std::int32_t>(
@@ -455,7 +473,7 @@ int run_conv_datapath_ablation() {
       const Input& in = inputs[c];
       for (std::size_t a = 0; a < std::size(arms); ++a) {
         simd::set_level(arms[a].level);
-        const double r = conv_datapath_ips(in.node, in.weights, in.image,
+        const double r = window_kernel_ips(in.node, in.weights, in.image,
                                            rep < 0 ? 2 : kImages);
         if (rep >= 0) ips[c][a] = std::max(ips[c][a], r);
       }

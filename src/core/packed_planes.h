@@ -14,11 +14,11 @@
 //     vec_ops pack_codes call: a mask test per plane per 16 codes
 //     (AVX-512) or 8 (AVX2), eight codes per multiply in the scalar
 //     reference.
-//   PackedWindow — a window's words, built from the line buffer in one pass
-//     over its K row segments, the ring row wrapping without a division:
-//     one memcpy per segment when it is word-aligned, else vec_ops
-//     build_window's funnel shift per <=64-bit chunk, both planes of a
-//     chunk side by side in one vector.
+//   PackedWindow — a block of windows' words, back to back, each built
+//     from the line buffer in one pass over its K row segments, the ring
+//     row wrapping without a division: one memcpy per segment when it is
+//     word-aligned, else vec_ops build_window's funnel shift per <=64-bit
+//     chunk, both planes of a chunk side by side in one vector.
 //   PackedFilters — packed weights in the filter-lane layout (eight filters
 //     interleaved per word), laid out once at kernel construction so one
 //     vec_ops dot_window call sweeps all planes of a window against all O
@@ -26,7 +26,7 @@
 //     straight to the caller's buffer. Its bank is 64-byte aligned, so each
 //     zmm weight load is one cache line: the AVX-512 dot walks the words
 //     outermost, loads each group's weight vector once for both planes of
-//     both windows of a pair and keeps four groups (32 filters) in flight,
+//     every window of a block and keeps up to four groups in flight,
 //     near the ~0.67 popcounts per cycle that AND + VPOPCNTQ + ADD on
 //     ports 0/5 allow. It is the only aligned buffer: the dot loads the
 //     window by broadcast words, and the line buffers and windows stay
@@ -43,12 +43,12 @@
 // Byte path (1-2 byte-planes: low byte, high byte):
 //   ByteLineBuffer — the last K padded rows as one byte per value per
 //     byte-plane, recycled mod K and zero-cleared on entry the same way.
-//   ByteWindow — a window's bytes per byte-plane, K memcpys of K*C bytes
-//     each, in a buffer padded to a multiple of four bytes whose pad stays
-//     zero.
+//   ByteWindow — a block of windows' bytes, back to back, each window's
+//     bytes per byte-plane K memcpys of K*C bytes each, every plane padded
+//     to a multiple of four bytes whose pad stays zero.
 //   ByteFilters — the same 1-bit weights, one mask word per 16 filters x 4
 //     values in vpdpbusd lane order, so one vec_ops dot_bytes call expands
-//     each word into 64 bytes of 0/-1, once for a pair of windows, and
+//     each word into 64 bytes of 0/-1, once for a block of windows, and
 //     sweeps all O filters. An int8 weight layout would skip the
 //     expansion, at 8x the weight memory.
 #pragma once
@@ -58,6 +58,7 @@
 #include <cstring>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/bitops.h"
@@ -65,6 +66,36 @@
 #include "core/simd/vec_ops.h"
 
 namespace qnn {
+
+/// Copy `n` bytes, up to 64 of them with at most two fixed-size moves that
+/// overlap in the middle, which the compiler inlines: a library memcpy
+/// call costs more than the copy itself for the short row segments of a
+/// window (21 bytes per row of ResNet-18's 7x7x3 conv_0). Writes nothing
+/// outside [dst, dst + n).
+inline void copy_segment(void* dst, const void* src, std::size_t n) {
+  auto* d = static_cast<std::uint8_t*>(dst);
+  const auto* s = static_cast<const std::uint8_t*>(src);
+  const auto two = [&](auto width) {
+    constexpr std::size_t w = decltype(width)::value;
+    std::memcpy(d, s, w);
+    std::memcpy(d + n - w, s + n - w, w);
+  };
+  if (n > 64) {
+    std::memcpy(d, s, n);
+  } else if (n >= 32) {
+    two(std::integral_constant<std::size_t, 32>{});
+  } else if (n >= 16) {
+    two(std::integral_constant<std::size_t, 16>{});
+  } else if (n >= 8) {
+    two(std::integral_constant<std::size_t, 8>{});
+  } else if (n >= 4) {
+    two(std::integral_constant<std::size_t, 4>{});
+  } else if (n >= 2) {
+    two(std::integral_constant<std::size_t, 2>{});
+  } else if (n == 1) {
+    *d = *s;
+  }
+}
 
 /// Rolling packed rows: `rows` padded rows of `row_bits` values each, every
 /// row stored plane-interleaved as [word][plane]. Rows are recycled mod
@@ -201,41 +232,48 @@ class PackedFilters {
   std::vector<Word, CacheLineAllocator<Word>> data_;
 };
 
-/// One window's words, plane-interleaved [word][plane], built from a
+/// A block of `slots` (1..simd::kMaxWindowBlock) windows' words, back to
+/// back, each plane-interleaved [word][plane] and built from a
 /// BitPlaneLineBuffer holding its K rows.
 class PackedWindow {
  public:
-  PackedWindow(std::int64_t values, int planes)
+  PackedWindow(std::int64_t values, int planes, std::size_t slots = 1)
       : values_(values),
         planes_(planes),
-        plane_words_(words_for_bits(values)) {
+        plane_words_(words_for_bits(values)),
+        slots_(slots) {
     QNN_CHECK(values >= 1 && planes >= 1 &&
-                  planes <= BitPlaneLineBuffer::kMaxPlanes,
+                  planes <= BitPlaneLineBuffer::kMaxPlanes && slots >= 1 &&
+                  slots <= simd::kMaxWindowBlock,
               "packed window shape out of range");
-    data_.assign(static_cast<std::size_t>(planes) *
-                     static_cast<std::size_t>(plane_words_),
-                 0);
+    data_.assign(slots * window_size(), 0);
   }
 
   [[nodiscard]] std::int64_t values() const { return values_; }
   [[nodiscard]] int planes() const { return planes_; }
   [[nodiscard]] std::int64_t plane_words() const { return plane_words_; }
-  /// Word j of plane p at [j * planes() + p].
-  [[nodiscard]] const Word* data() const { return data_.data(); }
+  [[nodiscard]] std::size_t slots() const { return slots_; }
+  /// Window `slot`: word j of plane p at [j * planes() + p].
+  [[nodiscard]] const Word* data(std::size_t slot = 0) const {
+    return data_.data() + slot * window_size();
+  }
 
-  /// Build the window from `lines`: window row dy is `seg` bits of line row
-  /// (top + dy) mod lines.rows() starting at bit `src_bit`, for dy in
+  /// Build window `slot` from `lines`: window row dy is `seg` bits of line
+  /// row (top + dy) mod lines.rows() starting at bit `src_bit`, for dy in
   /// [0, lines.rows()), concatenated, with the bits past values() zero.
   void build(const simd::VecOps& ops, const BitPlaneLineBuffer& lines,
-             int top, std::int64_t src_bit, std::int64_t seg) {
+             int top, std::int64_t src_bit, std::int64_t seg,
+             std::size_t slot = 0) {
     const int k = lines.rows();
     QNN_DCHECK(lines.planes() == planes_ &&
-                   static_cast<std::int64_t>(k) * seg == values_,
+                   static_cast<std::int64_t>(k) * seg == values_ &&
+                   slot < slots_,
                "window does not match the line buffer");
+    Word* out = data_.data() + slot * window_size();
     int r = top % k;  // then wraps, with no division per row
     if (src_bit % kWordBits != 0 || seg % kWordBits != 0) {
       ops.build_window(lines.row(0), lines.row_size(), k, r, src_bit, seg,
-                       planes_, data_.data());
+                       planes_, out);
       return;
     }
     // Word-aligned segments (a multiple of 64 channels): each one is a
@@ -245,33 +283,36 @@ class PackedWindow {
     const auto from = static_cast<std::size_t>(src_bit / kWordBits) *
                       static_cast<std::size_t>(planes_);
     for (int dy = 0; dy < k; ++dy) {
-      std::memcpy(data_.data() + static_cast<std::size_t>(dy) * run,
-                  lines.row(r) + from, run * sizeof(Word));
+      copy_segment(out + static_cast<std::size_t>(dy) * run,
+                   lines.row(r) + from, run * sizeof(Word));
       if (++r == k) r = 0;
     }
   }
 
-  /// XNOR-popcount dot of this window against every filter of `filters`
-  /// in one dot_window call; out[f] receives the signed fixed-point dot
-  /// (sum over planes of 2^p * pm1 agreement score) as int32, for exactly
-  /// filters.count() entries. A `pair` window of the same shape is dotted
-  /// in the same call, its responses following at out[filters.count()..).
+  /// XNOR-popcount dot of windows 0..count-1 against every filter of
+  /// `filters` in one dot_window call; window i's filters.count() int32
+  /// responses (per filter the sum over planes of 2^p * pm1 agreement
+  /// score) go to out + i*filters.count().
   void dot(const simd::VecOps& ops, const PackedFilters& filters,
-           std::int32_t* out, const PackedWindow* pair = nullptr) const {
+           std::int32_t* out, std::size_t count = 1) const {
     QNN_DCHECK(filters.words() == static_cast<std::size_t>(plane_words_) &&
-                   (pair == nullptr || (pair->planes_ == planes_ &&
-                                        pair->plane_words_ == plane_words_)),
+                   count >= 1 && count <= slots_,
                "filter width does not match the window");
     ops.dot_window(data_.data(), static_cast<std::size_t>(plane_words_),
-                   planes_, filters.data(), filters.count(), out,
-                   pair != nullptr ? pair->data() : nullptr,
-                   pair != nullptr ? out + filters.count() : nullptr);
+                   planes_, filters.data(), filters.count(), out, count);
   }
 
  private:
+  /// Words of one window, all planes.
+  [[nodiscard]] std::size_t window_size() const {
+    return static_cast<std::size_t>(planes_) *
+           static_cast<std::size_t>(plane_words_);
+  }
+
   std::int64_t values_;
   int planes_;
   std::int64_t plane_words_;
+  std::size_t slots_;
   std::vector<Word> data_;
 };
 
@@ -381,69 +422,77 @@ class ByteFilters {
   std::vector<Word> data_;
 };
 
-/// One window's bytes per byte-plane, plane after plane, each plane padded
-/// with zero bytes to a multiple of four; built from a ByteLineBuffer
-/// holding its K rows.
+/// A block of `slots` (1..simd::kMaxWindowBlock) windows' bytes, back to
+/// back; each window's bytes per byte-plane, plane after plane, each plane
+/// padded with zero bytes to a multiple of four; built from a
+/// ByteLineBuffer holding its K rows.
 class ByteWindow {
  public:
-  ByteWindow(std::int64_t values, int planes)
-      : values_(values), planes_(planes), quads_((values + 3) / 4) {
-    QNN_CHECK(values >= 1 && planes >= 1 && planes <= simd::kMaxBytePlanes,
+  ByteWindow(std::int64_t values, int planes, std::size_t slots = 1)
+      : values_(values), planes_(planes), quads_((values + 3) / 4),
+        slots_(slots) {
+    QNN_CHECK(values >= 1 && planes >= 1 && planes <= simd::kMaxBytePlanes &&
+                  slots >= 1 && slots <= simd::kMaxWindowBlock,
               "byte window shape out of range");
-    data_.assign(static_cast<std::size_t>(planes) * plane_size(), 0);
+    data_.assign(slots * window_size(), 0);
   }
 
   [[nodiscard]] std::int64_t values() const { return values_; }
   [[nodiscard]] int planes() const { return planes_; }
-  /// Plane q's byte i at [q * plane_size() + i].
-  [[nodiscard]] const std::uint8_t* data() const { return data_.data(); }
+  [[nodiscard]] std::size_t slots() const { return slots_; }
+  /// Window `slot`: plane q's byte i at [q * plane_size() + i].
+  [[nodiscard]] const std::uint8_t* data(std::size_t slot = 0) const {
+    return data_.data() + slot * window_size();
+  }
   /// Bytes of one plane, the zero pad included.
   [[nodiscard]] std::size_t plane_size() const {
     return 4 * static_cast<std::size_t>(quads_);
   }
 
-  /// Build the window from `lines`: window row dy is `seg` values of line
-  /// row (top + dy) mod lines.rows() starting at value `src`, for dy in
-  /// [0, lines.rows()), concatenated — one memcpy per row per plane.
+  /// Build window `slot` from `lines`: window row dy is `seg` values of
+  /// line row (top + dy) mod lines.rows() starting at value `src`, for dy
+  /// in [0, lines.rows()), concatenated — one memcpy per row per plane.
   void build(const ByteLineBuffer& lines, int top, std::int64_t src,
-             std::int64_t seg) {
+             std::int64_t seg, std::size_t slot = 0) {
     const int k = lines.rows();
     QNN_DCHECK(lines.planes() == planes_ &&
-                   static_cast<std::int64_t>(k) * seg == values_,
+                   static_cast<std::int64_t>(k) * seg == values_ &&
+                   slot < slots_,
                "window does not match the line buffer");
     const auto n = static_cast<std::size_t>(seg);
-    for (int q = 0; q < planes_; ++q) {
-      std::uint8_t* dst = data_.data() + static_cast<std::size_t>(q) *
-                                             plane_size();
+    std::uint8_t* dst = data_.data() + slot * window_size();
+    for (int q = 0; q < planes_; ++q, dst += plane_size()) {
       int r = top % k;  // then wraps, with no division per row
       for (int dy = 0; dy < k; ++dy) {
-        std::memcpy(dst + static_cast<std::size_t>(dy) * n,
-                    lines.row(r, q) + src, n);
+        copy_segment(dst + static_cast<std::size_t>(dy) * n,
+                     lines.row(r, q) + src, n);
         if (++r == k) r = 0;
       }
     }
   }
 
-  /// Signed dot of this window's codes against every filter of `filters`
-  /// in one dot_bytes call: exactly filters.count() int32 responses. A
-  /// `pair` window of the same shape is dotted in the same call, its
-  /// responses following at out[filters.count()..).
+  /// Signed dot of windows 0..count-1 against every filter of `filters`
+  /// in one dot_bytes call: window i's filters.count() int32 responses go
+  /// to out + i*filters.count().
   void dot(const simd::VecOps& ops, const ByteFilters& filters,
-           std::int32_t* out, const ByteWindow* pair = nullptr) const {
+           std::int32_t* out, std::size_t count = 1) const {
     QNN_DCHECK(filters.quads() == static_cast<std::size_t>(quads_) &&
-                   (pair == nullptr || (pair->planes_ == planes_ &&
-                                        pair->quads_ == quads_)),
+                   count >= 1 && count <= slots_,
                "filter width does not match the window");
     ops.dot_bytes(data_.data(), static_cast<std::size_t>(quads_), planes_,
-                  filters.data(), filters.count(), out,
-                  pair != nullptr ? pair->data() : nullptr,
-                  pair != nullptr ? out + filters.count() : nullptr);
+                  filters.data(), filters.count(), out, count);
   }
 
  private:
+  /// Bytes of one window, all planes.
+  [[nodiscard]] std::size_t window_size() const {
+    return static_cast<std::size_t>(planes_) * plane_size();
+  }
+
   std::int64_t values_;
   int planes_;
   std::int64_t quads_;
+  std::size_t slots_;
   std::vector<std::uint8_t> data_;
 };
 

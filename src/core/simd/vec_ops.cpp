@@ -77,12 +77,14 @@ void dot_window_one(const Word* a, std::size_t n, int planes, const Word* w,
   }
 }
 
-/// The reference runs a pair of windows in turn.
+/// The reference runs a block's windows in turn.
 void dot_window_scalar(const Word* a, std::size_t n, int planes,
                        const Word* w, std::size_t filters, std::int32_t* out,
-                       const Word* a2, std::int32_t* out2) {
-  dot_window_one(a, n, planes, w, filters, out);
-  if (a2 != nullptr) dot_window_one(a2, n, planes, w, filters, out2);
+                       std::size_t count) {
+  const std::size_t window = n * static_cast<std::size_t>(planes);
+  for (std::size_t i = 0; i < count; ++i) {
+    dot_window_one(a + i * window, n, planes, w, filters, out + i * filters);
+  }
 }
 
 void build_window_scalar(const Word* rows, std::size_t row_size, int k,
@@ -158,9 +160,12 @@ void dot_bytes_one(const std::uint8_t* a, std::size_t quads, int planes,
 
 void dot_bytes_scalar(const std::uint8_t* a, std::size_t quads, int planes,
                       const Word* w, std::size_t filters, std::int32_t* out,
-                      const std::uint8_t* a2, std::int32_t* out2) {
-  dot_bytes_one(a, quads, planes, w, filters, out);
-  if (a2 != nullptr) dot_bytes_one(a2, quads, planes, w, filters, out2);
+                      std::size_t count) {
+  const std::size_t window = 4 * quads * static_cast<std::size_t>(planes);
+  for (std::size_t i = 0; i < count; ++i) {
+    dot_bytes_one(a + i * window, quads, planes, w, filters,
+                  out + i * filters);
+  }
 }
 
 void threshold_codes_scalar(const std::int32_t* a, std::size_t n,
@@ -201,12 +206,25 @@ void widen_i16_scalar(const std::int16_t* src, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
 }
 
+/// Unsigned sums wrap mod 2^32 with no signed overflow on the way.
+void combine_i32_scalar(std::int32_t* acc, const std::int32_t* src,
+                        std::size_t n, bool max) {
+  if (max) {
+    for (std::size_t i = 0; i < n; ++i) acc[i] = std::max(acc[i], src[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      acc[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(acc[i]) +
+                                         static_cast<std::uint32_t>(src[i]));
+    }
+  }
+}
+
 constexpr VecOps kScalarOps{Level::kScalar,       "scalar",
                             pack_codes_scalar,    dot_window_scalar,
                             build_window_scalar,  dot_bytes_scalar,
                             threshold_codes_scalar, narrow_i8_scalar,
                             narrow_i16_scalar,    widen_i8_scalar,
-                            widen_i16_scalar};
+                            widen_i16_scalar,     combine_i32_scalar};
 
 // ---------------------------------------------------------------- dispatch
 

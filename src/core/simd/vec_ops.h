@@ -3,10 +3,12 @@
 // path for 3-16-bit codes (the 8-bit image layer above all), both against
 // 1-bit weights; plus the ring conversions that let a Stream store each
 // value at its declared width (int8/int16 narrowing on push, sign
-// extension on pop). Both window dots take one window or a pair of
-// windows of the same shape: a pair shares the weight-side work (each
-// AVX-512 weight vector loaded, each mask word expanded, once for both),
-// and the scalar reference runs the two in turn.
+// extension on pop); plus the pooling kernel's element-wise int32 max and
+// wrapping sum. Both window dots take a block of 1..kMaxWindowBlock
+// windows of the same shape, laid out back to back: the block shares the
+// weight-side work (each AVX-512 weight vector loaded, each mask word
+// expanded, once for all of them), and the scalar reference runs the
+// windows in turn.
 //
 // The layering follows the vec_ops/vec_dot split used by ggml's QNN NPU
 // device code: a scalar implementation defines the semantics and stays the
@@ -15,7 +17,8 @@
 // expansion into `vpmaddubsw`; AVX-512: `vpopcntdq`, `vptestmd` plane
 // packing, `vpmovqd` narrowing, `vpmovm2b` weight-mask expansion into the
 // VNNI `vpdpbusd` byte dot, `vpmovdb`/`vpmovdw` narrowing and
-// `vpmovsxbd`/`vpmovsxwd` widening) are pinned against it by tests at
+// `vpmovsxbd`/`vpmovsxwd` widening; AVX2 and AVX-512: `vpmaxsd`/`vpaddd`
+// pooling) are pinned against it by tests at
 // every compiled level. The AVX-512 level needs AVX512F, BW, VNNI and
 // VPOPCNTDQ. All paths are built with per-function target attributes, so
 // the binary itself is portable; dispatch picks an implementation at
@@ -59,6 +62,9 @@ inline constexpr std::size_t kByteLanes = 16;
 /// high byte).
 inline constexpr int kMaxBytePlanes = 2;
 
+/// Most windows one dot_window / dot_bytes call takes.
+inline constexpr std::size_t kMaxWindowBlock = 4;
+
 /// One implementation of the word-granular kernels. Bit operands are plain
 /// arrays of 64-bit words; tail masking is the caller's job (operands keep
 /// the BitVector tail-bits-zero invariant). No function reads or writes
@@ -86,17 +92,18 @@ struct VecOps {
   ///   out[f] = sum_p (2*sum_j popcount(w[g][j][l] & a[j*planes + p])
   ///                   - pop_p) << p
   /// i.e. the +-1-weighted fixed-point dot of core/bitplanes.h, narrowed
-  /// to int32 by truncation. The plane popcounts are summed once per call;
-  /// the eight lane sums of a group stay in registers across all planes;
-  /// exactly `filters` entries of out are written.
+  /// to int32 by truncation. The plane popcounts are summed once per
+  /// window; the eight lane sums of a group stay in registers across all
+  /// planes.
   ///
-  /// `a2`, when not null, is a second window of the same shape, whose
-  /// responses go to `out2` by the same rule: one call dots two windows,
-  /// so each weight vector is loaded once for both (null: one window,
-  /// `out2` unused).
+  /// `count` (1..kMaxWindowBlock) windows of that shape lie back to back
+  /// from `a`, window i at a + i*n*planes; its responses go to
+  /// out + i*filters by the same rule, so each weight vector is loaded
+  /// once for the whole block. Exactly count*filters entries of out are
+  /// written.
   void (*dot_window)(const Word* a, std::size_t n, int planes, const Word* w,
-                     std::size_t filters, std::int32_t* out, const Word* a2,
-                     std::int32_t* out2);
+                     std::size_t filters, std::int32_t* out,
+                     std::size_t count);
 
   /// Window build from a line buffer (§III-B1's shift-register taps): `k`
   /// rows of `row_size` words each at `rows`, every row plane-interleaved
@@ -120,13 +127,14 @@ struct VecOps {
   /// filter f < filters,
   ///   out[f] = sum_q 256^q * (2 * sum_{i : w_f,i = +1} a_q[i] - S_q)
   /// which is sum_i w_f,i * code_i, wrapping mod 2^32 (the int32
-  /// truncation contract of dot_window). Exactly `filters` entries of out
-  /// are written. A non-null `a2` is a second window of the same shape,
-  /// dotted into `out2` in the same call, so each mask word is expanded
-  /// once for both windows (null: one window, `out2` unused).
+  /// truncation contract of dot_window). `count` (1..kMaxWindowBlock)
+  /// windows of that shape lie back to back from `a`, window i at
+  /// a + i*planes*4*quads, its responses at out + i*filters, so each mask
+  /// word is expanded once for the whole block. Exactly count*filters
+  /// entries of out are written.
   void (*dot_bytes)(const std::uint8_t* a, std::size_t quads, int planes,
                     const Word* w, std::size_t filters, std::int32_t* out,
-                    const std::uint8_t* a2, std::int32_t* out2);
+                    std::size_t count);
 
   /// Threshold activation (§III-B3's comparator + mux) of `n` consecutive
   /// channels, vectorised over the channels: for i < n,
@@ -152,6 +160,12 @@ struct VecOps {
   void (*widen_i8)(const std::int8_t* src, std::size_t n, std::int32_t* dst);
   void (*widen_i16)(const std::int16_t* src, std::size_t n,
                     std::int32_t* dst);
+
+  /// Pooling reduction (§III-B2): for i < n, acc[i] = max(acc[i], src[i])
+  /// when `max`, else acc[i] + src[i] wrapping mod 2^32 (exactly the int64
+  /// sum narrowed to int32). The two arrays do not overlap.
+  void (*combine_i32)(std::int32_t* acc, const std::int32_t* src,
+                      std::size_t n, bool max);
 };
 
 /// Levels compiled into this binary AND usable on this CPU, ascending.

@@ -5,13 +5,14 @@
 // expands each half of a weight-mask word into 32 bytes of 0/-1 (vpshufb
 // spreads a mask byte over eight lanes, vpcmpeqb tests one bit in each),
 // once for a pair of windows, and multiplies them against four broadcast
-// window bytes with vpmaddubsw, widening with vpmaddwd; a pair of windows
-// runs the window dot in turn. The ring conversions narrow by masking each
-// value to its low byte or word, so the saturating vpackus* packs are
-// exact truncations, and widen with vpmovsxbd/vpmovsxwd. Built with
-// a per-function target attribute (AVX2 + POPCNT) so the TU compiles under
-// the generic -march; the dispatcher only hands these functions out after
-// a CPUID check.
+// window bytes with vpmaddubsw, widening with vpmaddwd. A block of windows
+// runs the window dot window by window and the byte dot pair by pair. The
+// ring conversions narrow by masking each value to its low byte or word,
+// so the saturating vpackus* packs are exact truncations, and widen with
+// vpmovsxbd/vpmovsxwd; the pooling reduction takes eight values per
+// vpmaxsd or vpaddd. Built with a per-function target attribute (AVX2 +
+// POPCNT) so the TU compiles under the generic -march; the dispatcher only
+// hands these functions out after a CPUID check.
 #include "core/simd/vec_ops_impl.h"
 
 #if defined(__x86_64__) && defined(QNN_SIMD_AVX2)
@@ -139,13 +140,14 @@ __attribute__((QNN_AVX2_TARGET)) void dot_window_one(
   }
 }
 
-/// A pair of windows runs in turn.
+/// A block's windows run in turn.
 __attribute__((QNN_AVX2_TARGET)) void dot_window_avx2(
     const Word* a, std::size_t n, int planes, const Word* w,
-    std::size_t filters, std::int32_t* out, const Word* a2,
-    std::int32_t* out2) {
-  dot_window_one(a, n, planes, w, filters, out);
-  if (a2 != nullptr) dot_window_one(a2, n, planes, w, filters, out2);
+    std::size_t filters, std::int32_t* out, std::size_t count) {
+  const std::size_t window = n * static_cast<std::size_t>(planes);
+  for (std::size_t i = 0; i < count; ++i) {
+    dot_window_one(a + i * window, n, planes, w, filters, out + i * filters);
+  }
 }
 
 /// Shifts of every lane by `c` (>= 64 yields zero), and loads/stores of
@@ -225,17 +227,18 @@ __attribute__((QNN_AVX2_TARGET)) inline __m256i expand_mask(std::uint32_t m) {
 
 /// One group of kByteLanes filters, as two 8-filter halves (the low and
 /// high 32 bits of each mask word), against kW (1 or 2) windows over kP
-/// byte-planes: each half of a mask word is expanded once and meets every
-/// plane of every window. vpmaddubsw pairs window bytes with 0/-1 weight
-/// bytes into int16 sums of magnitude at most 510, so up to 64 quads
-/// accumulate in int16 before one vpmaddwd widens them; acc = -(sum of
-/// the bytes whose weight is +1), and out = -2*acc - sum after Horner over
-/// the planes, written per window from out[x][at] on.
+/// byte-planes, window x at a + x*kP*4*quads: each half of a mask word is
+/// expanded once and meets every plane of every window. vpmaddubsw pairs
+/// window bytes with 0/-1 weight bytes into int16 sums of magnitude at
+/// most 510, so up to 64 quads accumulate in int16 before one vpmaddwd
+/// widens them; acc = -(sum of the bytes whose weight is +1), and
+/// out = -2*acc - sum after Horner over the planes, written per window,
+/// window x's from out + x*stride on.
 template <std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX2_TARGET)) void dot_byte_group(
-    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* wg,
-    const __m256i (&sum)[kW], std::size_t filters,
-    std::int32_t* const (&out)[kW], std::size_t at) {
+    const std::uint8_t* a, std::size_t quads, const Word* wg,
+    const __m256i (&sum)[kW], std::size_t filters, std::int32_t* out,
+    std::size_t stride) {
   constexpr std::size_t kQuadRun = 64;  // 64 * 510 <= INT16_MAX
   const std::size_t len = 4 * quads;
   const __m256i zero = _mm256_setzero_si256();
@@ -258,7 +261,7 @@ __attribute__((QNN_AVX2_TARGET)) void dot_byte_group(
 #pragma GCC unroll 2
         for (std::size_t p = 0; p < kP; ++p) {
           std::int32_t quad;
-          std::memcpy(&quad, a[x] + p * len + 4 * v, sizeof quad);
+          std::memcpy(&quad, a + (x * kP + p) * len + 4 * v, sizeof quad);
           const __m256i av = _mm256_set1_epi32(quad);
           part[x][p][0] =
               _mm256_add_epi16(part[x][p][0], _mm256_maddubs_epi16(av, lo));
@@ -291,7 +294,7 @@ __attribute__((QNN_AVX2_TARGET)) void dot_byte_group(
       const std::size_t first = h * 8;
       if (first >= filters) break;
       const std::size_t lanes = filters - first;
-      std::int32_t* const dst = out[x] + at + first;
+      std::int32_t* const dst = out + x * stride + first;
       if (lanes >= 8) {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
       } else {
@@ -307,8 +310,8 @@ __attribute__((QNN_AVX2_TARGET)) void dot_byte_group(
 
 template <std::size_t kP, std::size_t kW>
 __attribute__((QNN_AVX2_TARGET)) void dot_bytes_planes(
-    const std::uint8_t* const (&a)[kW], std::size_t quads, const Word* w,
-    std::size_t filters, std::int32_t* const (&out)[kW]) {
+    const std::uint8_t* a, std::size_t quads, const Word* w,
+    std::size_t filters, std::int32_t* out) {
   // Per window, sum_q 256^q * S_q, S_q by vpsadbw over 32-byte chunks and
   // a scalar tail.
   const std::size_t len = 4 * quads;
@@ -316,7 +319,7 @@ __attribute__((QNN_AVX2_TARGET)) void dot_bytes_planes(
   for (std::size_t x = 0; x < kW; ++x) {
     std::uint32_t sum = 0;
     for (std::size_t p = kP; p-- > 0;) {
-      const std::uint8_t* ap = a[x] + p * len;
+      const std::uint8_t* ap = a + (x * kP + p) * len;
       __m256i s = _mm256_setzero_si256();
       std::size_t i = 0;
       for (; i + 32 <= len; i += 32) {
@@ -337,24 +340,21 @@ __attribute__((QNN_AVX2_TARGET)) void dot_bytes_planes(
   }
   for (std::size_t f = 0; f < filters; f += kByteLanes) {
     dot_byte_group<kP, kW>(a, quads, w + f / kByteLanes * quads, vsum,
-                           filters - f, out, f);
+                           filters - f, out + f, filters);
   }
 }
 
+/// A block runs as pairs of windows, and a last window alone: the
+/// sixteen ymm registers hold the accumulators of two windows, not more.
 __attribute__((QNN_AVX2_TARGET)) void dot_bytes_avx2(
     const std::uint8_t* a, std::size_t quads, int planes, const Word* w,
-    std::size_t filters, std::int32_t* out, const std::uint8_t* a2,
-    std::int32_t* out2) {
-  if (a2 == nullptr) {
-    const std::uint8_t* const win[1] = {a};
-    std::int32_t* const dst[1] = {out};
-    (planes == 1 ? dot_bytes_planes<1, 1> : dot_bytes_planes<2, 1>)(
-        win, quads, w, filters, dst);
-  } else {
-    const std::uint8_t* const win[2] = {a, a2};
-    std::int32_t* const dst[2] = {out, out2};
-    (planes == 1 ? dot_bytes_planes<1, 2> : dot_bytes_planes<2, 2>)(
-        win, quads, w, filters, dst);
+    std::size_t filters, std::int32_t* out, std::size_t count) {
+  const std::size_t window = 4 * quads * static_cast<std::size_t>(planes);
+  for (std::size_t i = 0; i < count; i += 2) {
+    const bool pair = count - i >= 2;
+    (planes == 1 ? (pair ? dot_bytes_planes<1, 2> : dot_bytes_planes<1, 1>)
+                 : (pair ? dot_bytes_planes<2, 2> : dot_bytes_planes<2, 1>))(
+        a + i * window, quads, w, filters, out + i * filters);
   }
 }
 
@@ -459,6 +459,30 @@ __attribute__((QNN_AVX2_TARGET)) void widen_i16_avx2(const std::int16_t* src,
   for (; i < n; ++i) dst[i] = src[i];
 }
 
+/// Eight values per vpmaxsd or vpaddd, the tail a masked load and store.
+__attribute__((QNN_AVX2_TARGET)) void combine_i32_avx2(
+    std::int32_t* acc, const std::int32_t* src, std::size_t n, bool max) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(acc + i),
+        max ? _mm256_max_epi32(a, b) : _mm256_add_epi32(a, b));
+  }
+  if (i < n) {
+    const __m256i m = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - i)), lane);
+    const __m256i a = _mm256_maskload_epi32(acc + i, m);
+    const __m256i b = _mm256_maskload_epi32(src + i, m);
+    _mm256_maskstore_epi32(
+        acc + i, m, max ? _mm256_max_epi32(a, b) : _mm256_add_epi32(a, b));
+  }
+}
+
 #undef QNN_AVX2_TARGET
 
 constexpr VecOps kAvx2Ops{Level::kAvx2,         "avx2",
@@ -466,7 +490,7 @@ constexpr VecOps kAvx2Ops{Level::kAvx2,         "avx2",
                           build_window_avx2,    dot_bytes_avx2,
                           threshold_codes_avx2, narrow_i8_avx2,
                           narrow_i16_avx2,      widen_i8_avx2,
-                          widen_i16_avx2};
+                          widen_i16_avx2,       combine_i32_avx2};
 
 }  // namespace
 

@@ -138,17 +138,13 @@ WindowKernel::WindowKernel(const Node& node, Stream& in, PortRings outs,
 
 void WindowKernel::scan(std::span<const std::int32_t> vals, std::int64_t n) {
   ingest_run(vals, n);
-  scanner_.advance_run(n,
-                       [this](const WindowScanner::Completed& at) { emit(at); });
+  if (const WindowScanner::Run run = scanner_.advance_run(n); run.count > 0) {
+    emit_run(run);
+  }
 }
 
 void WindowKernel::advance_padding() {
   while (const std::int64_t n = scanner_.pad_run()) scan({}, n);
-}
-
-bool WindowKernel::flush() {
-  settle();
-  return stage_.flush();
 }
 
 void WindowKernel::reset() {
@@ -165,7 +161,7 @@ void WindowKernel::bind_ready(ReadyHook* hook, int task) {
 }
 
 StepResult WindowKernel::step() {
-  if (!flush()) return StepResult::kBlocked;
+  if (!stage_.flush()) return StepResult::kBlocked;
   bool progressed = false;
   for (int round = 0; round < kRoundsPerStep; ++round) {
     // Padding positions (including whole trailing pad rows) consume no
@@ -180,7 +176,7 @@ StepResult WindowKernel::step() {
       rearm_image();
       image_open_ = false;
       progressed = true;
-      if (!flush()) return StepResult::kBlocked;
+      if (!stage_.flush()) return StepResult::kBlocked;
       continue;
     }
     if (in_burst_.refill(in_) == 0) {
@@ -188,7 +184,7 @@ StepResult WindowKernel::step() {
         // End of stream is only legal at an image boundary.
         QNN_CHECK(!image_open_,
                   name() + ": input stream closed mid-image");
-        if (!flush()) return StepResult::kBlocked;
+        if (!stage_.flush()) return StepResult::kBlocked;
         stage_.close();
         return StepResult::kDone;
       }
@@ -206,7 +202,7 @@ StepResult WindowKernel::step() {
       scan(in_burst_.take(static_cast<std::size_t>(run)), run);
     }
     progressed = true;
-    if (!flush()) return StepResult::kBlocked;
+    if (!stage_.flush()) return StepResult::kBlocked;
   }
   return StepResult::kProgress;
 }
@@ -221,16 +217,20 @@ class ConvKernel::Datapath {
   /// Store a run of codes into row `r` from value position `start`.
   virtual void pack_run(int r, std::int64_t start,
                         std::span<const std::int32_t> vals) = 0;
-  /// Build the window whose K rows start at ring row `top`, `seg` values
-  /// of each from value position `src`, into window slot `slot` (0 or 1).
-  virtual void build(int slot, int top, std::int64_t src,
-                     std::int64_t seg) = 0;
-  /// Dot slot 0 — with slot 1 in the same sweep when `pair` — and write
-  /// its O responses to out (then slot 1's O after them).
-  virtual void dot(bool pair, std::int32_t* out) = 0;
+  /// Dot `count` windows whose K rows start at ring row `top`: window i
+  /// takes `seg` values of each row from value position src + i*step, and
+  /// its O responses go to out + i*O.
+  virtual void dot_run(int top, std::int64_t src, std::int64_t step,
+                       std::int64_t seg, int count, std::int32_t* out) = 0;
 };
 
 namespace {
+
+/// Windows per dot on the bit-plane path: its dot is popcount-bound, so a
+/// longer block saves weight loads the ports do not miss.
+constexpr std::size_t kBitPlaneBlock = 2;
+/// Windows per dot on the byte path: each expanded mask word serves all.
+constexpr std::size_t kByteBlock = simd::kMaxWindowBlock;
 
 /// Re-lay every filter of `weights` into `packed` (PackedFilters or
 /// ByteFilters) from its BitVector words; their tail-zero invariant
@@ -248,6 +248,24 @@ void pack_filters(const FilterBank& weights, Packed& packed) {
   }
 }
 
+/// The run loop of both datapaths: `count` windows, window i at value
+/// position src + i*step, built a block at a time into the slots of
+/// `block` by build(position, slot) and dotted in one call per block.
+template <class Block, class Filters, class Build>
+void dot_blocks(const simd::VecOps& ops, Block& block, const Filters& weights,
+                std::int64_t src, std::int64_t step, int count,
+                std::int32_t* out, Build&& build) {
+  const std::size_t o = weights.count();
+  for (std::size_t i = 0, n = static_cast<std::size_t>(count); i < n;) {
+    const std::size_t m = std::min(n - i, block.slots());
+    for (std::size_t j = 0; j < m; ++j) {
+      build(src + static_cast<std::int64_t>(i + j) * step, j);
+    }
+    block.dot(ops, weights, out + i * o, m);
+    i += m;
+  }
+}
+
 /// 1-2-bit codes: bit-plane line buffer, packed window, XNOR-popcount.
 class BitPlanePath final : public ConvKernel::Datapath {
  public:
@@ -256,8 +274,7 @@ class BitPlanePath final : public ConvKernel::Datapath {
       : ops_(simd::vec_ops()),
         weights_(window_values, node.out.c),
         lines_(node.in_bits, node.k, row_values),
-        slots_{PackedWindow(window_values, node.in_bits),
-               PackedWindow(window_values, node.in_bits)} {
+        block_(window_values, node.in_bits, kBitPlaneBlock) {
     pack_filters(weights, weights_);
   }
   void clear_row(int r) override { lines_.clear_row(r); }
@@ -265,18 +282,19 @@ class BitPlanePath final : public ConvKernel::Datapath {
                 std::span<const std::int32_t> vals) override {
     lines_.pack_run(ops_, r, start, vals);
   }
-  void build(int slot, int top, std::int64_t src, std::int64_t seg) override {
-    slots_[slot].build(ops_, lines_, top, src, seg);
-  }
-  void dot(bool pair, std::int32_t* out) override {
-    slots_[0].dot(ops_, weights_, out, pair ? &slots_[1] : nullptr);
+  void dot_run(int top, std::int64_t src, std::int64_t step, std::int64_t seg,
+               int count, std::int32_t* out) override {
+    dot_blocks(ops_, block_, weights_, src, step, count, out,
+               [&](std::int64_t at, std::size_t slot) {
+                 block_.build(ops_, lines_, top, at, seg, slot);
+               });
   }
 
  private:
   const simd::VecOps& ops_;  // resolved once, at construction
   PackedFilters weights_;
   BitPlaneLineBuffer lines_;
-  PackedWindow slots_[2];
+  PackedWindow block_;
 };
 
 /// 3-16-bit codes: byte line buffer, byte window, VNNI byte dot.
@@ -287,8 +305,7 @@ class BytePath final : public ConvKernel::Datapath {
       : ops_(simd::vec_ops()),
         weights_(window_values, node.out.c),
         lines_(node.in_bits, node.k, row_values),
-        slots_{ByteWindow(window_values, lines_.planes()),
-               ByteWindow(window_values, lines_.planes())} {
+        block_(window_values, lines_.planes(), kByteBlock) {
     pack_filters(weights, weights_);
   }
   void clear_row(int r) override { lines_.clear_row(r); }
@@ -296,18 +313,19 @@ class BytePath final : public ConvKernel::Datapath {
                 std::span<const std::int32_t> vals) override {
     lines_.pack_run(r, start, vals);
   }
-  void build(int slot, int top, std::int64_t src, std::int64_t seg) override {
-    slots_[slot].build(lines_, top, src, seg);
-  }
-  void dot(bool pair, std::int32_t* out) override {
-    slots_[0].dot(ops_, weights_, out, pair ? &slots_[1] : nullptr);
+  void dot_run(int top, std::int64_t src, std::int64_t step, std::int64_t seg,
+               int count, std::int32_t* out) override {
+    dot_blocks(ops_, block_, weights_, src, step, count, out,
+               [&](std::int64_t at, std::size_t slot) {
+                 block_.build(lines_, top, at, seg, slot);
+               });
   }
 
  private:
   const simd::VecOps& ops_;  // resolved once, at construction
   ByteFilters weights_;
   ByteLineBuffer lines_;
-  ByteWindow slots_[2];
+  ByteWindow block_;
 };
 
 }  // namespace
@@ -334,18 +352,6 @@ ConvKernel::~ConvKernel() = default;
 
 void ConvKernel::rearm_image() { packed_row_ = -1; }
 
-void ConvKernel::reset() {
-  WindowKernel::reset();
-  pending_ = false;
-}
-
-void ConvKernel::settle() {
-  if (!pending_) return;
-  path_->dot(false,
-             stage().extend(static_cast<std::size_t>(node().out.c)).data());
-  pending_ = false;
-}
-
 void ConvKernel::ensure_row(int y) {
   const int k = node().k;
   for (int r = std::max(packed_row_ + 1, y - k + 1); r <= y; ++r) {
@@ -363,32 +369,27 @@ void ConvKernel::ingest_run(std::span<const std::int32_t> vals,
   path_->pack_run(y % node().k, scanner().row_value_pos(), vals);
 }
 
-void ConvKernel::emit(const WindowScanner::Completed& at) {
-  // Every activation was stored exactly once at ingest; a window is built
-  // in one pass over its K row segments of the line buffer (rows recycled
-  // mod K, keyed on the scanner's row) into a window slot of its own, as
-  // the rows it reads may be recycled before its partner completes.
+void ConvKernel::emit_run(const WindowScanner::Run& run) {
+  // Every activation was stored exactly once at ingest; each window of the
+  // run is built in one pass over its K row segments of the line buffer
+  // (rows recycled mod K, keyed on the scanner's row), which holds the
+  // whole run.
   const int k = node().k;
   const int stride = node().stride;
   const std::int64_t chans = node().in.c;
   // All-padding rows (top/bottom pad) never see an ingest_run; enter them
   // into the ring here so they read as zero (= pad code 0).
-  ensure_row(at.oy * stride + k - 1);
-  path_->build(pending_ ? 1 : 0, at.oy * stride,
-               static_cast<std::int64_t>(at.ox) * stride * chans,
-               static_cast<std::int64_t>(k) * chans);
-  if (!pending_) {
-    pending_ = true;
-    return;
-  }
+  ensure_row(run.oy * stride + k - 1);
   // "One output pixel per clock cycle, until all the filters are applied
-  // at this position" (§III-B1): one SIMD sweep over all O filters dots
-  // both windows, and their 2*O responses go straight into the output
-  // stage, in completion order.
-  path_->dot(true, stage()
-                       .extend(2 * static_cast<std::size_t>(node().out.c))
-                       .data());
-  pending_ = false;
+  // at this position" (§III-B1): one SIMD sweep over all O filters dots a
+  // block of windows, and the run's count*O responses go straight into
+  // the output stage, in scan order.
+  const std::int64_t step = static_cast<std::int64_t>(stride) * chans;
+  path_->dot_run(run.oy * stride, run.ox0 * step, step, k * chans, run.count,
+                 stage()
+                     .extend(static_cast<std::size_t>(run.count) *
+                             static_cast<std::size_t>(node().out.c))
+                     .data());
 }
 
 // ---------------------------------------------------------------- PoolKernel
@@ -396,8 +397,11 @@ void ConvKernel::emit(const WindowScanner::Completed& at) {
 PoolKernel::PoolKernel(const Node& node, Stream& in, PortRings outs,
                        std::size_t burst)
     : WindowKernel(node, in, std::move(outs), burst),
+      ops_(simd::vec_ops()),
       is_max_(node.kind == NodeKind::MaxPool),
-      ring_(scanner()) {
+      ring_(scanner()),
+      rows_(static_cast<std::size_t>(scanner().padded_w()) *
+            static_cast<std::size_t>(node.in.c)) {
   QNN_CHECK(node.kind == NodeKind::MaxPool || node.kind == NodeKind::AvgPool,
             "PoolKernel needs a pooling node");
 }
@@ -407,33 +411,35 @@ void PoolKernel::ingest_run(std::span<const std::int32_t> vals,
   ring_.store(scanner(), vals, n);
 }
 
-void PoolKernel::emit(const WindowScanner::Completed& at) {
+void PoolKernel::emit_run(const WindowScanner::Run& run) {
+  // Max and wrapping sum are associative and commutative, so a window
+  // reduces as its k column taps of the K rows combined. Every pixel's C
+  // values are contiguous, so both steps are stride-1 combine_i32 calls
+  // with the max/sum decision outside them. A window starts from its first
+  // tap: codes are unsigned and padded entries hold code 0, the lowest
+  // level, so that equals the reference's zero start. Sums wrap mod 2^32,
+  // exactly as the int64 sum narrowed to the int32 output.
   const auto c = static_cast<std::size_t>(node().in.c);
   const int k = node().k;
-  const int stride = node().stride;
-  const auto out = stage().extend(c);
-  // Reduce tap by tap straight from the ring: each (dy, dx) pixel's C
-  // values are contiguous, so every pass is a stride-1 loop over the
-  // channels with the max/sum decision outside it. Padded entries hold
-  // code 0, the lowest level — identity for max and sum alike, so a zero
-  // start is exact. Sums wrap mod 2^32 (unsigned arithmetic), exactly as
-  // the int64 sum narrowed to the int32 output.
-  std::fill(out.begin(), out.end(), std::int32_t{0});
-  for (int dy = 0; dy < k; ++dy) {
-    const int py = at.oy * stride + dy;
-    for (int dx = 0; dx < k; ++dx) {
-      const std::int32_t* px = ring_.pixel(py, at.ox * stride + dx);
-      if (is_max_) {
-        for (std::size_t ci = 0; ci < c; ++ci) {
-          out[ci] = std::max(out[ci], px[ci]);
-        }
-      } else {
-        for (std::size_t ci = 0; ci < c; ++ci) {
-          out[ci] = static_cast<std::int32_t>(
-              static_cast<std::uint32_t>(out[ci]) +
-              static_cast<std::uint32_t>(px[ci]));
-        }
-      }
+  const auto stride = static_cast<std::size_t>(node().stride);
+  const int py = run.oy * node().stride;
+  const int px = run.ox0 * node().stride;
+  const auto count = static_cast<std::size_t>(run.count);
+  // Step 1: the K rows of the pixels the run's windows cover, once.
+  const std::size_t span =
+      ((count - 1) * stride + static_cast<std::size_t>(k)) * c;
+  std::copy_n(ring_.pixel(py, px), span, rows_.begin());
+  for (int dy = 1; dy < k; ++dy) {
+    ops_.combine_i32(rows_.data(), ring_.pixel(py + dy, px), span, is_max_);
+  }
+  // Step 2: each window's k taps of the combined row.
+  std::int32_t* out = stage().extend(count * c).data();
+  for (std::size_t i = 0; i < count; ++i, out += c) {
+    const std::int32_t* taps = rows_.data() + i * stride * c;
+    std::copy_n(taps, c, out);
+    for (int dx = 1; dx < k; ++dx) {
+      ops_.combine_i32(out, taps + static_cast<std::size_t>(dx) * c, c,
+                       is_max_);
     }
   }
 }

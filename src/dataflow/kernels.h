@@ -23,10 +23,10 @@
 //
 // Data moves in bursts end to end: a kernel pops a burst of input values,
 // transforms it (Add sums it straight from the ring into its output
-// stage; Conv/Pool ingest row segments at a time and emit all O filter
-// responses per completed window position, Conv two positions per weight
-// pass), stages the results, and
-// flushes them with one ring transaction per ring. Blocked-episode
+// stage; Conv/Pool ingest row segments at a time and emit the outputs of
+// every window a segment completes in one call, Conv dotting them in
+// blocks that share each weight pass), stages the results, and flushes
+// them with one ring transaction per ring. Blocked-episode
 // accounting (Stream::note_*_stall) fires once per continuous blocked
 // period per ring, so the stall counters keep their pre-burst meaning.
 //
@@ -292,7 +292,9 @@ class Kernel {
 
 /// Common machinery of the window-ingesting kernels (Conv, Pool): a
 /// depth-first scanner with local padding injection, burst input, and an
-/// output stage. Subclasses emit responses for each completed window.
+/// output stage. Subclasses stage the outputs of each run of windows the
+/// scanner completes, in the call that reports it, so every window
+/// completed before a flush is in the stage when that flush runs.
 class WindowKernel : public Kernel {
  public:
   WindowKernel(const Node& node, Stream& in, PortRings outs,
@@ -302,8 +304,9 @@ class WindowKernel : public Kernel {
   void bind_ready(ReadyHook* hook, int task) override;
 
  protected:
-  /// Emit all outputs of the window at `at` into stage().
-  virtual void emit(const WindowScanner::Completed& at) = 0;
+  /// Stage all outputs of the `run.count` (>= 1) windows one scanned run
+  /// completed, in scan order. The line buffer holds all of them.
+  virtual void emit_run(const WindowScanner::Run& run) = 0;
 
   /// Called once per run of `n` scan positions — the real input values
   /// `vals`, or a padding stretch when `vals` is empty — just before the
@@ -317,24 +320,17 @@ class WindowKernel : public Kernel {
   /// reset()); subclasses recycle per-image state (e.g. line-buffer rows).
   virtual void rearm_image() {}
 
-  /// Called before every flush of the output stage: a subclass whose
-  /// emit() defers a window stages it here, so every window completed
-  /// before a flush is in the stage when that flush runs.
-  virtual void settle() {}
-
   [[nodiscard]] const Node& node() const { return node_; }
   [[nodiscard]] WindowScanner& scanner() { return scanner_; }
   [[nodiscard]] OutStage& stage() { return stage_; }
 
  private:
   /// Ingest `n` positions (a real run `vals`, or a padding stretch when
-  /// `vals` is empty) and advance the scanner over them, emitting
-  /// completed windows.
+  /// `vals` is empty) and advance the scanner over them, emitting the
+  /// windows they complete.
   void scan(std::span<const std::int32_t> vals, std::int64_t n);
   /// Inject padding positions until the next position is real (or done).
   void advance_padding();
-  /// settle(), then move the stage into the rings; true when all have it.
-  bool flush();
 
   const Node& node_;
   Stream& in_;
@@ -364,34 +360,32 @@ class WindowKernel : public Kernel {
 ///     bits), a window is K memcpys per plane, and vec_ops dot_bytes runs
 ///     the VNNI byte dot against the same 1-bit weights, one mask word per
 ///     16 filters x 4 values.
-/// Completed windows are dotted in pairs: each is built at once into one
-/// of two window slots (the line-buffer rows it reads recycle as new rows
-/// enter), and when both are full one sweep writes the 2*O int32
-/// responses, in completion order, straight into the output stage, so
-/// each weight vector (bit-plane) or expanded mask word (byte) serves two
-/// windows. settle() dots a lone pending window before every flush, so
-/// each ring sees the same values at the same flushes as with one window
-/// per sweep; reset() drops it. The kernel resolves the dispatched VecOps
-/// once, at construction. A BnAct it feeds is evaluated by its output
-/// port on the way out (OutStage).
+/// Each run of windows a scanned row segment completes is handled in one
+/// call: one stage().extend takes its count*O responses, and its windows
+/// are built, a block at a time, into the datapath's window slots and
+/// dotted in one sweep per block that writes the block's int32 responses,
+/// in scan order, straight into the stage, so each weight vector
+/// (bit-plane) or expanded mask word (byte) serves the whole block. A
+/// block is up to 4 windows on the byte path and 2 on the
+/// popcount-bound bit-plane path; a shorter last block is dotted as it
+/// is. No window is held between calls. The kernel resolves the
+/// dispatched VecOps once, at construction. A BnAct it feeds is evaluated
+/// by its output port on the way out (OutStage).
 class ConvKernel final : public WindowKernel {
  public:
   ConvKernel(const Node& node, const FilterBank& weights, Stream& in,
              PortRings outs, std::size_t burst = kDefaultBurst);
   ~ConvKernel() override;
-  void reset() override;
 
   /// The arithmetic of one conv (kernels.cpp): its weights, the line
-  /// buffer of its last K padded input rows, and the two window slots
-  /// built from it.
+  /// buffer of its last K padded input rows, and the block of window
+  /// slots built from it.
   class Datapath;
 
  private:
-  void emit(const WindowScanner::Completed& at) override;
+  void emit_run(const WindowScanner::Run& run) override;
   void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
   void rearm_image() override;
-  /// Dot a lone pending window before the stage flushes.
-  void settle() override;
 
   /// Make line-buffer rows (.., y] valid: rows entered since the last
   /// ensure are zero-cleared (all-padding rows never see a real run, so
@@ -400,27 +394,29 @@ class ConvKernel final : public WindowKernel {
 
   std::unique_ptr<Datapath> path_;
   int packed_row_ = -1;  // highest padded row already entered into the path
-  /// Slot 0 holds a completed window awaiting its partner (or the next
-  /// flush); a re-armed image keeps it, reset() drops it.
-  bool pending_ = false;
 };
 
 /// Max / average (window-sum) pooling kernel. Parameterless; emits each
 /// output as soon as its window completes (§III-B2). Every run, padding
-/// included, is stored into an int32 PixelRing of the last K padded rows;
-/// a completed window is reduced straight from it, tap by tap, each tap's
-/// C channel values contiguous, into the output stage.
+/// included, is stored into an int32 PixelRing of the last K padded rows.
+/// A run of completed windows is reduced from it in two steps, both
+/// through VecOps::combine_i32: the K rows of the run's pixel span are
+/// combined once into one row, then each window's k taps of that row go
+/// into the output stage.
 class PoolKernel final : public WindowKernel {
  public:
   PoolKernel(const Node& node, Stream& in, PortRings outs,
              std::size_t burst = kDefaultBurst);
 
  private:
-  void emit(const WindowScanner::Completed& at) override;
+  void emit_run(const WindowScanner::Run& run) override;
   void ingest_run(std::span<const std::int32_t> vals, std::int64_t n) override;
 
+  const simd::VecOps& ops_;  // resolved once, at construction
   bool is_max_;
   PixelRing ring_;
+  /// The K rows of a run's pixel span, combined: one padded row at most.
+  std::vector<std::int32_t> rows_;
 };
 
 /// Skip-connection adder (§III-B5, Figure 2): sums the regular path with

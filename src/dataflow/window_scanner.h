@@ -59,6 +59,14 @@ class WindowScanner {
     int ox;
   };
 
+  /// The windows one advance_run completed: output row `oy`, columns
+  /// ox0 .. ox0 + count - 1, in scan order (count 0: none).
+  struct Run {
+    int oy = 0;
+    int ox0 = 0;
+    int count = 0;
+  };
+
   /// Number of consecutive scan positions starting at the cursor that take
   /// REAL stream values (no padding until at least the end of the current
   /// row's interior). Lets a burst-mode kernel ingest a row segment at a
@@ -87,21 +95,21 @@ class WindowScanner {
   /// injection). Returns the output position whose window just completed,
   /// if any.
   std::optional<Completed> advance() {
-    std::optional<Completed> completed;
-    advance_run(1, [&completed](const Completed& at) { completed = at; });
-    return completed;
+    const Run run = advance_run(1);
+    if (run.count == 0) return std::nullopt;
+    return Completed{run.oy, run.ox0};
   }
 
   /// Advance the scan by `n` positions of the current padded row in one
   /// step: a real run (n <= real_run()) or a padding stretch
-  /// (n <= pad_run()). on_complete is called, in scan order, with every
-  /// output position whose window's bottom-right pixel the run completed.
-  /// A kernel stores the run's values into its line buffer before this
-  /// call; storing a whole run ahead is safe: the rest of the row only
-  /// overwrites entries of row y - K, which no window completed on row y
-  /// reads.
-  template <class OnComplete>
-  void advance_run(std::int64_t n, OnComplete&& on_complete) {
+  /// (n <= pad_run()). Returns every output position whose window's
+  /// bottom-right pixel the run completed: all lie on one output row, at
+  /// consecutive columns. A kernel stores the run's values into its line
+  /// buffer before this call; storing a whole run ahead is safe: the rest
+  /// of the row only overwrites entries of row y - K, which no window
+  /// completed on row y reads. So the line buffer holds every window of
+  /// the returned run at once, until the next run is stored.
+  Run advance_run(std::int64_t n) {
     QNN_DCHECK(!done(), "advance past end of scan");
     QNN_DCHECK(n >= 1 && n <= std::max(pad_run(), real_run()),
                "run leaves the current real run or padding stretch");
@@ -110,17 +118,18 @@ class WindowScanner {
     // Pixels x_ .. end/c - 1 completed; a window's bottom-right corner is
     // at row oy*stride + k - 1, column ox*stride + k - 1.
     const std::int64_t end = pos + n;
+    Run run;
     const int ry = y_ - (k_ - 1);
     if (ry >= 0 && ry % stride_ == 0 && ry / stride_ < out_h_) {
-      const int oy = ry / stride_;
+      // Columns x_ .. last_x completed; the first window corner at or
+      // after x_ and the last one at or before last_x bound the run.
       const int last_x = static_cast<int>(end / c) - 1;
-      int x = std::max(x_, k_ - 1);
-      x += (stride_ - (x - (k_ - 1)) % stride_) % stride_;
-      for (; x <= last_x; x += stride_) {
-        const int ox = (x - (k_ - 1)) / stride_;
-        if (ox >= out_w_) break;
-        on_complete(Completed{oy, ox});
-      }
+      const int first = std::max(x_ - (k_ - 1), 0);
+      const int ox0 = (first + stride_ - 1) / stride_;
+      const int ox1 =
+          last_x < k_ - 1 ? -1
+                          : std::min((last_x - (k_ - 1)) / stride_, out_w_ - 1);
+      if (ox1 >= ox0) run = Run{ry / stride_, ox0, ox1 - ox0 + 1};
     }
     // Advance the depth-first cursor.
     if (end == static_cast<std::int64_t>(wp_) * c) {
@@ -131,6 +140,7 @@ class WindowScanner {
       x_ = static_cast<int>(end / c);
       c_ = static_cast<int>(end % c);
     }
+    return run;
   }
 
   [[nodiscard]] std::int64_t window_values() const {

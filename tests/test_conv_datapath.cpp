@@ -18,6 +18,7 @@
 #include "core/bitplanes.h"
 #include "core/simd/vec_ops.h"
 #include "dataflow/kernels.h"
+#include "nn/reference.h"
 #include "test_util.h"
 
 namespace qnn {
@@ -80,11 +81,12 @@ std::vector<std::int32_t> reference_conv(const Node& n, const FilterBank& fb,
   return out;
 }
 
-/// Run a ConvKernel over `images` streamed back to back and collect every
-/// output value.
+/// Run a ConvKernel over `images` streamed back to back, through an input
+/// ring of `in_capacity` values, and collect every output value.
 std::vector<std::int32_t> run_conv(const Node& n, const FilterBank& fb,
-                                   const std::vector<IntTensor>& images) {
-  Stream sin(256, 16, "in");
+                                   const std::vector<IntTensor>& images,
+                                   std::size_t in_capacity = 256) {
+  Stream sin(in_capacity, 16, "in");
   Stream sout(256, 32, "out");
   ConvKernel kernel(n, fb, sin, {&sout});
   std::vector<std::int32_t> in;
@@ -260,11 +262,12 @@ TEST_F(PackedConvTest, PackedMatchesReferenceOnAllPaddingWindows) {
   EXPECT_EQ(run_conv(n, fb, {img}), reference_conv(n, fb, img));
 }
 
-// ------------------------------------------------------------ window pairs
+// ------------------------------------------------------------ window blocks
 
-/// The conv kernel dots completed windows two at a time; these pin what
-/// pairing must not change: the responses of every window, in order, with
-/// a lone window (odd counts, one-window images, a run's end) dotted alone.
+/// The conv kernel dots the windows of each run in blocks (2 on the
+/// bit-plane path, 4 on the byte path); these pin what blocking must not
+/// change: the responses of every window, in order, with a short last
+/// block (odd counts, one-window images, a run's end) dotted as it is.
 using ConvPairTest = PackedConvTest;
 
 /// Three images back to back through one kernel, against the reference.
@@ -286,10 +289,10 @@ void expect_three_images_match(const Node& n, Rng& rng) {
 }
 
 TEST_F(ConvPairTest, OddWindowCountPerImageAtEveryLevel) {
-  // 5x7 = 35 windows per image: each image ends on a lone window, so with
-  // three images back to back a pair would straddle every image boundary
-  // if the lone one were not dotted before the flush that ends its image.
-  // Both datapaths, both plane counts of each.
+  // 5x7 = 35 windows per image: each image ends on a short block, so with
+  // three images back to back a block would straddle every image boundary
+  // if windows were held across runs. Both datapaths, both plane counts
+  // of each.
   Rng rng(0xda11);
   for (const int bits : {1, 2, 8, 16}) {
     expect_three_images_match(conv_node({5, 7, 3}, 9, 3, 1, 1, bits), rng);
@@ -297,7 +300,8 @@ TEST_F(ConvPairTest, OddWindowCountPerImageAtEveryLevel) {
 }
 
 TEST_F(ConvPairTest, DenseHeadWithOneWindowPerImageAtEveryLevel) {
-  // A 1x1-map dense head: the one window of each image is never paired.
+  // A 1x1-map dense head: each image's run is its one window, a block of
+  // one.
   Rng rng(0xda12);
   for (const int bits : {2, 8}) {
     expect_three_images_match(conv_node({3, 3, 40}, 10, 3, 1, 0, bits), rng);
@@ -306,12 +310,13 @@ TEST_F(ConvPairTest, DenseHeadWithOneWindowPerImageAtEveryLevel) {
 
 TEST_F(ConvPairTest, ResetDropsAPendingWindowAtEveryLevel) {
   // 3x3, pad 1, on a 5-wide map, fed the first two rows only. One step
-  // dots the windows at x = 0..3 (two pairs) and flushes them; in its next
+  // dots the windows at x = 0..3 (one run) and flushes them; in its next
   // round, padding the row's right edge completes the window at x = 4,
-  // and the input is then empty, so the step returns with that window
-  // pending. An aborted run stops there: reset() must drop it, so the
-  // next image on the same kernel comes out bit-exact (a stale window
-  // would pair with the next run's first one).
+  // which is dotted and staged, and the input is then empty, so the step
+  // returns with that window staged but not flushed. An aborted run stops
+  // there: reset() must drop it, so the next image on the same kernel
+  // comes out bit-exact (a stale window would lead the next image's
+  // output).
   Rng rng(0xda14);
   for (const int bits : {2, 8}) {
     const Node n = conv_node({4, 5, 3}, 9, 3, 1, 1, bits);
@@ -345,6 +350,58 @@ TEST_F(ConvPairTest, ResetDropsAPendingWindowAtEveryLevel) {
       EXPECT_EQ(testutil::drive(kernel, sin, testutil::values(next), sout),
                 reference_conv(n, fb, next))
           << "level=" << simd::level_name(level) << " bits=" << bits;
+    }
+  }
+}
+
+// ------------------------------------------------------------- window runs
+
+/// One call per run of windows: these pin every run length against the
+/// reference executor, whatever blocks the run splits into.
+using ConvRunTest = PackedConvTest;
+
+TEST_F(ConvRunTest, RunsOfOneToSevenWindowsMatchReferenceExecutor) {
+  // k = 3, stride 1, no pad on a 3 x (w + 2) map: each image's one output
+  // row is w windows that the row's last real run completes at once, so
+  // the kernel sees runs of w = 1, 2, 3, 4, 5 and 7 windows — a block of
+  // one, a pair, a pair and one, a full byte block, a byte block and one,
+  // a byte block and three (bit-plane: three pairs and one). An input ring
+  // of exactly one image gives the kernel whole images. Both datapaths,
+  // three images back to back through one kernel, at every level.
+  Rng rng(0xda15);
+  for (const int bits : {2, 8}) {
+    for (const int w : {1, 2, 3, 4, 5, 7}) {
+      const Node n = conv_node({3, w + 2, 5}, 17, 3, 1, 0, bits);
+      WindowScanner scan(n.in, n.k, n.stride, n.pad);
+      for (int y = 0; y < 2; ++y) (void)scan.advance_run(scan.real_run());
+      ASSERT_EQ(scan.advance_run(scan.real_run()).count, w);
+
+      Pipeline p;
+      p.name = "conv_run";
+      p.input = n.in;
+      p.input_bits = bits;
+      p.nodes.push_back(n);
+      p.num_conv_params = 1;
+      NetworkParams params;
+      params.convs.push_back(
+          ConvParams{FilterBank::random(n.filter_shape(), rng)});
+      const ReferenceExecutor ref(p, params);
+      std::vector<IntTensor> images;
+      std::vector<std::int32_t> expect;
+      for (int i = 0; i < 3; ++i) {
+        images.push_back(testutil::random_codes(n.in, bits, rng));
+        const IntTensor one = ref.run(images.back());
+        expect.insert(expect.end(), one.flat().begin(), one.flat().end());
+      }
+      ASSERT_EQ(expect.size(), static_cast<std::size_t>(3 * w * 17));
+      for (const simd::Level level : simd::available_levels()) {
+        simd::set_level(level);
+        ASSERT_EQ(run_conv(n, params.convs.front().weights, images,
+                           static_cast<std::size_t>(n.in.elems())),
+                  expect)
+            << "level=" << simd::level_name(level) << " bits=" << bits
+            << " w=" << w;
+      }
     }
   }
 }

@@ -294,63 +294,51 @@ TEST(EngineExecutors, AdaptiveBurstsBitExactWithScalarTransport) {
   }
 }
 
+/// Hang the first node kernel at its 16th step of the engine's second run
+/// (run 1, after one warm-up run), so that run cannot end before a cancel()
+/// lands: it can only end by throwing. 64 images give that kernel far more
+/// than 16 steps.
+FaultPlan hang_second_run() {
+  FaultEvent hang = FaultPlan::kernel_hang("", /*run=*/1, /*step=*/16);
+  hang.target_index = 0;
+  FaultPlan plan;
+  plan.add(hang);
+  return plan;
+}
+
 // Regression for the reset-poisoning bug: a run that aborts (here via
 // cancel(), which makes the feeder-side task throw) must leave the engine
 // fully reusable — the next run starts from pristine streams and kernels
-// and stays bit-exact, on a single worker and on the full pool.
+// and stays bit-exact, on a single worker and on the full pool. A hang
+// armed for the cancelled run keeps it open until the cancel lands, on a
+// loaded host too.
 TEST(EngineRecovery, RecoversAfterCancelledRunInEveryMode) {
   for (const unsigned workers : {1u, 0u}) {
     EngineOptions opt;
     opt.pool_threads = workers;
+    opt.faults = hang_second_run();
     const Pipeline p = expand(models::tiny(12, 4, 2));
     const NetworkParams params = NetworkParams::random(p, 29);
     StreamEngine engine(p, params, opt);
     Rng rng(30);
     const IntTensor img = testutil::random_image(12, 12, 3, rng);
-    const IntTensor good = engine.run_one(img);
+    const IntTensor good = engine.run_one(img);  // run 0
 
     std::vector<IntTensor> batch;
     for (int i = 0; i < 64; ++i) batch.push_back(img);
     std::atomic<bool> stop{false};
-    // Hammer cancel() so the abort lands inside the run with certainty.
     std::thread canceller([&] {
       while (!stop.load()) {
         engine.cancel();
         std::this_thread::yield();
       }
     });
-    EXPECT_THROW((void)engine.run(batch), Error);
+    EXPECT_THROW((void)engine.run(batch), Error);  // run 1
     stop.store(true);
     canceller.join();
 
     EXPECT_EQ(engine.run_one(img), good) << "workers=" << workers;
   }
-}
-
-// A cancel can land while a conv holds a completed window awaiting its
-// partner (ConvKernel dots windows in pairs); reset() drops it, so the
-// rerun after the abort is bit-exact against the reference. At 13 px every
-// conv row of tiny holds an odd number of windows. The batch is long
-// enough that the canceller lands inside the run on a loaded host too.
-TEST(EngineRecovery, RecoversAfterCancelWithOddWindowRows) {
-  const Pipeline p = expand(models::tiny(13, 4, 2));
-  const NetworkParams params = NetworkParams::random(p, 51);
-  const ReferenceExecutor ref(p, params);
-  StreamEngine engine(p, params);
-  Rng rng(52);
-  const IntTensor img = testutil::random_image(13, 13, 3, rng);
-  const std::vector<IntTensor> batch(512, img);
-  std::atomic<bool> stop{false};
-  std::thread canceller([&] {
-    while (!stop.load()) {
-      engine.cancel();
-      std::this_thread::yield();
-    }
-  });
-  EXPECT_THROW((void)engine.run(batch), Error);
-  stop.store(true);
-  canceller.join();
-  EXPECT_EQ(engine.run_one(img), ref.run(img));
 }
 
 // Satellite regression for stale stats across re-arm: RunStats of a rerun
@@ -368,7 +356,12 @@ TEST(EngineRecovery, RunStatsPristineAfterCancelledRun) {
   StreamEngine::RunStats want;
   (void)clean.run(std::span<const IntTensor>(&img, 1), &want);
 
-  StreamEngine engine(p, params);
+  // The cancelled batch is this engine's run 1: a hang keeps it open
+  // until the cancel lands.
+  EngineOptions opt;
+  opt.faults = hang_second_run();
+  StreamEngine engine(p, params, opt);
+  (void)engine.run(std::span<const IntTensor>(&img, 1));  // run 0
   std::vector<IntTensor> batch;
   for (int i = 0; i < 64; ++i) batch.push_back(img);
   std::atomic<bool> stop{false};

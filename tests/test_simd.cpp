@@ -98,7 +98,7 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
         const auto o = static_cast<std::size_t>(filters);
         std::vector<std::int32_t> expect(o + kGuard, kCanary);
         scalar.dot_window(c.window.data(), n, planes, c.filters.data(), o,
-                          expect.data(), nullptr, nullptr);
+                          expect.data(), 1);
         const auto tail = expect.begin() + static_cast<std::ptrdiff_t>(o);
         ASSERT_TRUE(std::all_of(tail, expect.end(),
                                 [](std::int32_t v) { return v == kCanary; }))
@@ -107,7 +107,7 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
           std::vector<std::int32_t> got(o + kGuard, kCanary);
           simd::vec_ops_at(level).dot_window(c.window.data(), n, planes,
                                              c.filters.data(), o, got.data(),
-                                             nullptr, nullptr);
+                                             1);
           ASSERT_EQ(got, expect)
               << simd::level_name(level) << " n=" << n << " planes=" << planes
               << " filters=" << filters;
@@ -117,48 +117,48 @@ TEST(VecOps, DotWindowMatchesScalarAtEveryLevel) {
   }
 }
 
-/// Guard entries after each response buffer of a paired call.
-constexpr std::size_t kPairGuard = 32;
-constexpr std::int32_t kPairCanary = 0x5e5e5e5e;
+/// Guard entries after the last response of a block call.
+constexpr std::size_t kBlockGuard = 32;
+constexpr std::int32_t kBlockCanary = 0x5e5e5e5e;
 
-/// Filter counts for the paired-dot suites: a lone filter, partial and
+/// Filter counts for the block-dot suites: a lone filter, partial and
 /// whole 8- and 16-filter groups, partial and whole AVX-512 blocks, and a
 /// 1000-class head.
-constexpr int kPairFilters[] = {1, 5, 7, 8, 9, 17, 33, 56, 64, 1000};
+constexpr int kBlockFilters[] = {1, 5, 7, 8, 9, 17, 33, 56, 64, 1000};
 
-TEST(VecOps, PairedDotWindowEqualsTwoSingleCalls) {
-  // One call with a second window must write what two single calls write:
-  // each window's O responses into its own buffer, nothing past either
-  // (a 32-entry guard after both), at every level; the windows differ.
+TEST(VecOps, BlockDotWindowEqualsSingleCalls) {
+  // One call over a block of 1..kMaxWindowBlock windows laid back to back
+  // must write what one call per window writes: window i's O responses at
+  // out + i*O, nothing past the last (a 32-entry guard), at every level;
+  // the windows differ.
   Rng rng(0xa1a2);
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{9}, std::size_t{36}, std::size_t{72}}) {
     for (int planes = 1; planes <= simd::kMaxPlanes; ++planes) {
-      for (const int filters : kPairFilters) {
+      const std::size_t window = n * static_cast<std::size_t>(planes);
+      for (const int filters : kBlockFilters) {
         const DotCase c = random_dot_case(n, planes, filters, rng);
-        const std::vector<Word> second =
-            random_words(n * static_cast<std::size_t>(planes), rng);
-        ASSERT_NE(second, c.window);
+        const std::vector<Word> block =
+            random_words(simd::kMaxWindowBlock * window, rng);
         const auto o = static_cast<std::size_t>(filters);
-        for (const simd::Level level : simd::available_levels()) {
-          const auto& ops = simd::vec_ops_at(level);
-          std::vector<std::int32_t> want1(o), want2(o);
-          ops.dot_window(c.window.data(), n, planes, c.filters.data(), o,
-                         want1.data(), nullptr, nullptr);
-          ops.dot_window(second.data(), n, planes, c.filters.data(), o,
-                         want2.data(), nullptr, nullptr);
-          std::vector<std::int32_t> got1(o + kPairGuard, kPairCanary);
-          std::vector<std::int32_t> got2(o + kPairGuard, kPairCanary);
-          ops.dot_window(c.window.data(), n, planes, c.filters.data(), o,
-                         got1.data(), second.data(), got2.data());
-          want1.resize(o + kPairGuard, kPairCanary);
-          want2.resize(o + kPairGuard, kPairCanary);
-          ASSERT_EQ(got1, want1) << simd::level_name(level) << " n=" << n
+        for (std::size_t count = 1; count <= simd::kMaxWindowBlock; ++count) {
+          for (const simd::Level level : simd::available_levels()) {
+            const auto& ops = simd::vec_ops_at(level);
+            std::vector<std::int32_t> want(count * o + kBlockGuard,
+                                           kBlockCanary);
+            for (std::size_t i = 0; i < count; ++i) {
+              ops.dot_window(block.data() + i * window, n, planes,
+                             c.filters.data(), o, want.data() + i * o, 1);
+            }
+            std::vector<std::int32_t> got(count * o + kBlockGuard,
+                                          kBlockCanary);
+            ops.dot_window(block.data(), n, planes, c.filters.data(), o,
+                           got.data(), count);
+            ASSERT_EQ(got, want) << simd::level_name(level) << " n=" << n
                                  << " planes=" << planes
-                                 << " filters=" << filters;
-          ASSERT_EQ(got2, want2) << simd::level_name(level) << " n=" << n
-                                 << " planes=" << planes
-                                 << " filters=" << filters;
+                                 << " filters=" << filters
+                                 << " count=" << count;
+          }
         }
       }
     }
@@ -183,12 +183,11 @@ TEST(VecOps, DotWindowTakesFiltersOffTheCacheLine) {
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(w) % 64, sizeof(Word));
     std::vector<std::int32_t> expect(kFilters);
     scalar.dot_window(c.window.data(), kN, planes, c.filters.data(), kFilters,
-                      expect.data(), nullptr, nullptr);
+                      expect.data(), 1);
     for (const simd::Level level : simd::available_levels()) {
       std::vector<std::int32_t> got(kFilters);
       simd::vec_ops_at(level).dot_window(c.window.data(), kN, planes, w,
-                                         kFilters, got.data(), nullptr,
-                                         nullptr);
+                                         kFilters, got.data(), 1);
       EXPECT_EQ(got, expect) << simd::level_name(level)
                              << " planes=" << planes;
     }
@@ -211,8 +210,7 @@ TEST(VecOps, DotWindowImplementsPm1PlaneSum) {
   for (const simd::Level level : simd::available_levels()) {
     std::int32_t out[8];
     simd::vec_ops_at(level).dot_window(window.data(), 2, 2, filters.data(),
-                                       filters.padded_count(), out, nullptr,
-                                       nullptr);
+                                       filters.padded_count(), out, 1);
     // f0: plane 0 on=2 -> 4-3 = 1; plane 1 on=1 -> (2-3)<<1 = -2. Sum -1.
     EXPECT_EQ(out[0], -1) << simd::level_name(level);
     // f1: plane 0 on=3 -> 3; plane 1 on=3 -> 3<<1 = 6. Sum 9.
@@ -275,13 +273,13 @@ TEST(VecOps, DotBytesMatchesScalarAtEveryLevel) {
         const auto o = static_cast<std::size_t>(filters);
         std::vector<std::int32_t> expect(o + 1, kCanary);
         scalar.dot_bytes(c.window.data(), c.filters.quads(), planes,
-                         c.filters.data(), o, expect.data(), nullptr, nullptr);
+                         c.filters.data(), o, expect.data(), 1);
         ASSERT_EQ(expect[o], kCanary) << "scalar wrote past out[O]";
         for (const simd::Level level : simd::available_levels()) {
           std::vector<std::int32_t> got(o + 1, kCanary);
           simd::vec_ops_at(level).dot_bytes(c.window.data(), c.filters.quads(),
                                             planes, c.filters.data(), o,
-                                            got.data(), nullptr, nullptr);
+                                            got.data(), 1);
           ASSERT_EQ(got, expect)
               << simd::level_name(level) << " values=" << values
               << " planes=" << planes << " filters=" << filters;
@@ -291,43 +289,46 @@ TEST(VecOps, DotBytesMatchesScalarAtEveryLevel) {
   }
 }
 
-TEST(VecOps, PairedDotBytesEqualsTwoSingleCalls) {
-  // The byte dot's pair contract, as dot_window's above: 1, 7 (VGG's
+TEST(VecOps, BlockDotBytesEqualsSingleCalls) {
+  // The byte dot's block contract, as dot_window's above: 1, 7 (VGG's
   // conv_0), 37 (ResNet's conv_0) and 1152 (a 3x3x512 window) quads, one
-  // and two byte-planes, two different windows, a guard after both
-  // outputs, at every level.
+  // and two byte-planes, blocks of 1..kMaxWindowBlock different windows, a
+  // guard after the last output, at every level.
   Rng rng(0xa1a3);
   for (const std::size_t values : {std::size_t{1}, std::size_t{27},
                                    std::size_t{147}, std::size_t{4608}}) {
     for (int planes = 1; planes <= simd::kMaxBytePlanes; ++planes) {
-      for (const int filters : kPairFilters) {
+      for (const int filters : kBlockFilters) {
         const ByteDotCase c =
             random_byte_dot_case(values, planes, filters, rng);
-        const ByteDotCase d = random_byte_dot_case(values, planes, 1, rng);
-        ASSERT_NE(d.window, c.window);
         const std::size_t quads = c.filters.quads();
+        const std::size_t window = c.window.size();
+        std::vector<std::uint8_t> block;
+        for (std::size_t i = 0; i < simd::kMaxWindowBlock; ++i) {
+          const ByteDotCase d = random_byte_dot_case(values, planes, 1, rng);
+          block.insert(block.end(), d.window.begin(), d.window.end());
+        }
+        ASSERT_EQ(block.size(), simd::kMaxWindowBlock * window);
         const auto o = static_cast<std::size_t>(filters);
-        for (const simd::Level level : simd::available_levels()) {
-          const auto& ops = simd::vec_ops_at(level);
-          std::vector<std::int32_t> want1(o), want2(o);
-          ops.dot_bytes(c.window.data(), quads, planes, c.filters.data(), o,
-                        want1.data(), nullptr, nullptr);
-          ops.dot_bytes(d.window.data(), quads, planes, c.filters.data(), o,
-                        want2.data(), nullptr, nullptr);
-          std::vector<std::int32_t> got1(o + kPairGuard, kPairCanary);
-          std::vector<std::int32_t> got2(o + kPairGuard, kPairCanary);
-          ops.dot_bytes(c.window.data(), quads, planes, c.filters.data(), o,
-                        got1.data(), d.window.data(), got2.data());
-          want1.resize(o + kPairGuard, kPairCanary);
-          want2.resize(o + kPairGuard, kPairCanary);
-          ASSERT_EQ(got1, want1) << simd::level_name(level)
+        for (std::size_t count = 1; count <= simd::kMaxWindowBlock; ++count) {
+          for (const simd::Level level : simd::available_levels()) {
+            const auto& ops = simd::vec_ops_at(level);
+            std::vector<std::int32_t> want(count * o + kBlockGuard,
+                                           kBlockCanary);
+            for (std::size_t i = 0; i < count; ++i) {
+              ops.dot_bytes(block.data() + i * window, quads, planes,
+                            c.filters.data(), o, want.data() + i * o, 1);
+            }
+            std::vector<std::int32_t> got(count * o + kBlockGuard,
+                                          kBlockCanary);
+            ops.dot_bytes(block.data(), quads, planes, c.filters.data(), o,
+                          got.data(), count);
+            ASSERT_EQ(got, want) << simd::level_name(level)
                                  << " values=" << values
                                  << " planes=" << planes
-                                 << " filters=" << filters;
-          ASSERT_EQ(got2, want2) << simd::level_name(level)
-                                 << " values=" << values
-                                 << " planes=" << planes
-                                 << " filters=" << filters;
+                                 << " filters=" << filters
+                                 << " count=" << count;
+          }
         }
       }
     }
@@ -450,6 +451,58 @@ TEST(VecOps, RingConversionsMatchScalarAtEveryLevel) {
       ops.widen_i16(b16.data(), n, back.data());
       for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(back[i], b16[i]) << i;
     }
+  }
+}
+
+// -------------------------------------------------------------- combine_i32
+
+/// Every level's element-wise max and wrapping sum equal a plain int64
+/// reference at every length 1..67 (every vector main loop and masked
+/// tail), over random values salted with INT32_MIN and INT32_MAX so both
+/// extremes win a max and sums wrap in both directions. The operands sit
+/// at the end of exactly sized heap vectors (an access past element n is
+/// an ASan report), and `src` is left untouched.
+TEST(VecOps, CombineI32MatchesMaxAndWrappingSumAtEveryLevel) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  Rng rng(0xc0b1);
+  for (std::size_t n = 1; n <= 67; ++n) {
+    std::vector<std::int32_t> acc(n);
+    std::vector<std::int32_t> src(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t r = rng.next_u64();
+      acc[i] = i % 5 == 0 ? kMax : i % 7 == 0 ? kMin
+                                              : static_cast<std::int32_t>(r);
+      src[i] = i % 3 == 0 ? kMax : i % 4 == 0 ? kMin
+                                              : static_cast<std::int32_t>(
+                                                    r >> 32);
+    }
+    std::vector<std::int32_t> want_max(n);
+    std::vector<std::int32_t> want_sum(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_max[i] = std::max(acc[i], src[i]);
+      want_sum[i] = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(std::int64_t{acc[i]} + src[i]));
+    }
+    for (const simd::Level level : simd::available_levels()) {
+      const simd::VecOps& ops = simd::vec_ops_at(level);
+      const std::vector<std::int32_t> src_before = src;
+      std::vector<std::int32_t> got = acc;
+      ops.combine_i32(got.data(), src.data(), n, /*max=*/true);
+      ASSERT_EQ(got, want_max) << simd::level_name(level) << " n=" << n;
+      got = acc;
+      ops.combine_i32(got.data(), src.data(), n, /*max=*/false);
+      ASSERT_EQ(got, want_sum) << simd::level_name(level) << " n=" << n;
+      ASSERT_EQ(src, src_before) << simd::level_name(level) << " n=" << n;
+    }
+  }
+  // The extremes wrap both ways: INT32_MAX + 1 and INT32_MIN - 1.
+  for (const simd::Level level : simd::available_levels()) {
+    std::int32_t sums[2] = {kMax, kMin};
+    const std::int32_t by[2] = {1, -1};
+    simd::vec_ops_at(level).combine_i32(sums, by, 2, /*max=*/false);
+    EXPECT_EQ(sums[0], kMin) << simd::level_name(level);
+    EXPECT_EQ(sums[1], kMax) << simd::level_name(level);
   }
 }
 

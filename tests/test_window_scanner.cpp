@@ -47,16 +47,19 @@ ScanResult scan(WindowScanner& s, const IntTensor& in) {
 
 /// scan() again, but advancing by runs the way the window kernels do:
 /// each real run or padding stretch cut into random pieces (1..max_piece
-/// values), windows gathered from the completion callback.
+/// values), windows gathered from the run each advance_run reports.
 ScanResult scan_runs(WindowScanner& s, const IntTensor& in, Rng& rng,
                      std::int64_t max_piece) {
   ScanResult r;
   PixelRing ring(s);
   const std::span<const std::int32_t> flat = in.flat();
   std::size_t next = 0;
-  const auto collect = [&](const WindowScanner::Completed& at) {
-    r.positions.push_back(at);
-    r.windows.push_back(testutil::gather_window(ring, s, at));
+  const auto collect = [&](const WindowScanner::Run& run) {
+    for (int i = 0; i < run.count; ++i) {
+      const WindowScanner::Completed at{run.oy, run.ox0 + i};
+      r.positions.push_back(at);
+      r.windows.push_back(testutil::gather_window(ring, s, at));
+    }
   };
   while (!s.done()) {
     const std::int64_t pad = s.pad_run();
@@ -66,11 +69,11 @@ ScanResult scan_runs(WindowScanner& s, const IntTensor& in, Rng& rng,
                       static_cast<std::uint64_t>(max_piece))));
     if (pad > 0) {
       ring.store(s, {}, n);
-      s.advance_run(n, collect);
+      collect(s.advance_run(n));
       r.pad_injections += n;
     } else {
       ring.store(s, flat.subspan(next, static_cast<std::size_t>(n)), n);
-      s.advance_run(n, collect);
+      collect(s.advance_run(n));
       next += static_cast<std::size_t>(n);
       r.real_values += n;
     }
@@ -161,6 +164,50 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{12, 12, 2, 3, 4, 0}, // stride > k
                       Geometry{10, 10, 1, 7, 2, 3}, // big window, big pad
                       Geometry{4, 4, 2, 2, 2, 1})); // pad with even k
+
+TEST(WindowScanner, RunsCoverExactlyThePerValueWindows) {
+  // Over random geometries (k 1..7, stride 1..3, pad 0..k, ResNet-18
+  // conv_0's k = 7, stride 2, pad 3 first), the runs advance_run reports
+  // — for whole real runs and padding stretches and for random pieces of
+  // them — hold exactly the windows advance() reports one value at a
+  // time: the same positions with the same contents, in the same order,
+  // none twice and none left out.
+  Rng rng(0x5ca9);
+  for (int trial = 0; trial < 60; ++trial) {
+    Geometry g{9, 11, 3, 7, 2, 3};
+    if (trial > 0) {
+      g.k = 1 + static_cast<int>(rng.next_below(7));
+      g.stride = 1 + static_cast<int>(rng.next_below(3));
+      g.pad = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(g.k) + 1));
+      const int min_side = std::max(1, g.k - 2 * g.pad);
+      g.h = min_side + static_cast<int>(rng.next_below(9));
+      g.w = min_side + static_cast<int>(rng.next_below(9));
+      g.c = 1 + static_cast<int>(rng.next_below(4));
+    }
+    const Shape in_shape{g.h, g.w, g.c};
+    const IntTensor in = testutil::random_codes(in_shape, 4, rng);
+    WindowScanner per_value(in_shape, g.k, g.stride, g.pad);
+    const ScanResult expect = scan(per_value, in);
+    ASSERT_EQ(static_cast<int>(expect.positions.size()),
+              per_value.out_h() * per_value.out_w());
+    for (const std::int64_t max_piece :
+         {std::int64_t{1}, std::int64_t{7}, std::int64_t{1} << 30}) {
+      WindowScanner by_run(in_shape, g.k, g.stride, g.pad);
+      const ScanResult got = scan_runs(by_run, in, rng, max_piece);
+      const auto where = ::testing::Message()
+                         << g.h << "x" << g.w << "x" << g.c << " k=" << g.k
+                         << " s=" << g.stride << " p=" << g.pad
+                         << " max_piece=" << max_piece;
+      ASSERT_EQ(got.positions.size(), expect.positions.size()) << where;
+      for (std::size_t i = 0; i < got.positions.size(); ++i) {
+        ASSERT_EQ(got.positions[i].oy, expect.positions[i].oy) << where;
+        ASSERT_EQ(got.positions[i].ox, expect.positions[i].ox) << where;
+      }
+      ASSERT_EQ(got.windows, expect.windows) << where;
+    }
+  }
+}
 
 TEST(WindowScanner, PadInjectionCountMatchesFormula) {
   const Shape in{6, 5, 3};

@@ -51,11 +51,12 @@
 # The default run already includes the QNN-D6xx static gates — the
 # compiled-plan consistency lint (PlanLint suite) and the exact token-flow
 # deadlock proofs (TokenFlow suite) run inside test_verify/test_plan. It
-# then re-runs the datapath, ring and engine bit-exactness suites (VecOps,
-# Packed*, BitPlane*, Conv*, Engine*, Stream*) under QNN_SIMD=avx2 and
-# QNN_SIMD=scalar, so every kernel the engine builds and every ring
-# conversion is checked at the narrower levels too, not only at the
-# widest one the host has.
+# then re-runs the datapath, ring, engine, pooling and scanner
+# bit-exactness suites (VecOps, Packed*, BitPlane*, Conv*, Engine*,
+# Stream*, PoolKernelTest, PoolVsReference, WindowScanner*) under
+# QNN_SIMD=avx2 and QNN_SIMD=scalar, so every kernel the engine builds
+# and every ring conversion is checked at the narrower levels too, not
+# only at the widest one the host has.
 #
 # The build directory is build-check[-$SANITIZE], separate from the
 # default build/ so a strict -Werror configure never pollutes it.
@@ -85,13 +86,13 @@ if [ -n "$SANITIZE" ]; then
   ctest --test-dir "$BUILD_DIR" -L sanitize --output-on-failure
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure
-  # Engines, conv kernels and streams resolve the dispatched vec_ops table
-  # once, at construction, from QNN_SIMD; a level the host lacks clamps
-  # down.
+  # Engines, conv and pool kernels and streams resolve the dispatched
+  # vec_ops table once, at construction, from QNN_SIMD; a level the host
+  # lacks clamps down.
   for level in avx2 scalar; do
-    echo "== test (datapath + ring + engine suites, QNN_SIMD=$level) =="
+    echo "== test (datapath + ring + engine + pool suites, QNN_SIMD=$level) =="
     QNN_SIMD="$level" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R '(^|/)(VecOps|Packed|BitPlane|Conv|Engine|Stream)[A-Za-z]*\.'
+      -R '(^|/)(VecOps|Packed|BitPlane|Conv|Engine|Stream|PoolKernelTest|PoolVsReference|WindowScanner)[A-Za-z]*\.'
   done
 fi
 
