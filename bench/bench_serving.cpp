@@ -21,7 +21,6 @@
 #include <sstream>
 #include <vector>
 
-#include "backend/builtin.h"
 #include "bench_host.h"
 #include "bench_util.h"
 #include "fault/fault.h"
@@ -72,14 +71,14 @@ struct PlanArmResult {
   std::uint64_t open_rejected = 0;
 };
 
-/// One timed pass of `chunks` through a bare session (no server in
+/// One timed pass of `chunks` through a bare engine (no server in
 /// front); the best of the interleaved repeats lands in `arm.raw_ips`.
-void measure_raw(BackendSession& session,
+void measure_raw(StreamEngine& engine,
                  const std::vector<std::vector<IntTensor>>& chunks,
                  std::size_t total_images, PlanArmResult& arm) {
   const auto start = std::chrono::steady_clock::now();
   for (const std::vector<IntTensor>& chunk : chunks) {
-    (void)session.infer_batch(chunk);
+    (void)engine.run(chunk);
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -169,18 +168,17 @@ int run_autotune() {
   PlanArmResult def;
   PlanArmResult tun;
 
-  // Raw paired probe: bare sessions, the tuning metric re-measured with
+  // Raw paired probe: bare engines, the tuning metric re-measured with
   // repeats interleaved across the two arms.
   {
-    const Backend& engine = backend_registry().at(tuned.best.backend);
     EngineOptions def_opts;
     default_plan->apply_engine(def_opts);
     def_opts.plan = default_plan.get();
     EngineOptions tun_opts;
     tuned_plan->apply_engine(tun_opts);
     tun_opts.plan = tuned_plan.get();
-    const auto def_session = engine.compile(pipeline, params, def_opts);
-    const auto tun_session = engine.compile(pipeline, params, tun_opts);
+    StreamEngine def_engine(pipeline, params, def_opts);
+    StreamEngine tun_engine(pipeline, params, tun_opts);
     const std::vector<IntTensor> raw_images =
         synthetic_batch(64, 8, 8, 3, 82);
     std::vector<std::vector<IntTensor>> chunks;
@@ -190,11 +188,11 @@ int run_autotune() {
                               static_cast<std::ptrdiff_t>(
                                   std::min(raw_images.size(), i + 4)));
     }
-    (void)def_session->infer(raw_images.front());  // warm-up
-    (void)tun_session->infer(raw_images.front());
+    (void)def_engine.run_one(raw_images.front());  // warm-up
+    (void)tun_engine.run_one(raw_images.front());
     for (int r = 0; r < 4; ++r) {
-      measure_raw(*def_session, chunks, raw_images.size(), def);
-      measure_raw(*tun_session, chunks, raw_images.size(), tun);
+      measure_raw(def_engine, chunks, raw_images.size(), def);
+      measure_raw(tun_engine, chunks, raw_images.size(), tun);
     }
   }
 
@@ -300,8 +298,6 @@ int run_autotune() {
 // linked farm must hold >= 80% of it, so splitting stays nearly free
 // (paper §III-C).
 
-constexpr const char* kLinkedBackend = "linked-4dfe-bench";
-
 int run_linkfault() {
   bench::heading("Link-fault ablation",
                  "closed-loop load at a 4-segment linked replica vs the "
@@ -312,20 +308,15 @@ int run_linkfault() {
   const NetworkSpec spec = models::vgg_like(16, 4, 2);
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 77);
-  if (backend_registry().find(kLinkedBackend) == nullptr) {
-    LinkedEngineOptions defaults;
-    defaults.cut_after_nodes = {4, 9, 14};
-    // Tight watchdog so the seeded death escalates inside the warm-up.
-    defaults.ack_timeout_us = 2'000;
-    defaults.max_retransmits = 3;
-    defaults.retransmit_backoff_us = 200;
-    (void)backend_registry().register_backend(
-        make_linked_backend(defaults, kLinkedBackend));
-  }
   SessionConfig session_config;
   session_config.fast_estimate = true;
   SessionConfig linked_sc = session_config;
-  linked_sc.backend = kLinkedBackend;
+  LinkedEngineOptions& linked = linked_sc.linked.emplace();
+  linked.cut_after_nodes = {4, 9, 14};
+  // Tight watchdog so the seeded death escalates inside the warm-up.
+  linked.ack_timeout_us = 2'000;
+  linked.max_retransmits = 3;
+  linked.retransmit_backoff_us = 200;
   const std::vector<IntTensor> images = synthetic_batch(8, 16, 16, 3, 91);
 
   // Both farms live for the whole measurement, windows interleaved

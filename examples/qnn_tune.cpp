@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
       config.slo_us = std::stoll(next());
     } else if (arg == "--micro") {
       config.calibration_micro_batch = std::stoi(next());
-    } else if (arg == "--backend") {
-      config.backend = next();
     } else if (arg == "--check") {
       check = true;
     } else {
@@ -83,8 +81,7 @@ int main(int argc, char** argv) {
   const NetworkParams params = NetworkParams::random(pipeline, 11);
 
   std::cout << "tuning " << pipeline.name << " on " << machine_signature()
-            << " (budget " << config.time_budget_s << " s, backend "
-            << config.backend << ")\n\n";
+            << " (budget " << config.time_budget_s << " s)\n\n";
   const AutotuneResult result = autotune(pipeline, params, config);
 
   Table t({"candidate", "burst", "adaptive", "fifo", "pool",

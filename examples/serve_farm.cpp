@@ -12,7 +12,6 @@
 // Build & run:  ./serve_farm
 #include <iostream>
 
-#include "backend/backend.h"
 #include "io/synthetic.h"
 #include "models/zoo.h"
 #include "nn/reference.h"
@@ -25,7 +24,7 @@ int main() {
   const Pipeline pipeline = expand(spec);
   const NetworkParams params = NetworkParams::random(pipeline, 1);
   SessionConfig session_config;
-  session_config.fast_estimate = true;  // every replica runs "engine"
+  session_config.fast_estimate = true;  // every replica runs one engine
 
   ServerConfig cfg;
   cfg.replicas = 2;             // two modeled DFE boards
@@ -39,9 +38,8 @@ int main() {
             << " replicas...\n";
   DfeServer server(spec, params, cfg, session_config);
   for (int i = 0; i < server.replicas(); ++i) {
-    const Backend& b = server.replica(i).backend();
-    std::cout << "  replica " << i << ": " << b.name() << " — "
-              << b.info().description << "\n";
+    std::cout << "  replica " << i << ": " << server.replica(i).kind()
+              << "\n";
   }
   std::cout << "\n" << server.replica(0).report() << "\n";
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "io/table.h"
+#include "nn/reference.h"
 #include "nn/serialize.h"
 #include "nn/summary.h"
 #include "plan/cache.h"
@@ -10,6 +11,29 @@
 #include "verify/plan_check.h"
 
 namespace qnn {
+namespace {
+
+/// A StreamEngine or LinkedEngine behind the SessionEngine interface.
+template <typename Engine>
+class EngineRunner final : public SessionEngine {
+ public:
+  template <typename... Args>
+  explicit EngineRunner(std::string_view name, Args&&... args)
+      : name_(name), engine_(std::forward<Args>(args)...) {}
+
+  std::vector<IntTensor> infer_batch(std::span<const IntTensor> images,
+                                     StreamEngine::RunStats* stats) override {
+    return engine_.run(images, stats);
+  }
+  void cancel() override { engine_.cancel(); }
+  std::string_view name() const override { return name_; }
+
+ private:
+  std::string_view name_;
+  Engine engine_;
+};
+
+}  // namespace
 
 struct DfeSession::State {
   SessionConfig config;
@@ -17,7 +41,9 @@ struct DfeSession::State {
   Pipeline pipeline;
   NetworkParams params;
   FpgaRunEstimate estimate;
-  std::unique_ptr<BackendSession> session;  // owns its pipeline/params copy
+  // Reads `pipeline` and `params` above, whose addresses the unique_ptr
+  // holding this State keeps stable across moves of the session.
+  std::unique_ptr<SessionEngine> engine;
 };
 
 DfeSession::DfeSession(std::unique_ptr<State> state)
@@ -93,8 +119,8 @@ DfeSession DfeSession::compile(const NetworkSpec& spec, NetworkParams params,
       config.plan->apply_sim(config.sim);
       config.plan->apply_partition(config.partition);
     } else {
-      const CompiledPlan derived = compile_plan(
-          state->pipeline, config.engine, config.slo_us, config.backend);
+      const CompiledPlan derived =
+          compile_plan(state->pipeline, config.engine, config.slo_us);
       derived.apply_sim(config.sim);
       derived.apply_partition(config.partition);
     }
@@ -105,15 +131,27 @@ DfeSession DfeSession::compile(const NetworkSpec& spec, NetworkParams params,
                     config.board, /*run_cycle_sim=*/!config.fast_estimate);
   if (config.engine.verify) {
     // The estimator chose a placement; prove it feasible (MaxRing link
-    // rates and per-DFE resource totals) before the backend compiles.
+    // rates and per-DFE resource totals) before the engine is built.
     Report placement_report;
     check_partition(state->pipeline, state->estimate.partition,
                     config.partition, placement_report);
     enforce(placement_report, context);
   }
-  Backend& backend = backend_registry().at(config.backend);
-  state->session =
-      backend.compile(state->pipeline, state->params, config.engine);
+  if (config.make_engine) {
+    state->engine =
+        config.make_engine(state->pipeline, state->params, config.engine);
+  } else if (config.linked) {
+    LinkedEngineOptions linked = *config.linked;
+    // The session's engine options (plan, faults, replica identity,
+    // pinning) win; the LinkedEngine takes the plan's cut when `linked`
+    // names none.
+    linked.engine = config.engine;
+    state->engine = std::make_unique<EngineRunner<LinkedEngine>>(
+        "linked", state->pipeline, state->params, std::move(linked));
+  } else {
+    state->engine = std::make_unique<EngineRunner<StreamEngine>>(
+        "engine", state->pipeline, state->params, config.engine);
+  }
   return DfeSession(std::move(state));
 }
 
@@ -123,18 +161,19 @@ DfeSession DfeSession::load(const std::string& path, SessionConfig config) {
 }
 
 IntTensor DfeSession::infer(const IntTensor& image) {
-  return state_->session->infer(image);
+  std::vector<IntTensor> out = infer_batch({&image, 1});
+  return std::move(out.front());
 }
 
 std::vector<IntTensor> DfeSession::infer_batch(
     std::span<const IntTensor> images, StreamEngine::RunStats* stats) {
-  return state_->session->infer_batch(images, stats);
+  return state_->engine->infer_batch(images, stats);
 }
 
-void DfeSession::cancel() { state_->session->cancel(); }
+void DfeSession::cancel() { state_->engine->cancel(); }
 
 int DfeSession::classify(const IntTensor& image) {
-  return state_->session->classify(image);
+  return ReferenceExecutor::argmax(infer(image));
 }
 
 const NetworkSpec& DfeSession::spec() const { return state_->spec; }
@@ -146,16 +185,13 @@ const PartitionResult& DfeSession::placement() const {
 const FpgaRunEstimate& DfeSession::estimate() const {
   return state_->estimate;
 }
-BackendSession& DfeSession::session() { return *state_->session; }
-const Backend& DfeSession::backend() const {
-  return state_->session->backend();
-}
+std::string_view DfeSession::kind() const { return state_->engine->name(); }
 
 std::string DfeSession::report() const {
   const State& s = *state_;
   std::ostringstream os;
   os << summarize(s.pipeline) << "\n";
-  os << "backend: " << s.session->backend().name() << "\n";
+  os << "runs on: " << s.engine->name() << "\n";
   os << "placement: " << s.estimate.num_dfes << " DFE(s) on "
      << s.config.board.name << "\n";
   Table t({"DFE", "kernels", "utilization"});

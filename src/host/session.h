@@ -10,16 +10,17 @@
 //   std::cout << session.report();                      // placement, timing,
 //                                                       // power, energy
 //
-// Inference runs on a registered Backend (backend/backend.h) — by default
-// the threaded streaming engine (bit-exact functional model), or a
-// partitioned "linked" backend once one is registered; placement,
+// Inference runs on one of the paper's two deployments (§III-B6, §III-C):
+// the network on one DFE (a StreamEngine, the bit-exact threaded
+// functional model) or cut across MaxRing-linked DFEs of one node (a
+// LinkedEngine, chosen by setting SessionConfig::linked). Placement,
 // timing, power and energy come from the partitioner, cycle simulator and
-// calibrated hardware models. DfeSession is a thin wrapper over one
-// BackendSession plus the host-side deployment analyses (verification,
-// estimate, placement feasibility, burst carry into the link models).
+// calibrated hardware models. DfeSession owns the one engine plus the
+// host-side deployment analyses (verification, estimate, placement
+// feasibility, burst carry into the link models).
 //
 // Thread safety: a DfeSession models ONE board — infer()/infer_batch()/
-// classify() drive a single BackendSession, so concurrent calls on the
+// classify() drive a single engine, so concurrent calls on the
 // same session are NOT allowed. Distinct sessions are fully independent:
 // compile() copies the spec and takes its own NetworkParams, and neither
 // retains mutable state shared with other sessions, so a replica pool
@@ -27,26 +28,60 @@
 // NetworkParams pair and run them concurrently.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "backend/backend.h"
 #include "dataflow/engine.h"
+#include "dataflow/linked_engine.h"
 #include "perfmodel/fpga_estimate.h"
 #include "plan/compiled_plan.h"
 
 namespace qnn {
+
+/// The engine a DfeSession runs inference on: a StreamEngine, a
+/// LinkedEngine, or a test fake (SessionConfig::make_engine). Like the
+/// engines it wraps, it takes one infer_batch() at a time; cancel() may be
+/// called from another thread to abort an in-flight run (the run throws,
+/// the engine stays usable and re-arms on the next run).
+class SessionEngine {
+ public:
+  SessionEngine() = default;
+  virtual ~SessionEngine() = default;
+  SessionEngine(const SessionEngine&) = delete;
+  SessionEngine& operator=(const SessionEngine&) = delete;
+
+  /// Run a batch; returns one logits tensor per image. When `stats` is
+  /// non-null it receives wall-clock and transport statistics.
+  [[nodiscard]] virtual std::vector<IntTensor> infer_batch(
+      std::span<const IntTensor> images,
+      StreamEngine::RunStats* stats) = 0;
+  virtual void cancel() = 0;
+  /// Label for reports and metrics: "engine", "linked" or a fake's name.
+  [[nodiscard]] virtual std::string_view name() const = 0;
+};
 
 struct SessionConfig {
   SimConfig sim{};
   PartitionConfig partition{};
   DfeBoard board = max4_maia();
   EngineOptions engine{};
-  /// Registered backend that executes inference (backend/backend.h). A
-  /// DfeServer compiles every one of its replicas with this backend.
-  std::string backend = "engine";
+  /// Absent: inference runs on one StreamEngine. Present: on a LinkedEngine
+  /// over this cut (an empty cut takes the plan's, else the partitioner's),
+  /// with `linked->engine` replaced by `engine` above. A DfeServer compiles
+  /// every one of its replicas the same way.
+  std::optional<LinkedEngineOptions> linked;
+  /// Test seam: when set, builds the session's engine in place of the two
+  /// above. It lives here so a replica restart, which recompiles from the
+  /// stored config, rebuilds through it too. The pipeline and params
+  /// outlive the engine it returns.
+  std::function<std::unique_ptr<SessionEngine>(
+      const Pipeline&, const NetworkParams&, const EngineOptions&)>
+      make_engine;
   /// Skip the cycle simulation at compile time (use the analytic clock
   /// model); useful when constructing many sessions in sweeps.
   bool fast_estimate = false;
@@ -104,10 +139,8 @@ class DfeSession {
   [[nodiscard]] const PartitionResult& placement() const;
   /// Modeled runtime/power/energy on the DFE platform.
   [[nodiscard]] const FpgaRunEstimate& estimate() const;
-  /// The compiled backend session inference runs on.
-  [[nodiscard]] BackendSession& session();
-  /// The registry-owned backend that compiled this session.
-  [[nodiscard]] const Backend& backend() const;
+  /// What inference runs on: "engine", "linked" or a test fake's name.
+  [[nodiscard]] std::string_view kind() const;
 
   /// Human-readable deployment report: summary, placement, timing, power.
   [[nodiscard]] std::string report() const;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "backend/backend.h"
 #include "core/error.h"
+#include "dataflow/engine.h"
 #include "io/synthetic.h"
 #include "sim/cycle_model.h"
 #include "verify/graph_check.h"
@@ -42,18 +42,18 @@ double predict_ips(const Pipeline& pipeline, const CompiledPlan& plan) {
   return simulate(pipeline, sim).images_per_second(sim);
 }
 
-/// Timed runs of `images` on a freshly compiled session; best-of-repeats
+/// Timed runs of `images` on a freshly built StreamEngine; best-of-repeats
 /// throughput (the max discards one-sided scheduling interference, which
 /// is all that differs between repeats on a quiet machine).
-double calibrate_ips(const Backend& backend, const Pipeline& pipeline,
+double calibrate_ips(const Pipeline& pipeline,
                      const NetworkParams& params, const CompiledPlan& plan,
                      const AutotuneConfig& config,
                      const std::vector<IntTensor>& images) {
   EngineOptions opts;
   plan.apply_engine(opts);
-  opts.plan = &plan;  // plan outlives the session (stack of the caller)
-  const auto session = backend.compile(pipeline, params, opts);
-  (void)session->infer(images.front());  // warm-up, excluded from timing
+  opts.plan = &plan;  // plan outlives the engine (stack of the caller)
+  StreamEngine engine(pipeline, params, opts);
+  (void)engine.run_one(images.front());  // warm-up, excluded from timing
   // Micro-batch size: an SLO-tuned plan is scored the way an SLO server
   // runs it — small batches, spin-up paid per run.
   std::size_t micro = static_cast<std::size_t>(
@@ -70,7 +70,7 @@ double calibrate_ips(const Backend& backend, const Pipeline& pipeline,
   for (int r = 0; r < kCalibrationRepeats; ++r) {
     const auto start = Clock::now();
     for (const std::vector<IntTensor>& chunk : chunks) {
-      (void)session->infer_batch(chunk);
+      (void)engine.run(chunk);
     }
     const double elapsed = seconds_since(start);
     if (elapsed > 0) {
@@ -85,15 +85,13 @@ double calibrate_ips(const Backend& backend, const Pipeline& pipeline,
 AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
                         const AutotuneConfig& config) {
   const auto start = Clock::now();
-  const Backend& backend = backend_registry().at(config.backend);
 
   // Candidate 0: the default plan — what the engine would decide on its
   // own. It must verify; a model that fails with default options is not a
   // tuning problem.
   const EngineOptions default_opts;
   AutotuneCandidate def;
-  def.plan =
-      compile_plan(pipeline, default_opts, config.slo_us, config.backend);
+  def.plan = compile_plan(pipeline, default_opts, config.slo_us);
   {
     EngineOptions verify_opts = default_opts;
     verify_opts.plan = &def.plan;
@@ -123,7 +121,7 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
   for (const EngineOptions& opts : grid) {
     if (same_point(opts, default_opts)) continue;
     AutotuneCandidate c;
-    c.plan = compile_plan(pipeline, opts, config.slo_us, config.backend);
+    c.plan = compile_plan(pipeline, opts, config.slo_us);
     EngineOptions verify_opts = opts;
     verify_opts.plan = &c.plan;
     const Report report = verify_graph(pipeline, &params, verify_opts);
@@ -165,14 +163,14 @@ AutotuneResult autotune(const Pipeline& pipeline, const NetworkParams& params,
     // result could report a winner that was never compared to anything.
     AutotuneCandidate& d = result.candidates[0];
     d.measured_ips =
-        calibrate_ips(backend, pipeline, params, d.plan, config, images);
+        calibrate_ips(pipeline, params, d.plan, config, images);
     result.default_ips = d.measured_ips;
     result.best_ips = d.measured_ips;
     for (const std::size_t i : order) {
       if (seconds_since(start) > config.time_budget_s) break;
       AutotuneCandidate& c = result.candidates[i];
       c.measured_ips =
-          calibrate_ips(backend, pipeline, params, c.plan, config, images);
+          calibrate_ips(pipeline, params, c.plan, config, images);
       if (c.measured_ips > result.best_ips) {
         result.best_ips = c.measured_ips;
         best_index = i;

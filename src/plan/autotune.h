@@ -8,8 +8,8 @@
 //
 //   1. the sim/ cycle model prices each candidate's per-edge bursts and
 //      partition cut (predicted_ips), ranking the grid cheaply;
-//   2. a short live calibration run (backend compile + timed infer_batch
-//      on synthetic images) decides among the top-ranked candidates,
+//   2. a short live calibration run (timed StreamEngine runs on
+//      synthetic images) decides among the top-ranked candidates,
 //      because host scheduling costs are invisible to the DFE cycle model.
 //      The top kCalibrateTop candidates each get the best of
 //      kCalibrationRepeats timed repeats over kCalibrationImages images
@@ -49,9 +49,6 @@ struct AutotuneConfig {
   /// Latency budget the plan is tuned for (PlanKey::slo_us); 0 = pure
   /// throughput tuning.
   std::int64_t slo_us = 0;
-  /// Registered backend the winner is calibrated on (and recorded in
-  /// CompiledPlan::backend).
-  std::string backend = "engine";
 
   // ---- candidate grid ----------------------------------------------------
   /// Plan-wide burst caps to try (the default options' burst is always
@@ -63,11 +60,11 @@ struct AutotuneConfig {
   std::vector<std::size_t> fifo_capacities = {0, 4096};
 
   // ---- live calibration --------------------------------------------------
-  /// Measure the top-ranked candidates on the real backend; without it the
-  /// cycle-model prediction picks the winner.
+  /// Measure the top-ranked candidates on a live StreamEngine; without it
+  /// the cycle-model prediction picks the winner.
   bool live_calibration = true;
   /// Micro-batch size for the timed runs. 0 = derive: the whole image set
-  /// in one infer_batch when slo_us == 0 (pure throughput), batches of 4
+  /// in one run when slo_us == 0 (pure throughput), batches of 4
   /// when an SLO is set. A latency-SLO deployment serves small
   /// micro-batches, so every run pays the per-run pipeline fill and
   /// drain — calibrating on one big batch is blind to exactly the cost
@@ -101,8 +98,8 @@ struct AutotuneResult {
   std::vector<AutotuneCandidate> candidates;  // in evaluation order
 };
 
-/// Run the search. Throws qnn::Error only for setup failures (unknown
-/// backend, pipeline that fails verification even with default options);
+/// Run the search. Throws qnn::Error only for setup failures (a pipeline
+/// that fails verification even with default options);
 /// individual bad candidates are pruned, not fatal.
 [[nodiscard]] AutotuneResult autotune(const Pipeline& pipeline,
                                       const NetworkParams& params,

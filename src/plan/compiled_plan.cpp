@@ -98,8 +98,7 @@ void CompiledPlan::apply_partition(PartitionConfig& partition) const {
 }
 
 CompiledPlan compile_plan(const Pipeline& pipeline,
-                          const EngineOptions& options, std::int64_t slo_us,
-                          const std::string& backend) {
+                          const EngineOptions& options, std::int64_t slo_us) {
   CompiledPlan plan;
   plan.model = pipeline.name;
   plan.key = plan_key(pipeline, slo_us);
@@ -109,7 +108,6 @@ CompiledPlan compile_plan(const Pipeline& pipeline,
   plan.pool_threads = options.pool_threads;
   plan.pin_threads = options.pin_threads;
   plan.pin_offset = options.pin_offset;
-  plan.backend = backend;
   plan.fifos = plan_fifos(pipeline, options);
   // The link models price every edge a cut could sever, the edges into
   // BnActs (which have no ring) included.

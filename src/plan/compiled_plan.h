@@ -12,7 +12,7 @@
 //   * per-edge bursts carried into the cycle simulator's MaxRing
 //     serializer and the partitioner's wire pricing,
 //   * the executor's pool_threads / pin_threads / pin_offset,
-//   * the partition cut and the backend that executes it,
+//   * the partition cut,
 //
 // keyed by a stable fingerprint (model hash, machine signature, SLO) so a
 // plan tuned once — by hand or by plan/autotune.h — can be persisted
@@ -49,8 +49,11 @@ namespace qnn {
 /// evaluates it), so a version-4 plan's rings into the BnActs after an
 /// Add are a miss too. Version 6 dropped the "skip_slack" field (the slack
 /// of a skip-path ring is the fixed kSkipSlack), so a version-5 plan is a
-/// miss rather than a plan carrying a knob nothing reads.
-inline constexpr int kPlanFormatVersion = 6;
+/// miss rather than a plan carrying a knob nothing reads. Version 7
+/// dropped the "backend" field (a session runs a StreamEngine, or a
+/// LinkedEngine when SessionConfig::linked is set), so a version-6 plan is
+/// a miss as well.
+inline constexpr int kPlanFormatVersion = 7;
 
 /// Structural hash of a pipeline (FNV-1a over shapes, edges, widths and
 /// window geometry; node *names* are excluded so a rename does not orphan
@@ -96,9 +99,7 @@ struct CompiledPlan {
   bool pin_threads = false;
   unsigned pin_offset = 0;
 
-  // ---- substrate + partition ---------------------------------------------
-  /// Registered backend (backend/backend.h) the plan was tuned against.
-  std::string backend = "engine";
+  // ---- partition ---------------------------------------------------------
   /// Multi-DFE cut (§III-B6): node indices after which the pipeline is
   /// split onto the next DFE. Empty = let the partitioner choose.
   std::vector<int> cut_after_nodes;
@@ -138,7 +139,6 @@ struct CompiledPlan {
 /// decide on its own — and the autotuner's candidate 0.
 [[nodiscard]] CompiledPlan compile_plan(const Pipeline& pipeline,
                                         const EngineOptions& options = {},
-                                        std::int64_t slo_us = 0,
-                                        const std::string& backend = "engine");
+                                        std::int64_t slo_us = 0);
 
 }  // namespace qnn

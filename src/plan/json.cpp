@@ -400,9 +400,6 @@ std::string to_json(const CompiledPlan& plan) {
   o += std::string("  \"pin_threads\": ") +
        (plan.pin_threads ? "true" : "false") + ",\n";
   o += "  \"pin_offset\": " + std::to_string(plan.pin_offset) + ",\n";
-  o += "  \"backend\": ";
-  write_escaped(o, plan.backend);
-  o += ",\n";
   o += "  \"cut_after_nodes\": [";
   for (std::size_t i = 0; i < plan.cut_after_nodes.size(); ++i) {
     if (i != 0) o += ", ";
@@ -464,7 +461,6 @@ CompiledPlan plan_from_json(const std::string& text) {
   plan.pool_threads = root.as_whole<unsigned>("pool_threads");
   plan.pin_threads = root.as_bool("pin_threads");
   plan.pin_offset = root.as_whole<unsigned>("pin_offset");
-  plan.backend = root.as_str("backend");
   for (const JVal& v : root.as_arr("cut_after_nodes")) {
     plan.cut_after_nodes.push_back(JVal::whole<int>(v, "cut_after_nodes"));
   }

@@ -61,9 +61,8 @@ void ServerMetrics::init_replicas(int n) {
   }
 }
 
-void ServerMetrics::set_replica_backend(int replica, std::string backend) {
-  replicas_.at(static_cast<std::size_t>(replica))->backend =
-      std::move(backend);
+void ServerMetrics::set_replica_kind(int replica, std::string kind) {
+  replicas_.at(static_cast<std::size_t>(replica))->kind = std::move(kind);
 }
 
 void ServerMetrics::set_replica_plan(int replica, std::string plan) {
@@ -194,7 +193,7 @@ MetricsSnapshot ServerMetrics::snapshot() const {
     rs.cancels = r->cancels.load(std::memory_order_relaxed);
     rs.probes = r->probes.load(std::memory_order_relaxed);
     rs.restarts = r->restarts.load(std::memory_order_relaxed);
-    rs.backend = r->backend;
+    rs.kind = r->kind;
     rs.plan = r->plan;
     s.replicas.push_back(rs);
   }
@@ -256,8 +255,8 @@ std::string ServerMetrics::report() const {
   for (std::size_t i = 0; i < s.replicas.size(); ++i) {
     const ReplicaStatus& r = s.replicas[i];
     os << "  replica " << i;
-    if (!r.backend.empty()) {
-      os << " [" << r.backend << "]";
+    if (!r.kind.empty()) {
+      os << " [" << r.kind << "]";
     }
     if (!r.plan.empty()) {
       os << " plan=" << r.plan;

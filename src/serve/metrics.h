@@ -33,7 +33,7 @@ enum class ReplicaHealth {
 
 [[nodiscard]] const char* to_string(ReplicaHealth health);
 
-/// Event-log tag of a watchdog-triggered backend recompile of a replica.
+/// Event-log tag of a watchdog-triggered recompile of a replica.
 inline constexpr const char* kReplicaRestarted = "replica-restarted";
 /// Event-log tag of a cold start that loaded a persisted CompiledPlan from
 /// the plan cache (plan/cache.h) instead of re-deriving the default.
@@ -56,8 +56,8 @@ struct ReplicaStatus {
   std::uint64_t runs_failed = 0;
   std::uint64_t cancels = 0;   // watchdog-initiated session cancels
   std::uint64_t probes = 0;    // probe runs while quarantined/probation
-  std::uint64_t restarts = 0;  // backend recompiles after failed probes
-  std::string backend;         // registered backend that compiled it
+  std::uint64_t restarts = 0;  // recompiles after failed probes
+  std::string kind;            // DfeSession::kind() it runs on
   std::string plan;            // fingerprint of the CompiledPlan it runs
                                // ("" = default, engine-derived)
 };
@@ -141,7 +141,7 @@ struct MetricsSnapshot {
   std::uint64_t brownout_entries = 0;
   std::uint64_t brownout_sheds = 0;     // over-deadline requests shed early
   std::uint64_t faults_injected = 0;    // from EngineOptions::faults plans
-  std::uint64_t replica_restarts = 0;   // backend recompiles (watchdog)
+  std::uint64_t replica_restarts = 0;   // recompiles (watchdog)
   // Shadow serving (mirrored traffic; see ServerConfig::shadow_fraction).
   std::uint64_t shadow_runs = 0;
   std::uint64_t shadow_mismatches = 0;  // shadow result != primary result
@@ -261,11 +261,11 @@ class ServerMetrics {
 
   /// Size the replica table; call once before the workers start.
   void init_replicas(int n);
-  /// Tag a replica with the backend that compiled it. Call before the
+  /// Tag a replica with the session kind it runs on. Call before the
   /// workers start (the strings are read without synchronization after).
-  void set_replica_backend(int replica, std::string backend);
+  void set_replica_kind(int replica, std::string kind);
   /// Record the CompiledPlan fingerprint a replica runs. Call before the
-  /// workers start (same publication rule as set_replica_backend).
+  /// workers start (same publication rule as set_replica_kind).
   void set_replica_plan(int replica, std::string plan);
   void set_replica_health(int replica, ReplicaHealth health);
   [[nodiscard]] ReplicaHealth replica_health(int replica) const;
@@ -321,7 +321,7 @@ class ServerMetrics {
     std::atomic<std::uint64_t> cancels{0};
     std::atomic<std::uint64_t> probes{0};
     std::atomic<std::uint64_t> restarts{0};
-    std::string backend;  // written before workers start, then read-only
+    std::string kind;  // written before workers start, then read-only
     std::string plan;  // CompiledPlan fingerprint ("" = default)
   };
 

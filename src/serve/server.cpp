@@ -99,12 +99,12 @@ struct DfeServer::Impl {
     Replica(DfeSession s, SessionConfig cfg)
         : session(std::move(s)),
           session_config(std::move(cfg)),
-          backend_name(session.backend().name()) {}
+          kind(session.kind()) {}
     DfeSession session;
     /// The exact config this replica was compiled with — a restart
-    /// recompiles through the same backend with the same options.
+    /// recompiles the same kind of session with the same options.
     SessionConfig session_config;
-    std::string backend_name;
+    std::string kind;
 
     // Guarded by Impl::mu.
     ReplicaHealth health = ReplicaHealth::kHealthy;
@@ -284,10 +284,10 @@ struct DfeServer::Impl {
     req.promise.set_value(std::move(res));
   }
 
-  /// "replica 2 [engine]" — event-log label with backend identity.
+  /// "replica 2 [engine]" — event-log label with the session kind.
   [[nodiscard]] std::string rep_label(int idx) const {
     const Replica& rep = *replicas[static_cast<std::size_t>(idx)];
-    return "replica " + std::to_string(idx) + " [" + rep.backend_name + "]";
+    return "replica " + std::to_string(idx) + " [" + rep.kind + "]";
   }
 
   /// Any replica other than `idx` still in traffic rotation? Gates retry
@@ -532,7 +532,7 @@ struct DfeServer::Impl {
   }
 
   /// Watchdog-triggered self-heal of last resort: after `restart_after`
-  /// consecutive failed probes, recompile the replica through its backend
+  /// consecutive failed probes, recompile the replica from its stored config
   /// (the software analog of reflashing a wedged board) and swap the
   /// fresh session in. Runs on the replica's own worker thread with mu
   /// NOT held — only this thread runs the session, and the swap happens
@@ -541,7 +541,7 @@ struct DfeServer::Impl {
   /// probe validates the fresh session before readmission.
   void restart_replica(int idx) {
     Replica& rep = *replicas[static_cast<std::size_t>(idx)];
-    metrics.log_event(rep_label(idx) + " restarting (backend recompile)");
+    metrics.log_event(rep_label(idx) + " restarting (recompile)");
     try {
       DfeSession fresh =
           DfeSession::compile(spec, params, rep.session_config);
@@ -863,9 +863,6 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
   QNN_CHECK(server_config.shadow_mismatch_after >= 0,
             "shadow_mismatch_after must be non-negative");
 
-  // Fail fast on an unknown name, before any plan or compile work; the
-  // error lists the registered names.
-  (void)backend_registry().at(session_config.backend);
   const int total = server_config.replicas;
   impl_->config = server_config;
   impl_->retry_rng = Rng(kRetryJitterSeed);
@@ -950,7 +947,7 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
     for (std::size_t i = 0; i < impl_->replicas.size(); ++i) {
       const Impl::Replica& rep = *impl_->replicas[i];
       windows.push_back(ReplicaPinWindow{
-          "replica " + std::to_string(i) + " (" + rep.backend_name + ")",
+          "replica " + std::to_string(i) + " (" + rep.kind + ")",
           rep.session_config.engine.pin_offset, pin_stride});
     }
     Report pin_report;
@@ -963,7 +960,7 @@ DfeServer::DfeServer(const NetworkSpec& spec, const NetworkParams& params,
   impl_->metrics.init_replicas(total);
   for (int i = 0; i < total; ++i) {
     const Impl::Replica& rep = *impl_->replicas[static_cast<std::size_t>(i)];
-    impl_->metrics.set_replica_backend(i, rep.backend_name);
+    impl_->metrics.set_replica_kind(i, rep.kind);
     if (rep.session_config.plan != nullptr) {
       impl_->metrics.set_replica_plan(
           i, rep.session_config.plan->fingerprint());

@@ -18,8 +18,9 @@
 //    `batch_timeout_us` after it opened, whichever comes first, so the
 //    pipeline stays full under load and latency stays bounded when idle.
 //  * Replica pool: `replicas` independently compiled DfeSessions of one
-//    backend (SessionConfig::backend) — a farm of identical DFE boards,
-//    one worker thread per replica.
+//    SessionConfig — one engine each, or one linked chain each when
+//    SessionConfig::linked is set — a farm of identical DFE boards, one
+//    worker thread per replica.
 //  * Shadow mirroring: a configurable fraction of completed requests is
 //    re-run on the golden model (ReferenceExecutor) by one background
 //    thread and compared bit-exactly; mirrored results are counted, never
@@ -43,7 +44,7 @@
 //    it then serves synthetic probes and is readmitted after
 //    `probation_probes` consecutive clean ones.
 //  * Restart: `restart_after` consecutive FAILED probes recompile the
-//    replica through its backend (the software analog of reflashing a
+//    replica from its stored config (the software analog of reflashing a
 //    wedged board); the fresh session then re-enters the probe loop so
 //    readmission still requires clean probes.
 //  * Brownout: while any replica is quarantined (or kBrownoutFailStreak
@@ -80,8 +81,8 @@ enum class ServerStatus {
 [[nodiscard]] const char* to_string(ServerStatus status);
 
 struct ServerConfig {
-  /// Number of DfeSession replicas (modeled DFE boards), each compiled by
-  /// SessionConfig::backend; one worker each.
+  /// Number of DfeSession replicas (modeled DFE boards), each compiled
+  /// from the one SessionConfig; one worker each.
   int replicas = 1;
   /// Admission queue bound; submissions beyond it are rejected.
   std::size_t queue_capacity = 256;
@@ -121,8 +122,8 @@ struct ServerConfig {
   /// Delay between probe runs of a quarantined replica.
   std::int64_t probe_period_us = 2000;
   /// Consecutive failed probes of a quarantined replica that trigger a
-  /// restart: the replica's backend recompiles a fresh session which then
-  /// re-enters the probe loop. 0 = never restart.
+  /// restart: the replica's stored config recompiles a fresh session which
+  /// then re-enters the probe loop. 0 = never restart.
   int restart_after = 0;
 
   // ---- shadow mirroring ---------------------------------------------------
@@ -176,10 +177,10 @@ struct InferenceResult {
 
 class DfeServer {
  public:
-  /// Compiles `replicas` copies of the network through
-  /// SessionConfig::backend (each replica gets its own copy of the
-  /// parameters) and starts the workers. Throws Error on an invalid config
-  /// or an unregistered backend name.
+  /// Compiles `replicas` copies of the network from `session_config`
+  /// (each replica gets its own copy of the parameters) and starts the
+  /// workers. Throws Error on an invalid config, including a
+  /// SessionConfig::linked cut the link check refuses.
   DfeServer(const NetworkSpec& spec, const NetworkParams& params,
             ServerConfig server_config = {},
             SessionConfig session_config = {});

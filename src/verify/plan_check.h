@@ -54,7 +54,7 @@ void lint_plan(const Pipeline& pipeline, const CompiledPlan& plan,
 
 /// One replica's pinned core window inside a pool.
 struct ReplicaPinWindow {
-  std::string label;        // e.g. "replica 2 (backend 'engine')"
+  std::string label;        // e.g. "replica 2 (engine)"
   unsigned pin_offset = 0;  // first core the replica's worker 0 binds to
   unsigned threads = 0;     // window width in cores; 0 = window unknown
 };

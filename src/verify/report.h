@@ -9,7 +9,9 @@
 //   QNN-D2xx  parameter banks   (weight caches, thresholds, quantizers)
 //   QNN-D3xx  deadlock / FIFO capacity
 //   QNN-D4xx  multi-DFE partition feasibility (MaxRing links, resources)
-//   QNN-D5xx  backend capability (supports_op / device availability)
+//   QNN-D5xx  retired (backend capability checks; the limits they
+//             duplicated are enforced by D105, expand() and the Stream and
+//             line-buffer constructors) — never reused
 //   QNN-D6xx  protocol model checking (src/mc) + compiled-plan consistency
 //
 // Severity semantics:
@@ -85,10 +87,6 @@ inline constexpr const char* kDeadLinkCut = "QNN-D420";       // cut rides a
 inline constexpr const char* kCutCrossesSkip = "QNN-D422";    // cut crossed by
                                                               // more than the
                                                               // one main edge
-// --- backend capability (verify/backend_check.h; compiled into
-// --- qnn_backend so qnn_verify stays below the backend seam) ------------
-inline constexpr const char* kBackendUnsupportedOp = "QNN-D501";
-inline constexpr const char* kBackendNoDevices = "QNN-D502";
 // --- protocol model checking (src/mc) -----------------------------------
 inline constexpr const char* kProtoDeadlock = "QNN-D601";     // lost wakeup /
                                                               // deadlock trace

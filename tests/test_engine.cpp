@@ -215,6 +215,31 @@ TEST(Engine, AcceptsExactlyTheSignedValuesASegmentInputHolds) {
   }
 }
 
+TEST(Engine, RejectsConvInputsAbove16BitsWithVerifyOff) {
+  // With verification off no D105 gate runs; the conv's byte line buffer
+  // (two 8-bit planes at most) still refuses a 20-bit input at
+  // construction instead of truncating it.
+  NetworkSpec spec;
+  spec.name = "wide_conv";
+  spec.input = Shape{6, 6, 3};
+  spec.conv(4, 3, 1, 1, false);
+  Pipeline p = expand(spec);
+  const NetworkParams params = NetworkParams::random(p, 27);
+  ASSERT_EQ(p.node(0).kind, NodeKind::Conv);
+  p.input_bits = 20;
+  p.nodes[0].in_bits = 20;
+  EngineOptions unverified;
+  unverified.verify = false;
+  try {
+    StreamEngine engine(p, params, unverified);
+    FAIL() << "a 20-bit conv input must be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("byte line buffer"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Every zoo-style topology must be bit-exact on a single worker and on the
 // full pool, at both ends of the burst spectrum (1 = scalar transport).
 TEST(EngineExecutors, BitExactAcrossExecutorAndBurstMatrix) {

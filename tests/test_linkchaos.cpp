@@ -17,8 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "backend/backend.h"
-#include "backend/builtin.h"
 #include "fault/fault.h"
 #include "models/zoo.h"
 #include "nn/reference.h"
@@ -409,20 +407,13 @@ TEST(LinkChaos, PartitionedChaosSoakStaysBitExactAcrossRuns) {
 
 TEST(LinkChaos, ServerServesThroughLinkDeathWithZeroLostRequests) {
   const ChainNet net;
-  // Register the partitioned backend once (the registry is process-wide).
-  if (backend_registry().find("linked-4dfe") == nullptr) {
-    LinkedEngineOptions defaults;
-    defaults.cut_after_nodes = kFourDfeCut;
-    defaults.ack_timeout_us = 2'000;
-    defaults.max_retransmits = 3;
-    defaults.retransmit_backoff_us = 200;
-    backend_registry().register_backend(
-        make_linked_backend(defaults, "linked-4dfe"));
-  }
-
   SessionConfig sc;
   sc.fast_estimate = true;
-  sc.backend = "linked-4dfe";
+  LinkedEngineOptions& linked = sc.linked.emplace();
+  linked.cut_after_nodes = kFourDfeCut;
+  linked.ack_timeout_us = 2'000;
+  linked.max_retransmits = 3;
+  linked.retransmit_backoff_us = 200;
   sc.engine.faults.add(FaultPlan::link_death(
       /*link=*/1, /*run=*/1, /*after_frames=*/4));
   ServerConfig cfg;

@@ -76,7 +76,7 @@ TEST(PlanJson, RoundTripIsByteIdentical) {
   opts.pin_threads = true;
   opts.pin_offset = 2;
   const CompiledPlan plan =
-      compile_plan(net.pipeline, opts, /*slo_us=*/1500, "engine");
+      compile_plan(net.pipeline, opts, /*slo_us=*/1500);
 
   const std::string text = to_json(plan);
   const CompiledPlan reparsed = plan_from_json(text);
@@ -91,7 +91,7 @@ TEST(PlanJson, RoundTripIsByteIdentical) {
   EXPECT_EQ(reparsed.pool_threads, plan.pool_threads);
   EXPECT_EQ(reparsed.pin_threads, plan.pin_threads);
   EXPECT_EQ(reparsed.pin_offset, plan.pin_offset);
-  EXPECT_EQ(reparsed.backend, plan.backend);
+  EXPECT_EQ(reparsed.cut_after_nodes, plan.cut_after_nodes);
   EXPECT_EQ(reparsed.fifos.streams.size(), plan.fifos.streams.size());
   EXPECT_EQ(reparsed.link_bursts.size(), plan.link_bursts.size());
 }
@@ -505,50 +505,65 @@ TEST(PlanCacheTest, VersionTwoPlanWithFusedPairRingsIsNeverArmed) {
   }
 }
 
-// Plan format v6 regression: a version-5 file still carries the
+// Plan format v6 and v7 regressions: a version-5 file still carries the
 // "skip_slack" field format 6 dropped (skip-path rings take the fixed
-// kSkipSlack). Left behind in a cache directory it is a loud MISS: the
-// parser rejects it, the cache reports a miss, the D305 lint names the
-// `version` field, and a server cold start neither throws nor hits.
+// kSkipSlack), and a version-6 file the "backend" field format 7 dropped
+// (a session runs a StreamEngine, or a LinkedEngine when
+// SessionConfig::linked is set). Left behind in a cache directory each is
+// a loud MISS: the parser rejects it, the cache reports a miss, the D305
+// lint names the `version` field, and a server cold start neither throws
+// nor hits.
 TEST(PlanCacheTest, VersionFivePlanWithSkipSlackFieldIsNeverArmed) {
   const TinyNet net;
-  const ScratchDir dir("test_plan_cache.v5");
-  ASSERT_EQ(kPlanFormatVersion, 6);
-  CompiledPlan v5 = compile_plan(net.pipeline);
-  v5.version = 5;
-  std::string text = to_json(v5);
-  const std::size_t at = text.find("  \"burst\": ");
-  ASSERT_NE(at, std::string::npos);
-  text.insert(at, "  \"skip_slack\": 64,\n");
-  const PlanCache cache(dir.path.string());
-  {
-    std::ofstream out(cache.path_for(v5.key), std::ios::trunc);
-    out << text;
+  ASSERT_EQ(kPlanFormatVersion, 7);
+  struct OldFile {
+    int version;
+    const char* before;  // the field the dropped one preceded
+    const char* field;
+  };
+  for (const OldFile& old_file :
+       {OldFile{5, "  \"burst\": ", "  \"skip_slack\": 64,\n"},
+        OldFile{6, "  \"cut_after_nodes\": ",
+                "  \"backend\": \"engine\",\n"}}) {
+    SCOPED_TRACE("version " + std::to_string(old_file.version));
+    const ScratchDir dir("test_plan_cache.v" +
+                         std::to_string(old_file.version));
+    CompiledPlan old = compile_plan(net.pipeline);
+    old.version = old_file.version;
+    std::string text = to_json(old);
+    const std::size_t at = text.find(old_file.before);
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, old_file.field);
+    const PlanCache cache(dir.path.string());
+    {
+      std::ofstream out(cache.path_for(old.key), std::ios::trunc);
+      out << text;
+    }
+
+    EXPECT_THROW((void)plan_from_json(text), Error);
+    EXPECT_FALSE(cache.load(old.key).has_value());
+
+    Report lint;
+    lint_plan(net.pipeline, old, lint);
+    EXPECT_FALSE(lint.ok());
+    EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
+    EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
+        << lint.str();
+
+    SessionConfig warm = net.session_config;
+    warm.plan_cache_dir = dir.path.string();
+    std::unique_ptr<DfeServer> server;
+    ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
+                        net.spec, net.params, ServerConfig{}, warm));
+    for (const std::string& event : server->metrics().events()) {
+      EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
+    }
+    const ReferenceExecutor ref(net.pipeline, net.params);
+    const IntTensor image = net.batch(1, 68).front();
+    const InferenceResult res = server->submit(image);
+    ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
+    EXPECT_EQ(res.logits, ref.run(image));
   }
-
-  EXPECT_THROW((void)plan_from_json(text), Error);
-  EXPECT_FALSE(cache.load(v5.key).has_value());
-
-  Report lint;
-  lint_plan(net.pipeline, v5, lint);
-  EXPECT_FALSE(lint.ok());
-  EXPECT_TRUE(lint.has(diag::kPlanMismatch)) << lint.str();
-  EXPECT_NE(lint.str().find("field 'version'"), std::string::npos)
-      << lint.str();
-
-  SessionConfig warm = net.session_config;
-  warm.plan_cache_dir = dir.path.string();
-  std::unique_ptr<DfeServer> server;
-  ASSERT_NO_THROW(server = std::make_unique<DfeServer>(
-                      net.spec, net.params, ServerConfig{}, warm));
-  for (const std::string& event : server->metrics().events()) {
-    EXPECT_EQ(event.find(kPlanCacheHit), std::string::npos) << event;
-  }
-  const ReferenceExecutor ref(net.pipeline, net.params);
-  const IntTensor image = net.batch(1, 68).front();
-  const InferenceResult res = server->submit(image);
-  ASSERT_EQ(res.status, ServerStatus::kOk) << to_string(res.status);
-  EXPECT_EQ(res.logits, ref.run(image));
 }
 
 }  // namespace

@@ -6,17 +6,20 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <span>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "backend/backend.h"
 #include "fault/fault.h"
 #include "io/synthetic.h"
 #include "models/zoo.h"
 #include "nn/reference.h"
 #include "serve/load_generator.h"
 #include "test_util.h"
+#include "verify/report.h"
 
 namespace qnn {
 namespace {
@@ -341,20 +344,24 @@ TEST(Serve, ServerValidatesConfigAndInput) {
 }
 
 TEST(Serve, MixedPoolConfigValidation) {
-  // Every replica is built by SessionConfig::backend; the shadow is the
+  // Every replica is built from the one SessionConfig; the shadow is the
   // golden model, not a pool member.
   const TinyNet net;
-  // An unknown backend names the registered ones and the near miss.
-  SessionConfig typo = net.session_config;
-  typo.backend = "engin";
-  try {
-    DfeServer server(net.spec, net.params, ServerConfig{}, typo);
-    FAIL() << "an unregistered backend must be rejected";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("registered: "), std::string::npos) << what;
-    EXPECT_NE(what.find("did you mean \"engine\"?"), std::string::npos)
-        << what;
+  // A linked cut the link check refuses fails the constructor with its
+  // diagnostic: past the last node (D404), and across tiny's residual
+  // skip 2 -> 6, where a link would have to carry two streams (D422).
+  for (const auto& [cut, code] :
+       {std::pair<int, const char*>{net.pipeline.size(), diag::kBadSegments},
+        {3, diag::kCutCrossesSkip}}) {
+    SessionConfig bad_cut = net.session_config;
+    bad_cut.linked.emplace().cut_after_nodes = {cut};
+    try {
+      DfeServer server(net.spec, net.params, ServerConfig{}, bad_cut);
+      FAIL() << "a cut after node " << cut << " must be rejected";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(code), std::string::npos) << what;
+    }
   }
   for (const double fraction : {-0.1, 1.5}) {
     ServerConfig shadow;
@@ -462,22 +469,17 @@ TEST(Serve, ShadowMismatchEscalationIsOffByDefault) {
   EXPECT_EQ(s.quarantines, 0u);
 }
 
-// A backend whose first kBrokenSessions compiled sessions fail
-// every run — including quarantine probes — while later sessions execute
-// the scalar reference. Healing therefore *requires* the watchdog restart
-// path: probes alone can never readmit a wedged session.
+// A fake engine whose first kBrokenSessions built instances fail every
+// run — including quarantine probes — while later ones execute the scalar
+// reference. Healing therefore *requires* the watchdog restart path:
+// probes alone can never readmit a wedged session.
 constexpr int kBrokenSessions = 2;
-std::atomic<int> g_flaky_compiles{0};
 
-class FlakySession final : public BackendSession {
+class FlakyEngine final : public SessionEngine {
  public:
-  FlakySession(const Backend& owner, Pipeline pipeline, NetworkParams params,
-               bool broken)
-      : owner_(owner),
-        pipeline_(std::move(pipeline)),
-        params_(std::move(params)),
-        ref_(pipeline_, params_),
-        broken_(broken) {}
+  FlakyEngine(const Pipeline& pipeline, const NetworkParams& params,
+              bool broken)
+      : ref_(pipeline, params), broken_(broken) {}
 
   [[nodiscard]] std::vector<IntTensor> infer_batch(
       std::span<const IntTensor> images,
@@ -490,45 +492,23 @@ class FlakySession final : public BackendSession {
     return out;
   }
   void cancel() override {}
-  [[nodiscard]] const Pipeline& pipeline() const override {
-    return pipeline_;
-  }
-  [[nodiscard]] const NetworkParams& params() const override {
-    return params_;
-  }
-  [[nodiscard]] const Backend& backend() const override { return owner_; }
+  [[nodiscard]] std::string_view name() const override { return "flaky"; }
 
  private:
-  const Backend& owner_;
-  Pipeline pipeline_;
-  NetworkParams params_;
   ReferenceExecutor ref_;
   bool broken_;
 };
 
-class FlakyBackend final : public Backend {
- public:
-  [[nodiscard]] const BackendInfo& info() const override {
-    static const BackendInfo kInfo{"flaky",
-                                   "test-only: first sessions always fail", 8};
-    return kInfo;
-  }
-  [[nodiscard]] bool supports_op(const Node&) const override { return true; }
-  [[nodiscard]] std::unique_ptr<BackendSession> compile(
-      const Pipeline& pipeline, NetworkParams params,
-      const EngineOptions&) const override {
-    const int id = g_flaky_compiles.fetch_add(1);
-    return std::make_unique<FlakySession>(*this, pipeline, std::move(params),
-                                          id < kBrokenSessions);
-  }
-};
-
 TEST(Serve, WatchdogRestartRecompilesWedgedReplica) {
-  static const Backend& flaky =
-      backend_registry().register_backend(std::make_unique<FlakyBackend>());
-  (void)flaky;
   TinyNet net;
-  net.session_config.backend = "flaky";
+  // Shared by the stored config's copies, so restarts count on.
+  auto built = std::make_shared<std::atomic<int>>(0);
+  net.session_config.make_engine = [built](const Pipeline& pipeline,
+                                           const NetworkParams& params,
+                                           const EngineOptions&) {
+    return std::make_unique<FlakyEngine>(pipeline, params,
+                                         built->fetch_add(1) < kBrokenSessions);
+  };
   ServerConfig cfg;
   cfg.max_batch = 2;
   cfg.batch_timeout_us = 0;

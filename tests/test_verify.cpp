@@ -186,6 +186,24 @@ TEST(Verify, StreamWidthOutsideSupportedRangeIsD105) {
   EXPECT_TRUE(has_error(f.verify(), diag::kBitsRange));
 }
 
+TEST(Verify, ConvInputAbove16BitsIsD105) {
+  // The conv datapath takes at most two byte-planes of input; D105 is the
+  // pre-compile gate for anything wider.
+  for (const int bits : {16, 17, 20, 32}) {
+    Fixture f;
+    const int conv = f.first_node(NodeKind::Conv);
+    f.node(conv).in_bits = bits;
+    const Report r = f.verify();
+    const bool flagged = std::any_of(
+        r.diagnostics().begin(), r.diagnostics().end(),
+        [&](const Diagnostic& d) {
+          return d.code == diag::kBitsRange && d.node == conv &&
+                 d.severity == Severity::kError;
+        });
+    EXPECT_EQ(flagged, bits > 16) << bits << "-bit conv input";
+  }
+}
+
 // ------------------------------------------------- (b) parameter banks
 
 TEST(Verify, MissingConvBankIsD201) {

@@ -51,9 +51,10 @@
 # The default run already includes the QNN-D6xx static gates — the
 # compiled-plan consistency lint (PlanLint suite) and the exact token-flow
 # deadlock proofs (TokenFlow suite) run inside test_verify/test_plan. It
-# then re-runs the datapath, ring, engine, pooling and scanner
+# then re-runs the datapath, ring, engine, pooling, scanner and session
 # bit-exactness suites (VecOps, Packed*, BitPlane*, Conv*, Engine*,
-# Stream*, PoolKernelTest, PoolVsReference, WindowScanner*) under
+# Stream*, PoolKernelTest, PoolVsReference, WindowScanner*,
+# SessionConformance — both session kinds, engine and linked) under
 # QNN_SIMD=avx2 and QNN_SIMD=scalar, so every kernel the engine builds
 # and every ring conversion is checked at the narrower levels too, not
 # only at the widest one the host has.
@@ -90,9 +91,9 @@ else
   # vec_ops table once, at construction, from QNN_SIMD; a level the host
   # lacks clamps down.
   for level in avx2 scalar; do
-    echo "== test (datapath + ring + engine + pool suites, QNN_SIMD=$level) =="
+    echo "== test (datapath + ring + engine + pool + session suites, QNN_SIMD=$level) =="
     QNN_SIMD="$level" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R '(^|/)(VecOps|Packed|BitPlane|Conv|Engine|Stream|PoolKernelTest|PoolVsReference|WindowScanner)[A-Za-z]*\.'
+      -R '(^|/)(VecOps|Packed|BitPlane|Conv|Engine|Stream|PoolKernelTest|PoolVsReference|WindowScanner|SessionConformance)[A-Za-z]*\.'
   done
 fi
 
